@@ -36,7 +36,6 @@ from .local_me import (
     build_local_generators,
     local_current_set,
     local_heat_current,
-    work_power,
 )
 from .steady_state import (
     PointSolution,
@@ -73,7 +72,6 @@ from .correlations import (
 )
 from .sweeps import (
     GridScanConfig,
-    PointEvaluation,
     SplitMix64,
     SweepConfig,
     SweepRecord,

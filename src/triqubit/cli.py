@@ -38,8 +38,6 @@ from .sweeps import (
 from .thermo import DEFAULT_EPSILON, continuity_residuals
 
 _POINT_KEYS = frozenset({"bath_model", "B", "J", "Delta", "T", "gamma", "epsilon"})
-_SWEEP_KEYS = frozenset(f.name for f in fields(SweepConfig))
-_GRID_KEYS = frozenset(f.name for f in fields(GridScanConfig))
 
 _DEFAULT_T = (1.0, 2.0, 3.0)
 
@@ -124,10 +122,12 @@ def _cmd_point(args) -> int:
     return 0 if ev.thermo is not None else 1
 
 
+def _failed_indices(records) -> list:
+    return [r.index for r in records if any(f.startswith("error:") for f in r.flags)]
+
+
 def _report_failures(records) -> int:
-    failed = [
-        r.index for r in records if any(f.startswith("error:") for f in r.flags)
-    ]
+    failed = _failed_indices(records)
     if failed:
         shown = ", ".join(str(i) for i in failed[:10])
         more = "" if len(failed) <= 10 else f" (+{len(failed) - 10} more)"
@@ -135,39 +135,32 @@ def _report_failures(records) -> int:
     return len(failed)
 
 
-def _cmd_sweep_random(args) -> int:
-    data = _load_config(args.config, _SWEEP_KEYS)
-    _apply_overrides(data, args.set, _SWEEP_KEYS)
-    if args.seed is not None:
+def _sweep_config(args, cls):
+    """Config of class cls from --config, then --set, then --seed/--samples."""
+    allowed = frozenset(f.name for f in fields(cls))
+    data = _load_config(args.config, allowed)
+    _apply_overrides(data, args.set, allowed)
+    if getattr(args, "seed", None) is not None:
         data["master_seed"] = args.seed
-    if args.samples is not None:
+    if getattr(args, "samples", None) is not None:
         data["n_samples"] = args.samples
-    cfg = SweepConfig(**data)
-    records = random_sweep(cfg, workers=args.workers)
-    write_records(records, args.out, "random", cfg)
-    failures = _report_failures(records)
-    print(f"wrote {len(records)} records to {args.out}")
-    return 1 if failures else 0
+    return cls(**data)
 
 
-def _cmd_sweep_valve(args) -> int:
-    data = _load_config(args.config, _GRID_KEYS)
-    _apply_overrides(data, args.set, _GRID_KEYS)
-    cfg = GridScanConfig(**data)
-    records = valve_sweep(cfg, workers=args.workers)
-    write_records(records, args.out, "valve", cfg, extra_columns=VALVE_COLUMNS)
-    failures = _report_failures(records)
-    print(f"wrote {len(records)} records to {args.out}")
-    return 1 if failures else 0
+# sweep command -> (config class, driver, scan name, extra CSV columns)
+_SWEEPS = {
+    "sweep-random": (SweepConfig, random_sweep, "random", ()),
+    "sweep-valve": (GridScanConfig, valve_sweep, "valve", VALVE_COLUMNS),
+    "sweep-boost": (GridScanConfig, boost_scan, "boost", BOOST_COLUMNS),
+}
 
 
-def _cmd_sweep_boost(args) -> int:
-    data = _load_config(args.config, _GRID_KEYS)
-    _apply_overrides(data, args.set, _GRID_KEYS)
-    cfg = GridScanConfig(**data)
-    records = boost_scan(cfg, workers=args.workers)
-    write_records(records, args.out, "boost", cfg, extra_columns=BOOST_COLUMNS)
-    if not records:
+def _cmd_sweep(args) -> int:
+    cls, driver, scan_name, columns = _SWEEPS[args.command]
+    cfg = _sweep_config(args, cls)
+    records = driver(cfg, workers=args.workers)
+    write_records(records, args.out, scan_name, cfg, extra_columns=columns)
+    if not records:  # only a boost scan over an empty window yields none
         print(f"empty refrigerator window; wrote header-only {args.out}")
         return 0
     failures = _report_failures(records)
@@ -207,13 +200,7 @@ def _check_rows(records, local: bool):
 
 
 def _cmd_validate(args) -> int:
-    data = _load_config(args.config, _SWEEP_KEYS)
-    _apply_overrides(data, args.set, _SWEEP_KEYS)
-    if args.seed is not None:
-        data["master_seed"] = args.seed
-    if args.samples is not None:
-        data["n_samples"] = args.samples
-    cfg = SweepConfig(**data)
+    cfg = _sweep_config(args, SweepConfig)
     records = random_sweep(cfg, workers=args.workers)
     local = cfg.bath_model == "repeated_interaction"
     all_pass = True
@@ -221,9 +208,7 @@ def _cmd_validate(args) -> int:
         status = "pass" if passed == total else "FAIL"
         print(f"{name:<20} {passed}/{total} {status}")
         all_pass = all_pass and passed == total
-    failures = sum(
-        1 for r in records if any(f.startswith("error:") for f in r.flags)
-    )
+    failures = len(_failed_indices(records))
     discarded = sum(1 for r in records if "discarded" in r.flags)
     print(f"{'solver failures':<20} {failures}/{len(records)}")
     print(f"{'discarded':<20} {discarded}/{len(records)}")
@@ -255,29 +240,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="also write the JSON report to this path")
     p.set_defaults(handler=_cmd_point)
 
-    p = subs.add_parser("sweep-random", help="random parameter sweep to CSV")
-    _add_common(p, out_required=True)
-    p.add_argument("--seed", type=int, help="override master_seed")
-    p.add_argument("--samples", type=int, help="override n_samples")
-    p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(handler=_cmd_sweep_random)
-
-    p = subs.add_parser("sweep-valve", help="B2 grid scan with flow labels")
-    _add_common(p, out_required=True)
-    p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(handler=_cmd_sweep_valve)
-
-    p = subs.add_parser("sweep-boost", help="refrigerator window scan")
-    _add_common(p, out_required=True)
-    p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(handler=_cmd_sweep_boost)
-
-    p = subs.add_parser("validate", help="run the invariant suite on a config")
-    _add_common(p, out_required=False)
-    p.add_argument("--seed", type=int, help="override master_seed")
-    p.add_argument("--samples", type=int, help="override n_samples")
-    p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(handler=_cmd_validate)
+    for name, help_text, handler, out_required, random in (
+        ("sweep-random", "random parameter sweep to CSV", _cmd_sweep, True, True),
+        ("sweep-valve", "B2 grid scan with flow labels", _cmd_sweep, True, False),
+        ("sweep-boost", "refrigerator window scan", _cmd_sweep, True, False),
+        ("validate", "run the invariant suite on a config", _cmd_validate, False, True),
+    ):
+        p = subs.add_parser(name, help=help_text)
+        _add_common(p, out_required=out_required)
+        if random:
+            p.add_argument("--seed", type=int, help="override master_seed")
+            p.add_argument("--samples", type=int, help="override n_samples")
+        p.add_argument("--workers", type=int, default=1)
+        p.set_defaults(handler=handler)
 
     return parser
 

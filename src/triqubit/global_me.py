@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .algebra import (
     CLD,
-    coherent_superop,
     embed_pauli,
     trace_product,
     unvec,
@@ -50,7 +49,10 @@ def bose_occupation(omega: float, T: float) -> float:
         raise DomainError(f"bose_occupation needs omega > 0, got {omega}")
     if T <= 0.0:
         raise DomainError(f"bose_occupation needs T > 0, got {T}")
-    return 1.0 / math.expm1(omega / T)
+    x = omega / T
+    # 1/(e^x - 1) = e^-x / (1 - e^-x): past x ~ 709.78 e^x overflows, while
+    # 1 - e^-x already rounds to 1 from x ~ 37 on
+    return 1.0 / math.expm1(x) if x < 709.0 else math.exp(-x)
 
 
 @dataclass(frozen=True)
@@ -200,26 +202,17 @@ class GlobalGenerators:
     spectrum: Spectrum
     jumps: tuple
     dissipators: tuple
-    liouvillian: np.ndarray = field(repr=False)
 
 
-def build_global_generators(p: ModelParams, degeneracy_tol: float = None) -> GlobalGenerators:
+def build_global_generators(p: ModelParams) -> GlobalGenerators:
     H = build_hamiltonian(p)
     spectrum = sector_spectrum(H)
-    jumps = tuple(jump_operators(spectrum, site, degeneracy_tol) for site in (1, 2, 3))
+    jumps = tuple(jump_operators(spectrum, site) for site in (1, 2, 3))
     dissipators = tuple(
         global_dissipator(jumps[site - 1], p.gamma[site - 1], p.T[site - 1])
         for site in (1, 2, 3)
     )
-    liouvillian = coherent_superop(H) + dissipators[0] + dissipators[1] + dissipators[2]
-    return GlobalGenerators(
-        params=p,
-        H=H,
-        spectrum=spectrum,
-        jumps=jumps,
-        dissipators=dissipators,
-        liouvillian=liouvillian,
-    )
+    return GlobalGenerators(params=p, H=H, spectrum=spectrum, jumps=jumps, dissipators=dissipators)
 
 
 def site_rate_matrices(gen: GlobalGenerators):
@@ -257,8 +250,3 @@ def site_rate_matrices(gen: GlobalGenerators):
         mats.append(M)
     return tuple(mats), closed
 
-
-def population_rate_matrix(gen: GlobalGenerators):
-    """Total rate matrix dp/dt = M p on eigenbasis populations; see site_rate_matrices."""
-    mats, closed = site_rate_matrices(gen)
-    return sum(mats), closed

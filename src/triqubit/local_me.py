@@ -27,7 +27,6 @@ import numpy as np
 
 from .algebra import (
     CLD,
-    coherent_superop,
     dissipator_superop,
     embed_pauli,
     expectation,
@@ -127,21 +126,15 @@ def _real_trace(obs: np.ndarray, mat_ld: np.ndarray, what: str) -> float:
     return val.real
 
 
-def bath_magnetization_current(rho_ss: np.ndarray, p: ModelParams, site: int) -> float:
-    """q_i = Tr(sigma_z^i D_i[rho]), the generator form."""
-    action = _dissipator_action(p, site, rho_ss)
-    return _real_trace(_site_matrices(site)[4], action, f"q_{site}")
-
-
 def magnetization_current_closed_form(rho_ss: np.ndarray, p: ModelParams, site: int) -> float:
-    """gamma (1 + 2n) (<sigma_z>_bath - <sigma_z>_i); equals the generator form."""
+    """gamma (1 + 2n) (<sigma_z>_bath - <sigma_z>_i); equals local_current_set's q_i."""
     rates = local_rates(p, site)
     sz = expectation(rho_ss, _site_matrices(site)[4])
     return rates.gamma * (1.0 + 2.0 * rates.n_up) * (rates.bath_sz - sz)
 
 
 def local_heat_current(rho_ss: np.ndarray, p: ModelParams, site: int) -> float:
-    """Q_i = Tr(B_i sigma_z^i D_i[rho])."""
+    """Q_i = Tr(B_i sigma_z^i D_i[rho]), one site at a time; a test oracle."""
     action = _dissipator_action(p, site, rho_ss)
     h_site = p.B[site - 1] * _site_matrices(site)[4]
     return _real_trace(h_site, action, f"Q_{site}")
@@ -159,17 +152,6 @@ def _check_work_routes(w: float, heats, p: ModelParams) -> None:
         raise NumericalConsistencyError(
             f"work power routes disagree: {w!r} vs {-sum(heats)!r}"
         )
-
-
-def work_power(rho_ss: np.ndarray, p: ModelParams) -> float:
-    """W = Tr(H_int sum_i D_i[rho]), checked against -sum_i Q_i."""
-    total = _dissipator_action(p, 1, rho_ss)
-    total += _dissipator_action(p, 2, rho_ss)
-    total += _dissipator_action(p, 3, rho_ss)
-    w = _real_trace(interaction_hamiltonian(p), total, "work power")
-    heats = [local_heat_current(rho_ss, p, s) for s in (1, 2, 3)]
-    _check_work_routes(w, heats, p)
-    return w
 
 
 def interqubit_current(rho_ss: np.ndarray, p: ModelParams, j: int, i: int) -> float:
@@ -222,11 +204,9 @@ class LocalGenerators:
     params: ModelParams
     H: np.ndarray
     dissipators: tuple
-    liouvillian: np.ndarray
 
 
 def build_local_generators(p: ModelParams) -> LocalGenerators:
     H = build_hamiltonian(p)
     dissipators = tuple(local_dissipator(p, site) for site in (1, 2, 3))
-    liouvillian = coherent_superop(H) + dissipators[0] + dissipators[1] + dissipators[2]
-    return LocalGenerators(params=p, H=H, dissipators=dissipators, liouvillian=liouvillian)
+    return LocalGenerators(params=p, H=H, dissipators=dissipators)

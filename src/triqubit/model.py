@@ -136,11 +136,9 @@ class Spectrum:
         return self.energies.size
 
 
-def sector_spectrum(H: np.ndarray, n_sites: int = None) -> Spectrum:
+def sector_spectrum(H: np.ndarray) -> Spectrum:
     """Diagonalize a magnetization-conserving Hamiltonian sector by sector."""
     n = num_qubits(H)
-    if n_sites is not None and n_sites != n:
-        raise DomainError(f"H acts on {n} qubits, caller claimed {n_sites}")
     scale = max(float(np.max(np.abs(H))), 1e-300)
     if np.linalg.norm(H - H.conj().T, "fro") > 1e-12 * scale * H.shape[0]:
         raise DomainError("H is not Hermitian")

@@ -22,14 +22,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import CLD, herm, unvec, vec
+from .algebra import CLD, coherent_superop, herm, unvec, vec
 from .errors import (
     DegenerateSteadyStateError,
     DomainError,
     NumericalConsistencyError,
 )
 from .global_me import build_global_generators, site_rate_matrices
-from .local_me import LocalGenerators, build_local_generators
+from .local_me import build_local_generators
 from .model import BATH_HARMONIC, ModelParams, Spectrum, sector_spectrum
 
 _NULL_TOL = 1e-10  # singular values below _NULL_TOL * sigma_max count as null
@@ -50,13 +50,18 @@ def _check_trace_preserving(L: np.ndarray, d: int) -> None:
         raise DomainError(f"generator is not trace-preserving (defect {defect:.3e})")
 
 
-def _newton_polish(L: np.ndarray, v0: np.ndarray, diag_ld=None, offdiag_ld=None):
+def _residual(diag_ld: np.ndarray, offdiag_ld: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """L @ x in extended precision, with L split as diag(diag_ld) + offdiag_ld."""
+    x_ld = x.astype(CLD)
+    return diag_ld * x_ld + offdiag_ld @ x_ld
+
+
+def _newton_polish(L: np.ndarray, v0: np.ndarray, diag_ld: np.ndarray, offdiag_ld: np.ndarray):
     """Refine a null-vector candidate; returns (x, residual_norm).
 
-    The residual L @ x is evaluated in extended precision, either from the
-    full matrix or, when diag_ld/offdiag_ld are given, as diag*x + offdiag@x
-    (used by the eigenbasis pipeline, where the split keeps the evaluation
-    error proportional to the dissipative rates).
+    Residuals come from _residual on the clongdouble split of L. In the
+    eigenbasis pipeline the diagonal is the coherent part, and the split
+    keeps the evaluation error proportional to the dissipative rates.
     """
     d2 = L.shape[0]
     d = int(round(math.sqrt(d2)))
@@ -67,7 +72,6 @@ def _newton_polish(L: np.ndarray, v0: np.ndarray, diag_ld=None, offdiag_ld=None)
     J = np.vstack([L, row[None, :]])
     q, r = np.linalg.qr(J)
 
-    L_ld = None if offdiag_ld is not None else L.astype(CLD)
     row_ld = row.astype(CLD)
 
     # start from the trace-normalized candidate
@@ -75,13 +79,7 @@ def _newton_polish(L: np.ndarray, v0: np.ndarray, diag_ld=None, offdiag_ld=None)
     x = v0 / tr0
 
     def full_residual(xv):
-        x_ld = xv.astype(CLD)
-        if offdiag_ld is not None:
-            top = diag_ld * x_ld + offdiag_ld @ x_ld
-        else:
-            top = L_ld @ x_ld
-        bottom = row_ld @ x_ld - row_scale
-        return top, bottom
+        return _residual(diag_ld, offdiag_ld, xv), row_ld @ xv.astype(CLD) - row_scale
 
     best_x = x
     best_norm = None
@@ -115,13 +113,13 @@ def _finalize_state(x: np.ndarray) -> np.ndarray:
     return rho
 
 
-def solve_steady_state(L: np.ndarray) -> SteadyStateResult:
-    """Unique steady state of a trace-preserving generator via SVD null space."""
-    d2 = L.shape[0]
-    d = int(round(math.sqrt(d2)))
-    if L.ndim != 2 or L.shape[1] != d2 or d * d != d2:
-        raise DomainError(f"generator shape {L.shape} is not a vectorized square map")
-    _check_trace_preserving(L, d)
+def _null_vector(L: np.ndarray):
+    """Unique null vector of a trace-preserving generator, by SVD.
+
+    Returns (v, sigma_max). Singular values below _NULL_TOL * sigma_max
+    count as null; a null space of any dimension other than one raises.
+    """
+    _check_trace_preserving(L, int(round(math.sqrt(L.shape[0]))))
     s, vh = np.linalg.svd(L)[1:]
     sigma_max = float(s[0])
     if sigma_max == 0.0:
@@ -133,15 +131,30 @@ def solve_steady_state(L: np.ndarray) -> SteadyStateResult:
         )
     if dim > 1:
         raise DegenerateSteadyStateError(f"steady state is degenerate (null dimension {dim})")
-    x, res = _newton_polish(L, vh[-1].conj())
+    return vh[-1].conj(), sigma_max
+
+
+def solve_steady_state(L: np.ndarray) -> SteadyStateResult:
+    """Unique steady state of a trace-preserving generator via SVD null space."""
+    d2 = L.shape[0]
+    d = int(round(math.sqrt(d2)))
+    if L.ndim != 2 or L.shape[1] != d2 or d * d != d2:
+        raise DomainError(f"generator shape {L.shape} is not a vectorized square map")
+    v, _ = _null_vector(L)
+    x, res = _newton_polish(L, v, np.zeros(d2, dtype=CLD), L.astype(CLD))
     return SteadyStateResult(rho=_finalize_state(x), residual=res, nullspace_dim=1, method="nullspace")
 
 
-def build_liouvillian(p: ModelParams, degeneracy_tol: float = None) -> np.ndarray:
-    """Full 64x64 generator in the computational basis."""
+def _build_generators(p: ModelParams):
     if p.bath_model == BATH_HARMONIC:
-        return build_global_generators(p, degeneracy_tol).liouvillian
-    return build_local_generators(p).liouvillian
+        return build_global_generators(p)
+    return build_local_generators(p)
+
+
+def build_liouvillian(p: ModelParams) -> np.ndarray:
+    """Full 64x64 generator in the computational basis, for the oracle."""
+    gen = _build_generators(p)
+    return coherent_superop(gen.H) + gen.dissipators[0] + gen.dissipators[1] + gen.dissipators[2]
 
 
 @dataclass(frozen=True)
@@ -161,44 +174,20 @@ class PointSolution:
     population_closed: bool = None
 
 
-def _eigenbasis_pieces(spectrum: Spectrum, dissipators):
+def solve_point(p: ModelParams) -> PointSolution:
+    """Build generators for a parameter point and solve in the eigenbasis."""
+    gen = _build_generators(p)
+    spectrum = gen.spectrum if p.bath_model == BATH_HARMONIC else sector_spectrum(gen.H)
     V = spectrum.vectors
     E = spectrum.energies
-    d = E.size
     W = np.kron(V.conj(), V)  # vec(V X V^dag) = W vec(X)
-    diss_eig = [W.conj().T @ D @ W for D in dissipators]
+    diss_eig = [W.conj().T @ D @ W for D in gen.dissipators]
     lam = (-1j * (E[:, None] - E[None, :])).reshape(-1, order="F")
-    return W, diss_eig, lam
-
-
-def solve_point(p: ModelParams, degeneracy_tol: float = None) -> PointSolution:
-    """Build generators for a parameter point and solve in the eigenbasis."""
-    if p.bath_model == BATH_HARMONIC:
-        gen = build_global_generators(p, degeneracy_tol)
-        spectrum = gen.spectrum
-    else:
-        gen = build_local_generators(p)
-        spectrum = sector_spectrum(gen.H)
-    _, diss_eig, lam = _eigenbasis_pieces(spectrum, gen.dissipators)
-    d = spectrum.dim
     L_eig = np.diag(lam) + diss_eig[0] + diss_eig[1] + diss_eig[2]
-    _check_trace_preserving(L_eig, d)
-
-    s, vh = np.linalg.svd(L_eig)[1:]
-    sigma_max = float(s[0])
-    if sigma_max == 0.0:
-        raise DegenerateSteadyStateError("zero generator: every state is steady")
-    dim = int(np.sum(s <= _NULL_TOL * sigma_max))
-    if dim == 0:
-        raise NumericalConsistencyError(
-            f"no null vector within tolerance (smallest singular value {s[-1]:.3e})"
-        )
-    if dim > 1:
-        raise DegenerateSteadyStateError(f"steady state is degenerate (null dimension {dim})")
-
-    offdiag_ld = (diss_eig[0] + diss_eig[1] + diss_eig[2]).astype(CLD)
+    v, sigma_max = _null_vector(L_eig)
     diag_ld = lam.astype(CLD)
-    x, res = _newton_polish(L_eig, vh[-1].conj(), diag_ld=diag_ld, offdiag_ld=offdiag_ld)
+    offdiag_ld = (diss_eig[0] + diss_eig[1] + diss_eig[2]).astype(CLD)
+    x, res = _newton_polish(L_eig, v, diag_ld, offdiag_ld)
 
     populations = None
     rate_matrices = None
@@ -209,7 +198,7 @@ def solve_point(p: ModelParams, degeneracy_tol: float = None) -> PointSolution:
             refined = _refined_population(rate_matrices, x, spectrum.energies)
             if refined is not None:
                 x_ref = vec(np.diag(refined.astype(complex)))
-                top = diag_ld * x_ref.astype(CLD) + offdiag_ld @ x_ref.astype(CLD)
+                top = _residual(diag_ld, offdiag_ld, x_ref)
                 res_ref = float(np.linalg.norm(top.astype(complex)))
                 # the diagonal form is exact for closed clusters; use it
                 # unless its residual is materially worse than the generic
@@ -222,7 +211,6 @@ def solve_point(p: ModelParams, degeneracy_tol: float = None) -> PointSolution:
     if populations is not None:
         # keep the exactly diagonal form; _finalize_state only rescaled it
         rho_eig = np.diag(np.diag(rho_eig))
-    V = spectrum.vectors
     rho = herm(V @ rho_eig @ V.conj().T)
     return PointSolution(
         params=p,

@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -31,6 +32,7 @@ from .model import (
     BATH_REPEATED_INTERACTION,
     PAIRS,
     ModelParams,
+    _triple,
 )
 from .steady_state import solve_point
 from .thermo import DEFAULT_EPSILON, Regime, ThermoReport, thermo_report
@@ -42,6 +44,8 @@ _MIX2 = 0x94D049BB133111EB
 
 # rejection sampling must terminate even on a misconfigured range
 _MAX_REDRAWS = 1000
+# the least positive double: a draw reaches it exactly when it is > 0
+_LEAST_POSITIVE = math.ulp(0.0)
 
 
 class SplitMix64:
@@ -69,18 +73,8 @@ class SplitMix64:
 
 
 def _as_triple(value, name: str) -> tuple:
-    if value is None:
-        raise DomainError(f"{name} must be given")
-    if np.isscalar(value):
-        v = float(value)
-        triple = (v, v, v)
-    else:
-        triple = tuple(float(x) for x in value)
-        if len(triple) != 3:
-            raise DomainError(f"{name} must be a scalar or a length-3 sequence")
-    if not all(np.isfinite(triple)):
-        raise DomainError(f"{name} must be finite")
-    return triple
+    """model._triple, with a scalar standing for the same value on all sites."""
+    return _triple(name, (value,) * 3 if np.isscalar(value) else value)
 
 
 def _as_range(value, name: str) -> tuple:
@@ -197,22 +191,14 @@ class GridScanConfig:
             raise DomainError("epsilon must be positive")
 
 
-def _draw_above(rng: SplitMix64, low: float, high: float, floor: float) -> float:
+def _draw_at_least(rng: SplitMix64, low: float, high: float, floor: float) -> float:
+    """Uniform draw from [low, high), redrawn until it is >= floor."""
     value = rng.uniform(low, high)
     for _ in range(_MAX_REDRAWS):
         if value >= floor:
             return value
         value = rng.uniform(low, high)
-    raise DomainError(f"could not draw a field >= {floor} from [{low}, {high}]")
-
-
-def _draw_positive(rng: SplitMix64, low: float, high: float) -> float:
-    value = rng.uniform(low, high)
-    for _ in range(_MAX_REDRAWS):
-        if value > 0.0:
-            return value
-        value = rng.uniform(low, high)
-    raise DomainError(f"could not draw a positive rate from [{low}, {high}]")
+    raise DomainError(f"could not draw a value >= {floor} from [{low}, {high}]")
 
 
 def draw_params(cfg: SweepConfig, index: int) -> ModelParams:
@@ -226,30 +212,21 @@ def draw_params(cfg: SweepConfig, index: int) -> ModelParams:
         B = cfg.B
     else:
         lo, hi = cfg.B_range
-        B = tuple(_draw_above(rng, lo, hi, cfg.min_field) for _ in range(3))
+        B = tuple(_draw_at_least(rng, lo, hi, cfg.min_field) for _ in range(3))
     if cfg.gamma is not None:
         gamma = cfg.gamma
     else:
         lo, hi = cfg.gamma_range
-        gamma = tuple(_draw_positive(rng, lo, hi) for _ in range(3))
+        gamma = tuple(_draw_at_least(rng, lo, hi, _LEAST_POSITIVE) for _ in range(3))
     return ModelParams(
         bath_model=cfg.bath_model, B=B, J=cfg.J, Delta=cfg.Delta, T=cfg.T, gamma=gamma
     )
 
 
 @dataclass(frozen=True)
-class PointEvaluation:
-    """Everything one solved point contributes to a sweep record."""
-
-    params: ModelParams
-    thermo: Optional[ThermoReport]
-    correlations: Optional[CorrelationReport]
-    residual: Optional[float]
-    flags: tuple
-
-
-@dataclass(frozen=True)
 class SweepRecord:
+    """One evaluated point: its reports, residual, flags and scan-specific extras."""
+
     index: int
     params: ModelParams
     thermo: Optional[ThermoReport]
@@ -259,12 +236,13 @@ class SweepRecord:
     extra: Mapping[str, object] = field(default_factory=dict)
 
 
-def evaluate_point(params: ModelParams, epsilon: float = DEFAULT_EPSILON) -> PointEvaluation:
+def evaluate_point(params: ModelParams, epsilon: float = DEFAULT_EPSILON) -> SweepRecord:
     """Solve one point and build both reports, never letting failures escape.
 
     Solver and consistency failures become "error:<Name>" flags with empty
     reports; warnings become "warn:<Name>" flags on an otherwise complete
-    record. A sweep therefore always yields one record per index.
+    record. A sweep therefore always yields one record per index. The
+    record carries index 0; the sweep drivers renumber it.
     """
     flags: list = []
     thermo = correlations = residual = None
@@ -281,15 +259,17 @@ def evaluate_point(params: ModelParams, epsilon: float = DEFAULT_EPSILON) -> Poi
         name = f"warn:{entry.category.__name__}"
         if name not in flags:
             flags.append(name)
-    return PointEvaluation(params, thermo, correlations, residual, tuple(flags))
+    return SweepRecord(0, params, thermo, correlations, residual, tuple(flags))
 
 
-def _evaluate_task(task):
+def _evaluate_task(task) -> SweepRecord:
     index, params, epsilon = task
-    return index, evaluate_point(params, epsilon=epsilon)
+    return replace(evaluate_point(params, epsilon=epsilon), index=index)
 
 
-def _evaluate_many(tasks: Sequence, workers: int) -> list:
+def _evaluate_many(points: Sequence, epsilon: float, workers: int) -> list:
+    """Records of points[k] at index k, in index order, on up to `workers` processes."""
+    tasks = [(k, params, epsilon) for k, params in enumerate(points)]
     if workers <= 1 or len(tasks) <= 1:
         return [_evaluate_task(task) for task in tasks]
     chunk = max(1, len(tasks) // (4 * workers))
@@ -299,21 +279,14 @@ def _evaluate_many(tasks: Sequence, workers: int) -> list:
 
 def random_sweep(cfg: SweepConfig, workers: int = 1) -> list:
     """Evaluate n_samples independently drawn points, in index order."""
-    tasks = [(k, draw_params(cfg, k), cfg.epsilon) for k in range(cfg.n_samples)]
+    points = [draw_params(cfg, k) for k in range(cfg.n_samples)]
     ratio = cfg.effective_discard_rule
-    records = []
-    for (index, ev), (_, params, _) in zip(_evaluate_many(tasks, workers), tasks):
-        flags = ev.flags
-        if ratio > 0.0 and min(params.B) < ratio * max(params.gamma):
-            flags = flags + ("discarded",)
-        records.append(
-            SweepRecord(index, params, ev.thermo, ev.correlations, ev.residual, flags)
-        )
-    return records
-
-
-def _grid(cfg: GridScanConfig) -> np.ndarray:
-    return np.linspace(cfg.B2_min, cfg.B2_max, cfg.n_points)
+    return [
+        replace(rec, flags=rec.flags + ("discarded",))
+        if ratio > 0.0 and min(rec.params.B) < ratio * max(rec.params.gamma)
+        else rec
+        for rec in _evaluate_many(points, cfg.epsilon, workers)
+    ]
 
 
 def _grid_params(cfg: GridScanConfig, b2: float) -> ModelParams:
@@ -325,6 +298,10 @@ def _grid_params(cfg: GridScanConfig, b2: float) -> ModelParams:
         T=cfg.T,
         gamma=cfg.gamma,
     )
+
+
+def _grid_points(cfg: GridScanConfig) -> list:
+    return [_grid_params(cfg, b2) for b2 in np.linspace(cfg.B2_min, cfg.B2_max, cfg.n_points)]
 
 
 COMBINATION_INDETERMINATE = "indeterminate"
@@ -342,16 +319,10 @@ def _combination_label(thermo: Optional[ThermoReport], epsilon: float) -> str:
 
 def valve_sweep(cfg: GridScanConfig, workers: int = 1) -> list:
     """Scan B2 and label each point by the signs of the outer heat currents."""
-    tasks = [(k, _grid_params(cfg, b2), cfg.epsilon) for k, b2 in enumerate(_grid(cfg))]
-    records = []
-    for (index, ev), (_, params, _) in zip(_evaluate_many(tasks, workers), tasks):
-        extra = {"combination": _combination_label(ev.thermo, cfg.epsilon)}
-        records.append(
-            SweepRecord(
-                index, params, ev.thermo, ev.correlations, ev.residual, ev.flags, extra
-            )
-        )
-    return records
+    return [
+        replace(rec, extra={"combination": _combination_label(rec.thermo, cfg.epsilon)})
+        for rec in _evaluate_many(_grid_points(cfg), cfg.epsilon, workers)
+    ]
 
 
 def _boost_extras(thermo: Optional[ThermoReport]) -> dict:
@@ -371,25 +342,21 @@ def _boost_extras(thermo: Optional[ThermoReport]) -> dict:
 
 
 def _work_at(cfg: GridScanConfig, b2: float) -> float:
-    ev = evaluate_point(_grid_params(cfg, b2), epsilon=cfg.epsilon)
-    if ev.thermo is None:
+    thermo = evaluate_point(_grid_params(cfg, b2), epsilon=cfg.epsilon).thermo
+    if thermo is None:
         raise DomainError(
             f"steady-state solve failed at B2={b2!r} while locating the zero-work edge"
         )
-    return ev.thermo.W
+    return thermo.W
 
 
-def _locate_edge(cfg: GridScanConfig, grid: np.ndarray, records: list) -> Optional[float]:
+def _locate_edge(cfg: GridScanConfig, records: list) -> Optional[float]:
     """Return the B2 where the work power crosses zero above the window.
 
     Starts from the last nonpositive-work grid point and brackets the sign
     change, extending past the grid end if the scan stops inside the window.
     """
-    works = [
-        (float(b2), rec.thermo.W)
-        for b2, rec in zip(grid, records)
-        if rec.thermo is not None
-    ]
+    works = [(rec.params.B[1], rec.thermo.W) for rec in records if rec.thermo is not None]
     below = [item for item in works if item[1] <= 0.0]
     if not below:
         return None
@@ -416,37 +383,21 @@ def boost_scan(cfg: GridScanConfig, workers: int = 1) -> list:
     Returns an empty list when no grid point is an absorption refrigerator
     (the window is empty for the given fields).
     """
-    grid = _grid(cfg)
-    tasks = [(k, _grid_params(cfg, b2), cfg.epsilon) for k, b2 in enumerate(grid)]
-    records = []
-    for (index, ev), (_, params, _) in zip(_evaluate_many(tasks, workers), tasks):
-        records.append(
-            SweepRecord(
-                index,
-                params,
-                ev.thermo,
-                ev.correlations,
-                ev.residual,
-                ev.flags,
-                _boost_extras(ev.thermo),
-            )
-        )
+    records = [
+        replace(rec, extra=_boost_extras(rec.thermo))
+        for rec in _evaluate_many(_grid_points(cfg), cfg.epsilon, workers)
+    ]
     if not any(
         rec.thermo is not None and rec.thermo.regime is Regime.IV for rec in records
     ):
         return []
-    edge = _locate_edge(cfg, grid, records)
+    edge = _locate_edge(cfg, records)
     if edge is not None:
-        ev = evaluate_point(_grid_params(cfg, edge), epsilon=cfg.epsilon)
+        rec = evaluate_point(_grid_params(cfg, edge), epsilon=cfg.epsilon)
         records.append(
-            SweepRecord(
-                len(records),
-                ev.params,
-                ev.thermo,
-                ev.correlations,
-                ev.residual,
-                ev.flags + ("edge",),
-                _boost_extras(ev.thermo),
+            replace(
+                rec, index=len(records), flags=rec.flags + ("edge",),
+                extra=_boost_extras(rec.thermo),
             )
         )
     return records

@@ -4,8 +4,9 @@ import csv
 import json
 
 from triqubit.cli import main
+from triqubit.sweeps import BOOST_COLUMNS, GridScanConfig, boost_scan, write_records
 
-from conftest import LOCAL_SCATTER, VALVE
+from conftest import BOOST, LOCAL_SCATTER, VALVE
 
 
 def write_json(path, payload):
@@ -146,6 +147,27 @@ def test_sweep_boost_empty_window(tmp_path, capsys):
     assert code == 0
     assert "empty refrigerator window" in capsys.readouterr().out
     assert len(out_path.read_text().splitlines()) == 2
+
+
+def test_sweep_boost_matches_library_output(tmp_path, capsys):
+    payload = dict(
+        bath_model="repeated_interaction",
+        J=list(BOOST["J"]), Delta=list(BOOST["Delta"]),
+        B1=BOOST["B1"], B3=BOOST["B3"],
+        B2_min=2.95, B2_max=3.05, n_points=3,
+        gamma=list(BOOST["gamma"]),
+    )
+    out_path = tmp_path / "boost.csv"
+    code = main(["sweep-boost", "--config", write_json(tmp_path / "boost.json", payload),
+                 "--out", str(out_path)])
+    assert code == 0
+    assert "wrote 4 records" in capsys.readouterr().out
+    cfg = GridScanConfig(**payload)
+    lib_path = tmp_path / "lib.csv"
+    write_records(boost_scan(cfg), lib_path, "boost", cfg, extra_columns=BOOST_COLUMNS)
+    assert out_path.read_bytes() == lib_path.read_bytes()
+    rows = list(csv.DictReader(out_path.read_text().splitlines()[1:]))
+    assert [row["flags"] for row in rows] == ["", "", "", "edge"]
 
 
 def test_validate_passes_on_local_sweep(tmp_path, capsys):

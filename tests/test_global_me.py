@@ -10,6 +10,7 @@ from scipy.linalg import expm
 from triqubit import (
     ModelParams,
     build_global_generators,
+    build_liouvillian,
     bose_occupation,
     solve_point,
 )
@@ -34,6 +35,14 @@ def test_bose_occupation_value():
         bose_occupation(0.0, 1.0)
     with pytest.raises(DomainError):
         bose_occupation(1.0, 0.0)
+
+
+def test_bose_occupation_cold_bath():
+    # below the overflow point the value is exactly 1/expm1; past it the
+    # occupation is e^(-x) instead of an OverflowError
+    assert bose_occupation(708.0, 1.0) == 1.0 / np.expm1(708.0)
+    assert bose_occupation(800.0, 1.0) == np.exp(-800.0)
+    assert bose_occupation(1.0, 1e-6) == 0.0
 
 
 def test_uncoupled_jumps_are_lowering_operators():
@@ -98,9 +107,9 @@ def test_dissipator_validation():
 
 def test_generator_is_trace_preserving():
     p = global_point(B=(0.22, 0.51, 0.94))
-    gen = build_global_generators(p)
+    L = build_liouvillian(p)
     u = vec(np.eye(8, dtype=complex))
-    assert np.linalg.norm(u @ gen.liouvillian) < 1e-12 * np.linalg.norm(gen.liouvillian)
+    assert np.linalg.norm(u @ L) < 1e-12 * np.linalg.norm(L)
 
 
 def test_uncoupled_steady_state_is_product_gibbs():
@@ -122,9 +131,9 @@ def test_equal_temperature_gibbs_fixed_point():
     H = build_hamiltonian(p)
     gibbs = expm(-H / 2.0)
     gibbs /= np.trace(gibbs).real
-    gen = build_global_generators(p)
-    scale = np.linalg.norm(gen.liouvillian, 2)
-    assert np.linalg.norm(gen.liouvillian @ vec(gibbs)) < 1e-12 * scale
+    L = build_liouvillian(p)
+    scale = np.linalg.norm(L, 2)
+    assert np.linalg.norm(L @ vec(gibbs)) < 1e-12 * scale
     sol = solve_point(p)
     assert trace_distance(sol.rho, gibbs) < 1e-8
 

@@ -4,18 +4,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from triqubit import ModelParams, solve_point
+from triqubit import ModelParams, build_liouvillian, solve_point
 from triqubit.algebra import trace_distance, vec
 from triqubit.errors import DomainError
 from triqubit.local_me import (
-    bath_magnetization_current,
-    build_local_generators,
     interqubit_current,
     local_current_set,
     local_heat_current,
     local_rates,
     magnetization_current_closed_form,
-    work_power,
 )
 
 from conftest import local_point
@@ -48,8 +45,7 @@ def test_rates_need_positive_field():
 def test_uncoupled_fixed_point_is_product_gibbs():
     p = local_point(B=(0.5, 1.3, 2.1), J=(0.0, 0.0, 0.0), Delta=(0.0, 0.0, 0.0))
     gibbs = _product_gibbs(p.B, p.T)
-    gen = build_local_generators(p)
-    assert np.linalg.norm(gen.liouvillian @ vec(gibbs)) < 1e-12
+    assert np.linalg.norm(build_liouvillian(p) @ vec(gibbs)) < 1e-12
     sol = solve_point(p)
     assert trace_distance(sol.rho, gibbs) < 1e-12
     cs = local_current_set(sol.rho, p)
@@ -70,7 +66,7 @@ def test_proportional_fields_keep_product_gibbs():
 def test_work_routes_agree():
     p = local_point(B=(0.9, 2.7, 4.1), gamma=(0.4, 0.8, 0.15))
     sol = solve_point(p)
-    w = work_power(sol.rho, p)
+    w = local_current_set(sol.rho, p).W
     heats = [local_heat_current(sol.rho, p, s) for s in (1, 2, 3)]
     scale = max(abs(w), max(abs(q) for q in heats))
     assert abs(w + sum(heats)) < 1e-10 * scale
@@ -79,16 +75,18 @@ def test_work_routes_agree():
 def test_heat_current_is_field_times_magnetization_current():
     p = local_point(B=(1.1, 0.5, 3.3), gamma=(0.6, 0.25, 0.9))
     sol = solve_point(p)
+    cs = local_current_set(sol.rho, p)
     for site in (1, 2, 3):
-        q = bath_magnetization_current(sol.rho, p, site)
+        q = cs.q[site - 1]
         assert abs(local_heat_current(sol.rho, p, site) - p.B[site - 1] * q) < 1e-12
 
 
 def test_magnetization_current_routes_agree():
     p = local_point(B=(1.1, 0.5, 3.3), gamma=(0.6, 0.25, 0.9))
     sol = solve_point(p)
+    cs = local_current_set(sol.rho, p)
     for site in (1, 2, 3):
-        a = bath_magnetization_current(sol.rho, p, site)
+        a = cs.q[site - 1]
         b = magnetization_current_closed_form(sol.rho, p, site)
         assert abs(a - b) < 1e-10 * max(1e-300, abs(a), abs(b)) + 1e-14
 
@@ -135,6 +133,6 @@ def test_current_set_rejects_wrong_model():
 
 def test_generator_is_trace_preserving():
     p = local_point(B=(0.9, 2.7, 4.1))
-    gen = build_local_generators(p)
+    L = build_liouvillian(p)
     u = vec(np.eye(8, dtype=complex))
-    assert np.linalg.norm(u @ gen.liouvillian) < 1e-12 * np.linalg.norm(gen.liouvillian)
+    assert np.linalg.norm(u @ L) < 1e-12 * np.linalg.norm(L)

@@ -13,6 +13,7 @@ from triqubit.sweeps import (
     GridScanConfig,
     SplitMix64,
     SweepConfig,
+    SweepRecord,
     boost_scan,
     draw_params,
     evaluate_point,
@@ -22,7 +23,7 @@ from triqubit.sweeps import (
 )
 from triqubit.thermo import Regime
 
-from conftest import BOOST, LOCAL_SCATTER, VALVE
+from conftest import BOOST, GLOBAL_SCATTER, LOCAL_SCATTER, MASTER_SEED, VALVE
 
 
 def test_splitmix64_reference_vector():
@@ -149,8 +150,26 @@ def test_evaluate_point_error_flag():
         bath_model="repeated_interaction",
     )
     ev = evaluate_point(p)
+    assert isinstance(ev, SweepRecord) and ev.params == p
     assert ev.flags == ("error:DomainError",)
     assert ev.thermo is None and ev.correlations is None and ev.residual is None
+
+
+def test_cold_bath_sweeps_yield_one_record_per_index():
+    # 2B/T reaches ~1e5 at the coldest decade, far past where e^(2B/T)
+    # overflows a double; the sweep must still finish, one record per index
+    for model, base in (
+        ("repeated_interaction", dict(LOCAL_SCATTER, gamma_range=(0.1, 1.0))),
+        ("harmonic", GLOBAL_SCATTER),
+    ):
+        for decade in range(-4, 2):
+            t = 10.0**decade
+            cfg = SweepConfig(**{
+                **base, "T": (t, 2.0 * t, 3.0 * t), "bath_model": model,
+                "B_range": (0.5, 4.5), "n_samples": 3, "master_seed": MASTER_SEED,
+            })
+            records = random_sweep(cfg)
+            assert [rec.index for rec in records] == [0, 1, 2]
 
 
 def test_random_sweep_repeatable_csv(tmp_path):
