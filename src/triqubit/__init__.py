@@ -17,6 +17,7 @@ from .model import (
     BATH_HARMONIC,
     BATH_REPEATED_INTERACTION,
     PAIRS,
+    Generators,
     ModelParams,
     Spectrum,
     build_hamiltonian,
@@ -24,7 +25,6 @@ from .model import (
     sector_spectrum,
 )
 from .global_me import (
-    GlobalGenerators,
     bose_occupation,
     build_global_generators,
     global_heat_current,
@@ -32,7 +32,6 @@ from .global_me import (
 )
 from .local_me import (
     CurrentSet,
-    LocalGenerators,
     build_local_generators,
     local_current_set,
     local_heat_current,

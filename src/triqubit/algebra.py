@@ -69,32 +69,23 @@ def unvec(v: np.ndarray) -> np.ndarray:
     return v.reshape((d, d), order="F")
 
 
-def sandwich_superop(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Superoperator of rho -> A rho B, i.e. (B^T kron A)."""
-    if a.shape != b.shape or a.shape[0] != a.shape[1]:
-        raise DomainError("sandwich factors must be square and of equal dimension")
-    return np.kron(b.T, a)
+def lindblad_superop(ops, rates) -> np.ndarray:
+    """Superoperator of sum_k r_k D[A_k], D[A] = A . A^dag - (1/2){A^dag A, .}.
 
-
-def lmul_superop(a: np.ndarray) -> np.ndarray:
-    """Superoperator of rho -> A rho."""
-    return np.kron(np.eye(a.shape[0], dtype=complex), a)
-
-
-def rmul_superop(b: np.ndarray) -> np.ndarray:
-    """Superoperator of rho -> rho B."""
-    return np.kron(b.T, np.eye(b.shape[0], dtype=complex))
-
-
-def dissipator_superop(x: np.ndarray) -> np.ndarray:
-    """Lindblad dissipator D[X] = X . X^dag - (1/2){X^dag X, .} as a superoperator."""
-    xdx = x.conj().T @ x
-    return sandwich_superop(x, x.conj().T) - 0.5 * (lmul_superop(xdx) + rmul_superop(xdx))
+    ops is a sequence of d x d jump operators A_k, rates the matching r_k.
+    """
+    a = np.asarray(ops)
+    d = a.shape[1]
+    sand = np.einsum("w,wij,wkl->ikjl", rates, a.conj(), a).reshape(d * d, d * d)
+    anti = np.einsum("w,wji,wjk->ik", rates, a.conj(), a)
+    eye = np.eye(d, dtype=complex)
+    return sand - 0.5 * (np.kron(eye, anti) + np.kron(anti.T, eye))
 
 
 def coherent_superop(H: np.ndarray) -> np.ndarray:
     """Superoperator of rho -> -i[H, rho]."""
-    return -1j * (lmul_superop(H) - rmul_superop(H))
+    eye = np.eye(H.shape[0], dtype=complex)
+    return -1j * (np.kron(eye, H) - np.kron(H.T, eye))
 
 
 # 80-bit extended precision; used to accumulate traces whose terms cancel

@@ -29,6 +29,7 @@ import numpy as np
 from .algebra import (
     CLD,
     embed_pauli,
+    lindblad_superop,
     trace_product,
     unvec,
     vec,
@@ -40,7 +41,7 @@ from .errors import (
     SecularValidityWarning,
     ZeroModeWarning,
 )
-from .model import ModelParams, Spectrum, build_hamiltonian, sector_spectrum
+from .model import Generators, ModelParams, Spectrum, build_hamiltonian, sector_spectrum
 
 
 def bose_occupation(omega: float, T: float) -> float:
@@ -169,16 +170,12 @@ def global_dissipator(jumps: JumpSet, gamma: float, T: float) -> np.ndarray:
         d = jumps.zero_part.shape[0]
         return np.zeros((d * d, d * d), dtype=complex)
 
-    d = jumps.operators[0].shape[0]
     down = np.stack(jumps.operators)
     nbar = np.array([bose_occupation(w, T) for w in freqs])
-    stacked = np.concatenate([down, np.conj(np.transpose(down, (0, 2, 1)))])
-    coeff = np.concatenate([gamma * (1.0 + nbar), gamma * nbar])
-
-    sand = np.einsum("w,wij,wkl->ikjl", coeff, stacked.conj(), stacked).reshape(d * d, d * d)
-    anti = np.einsum("w,wji,wjk->ik", coeff, stacked.conj(), stacked)
-    eye = np.eye(d, dtype=complex)
-    return sand - 0.5 * (np.kron(eye, anti) + np.kron(anti.T, eye))
+    return lindblad_superop(
+        np.concatenate([down, np.conj(np.transpose(down, (0, 2, 1)))]),
+        np.concatenate([gamma * (1.0 + nbar), gamma * nbar]),
+    )
 
 
 def global_heat_current(rho_ss: np.ndarray, H: np.ndarray, dissipator: np.ndarray) -> float:
@@ -193,18 +190,7 @@ def global_heat_current(rho_ss: np.ndarray, H: np.ndarray, dissipator: np.ndarra
     return val.real
 
 
-@dataclass(frozen=True)
-class GlobalGenerators:
-    """Assembled harmonic-bath generator pieces for one parameter point."""
-
-    params: ModelParams
-    H: np.ndarray
-    spectrum: Spectrum
-    jumps: tuple
-    dissipators: tuple
-
-
-def build_global_generators(p: ModelParams) -> GlobalGenerators:
+def build_global_generators(p: ModelParams) -> Generators:
     H = build_hamiltonian(p)
     spectrum = sector_spectrum(H)
     jumps = tuple(jump_operators(spectrum, site) for site in (1, 2, 3))
@@ -212,10 +198,10 @@ def build_global_generators(p: ModelParams) -> GlobalGenerators:
         global_dissipator(jumps[site - 1], p.gamma[site - 1], p.T[site - 1])
         for site in (1, 2, 3)
     )
-    return GlobalGenerators(params=p, H=H, spectrum=spectrum, jumps=jumps, dissipators=dissipators)
+    return Generators(params=p, H=H, spectrum=spectrum, dissipators=dissipators, jumps=jumps)
 
 
-def site_rate_matrices(gen: GlobalGenerators):
+def site_rate_matrices(gen: Generators):
     """Per-bath Pauli rate matrices on eigenbasis populations.
 
     Returns (mats, closed). mats[i] is the real d x d matrix giving bath i's

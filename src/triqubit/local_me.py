@@ -27,18 +27,20 @@ import numpy as np
 
 from .algebra import (
     CLD,
-    dissipator_superop,
     embed_pauli,
     expectation,
+    lindblad_superop,
     trace_product,
 )
 from .errors import DomainError, NumericalConsistencyError
 from .global_me import bose_occupation
 from .model import (
     N_SITES,
+    Generators,
     ModelParams,
     build_hamiltonian,
     interaction_hamiltonian,
+    sector_spectrum,
 )
 
 
@@ -85,25 +87,12 @@ def _site_matrices(site: int):
 
 
 @lru_cache(maxsize=None)
-def _jump_superops(site: int):
-    sm, sp, _, _, _ = _site_matrices(site)
-    return dissipator_superop(sm), dissipator_superop(sp)
-
-
-@lru_cache(maxsize=None)
 def _pair_flow_observable(j: int, i: int) -> np.ndarray:
     """sigma_x^j sigma_y^i - sigma_x^i sigma_y^j (Hermitian)."""
     return (
         embed_pauli(N_SITES, "x", j) @ embed_pauli(N_SITES, "y", i)
         - embed_pauli(N_SITES, "x", i) @ embed_pauli(N_SITES, "y", j)
     )
-
-
-def local_dissipator(p: ModelParams, site: int) -> np.ndarray:
-    """64x64 superoperator of bath `site`."""
-    rates = local_rates(p, site)
-    k_minus, k_plus = _jump_superops(site)
-    return rates.down_rate * k_minus + rates.up_rate * k_plus
 
 
 def _dissipator_action(p: ModelParams, site: int, rho: np.ndarray) -> np.ndarray:
@@ -140,11 +129,11 @@ def local_heat_current(rho_ss: np.ndarray, p: ModelParams, site: int) -> float:
     return _real_trace(h_site, action, f"Q_{site}")
 
 
-def _check_work_routes(w: float, heats, p: ModelParams) -> None:
+def _check_work_routes(w: float, heats, p: ModelParams, h_int: np.ndarray) -> None:
     # the two routes share roundoff of order eps * ||H|| * ||D||, which
     # dominates when the currents themselves are numerically zero
     floor = 1e-13 * max(p.gamma) * (
-        float(np.linalg.norm(interaction_hamiltonian(p), "fro"))
+        float(np.linalg.norm(h_int, "fro"))
         + max(p.B) * math.sqrt(8.0)
     )
     scale = max(abs(w), max(abs(q) for q in heats))
@@ -188,8 +177,9 @@ def local_current_set(rho_ss: np.ndarray, p: ModelParams) -> CurrentSet:
         _real_trace(p.B[s - 1] * _site_matrices(s)[4], actions[s - 1], f"Q_{s}")
         for s in (1, 2, 3)
     )
-    w = _real_trace(interaction_hamiltonian(p), actions[0] + actions[1] + actions[2], "work power")
-    _check_work_routes(w, Q, p)
+    h_int = interaction_hamiltonian(p)
+    w = _real_trace(h_int, actions[0] + actions[1] + actions[2], "work power")
+    _check_work_routes(w, Q, p, h_int)
     c = {
         (j, i): interqubit_current(rho_ss, p, j, i)
         for (j, i) in ((2, 1), (3, 1), (3, 2))
@@ -197,16 +187,10 @@ def local_current_set(rho_ss: np.ndarray, p: ModelParams) -> CurrentSet:
     return CurrentSet(Q=Q, W=w, q=q, C=c)
 
 
-@dataclass(frozen=True)
-class LocalGenerators:
-    """Assembled repeated-interaction generator pieces for one point."""
-
-    params: ModelParams
-    H: np.ndarray
-    dissipators: tuple
-
-
-def build_local_generators(p: ModelParams) -> LocalGenerators:
+def build_local_generators(p: ModelParams) -> Generators:
     H = build_hamiltonian(p)
-    dissipators = tuple(local_dissipator(p, site) for site in (1, 2, 3))
-    return LocalGenerators(params=p, H=H, dissipators=dissipators)
+    dissipators = tuple(
+        lindblad_superop(_site_matrices(r.site)[:2], (r.down_rate, r.up_rate))
+        for r in (local_rates(p, site) for site in (1, 2, 3))
+    )
+    return Generators(params=p, H=H, spectrum=sector_spectrum(H), dissipators=dissipators)

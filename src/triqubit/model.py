@@ -136,6 +136,22 @@ class Spectrum:
         return self.energies.size
 
 
+@dataclass(frozen=True)
+class Generators:
+    """Lindblad generator pieces of one parameter point, for either bath model.
+
+    dissipators[i] is the superoperator of bath i + 1 in the computational
+    basis. jumps holds the harmonic model's per-site JumpSets; it is empty
+    for the repeated_interaction model, whose jumps are fixed site Paulis.
+    """
+
+    params: ModelParams
+    H: np.ndarray
+    spectrum: Spectrum
+    dissipators: tuple
+    jumps: tuple = ()
+
+
 def sector_spectrum(H: np.ndarray) -> Spectrum:
     """Diagonalize a magnetization-conserving Hamiltonian sector by sector."""
     n = num_qubits(H)

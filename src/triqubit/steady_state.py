@@ -30,7 +30,7 @@ from .errors import (
 )
 from .global_me import build_global_generators, site_rate_matrices
 from .local_me import build_local_generators
-from .model import BATH_HARMONIC, ModelParams, Spectrum, sector_spectrum
+from .model import BATH_HARMONIC, Generators, ModelParams
 
 _NULL_TOL = 1e-10  # singular values below _NULL_TOL * sigma_max count as null
 
@@ -145,7 +145,7 @@ def solve_steady_state(L: np.ndarray) -> SteadyStateResult:
     return SteadyStateResult(rho=_finalize_state(x), residual=res, nullspace_dim=1, method="nullspace")
 
 
-def _build_generators(p: ModelParams):
+def _build_generators(p: ModelParams) -> Generators:
     if p.bath_model == BATH_HARMONIC:
         return build_global_generators(p)
     return build_local_generators(p)
@@ -162,8 +162,7 @@ class PointSolution:
     """Solved steady state of one parameter point, with generator context."""
 
     params: ModelParams
-    generators: object  # GlobalGenerators or LocalGenerators
-    spectrum: Spectrum
+    generators: Generators
     rho: np.ndarray
     rho_eig: np.ndarray = field(repr=False)
     residual: float = 0.0
@@ -177,9 +176,8 @@ class PointSolution:
 def solve_point(p: ModelParams) -> PointSolution:
     """Build generators for a parameter point and solve in the eigenbasis."""
     gen = _build_generators(p)
-    spectrum = gen.spectrum if p.bath_model == BATH_HARMONIC else sector_spectrum(gen.H)
-    V = spectrum.vectors
-    E = spectrum.energies
+    V = gen.spectrum.vectors
+    E = gen.spectrum.energies
     W = np.kron(V.conj(), V)  # vec(V X V^dag) = W vec(X)
     diss_eig = [W.conj().T @ D @ W for D in gen.dissipators]
     lam = (-1j * (E[:, None] - E[None, :])).reshape(-1, order="F")
@@ -195,7 +193,7 @@ def solve_point(p: ModelParams) -> PointSolution:
     if p.bath_model == BATH_HARMONIC:
         rate_matrices, closed = site_rate_matrices(gen)
         if closed:
-            refined = _refined_population(rate_matrices, x, spectrum.energies)
+            refined = _refined_population(rate_matrices, x, E)
             if refined is not None:
                 x_ref = vec(np.diag(refined.astype(complex)))
                 top = _residual(diag_ld, offdiag_ld, x_ref)
@@ -215,7 +213,6 @@ def solve_point(p: ModelParams) -> PointSolution:
     return PointSolution(
         params=p,
         generators=gen,
-        spectrum=spectrum,
         rho=rho,
         rho_eig=rho_eig,
         residual=res,

@@ -316,7 +316,7 @@ class ThermoReport:
 
 def _harmonic_heat_currents(sol: PointSolution):
     if sol.populations is not None:
-        e = sol.spectrum.energies.astype(np.longdouble)
+        e = sol.generators.spectrum.energies.astype(np.longdouble)
         p = sol.populations.astype(np.longdouble)
         return tuple(float(e @ (m.astype(np.longdouble) @ p)) for m in sol.rate_matrices)
     gen = sol.generators
@@ -332,10 +332,13 @@ def thermo_report(sol: PointSolution, epsilon: float = DEFAULT_EPSILON) -> Therm
         submachines = None
         first_law = abs(math.fsum(Q))
         mag_residual = None
+        floor = 0.0  # only classify_regime's relative band applies
     else:
         currents = local_current_set(sol.rho, p)
         Q = currents.Q
         W = currents.W
+        # absolute roundoff of the current traces; at cold baths every
+        # current can sit there, with a sign that carries no information
         floor = 1e-12 * max(p.gamma) * (1.0 + max(p.B))
         submachines = submachine_report(currents, p.B, p.T, epsilon, residual_floor=floor)
         first_law = abs(W + math.fsum(Q))
@@ -354,7 +357,10 @@ def thermo_report(sol: PointSolution, epsilon: float = DEFAULT_EPSILON) -> Therm
         Q=tuple(float(q) for q in Q),
         W=float(W),
         S_dot=s_dot,
-        regime=classify_regime(Q, W, epsilon),
+        regime=(
+            Regime.UNCLASSIFIED if min(abs(q) for q in Q) <= floor
+            else classify_regime(Q, W, epsilon)
+        ),
         cop=metrics.cop,
         cop_w=metrics.cop_w,
         cop_max=metrics.cop_max,

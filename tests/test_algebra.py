@@ -6,17 +6,14 @@ from numpy.testing import assert_allclose
 
 from triqubit.algebra import (
     coherent_superop,
-    dissipator_superop,
     embed_pauli,
     expectation,
     herm,
-    lmul_superop,
+    lindblad_superop,
     num_qubits,
     partial_trace,
     partial_transpose,
     pauli,
-    rmul_superop,
-    sandwich_superop,
     trace_distance,
     trace_product,
     unvec,
@@ -84,13 +81,8 @@ def test_vec_unvec_roundtrip():
     assert_allclose(vec(a)[:8], a[:, 0], atol=0)
 
 
-def test_superops_against_triple_products():
-    rng = np.random.default_rng(1)
-    for _ in range(100):
-        a, b, x = (_random_matrix(rng) for _ in range(3))
-        assert_allclose(unvec(sandwich_superop(a, b) @ vec(x)), a @ x @ b, atol=1e-12)
-        assert_allclose(unvec(lmul_superop(a) @ vec(x)), a @ x, atol=1e-12)
-        assert_allclose(unvec(rmul_superop(b) @ vec(x)), x @ b, atol=1e-12)
+def _dissipator_direct(c, rho):
+    return c @ rho @ c.conj().T - 0.5 * (c.conj().T @ c @ rho + rho @ c.conj().T @ c)
 
 
 def test_dissipator_superop_matches_definition():
@@ -98,11 +90,19 @@ def test_dissipator_superop_matches_definition():
     for _ in range(20):
         c = _random_matrix(rng)
         rho = _random_state(rng)
-        direct = (
-            c @ rho @ c.conj().T
-            - 0.5 * (c.conj().T @ c @ rho + rho @ c.conj().T @ c)
+        assert_allclose(
+            unvec(lindblad_superop([c], [1.0]) @ vec(rho)), _dissipator_direct(c, rho), atol=1e-12
         )
-        assert_allclose(unvec(dissipator_superop(c) @ vec(rho)), direct, atol=1e-12)
+
+
+def test_lindblad_superop_sums_jumps_at_their_rates():
+    rng = np.random.default_rng(11)
+    rates = (0.3, 1.7, 0.05)
+    for _ in range(20):
+        ops = [_random_matrix(rng) for _ in rates]
+        rho = _random_state(rng)
+        direct = sum(r * _dissipator_direct(c, rho) for r, c in zip(rates, ops))
+        assert_allclose(unvec(lindblad_superop(ops, rates) @ vec(rho)), direct, atol=1e-12)
 
 
 def test_coherent_superop_matches_commutator():
@@ -119,7 +119,7 @@ def test_dissipator_traceless_columns():
     rng = np.random.default_rng(4)
     c = _random_matrix(rng)
     u = vec(np.eye(8, dtype=complex))
-    assert np.linalg.norm(u @ dissipator_superop(c)) < 1e-12 * np.linalg.norm(c) ** 2
+    assert np.linalg.norm(u @ lindblad_superop([c], [1.0])) < 1e-12 * np.linalg.norm(c) ** 2
 
 
 def _partial_trace_oracle(rho, keep):

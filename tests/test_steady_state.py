@@ -15,8 +15,8 @@ from triqubit import (
 )
 from triqubit.algebra import (
     coherent_superop,
-    dissipator_superop,
     herm,
+    lindblad_superop,
     pauli,
     trace_distance,
     unvec,
@@ -28,7 +28,7 @@ from conftest import global_point, local_point
 
 
 def _amplitude_damping(gamma=0.8, nbar=0.3):
-    return gamma * (1.0 + nbar) * dissipator_superop(pauli("minus")) + gamma * nbar * dissipator_superop(pauli("plus"))
+    return lindblad_superop((pauli("minus"), pauli("plus")), (gamma * (1.0 + nbar), gamma * nbar))
 
 
 def test_single_qubit_thermal_fixed_point():
