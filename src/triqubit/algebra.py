@@ -10,6 +10,8 @@ Every superoperator built in this package follows that convention.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .errors import DomainError, NumericalConsistencyError
@@ -47,13 +49,21 @@ def embed_pauli(n_sites: int, axis: str, site: int) -> np.ndarray:
     """Single-site operator embedded into an n_sites register.
 
     Sites are 1-based; site 1 is the leftmost (most significant) tensor factor.
+    The result is built once per (n_sites, axis, site) and shared by every
+    caller, so it is read-only; copy it before writing into it.
     """
     if not 1 <= site <= n_sites:
         raise DomainError(f"site {site} outside 1..{n_sites}")
+    return _embedded(n_sites, axis, site)
+
+
+@lru_cache(maxsize=None)
+def _embedded(n_sites: int, axis: str, site: int) -> np.ndarray:
     op = pauli(axis)
     out = np.array([[1.0 + 0.0j]])
     for s in range(1, n_sites + 1):
         out = np.kron(out, op if s == site else I2)
+    out.setflags(write=False)
     return out
 
 

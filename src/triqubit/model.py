@@ -14,6 +14,7 @@ sigma_z^i] = 0, so H is block diagonal in the four magnetization sectors.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -84,13 +85,23 @@ def local_field_hamiltonian(p: ModelParams) -> np.ndarray:
     return h
 
 
+@lru_cache(maxsize=None)
+def _pair_strings(i: int, j: int) -> tuple:
+    """Read-only (sx^i sx^j + sy^i sy^j, sz^i sz^j) of one coupled pair."""
+    sxsx = embed_pauli(N_SITES, "x", i) @ embed_pauli(N_SITES, "x", j)
+    sysy = embed_pauli(N_SITES, "y", i) @ embed_pauli(N_SITES, "y", j)
+    exchange = sxsx + sysy
+    szsz = embed_pauli(N_SITES, "z", i) @ embed_pauli(N_SITES, "z", j)
+    for op in (exchange, szsz):
+        op.setflags(write=False)
+    return exchange, szsz
+
+
 def interaction_hamiltonian(p: ModelParams) -> np.ndarray:
     h = np.zeros((8, 8), dtype=complex)
     for (i, j), coupling, zz in zip(PAIRS, p.J, p.Delta):
-        sxsx = embed_pauli(N_SITES, "x", i) @ embed_pauli(N_SITES, "x", j)
-        sysy = embed_pauli(N_SITES, "y", i) @ embed_pauli(N_SITES, "y", j)
-        szsz = embed_pauli(N_SITES, "z", i) @ embed_pauli(N_SITES, "z", j)
-        h += coupling * (sxsx + sysy) + zz * szsz
+        exchange, szsz = _pair_strings(i, j)
+        h += coupling * exchange + zz * szsz
     return h
 
 
@@ -152,34 +163,49 @@ class Generators:
     jumps: tuple = ()
 
 
+@lru_cache(maxsize=None)
+def _sector_layout(n: int) -> tuple:
+    """Constant index layout of sector_spectrum for an n-qubit register.
+
+    Returns (cross, blocks). cross is the read-only dim x dim mask of the
+    matrix elements that join two different magnetization sectors. blocks
+    holds one (m, rows, place, cols) per sector in descending m: rows
+    selects the sector's block of H, place its columns' slots in the
+    eigenvector matrix, cols its slice of the unsorted spectrum.
+    """
+    sectors = magnetization_sectors(n)
+    label = np.empty(2**n, dtype=int)
+    for m, idx in sectors.items():
+        label[idx] = m
+    cross = label[:, None] != label[None, :]
+    cross.setflags(write=False)
+    blocks = []
+    col = 0
+    for m in sorted(sectors, reverse=True):
+        idx = sectors[m]
+        cols = slice(col, col + len(idx))
+        blocks.append((m, np.ix_(idx, idx), np.ix_(idx, range(cols.start, cols.stop)), cols))
+        col = cols.stop
+    return cross, tuple(blocks)
+
+
 def sector_spectrum(H: np.ndarray) -> Spectrum:
     """Diagonalize a magnetization-conserving Hamiltonian sector by sector."""
     n = num_qubits(H)
     scale = max(float(np.max(np.abs(H))), 1e-300)
     if np.linalg.norm(H - H.conj().T, "fro") > 1e-12 * scale * H.shape[0]:
         raise DomainError("H is not Hermitian")
-    sectors = magnetization_sectors(n)
+    cross, blocks = _sector_layout(n)
     # block diagonality is exact for exchange-form couplings
-    for ma, idx_a in sectors.items():
-        for mb, idx_b in sectors.items():
-            if ma == mb:
-                continue
-            block = H[np.ix_(idx_a, idx_b)]
-            if np.max(np.abs(block)) > 1e-12 * scale:
-                raise DomainError("H has matrix elements across magnetization sectors")
+    if np.abs(H[cross]).max(initial=0.0) > 1e-12 * scale:
+        raise DomainError("H has matrix elements across magnetization sectors")
 
     dim = 2**n
     energies = np.empty(dim)
     vectors = np.zeros((dim, dim), dtype=complex)
     labels = np.empty(dim, dtype=int)
-    col = 0
-    for m in sorted(sectors, reverse=True):
-        idx = sectors[m]
-        vals, vecs = np.linalg.eigh(H[np.ix_(idx, idx)])
-        for k in range(len(idx)):
-            energies[col] = vals[k]
-            vectors[np.ix_(idx, [col])] = vecs[:, [k]]
-            labels[col] = m
-            col += 1
+    for m, rows, place, cols in blocks:
+        energies[cols], vectors[place] = np.linalg.eigh(H[rows])
+        labels[cols] = m
     order = np.argsort(energies, kind="stable")
     return Spectrum(energies=energies[order], vectors=vectors[:, order], sectors=labels[order])

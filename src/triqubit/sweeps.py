@@ -355,25 +355,33 @@ def _locate_edge(cfg: GridScanConfig, records: list) -> Optional[float]:
 
     Starts from the last nonpositive-work grid point and brackets the sign
     change, extending past the grid end if the scan stops inside the window.
+    A solve that fails during the search ends it without an edge: the record
+    at the bracket's lower end is replaced in `records` by a copy flagged
+    "edge_failed", and None is returned.
     """
-    works = [(rec.params.B[1], rec.thermo.W) for rec in records if rec.thermo is not None]
-    below = [item for item in works if item[1] <= 0.0]
+    below = [
+        k for k, rec in enumerate(records) if rec.thermo is not None and rec.thermo.W <= 0.0
+    ]
     if not below:
         return None
-    a, wa = below[-1]
+    low = records[below[-1]]
+    a, wa = low.params.B[1], low.thermo.W
     if wa == 0.0:
         return a
-    for b2, w in works:
-        if b2 > a and w > 0.0:
-            return float(brentq(lambda x: _work_at(cfg, x), a, b2, xtol=1e-12))
-    step = (cfg.B2_max - cfg.B2_min) / max(cfg.n_points - 1, 1)
-    if step <= 0.0:
-        step = max(0.05 * (1.0 + abs(a)), 1e-3)
-    b = a
-    for _ in range(50):
-        b += step
-        if _work_at(cfg, b) > 0.0:
-            return float(brentq(lambda x: _work_at(cfg, x), a, b, xtol=1e-12))
+    try:
+        for rec in records:
+            if rec.thermo is not None and rec.params.B[1] > a and rec.thermo.W > 0.0:
+                return float(brentq(lambda x: _work_at(cfg, x), a, rec.params.B[1], xtol=1e-12))
+        step = (cfg.B2_max - cfg.B2_min) / max(cfg.n_points - 1, 1)
+        if step <= 0.0:
+            step = max(0.05 * (1.0 + abs(a)), 1e-3)
+        b = a
+        for _ in range(50):
+            b += step
+            if _work_at(cfg, b) > 0.0:
+                return float(brentq(lambda x: _work_at(cfg, x), a, b, xtol=1e-12))
+    except DomainError:
+        records[below[-1]] = replace(low, flags=low.flags + ("edge_failed",))
     return None
 
 

@@ -325,6 +325,9 @@ def _harmonic_heat_currents(sol: PointSolution):
 
 def thermo_report(sol: PointSolution, epsilon: float = DEFAULT_EPSILON) -> ThermoReport:
     p = sol.params
+    # absolute roundoff of the heat currents of either model; at cold baths
+    # every current can sit there, with a sign that carries no information
+    floor = 1e-12 * max(p.gamma) * (1.0 + max(p.B))
     if p.bath_model == BATH_HARMONIC:
         Q = _harmonic_heat_currents(sol)
         W = 0.0  # the harmonic generator exchanges no work by construction
@@ -332,14 +335,10 @@ def thermo_report(sol: PointSolution, epsilon: float = DEFAULT_EPSILON) -> Therm
         submachines = None
         first_law = abs(math.fsum(Q))
         mag_residual = None
-        floor = 0.0  # only classify_regime's relative band applies
     else:
         currents = local_current_set(sol.rho, p)
         Q = currents.Q
         W = currents.W
-        # absolute roundoff of the current traces; at cold baths every
-        # current can sit there, with a sign that carries no information
-        floor = 1e-12 * max(p.gamma) * (1.0 + max(p.B))
         submachines = submachine_report(currents, p.B, p.T, epsilon, residual_floor=floor)
         first_law = abs(W + math.fsum(Q))
         mag_residual = abs(math.fsum(currents.q))

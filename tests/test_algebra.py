@@ -59,6 +59,19 @@ def test_embed_positions():
         embed_pauli(3, "z", 4)
 
 
+def test_embeddings_are_shared_and_read_only():
+    z2 = embed_pauli(3, "z", 2)
+    assert embed_pauli(3, "z", 2) is z2
+    with pytest.raises(ValueError):
+        z2[0, 0] = 5.0
+    with pytest.raises(ValueError):
+        z2 *= 2.0
+    assert_allclose(np.diag(z2), [1, 1, -1, -1, 1, 1, -1, -1], atol=0)
+    x = pauli("x")
+    x[0, 0] = 5.0  # pauli() hands out a private, writable copy
+    assert pauli("x")[0, 0] == 0.0
+
+
 def test_embedded_sites_commute():
     x1 = embed_pauli(3, "x", 1)
     y2 = embed_pauli(3, "y", 2)

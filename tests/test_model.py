@@ -8,7 +8,7 @@ from triqubit import ModelParams, build_hamiltonian, magnetization_sectors, sect
 from triqubit.errors import DomainError
 from triqubit.model import interaction_hamiltonian, local_field_hamiltonian, total_sz
 
-from conftest import local_point
+from conftest import global_point, local_point
 
 
 def test_params_validation():
@@ -97,3 +97,63 @@ def test_field_plus_interaction_split():
         build_hamiltonian(p),
         atol=0,
     )
+
+
+def _kron_reference_hamiltonian(p):
+    """H assembled from fresh np.kron products, in build_hamiltonian's order."""
+    def site_op(op, site):
+        out = np.array([[1.0 + 0.0j]])
+        for s in (1, 2, 3):
+            out = np.kron(out, op if s == site else np.eye(2, dtype=complex))
+        return out
+
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+    z = np.diag([1.0, -1.0]).astype(complex)
+    field = np.zeros((8, 8), dtype=complex)
+    for site in (1, 2, 3):
+        field += p.B[site - 1] * site_op(z, site)
+    inter = np.zeros((8, 8), dtype=complex)
+    for (i, j), coupling, zz in zip(((1, 2), (1, 3), (2, 3)), p.J, p.Delta):
+        exchange = site_op(x, i) @ site_op(x, j) + site_op(y, i) @ site_op(y, j)
+        inter += coupling * exchange + zz * (site_op(z, i) @ site_op(z, j))
+    return field + inter
+
+
+@pytest.mark.parametrize("p", [
+    local_point(B=(0.4, 1.1, 2.3)),
+    local_point(B=(0.31, 0.77, 1.21), J=(0.0, 0.5, 0.0), Delta=(0.2, -0.1, 0.45)),
+    local_point(B=(3.7, 1e-3, 0.9), J=(1e-9, 2.5, 0.3), Delta=(-0.8, 0.0, 1e6)),
+    global_point(B=(0.37, 0.61, 0.83)),
+])
+def test_build_hamiltonian_matches_kron_reference(p):
+    H = build_hamiltonian(p)
+    np.testing.assert_array_equal(H, _kron_reference_hamiltonian(p))
+    # a second build from the memoized strings is the same array bit for bit
+    np.testing.assert_array_equal(build_hamiltonian(p), H)
+
+
+def test_sector_spectrum_rejects_cross_sector_and_nonhermitian_input():
+    H = build_hamiltonian(local_point(B=(0.31, 0.77, 1.21)))
+    scale = np.max(np.abs(H))
+    sectors = magnetization_sectors()
+    for a in range(8):
+        for b in range(a + 1, 8):
+            same = any(a in idx and b in idx for idx in sectors.values())
+            for size, rejected in ((1e-11, not same), (1e-13, False)):
+                bad = H.copy()
+                bad[a, b] += size * scale
+                bad[b, a] += size * scale
+                if rejected:
+                    with pytest.raises(DomainError, match="across magnetization sectors"):
+                        sector_spectrum(bad)
+                else:
+                    sector_spectrum(bad)
+    skew = H.copy()
+    skew[1, 2] += 1e-6 * scale
+    with pytest.raises(DomainError, match="not Hermitian"):
+        sector_spectrum(skew)
+    # other register sizes get their own layout
+    two = np.diag([2.0, 0.5, -0.5, -2.0]).astype(complex)
+    two[1, 2] = two[2, 1] = 0.25
+    assert_allclose(sector_spectrum(two).sectors, [-2, 0, 0, 2])

@@ -5,7 +5,7 @@ import csv
 import numpy as np
 import pytest
 
-from triqubit import DomainError, ModelParams
+from triqubit import DegenerateSteadyStateError, DomainError, ModelParams, algebra, model, sweeps
 from triqubit.sweeps import (
     BASE_COLUMNS,
     BOOST_COLUMNS,
@@ -23,7 +23,7 @@ from triqubit.sweeps import (
 )
 from triqubit.thermo import Regime
 
-from conftest import BOOST, GLOBAL_SCATTER, LOCAL_SCATTER, MASTER_SEED, VALVE
+from conftest import BOOST, GLOBAL_SCATTER, LOCAL_SCATTER, MASTER_SEED, VALVE, global_point
 
 
 def test_splitmix64_reference_vector():
@@ -158,22 +158,49 @@ def test_evaluate_point_error_flag():
 def test_cold_bath_sweeps_yield_one_record_per_index():
     # 2B/T reaches ~1e5 at the coldest decade, far past where e^(2B/T)
     # overflows a double; the sweep must still finish, one record per index.
-    # Local currents there are roundoff of either sign: Unclassified, not errors
-    for model, base in (
+    # Currents there are roundoff of either sign: Unclassified, not errors
+    for bath_model, base in (
         ("repeated_interaction", dict(LOCAL_SCATTER, gamma_range=(0.1, 1.0))),
         ("harmonic", GLOBAL_SCATTER),
     ):
         for decade in range(-4, 2):
             t = 10.0**decade
             cfg = SweepConfig(**{
-                **base, "T": (t, 2.0 * t, 3.0 * t), "bath_model": model,
+                **base, "T": (t, 2.0 * t, 3.0 * t), "bath_model": bath_model,
                 "B_range": (0.5, 4.5), "n_samples": 3, "master_seed": MASTER_SEED,
             })
             records = random_sweep(cfg)
             assert [rec.index for rec in records] == [0, 1, 2]
-            if model == "repeated_interaction":
-                flags = [f for rec in records for f in rec.flags]
-                assert not [f for f in flags if f.startswith("error:")], (decade, flags)
+            flags = [f for rec in records for f in rec.flags]
+            assert not [f for f in flags if f.startswith("error:")], (bath_model, decade, flags)
+
+
+def test_harmonic_cold_bath_roundoff_currents_are_unclassified():
+    # the population-route currents here are ~-1e-153, all of one sign:
+    # roundoff under the absolute floor, not a first-law violation
+    p = global_point(B=(0.37, 0.61, 0.83), T=(1e-4, 2e-4, 3e-4))
+    rec = evaluate_point(p)
+    assert not [f for f in rec.flags if f.startswith("error:")], rec.flags
+    assert rec.thermo.regime is Regime.UNCLASSIFIED
+    floor = 1e-12 * max(p.gamma) * (1.0 + max(p.B))
+    assert max(abs(q) for q in rec.thermo.Q) <= floor
+
+
+@pytest.mark.parametrize("model_name, base", [
+    ("repeated_interaction", dict(LOCAL_SCATTER, gamma_range=(0.1, 1.0), B_range=(0.5, 4.5))),
+    ("harmonic", dict(GLOBAL_SCATTER, B_range=(0.0, 1.0))),
+])
+def test_sweeps_keep_the_memoized_operators_parameter_free(model_name, base):
+    # a float parameter in any cache key would grow these caches per point
+    caches = (algebra._embedded, model._pair_strings, model._sector_layout)
+    for cache in caches:
+        cache.cache_clear()
+    cfg = SweepConfig(**{**base, "bath_model": model_name, "n_samples": 20,
+                         "master_seed": MASTER_SEED})
+    assert len(random_sweep(cfg)) == 20
+    # 3 sites x 5 axes, 3 pairs, 1 register size
+    sizes = [cache.cache_info().currsize for cache in caches]
+    assert sizes[0] <= 15 and sizes[1:] == [3, 1], sizes
 
 
 def test_random_sweep_repeatable_csv(tmp_path):
@@ -243,6 +270,31 @@ def test_boost_scan_appends_edge():
     e = edge.extra
     assert abs(e["cop_norm"] - e["cop_w_norm"]) < 1e-6 * e["cop_norm"]
     assert abs(e["cop_norm"] - e["cop_otto_norm"]) < 1e-6 * e["cop_norm"]
+
+
+def test_boost_edge_search_failure_keeps_the_scan(monkeypatch):
+    # every solve above the grid fails, so the search past the grid end
+    # cannot bracket the edge; the grid records must survive
+    cfg = GridScanConfig(
+        bath_model="repeated_interaction",
+        J=BOOST["J"], Delta=BOOST["Delta"],
+        B1=BOOST["B1"], B3=BOOST["B3"],
+        B2_min=2.95, B2_max=3.05, n_points=3,
+        gamma=BOOST["gamma"],
+    )
+    solve = sweeps.solve_point
+
+    def failing_above_grid(p):
+        if p.B[1] > cfg.B2_max:
+            raise DegenerateSteadyStateError("injected failure")
+        return solve(p)
+
+    monkeypatch.setattr(sweeps, "solve_point", failing_above_grid)
+    records = boost_scan(cfg)
+    assert [rec.index for rec in records] == [0, 1, 2]
+    assert [rec.flags for rec in records] == [(), (), ("edge_failed",)]
+    assert all(rec.thermo.regime is Regime.IV for rec in records)
+    assert records[2].extra["cop_norm"] is not None
 
 
 def test_write_records_round_trip(tmp_path):
