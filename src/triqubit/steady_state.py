@@ -1,18 +1,22 @@
 """Steady-state extraction and the independent evolution oracle.
 
-The steady state is the null vector of the vectorized generator, found by SVD
-and then polished by Newton iterations on the trace-bordered system
+An SVD of the vectorized generator L, singular values only, certifies that
+its null space is one-dimensional. The state itself solves L with row 0
+replaced by the trace functional,
 
-    [ L ] x = [0]      with residuals evaluated in 80-bit precision.
-    [ t ]     [1]
+    A x = e_0,    A = L with row 0 set to vec(I)^H,
 
-Polishing matters: the raw SVD vector carries an error of order
-eps * ||L|| / gap along the slowest decaying mode, which is what heat-current
-sums inherit. The package pipeline additionally works in the eigenbasis of H,
-where the coherent part of the generator is exactly diagonal, so the residual
-evaluation error scales with the dissipative rates instead of ||H||; for the
-harmonic model the population sector is re-solved exactly from the 8x8 rate
-matrix whenever it decouples.
+by mixed-precision iterative refinement (Higham, Accuracy and Stability of
+Numerical Algorithms, 2002, ch. 12): started from zero, four
+double-precision solves of A, each on a residual evaluated in 80-bit
+precision. The harmonic model's population solve on the summed 8x8 rate
+matrix, taken whenever the secular clusters decouple, runs through the same
+loop. The package pipeline works in the eigenbasis of H, where the coherent
+part of the generator is exactly diagonal, so the residual evaluation error
+scales with the dissipative rates instead of ||H||, and row 0 is the
+ground-state balance. Both generators are block-diagonal in the
+magnetization difference, and a solve started from zero keeps the
+cross-sector coherences exactly zero.
 """
 
 from __future__ import annotations
@@ -56,49 +60,40 @@ def _residual(diag_ld: np.ndarray, offdiag_ld: np.ndarray, x: np.ndarray) -> np.
     return diag_ld * x_ld + offdiag_ld @ x_ld
 
 
-def _newton_polish(L: np.ndarray, v0: np.ndarray, diag_ld: np.ndarray, offdiag_ld: np.ndarray):
-    """Refine a null-vector candidate; returns (x, residual_norm).
+def _refine(A: np.ndarray, b: np.ndarray, apply) -> np.ndarray:
+    """Solve A x = b by iterative refinement; x accumulates in b's dtype.
 
-    Residuals come from _residual on the clongdouble split of L. In the
-    eigenbasis pipeline the diagonal is the coherent part, and the split
-    keeps the evaluation error proportional to the dissipative rates.
+    Starts from zero and takes four double-precision solves of A, each on
+    the residual b - apply(x) that apply evaluates in extended precision.
+    A singular A raises np.linalg.LinAlgError.
+    """
+    x = np.zeros_like(b)
+    for _ in range(4):
+        x = x + np.linalg.solve(A, (b - apply(x)).astype(A.dtype)).astype(b.dtype)
+    return x
+
+
+def _trace_one_state(L: np.ndarray, diag_ld: np.ndarray, offdiag_ld: np.ndarray):
+    """Trace-one null vector of L and the norm of its residual L @ x.
+
+    Row 0 of L is replaced by the trace functional; the other rows keep
+    their residual from _residual on the extended-precision split of L.
     """
     d2 = L.shape[0]
-    d = int(round(math.sqrt(d2)))
-    tvec = vec(np.eye(d, dtype=complex))
-    # scale the trace row into the singular-value range of L for a balanced QR
-    row_scale = max(float(np.linalg.norm(L, "fro")) / math.sqrt(d2), 1e-300)
-    row = (tvec.conj() * row_scale).astype(complex)
-    J = np.vstack([L, row[None, :]])
-    q, r = np.linalg.qr(J)
+    on_diag = np.arange(0, d2, int(round(math.sqrt(d2))) + 1)  # vec positions of tr
+    A = L.astype(complex)
+    A[0] = 0.0
+    A[0, on_diag] = 1.0
+    b = np.zeros(d2, dtype=complex)
+    b[0] = 1.0
 
-    row_ld = row.astype(CLD)
+    def apply(x):
+        r = _residual(diag_ld, offdiag_ld, x)
+        r[0] = x[on_diag].sum(dtype=CLD)
+        return r
 
-    # start from the trace-normalized candidate
-    tr0 = tvec.conj() @ v0
-    x = v0 / tr0
-
-    def full_residual(xv):
-        return _residual(diag_ld, offdiag_ld, xv), row_ld @ xv.astype(CLD) - row_scale
-
-    best_x = x
-    best_norm = None
-    for _ in range(8):
-        top, bottom = full_residual(x)
-        norm = float(np.sqrt((np.abs(top) ** 2).sum() + abs(bottom) ** 2).astype(float))
-        if best_norm is None or norm < best_norm:
-            best_norm, best_x = norm, x
-        elif norm >= best_norm:
-            break
-        f = np.concatenate([top.astype(complex), [complex(bottom)]])
-        try:
-            step = np.linalg.solve(r, q.conj().T @ f)
-        except np.linalg.LinAlgError:
-            break
-        x = x - step
-    top, bottom = full_residual(best_x)
-    res = float(np.linalg.norm(top.astype(complex)))
-    return best_x, res
+    x = _refine(A, b, apply)
+    return x, float(np.linalg.norm(_residual(diag_ld, offdiag_ld, x).astype(complex)))
 
 
 def _finalize_state(x: np.ndarray) -> np.ndarray:
@@ -113,14 +108,14 @@ def _finalize_state(x: np.ndarray) -> np.ndarray:
     return rho
 
 
-def _null_vector(L: np.ndarray):
-    """Unique null vector of a trace-preserving generator, by SVD.
+def _unique_null_scale(L: np.ndarray) -> float:
+    """sigma_max of a trace-preserving generator whose null space is one-dimensional.
 
-    Returns (v, sigma_max). Singular values below _NULL_TOL * sigma_max
-    count as null; a null space of any dimension other than one raises.
+    Singular values below _NULL_TOL * sigma_max count as null; a null space
+    of any dimension other than one raises.
     """
     _check_trace_preserving(L, int(round(math.sqrt(L.shape[0]))))
-    s, vh = np.linalg.svd(L)[1:]
+    s = np.linalg.svd(L, compute_uv=False)
     sigma_max = float(s[0])
     if sigma_max == 0.0:
         raise DegenerateSteadyStateError("zero generator: every state is steady")
@@ -131,17 +126,17 @@ def _null_vector(L: np.ndarray):
         )
     if dim > 1:
         raise DegenerateSteadyStateError(f"steady state is degenerate (null dimension {dim})")
-    return vh[-1].conj(), sigma_max
+    return sigma_max
 
 
 def solve_steady_state(L: np.ndarray) -> SteadyStateResult:
-    """Unique steady state of a trace-preserving generator via SVD null space."""
+    """Unique steady state of a trace-preserving generator."""
     d2 = L.shape[0]
     d = int(round(math.sqrt(d2)))
     if L.ndim != 2 or L.shape[1] != d2 or d * d != d2:
         raise DomainError(f"generator shape {L.shape} is not a vectorized square map")
-    v, _ = _null_vector(L)
-    x, res = _newton_polish(L, v, np.zeros(d2, dtype=CLD), L.astype(CLD))
+    _unique_null_scale(L)
+    x, res = _trace_one_state(L, np.zeros(d2, dtype=CLD), L.astype(CLD))
     return SteadyStateResult(rho=_finalize_state(x), residual=res, nullspace_dim=1, method="nullspace")
 
 
@@ -182,10 +177,10 @@ def solve_point(p: ModelParams) -> PointSolution:
     diss_eig = [W.conj().T @ D @ W for D in gen.dissipators]
     lam = (-1j * (E[:, None] - E[None, :])).reshape(-1, order="F")
     L_eig = np.diag(lam) + diss_eig[0] + diss_eig[1] + diss_eig[2]
-    v, sigma_max = _null_vector(L_eig)
+    sigma_max = _unique_null_scale(L_eig)
     diag_ld = lam.astype(CLD)
     offdiag_ld = (diss_eig[0] + diss_eig[1] + diss_eig[2]).astype(CLD)
-    x, res = _newton_polish(L_eig, v, diag_ld, offdiag_ld)
+    x, res = _trace_one_state(L_eig, diag_ld, offdiag_ld)
 
     populations = None
     rate_matrices = None
@@ -193,7 +188,7 @@ def solve_point(p: ModelParams) -> PointSolution:
     if p.bath_model == BATH_HARMONIC:
         rate_matrices, closed = site_rate_matrices(gen)
         if closed:
-            refined = _refined_population(rate_matrices, x, E)
+            refined = _refined_population(rate_matrices, E)
             if refined is not None:
                 x_ref = vec(np.diag(refined.astype(complex)))
                 top = _residual(diag_ld, offdiag_ld, x_ref)
@@ -224,12 +219,11 @@ def solve_point(p: ModelParams) -> PointSolution:
     )
 
 
-def _refined_population(rate_matrices, x: np.ndarray, energies: np.ndarray):
+def _refined_population(rate_matrices, energies: np.ndarray):
     """Extended-precision stationary populations of the summed rate matrix.
 
-    Solves the trace-bordered 8x8 balance equations by iterative refinement
-    (double-precision factor, longdouble residuals), seeded from the
-    diagonal of the solved state. The population residual then sits at the
+    Solves the trace-bordered 8x8 balance equations with _refine on
+    longdouble residuals. The population residual then sits at the
     longdouble floor, orders of magnitude below what the 64x64 solve can
     reach, which is what lets per-bath heat currents cancel to the
     first-law tolerance even when transport is very weak. Returns None
@@ -237,10 +231,6 @@ def _refined_population(rate_matrices, x: np.ndarray, energies: np.ndarray):
     """
     M = sum(m.astype(np.longdouble) for m in rate_matrices)
     d = M.shape[0]
-    p0 = np.real(np.diag(unvec(x)))
-    total = float(p0.sum())
-    if not np.isfinite(total) or abs(total) < 1e-14:
-        return None
     # the enforced rows balance to the longdouble floor, so whatever
     # column-sum defect the matrices carry lands entirely on the dropped
     # one; park it on the level nearest zero energy, where it perturbs
@@ -251,14 +241,10 @@ def _refined_population(rate_matrices, x: np.ndarray, energies: np.ndarray):
     b = np.zeros(d, dtype=np.longdouble)
     b[k] = 1.0
     A_dbl = A.astype(float)
-    p = (p0 / total).astype(np.longdouble)
-    for _ in range(4):
-        r = b - A @ p
-        try:
-            delta = np.linalg.solve(A_dbl, r.astype(float))
-        except np.linalg.LinAlgError:
-            return None
-        p = p + delta.astype(np.longdouble)
+    try:
+        p = _refine(A_dbl, b, lambda v: A @ v)
+    except np.linalg.LinAlgError:
+        return None
     r = b - A @ p
     row_scale = float(np.abs(A_dbl).sum(axis=1).max())
     if float(np.linalg.norm(r.astype(float))) > 1e-13 * max(row_scale, 1e-300):

@@ -2,11 +2,25 @@
 
 import csv
 import json
+from pathlib import Path
+
+import pytest
 
 from triqubit.cli import main
 from triqubit.sweeps import BOOST_COLUMNS, GridScanConfig, boost_scan, write_records
 
 from conftest import BOOST, LOCAL_SCATTER, VALVE
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# the command that runs each bundled config, with its small-size arguments
+BUNDLED = {
+    "point": ["point"],
+    "local_scatter": ["validate", "--samples", "3"],
+    "global_scatter": ["validate", "--samples", "3"],
+    "valve": ["sweep-valve", "--set", "n_points=3"],
+    "boost": ["sweep-boost", "--set", "n_points=4"],
+}
 
 
 def write_json(path, payload):
@@ -178,3 +192,12 @@ def test_validate_passes_on_local_sweep(tmp_path, capsys):
     assert code == 0
     assert "result: PASS" in out
     assert "First Law" in out and "continuity" in out
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.json")))
+def test_bundled_config_runs_clean(name, tmp_path, capsys):
+    command, *extra = BUNDLED[name]
+    argv = [command, "--config", str(CONFIGS / f"{name}.json"), *extra]
+    if command.startswith("sweep"):
+        argv += ["--out", str(tmp_path / f"{name}.csv")]
+    assert main(argv) == 0, capsys.readouterr().err

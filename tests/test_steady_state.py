@@ -1,5 +1,8 @@
 """Null-space solver, eigenbasis pipeline, and the propagation oracle."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -23,6 +26,7 @@ from triqubit.algebra import (
     vec,
 )
 from triqubit.errors import DegenerateSteadyStateError, DomainError
+from triqubit.sweeps import SweepConfig, draw_params
 
 from conftest import global_point, local_point
 
@@ -93,6 +97,30 @@ def test_solve_point_population_branch():
     # the eigenbasis state is exactly diagonal on this branch
     off = sol.rho_eig - np.diag(np.diag(sol.rho_eig))
     assert np.linalg.norm(off) == 0.0
+
+
+@pytest.mark.parametrize("name", ["local_scatter", "global_scatter"])
+def test_state_has_no_cross_sector_coherence(name):
+    # both generators are block-diagonal in the magnetization difference, so
+    # the solve keeps every coherence between sectors exactly zero
+    path = Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"
+    cfg = SweepConfig(**json.loads(path.read_text()))
+    for k in range(20):
+        sol = solve_point(draw_params(cfg, k))
+        sectors = sol.generators.spectrum.sectors
+        assert np.all(sol.rho_eig[sectors[:, None] != sectors[None, :]] == 0.0), k
+
+
+@pytest.mark.parametrize("p", [
+    local_point(B=(0.9, 2.7, 4.1), gamma=(0.4, 0.8, 0.15)),
+    local_point(B=(1.7, 0.4, 2.9), gamma=(0.9, 0.33, 0.51)),
+    global_point(B=(0.37, 0.61, 0.83)),
+    global_point(B=(0.81, 0.29, 0.66)),
+], ids=["local-a", "local-b", "global-a", "global-b"])
+def test_computational_basis_solve_matches_solve_point(p):
+    out = solve_steady_state(build_liouvillian(p))
+    assert out.nullspace_dim == 1
+    assert trace_distance(out.rho, solve_point(p).rho) < 1e-12
 
 
 def test_build_liouvillian_dispatch():
