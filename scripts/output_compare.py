@@ -13,8 +13,9 @@ ROOT defaults to the checkout holding this script. Exit codes, the
 and JSON leaf, and ``validate`` stdout must be identical. Numeric CSV cells
 and numeric ``point`` JSON leaves a, b must agree within
 1e-9 * max(|a|, |b|) + 1e-15; ``nullspace_residual`` is reported but not
-gated. Prints the worst ratio |a - b| / bound per column and exits 1 on any
-violation. Each checkout takes a few minutes on one core.
+gated. Prints, per column, the worst ratio |a - b| / bound and the number of
+cells whose text differs at all, and exits 1 on any violation. Each
+checkout takes a few minutes on one core.
 """
 
 from __future__ import annotations
@@ -79,9 +80,11 @@ def _leaves(value, path=""):
 class Comparison:
     def __init__(self):
         self.worst = {}  # column -> (ratio, output name)
+        self.changed = {}  # column -> cells whose text is not byte-identical
         self.errors = []
 
-    def numbers(self, column: str, a: float, b: float, where: str) -> None:
+    def numbers(self, column: str, a: float, b: float, where: str, same_text: bool) -> None:
+        self.changed[column] = self.changed.get(column, 0) + (not same_text)
         if a == b or (math.isnan(a) and math.isnan(b)):
             ratio = 0.0
         else:
@@ -112,7 +115,7 @@ class Comparison:
                 if na is None or nb is None:
                     self.same(ca, cb, f"{name}: row {k} {column}")
                 else:
-                    self.numbers(column, na, nb, f"{name} row {k}")
+                    self.numbers(column, na, nb, f"{name} row {k}", ca == cb)
 
     def point(self, a: str, b: str, name: str) -> None:
         leaves_a = list(_leaves(json.loads(a)))
@@ -121,7 +124,7 @@ class Comparison:
         for (column, va), (_, vb) in zip(leaves_a, leaves_b):
             numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (va, vb))
             if numeric:
-                self.numbers(f"point.{column}", float(va), float(vb), name)
+                self.numbers(f"point.{column}", float(va), float(vb), name, repr(va) == repr(vb))
             else:
                 self.same(va, vb, f"{name}: {column}")
 
@@ -130,7 +133,7 @@ class Comparison:
         for column, (ratio, where) in sorted(self.worst.items()):
             gated = column.split(".")[-1] not in UNGATED
             note = "" if gated else "  (not gated)"
-            print(f"{column:<40} {ratio:10.3e}  {where}{note}")
+            print(f"{column:<40} {ratio:10.3e} {self.changed[column]:7d} changed  {where}{note}")
             if gated and ratio > 1.0:
                 failed.append(f"{column}: ratio {ratio:.3e} at {where}")
         for line in failed:

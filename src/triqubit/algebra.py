@@ -85,9 +85,13 @@ def lindblad_superop(ops, rates) -> np.ndarray:
     ops is a sequence of d x d jump operators A_k, rates the matching r_k.
     """
     a = np.asarray(ops)
-    d = a.shape[1]
-    sand = np.einsum("w,wij,wkl->ikjl", rates, a.conj(), a).reshape(d * d, d * d)
-    anti = np.einsum("w,wji,wjk->ik", rates, a.conj(), a)
+    w, d = a.shape[:2]
+    scaled = np.asarray(rates)[:, None, None] * a.conj()  # r_k conj(A_k)
+    # sum_k r_k conj(A_k) kron A_k and sum_k r_k A_k^dag A_k, each as one
+    # matrix product over the stacked jumps
+    sand = (scaled.reshape(w, d * d).T @ a.reshape(w, d * d)).reshape(d, d, d, d)
+    sand = sand.transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    anti = scaled.reshape(w * d, d).T @ a.reshape(w * d, d)
     eye = np.eye(d, dtype=complex)
     return sand - 0.5 * (np.kron(eye, anti) + np.kron(anti.T, eye))
 

@@ -16,6 +16,13 @@ with n the Bose occupation. Heat currents are Q_i = Tr(H L_i[rho]).
 Nearly equal Bohr frequencies are merged into clusters; the zero-frequency
 part is discarded (with a warning when it carries weight) because it does not
 enter the secular generator.
+
+The solver works in the eigenbasis of H. build_global_generators builds the
+summed dissipator there, from the jump amplitudes <a|A_omega|b>, with one
+lindblad_superop call; the per-bath computational-basis dissipators are
+built only on first access to Generators.dissipators. site_rate_matrices
+reads the same amplitudes for the Pauli rate matrices of the population
+solve.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -58,21 +66,21 @@ def bose_occupation(omega: float, T: float) -> float:
 
 @dataclass(frozen=True)
 class JumpSet:
-    """Clustered jump operators of one site, in the computational basis.
+    """Clustered jump operators of one site.
 
     frequencies are the ascending cluster centers (all > degeneracy_tol);
-    operators[k] lowers the system energy by frequencies[k]. zero_part is the
-    discarded |E_b - E_a| <= degeneracy_tol component of sigma_x^site.
+    operators[k] lowers the system energy by frequencies[k], in the
+    computational basis, and amplitudes[k] is the same operator mapped back
+    to the eigenbasis of H, V^dag operators[k] V. zero_part is the discarded
+    |E_b - E_a| <= degeneracy_tol component of sigma_x^site.
     """
 
     site: int
     frequencies: np.ndarray
-    operators: tuple
+    operators: np.ndarray
+    amplitudes: np.ndarray
     zero_part: np.ndarray
     degeneracy_tol: float
-
-    def items(self):
-        return zip(self.frequencies, self.operators)
 
     def reconstruct(self) -> np.ndarray:
         """sum_omega (A_omega + A_omega^dag) + zero_part; equals sigma_x^site."""
@@ -80,17 +88,6 @@ class JumpSet:
         for op in self.operators:
             out += op + op.conj().T
         return out
-
-
-def _cluster_sorted(values: np.ndarray, tol: float):
-    """Group ascending values into runs separated by gaps > tol."""
-    clusters = []
-    start = 0
-    for k in range(1, len(values) + 1):
-        if k == len(values) or values[k] - values[k - 1] > tol:
-            clusters.append((start, k))
-            start = k
-    return clusters
 
 
 def jump_operators(spectrum: Spectrum, site: int, degeneracy_tol: float = None) -> JumpSet:
@@ -111,25 +108,25 @@ def jump_operators(spectrum: Spectrum, site: int, degeneracy_tol: float = None) 
     order = np.argsort(vals, kind="stable")
     a_idx, b_idx, vals = a_idx[order], b_idx[order], vals[order]
 
-    freqs = []
-    ops = []
-    for start, stop in _cluster_sorted(vals, degeneracy_tol):
-        diameter = vals[stop - 1] - vals[start]
-        if diameter > 10.0 * degeneracy_tol:
-            raise ClusteringError(
-                f"Bohr frequency cluster near {vals[start]:.6g} has diameter "
-                f"{diameter:.3e} > 10 * degeneracy_tol = {10 * degeneracy_tol:.3e}; "
-                "tighten degeneracy_tol or separate the parameters"
-            )
-        amp = np.zeros((d, d), dtype=complex)
-        rows = a_idx[start:stop]
-        cols = b_idx[start:stop]
-        amp[rows, cols] = sx_eig[rows, cols]
-        op = V @ amp @ V.conj().T
-        if np.linalg.norm(op, "fro") <= 1e-12 * math.sqrt(d):
-            continue  # cluster carries no weight for this site
-        freqs.append(float(vals[start:stop].mean()))
-        ops.append(op)
+    # clusters are the runs of ascending values separated by gaps > tol
+    starts = np.flatnonzero(np.diff(vals, prepend=-np.inf) > degeneracy_tol)
+    counts = np.diff(starts, append=vals.size)
+    diameters = vals[starts + counts - 1] - vals[starts]
+    wide = np.flatnonzero(diameters > 10.0 * degeneracy_tol)
+    if wide.size:
+        k = wide[0]
+        raise ClusteringError(
+            f"Bohr frequency cluster near {vals[starts[k]]:.6g} has diameter "
+            f"{diameters[k]:.3e} > 10 * degeneracy_tol = {10 * degeneracy_tol:.3e}; "
+            "tighten degeneracy_tol or separate the parameters"
+        )
+    amps = np.zeros((starts.size, d, d), dtype=complex)
+    amps[np.repeat(np.arange(starts.size), counts), a_idx, b_idx] = sx_eig[a_idx, b_idx]
+    ops = V @ amps @ V.conj().T
+    # drop the clusters that carry no weight for this site
+    keep = np.linalg.norm(ops, axis=(1, 2)) > 1e-12 * math.sqrt(d)
+    freqs = (np.add.reduceat(vals, starts) / counts)[keep] if starts.size else vals
+    ops = ops[keep]
 
     zero_amp = np.where(np.abs(diff) <= degeneracy_tol, sx_eig, 0.0)
     zero_part = V @ zero_amp @ V.conj().T
@@ -142,15 +139,23 @@ def jump_operators(spectrum: Spectrum, site: int, degeneracy_tol: float = None) 
         )
     return JumpSet(
         site=site,
-        frequencies=np.asarray(freqs),
-        operators=tuple(ops),
+        frequencies=freqs,
+        operators=ops,
+        # mapped back from the operators rather than copied from sx_eig: the
+        # rate matrices keep the rounding of that round trip, and the
+        # first-law residuals of solved points are pinned to it
+        amplitudes=V.conj().T @ ops @ V,
         zero_part=zero_part,
         degeneracy_tol=float(degeneracy_tol),
     )
 
 
-def global_dissipator(jumps: JumpSet, gamma: float, T: float) -> np.ndarray:
-    """Superoperator of bath `jumps.site` at rate gamma and temperature T."""
+def _check_bath(jumps: JumpSet, gamma: float, T: float) -> None:
+    """Domain checks of one bath, and the secular-validity warning.
+
+    Warns when gamma is not small against the spacing of the site's Bohr
+    frequencies, where the secular approximation is questionable.
+    """
     if gamma <= 0.0:
         raise DomainError(f"gamma must be > 0, got {gamma}")
     if T <= 0.0:
@@ -164,18 +169,25 @@ def global_dissipator(jumps: JumpSet, gamma: float, T: float) -> np.ndarray:
                 f"minimum Bohr-frequency spacing {min_gap:.3e}; the secular "
                 "approximation is questionable here",
                 SecularValidityWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
-    if freqs.size == 0:
-        d = jumps.zero_part.shape[0]
-        return np.zeros((d * d, d * d), dtype=complex)
 
-    down = np.stack(jumps.operators)
-    nbar = np.array([bose_occupation(w, T) for w in freqs])
-    return lindblad_superop(
-        np.concatenate([down, np.conj(np.transpose(down, (0, 2, 1)))]),
-        np.concatenate([gamma * (1.0 + nbar), gamma * nbar]),
-    )
+
+def _bath_rates(jumps: JumpSet, gamma: float, T: float):
+    """Down and up rates gamma (1 + n) and gamma n of each of the site's jumps."""
+    nbar = np.array([bose_occupation(w, T) for w in jumps.frequencies])
+    return gamma * (1.0 + nbar), gamma * nbar
+
+
+def _with_daggers(ops: np.ndarray) -> np.ndarray:
+    return np.concatenate([ops, np.conj(np.transpose(ops, (0, 2, 1)))])
+
+
+def global_dissipator(jumps: JumpSet, gamma: float, T: float) -> np.ndarray:
+    """Superoperator of bath `jumps.site` at rate gamma and temperature T."""
+    _check_bath(jumps, gamma, T)
+    down, up = _bath_rates(jumps, gamma, T)
+    return lindblad_superop(_with_daggers(jumps.operators), np.concatenate([down, up]))
 
 
 def global_heat_current(rho_ss: np.ndarray, H: np.ndarray, dissipator: np.ndarray) -> float:
@@ -191,14 +203,32 @@ def global_heat_current(rho_ss: np.ndarray, H: np.ndarray, dissipator: np.ndarra
 
 
 def build_global_generators(p: ModelParams) -> Generators:
+    """Harmonic-bath generator, with the summed dissipator built in the eigenbasis.
+
+    The per-bath computational-basis dissipators are built on first access
+    to Generators.dissipators.
+    """
     H = build_hamiltonian(p)
     spectrum = sector_spectrum(H)
     jumps = tuple(jump_operators(spectrum, site) for site in (1, 2, 3))
-    dissipators = tuple(
-        global_dissipator(jumps[site - 1], p.gamma[site - 1], p.T[site - 1])
-        for site in (1, 2, 3)
+    ops, rates = [], []
+    for js, gamma, T in zip(jumps, p.gamma, p.T):
+        _check_bath(js, gamma, T)
+        down, up = _bath_rates(js, gamma, T)
+        ops.append(_with_daggers(js.amplitudes))
+        rates += [down, up]
+    return Generators(
+        params=p,
+        H=H,
+        spectrum=spectrum,
+        eigen_dissipators=(lindblad_superop(np.concatenate(ops), np.concatenate(rates)),),
+        build_dissipators=partial(_site_dissipators, jumps, p),
+        jumps=jumps,
     )
-    return Generators(params=p, H=H, spectrum=spectrum, dissipators=dissipators, jumps=jumps)
+
+
+def _site_dissipators(jumps: tuple, p: ModelParams) -> tuple:
+    return tuple(global_dissipator(js, gamma, T) for js, gamma, T in zip(jumps, p.gamma, p.T))
 
 
 def site_rate_matrices(gen: Generators):
@@ -210,29 +240,27 @@ def site_rate_matrices(gen: Generators):
     row or a column, in which case the population sector decouples exactly
     from the coherences and the steady populations solve (sum_i M_i) p = 0.
     """
-    V = gen.spectrum.vectors
-    d = gen.spectrum.dim
     mats = []
     closed = True
     for jumps, gamma, T in zip(gen.jumps, gen.params.gamma, gen.params.T):
-        # accumulate in extended precision and set the loss diagonal once at
-        # the end, so each column sums to zero at the longdouble floor; the
-        # first law of a solved point rides on that cancellation
-        M = np.zeros((d, d), dtype=np.longdouble)
-        for omega, op in jumps.items():
-            amp = V.conj().T @ op @ V
-            mags = np.abs(amp)
-            cut = 1e-12 * max(float(mags.max()), 1e-300)
-            nz = mags > cut
-            if np.any(nz.sum(axis=0) > 1) or np.any(nz.sum(axis=1) > 1):
-                closed = False
-            g = mags.astype(np.longdouble) ** 2
-            nbar = bose_occupation(omega, T)
-            # gains land strictly off the diagonal: the jump lowers the
-            # total magnetization, so it never connects a level to itself
-            M += (gamma * (1.0 + nbar)) * g
-            M += (gamma * nbar) * g.T
+        mags = np.abs(jumps.amplitudes)
+        cut = 1e-12 * np.maximum(mags.max(axis=(1, 2)), 1e-300)
+        nz = mags > cut[:, None, None]
+        if np.any(nz.sum(axis=1) > 1) or np.any(nz.sum(axis=2) > 1):
+            closed = False
+        g = mags.astype(np.longdouble) ** 2
+        down, up = _bath_rates(jumps, gamma, T)
+        # accumulate in extended precision, each cluster's down term and then
+        # its up term, in the order of the clusters (a sum over the leading
+        # axis adds the slices one after the other), and set the loss
+        # diagonal once at the end, so each column sums to zero at the
+        # longdouble floor; the first law of a solved point rides on that
+        # cancellation. Gains land strictly off the diagonal: a jump lowers
+        # the total magnetization, so it never connects a level to itself
+        terms = np.empty((2 * len(g),) + g.shape[1:], dtype=np.longdouble)
+        terms[0::2] = down[:, None, None] * g
+        terms[1::2] = up[:, None, None] * np.transpose(g, (0, 2, 1))
+        M = terms.sum(axis=0)
         M -= np.diag(M.sum(axis=0))
         mats.append(M)
     return tuple(mats), closed
-

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -189,8 +189,17 @@ def local_current_set(rho_ss: np.ndarray, p: ModelParams) -> CurrentSet:
 
 def build_local_generators(p: ModelParams) -> Generators:
     H = build_hamiltonian(p)
+    spectrum = sector_spectrum(H)
     dissipators = tuple(
         lindblad_superop(_site_matrices(r.site)[:2], (r.down_rate, r.up_rate))
         for r in (local_rates(p, site) for site in (1, 2, 3))
     )
-    return Generators(params=p, H=H, spectrum=sector_spectrum(H), dissipators=dissipators)
+    V = spectrum.vectors
+    W = np.kron(V.conj(), V)  # vec(V X V^dag) = W vec(X)
+    return Generators(
+        params=p,
+        H=H,
+        spectrum=spectrum,
+        eigen_dissipators=tuple(W.conj().T @ D @ W for D in dissipators),
+        build_dissipators=partial(tuple, dissipators),
+    )

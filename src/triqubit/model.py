@@ -13,8 +13,9 @@ sigma_z^i] = 0, so H is block diagonal in the four magnetization sectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -151,16 +152,27 @@ class Spectrum:
 class Generators:
     """Lindblad generator pieces of one parameter point, for either bath model.
 
-    dissipators[i] is the superoperator of bath i + 1 in the computational
-    basis. jumps holds the harmonic model's per-site JumpSets; it is empty
-    for the repeated_interaction model, whose jumps are fixed site Paulis.
+    eigen_dissipators add up to the dissipative part of the generator in the
+    eigenbasis of H, where vec(X) stands for V X V^dag: the
+    repeated_interaction builder maps each bath's dissipator there, the
+    harmonic builder builds their sum in one piece from the eigenbasis jump
+    amplitudes. dissipators[i] is the superoperator of bath i + 1 in the
+    computational basis; build_dissipators makes them on first access, so a
+    solve that never asks for them does not pay for them. jumps holds the
+    harmonic model's per-site JumpSets; it is empty for the
+    repeated_interaction model, whose jumps are fixed site Paulis.
     """
 
     params: ModelParams
     H: np.ndarray
     spectrum: Spectrum
-    dissipators: tuple
+    eigen_dissipators: tuple = field(repr=False)
+    build_dissipators: Callable[[], tuple] = field(repr=False)
     jumps: tuple = ()
+
+    @cached_property
+    def dissipators(self) -> tuple:
+        return self.build_dissipators()
 
 
 @lru_cache(maxsize=None)

@@ -10,19 +10,21 @@ by mixed-precision iterative refinement (Higham, Accuracy and Stability of
 Numerical Algorithms, 2002, ch. 12): started from zero, four
 double-precision solves of A, each on a residual evaluated in 80-bit
 precision. The harmonic model's population solve on the summed 8x8 rate
-matrix, taken whenever the secular clusters decouple, runs through the same
-loop. The package pipeline works in the eigenbasis of H, where the coherent
-part of the generator is exactly diagonal, so the residual evaluation error
-scales with the dissipative rates instead of ||H||, and row 0 is the
-ground-state balance. Both generators are block-diagonal in the
-magnetization difference, and a solve started from zero keeps the
-cross-sector coherences exactly zero.
+matrix, tried first whenever the secular clusters decouple, runs through the
+same loop; its state is taken without the full solve when its residual sits
+at the roundoff floor. The package pipeline works in the eigenbasis of H,
+where the coherent part of the generator is exactly diagonal, so the
+residual evaluation error scales with the dissipative rates instead of
+||H||, and row 0 is the ground-state balance. Both generators are
+block-diagonal in the magnetization difference, and a solve started from
+zero keeps the cross-sector coherences exactly zero.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -173,32 +175,29 @@ def solve_point(p: ModelParams) -> PointSolution:
     gen = _build_generators(p)
     V = gen.spectrum.vectors
     E = gen.spectrum.energies
-    W = np.kron(V.conj(), V)  # vec(V X V^dag) = W vec(X)
-    diss_eig = [W.conj().T @ D @ W for D in gen.dissipators]
     lam = (-1j * (E[:, None] - E[None, :])).reshape(-1, order="F")
-    L_eig = np.diag(lam) + diss_eig[0] + diss_eig[1] + diss_eig[2]
+    L_eig = reduce(np.add, gen.eigen_dissipators, np.diag(lam))
     sigma_max = _unique_null_scale(L_eig)
     diag_ld = lam.astype(CLD)
-    offdiag_ld = (diss_eig[0] + diss_eig[1] + diss_eig[2]).astype(CLD)
-    x, res = _trace_one_state(L_eig, diag_ld, offdiag_ld)
+    offdiag_ld = reduce(np.add, gen.eigen_dissipators).astype(CLD)
 
-    populations = None
-    rate_matrices = None
-    closed = None
+    populations = rate_matrices = closed = None
+    res_ref = math.inf  # residual of the population state, when there is one
     if p.bath_model == BATH_HARMONIC:
         rate_matrices, closed = site_rate_matrices(gen)
-        if closed:
-            refined = _refined_population(rate_matrices, E)
-            if refined is not None:
-                x_ref = vec(np.diag(refined.astype(complex)))
-                top = _residual(diag_ld, offdiag_ld, x_ref)
-                res_ref = float(np.linalg.norm(top.astype(complex)))
-                # the diagonal form is exact for closed clusters; use it
-                # unless its residual is materially worse than the generic
-                # solve (which would mean the closure call was wrong)
-                if res_ref <= max(res, 1e-12 * sigma_max):
-                    x, res = x_ref, res_ref
-                    populations = refined
+        refined = _refined_population(rate_matrices, E) if closed else None
+        if refined is not None:
+            x_ref = vec(np.diag(refined.astype(complex)))
+            res_ref = float(np.linalg.norm(_residual(diag_ld, offdiag_ld, x_ref).astype(complex)))
+    # the diagonal form is exact for closed clusters: at the roundoff floor
+    # it needs no generic solve, and above it, it is used unless its
+    # residual is materially worse than the generic solve's (which would
+    # mean the closure call was wrong)
+    floor = 1e-12 * sigma_max
+    if res_ref > floor:
+        x, res = _trace_one_state(L_eig, diag_ld, offdiag_ld)
+    if res_ref <= floor or res_ref <= res:
+        x, res, populations = x_ref, res_ref, refined
 
     rho_eig = _finalize_state(x)
     if populations is not None:

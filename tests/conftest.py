@@ -44,6 +44,13 @@ BOOST = dict(
 # pinned master seed for every deterministic sweep in the suite
 MASTER_SEED = 20260819
 
+# harmonic point whose secular clusters do not decouple (equal fields, weak
+# uniform exchange), so its solve takes the full 64x64 route
+UNCLOSED_HARMONIC = ModelParams(
+    B=(0.5, 0.5, 0.5), J=(0.02, 0.02, 0.02), Delta=(0.0, 0.0, 0.0),
+    T=(1.0, 2.0, 3.0), gamma=(1e-4, 1e-4, 1e-4), bath_model="harmonic",
+)
+
 
 def local_point(B, gamma=(0.5, 0.5, 0.5), **overrides) -> ModelParams:
     kw = dict(LOCAL_SCATTER, B=B, gamma=gamma, bath_model="repeated_interaction")

@@ -1,10 +1,12 @@
 """Harmonic-bath generator: jump clustering, dissipators, rate matrices."""
 
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import expm
 
 from triqubit import (
@@ -14,12 +16,14 @@ from triqubit import (
     bose_occupation,
     solve_point,
 )
-from triqubit.algebra import embed_pauli, trace_distance, vec
+from triqubit import global_me
+from triqubit.algebra import coherent_superop, embed_pauli, lindblad_superop, trace_distance, vec
 from triqubit.errors import ClusteringError, DomainError, SecularValidityWarning, ZeroModeWarning
 from triqubit.global_me import global_dissipator, jump_operators, site_rate_matrices
 from triqubit.model import build_hamiltonian, sector_spectrum, total_sz
+from triqubit.sweeps import SweepConfig, draw_params, random_sweep
 
-from conftest import global_point
+from conftest import UNCLOSED_HARMONIC, global_point, local_point
 
 
 def _uncoupled(B=(0.3, 0.7, 1.1), gamma=(1e-4, 2e-4, 1.5e-4)):
@@ -165,3 +169,150 @@ def test_rate_matrix_signs():
         assert np.all(np.diag(md) <= 0.0)
         off = md - np.diag(np.diag(md))
         assert np.all(off >= 0.0)
+
+
+# --- the batched build against a per-cluster reference ---
+
+def _scatter_config(**overrides):
+    path = Path(__file__).resolve().parent.parent / "configs" / "global_scatter.json"
+    return SweepConfig(**dict(json.loads(path.read_text()), **overrides))
+
+
+def _scatter_points(n):
+    cfg = _scatter_config()
+    return [draw_params(cfg, k) for k in range(n)]
+
+
+def _reference_jumps(spectrum, site):
+    """(frequencies, operators) from one amplitude matrix per Bohr cluster."""
+    E, V, d = spectrum.energies, spectrum.vectors, spectrum.dim
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(E))))
+    sx_eig = V.conj().T @ embed_pauli(3, "x", site) @ V
+    diff = E[None, :] - E[:, None]
+    a_idx, b_idx = np.nonzero(diff > tol)
+    vals = diff[a_idx, b_idx]
+    order = np.argsort(vals, kind="stable")
+    a_idx, b_idx, vals = a_idx[order], b_idx[order], vals[order]
+    freqs, ops = [], []
+    start = 0
+    for stop in range(1, len(vals) + 1):
+        if stop < len(vals) and vals[stop] - vals[stop - 1] <= tol:
+            continue
+        rows, cols = a_idx[start:stop], b_idx[start:stop]
+        amp = np.zeros((d, d), dtype=complex)
+        amp[rows, cols] = sx_eig[rows, cols]
+        op = V @ amp @ V.conj().T
+        if np.linalg.norm(op, "fro") > 1e-12 * np.sqrt(d):
+            freqs.append(float(vals[start:stop].mean()))
+            ops.append(op)
+        start = stop
+    return np.asarray(freqs), ops
+
+
+def _reference_rate_matrices(p, V, site_jumps):
+    """Rate matrices and closure, accumulated one cluster at a time."""
+    mats, closed = [], True
+    for (freqs, ops), gamma, T in zip(site_jumps, p.gamma, p.T):
+        M = np.zeros((8, 8), dtype=np.longdouble)
+        for omega, op in zip(freqs, ops):
+            mags = np.abs(V.conj().T @ op @ V)
+            nz = mags > 1e-12 * max(float(mags.max()), 1e-300)
+            if np.any(nz.sum(axis=0) > 1) or np.any(nz.sum(axis=1) > 1):
+                closed = False
+            g = mags.astype(np.longdouble) ** 2
+            nbar = bose_occupation(omega, T)
+            M += (gamma * (1.0 + nbar)) * g
+            M += (gamma * nbar) * g.T
+        M -= np.diag(M.sum(axis=0))
+        mats.append(M)
+    return mats, closed
+
+
+def _einsum_lindblad(ops, rates):
+    a = np.asarray(ops)
+    d = a.shape[1]
+    sand = np.einsum("w,wij,wkl->ikjl", rates, a.conj(), a).reshape(d * d, d * d)
+    anti = np.einsum("w,wji,wjk->ik", rates, a.conj(), a)
+    eye = np.eye(d, dtype=complex)
+    return sand - 0.5 * (np.kron(eye, anti) + np.kron(anti.T, eye))
+
+
+@pytest.mark.parametrize(
+    "p", _scatter_points(20) + [UNCLOSED_HARMONIC],
+    ids=[f"scatter-{k}" for k in range(20)] + ["unclosed"],
+)
+def test_batched_jumps_and_rate_matrices_keep_their_bits(p):
+    gen = build_global_generators(p)
+    V = gen.spectrum.vectors
+    ref = [_reference_jumps(gen.spectrum, site) for site in (1, 2, 3)]
+    for js, (freqs, ops) in zip(gen.jumps, ref):
+        assert_array_equal(js.frequencies, freqs)
+        assert_array_equal(js.operators, np.asarray(ops).reshape(-1, 8, 8))
+    mats, closed = site_rate_matrices(gen)
+    ref_mats, ref_closed = _reference_rate_matrices(p, V, ref)
+    assert closed == ref_closed == (p is not UNCLOSED_HARMONIC)
+    for m, m_ref in zip(mats, ref_mats):
+        assert_array_equal(m, m_ref)
+    # the eigenbasis generator is the computational-basis one, transformed
+    W = np.kron(V.conj(), V)
+    summed = gen.dissipators[0] + gen.dissipators[1] + gen.dissipators[2]
+    (eigen,) = gen.eigen_dissipators
+    assert np.abs(eigen - W.conj().T @ summed @ W).max() <= 1e-12 * max(p.gamma)
+
+
+def test_lindblad_superop_matches_the_einsum_form():
+    from triqubit.local_me import _site_matrices, local_rates
+
+    # local sigma-minus/sigma-plus sites: bit for bit, signed zeros included
+    for p in (local_point(B=(0.9, 2.7, 4.1), gamma=(0.4, 0.8, 0.15)),
+              local_point(B=(1.7, 0.4, 2.9), gamma=(0.9, 0.33, 0.51))):
+        for site in (1, 2, 3):
+            r = local_rates(p, site)
+            args = (_site_matrices(site)[:2], (r.down_rate, r.up_rate))
+            got, want = lindblad_superop(*args), _einsum_lindblad(*args)
+            assert_array_equal(got, want)
+            for part in ("real", "imag"):
+                assert_array_equal(np.signbit(getattr(got, part)), np.signbit(getattr(want, part)))
+    # a 30-jump harmonic site: the matmul rounds differently, within 1e-15
+    p = _scatter_points(1)[0]
+    js = build_global_generators(p).jumps[0]
+    ops = np.concatenate([js.operators, np.conj(np.transpose(js.operators, (0, 2, 1)))])
+    nbar = np.array([bose_occupation(w, p.T[0]) for w in js.frequencies])
+    rates = p.gamma[0] * np.concatenate([1.0 + nbar, nbar])
+    assert len(ops) == 30
+    want = _einsum_lindblad(ops, rates)
+    assert np.abs(lindblad_superop(ops, rates) - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_closed_points_build_no_computational_basis_dissipator(monkeypatch):
+    calls = []
+    real = global_me.global_dissipator
+    monkeypatch.setattr(
+        global_me, "global_dissipator", lambda *args: calls.append(args) or real(*args)
+    )
+    eye = np.eye(8)
+    transforms = []
+    real_kron = np.kron
+
+    def kron(a, b):
+        # kron(conj(V), V) is the only 8 x 8 kron without an identity factor
+        if np.shape(a) == np.shape(b) == (8, 8):
+            if not (np.array_equal(a, eye) or np.array_equal(b, eye)):
+                transforms.append((a, b))
+        return real_kron(a, b)
+
+    monkeypatch.setattr(np, "kron", kron)
+    records = random_sweep(_scatter_config(n_samples=20))
+    monkeypatch.setattr(np, "kron", real_kron)
+    assert len(records) == 20 and not any(r.flags for r in records)
+    assert calls == [] and transforms == []
+
+    # asked for, the dissipators are still the per-bath 64 x 64 ones
+    gen = build_global_generators(records[0].params)
+    dissipators = gen.dissipators
+    assert len(calls) == 3 and gen.dissipators is dissipators
+    assert all(d.shape == (64, 64) for d in dissipators)
+    L = coherent_superop(gen.H) + dissipators[0] + dissipators[1] + dissipators[2]
+    u = vec(np.eye(8, dtype=complex))
+    assert np.linalg.norm(u @ L) < 1e-12 * np.linalg.norm(L)
+    assert_array_equal(L, build_liouvillian(records[0].params))

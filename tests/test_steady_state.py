@@ -1,21 +1,26 @@
 """Null-space solver, eigenbasis pipeline, and the propagation oracle."""
 
 import json
+import pickle
 from pathlib import Path
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import expm
 
 from triqubit import (
+    build_global_generators,
     build_liouvillian,
+    evaluate_point,
     evolve_oracle,
+    global_heat_current,
     relaxation_time,
     solve_point,
     solve_steady_state,
     steady_state_via_evolution,
 )
+from triqubit import steady_state
 from triqubit.algebra import (
     coherent_superop,
     herm,
@@ -28,7 +33,7 @@ from triqubit.algebra import (
 from triqubit.errors import DegenerateSteadyStateError, DomainError
 from triqubit.sweeps import SweepConfig, draw_params
 
-from conftest import global_point, local_point
+from conftest import UNCLOSED_HARMONIC, global_point, local_point
 
 
 def _amplitude_damping(gamma=0.8, nbar=0.3):
@@ -179,3 +184,53 @@ def test_relaxation_time_needs_decay():
         relaxation_time(coherent_superop(build_hamiltonian(p)))
     with pytest.raises(DomainError):
         relaxation_time(np.zeros((4, 4)))
+
+
+def test_unclosed_harmonic_point_end_to_end():
+    sol = solve_point(UNCLOSED_HARMONIC)
+    assert sol.population_closed is False
+    assert sol.populations is None
+    rec = evaluate_point(UNCLOSED_HARMONIC)
+    assert rec.flags == ()
+    Q = rec.thermo.Q
+    assert rec.thermo.first_law_residual < 1e-10 * max(abs(q) for q in Q)
+
+    oracle = steady_state_via_evolution(build_liouvillian(UNCLOSED_HARMONIC)).rho
+    assert trace_distance(sol.rho, oracle) < 1e-8
+    gen = build_global_generators(UNCLOSED_HARMONIC)
+    q_oracle = [global_heat_current(oracle, gen.H, d) for d in gen.dissipators]
+    # the heat-current rule of bench/gate.py's oracle check
+    q_tol = max(
+        1e-6 * max(abs(q) for q in Q),
+        1e-8 * max(UNCLOSED_HARMONIC.gamma) * float(np.linalg.norm(gen.H, 2)),
+    )
+    assert max(abs(a - b) for a, b in zip(q_oracle, Q)) <= q_tol
+
+
+def test_wrong_population_state_falls_back_to_the_full_solve(monkeypatch):
+    p = global_point(B=(0.37, 0.61, 0.83))
+    monkeypatch.setattr(steady_state, "_refined_population", lambda mats, energies: None)
+    full = solve_point(p)
+    assert full.population_closed and full.populations is None
+
+    uniform = np.full(8, 1.0 / 8.0, dtype=np.longdouble)
+    monkeypatch.setattr(steady_state, "_refined_population", lambda mats, energies: uniform)
+    sol = solve_point(p)
+    assert sol.population_closed and sol.populations is None
+    assert_array_equal(sol.rho, full.rho)
+    assert sol.residual == full.residual
+
+
+@pytest.mark.parametrize("p", [local_point(B=(0.9, 2.7, 4.1)), global_point(B=(0.37, 0.61, 0.83))],
+                         ids=["local", "global"])
+def test_point_solution_pickles_with_its_lazy_dissipators(p):
+    # a solution can cross a process boundary before or after its
+    # computational-basis dissipators are built
+    sol = solve_point(p)
+    before = pickle.loads(pickle.dumps(sol))
+    dissipators = sol.generators.dissipators
+    after = pickle.loads(pickle.dumps(sol))
+    for copy in (before, after):
+        assert_array_equal(copy.rho, sol.rho)
+        for got, want in zip(copy.generators.dissipators, dissipators):
+            assert_array_equal(got, want)
