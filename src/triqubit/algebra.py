@@ -79,6 +79,17 @@ def unvec(v: np.ndarray) -> np.ndarray:
     return v.reshape((d, d), order="F")
 
 
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two matrices, as one broadcast product.
+
+    Each entry is the same product of the same pair of operands as in
+    np.kron, so the result is bitwise equal, signed zeros included, without
+    np.kron's general-rank bookkeeping.
+    """
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
+
+
 def lindblad_superop(ops, rates) -> np.ndarray:
     """Superoperator of sum_k r_k D[A_k], D[A] = A . A^dag - (1/2){A^dag A, .}.
 
@@ -93,7 +104,7 @@ def lindblad_superop(ops, rates) -> np.ndarray:
     sand = sand.transpose(0, 2, 1, 3).reshape(d * d, d * d)
     anti = scaled.reshape(w * d, d).T @ a.reshape(w * d, d)
     eye = np.eye(d, dtype=complex)
-    return sand - 0.5 * (np.kron(eye, anti) + np.kron(anti.T, eye))
+    return sand - 0.5 * (kron(eye, anti) + kron(anti.T, eye))
 
 
 def coherent_superop(H: np.ndarray) -> np.ndarray:

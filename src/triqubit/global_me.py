@@ -19,8 +19,9 @@ enter the secular generator.
 
 The solver works in the eigenbasis of H. build_global_generators builds the
 summed dissipator there, from the jump amplitudes <a|A_omega|b>, with one
-lindblad_superop call; the per-bath computational-basis dissipators are
-built only on first access to Generators.dissipators. site_rate_matrices
+lindblad_superop call, and cuts it into its magnetization-difference blocks;
+the per-bath computational-basis dissipators are built only on first access
+to Generators.dissipators. site_rate_matrices
 reads the same amplitudes for the Pauli rate matrices of the population
 solve.
 """
@@ -217,11 +218,15 @@ def build_global_generators(p: ModelParams) -> Generators:
         down, up = _bath_rates(js, gamma, T)
         ops.append(_with_daggers(js.amplitudes))
         rates += [down, up]
+    summed = lindblad_superop(np.concatenate(ops), np.concatenate(rates))
     return Generators(
         params=p,
         H=H,
         spectrum=spectrum,
-        eigen_dissipators=(lindblad_superop(np.concatenate(ops), np.concatenate(rates)),),
+        eigen_blocks={
+            dm: (index, summed[np.ix_(index, index)])
+            for dm, index in spectrum.liouville_blocks.items()
+        },
         build_dissipators=partial(_site_dissipators, jumps, p),
         jumps=jumps,
     )

@@ -29,6 +29,7 @@ from .algebra import (
     CLD,
     embed_pauli,
     expectation,
+    kron,
     lindblad_superop,
     trace_product,
 )
@@ -38,8 +39,10 @@ from .model import (
     N_SITES,
     Generators,
     ModelParams,
+    basis_magnetizations,
     build_hamiltonian,
     interaction_hamiltonian,
+    liouville_blocks,
     sector_spectrum,
 )
 
@@ -194,12 +197,22 @@ def build_local_generators(p: ModelParams) -> Generators:
         lindblad_superop(_site_matrices(r.site)[:2], (r.down_rate, r.up_rate))
         for r in (local_rates(p, site) for site in (1, 2, 3))
     )
+    stacked = np.stack(dissipators)
     V = spectrum.vectors
-    W = np.kron(V.conj(), V)  # vec(V X V^dag) = W vec(X)
+    W = kron(V.conj(), V)  # vec(V X V^dag) = W vec(X)
+    rows = liouville_blocks(basis_magnetizations(N_SITES))
+    blocks = {}
+    for dm, index in spectrum.liouville_blocks.items():
+        # W maps each block onto the computational-basis block of the same
+        # dm, so W_B^dag D[R_B, R_B] W_B is the dm block of W^dag D W; the
+        # bath sum runs over the leading axis, one bath after the other
+        r = rows[dm]
+        W_B = W[np.ix_(r, index)]
+        blocks[dm] = (index, (W_B.conj().T @ stacked[:, r[:, None], r] @ W_B).sum(axis=0))
     return Generators(
         params=p,
         H=H,
         spectrum=spectrum,
-        eigen_dissipators=tuple(W.conj().T @ D @ W for D in dissipators),
+        eigen_blocks=blocks,
         build_dissipators=partial(tuple, dissipators),
     )

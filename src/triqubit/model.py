@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 from typing import Callable
 
 import numpy as np
@@ -147,32 +148,70 @@ class Spectrum:
     def dim(self) -> int:
         return self.energies.size
 
+    @property
+    def liouville_blocks(self) -> MappingProxyType:
+        """Magnetization-difference blocks of the eigenbasis vec positions."""
+        return liouville_blocks(tuple(self.sectors.tolist()))
+
 
 @dataclass(frozen=True)
 class Generators:
     """Lindblad generator pieces of one parameter point, for either bath model.
 
-    eigen_dissipators add up to the dissipative part of the generator in the
-    eigenbasis of H, where vec(X) stands for V X V^dag: the
-    repeated_interaction builder maps each bath's dissipator there, the
-    harmonic builder builds their sum in one piece from the eigenbasis jump
-    amplitudes. dissipators[i] is the superoperator of bath i + 1 in the
-    computational basis; build_dissipators makes them on first access, so a
-    solve that never asks for them does not pay for them. jumps holds the
-    harmonic model's per-site JumpSets; it is empty for the
-    repeated_interaction model, whose jumps are fixed site Paulis.
+    eigen_blocks is the dissipative part of the generator in the eigenbasis
+    of H, where vec(X) stands for V X V^dag, cut into its
+    magnetization-difference blocks: it maps each dm of
+    Spectrum.liouville_blocks to (index, D), index the block's vec positions
+    and D the block of the dissipators summed over the three baths. Entries
+    between blocks are exactly zero. The repeated_interaction builder maps
+    each bath's computational-basis block there, the harmonic builder slices
+    the sum it builds in one piece from the eigenbasis jump amplitudes.
+    dissipators[i] is the superoperator of bath i + 1 in the computational
+    basis; build_dissipators makes them on first access, so a solve that
+    never asks for them does not pay for them. jumps holds the harmonic
+    model's per-site JumpSets; it is empty for the repeated_interaction
+    model, whose jumps are fixed site Paulis.
     """
 
     params: ModelParams
     H: np.ndarray
     spectrum: Spectrum
-    eigen_dissipators: tuple = field(repr=False)
+    eigen_blocks: dict = field(repr=False)
     build_dissipators: Callable[[], tuple] = field(repr=False)
     jumps: tuple = ()
 
     @cached_property
     def dissipators(self) -> tuple:
         return self.build_dissipators()
+
+
+def basis_magnetizations(n_sites: int = N_SITES) -> tuple:
+    """Total magnetization of each computational basis state."""
+    return tuple(n_sites - 2 * bin(idx).count("1") for idx in range(2**n_sites))
+
+
+# one entry per ordering of the magnetization labels: at most 1120 for three
+# qubits
+@lru_cache(maxsize=None)
+def liouville_blocks(labels: tuple) -> MappingProxyType:
+    """Vec positions of the magnetization-difference blocks of a Liouville space.
+
+    labels[k] is the total magnetization of basis state k. Maps each value
+    dm of m(a) - m(b), dm = 0 first and then +2, -2, +4, ..., to the
+    ascending vec positions a + d b (column stacking) of the |a><b| that
+    carry it. A generator that conserves the magnetization difference has no
+    entries between blocks, and its steady state lives in the dm = 0 block.
+    The map is built once per labelling and shared, so it and its arrays
+    are read-only.
+    """
+    m = np.asarray(labels)
+    dm = (m[:, None] - m[None, :]).reshape(-1, order="F")
+    blocks = {}
+    for value in sorted(set(dm.tolist()), key=lambda v: (abs(v), -v)):
+        index = np.flatnonzero(dm == value)
+        index.setflags(write=False)
+        blocks[value] = index
+    return MappingProxyType(blocks)
 
 
 @lru_cache(maxsize=None)

@@ -1,30 +1,34 @@
 """Steady-state extraction and the independent evolution oracle.
 
-An SVD of the vectorized generator L, singular values only, certifies that
-its null space is one-dimensional. The state itself solves L with row 0
-replaced by the trace functional,
+Both generators conserve the magnetization difference m(a) - m(b) of
+|a><b| (Buca and Prosen, New J. Phys. 14, 073007, 2012), so in the
+eigenbasis of H the vectorized generator L splits into exact blocks, one
+per difference: 20 + 2*15 + 2*6 + 2*1 for three qubits. SVDs of every
+block, singular values only, certify that the null space of L is
+one-dimensional, with sigma_max the largest over all blocks. The state and
+the trace functional live in the 20-dimensional dm = 0 block L_0, and the
+state solves it with row 0 replaced by the trace functional,
 
-    A x = e_0,    A = L with row 0 set to vec(I)^H,
+    A x = e_0,    A = L_0 with row 0 set to vec(I)^H,
 
 by mixed-precision iterative refinement (Higham, Accuracy and Stability of
 Numerical Algorithms, 2002, ch. 12): started from zero, four
 double-precision solves of A, each on a residual evaluated in 80-bit
-precision. The harmonic model's population solve on the summed 8x8 rate
-matrix, tried first whenever the secular clusters decouple, runs through the
-same loop; its state is taken without the full solve when its residual sits
-at the roundoff floor. The package pipeline works in the eigenbasis of H,
-where the coherent part of the generator is exactly diagonal, so the
-residual evaluation error scales with the dissipative rates instead of
-||H||, and row 0 is the ground-state balance. Both generators are
-block-diagonal in the magnetization difference, and a solve started from
-zero keeps the cross-sector coherences exactly zero.
+precision. Every coherence between magnetization sectors is exactly zero.
+The harmonic model's population solve on the summed 8x8 rate matrix, tried
+first whenever the secular clusters decouple, runs through the same loop;
+its state is taken without the block solve when its residual sits at the
+roundoff floor. In the eigenbasis the coherent part of the generator is
+exactly diagonal, so the residual evaluation error scales with the
+dissipative rates instead of ||H||, and row 0 is the ground-state balance.
+solve_steady_state runs the same certificate and refinement on one whole
+generator in any basis.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 
@@ -49,10 +53,11 @@ class SteadyStateResult:
     method: str  # "nullspace" or "evolution"
 
 
-def _check_trace_preserving(L: np.ndarray, d: int) -> None:
-    tvec = vec(np.eye(d, dtype=complex))
-    defect = float(np.linalg.norm(tvec.conj() @ L))
-    if defect > 1e-10 * max(float(np.linalg.norm(L, "fro")), 1e-300):
+def _check_trace_preserving(blocks, on_diag: np.ndarray) -> None:
+    # the trace functional, one at on_diag, lives in blocks[0] alone
+    defect = float(np.linalg.norm(blocks[0][on_diag].sum(axis=0)))
+    scale = float(np.linalg.norm(np.concatenate([b.ravel() for b in blocks])))
+    if defect > 1e-10 * max(scale, 1e-300):
         raise DomainError(f"generator is not trace-preserving (defect {defect:.3e})")
 
 
@@ -75,14 +80,15 @@ def _refine(A: np.ndarray, b: np.ndarray, apply) -> np.ndarray:
     return x
 
 
-def _trace_one_state(L: np.ndarray, diag_ld: np.ndarray, offdiag_ld: np.ndarray):
+def _trace_one_state(L: np.ndarray, on_diag: np.ndarray, diag_ld: np.ndarray,
+                     offdiag_ld: np.ndarray):
     """Trace-one null vector of L and the norm of its residual L @ x.
 
-    Row 0 of L is replaced by the trace functional; the other rows keep
-    their residual from _residual on the extended-precision split of L.
+    Row 0 of L is replaced by the trace functional, which is one at the
+    positions on_diag; the other rows keep their residual from _residual on
+    the extended-precision split of L.
     """
     d2 = L.shape[0]
-    on_diag = np.arange(0, d2, int(round(math.sqrt(d2))) + 1)  # vec positions of tr
     A = L.astype(complex)
     A[0] = 0.0
     A[0, on_diag] = 1.0
@@ -110,21 +116,25 @@ def _finalize_state(x: np.ndarray) -> np.ndarray:
     return rho
 
 
-def _unique_null_scale(L: np.ndarray) -> float:
+def _unique_null_scale(blocks, on_diag: np.ndarray) -> float:
     """sigma_max of a trace-preserving generator whose null space is one-dimensional.
 
-    Singular values below _NULL_TOL * sigma_max count as null; a null space
-    of any dimension other than one raises.
+    The generator is given by its diagonal blocks and is zero outside them;
+    blocks[0] holds the trace functional, which is one at its positions
+    on_diag. The singular values of the generator are those of its blocks,
+    and sigma_max is the largest of them all. Singular values below
+    _NULL_TOL * sigma_max count as null; a null space of any dimension other
+    than one raises.
     """
-    _check_trace_preserving(L, int(round(math.sqrt(L.shape[0]))))
-    s = np.linalg.svd(L, compute_uv=False)
-    sigma_max = float(s[0])
+    _check_trace_preserving(blocks, on_diag)
+    s = np.concatenate([np.linalg.svd(b, compute_uv=False) for b in blocks])
+    sigma_max = float(s.max())
     if sigma_max == 0.0:
         raise DegenerateSteadyStateError("zero generator: every state is steady")
     dim = int(np.sum(s <= _NULL_TOL * sigma_max))
     if dim == 0:
         raise NumericalConsistencyError(
-            f"no null vector within tolerance (smallest singular value {s[-1]:.3e})"
+            f"no null vector within tolerance (smallest singular value {s.min():.3e})"
         )
     if dim > 1:
         raise DegenerateSteadyStateError(f"steady state is degenerate (null dimension {dim})")
@@ -137,8 +147,9 @@ def solve_steady_state(L: np.ndarray) -> SteadyStateResult:
     d = int(round(math.sqrt(d2)))
     if L.ndim != 2 or L.shape[1] != d2 or d * d != d2:
         raise DomainError(f"generator shape {L.shape} is not a vectorized square map")
-    _unique_null_scale(L)
-    x, res = _trace_one_state(L, np.zeros(d2, dtype=CLD), L.astype(CLD))
+    on_diag = np.arange(0, d2, d + 1)  # vec positions of the trace
+    _unique_null_scale([L], on_diag)
+    x, res = _trace_one_state(L, on_diag, np.zeros(d2, dtype=CLD), L.astype(CLD))
     return SteadyStateResult(rho=_finalize_state(x), residual=res, nullspace_dim=1, method="nullspace")
 
 
@@ -171,15 +182,23 @@ class PointSolution:
 
 
 def solve_point(p: ModelParams) -> PointSolution:
-    """Build generators for a parameter point and solve in the eigenbasis."""
+    """Build generators for a parameter point and solve in the eigenbasis.
+
+    Every magnetization-difference block is certified; the state is solved
+    in the dm = 0 block, which holds it and the trace functional.
+    """
     gen = _build_generators(p)
     V = gen.spectrum.vectors
     E = gen.spectrum.energies
     lam = (-1j * (E[:, None] - E[None, :])).reshape(-1, order="F")
-    L_eig = reduce(np.add, gen.eigen_dissipators, np.diag(lam))
-    sigma_max = _unique_null_scale(L_eig)
-    diag_ld = lam.astype(CLD)
-    offdiag_ld = reduce(np.add, gen.eigen_dissipators).astype(CLD)
+    blocks = [np.diag(lam[index]) + D for index, D in gen.eigen_blocks.values()]
+    index, D = gen.eigen_blocks[0]
+    # index is ascending and starts at vec position 0, the ground-state
+    # population, whose row the trace functional replaces
+    on_diag = np.flatnonzero(index % (E.size + 1) == 0)
+    sigma_max = _unique_null_scale(blocks, on_diag)
+    diag_ld = lam[index].astype(CLD)
+    offdiag_ld = D.astype(CLD)
 
     populations = rate_matrices = closed = None
     res_ref = math.inf  # residual of the population state, when there is one
@@ -187,7 +206,7 @@ def solve_point(p: ModelParams) -> PointSolution:
         rate_matrices, closed = site_rate_matrices(gen)
         refined = _refined_population(rate_matrices, E) if closed else None
         if refined is not None:
-            x_ref = vec(np.diag(refined.astype(complex)))
+            x_ref = vec(np.diag(refined.astype(complex)))[index]
             res_ref = float(np.linalg.norm(_residual(diag_ld, offdiag_ld, x_ref).astype(complex)))
     # the diagonal form is exact for closed clusters: at the roundoff floor
     # it needs no generic solve, and above it, it is used unless its
@@ -195,11 +214,13 @@ def solve_point(p: ModelParams) -> PointSolution:
     # mean the closure call was wrong)
     floor = 1e-12 * sigma_max
     if res_ref > floor:
-        x, res = _trace_one_state(L_eig, diag_ld, offdiag_ld)
+        x, res = _trace_one_state(blocks[0], on_diag, diag_ld, offdiag_ld)
     if res_ref <= floor or res_ref <= res:
         x, res, populations = x_ref, res_ref, refined
 
-    rho_eig = _finalize_state(x)
+    x_full = np.zeros(E.size**2, dtype=complex)
+    x_full[index] = x
+    rho_eig = _finalize_state(x_full)
     if populations is not None:
         # keep the exactly diagonal form; _finalize_state only rescaled it
         rho_eig = np.diag(np.diag(rho_eig))

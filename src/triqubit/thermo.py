@@ -344,8 +344,11 @@ def thermo_report(sol: PointSolution, epsilon: float = DEFAULT_EPSILON) -> Therm
         mag_residual = abs(math.fsum(currents.q))
 
     s_dot = entropy_production(Q, p.T)
-    # a genuine second-law violation would be of the order of the currents
-    if s_dot < -1e-9 * max(1.0, max(abs(q) for q in Q)):
+    # a genuine second-law violation would be of the order of the entropy
+    # flows |Q_i|/T_i themselves; below the absolute floor the currents are
+    # roundoff of either sign
+    flows = math.fsum(abs(float(q)) / float(t) for q, t in zip(Q, p.T))
+    if s_dot < -max(1e-9 * flows, floor / min(p.T)):
         raise NumericalConsistencyError(f"entropy production {s_dot:.3e} is negative")
     metrics = cop_metrics(Q, W, p.T, p.B)
     if all(b > 0.0 for b in p.B):

@@ -1,6 +1,7 @@
 """Harmonic-bath generator: jump clustering, dissipators, rate matrices."""
 
 import json
+import sys
 import warnings
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from triqubit import (
     bose_occupation,
     solve_point,
 )
-from triqubit import global_me
+from triqubit import algebra, global_me
 from triqubit.algebra import coherent_superop, embed_pauli, lindblad_superop, trace_distance, vec
 from triqubit.errors import ClusteringError, DomainError, SecularValidityWarning, ZeroModeWarning
 from triqubit.global_me import global_dissipator, jump_operators, site_rate_matrices
@@ -253,11 +254,16 @@ def test_batched_jumps_and_rate_matrices_keep_their_bits(p):
     assert closed == ref_closed == (p is not UNCLOSED_HARMONIC)
     for m, m_ref in zip(mats, ref_mats):
         assert_array_equal(m, m_ref)
-    # the eigenbasis generator is the computational-basis one, transformed
+    # the eigenbasis blocks tile the computational-basis generator,
+    # transformed, and it has nothing between them
     W = np.kron(V.conj(), V)
     summed = gen.dissipators[0] + gen.dissipators[1] + gen.dissipators[2]
-    (eigen,) = gen.eigen_dissipators
-    assert np.abs(eigen - W.conj().T @ summed @ W).max() <= 1e-12 * max(p.gamma)
+    assembled = np.zeros((64, 64), dtype=complex)
+    for index, block in gen.eigen_blocks.values():
+        assembled[np.ix_(index, index)] = block
+    assert_array_equal(np.sort(np.concatenate([i for i, _ in gen.eigen_blocks.values()])),
+                       np.arange(64))
+    assert np.abs(assembled - W.conj().T @ summed @ W).max() <= 1e-12 * max(p.gamma)
 
 
 def test_lindblad_superop_matches_the_einsum_form():
@@ -292,18 +298,22 @@ def test_closed_points_build_no_computational_basis_dissipator(monkeypatch):
     )
     eye = np.eye(8)
     transforms = []
-    real_kron = np.kron
 
-    def kron(a, b):
-        # kron(conj(V), V) is the only 8 x 8 kron without an identity factor
-        if np.shape(a) == np.shape(b) == (8, 8):
-            if not (np.array_equal(a, eye) or np.array_equal(b, eye)):
-                transforms.append((a, b))
-        return real_kron(a, b)
+    def watch(real):
+        def kron(a, b):
+            # kron(conj(V), V) is the only 8 x 8 kron without an identity factor
+            if np.shape(a) == np.shape(b) == (8, 8):
+                if not (np.array_equal(a, eye) or np.array_equal(b, eye)):
+                    transforms.append((a, b))
+            return real(a, b)
+        return kron
 
-    monkeypatch.setattr(np, "kron", kron)
+    # np.kron and the package's own kron, under every name it is imported as
+    monkeypatch.setattr(np, "kron", watch(np.kron))
+    for module in [m for name, m in sys.modules.items() if name.startswith("triqubit.")]:
+        if getattr(module, "kron", None) is algebra.kron:
+            monkeypatch.setattr(module, "kron", watch(algebra.kron))
     records = random_sweep(_scatter_config(n_samples=20))
-    monkeypatch.setattr(np, "kron", real_kron)
     assert len(records) == 20 and not any(r.flags for r in records)
     assert calls == [] and transforms == []
 

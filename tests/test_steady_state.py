@@ -1,7 +1,10 @@
 """Null-space solver, eigenbasis pipeline, and the propagation oracle."""
 
+import dataclasses
 import json
+import math
 import pickle
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -20,8 +23,9 @@ from triqubit import (
     solve_steady_state,
     steady_state_via_evolution,
 )
-from triqubit import steady_state
+from triqubit import global_me, steady_state
 from triqubit.algebra import (
+    CLD,
     coherent_superop,
     herm,
     lindblad_superop,
@@ -31,9 +35,17 @@ from triqubit.algebra import (
     vec,
 )
 from triqubit.errors import DegenerateSteadyStateError, DomainError
-from triqubit.sweeps import SweepConfig, draw_params
+from triqubit.global_me import site_rate_matrices
+from triqubit.sweeps import GridScanConfig, SweepConfig, _grid_points, draw_params, random_sweep
 
 from conftest import UNCLOSED_HARMONIC, global_point, local_point
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _config_points(name, n):
+    cfg = SweepConfig(**json.loads((CONFIGS / f"{name}.json").read_text()))
+    return [draw_params(cfg, k) for k in range(n)]
 
 
 def _amplitude_damping(gamma=0.8, nbar=0.3):
@@ -108,10 +120,8 @@ def test_solve_point_population_branch():
 def test_state_has_no_cross_sector_coherence(name):
     # both generators are block-diagonal in the magnetization difference, so
     # the solve keeps every coherence between sectors exactly zero
-    path = Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"
-    cfg = SweepConfig(**json.loads(path.read_text()))
-    for k in range(20):
-        sol = solve_point(draw_params(cfg, k))
+    for k, p in enumerate(_config_points(name, 20)):
+        sol = solve_point(p)
         sectors = sol.generators.spectrum.sectors
         assert np.all(sol.rho_eig[sectors[:, None] != sectors[None, :]] == 0.0), k
 
@@ -234,3 +244,146 @@ def test_point_solution_pickles_with_its_lazy_dissipators(p):
         assert_array_equal(copy.rho, sol.rho)
         for got, want in zip(copy.generators.dissipators, dissipators):
             assert_array_equal(got, want)
+
+
+# --- the block solve against the whole 64 x 64 eigenbasis generator ---
+
+def _eigen_coherent(gen):
+    E = gen.spectrum.energies
+    return (-1j * (E[:, None] - E[None, :])).reshape(-1, order="F")
+
+
+def _full_eigen_dissipators(gen):
+    """Per-term 64 x 64 eigenbasis dissipators, built as before the blocks."""
+    p = gen.params
+    if p.bath_model == "harmonic":
+        ops, rates = [], []
+        for js, gamma, T in zip(gen.jumps, p.gamma, p.T):
+            down, up = global_me._bath_rates(js, gamma, T)
+            ops.append(global_me._with_daggers(js.amplitudes))
+            rates += [down, up]
+        return [lindblad_superop(np.concatenate(ops), np.concatenate(rates))]
+    V = gen.spectrum.vectors
+    W = np.kron(V.conj(), V)
+    return [W.conj().T @ D @ W for D in gen.dissipators]
+
+
+def _full_solve(p):
+    """(rho, rho_eig, population route) from the 64 x 64 generator: full SVD, full solve."""
+    gen = steady_state._build_generators(p)
+    V, E = gen.spectrum.vectors, gen.spectrum.energies
+    lam = _eigen_coherent(gen)
+    eigen = _full_eigen_dissipators(gen)
+    L = reduce(np.add, eigen, np.diag(lam))
+    s = np.linalg.svd(L, compute_uv=False)
+    assert np.sum(s <= steady_state._NULL_TOL * s[0]) == 1
+    diag_ld = lam.astype(CLD)
+    offdiag_ld = reduce(np.add, eigen).astype(CLD)
+    res_ref = math.inf
+    if p.bath_model == "harmonic":
+        mats, closed = site_rate_matrices(gen)
+        refined = steady_state._refined_population(mats, E) if closed else None
+        if refined is not None:
+            x_ref = vec(np.diag(refined.astype(complex)))
+            res_ref = float(np.linalg.norm(
+                steady_state._residual(diag_ld, offdiag_ld, x_ref).astype(complex)))
+    floor = 1e-12 * float(s[0])
+    population = False
+    if res_ref > floor:
+        x, res = steady_state._trace_one_state(L, np.arange(0, 64, 9), diag_ld, offdiag_ld)
+    if res_ref <= floor or res_ref <= res:
+        x, population = x_ref, True
+    rho_eig = steady_state._finalize_state(x)
+    if population:
+        rho_eig = np.diag(np.diag(rho_eig))
+    return herm(V @ rho_eig @ V.conj().T), rho_eig, population
+
+
+_BOOST_GRID = _grid_points(GridScanConfig(**json.loads((CONFIGS / "boost.json").read_text())))
+PINNED_POINTS = (
+    _config_points("local_scatter", 20)
+    + _config_points("global_scatter", 20)
+    + _BOOST_GRID[::12]
+    + [UNCLOSED_HARMONIC]
+)
+PINNED_IDS = (
+    [f"local-{k}" for k in range(20)] + [f"global-{k}" for k in range(20)]
+    + [f"boost-{k}" for k in range(0, 120, 12)] + ["unclosed"]
+)
+
+
+@pytest.mark.parametrize("p", PINNED_POINTS, ids=PINNED_IDS)
+def test_block_solve_keeps_the_bits_of_the_full_solve(p):
+    rho, rho_eig, population = _full_solve(p)
+    sol = solve_point(p)
+    assert (sol.populations is not None) == population
+    assert_array_equal(sol.rho, rho)
+    assert_array_equal(sol.rho_eig, rho_eig)
+
+
+def _assembled(gen):
+    """The 64 x 64 eigenbasis generator put together from its blocks."""
+    L = np.diag(_eigen_coherent(gen))
+    for index, D in gen.eigen_blocks.values():
+        L[np.ix_(index, index)] += D
+    return L
+
+
+@pytest.mark.parametrize("p", [
+    local_point(B=(0.9, 2.7, 4.1), gamma=(0.4, 0.8, 0.15)),
+    global_point(B=(0.37, 0.61, 0.83)),
+    UNCLOSED_HARMONIC,
+], ids=["local", "global", "unclosed"])
+def test_certificate_sees_the_singular_values_of_every_block(monkeypatch, p):
+    seen = []
+    real_svd = np.linalg.svd
+
+    def svd(a, *args, **kwargs):
+        seen.append(real_svd(a, *args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    gen = solve_point(p).generators
+    monkeypatch.undo()
+    assert len(seen) == len(gen.eigen_blocks) == 7
+    got = np.sort(np.concatenate(seen))
+    want = np.sort(np.linalg.svd(_assembled(gen), compute_uv=False))
+    assert got.size == 64
+    assert np.abs(got - want).max() <= 1e-12 * want[-1]
+
+
+@pytest.mark.parametrize("p", [
+    local_point(B=(0.9, 2.7, 4.1), gamma=(0.4, 0.8, 0.15)),
+    global_point(B=(0.37, 0.61, 0.83)),
+], ids=["local", "global"])
+def test_a_singular_off_diagonal_block_fails_the_certificate(monkeypatch, p):
+    # the dm = 0 block alone still has a one-dimensional null space, so a
+    # certificate that looked only there would pass this generator
+    gen = steady_state._build_generators(p)
+    index, D = gen.eigen_blocks[2]
+    u, s, vh = np.linalg.svd(np.diag(_eigen_coherent(gen)[index]) + D)
+    blocks = dict(gen.eigen_blocks)
+    blocks[2] = (index, D - s[-1] * np.outer(u[:, -1], vh[-1]))
+    singular = dataclasses.replace(gen, eigen_blocks=blocks)
+    monkeypatch.setattr(steady_state, "_build_generators", lambda params: singular)
+    with pytest.raises(DegenerateSteadyStateError):
+        solve_point(p)
+
+
+def test_local_sweep_factors_nothing_larger_than_the_zero_block(monkeypatch):
+    shapes = []
+    for name in ("svd", "solve"):
+        real = getattr(np.linalg, name)
+
+        def spy(a, *args, _real=real, **kwargs):
+            shapes.append(np.shape(a))
+            return _real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, spy)
+    cfg = SweepConfig(**dict(json.loads((CONFIGS / "local_scatter.json").read_text()),
+                             n_samples=20))
+    records = random_sweep(cfg)
+    assert len(records) == 20
+    assert not [f for rec in records for f in rec.flags if f.startswith("error:")]
+    assert (20, 20) in shapes
+    assert max(max(shape) for shape in shapes) == 20

@@ -1,12 +1,15 @@
 """Regime classification, performance metrics, submachines, trapezoid."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from triqubit import Regime, classify_regime, solve_point, thermo_report
-from triqubit.errors import DomainError, ImpossibleCurrentsError
+from triqubit import Regime, classify_regime, solve_point, thermo, thermo_report
+from triqubit.errors import DomainError, ImpossibleCurrentsError, NumericalConsistencyError
+from triqubit.sweeps import SweepConfig, draw_params
 from triqubit.thermo import (
     HARMONIC_REGIMES,
     Role,
@@ -208,3 +211,15 @@ def test_entropy_production_compensated_sum():
     # swallow the remaining unit entirely
     s = entropy_production((1e100, -1e100, 1.0), (1.0, 1.0, 1.0))
     assert s == -1.0
+
+
+def test_sign_flipped_harmonic_entropy_production_is_caught(monkeypatch):
+    # a weak-damping harmonic point has S_dot ~ 1e-11, far below any
+    # absolute cut: the second-law check scales with the flows |Q_i|/T_i
+    path = Path(__file__).resolve().parent.parent / "configs" / "global_scatter.json"
+    sol = solve_point(draw_params(SweepConfig(**json.loads(path.read_text())), 0))
+    assert 0.0 < thermo_report(sol).S_dot < 1e-9
+    honest = thermo._harmonic_heat_currents
+    monkeypatch.setattr(thermo, "_harmonic_heat_currents", lambda s: tuple(-q for q in honest(s)))
+    with pytest.raises(NumericalConsistencyError):
+        thermo_report(sol)
