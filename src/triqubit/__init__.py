@@ -55,8 +55,8 @@ from .thermo import (
     classify_regime,
     cop_metrics,
     entropy_production,
+    invariant_violations,
     otto_conditions_and_trapezoid,
-    regime_boundaries,
     submachine_report,
     thermo_report,
 )

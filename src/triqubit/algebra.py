@@ -151,15 +151,24 @@ def partial_transpose(rho: np.ndarray, site: int) -> np.ndarray:
     return t.reshape(rho.shape)
 
 
+def checked_real(val: complex, scale: float, what: str) -> float:
+    """Real part of a trace that must be real; raises if |Im| > 1e-10 * scale.
+
+    scale bounds the size of the terms summed into val, e.g. the product of
+    the Frobenius norms of the two factors of the trace.
+    """
+    if abs(val.imag) > 1e-10 * max(scale, 1e-300):
+        raise NumericalConsistencyError(
+            f"{what} has imaginary residue {val.imag:.3e} at scale {scale:.3e}"
+        )
+    return val.real
+
+
 def expectation(rho: np.ndarray, obs: np.ndarray) -> float:
     """Real expectation value Tr(obs rho); raises if the imaginary residue is large."""
     val = complex(np.trace(obs @ rho))
     scale = float(np.linalg.norm(obs, "fro") * np.linalg.norm(rho, "fro"))
-    if abs(val.imag) > 1e-10 * max(scale, 1e-300):
-        raise NumericalConsistencyError(
-            f"expectation has imaginary residue {val.imag:.3e} at scale {scale:.3e}"
-        )
-    return val.real
+    return checked_real(val, scale, "expectation")
 
 
 def herm(rho: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, TriqubitError
-from .model import PAIRS, ModelParams
+from .model import ModelParams
 from .sweeps import (
     BOOST_COLUMNS,
     VALVE_COLUMNS,
@@ -35,7 +35,7 @@ from .sweeps import (
     valve_sweep,
     write_records,
 )
-from .thermo import DEFAULT_EPSILON, continuity_residuals
+from .thermo import DEFAULT_EPSILON, invariant_violations
 
 _POINT_KEYS = frozenset({"bath_model", "B", "J", "Delta", "T", "gamma", "epsilon"})
 
@@ -168,46 +168,27 @@ def _cmd_sweep(args) -> int:
     return 1 if failures else 0
 
 
-def _check_rows(records, local: bool):
-    """Yield (name, passed, total) for each invariant over the records."""
-    first = second = constraint = cont = mi = 0
-    total = len(records)
-    for rec in records:
-        th, co = rec.thermo, rec.correlations
-        if th is None or co is None:
-            continue  # failed rows count against every check
-        scale = max(*(abs(q) for q in th.Q), abs(th.W), 1e-300)
-        if th.first_law_residual <= 1e-10 * scale:
-            first += 1
-        if th.S_dot >= -1e-12:
-            second += 1
-        if local:
-            cs = th.currents
-            scale_q = max(*(abs(v) for v in cs.q), 1e-300)
-            if th.magnetization_residual <= 1e-10 * scale_q:
-                constraint += 1
-            scale_c = max(scale_q, *(abs(v) for v in cs.C.values()))
-            if max(abs(r) for r in continuity_residuals(cs)) <= 1e-9 * scale_c:
-                cont += 1
-        if all(co.I[pair] >= co.mi_bound[pair] - 1e-10 for pair in PAIRS):
-            mi += 1
-    yield "First Law", first, total
-    yield "Second Law", second, total
-    if local:
-        yield "current-constraint", constraint, total
-        yield "continuity", cont, total
-    yield "MI-bound", mi, total
-
-
 def _cmd_validate(args) -> int:
     cfg = _sweep_config(args, SweepConfig)
     records = random_sweep(cfg, workers=args.workers)
     local = cfg.bath_model == "repeated_interaction"
+    names = (
+        ("First Law", "Second Law")
+        + (("current-constraint", "continuity") if local else ())
+        + ("MI-bound",)
+    )
+    broken = [
+        # failed rows count against every check
+        names if rec.thermo is None or rec.correlations is None
+        else invariant_violations(rec.thermo, rec.params, rec.correlations)
+        for rec in records
+    ]
     all_pass = True
-    for name, passed, total in _check_rows(records, local):
-        status = "pass" if passed == total else "FAIL"
-        print(f"{name:<20} {passed}/{total} {status}")
-        all_pass = all_pass and passed == total
+    for name in names:
+        passed = sum(1 for b in broken if name not in b)
+        status = "pass" if passed == len(records) else "FAIL"
+        print(f"{name:<20} {passed}/{len(records)} {status}")
+        all_pass = all_pass and passed == len(records)
     failures = len(_failed_indices(records))
     discarded = sum(1 for r in records if "discarded" in r.flags)
     print(f"{'solver failures':<20} {failures}/{len(records)}")

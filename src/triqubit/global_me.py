@@ -37,6 +37,7 @@ import numpy as np
 
 from .algebra import (
     CLD,
+    checked_real,
     embed_pauli,
     lindblad_superop,
     trace_product,
@@ -46,7 +47,6 @@ from .algebra import (
 from .errors import (
     ClusteringError,
     DomainError,
-    NumericalConsistencyError,
     SecularValidityWarning,
     ZeroModeWarning,
 )
@@ -84,7 +84,11 @@ class JumpSet:
     degeneracy_tol: float
 
     def reconstruct(self) -> np.ndarray:
-        """sum_omega (A_omega + A_omega^dag) + zero_part; equals sigma_x^site."""
+        """sum_omega (A_omega + A_omega^dag) + zero_part; equals sigma_x^site.
+
+        A test oracle: the tests check with it that the clustering loses no
+        part of the coupling operator.
+        """
         out = self.zero_part.astype(complex).copy()
         for op in self.operators:
             out += op + op.conj().T
@@ -196,11 +200,7 @@ def global_heat_current(rho_ss: np.ndarray, H: np.ndarray, dissipator: np.ndarra
     w = dissipator.astype(CLD) @ vec(rho_ss).astype(CLD)
     val = trace_product(H.astype(CLD), unvec(w))
     scale = float(np.linalg.norm(H, "fro")) * float(np.linalg.norm(w).astype(float))
-    if abs(val.imag) > 1e-10 * max(scale, 1e-300):
-        raise NumericalConsistencyError(
-            f"heat current has imaginary residue {val.imag:.3e} at scale {scale:.3e}"
-        )
-    return val.real
+    return checked_real(val, scale, "heat current")
 
 
 def build_global_generators(p: ModelParams) -> Generators:

@@ -19,7 +19,6 @@ detailed balance they are tiny differences of terms of size gamma*n*rho.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -27,13 +26,14 @@ import numpy as np
 
 from .algebra import (
     CLD,
+    checked_real,
     embed_pauli,
     expectation,
     kron,
     lindblad_superop,
     trace_product,
 )
-from .errors import DomainError, NumericalConsistencyError
+from .errors import DomainError
 from .global_me import bose_occupation
 from .model import (
     N_SITES,
@@ -111,15 +111,15 @@ def _dissipator_action(p: ModelParams, site: int, rho: np.ndarray) -> np.ndarray
 def _real_trace(obs: np.ndarray, mat_ld: np.ndarray, what: str) -> float:
     val = trace_product(obs.astype(CLD), mat_ld)
     scale = float(np.linalg.norm(obs, "fro")) * float(np.linalg.norm(mat_ld).astype(float))
-    if abs(val.imag) > 1e-10 * max(scale, 1e-300):
-        raise NumericalConsistencyError(
-            f"{what} has imaginary residue {val.imag:.3e} at scale {scale:.3e}"
-        )
-    return val.real
+    return checked_real(val, scale, what)
 
 
 def magnetization_current_closed_form(rho_ss: np.ndarray, p: ModelParams, site: int) -> float:
-    """gamma (1 + 2n) (<sigma_z>_bath - <sigma_z>_i); equals local_current_set's q_i."""
+    """gamma (1 + 2n) (<sigma_z>_bath - <sigma_z>_i); equals local_current_set's q_i.
+
+    Nothing in the package calls it: the tests keep it as a closed-form
+    oracle for the dissipator-trace route.
+    """
     rates = local_rates(p, site)
     sz = expectation(rho_ss, _site_matrices(site)[4])
     return rates.gamma * (1.0 + 2.0 * rates.n_up) * (rates.bath_sz - sz)
@@ -130,20 +130,6 @@ def local_heat_current(rho_ss: np.ndarray, p: ModelParams, site: int) -> float:
     action = _dissipator_action(p, site, rho_ss)
     h_site = p.B[site - 1] * _site_matrices(site)[4]
     return _real_trace(h_site, action, f"Q_{site}")
-
-
-def _check_work_routes(w: float, heats, p: ModelParams, h_int: np.ndarray) -> None:
-    # the two routes share roundoff of order eps * ||H|| * ||D||, which
-    # dominates when the currents themselves are numerically zero
-    floor = 1e-13 * max(p.gamma) * (
-        float(np.linalg.norm(h_int, "fro"))
-        + max(p.B) * math.sqrt(8.0)
-    )
-    scale = max(abs(w), max(abs(q) for q in heats))
-    if abs(w + sum(heats)) > max(1e-10 * scale, floor, 1e-300):
-        raise NumericalConsistencyError(
-            f"work power routes disagree: {w!r} vs {-sum(heats)!r}"
-        )
 
 
 def interqubit_current(rho_ss: np.ndarray, p: ModelParams, j: int, i: int) -> float:
@@ -180,9 +166,7 @@ def local_current_set(rho_ss: np.ndarray, p: ModelParams) -> CurrentSet:
         _real_trace(p.B[s - 1] * _site_matrices(s)[4], actions[s - 1], f"Q_{s}")
         for s in (1, 2, 3)
     )
-    h_int = interaction_hamiltonian(p)
-    w = _real_trace(h_int, actions[0] + actions[1] + actions[2], "work power")
-    _check_work_routes(w, Q, p, h_int)
+    w = _real_trace(interaction_hamiltonian(p), actions[0] + actions[1] + actions[2], "work power")
     c = {
         (j, i): interqubit_current(rho_ss, p, j, i)
         for (j, i) in ((2, 1), (3, 1), (3, 2))

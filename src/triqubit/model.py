@@ -113,6 +113,11 @@ def build_hamiltonian(p: ModelParams) -> np.ndarray:
 
 
 def total_sz(n_sites: int = N_SITES) -> np.ndarray:
+    """Total magnetization sum_i sigma_z^i.
+
+    A test oracle: the tests check with it that H conserves magnetization,
+    that the sector labels are right and that each jump lowers it by 2.
+    """
     out = np.zeros((2**n_sites, 2**n_sites), dtype=complex)
     for site in range(1, n_sites + 1):
         out += embed_pauli(n_sites, "z", site)

@@ -175,7 +175,6 @@ class PointSolution:
     rho_eig: np.ndarray = field(repr=False)
     residual: float = 0.0
     nullspace_dim: int = 1
-    method: str = "nullspace"
     populations: np.ndarray = None  # set when the harmonic population solve applies
     rate_matrices: tuple = None  # per-site 8x8 rate matrices, harmonic model
     population_closed: bool = None
@@ -232,7 +231,6 @@ def solve_point(p: ModelParams) -> PointSolution:
         rho_eig=rho_eig,
         residual=res,
         nullspace_dim=1,
-        method="nullspace",
         populations=populations,
         rate_matrices=rate_matrices,
         population_closed=closed,

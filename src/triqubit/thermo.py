@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -128,45 +128,6 @@ def cop_metrics(Q, W: float, T, B) -> CopMetrics:
     return CopMetrics(cop=cop, cop_w=cop_w, cop_max=cop_max, cop_otto=cop_otto)
 
 
-@dataclass(frozen=True)
-class BoundaryLine:
-    slope: float
-    intercept: float
-
-    def y(self, x: float) -> float:
-        return self.slope * x + self.intercept
-
-
-@dataclass(frozen=True)
-class RegimeBoundaries:
-    """Straight lines separating regimes in the (Q1/Q3, Q2/Q3) plane.
-
-    zero_work is the locus W = 0, i.e. Q1 + Q2 + Q3 = 0; zero_entropy is the
-    reversibility locus sum_i Q_i/T_i = 0. Together with the two coordinate
-    axes Q1 = 0 and Q2 = 0 they partition the plane into the regime wedges.
-    intersection_x is the abscissa where the two lines cross; it equals the
-    maximal coefficient of performance and is absent for equal T1, T2.
-    """
-
-    zero_work: BoundaryLine
-    zero_entropy: BoundaryLine
-    intersection_x: Optional[float]
-    axes: tuple = ("Q1/Q3 = 0", "Q2/Q3 = 0")
-
-
-def regime_boundaries(T) -> RegimeBoundaries:
-    if any(t <= 0.0 for t in T):
-        raise DomainError("bath temperatures must be positive")
-    t1, t2, t3 = (float(t) for t in T)
-    zero_work = BoundaryLine(slope=-1.0, intercept=-1.0)
-    zero_entropy = BoundaryLine(slope=-t2 / t1, intercept=-t2 / t3)
-    if t2 == t1:
-        ix = None  # parallel lines
-    else:
-        ix = t1 * (t3 - t2) / (t3 * (t2 - t1))
-    return RegimeBoundaries(zero_work=zero_work, zero_entropy=zero_entropy, intersection_x=ix)
-
-
 class Role(enum.Enum):
     ENGINE = "engine"
     REFRIGERATOR = "refrigerator"
@@ -210,27 +171,14 @@ def continuity_residuals(currents: CurrentSet) -> tuple:
     return (q1 + c21 + c31, q2 - c21 + c32, q3 - c31 - c32)
 
 
-def submachine_report(
-    currents: CurrentSet, B, T, epsilon: float = DEFAULT_EPSILON,
-    residual_floor: float = 0.0,
-) -> tuple:
+def submachine_report(currents: CurrentSet, B, T, epsilon: float = DEFAULT_EPSILON) -> tuple:
     """Decompose a repeated-interaction steady state into pair devices.
 
     Roles follow the signs: a device producing work is an engine; one
     consuming work is a refrigerator when it drains heat from the colder
     bath of its pair and an accelerator when it pushes heat into it. A
     device whose work is inside the zero band idles with efficiency 0.
-
-    residual_floor absorbs the absolute roundoff of current sets whose
-    members are all numerically zero.
     """
-    scale_c = max(
-        max(abs(v) for v in currents.q), max(abs(v) for v in currents.C.values()), 1e-300
-    )
-    tol = max(1e-8 * scale_c, residual_floor)
-    if max(abs(r) for r in continuity_residuals(currents)) > tol:
-        raise DomainError("magnetization currents do not balance: not a steady state")
-
     figures = []
     for i, j in PAIRS:
         bi, bj = float(B[i - 1]), float(B[j - 1])
@@ -323,11 +271,67 @@ def _harmonic_heat_currents(sol: PointSolution):
     return tuple(global_heat_current(sol.rho, gen.H, d) for d in gen.dissipators)
 
 
+def _current_floor(p: ModelParams) -> float:
+    """Absolute roundoff of the heat currents of either model.
+
+    At cold baths every current can sit at this floor, with a sign that
+    carries no information.
+    """
+    return 1e-12 * max(p.gamma) * (1.0 + max(p.B))
+
+
+def invariant_violations(report: ThermoReport, params: ModelParams, correlations=None) -> tuple:
+    """Names of the laws a steady-state report breaks; () when it breaks none.
+
+    The one definition of each invariant and its tolerance. thermo_report
+    raises on any of them; the validate command counts them per record.
+
+        First Law           |W + sum Q| <= 1e-10 max(|Q_i|, |W|)
+        Second Law          S_dot >= -max(1e-9 sum |Q_i|/T_i, floor/min T)
+        current-constraint  |sum q| <= 1e-10 max |q_i|       (local model)
+        continuity          site residuals <= 1e-9 max(|q|, |C|)  (local model)
+        MI-bound            I_ij >= bound_ij - 1e-10  (correlations given)
+
+    floor is the absolute roundoff of the heat currents. When every |Q_i|
+    is at or below it the currents are roundoff of either sign, and the
+    conservation laws are not checked. A genuine second-law violation would
+    be of the order of the entropy flows |Q_i|/T_i themselves. Each check
+    is written as the condition that holds, so a NaN breaks it.
+    """
+    floor = _current_floor(params)
+    q_scale = max(abs(q) for q in report.Q)
+    flows = math.fsum(abs(q) / float(t) for q, t in zip(report.Q, params.T))
+    roundoff = q_scale <= floor
+    holds = {
+        "First Law": roundoff
+        or report.first_law_residual <= 1e-10 * max(q_scale, abs(report.W)),
+        "Second Law": report.S_dot >= -max(1e-9 * flows, floor / min(params.T)),
+    }
+    cs = report.currents
+    if cs is not None:
+        scale_q = max(abs(v) for v in cs.q)
+        scale_c = max(scale_q, *(abs(v) for v in cs.C.values()))
+        holds["current-constraint"] = (
+            roundoff or report.magnetization_residual <= 1e-10 * scale_q
+        )
+        holds["continuity"] = (
+            roundoff or max(abs(r) for r in continuity_residuals(cs)) <= 1e-9 * scale_c
+        )
+    if correlations is not None:
+        holds["MI-bound"] = all(
+            correlations.I[pair] >= correlations.mi_bound[pair] - 1e-10 for pair in PAIRS
+        )
+    return tuple(name for name, ok in holds.items() if not ok)
+
+
 def thermo_report(sol: PointSolution, epsilon: float = DEFAULT_EPSILON) -> ThermoReport:
+    """Heat currents, work, entropy production, figures of merit and regime.
+
+    Raises NumericalConsistencyError naming every law of
+    invariant_violations the currents break, before the regime is read off
+    their signs.
+    """
     p = sol.params
-    # absolute roundoff of the heat currents of either model; at cold baths
-    # every current can sit there, with a sign that carries no information
-    floor = 1e-12 * max(p.gamma) * (1.0 + max(p.B))
     if p.bath_model == BATH_HARMONIC:
         Q = _harmonic_heat_currents(sol)
         W = 0.0  # the harmonic generator exchanges no work by construction
@@ -339,30 +343,20 @@ def thermo_report(sol: PointSolution, epsilon: float = DEFAULT_EPSILON) -> Therm
         currents = local_current_set(sol.rho, p)
         Q = currents.Q
         W = currents.W
-        submachines = submachine_report(currents, p.B, p.T, epsilon, residual_floor=floor)
+        submachines = submachine_report(currents, p.B, p.T, epsilon)
         first_law = abs(W + math.fsum(Q))
         mag_residual = abs(math.fsum(currents.q))
 
-    s_dot = entropy_production(Q, p.T)
-    # a genuine second-law violation would be of the order of the entropy
-    # flows |Q_i|/T_i themselves; below the absolute floor the currents are
-    # roundoff of either sign
-    flows = math.fsum(abs(float(q)) / float(t) for q, t in zip(Q, p.T))
-    if s_dot < -max(1e-9 * flows, floor / min(p.T)):
-        raise NumericalConsistencyError(f"entropy production {s_dot:.3e} is negative")
     metrics = cop_metrics(Q, W, p.T, p.B)
     if all(b > 0.0 for b in p.B):
         inside = otto_conditions_and_trapezoid(p.B, p.T).inside_trapezoid
     else:
         inside = False  # a switched-off field is outside every window
-    return ThermoReport(
+    report = ThermoReport(
         Q=tuple(float(q) for q in Q),
         W=float(W),
-        S_dot=s_dot,
-        regime=(
-            Regime.UNCLASSIFIED if min(abs(q) for q in Q) <= floor
-            else classify_regime(Q, W, epsilon)
-        ),
+        S_dot=entropy_production(Q, p.T),
+        regime=Regime.UNCLASSIFIED,
         cop=metrics.cop,
         cop_w=metrics.cop_w,
         cop_max=metrics.cop_max,
@@ -373,3 +367,12 @@ def thermo_report(sol: PointSolution, epsilon: float = DEFAULT_EPSILON) -> Therm
         first_law_residual=first_law,
         magnetization_residual=mag_residual,
     )
+    broken = invariant_violations(report, p)
+    if broken:
+        raise NumericalConsistencyError(
+            f"steady state breaks {', '.join(broken)}: "
+            f"Q = {report.Q}, W = {report.W!r}, S_dot = {report.S_dot:.3e}"
+        )
+    if min(abs(q) for q in report.Q) <= _current_floor(p):
+        return report
+    return replace(report, regime=classify_regime(report.Q, report.W, epsilon))

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from triqubit import thermo
 from triqubit.cli import main
 from triqubit.sweeps import BOOST_COLUMNS, GridScanConfig, boost_scan, write_records
 
@@ -192,6 +193,23 @@ def test_validate_passes_on_local_sweep(tmp_path, capsys):
     assert code == 0
     assert "result: PASS" in out
     assert "First Law" in out and "continuity" in out
+
+
+def test_validate_fails_when_a_law_breaks(monkeypatch, capsys):
+    honest = thermo._harmonic_heat_currents
+    monkeypatch.setattr(
+        thermo, "_harmonic_heat_currents", lambda sol: tuple(-q for q in honest(sol))
+    )
+    code = main([
+        "validate", "--config", str(CONFIGS / "global_scatter.json"), "--samples", "3",
+    ])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    # a report that breaks a law is an error row, which fails every check
+    for name in ("First Law", "Second Law", "MI-bound"):
+        assert f"{name:<20} 0/3 FAIL" in lines
+    assert f"{'solver failures':<20} 3/3" in lines
+    assert lines[-1] == "result: FAIL"
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.json")))

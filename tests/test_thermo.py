@@ -2,12 +2,16 @@
 
 import json
 import math
+from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from triqubit import Regime, classify_regime, solve_point, thermo, thermo_report
+from triqubit import (
+    Regime, classify_regime, correlation_report, solve_point, thermo, thermo_report,
+)
 from triqubit.errors import DomainError, ImpossibleCurrentsError, NumericalConsistencyError
 from triqubit.sweeps import SweepConfig, draw_params
 from triqubit.thermo import (
@@ -16,8 +20,8 @@ from triqubit.thermo import (
     continuity_residuals,
     cop_metrics,
     entropy_production,
+    invariant_violations,
     otto_conditions_and_trapezoid,
-    regime_boundaries,
     submachine_report,
 )
 
@@ -100,25 +104,6 @@ def test_cop_metrics_none_on_vanishing_denominators():
 def test_zero_work_merges_cop_and_cop_w():
     m = cop_metrics((0.2, -0.5, 0.3), 0.0, (1.0, 2.0, 3.0), (1.0, 2.0, 3.0))
     assert m.cop == m.cop_w
-
-
-def test_regime_boundaries_lines():
-    rb = regime_boundaries((1.0, 2.0, 3.0))
-    assert rb.zero_work.slope == -1.0
-    assert rb.zero_work.intercept == -1.0
-    assert abs(rb.zero_entropy.slope + 2.0) < 1e-15
-    assert abs(rb.zero_entropy.intercept + 2.0 / 3.0) < 1e-15
-    # the lines cross at the maximal coefficient of performance
-    assert abs(rb.intersection_x - 1.0 / 3.0) < 1e-15
-    x = rb.intersection_x
-    assert abs(rb.zero_work.y(x) - rb.zero_entropy.y(x)) < 1e-15
-
-
-def test_regime_boundaries_degenerate_temperatures():
-    rb = regime_boundaries((2.0, 2.0, 3.0))
-    assert rb.intersection_x is None
-    with pytest.raises(DomainError):
-        regime_boundaries((1.0, 0.0, 3.0))
 
 
 def test_trapezoid_membership():
@@ -222,4 +207,85 @@ def test_sign_flipped_harmonic_entropy_production_is_caught(monkeypatch):
     honest = thermo._harmonic_heat_currents
     monkeypatch.setattr(thermo, "_harmonic_heat_currents", lambda s: tuple(-q for q in honest(s)))
     with pytest.raises(NumericalConsistencyError):
+        thermo_report(sol)
+
+
+@lru_cache(maxsize=None)
+def _solved_case(model):
+    """(params, thermo report, correlation report) of one real point per model."""
+    if model == "local":
+        p = local_point(B=(0.9, 2.7, 4.1), gamma=(0.4, 0.8, 0.15))
+    else:
+        path = Path(__file__).resolve().parent.parent / "configs" / "global_scatter.json"
+        p = draw_params(SweepConfig(**json.loads(path.read_text())), 0)
+    sol = solve_point(p)
+    return p, thermo_report(sol), correlation_report(sol.rho, p)
+
+
+def _break(name, rep, co):
+    """rep and co with only the field that invariant `name` reads broken."""
+    if name == "First Law":
+        return replace(rep, first_law_residual=1e-8 * max(abs(q) for q in rep.Q)), co
+    if name == "Second Law":
+        return replace(rep, S_dot=-rep.S_dot), co
+    if name == "current-constraint":
+        scale_q = max(abs(v) for v in rep.currents.q)
+        return replace(rep, magnetization_residual=1e-8 * scale_q), co
+    if name == "continuity":
+        C = dict(rep.currents.C)
+        C[(2, 1)] += 1e-6 * max(abs(v) for v in (*rep.currents.q, *C.values()))
+        return replace(rep, currents=replace(rep.currents, C=C)), co
+    I = dict(co.I)
+    I[(1, 3)] = co.mi_bound[(1, 3)] - 1e-8
+    return rep, replace(co, I=I)
+
+
+LOCAL_LAWS = ("First Law", "Second Law", "current-constraint", "continuity", "MI-bound")
+HARMONIC_LAWS = ("First Law", "Second Law", "MI-bound")
+
+
+@pytest.mark.parametrize(
+    "model,name", [("local", n) for n in LOCAL_LAWS] + [("harmonic", n) for n in HARMONIC_LAWS]
+)
+def test_each_invariant_fires_on_its_own_field(model, name):
+    p, rep, co = _solved_case(model)
+    assert invariant_violations(rep, p, co) == ()
+    bad_rep, bad_co = _break(name, rep, co)
+    assert invariant_violations(bad_rep, p, bad_co) == (name,)
+
+
+def test_tiny_negative_harmonic_entropy_production_breaks_the_second_law():
+    # an absolute cut S_dot >= -1e-12 passes this, yet a harmonic S_dot is
+    # ~6e-12 at the median: the cut has to scale with the flows |Q_i|/T_i
+    p, rep, co = _solved_case("harmonic")
+    assert invariant_violations(replace(rep, S_dot=-5e-13), p, co) == ("Second Law",)
+
+
+def test_currents_under_the_floor_are_exempt_from_conservation():
+    p, rep, _ = _solved_case("local")
+    floor = 1e-12 * max(p.gamma) * (1.0 + max(p.B))
+    broken, _ = _break("continuity", replace(rep, magnetization_residual=1.0), None)
+
+    def at(level):
+        return replace(
+            broken, Q=tuple(math.copysign(level, q) for q in rep.Q), W=0.0,
+            first_law_residual=level,
+        )
+
+    assert invariant_violations(at(floor), p) == ()
+    assert invariant_violations(at(2.0 * floor), p) == (
+        "First Law", "current-constraint", "continuity",
+    )
+
+
+def test_thermo_report_raises_when_the_work_misses_the_first_law(monkeypatch):
+    sol = solve_point(local_point(B=(0.9, 2.7, 4.1), gamma=(0.4, 0.8, 0.15)))
+    honest = thermo.local_current_set
+
+    def shifted(rho, p):
+        cs = honest(rho, p)
+        return replace(cs, W=cs.W + 1e-8 * max(abs(q) for q in cs.Q))
+
+    monkeypatch.setattr(thermo, "local_current_set", shifted)
+    with pytest.raises(NumericalConsistencyError, match="First Law"):
         thermo_report(sol)
