@@ -3,8 +3,9 @@
 Runs every config in ``configs/`` through ``triqubit.cli.main`` in this
 process and prints one ``sha256  exit_code  name`` line per output: the
 ``sweep-random`` CSVs of both scatter configs at one and two workers, the
-``sweep-valve`` and ``sweep-boost`` CSVs, ``point`` stdout and
-``validate --samples 200`` stdout of both scatter configs.
+``sweep-valve`` CSV, the ``sweep-boost`` CSV at one and two workers,
+``point`` stdout and ``validate --samples 200`` stdout of both scatter
+configs.
 
     python3 scripts/output_digest.py > change.txt
     python3 scripts/output_digest.py /path/to/other/checkout > parent.txt
@@ -36,6 +37,8 @@ def _runs():
                    ["sweep-random", "--config", config, "--workers", str(workers)], "csv")
     yield "sweep-valve valve", ["sweep-valve", "--config", "valve"], "csv"
     yield "sweep-boost boost", ["sweep-boost", "--config", "boost"], "csv"
+    yield ("sweep-boost boost --workers 2",
+           ["sweep-boost", "--config", "boost", "--workers", "2"], "csv")
     yield "point point", ["point", "--config", "point"], "stdout"
     for config in SCATTER:
         yield (f"validate {config} --samples 200",

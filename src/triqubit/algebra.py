@@ -172,8 +172,8 @@ def expectation(rho: np.ndarray, obs: np.ndarray) -> float:
 
 
 def herm(rho: np.ndarray) -> np.ndarray:
-    """Hermitian part (rho + rho^dag)/2."""
-    return 0.5 * (rho + rho.conj().T)
+    """Hermitian part (rho + rho^dag)/2, of one matrix or of each of a stack."""
+    return 0.5 * (rho + rho.conj().swapaxes(-1, -2))
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -15,6 +15,11 @@ Bookkeeping at the steady state:
 
 Traces over dissipator outputs are accumulated in extended precision: near
 detailed balance they are tiny differences of terms of size gamma*n*rho.
+
+Every bath dissipator is r_down D[sigma_-^i] + r_up D[sigma_+^i], assembled
+from the unit-rate superoperators of its site, which are built once per
+process; the sum is bitwise equal to lindblad_superop((sigma_-^i,
+sigma_+^i), (r_down, r_up)). The three sites' work is done as one stack.
 """
 
 from __future__ import annotations
@@ -37,14 +42,18 @@ from .errors import DomainError
 from .global_me import bose_occupation
 from .model import (
     N_SITES,
+    SITES,
     Generators,
     ModelParams,
     basis_magnetizations,
-    build_hamiltonian,
     interaction_hamiltonian,
     liouville_blocks,
+    local_field_hamiltonian,
     sector_spectrum,
 )
+
+# the interqubit currents C_{j,i}, keyed (from_site, to_site)
+FLOWS = ((2, 1), (3, 1), (3, 2))
 
 
 @dataclass(frozen=True)
@@ -98,8 +107,78 @@ def _pair_flow_observable(j: int, i: int) -> np.ndarray:
     )
 
 
+@lru_cache(maxsize=None)
+def _site_stacks() -> tuple:
+    """Read-only (3, 8, 8) stacks over the sites of each of _site_matrices.
+
+    Returns (sm, sp, spsm, smsp, sz, flows, flow_norms): flows stacks the
+    _pair_flow_observable of FLOWS and flow_norms holds their Frobenius
+    norms.
+    """
+    stacks = [np.stack(m) for m in zip(*(_site_matrices(s) for s in SITES))]
+    flows = np.stack([_pair_flow_observable(j, i) for j, i in FLOWS])
+    stacks.append(flows)
+    for arr in stacks:
+        arr.setflags(write=False)
+    return (*stacks, tuple(np.linalg.norm(f, "fro") for f in flows))
+
+
+@lru_cache(maxsize=None)
+def _unit_dissipators() -> tuple:
+    """Unit-rate D[sigma_-^i] and D[sigma_+^i] of the three sites, built once.
+
+    Returns (full, groups). full[0] and full[1] are the (3, 64, 64) stacks
+    over the sites of lindblad_superop((sigma_-^i,), (1,)) and
+    lindblad_superop((sigma_+^i,), (1,)). groups holds one (dms, rows,
+    down, up) per block size: the magnetization differences dms of that
+    size in liouville_blocks order, their computational-basis vec positions
+    stacked as rows, and the (len(dms), 3, n, n) stacks of their blocks of
+    full[0] and full[1]. Every array is read-only.
+    """
+    full = np.array([
+        [lindblad_superop((_site_matrices(site)[k],), (1.0,)) for site in SITES]
+        for k in (0, 1)
+    ])
+    by_size: dict = {}
+    for dm, r in liouville_blocks(basis_magnetizations(N_SITES)).items():
+        by_size.setdefault(r.size, []).append((dm, r))
+    groups = []
+    for members in by_size.values():
+        rows = np.stack([r for _, r in members])
+        cut = full[:, :, rows[:, :, None], rows[:, None, :]].transpose(0, 2, 1, 3, 4)
+        down, up = np.ascontiguousarray(cut[0]), np.ascontiguousarray(cut[1])
+        for arr in (rows, down, up):
+            arr.setflags(write=False)
+        groups.append((tuple(dm for dm, _ in members), rows, down, up))
+    full.setflags(write=False)
+    return full, tuple(groups)
+
+
+def _rate_arrays(p: ModelParams) -> tuple:
+    """(3, 1, 1) arrays of the down and up rates of the three baths."""
+    rates = [local_rates(p, site) for site in SITES]
+    down = np.array([r.down_rate for r in rates])[:, None, None]
+    up = np.array([r.up_rate for r in rates])[:, None, None]
+    return down, up
+
+
+def _site_dissipators(down: np.ndarray, up: np.ndarray) -> tuple:
+    """The three computational-basis bath dissipators from their rates."""
+    full = _unit_dissipators()[0]
+    return tuple(down * full[0] + up * full[1])
+
+
+def _dissipator_actions(down: np.ndarray, up: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """D_i[rho] of the three sites as a (3, 8, 8) clongdouble stack."""
+    sm, sp, spsm, smsp = _site_stacks()[:4]
+    r = rho.astype(CLD)
+    lowered = sm @ r @ sp - 0.5 * (spsm @ r + r @ spsm)
+    raised = sp @ r @ sm - 0.5 * (smsp @ r + r @ smsp)
+    return down * lowered + up * raised
+
+
 def _dissipator_action(p: ModelParams, site: int, rho: np.ndarray) -> np.ndarray:
-    """D_i[rho] as an 8x8 clongdouble matrix."""
+    """D_i[rho] of one site as an 8x8 clongdouble matrix; the oracle route."""
     rates = local_rates(p, site)
     sm, sp, spsm, smsp, _ = _site_matrices(site)
     r = rho.astype(CLD)
@@ -154,49 +233,59 @@ class CurrentSet:
     C: dict
 
 
-def local_current_set(rho_ss: np.ndarray, p: ModelParams) -> CurrentSet:
-    """Currents and work power of one steady state, sharing dissipator work."""
+def local_current_set(rho_ss: np.ndarray, p: ModelParams, H_int: np.ndarray) -> CurrentSet:
+    """Currents and work power of one steady state, sharing dissipator work.
+
+    H_int is interaction_hamiltonian(p), passed in by the caller that built
+    it. The three site actions, the seven traces behind q, Q and W, and the
+    three interqubit expectations are each one stacked computation; every
+    value is bitwise equal to the one-site-at-a-time route of
+    local_heat_current and interqubit_current.
+    """
     if p.bath_model != "repeated_interaction":
         raise DomainError("local_current_set applies to the repeated_interaction model")
-    actions = [_dissipator_action(p, s, rho_ss) for s in (1, 2, 3)]
-    q = tuple(
-        _real_trace(_site_matrices(s)[4], actions[s - 1], f"q_{s}") for s in (1, 2, 3)
-    )
-    Q = tuple(
-        _real_trace(p.B[s - 1] * _site_matrices(s)[4], actions[s - 1], f"Q_{s}")
-        for s in (1, 2, 3)
-    )
-    w = _real_trace(interaction_hamiltonian(p), actions[0] + actions[1] + actions[2], "work power")
+    actions = _dissipator_actions(*_rate_arrays(p), rho_ss)
+    sz, flows, flow_norms = _site_stacks()[4:]
+    # observables q_1..3, Q_1..3, W against the actions they trace
+    obs = np.concatenate([sz, np.array(p.B)[:, None, None] * sz, H_int[None]])
+    mats = np.concatenate([actions, actions, (actions[0] + actions[1] + actions[2])[None]])
+    traces = (obs.astype(CLD) * mats.swapaxes(1, 2)).reshape(len(obs), -1).sum(axis=1)
+    scales = np.linalg.norm(obs, axis=(1, 2)) * np.linalg.norm(mats, axis=(1, 2)).astype(float)
+    names = [f"q_{s}" for s in SITES] + [f"Q_{s}" for s in SITES] + ["work power"]
+    values = [checked_real(complex(t), float(sc), name)
+              for t, sc, name in zip(traces, scales, names)]
+    expect = np.trace(flows @ rho_ss, axis1=1, axis2=2)
+    rho_norm = np.linalg.norm(rho_ss, "fro")
     c = {
-        (j, i): interqubit_current(rho_ss, p, j, i)
-        for (j, i) in ((2, 1), (3, 1), (3, 2))
+        (j, i): 2.0 * p.pair_value("J", i, j)
+        * checked_real(complex(e), float(norm * rho_norm), "expectation")
+        for (j, i), e, norm in zip(FLOWS, expect, flow_norms)
     }
-    return CurrentSet(Q=Q, W=w, q=q, C=c)
+    return CurrentSet(Q=tuple(values[3:6]), W=values[6], q=tuple(values[:3]), C=c)
 
 
 def build_local_generators(p: ModelParams) -> Generators:
-    H = build_hamiltonian(p)
+    H_int = interaction_hamiltonian(p)
+    H = local_field_hamiltonian(p) + H_int  # build_hamiltonian(p), keeping H_int
     spectrum = sector_spectrum(H)
-    dissipators = tuple(
-        lindblad_superop(_site_matrices(r.site)[:2], (r.down_rate, r.up_rate))
-        for r in (local_rates(p, site) for site in (1, 2, 3))
-    )
-    stacked = np.stack(dissipators)
+    down, up = _rate_arrays(p)
     V = spectrum.vectors
     W = kron(V.conj(), V)  # vec(V X V^dag) = W vec(X)
-    rows = liouville_blocks(basis_magnetizations(N_SITES))
+    index = spectrum.liouville_blocks
     blocks = {}
-    for dm, index in spectrum.liouville_blocks.items():
+    for dms, rows, t_down, t_up in _unit_dissipators()[1]:
         # W maps each block onto the computational-basis block of the same
         # dm, so W_B^dag D[R_B, R_B] W_B is the dm block of W^dag D W; the
-        # bath sum runs over the leading axis, one bath after the other
-        r = rows[dm]
-        W_B = W[np.ix_(r, index)]
-        blocks[dm] = (index, (W_B.conj().T @ stacked[:, r[:, None], r] @ W_B).sum(axis=0))
+        # bath sum runs over the site axis, one bath after the other
+        W_B = W[rows[:, :, None], np.stack([index[dm] for dm in dms])[:, None, :]]
+        D = down * t_down + up * t_up
+        summed = (W_B.conj().swapaxes(1, 2)[:, None] @ D @ W_B[:, None]).sum(axis=1)
+        blocks.update((dm, (index[dm], block)) for dm, block in zip(dms, summed))
     return Generators(
         params=p,
         H=H,
         spectrum=spectrum,
         eigen_blocks=blocks,
-        build_dissipators=partial(tuple, dissipators),
+        build_dissipators=partial(_site_dissipators, down, up),
+        H_int=H_int,
     )

@@ -24,6 +24,7 @@ from .algebra import embed_pauli, num_qubits
 from .errors import DomainError
 
 N_SITES = 3
+SITES = (1, 2, 3)
 PAIRS = ((1, 2), (1, 3), (2, 3))
 
 BATH_HARMONIC = "harmonic"
@@ -175,7 +176,9 @@ class Generators:
     basis; build_dissipators makes them on first access, so a solve that
     never asks for them does not pay for them. jumps holds the harmonic
     model's per-site JumpSets; it is empty for the repeated_interaction
-    model, whose jumps are fixed site Paulis.
+    model, whose jumps are fixed site Paulis. H_int is the interaction part
+    of H on the repeated_interaction model, whose work current needs it,
+    and None on the harmonic model.
     """
 
     params: ModelParams
@@ -184,6 +187,7 @@ class Generators:
     eigen_blocks: dict = field(repr=False)
     build_dissipators: Callable[[], tuple] = field(repr=False)
     jumps: tuple = ()
+    H_int: np.ndarray = field(default=None, repr=False)
 
     @cached_property
     def dissipators(self) -> tuple:
@@ -223,35 +227,53 @@ def liouville_blocks(labels: tuple) -> MappingProxyType:
 def _sector_layout(n: int) -> tuple:
     """Constant index layout of sector_spectrum for an n-qubit register.
 
-    Returns (cross, blocks). cross is the read-only dim x dim mask of the
-    matrix elements that join two different magnetization sectors. blocks
-    holds one (m, rows, place, cols) per sector in descending m: rows
-    selects the sector's block of H, place its columns' slots in the
-    eigenvector matrix, cols its slice of the unsorted spectrum.
+    Returns (cross, labels, groups). cross is the read-only dim x dim mask
+    of the matrix elements that join two different magnetization sectors;
+    labels[k] is the magnetization of column k of the unsorted spectrum,
+    whose sectors run in descending m. groups holds one (rows, place, cols)
+    per sector size, for the sectors of that size stacked in descending m:
+    rows gathers their blocks of H, place scatters their eigenvectors into
+    the eigenvector matrix and cols their eigenvalues into the unsorted
+    spectrum.
     """
     sectors = magnetization_sectors(n)
     label = np.empty(2**n, dtype=int)
     for m, idx in sectors.items():
         label[idx] = m
     cross = label[:, None] != label[None, :]
-    cross.setflags(write=False)
-    blocks = []
+    labels = np.empty(2**n, dtype=int)
+    by_size: dict = {}
     col = 0
     for m in sorted(sectors, reverse=True):
-        idx = sectors[m]
-        cols = slice(col, col + len(idx))
-        blocks.append((m, np.ix_(idx, idx), np.ix_(idx, range(cols.start, cols.stop)), cols))
-        col = cols.stop
-    return cross, tuple(blocks)
+        idx = np.array(sectors[m])
+        cols = np.arange(col, col + idx.size)
+        labels[cols] = m
+        by_size.setdefault(idx.size, []).append((idx, cols))
+        col += idx.size
+    groups = []
+    for members in by_size.values():
+        idx = np.stack([i for i, _ in members])
+        cols = np.stack([c for _, c in members])
+        for arr in (idx, cols):
+            arr.setflags(write=False)
+        groups.append(((idx[:, :, None], idx[:, None, :]),
+                       (idx[:, :, None], cols[:, None, :]), cols.ravel()))
+    for arr in (cross, labels):
+        arr.setflags(write=False)
+    return cross, labels, tuple(groups)
 
 
 def sector_spectrum(H: np.ndarray) -> Spectrum:
-    """Diagonalize a magnetization-conserving Hamiltonian sector by sector."""
+    """Diagonalize a magnetization-conserving Hamiltonian sector by sector.
+
+    The sectors of one size go through one stacked eigh call, which returns
+    the same bits as one call per sector.
+    """
     n = num_qubits(H)
     scale = max(float(np.max(np.abs(H))), 1e-300)
     if np.linalg.norm(H - H.conj().T, "fro") > 1e-12 * scale * H.shape[0]:
         raise DomainError("H is not Hermitian")
-    cross, blocks = _sector_layout(n)
+    cross, labels, groups = _sector_layout(n)
     # block diagonality is exact for exchange-form couplings
     if np.abs(H[cross]).max(initial=0.0) > 1e-12 * scale:
         raise DomainError("H has matrix elements across magnetization sectors")
@@ -259,9 +281,8 @@ def sector_spectrum(H: np.ndarray) -> Spectrum:
     dim = 2**n
     energies = np.empty(dim)
     vectors = np.zeros((dim, dim), dtype=complex)
-    labels = np.empty(dim, dtype=int)
-    for m, rows, place, cols in blocks:
-        energies[cols], vectors[place] = np.linalg.eigh(H[rows])
-        labels[cols] = m
+    for rows, place, cols in groups:
+        w, vectors[place] = np.linalg.eigh(H[rows])
+        energies[cols] = w.ravel()
     order = np.argsort(energies, kind="stable")
     return Spectrum(energies=energies[order], vectors=vectors[:, order], sectors=labels[order])

@@ -4,10 +4,11 @@ Both generators conserve the magnetization difference m(a) - m(b) of
 |a><b| (Buca and Prosen, New J. Phys. 14, 073007, 2012), so in the
 eigenbasis of H the vectorized generator L splits into exact blocks, one
 per difference: 20 + 2*15 + 2*6 + 2*1 for three qubits. SVDs of every
-block, singular values only, certify that the null space of L is
-one-dimensional, with sigma_max the largest over all blocks. The state and
-the trace functional live in the 20-dimensional dm = 0 block L_0, and the
-state solves it with row 0 replaced by the trace functional,
+block, singular values only and one stacked call per block size, certify
+that the null space of L is one-dimensional, with sigma_max the largest
+over all blocks. The state and the trace functional live in the
+20-dimensional dm = 0 block L_0, and the state solves it with row 0
+replaced by the trace functional,
 
     A x = e_0,    A = L_0 with row 0 set to vec(I)^H,
 
@@ -122,12 +123,18 @@ def _unique_null_scale(blocks, on_diag: np.ndarray) -> float:
     The generator is given by its diagonal blocks and is zero outside them;
     blocks[0] holds the trace functional, which is one at its positions
     on_diag. The singular values of the generator are those of its blocks,
-    and sigma_max is the largest of them all. Singular values below
-    _NULL_TOL * sigma_max count as null; a null space of any dimension other
-    than one raises.
+    taken with one SVD call per block size, and sigma_max is the largest of
+    them all. Singular values below _NULL_TOL * sigma_max count as null; a
+    null space of any dimension other than one raises.
     """
     _check_trace_preserving(blocks, on_diag)
-    s = np.concatenate([np.linalg.svd(b, compute_uv=False) for b in blocks])
+    by_shape: dict = {}
+    for b in blocks:
+        by_shape.setdefault(b.shape, []).append(b)
+    # one stacked call per block size returns the same bits as one per block
+    s = np.concatenate([
+        np.linalg.svd(np.stack(group), compute_uv=False).ravel() for group in by_shape.values()
+    ])
     sigma_max = float(s.max())
     if sigma_max == 0.0:
         raise DegenerateSteadyStateError("zero generator: every state is steady")

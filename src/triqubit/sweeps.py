@@ -341,22 +341,22 @@ def _boost_extras(thermo: Optional[ThermoReport]) -> dict:
     return extras
 
 
-def _work_at(cfg: GridScanConfig, b2: float) -> float:
-    thermo = evaluate_point(_grid_params(cfg, b2), epsilon=cfg.epsilon).thermo
-    if thermo is None:
-        raise DomainError(
-            f"steady-state solve failed at B2={b2!r} while locating the zero-work edge"
-        )
-    return thermo.W
+def _solved_at(cfg: GridScanConfig, b2: float, solved: dict) -> SweepRecord:
+    """The record at B2 = b2; solved maps each B2 already solved in the scan to its record."""
+    if b2 not in solved:
+        solved[b2] = evaluate_point(_grid_params(cfg, b2), epsilon=cfg.epsilon)
+    return solved[b2]
 
 
-def _locate_edge(cfg: GridScanConfig, records: list) -> Optional[float]:
+def _locate_edge(cfg: GridScanConfig, records: list, solved: dict) -> Optional[float]:
     """Return the B2 where the work power crosses zero above the window.
 
     Starts from the last nonpositive-work grid point and brackets the sign
     change, extending past the grid end if the scan stops inside the window.
-    A solve that fails during the search ends it without an edge: the record
-    at the bracket's lower end is replaced in `records` by a copy flagged
+    Every B2 is solved at most once: solved maps each B2 already solved in
+    the scan to its record, and gains the points the search solves. A solve
+    that fails during the search ends it without an edge: the record at the
+    bracket's lower end is replaced in `records` by a copy flagged
     "edge_failed", and None is returned.
     """
     below = [
@@ -368,18 +368,27 @@ def _locate_edge(cfg: GridScanConfig, records: list) -> Optional[float]:
     a, wa = low.params.B[1], low.thermo.W
     if wa == 0.0:
         return a
+
+    def work(b2):
+        thermo = _solved_at(cfg, b2, solved).thermo
+        if thermo is None:
+            raise DomainError(
+                f"steady-state solve failed at B2={b2!r} while locating the zero-work edge"
+            )
+        return thermo.W
+
     try:
         for rec in records:
             if rec.thermo is not None and rec.params.B[1] > a and rec.thermo.W > 0.0:
-                return float(brentq(lambda x: _work_at(cfg, x), a, rec.params.B[1], xtol=1e-12))
+                return float(brentq(work, a, rec.params.B[1], xtol=1e-12))
         step = (cfg.B2_max - cfg.B2_min) / max(cfg.n_points - 1, 1)
         if step <= 0.0:
             step = max(0.05 * (1.0 + abs(a)), 1e-3)
         b = a
         for _ in range(50):
             b += step
-            if _work_at(cfg, b) > 0.0:
-                return float(brentq(lambda x: _work_at(cfg, x), a, b, xtol=1e-12))
+            if work(b) > 0.0:
+                return float(brentq(work, a, b, xtol=1e-12))
     except DomainError:
         records[below[-1]] = replace(low, flags=low.flags + ("edge_failed",))
     return None
@@ -389,19 +398,19 @@ def boost_scan(cfg: GridScanConfig, workers: int = 1) -> list:
     """Scan the refrigerator window and append its zero-work edge point.
 
     Returns an empty list when no grid point is an absorption refrigerator
-    (the window is empty for the given fields).
+    (the window is empty for the given fields). The edge search reuses the
+    grid's records and solves no B2 twice.
     """
-    records = [
-        replace(rec, extra=_boost_extras(rec.thermo))
-        for rec in _evaluate_many(_grid_points(cfg), cfg.epsilon, workers)
-    ]
+    grid = _evaluate_many(_grid_points(cfg), cfg.epsilon, workers)
+    records = [replace(rec, extra=_boost_extras(rec.thermo)) for rec in grid]
     if not any(
         rec.thermo is not None and rec.thermo.regime is Regime.IV for rec in records
     ):
         return []
-    edge = _locate_edge(cfg, records)
+    solved = {rec.params.B[1]: rec for rec in grid}
+    edge = _locate_edge(cfg, records, solved)
     if edge is not None:
-        rec = evaluate_point(_grid_params(cfg, edge), epsilon=cfg.epsilon)
+        rec = _solved_at(cfg, edge, solved)
         records.append(
             replace(
                 rec, index=len(records), flags=rec.flags + ("edge",),

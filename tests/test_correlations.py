@@ -1,11 +1,15 @@
 """Entropies, mutual information, X-form analysis, PPT flags."""
 
+import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from triqubit import DomainError, solve_point
+from triqubit import DomainError, evaluate_point, solve_point
+from triqubit.algebra import herm, partial_trace
 from triqubit.correlations import (
     correlation_report,
     mi_lower_bound,
@@ -15,8 +19,11 @@ from triqubit.correlations import (
     x_state_analysis,
 )
 from triqubit.model import PAIRS
+from triqubit.sweeps import SweepConfig, draw_params
 
 from conftest import local_point
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def bell_pair_state():
@@ -160,3 +167,68 @@ def test_correlation_report_zero_coupling_pair():
     assert rep.mi_bound[(1, 3)] == 0.0
     assert rep.mi_bound[(1, 2)] > 0.0
     assert rep.I[(1, 3)] >= 0.0
+
+
+def _per_pair_entropy(rho):
+    lam = np.linalg.eigvalsh(rho)
+    lam = lam[lam > 0.0]
+    return float(-(lam * np.log(lam)).sum())
+
+
+def _per_pair_report(rho, params):
+    """correlation_report's numbers one pair and one cut at a time."""
+    out = {"I": {}, "xres": {}, "bound": {}, "r23": {}}
+    for i, j in PAIRS:
+        reduced = herm(partial_trace(rho, (i, j)))
+        s_i = _per_pair_entropy(partial_trace(rho, (i,)))
+        s_j = _per_pair_entropy(partial_trace(rho, (j,)))
+        s_ij = _per_pair_entropy(partial_trace(rho, (i, j)))
+        out["I"][(i, j)] = s_i + s_j - s_ij
+        assert out["I"][(i, j)] == mutual_information(rho, i, j)
+        out["xres"][(i, j)] = x_state_analysis(reduced).residual
+        out["r23"][(i, j)] = complex(reduced[1, 2])
+        J = params.pair_value("J", i, j)
+        out["bound"][(i, j)] = (
+            mi_lower_bound(8.0 * J * float(reduced[1, 2].imag), J) if J > 0.0 else 0.0
+        )
+    checks = [ppt_check(rho, site) for site in (1, 2, 3)]
+    out["ppt"] = tuple(c.min_eigenvalue for c in checks)
+    out["negative"] = tuple(c.is_negative for c in checks)
+    return out
+
+
+def _scatter_points(name, n):
+    cfg = SweepConfig(**json.loads((CONFIGS / f"{name}.json").read_text()))
+    return [draw_params(cfg, k) for k in range(n)]
+
+
+# cold baths: a near-pure state whose pair reductions have exact zero eigenvalues
+COLD = local_point(B=(0.9, 2.7, 4.1), T=(1e-3, 1e-3, 1e-3))
+REPORT_POINTS = (
+    _scatter_points("local_scatter", 20) + _scatter_points("global_scatter", 20) + [COLD]
+)
+REPORT_IDS = [f"local-{k}" for k in range(20)] + [f"global-{k}" for k in range(20)] + ["cold"]
+
+
+@pytest.mark.parametrize("p", REPORT_POINTS, ids=REPORT_IDS)
+def test_correlation_report_keeps_the_bits_of_the_per_pair_route(p):
+    rho = solve_point(p).rho
+    rep = correlation_report(rho, p)
+    want = _per_pair_report(rho, p)
+    assert repr(rep.I) == repr(want["I"])
+    assert repr(rep.x_form_residual) == repr(want["xres"])
+    assert repr(rep.mi_bound) == repr(want["bound"])
+    assert repr(rep.r23) == repr(want["r23"])
+    assert repr(rep.ppt_min_eigenvalues) == repr(want["ppt"])
+    assert rep.ppt_negative == want["negative"]
+
+
+def test_zero_eigenvalues_raise_no_warning():
+    rho = solve_point(COLD).rho
+    assert any(0.0 in np.linalg.eigvalsh(partial_trace(rho, pair)) for pair in PAIRS)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        correlation_report(rho, COLD)
+    rec = evaluate_point(COLD)
+    assert rec.correlations is not None
+    assert not [f for f in rec.flags if f.startswith("warn:")]

@@ -1,21 +1,39 @@
 """Repeated-interaction generator: rates, currents, work bookkeeping."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
-from triqubit import ModelParams, build_liouvillian, solve_point
-from triqubit.algebra import trace_distance, vec
+from triqubit import ModelParams, build_liouvillian, local_me, solve_point
+from triqubit.algebra import lindblad_superop, trace_distance, vec
 from triqubit.errors import DomainError
 from triqubit.local_me import (
+    _site_matrices,
+    build_local_generators,
     interqubit_current,
     local_current_set,
     local_heat_current,
     local_rates,
     magnetization_current_closed_form,
 )
+from triqubit.model import basis_magnetizations, interaction_hamiltonian, liouville_blocks
+from triqubit.sweeps import GridScanConfig, SweepConfig, _grid_points, draw_params
 
 from conftest import local_point
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+
+def _config_points(name, n):
+    cfg = SweepConfig(**json.loads((CONFIGS / f"{name}.json").read_text()))
+    return [draw_params(cfg, k) for k in range(n)]
+
+
+def _boost_grid():
+    return _grid_points(GridScanConfig(**json.loads((CONFIGS / "boost.json").read_text())))
 
 
 def _product_gibbs(B, T):
@@ -48,7 +66,7 @@ def test_uncoupled_fixed_point_is_product_gibbs():
     assert np.linalg.norm(build_liouvillian(p) @ vec(gibbs)) < 1e-12
     sol = solve_point(p)
     assert trace_distance(sol.rho, gibbs) < 1e-12
-    cs = local_current_set(sol.rho, p)
+    cs = local_current_set(sol.rho, p, sol.generators.H_int)
     assert max(abs(q) for q in cs.Q) < 1e-14
     assert abs(cs.W) < 1e-14
 
@@ -59,14 +77,14 @@ def test_proportional_fields_keep_product_gibbs():
     p = local_point(B=(0.6, 1.2, 1.8), gamma=(0.3, 0.7, 0.2))
     sol = solve_point(p)
     assert trace_distance(sol.rho, _product_gibbs(p.B, p.T)) < 1e-10
-    cs = local_current_set(sol.rho, p)
+    cs = local_current_set(sol.rho, p, sol.generators.H_int)
     assert max(abs(q) for q in cs.Q) < 1e-12
 
 
 def test_work_routes_agree():
     p = local_point(B=(0.9, 2.7, 4.1), gamma=(0.4, 0.8, 0.15))
     sol = solve_point(p)
-    w = local_current_set(sol.rho, p).W
+    w = local_current_set(sol.rho, p, sol.generators.H_int).W
     heats = [local_heat_current(sol.rho, p, s) for s in (1, 2, 3)]
     scale = max(abs(w), max(abs(q) for q in heats))
     assert abs(w + sum(heats)) < 1e-10 * scale
@@ -75,7 +93,7 @@ def test_work_routes_agree():
 def test_heat_current_is_field_times_magnetization_current():
     p = local_point(B=(1.1, 0.5, 3.3), gamma=(0.6, 0.25, 0.9))
     sol = solve_point(p)
-    cs = local_current_set(sol.rho, p)
+    cs = local_current_set(sol.rho, p, sol.generators.H_int)
     for site in (1, 2, 3):
         q = cs.q[site - 1]
         assert abs(local_heat_current(sol.rho, p, site) - p.B[site - 1] * q) < 1e-12
@@ -84,7 +102,7 @@ def test_heat_current_is_field_times_magnetization_current():
 def test_magnetization_current_routes_agree():
     p = local_point(B=(1.1, 0.5, 3.3), gamma=(0.6, 0.25, 0.9))
     sol = solve_point(p)
-    cs = local_current_set(sol.rho, p)
+    cs = local_current_set(sol.rho, p, sol.generators.H_int)
     for site in (1, 2, 3):
         a = cs.q[site - 1]
         b = magnetization_current_closed_form(sol.rho, p, site)
@@ -95,7 +113,7 @@ def test_equal_fields_exchange_no_work():
     # Q_i = b * q_i and the q_i sum to zero, so W = -sum Q vanishes
     p = local_point(B=(1.4, 1.4, 1.4), gamma=(0.2, 0.5, 0.8))
     sol = solve_point(p)
-    cs = local_current_set(sol.rho, p)
+    cs = local_current_set(sol.rho, p, sol.generators.H_int)
     scale = max(abs(q) for q in cs.Q)
     assert scale > 1e-8  # heat genuinely flows
     assert abs(cs.W) < 1e-10 * scale
@@ -114,7 +132,7 @@ def test_interqubit_antisymmetry_and_validation():
 def test_current_set_consistency():
     p = local_point(B=(0.9, 2.7, 4.1), gamma=(0.4, 0.8, 0.15))
     sol = solve_point(p)
-    cs = local_current_set(sol.rho, p)
+    cs = local_current_set(sol.rho, p, sol.generators.H_int)
     assert_allclose(cs.Q, [b * q for b, q in zip(p.B, cs.q)], atol=1e-13)
     scale = max(abs(cs.W), max(abs(q) for q in cs.Q))
     assert abs(cs.W + sum(cs.Q)) < 1e-10 * scale
@@ -128,7 +146,7 @@ def test_current_set_rejects_wrong_model():
         B=p.B, J=p.J, Delta=p.Delta, T=p.T, gamma=p.gamma, bath_model="harmonic"
     )
     with pytest.raises(DomainError):
-        local_current_set(sol.rho, q)
+        local_current_set(sol.rho, q, sol.generators.H_int)
 
 
 def test_generator_is_trace_preserving():
@@ -136,3 +154,93 @@ def test_generator_is_trace_preserving():
     L = build_liouvillian(p)
     u = vec(np.eye(8, dtype=complex))
     assert np.linalg.norm(u @ L) < 1e-12 * np.linalg.norm(L)
+
+
+def _bits(a):
+    """The raw bits of a complex array, so that signed zeros count."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _rate_pair_cases():
+    rng = np.random.default_rng(20260819)
+    down = 10.0 ** rng.uniform(-4.0, 2.0, size=(2000, 3))
+    up = down * rng.uniform(0.0, 1.0, size=(2000, 3))
+    edge = []
+    for r_down in (0.37, 1.0, 2.5e-3, 41.0):
+        edge += [
+            (r_down, 0.0),
+            (r_down, 5e-324),
+            (r_down, 1e-310),
+            (r_down, r_down),
+            (r_down, np.nextafter(r_down, 0.0)),
+            (r_down, np.nextafter(np.nextafter(r_down, 0.0), 0.0)),
+        ]
+    edge = np.array(edge)
+    return (np.concatenate([down, np.repeat(edge[:, :1], 3, axis=1)]),
+            np.concatenate([up, np.repeat(edge[:, 1:], 3, axis=1)]))
+
+
+def test_template_sums_equal_lindblad_superop_bit_for_bit():
+    # r_down T_down + r_up T_up against the two-jump lindblad_superop, on
+    # 2000 random rate pairs per site and on r_up = 0, subnormal r_up and
+    # r_up one or two ulps below r_down
+    down, up = _rate_pair_cases()
+    for d, u in zip(down, up):
+        got = local_me._site_dissipators(d[:, None, None], u[:, None, None])
+        for site in (1, 2, 3):
+            want = lindblad_superop(_site_matrices(site)[:2], (d[site - 1], u[site - 1]))
+            assert_array_equal(_bits(got[site - 1]), _bits(want))
+
+
+def _per_site_dissipators(p):
+    """The bath dissipators as lindblad_superop built them one site at a time."""
+    out = []
+    for site in (1, 2, 3):
+        r = local_rates(p, site)
+        out.append(lindblad_superop(_site_matrices(site)[:2], (r.down_rate, r.up_rate)))
+    return out
+
+
+def _per_block_eigen_blocks(gen):
+    """The eigenbasis blocks built one dm block at a time from the per-site dissipators."""
+    stacked = np.stack(_per_site_dissipators(gen.params))
+    V = gen.spectrum.vectors
+    W = np.kron(V.conj(), V)
+    rows = liouville_blocks(basis_magnetizations(3))
+    blocks = {}
+    for dm, index in gen.spectrum.liouville_blocks.items():
+        r = rows[dm]
+        W_B = W[np.ix_(r, index)]
+        blocks[dm] = (index, (W_B.conj().T @ stacked[:, r[:, None], r] @ W_B).sum(axis=0))
+    return blocks
+
+
+LOCAL_POINTS = _config_points("local_scatter", 20) + _boost_grid()[::24]
+LOCAL_IDS = [f"local-{k}" for k in range(20)] + [f"boost-{k}" for k in range(0, 120, 24)]
+
+
+@pytest.mark.parametrize("p", LOCAL_POINTS, ids=LOCAL_IDS)
+def test_local_generators_keep_the_bits_of_the_per_site_build(p):
+    gen = build_local_generators(p)
+    for got, want in zip(gen.dissipators, _per_site_dissipators(p), strict=True):
+        assert_array_equal(_bits(got), _bits(want))
+    want = _per_block_eigen_blocks(gen)
+    assert list(gen.eigen_blocks) == list(want)
+    for dm, (index, block) in gen.eigen_blocks.items():
+        assert_array_equal(index, want[dm][0])
+        assert_array_equal(_bits(block), _bits(want[dm][1]))
+
+
+@pytest.mark.parametrize("p", LOCAL_POINTS, ids=LOCAL_IDS)
+def test_current_set_keeps_the_bits_of_the_per_site_route(p):
+    sol = solve_point(p)
+    cs = local_current_set(sol.rho, p, sol.generators.H_int)
+    actions = [local_me._dissipator_action(p, s, sol.rho) for s in (1, 2, 3)]
+    sz = [_site_matrices(s)[4] for s in (1, 2, 3)]
+    want_q = [local_me._real_trace(sz[s - 1], actions[s - 1], "q") for s in (1, 2, 3)]
+    want_w = local_me._real_trace(interaction_hamiltonian(p), sum(actions[1:], actions[0]), "W")
+    assert repr(cs.q) == repr(tuple(want_q))
+    assert repr(cs.Q) == repr(tuple(local_heat_current(sol.rho, p, s) for s in (1, 2, 3)))
+    assert repr(cs.W) == repr(want_w)
+    assert repr(cs.C) == repr({(j, i): interqubit_current(sol.rho, p, j, i)
+                               for j, i in ((2, 1), (3, 1), (3, 2))})

@@ -345,8 +345,8 @@ def test_certificate_sees_the_singular_values_of_every_block(monkeypatch, p):
     monkeypatch.setattr(np.linalg, "svd", svd)
     gen = solve_point(p).generators
     monkeypatch.undo()
-    assert len(seen) == len(gen.eigen_blocks) == 7
-    got = np.sort(np.concatenate(seen))
+    # blocks of one size share a stacked call: every one of the 64 is seen
+    got = np.sort(np.concatenate([s.ravel() for s in seen]))
     want = np.sort(np.linalg.svd(_assembled(gen), compute_uv=False))
     assert got.size == 64
     assert np.abs(got - want).max() <= 1e-12 * want[-1]
@@ -387,3 +387,38 @@ def test_local_sweep_factors_nothing_larger_than_the_zero_block(monkeypatch):
     assert not [f for rec in records for f in rec.flags if f.startswith("error:")]
     assert (20, 20) in shapes
     assert max(max(shape) for shape in shapes) == 20
+
+
+def test_local_point_makes_one_numpy_call_per_stage(monkeypatch):
+    # per local point: one SVD per block size (20, 15, 6, 1), one eigh per
+    # sector size (1, 3), four refinement solves, one eigvalsh for the
+    # state's positivity and three in correlation_report (pair entropies,
+    # single-site entropies, partial transposes), six partial traces, one
+    # interaction Hamiltonian, and no lindblad_superop once the unit-rate
+    # templates exist
+    from triqubit import algebra, correlations, local_me, model
+    p = local_point(B=(0.9, 2.7, 4.1), gamma=(0.4, 0.8, 0.15))
+    evaluate_point(p)  # builds the process-wide templates
+    calls = {}
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def spy(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+
+    for name in ("svd", "eigh", "eigvalsh", "solve"):
+        count(np.linalg, name)
+    # under every name they are called by
+    count(correlations, "partial_trace")
+    for module in (model, local_me):
+        count(module, "interaction_hamiltonian")
+    for module in (algebra, local_me):
+        count(module, "lindblad_superop")
+    rec = evaluate_point(p)
+    assert rec.flags == ()
+    assert calls == {"svd": 4, "eigh": 2, "eigvalsh": 4, "solve": 4,
+                     "partial_trace": 6, "interaction_hamiltonian": 1}

@@ -1,11 +1,15 @@
 """Deterministic draws, sweep drivers, CSV round-trips."""
 
 import csv
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from triqubit import DegenerateSteadyStateError, DomainError, ModelParams, algebra, model, sweeps
+from triqubit import (
+    DegenerateSteadyStateError, DomainError, ModelParams, algebra, local_me, model, sweeps,
+)
 from triqubit.sweeps import (
     BASE_COLUMNS,
     BOOST_COLUMNS,
@@ -24,6 +28,8 @@ from triqubit.sweeps import (
 from triqubit.thermo import Regime
 
 from conftest import BOOST, GLOBAL_SCATTER, LOCAL_SCATTER, MASTER_SEED, VALVE, global_point
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_splitmix64_reference_vector():
@@ -192,15 +198,17 @@ def test_harmonic_cold_bath_roundoff_currents_are_unclassified():
 ])
 def test_sweeps_keep_the_memoized_operators_parameter_free(model_name, base):
     # a float parameter in any cache key would grow these caches per point
-    caches = (algebra._embedded, model._pair_strings, model._sector_layout)
+    caches = (algebra._embedded, model._pair_strings, model._sector_layout,
+              local_me._unit_dissipators, local_me._site_stacks)
     for cache in caches:
         cache.cache_clear()
     cfg = SweepConfig(**{**base, "bath_model": model_name, "n_samples": 20,
                          "master_seed": MASTER_SEED})
     assert len(random_sweep(cfg)) == 20
-    # 3 sites x 5 axes, 3 pairs, 1 register size
+    # 3 sites x 5 axes, 3 pairs, 1 register size, at most one template set
+    # and one set of site stacks
     sizes = [cache.cache_info().currsize for cache in caches]
-    assert sizes[0] <= 15 and sizes[1:] == [3, 1], sizes
+    assert sizes[0] <= 15 and sizes[1:3] == [3, 1] and max(sizes[3:]) <= 1, sizes
 
 
 def test_random_sweep_repeatable_csv(tmp_path):
@@ -270,6 +278,28 @@ def test_boost_scan_appends_edge():
     e = edge.extra
     assert abs(e["cop_norm"] - e["cop_w_norm"]) < 1e-6 * e["cop_norm"]
     assert abs(e["cop_norm"] - e["cop_otto_norm"]) < 1e-6 * e["cop_norm"]
+
+
+def test_boost_edge_search_solves_each_b2_once(monkeypatch):
+    # brentq opens on two bracket ends whose work the grid or the extension
+    # step has already solved, and the edge it returns is a point it solved
+    cfg = GridScanConfig(**json.loads((CONFIGS / "boost.json").read_text()))
+    solved = []
+    real = sweeps.evaluate_point
+
+    def spy(params, epsilon):
+        solved.append(params.B[1])
+        return real(params, epsilon=epsilon)
+
+    monkeypatch.setattr(sweeps, "evaluate_point", spy)
+    records = boost_scan(cfg)
+    assert len(solved) == len(set(solved)) == cfg.n_points + 13
+    edge = records[-1]
+    assert edge.index == cfg.n_points and edge.params.B[1] in solved[cfg.n_points:]
+    fresh = real(edge.params, epsilon=cfg.epsilon)
+    assert edge.flags == fresh.flags + ("edge",)
+    assert (edge.thermo, edge.correlations, edge.residual) == (
+        fresh.thermo, fresh.correlations, fresh.residual)
 
 
 def test_boost_edge_search_failure_keeps_the_scan(monkeypatch):
