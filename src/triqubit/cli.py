@@ -22,6 +22,7 @@ from enum import Enum
 
 import numpy as np
 
+from . import sweeps
 from .errors import DomainError, TriqubitError
 from .model import ModelParams
 from .sweeps import (
@@ -29,10 +30,8 @@ from .sweeps import (
     VALVE_COLUMNS,
     GridScanConfig,
     SweepConfig,
-    boost_scan,
     evaluate_point,
     random_sweep,
-    valve_sweep,
     write_records,
 )
 from .thermo import DEFAULT_EPSILON, invariant_violations
@@ -147,18 +146,20 @@ def _sweep_config(args, cls):
     return cls(**data)
 
 
-# sweep command -> (config class, driver, scan name, extra CSV columns)
+# sweep command -> (config class, name of the driver in sweeps, scan name,
+# extra CSV columns); the driver is looked up when the command runs, so a
+# wrapper put on the sweeps module (a tracer, a test spy) sees the call
 _SWEEPS = {
-    "sweep-random": (SweepConfig, random_sweep, "random", ()),
-    "sweep-valve": (GridScanConfig, valve_sweep, "valve", VALVE_COLUMNS),
-    "sweep-boost": (GridScanConfig, boost_scan, "boost", BOOST_COLUMNS),
+    "sweep-random": (SweepConfig, "random_sweep", "random", ()),
+    "sweep-valve": (GridScanConfig, "valve_sweep", "valve", VALVE_COLUMNS),
+    "sweep-boost": (GridScanConfig, "boost_scan", "boost", BOOST_COLUMNS),
 }
 
 
 def _cmd_sweep(args) -> int:
     cls, driver, scan_name, columns = _SWEEPS[args.command]
     cfg = _sweep_config(args, cls)
-    records = driver(cfg, workers=args.workers)
+    records = getattr(sweeps, driver)(cfg, workers=args.workers)
     write_records(records, args.out, scan_name, cfg, extra_columns=columns)
     if not records:  # only a boost scan over an empty window yields none
         print(f"empty refrigerator window; wrote header-only {args.out}")

@@ -17,13 +17,14 @@ Nearly equal Bohr frequencies are merged into clusters; the zero-frequency
 part is discarded (with a warning when it carries weight) because it does not
 enter the secular generator.
 
-The solver works in the eigenbasis of H. build_global_generators builds the
-summed dissipator there, from the jump amplitudes <a|A_omega|b>, with one
-lindblad_superop call, and cuts it into its magnetization-difference blocks;
-the per-bath computational-basis dissipators are built only on first access
-to Generators.dissipators. site_rate_matrices
-reads the same amplitudes for the Pauli rate matrices of the population
-solve.
+The three baths share the Bohr frequencies of H, so jump_operators clusters
+them once for all sites. The solver works in the eigenbasis of H.
+build_global_generators builds the summed dissipator there, from the jump
+amplitudes <a|A_omega|b>, with one lindblad_superop call, and cuts it into
+its magnetization-difference blocks; the per-bath computational-basis
+dissipators are built only on first access to Generators.dissipators.
+site_rate_matrices reads the same amplitudes, and the rates the builder
+computed, for the Pauli rate matrices of the population solve.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -60,6 +61,8 @@ def bose_occupation(omega: float, T: float) -> float:
     if T <= 0.0:
         raise DomainError(f"bose_occupation needs T > 0, got {T}")
     x = omega / T
+    if x == 0.0:
+        raise DomainError(f"bose_occupation: omega/T = {omega}/{T} underflows to 0")
     # 1/(e^x - 1) = e^-x / (1 - e^-x): past x ~ 709.78 e^x overflows, while
     # 1 - e^-x already rounds to 1 from x ~ 37 on
     return 1.0 / math.expm1(x) if x < 709.0 else math.exp(-x)
@@ -95,16 +98,42 @@ class JumpSet:
         return out
 
 
-def jump_operators(spectrum: Spectrum, site: int, degeneracy_tol: float = None) -> JumpSet:
-    """Clustered Fourier components of sigma_x^site under the system Hamiltonian."""
+@lru_cache(maxsize=None)
+def _site_couplings(n_sites: int) -> np.ndarray:
+    """Read-only (n_sites, d, d) stack of the coupling operators sigma_x^i."""
+    out = np.stack([embed_pauli(n_sites, "x", site) for site in range(1, n_sites + 1)])
+    out.setflags(write=False)
+    return out
+
+
+def _sandwich(left: np.ndarray, X: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left @ X[k] @ right for each matrix of the (n, d, d) stack X.
+
+    Two matrix products in all, a (d, n d) wide one and an (n d, d) tall
+    one. Each entry is the same length-d dot product as in the per-matrix
+    products, and it keeps their bits (pinned by the tests).
+    """
+    n, d, _ = X.shape
+    wide = left @ X.transpose(1, 0, 2).reshape(d, n * d)
+    tall = wide.reshape(d, n, d).transpose(1, 0, 2).reshape(n * d, d)
+    return (tall @ right).reshape(n, d, d)
+
+
+def jump_operators(spectrum: Spectrum, degeneracy_tol: float = None) -> tuple:
+    """Clustered Fourier components of sigma_x^i under the system Hamiltonian.
+
+    Returns one JumpSet per site, site 1 first. The Bohr frequencies are
+    those of the one Hamiltonian, so one clustering serves every site, and
+    each basis change of all the sites' clusters is one _sandwich.
+    """
     E = spectrum.energies
     V = spectrum.vectors
+    Vh = V.conj().T
     d = spectrum.dim
     n_sites = d.bit_length() - 1
     if degeneracy_tol is None:
         degeneracy_tol = 1e-9 * max(1.0, float(np.max(np.abs(E))))
-    sx = embed_pauli(n_sites, "x", site)
-    sx_eig = V.conj().T @ sx @ V
+    sx_eig = _sandwich(Vh, _site_couplings(n_sites), V)
 
     diff = E[None, :] - E[:, None]  # diff[a, b] = E_b - E_a
     pos = diff > degeneracy_tol
@@ -114,9 +143,14 @@ def jump_operators(spectrum: Spectrum, site: int, degeneracy_tol: float = None) 
     a_idx, b_idx, vals = a_idx[order], b_idx[order], vals[order]
 
     # clusters are the runs of ascending values separated by gaps > tol
-    starts = np.flatnonzero(np.diff(vals, prepend=-np.inf) > degeneracy_tol)
-    counts = np.diff(starts, append=vals.size)
-    diameters = vals[starts + counts - 1] - vals[starts]
+    new_run = np.empty(vals.size, dtype=bool)
+    new_run[:1] = True
+    np.greater(vals[1:] - vals[:-1], degeneracy_tol, out=new_run[1:])
+    starts = np.flatnonzero(new_run)
+    ends = np.empty_like(starts)
+    ends[:-1], ends[-1:] = starts[1:], vals.size
+    counts = ends - starts
+    diameters = vals[ends - 1] - vals[starts]
     wide = np.flatnonzero(diameters > 10.0 * degeneracy_tol)
     if wide.size:
         k = wide[0]
@@ -125,34 +159,43 @@ def jump_operators(spectrum: Spectrum, site: int, degeneracy_tol: float = None) 
             f"{diameters[k]:.3e} > 10 * degeneracy_tol = {10 * degeneracy_tol:.3e}; "
             "tighten degeneracy_tol or separate the parameters"
         )
-    amps = np.zeros((starts.size, d, d), dtype=complex)
-    amps[np.repeat(np.arange(starts.size), counts), a_idx, b_idx] = sx_eig[a_idx, b_idx]
-    ops = V @ amps @ V.conj().T
-    # drop the clusters that carry no weight for this site
-    keep = np.linalg.norm(ops, axis=(1, 2)) > 1e-12 * math.sqrt(d)
-    freqs = (np.add.reduceat(vals, starts) / counts)[keep] if starts.size else vals
-    ops = ops[keep]
-
-    zero_amp = np.where(np.abs(diff) <= degeneracy_tol, sx_eig, 0.0)
-    zero_part = V @ zero_amp @ V.conj().T
-    zero_norm = float(np.linalg.norm(zero_part, "fro"))
-    if zero_norm > 1e-10:
-        warnings.warn(
-            f"site {site}: discarded zero-frequency component with norm {zero_norm:.3e}",
-            ZeroModeWarning,
-            stacklevel=2,
-        )
-    return JumpSet(
-        site=site,
-        frequencies=freqs,
-        operators=ops,
-        # mapped back from the operators rather than copied from sx_eig: the
-        # rate matrices keep the rounding of that round trip, and the
-        # first-law residuals of solved points are pinned to it
-        amplitudes=V.conj().T @ ops @ V,
-        zero_part=zero_part,
-        degeneracy_tol=float(degeneracy_tol),
-    )
+    n_c = starts.size
+    # per site, the amplitudes of each cluster and, last, the discarded
+    # |E_b - E_a| <= tol part, all mapped to the computational basis at once
+    amps = np.zeros((n_sites, n_c + 1, d, d), dtype=complex)
+    amps[:, np.repeat(np.arange(n_c), counts), a_idx, b_idx] = sx_eig[:, a_idx, b_idx]
+    amps[:, n_c] = np.where(np.abs(diff) <= degeneracy_tol, sx_eig, 0.0)
+    ops = _sandwich(V, amps.reshape(-1, d, d), Vh).reshape(amps.shape)
+    zero_parts, ops = ops[:, n_c], ops[:, :n_c]
+    # drop the clusters that carry no weight for a site: the Frobenius
+    # norm, as np.linalg.norm takes it over the last two axes
+    keep = np.sqrt(np.add.reduce((ops.conj() * ops).real, axis=(2, 3))) > 1e-12 * math.sqrt(d)
+    freqs = np.add.reduceat(vals, starts) / counts if n_c else vals
+    kept = ops[keep]
+    # mapped back from the operators rather than copied from sx_eig: the
+    # rate matrices keep the rounding of that round trip, and the
+    # first-law residuals of solved points are pinned to it
+    amplitudes = _sandwich(Vh, kept, V)
+    out = []
+    stop = 0
+    for site, site_keep, zero_part in zip(range(1, n_sites + 1), keep, zero_parts):
+        zero_norm = float(np.linalg.norm(zero_part, "fro"))
+        if zero_norm > 1e-10:
+            warnings.warn(
+                f"site {site}: discarded zero-frequency component with norm {zero_norm:.3e}",
+                ZeroModeWarning,
+                stacklevel=2,
+            )
+        start, stop = stop, stop + int(site_keep.sum())
+        out.append(JumpSet(
+            site=site,
+            frequencies=freqs[site_keep],
+            operators=kept[start:stop],
+            amplitudes=amplitudes[start:stop],
+            zero_part=zero_part,
+            degeneracy_tol=float(degeneracy_tol),
+        ))
+    return tuple(out)
 
 
 def _check_bath(jumps: JumpSet, gamma: float, T: float) -> None:
@@ -167,7 +210,7 @@ def _check_bath(jumps: JumpSet, gamma: float, T: float) -> None:
         raise DomainError(f"T must be > 0, got {T}")
     freqs = jumps.frequencies
     if freqs.size >= 2:
-        min_gap = float(np.diff(freqs).min())
+        min_gap = float((freqs[1:] - freqs[:-1]).min())
         if gamma >= 0.1 * min_gap:
             warnings.warn(
                 f"site {jumps.site}: gamma = {gamma:.3e} is not small against the "
@@ -180,7 +223,7 @@ def _check_bath(jumps: JumpSet, gamma: float, T: float) -> None:
 
 def _bath_rates(jumps: JumpSet, gamma: float, T: float):
     """Down and up rates gamma (1 + n) and gamma n of each of the site's jumps."""
-    nbar = np.array([bose_occupation(w, T) for w in jumps.frequencies])
+    nbar = np.array([bose_occupation(w, T) for w in jumps.frequencies.tolist()])
     return gamma * (1.0 + nbar), gamma * nbar
 
 
@@ -211,24 +254,26 @@ def build_global_generators(p: ModelParams) -> Generators:
     """
     H = build_hamiltonian(p)
     spectrum = sector_spectrum(H)
-    jumps = tuple(jump_operators(spectrum, site) for site in (1, 2, 3))
+    jumps = jump_operators(spectrum)
     ops, rates = [], []
     for js, gamma, T in zip(jumps, p.gamma, p.T):
         _check_bath(js, gamma, T)
-        down, up = _bath_rates(js, gamma, T)
+        rates.append(_bath_rates(js, gamma, T))
         ops.append(_with_daggers(js.amplitudes))
-        rates += [down, up]
-    summed = lindblad_superop(np.concatenate(ops), np.concatenate(rates))
+    # each bath's down rates, then its up rates, in the order of ops
+    summed = lindblad_superop(np.concatenate(ops), np.concatenate(sum(rates, ())))
+    blocks = {}
+    for dms, stacked in spectrum.liouville_block_groups:
+        cut = summed[stacked[:, :, None], stacked[:, None, :]]
+        blocks.update((dm, (index, block)) for dm, index, block in zip(dms, stacked, cut))
     return Generators(
         params=p,
         H=H,
         spectrum=spectrum,
-        eigen_blocks={
-            dm: (index, summed[np.ix_(index, index)])
-            for dm, index in spectrum.liouville_blocks.items()
-        },
+        eigen_blocks=blocks,
         build_dissipators=partial(_site_dissipators, jumps, p),
         jumps=jumps,
+        jump_rates=tuple(rates),
     )
 
 
@@ -244,28 +289,32 @@ def site_rate_matrices(gen: Generators):
     closed is True when no cluster operator has two nonzero entries sharing a
     row or a column, in which case the population sector decouples exactly
     from the coherences and the steady populations solve (sum_i M_i) p = 0.
+    The three baths are one stack, each site's clusters in the leading
+    slots of a zero-padded cluster axis, with the rates of gen.jump_rates.
     """
-    mats = []
-    closed = True
-    for jumps, gamma, T in zip(gen.jumps, gen.params.gamma, gen.params.T):
-        mags = np.abs(jumps.amplitudes)
-        cut = 1e-12 * np.maximum(mags.max(axis=(1, 2)), 1e-300)
-        nz = mags > cut[:, None, None]
-        if np.any(nz.sum(axis=1) > 1) or np.any(nz.sum(axis=2) > 1):
-            closed = False
-        g = mags.astype(np.longdouble) ** 2
-        down, up = _bath_rates(jumps, gamma, T)
-        # accumulate in extended precision, each cluster's down term and then
-        # its up term, in the order of the clusters (a sum over the leading
-        # axis adds the slices one after the other), and set the loss
-        # diagonal once at the end, so each column sums to zero at the
-        # longdouble floor; the first law of a solved point rides on that
-        # cancellation. Gains land strictly off the diagonal: a jump lowers
-        # the total magnetization, so it never connects a level to itself
-        terms = np.empty((2 * len(g),) + g.shape[1:], dtype=np.longdouble)
-        terms[0::2] = down[:, None, None] * g
-        terms[1::2] = up[:, None, None] * np.transpose(g, (0, 2, 1))
-        M = terms.sum(axis=0)
-        M -= np.diag(M.sum(axis=0))
-        mats.append(M)
-    return tuple(mats), closed
+    counts = np.array([len(js.frequencies) for js in gen.jumps])
+    d = gen.spectrum.dim
+    slot = np.arange(counts.max()) < counts[:, None]
+    mags = np.zeros(slot.shape + (d, d))
+    mags[slot] = np.abs(np.concatenate([js.amplitudes for js in gen.jumps]))
+    down, up = np.zeros((2,) + slot.shape)
+    down[slot], up[slot] = (np.concatenate(r) for r in zip(*gen.jump_rates))
+    cut = 1e-12 * np.maximum(mags.max(axis=(2, 3)), 1e-300)
+    nz = mags > cut[:, :, None, None]
+    closed = all(nz.sum(axis=axis, dtype=np.uint8).max(initial=0) <= 1 for axis in (2, 3))
+    g = mags.astype(np.longdouble) ** 2
+    # accumulate in extended precision, each cluster's down term and then
+    # its up term, in the order of the clusters (a sum over the cluster
+    # axis adds the slices one after the other, and the padding adds exact
+    # zeros), and set the loss diagonal once at the end, so each column
+    # sums to zero at the longdouble floor; the first law of a solved
+    # point rides on that cancellation. Gains land strictly off the
+    # diagonal: a jump lowers the total magnetization, so it never
+    # connects a level to itself
+    terms = np.empty((len(counts), 2 * slot.shape[1], d, d), dtype=np.longdouble)
+    terms[:, 0::2] = down[:, :, None, None] * g
+    terms[:, 1::2] = up[:, :, None, None] * g.swapaxes(2, 3)
+    M = terms.sum(axis=1)
+    diag = np.arange(d)
+    M[:, diag, diag] -= M.sum(axis=1)
+    return tuple(M), closed

@@ -47,7 +47,7 @@ from .model import (
     ModelParams,
     basis_magnetizations,
     interaction_hamiltonian,
-    liouville_blocks,
+    liouville_block_groups,
     local_field_hamiltonian,
     sector_spectrum,
 )
@@ -109,18 +109,16 @@ def _pair_flow_observable(j: int, i: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _site_stacks() -> tuple:
-    """Read-only (3, 8, 8) stacks over the sites of each of _site_matrices.
+    """Read-only (sz, flows, flow_norms) of the three sites and the three flows.
 
-    Returns (sm, sp, spsm, smsp, sz, flows, flow_norms): flows stacks the
-    _pair_flow_observable of FLOWS and flow_norms holds their Frobenius
-    norms.
+    sz stacks sigma_z^i over the sites, flows the _pair_flow_observable of
+    FLOWS, and flow_norms holds their Frobenius norms.
     """
-    stacks = [np.stack(m) for m in zip(*(_site_matrices(s) for s in SITES))]
+    sz = np.stack([_site_matrices(s)[4] for s in SITES])
     flows = np.stack([_pair_flow_observable(j, i) for j, i in FLOWS])
-    stacks.append(flows)
-    for arr in stacks:
+    for arr in (sz, flows):
         arr.setflags(write=False)
-    return (*stacks, tuple(np.linalg.norm(f, "fro") for f in flows))
+    return sz, flows, tuple(np.linalg.norm(f, "fro") for f in flows)
 
 
 @lru_cache(maxsize=None)
@@ -139,17 +137,13 @@ def _unit_dissipators() -> tuple:
         [lindblad_superop((_site_matrices(site)[k],), (1.0,)) for site in SITES]
         for k in (0, 1)
     ])
-    by_size: dict = {}
-    for dm, r in liouville_blocks(basis_magnetizations(N_SITES)).items():
-        by_size.setdefault(r.size, []).append((dm, r))
     groups = []
-    for members in by_size.values():
-        rows = np.stack([r for _, r in members])
+    for dms, rows in liouville_block_groups(basis_magnetizations(N_SITES)):
         cut = full[:, :, rows[:, :, None], rows[:, None, :]].transpose(0, 2, 1, 3, 4)
         down, up = np.ascontiguousarray(cut[0]), np.ascontiguousarray(cut[1])
-        for arr in (rows, down, up):
+        for arr in (down, up):
             arr.setflags(write=False)
-        groups.append((tuple(dm for dm, _ in members), rows, down, up))
+        groups.append((dms, rows, down, up))
     full.setflags(write=False)
     return full, tuple(groups)
 
@@ -168,12 +162,44 @@ def _site_dissipators(down: np.ndarray, up: np.ndarray) -> tuple:
     return tuple(down * full[0] + up * full[1])
 
 
+@lru_cache(maxsize=None)
+def _flip_gathers() -> tuple:
+    """Read-only index and mask stacks that apply D[sigma_-^i] and D[sigma_+^i] by gathers.
+
+    Returns (flip, jump, left, right). flip[i] maps each basis state to the
+    one with site i + 1 flipped. jump[0, i] marks the entries (a, c) where
+    both states have that site down, jump[1, i] where both have it up;
+    left[k, i] and right[k, i] mark the rows and the columns of the states
+    with the site up (k = 0) or down (k = 1). So sigma_-^i X sigma_+^i and
+    sigma_+^i X sigma_-^i are X[flip[i]][:, flip[i]] masked by jump[0, i]
+    and jump[1, i], and sigma_+^i sigma_-^i X + X sigma_+^i sigma_-^i is X
+    masked by left[0, i] plus X masked by right[0, i].
+    """
+    states = np.arange(2**N_SITES)
+    bits = np.array([1 << (N_SITES - site) for site in SITES])[:, None]
+    flip = states ^ bits
+    is_down = (states & bits) != 0
+    spins = np.stack([is_down, ~is_down])
+    arrays = (flip, spins[:, :, :, None] & spins[:, :, None, :],
+              ~spins[:, :, :, None], ~spins[:, :, None, :])
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
+
+
 def _dissipator_actions(down: np.ndarray, up: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """D_i[rho] of the three sites as a (3, 8, 8) clongdouble stack."""
-    sm, sp, spsm, smsp = _site_stacks()[:4]
-    r = rho.astype(CLD)
-    lowered = sm @ r @ sp - 0.5 * (spsm @ r + r @ spsm)
-    raised = sp @ r @ sm - 0.5 * (smsp @ r + r @ smsp)
+    """D_i[rho] of the three sites as a (3, 8, 8) clongdouble stack.
+
+    Every product with a 0/1 Pauli matrix only picks or masks entries of
+    rho, so it is a gather here. It keeps the bits of the matrix products
+    of _dissipator_action, whose sums start at +0 and so turn a -0 entry
+    into +0; the + 0.0 does the same.
+    """
+    flip, jump, left, right = _flip_gathers()
+    r = rho.astype(CLD) + 0.0
+    jumped = np.where(jump, r[flip[:, :, None], flip[:, None, :]], 0)
+    anti = np.where(left, r, 0) + np.where(right, r, 0)
+    lowered, raised = jumped - 0.5 * anti
     return down * lowered + up * raised
 
 
@@ -245,7 +271,7 @@ def local_current_set(rho_ss: np.ndarray, p: ModelParams, H_int: np.ndarray) -> 
     if p.bath_model != "repeated_interaction":
         raise DomainError("local_current_set applies to the repeated_interaction model")
     actions = _dissipator_actions(*_rate_arrays(p), rho_ss)
-    sz, flows, flow_norms = _site_stacks()[4:]
+    sz, flows, flow_norms = _site_stacks()
     # observables q_1..3, Q_1..3, W against the actions they trace
     obs = np.concatenate([sz, np.array(p.B)[:, None, None] * sz, H_int[None]])
     mats = np.concatenate([actions, actions, (actions[0] + actions[1] + actions[2])[None]])
@@ -271,16 +297,17 @@ def build_local_generators(p: ModelParams) -> Generators:
     down, up = _rate_arrays(p)
     V = spectrum.vectors
     W = kron(V.conj(), V)  # vec(V X V^dag) = W vec(X)
-    index = spectrum.liouville_blocks
     blocks = {}
-    for dms, rows, t_down, t_up in _unit_dissipators()[1]:
+    # both groupings run by block size in liouville_blocks order
+    for (dms, rows, t_down, t_up), (_, cols) in zip(_unit_dissipators()[1],
+                                                   spectrum.liouville_block_groups):
         # W maps each block onto the computational-basis block of the same
         # dm, so W_B^dag D[R_B, R_B] W_B is the dm block of W^dag D W; the
         # bath sum runs over the site axis, one bath after the other
-        W_B = W[rows[:, :, None], np.stack([index[dm] for dm in dms])[:, None, :]]
+        W_B = W[rows[:, :, None], cols[:, None, :]]
         D = down * t_down + up * t_up
         summed = (W_B.conj().swapaxes(1, 2)[:, None] @ D @ W_B[:, None]).sum(axis=1)
-        blocks.update((dm, (index[dm], block)) for dm, block in zip(dms, summed))
+        blocks.update((dm, (index, block)) for dm, index, block in zip(dms, cols, summed))
     return Generators(
         params=p,
         H=H,

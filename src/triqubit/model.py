@@ -159,6 +159,11 @@ class Spectrum:
         """Magnetization-difference blocks of the eigenbasis vec positions."""
         return liouville_blocks(tuple(self.sectors.tolist()))
 
+    @property
+    def liouville_block_groups(self) -> tuple:
+        """liouville_blocks grouped by block size; see liouville_block_groups."""
+        return liouville_block_groups(tuple(self.sectors.tolist()))
+
 
 @dataclass(frozen=True)
 class Generators:
@@ -176,7 +181,9 @@ class Generators:
     basis; build_dissipators makes them on first access, so a solve that
     never asks for them does not pay for them. jumps holds the harmonic
     model's per-site JumpSets; it is empty for the repeated_interaction
-    model, whose jumps are fixed site Paulis. H_int is the interaction part
+    model, whose jumps are fixed site Paulis. jump_rates holds, per site,
+    the (down, up) rates of those JumpSets' clusters, empty for the
+    repeated_interaction model. H_int is the interaction part
     of H on the repeated_interaction model, whose work current needs it,
     and None on the harmonic model.
     """
@@ -187,6 +194,7 @@ class Generators:
     eigen_blocks: dict = field(repr=False)
     build_dissipators: Callable[[], tuple] = field(repr=False)
     jumps: tuple = ()
+    jump_rates: tuple = ()
     H_int: np.ndarray = field(default=None, repr=False)
 
     @cached_property
@@ -221,6 +229,26 @@ def liouville_blocks(labels: tuple) -> MappingProxyType:
         index.setflags(write=False)
         blocks[value] = index
     return MappingProxyType(blocks)
+
+
+@lru_cache(maxsize=None)
+def liouville_block_groups(labels: tuple) -> tuple:
+    """The blocks of liouville_blocks(labels) grouped by size, for one gather per size.
+
+    Holds one (dms, index) per block size, in liouville_blocks order: the
+    differences dms of that size and the read-only (len(dms), size) stack
+    of their vec positions, so that X[index[:, :, None], index[:, None, :]]
+    cuts every block of that size out of a Liouville-space matrix X.
+    """
+    by_size: dict = {}
+    for dm, index in liouville_blocks(labels).items():
+        by_size.setdefault(index.size, []).append((dm, index))
+    groups = []
+    for members in by_size.values():
+        stacked = np.stack([index for _, index in members])
+        stacked.setflags(write=False)
+        groups.append((tuple(dm for dm, _ in members), stacked))
+    return tuple(groups)
 
 
 @lru_cache(maxsize=None)

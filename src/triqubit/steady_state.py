@@ -206,7 +206,7 @@ def solve_point(p: ModelParams) -> PointSolution:
     diag_ld = lam[index].astype(CLD)
     offdiag_ld = D.astype(CLD)
 
-    populations = rate_matrices = closed = None
+    populations = rate_matrices = closed = refined = None
     res_ref = math.inf  # residual of the population state, when there is one
     if p.bath_model == BATH_HARMONIC:
         rate_matrices, closed = site_rate_matrices(gen)
@@ -221,8 +221,10 @@ def solve_point(p: ModelParams) -> PointSolution:
     floor = 1e-12 * sigma_max
     if res_ref > floor:
         x, res = _trace_one_state(blocks[0], on_diag, diag_ld, offdiag_ld)
-    if res_ref <= floor or res_ref <= res:
+    if refined is not None and (res_ref <= floor or res_ref <= res):
         x, res, populations = x_ref, res_ref, refined
+    if not math.isfinite(res):
+        raise NumericalConsistencyError(f"steady-state residual is not finite ({res})")
 
     x_full = np.zeros(E.size**2, dtype=complex)
     x_full[index] = x

@@ -4,6 +4,9 @@ Two scatter configurations (one per bath model), the valve grid setup, and
 the boost window setup. Kept as plain dicts so tests can override fields.
 """
 
+import numpy as np
+from numpy.testing import assert_array_equal
+
 from triqubit import ModelParams
 
 # weak-damping harmonic setup: random fields drawn from (0, 1)
@@ -62,3 +65,17 @@ def global_point(B, **overrides) -> ModelParams:
     kw = dict(GLOBAL_SCATTER, B=B, bath_model="harmonic")
     kw.update(overrides)
     return ModelParams(**kw)
+
+
+def assert_same_bits(got, want):
+    """Equal dtypes, shapes and values, and equal signs of every zero.
+
+    Compares values rather than raw bytes, so it also serves longdouble
+    arrays, whose storage carries padding bytes.
+    """
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    parts = (got.real, want.real, got.imag, want.imag) if got.dtype.kind == "c" else (got, want)
+    for g, w in zip(parts[::2], parts[1::2]):
+        assert_array_equal(g, w)
+        assert_array_equal(np.signbit(g), np.signbit(w))

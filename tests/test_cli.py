@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from triqubit import thermo
+from triqubit import sweeps, thermo
 from triqubit.cli import main
 from triqubit.sweeps import BOOST_COLUMNS, GridScanConfig, boost_scan, write_records
 
@@ -183,6 +183,19 @@ def test_sweep_boost_matches_library_output(tmp_path, capsys):
     assert out_path.read_bytes() == lib_path.read_bytes()
     rows = list(csv.DictReader(out_path.read_text().splitlines()[1:]))
     assert [row["flags"] for row in rows] == ["", "", "", "edge"]
+
+
+def test_sweep_commands_look_up_their_driver_when_they_run(tmp_path, monkeypatch, capsys):
+    # a wrapper put on the sweeps module after import, as a tracer does,
+    # sees the command's call
+    calls = []
+    real = sweeps.boost_scan
+    monkeypatch.setattr(sweeps, "boost_scan", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    cfg = write_json(tmp_path / "boost.json", dict(BOOST, bath_model="repeated_interaction",
+                                                   B2_min=2.95, B2_max=3.05, n_points=3))
+    out = tmp_path / "boost.csv"
+    assert main(["sweep-boost", "--config", cfg, "--out", str(out)]) == 0
+    assert len(calls) == 1 and out.exists()
 
 
 def test_validate_passes_on_local_sweep(tmp_path, capsys):

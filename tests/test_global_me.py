@@ -1,6 +1,7 @@
 """Harmonic-bath generator: jump clustering, dissipators, rate matrices."""
 
 import json
+import math
 import sys
 import warnings
 from pathlib import Path
@@ -22,9 +23,9 @@ from triqubit.algebra import coherent_superop, embed_pauli, lindblad_superop, tr
 from triqubit.errors import ClusteringError, DomainError, SecularValidityWarning, ZeroModeWarning
 from triqubit.global_me import global_dissipator, jump_operators, site_rate_matrices
 from triqubit.model import build_hamiltonian, sector_spectrum, total_sz
-from triqubit.sweeps import SweepConfig, draw_params, random_sweep
+from triqubit.sweeps import SweepConfig, draw_params, evaluate_point, random_sweep
 
-from conftest import UNCLOSED_HARMONIC, global_point, local_point
+from conftest import MASTER_SEED, UNCLOSED_HARMONIC, assert_same_bits, global_point, local_point
 
 
 def _uncoupled(B=(0.3, 0.7, 1.1), gamma=(1e-4, 2e-4, 1.5e-4)):
@@ -50,11 +51,20 @@ def test_bose_occupation_cold_bath():
     assert bose_occupation(1.0, 1e-6) == 0.0
 
 
+def test_bose_occupation_underflowing_argument():
+    # omega / T = 0 in floating point is outside the domain; every x > 0
+    # keeps the value 1/expm1(x), which overflows to inf below 1/DBL_MAX
+    with pytest.raises(DomainError):
+        bose_occupation(2e-300, 1e30)
+    assert bose_occupation(1e-300, 1.0) == 1.0 / math.expm1(1e-300)
+    assert bose_occupation(5e-324, 1.0) == math.inf
+
+
 def test_uncoupled_jumps_are_lowering_operators():
     p = _uncoupled()
     spectrum = sector_spectrum(build_hamiltonian(p))
-    for site in (1, 2, 3):
-        js = jump_operators(spectrum, site)
+    for site, js in zip((1, 2, 3), jump_operators(spectrum)):
+        assert js.site == site
         assert_allclose(js.frequencies, [2.0 * p.B[site - 1]], atol=1e-14)
         assert_allclose(js.operators[0], embed_pauli(3, "minus", site), atol=1e-13)
 
@@ -65,8 +75,7 @@ def test_jump_completeness_and_lowering():
     p = global_point(B=(0.37, 0.61, 0.83))
     spectrum = sector_spectrum(build_hamiltonian(p))
     S = total_sz()
-    for site in (1, 2, 3):
-        js = jump_operators(spectrum, site)
+    for site, js in zip((1, 2, 3), jump_operators(spectrum)):
         assert np.all(np.diff(js.frequencies) > 0)
         assert_allclose(js.reconstruct(), embed_pauli(3, "x", site), atol=1e-10)
         for op in js.operators:
@@ -81,7 +90,7 @@ def test_zero_mode_warning():
     )
     spectrum = sector_spectrum(build_hamiltonian(p))
     with pytest.warns(ZeroModeWarning):
-        js = jump_operators(spectrum, 1)
+        js = jump_operators(spectrum)[0]
     assert np.linalg.norm(js.zero_part) > 1.0
 
 
@@ -91,7 +100,7 @@ def test_cluster_diameter_guard():
     E = 0.1 * np.array([0.0, 1.0, 2.0, 11.0, 15.0, 18.0, 21.0, 23.0])
     spectrum = sector_spectrum(np.diag(E).astype(complex))
     with pytest.raises(ClusteringError):
-        jump_operators(spectrum, 1, degeneracy_tol=0.105)
+        jump_operators(spectrum, degeneracy_tol=0.105)
 
 
 def test_secular_warning_at_large_gamma():
@@ -103,7 +112,7 @@ def test_secular_warning_at_large_gamma():
 def test_dissipator_validation():
     p = _uncoupled()
     spectrum = sector_spectrum(build_hamiltonian(p))
-    js = jump_operators(spectrum, 1)
+    js = jump_operators(spectrum)[0]
     with pytest.raises(DomainError):
         global_dissipator(js, 0.0, 1.0)
     with pytest.raises(DomainError):
@@ -172,16 +181,44 @@ def test_rate_matrix_signs():
         assert np.all(off >= 0.0)
 
 
-# --- the batched build against a per-cluster reference ---
+# --- the batched build against per-site and per-cluster references ---
 
 def _scatter_config(**overrides):
     path = Path(__file__).resolve().parent.parent / "configs" / "global_scatter.json"
     return SweepConfig(**dict(json.loads(path.read_text()), **overrides))
 
 
-def _scatter_points(n):
-    cfg = _scatter_config()
+def _scatter_points(n, **overrides):
+    cfg = _scatter_config(**overrides)
     return [draw_params(cfg, k) for k in range(n)]
+
+
+def _per_site_jump_operators(spectrum, site):
+    """(frequencies, operators, amplitudes, zero_part, zero_norm) of one site.
+
+    The per-site route that jump_operators replaced, kept as its bit
+    oracle: its own clustering, and stacked 8 x 8 products per site.
+    """
+    E, V, d = spectrum.energies, spectrum.vectors, spectrum.dim
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(E))))
+    sx_eig = V.conj().T @ embed_pauli(3, "x", site) @ V
+    diff = E[None, :] - E[:, None]
+    a_idx, b_idx = np.nonzero(diff > tol)
+    vals = diff[a_idx, b_idx]
+    order = np.argsort(vals, kind="stable")
+    a_idx, b_idx, vals = a_idx[order], b_idx[order], vals[order]
+    starts = np.flatnonzero(np.diff(vals, prepend=-np.inf) > tol)
+    counts = np.diff(starts, append=vals.size)
+    amps = np.zeros((starts.size, d, d), dtype=complex)
+    amps[np.repeat(np.arange(starts.size), counts), a_idx, b_idx] = sx_eig[a_idx, b_idx]
+    ops = V @ amps @ V.conj().T
+    keep = np.linalg.norm(ops, axis=(1, 2)) > 1e-12 * np.sqrt(d)
+    freqs = (np.add.reduceat(vals, starts) / counts)[keep] if starts.size else vals
+    ops = ops[keep]
+    zero_amp = np.where(np.abs(diff) <= tol, sx_eig, 0.0)
+    zero_part = V @ zero_amp @ V.conj().T
+    zero_norm = float(np.linalg.norm(zero_part, "fro"))
+    return freqs, ops, V.conj().T @ ops @ V, zero_part, zero_norm
 
 
 def _reference_jumps(spectrum, site):
@@ -238,14 +275,45 @@ def _einsum_lindblad(ops, rates):
     return sand - 0.5 * (np.kron(eye, anti) + np.kron(anti.T, eye))
 
 
-@pytest.mark.parametrize(
-    "p", _scatter_points(20) + [UNCLOSED_HARMONIC],
-    ids=[f"scatter-{k}" for k in range(20)] + ["unclosed"],
+# B1 = D12 + D13 makes one site-1 flip cost zero energy
+ZERO_MODE = ModelParams(
+    B=(0.5, 1.0, 2.0), J=(0.0, 0.0, 0.0), Delta=(0.2, 0.3, 0.1),
+    T=(1.0, 2.0, 3.0), gamma=(1e-3,) * 3, bath_model="harmonic",
 )
+BIT_PIN_POINTS = (
+    _scatter_points(60) + _scatter_points(60, master_seed=MASTER_SEED)
+    + [UNCLOSED_HARMONIC, ZERO_MODE]
+)
+BIT_PIN_IDS = (
+    [f"scatter-{k}" for k in range(60)] + [f"seed2-{k}" for k in range(60)]
+    + ["unclosed", "zero-mode"]
+)
+
+
+@pytest.mark.parametrize("p", BIT_PIN_POINTS, ids=BIT_PIN_IDS)
 def test_batched_jumps_and_rate_matrices_keep_their_bits(p):
-    gen = build_global_generators(p)
-    V = gen.spectrum.vectors
-    ref = [_reference_jumps(gen.spectrum, site) for site in (1, 2, 3)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        gen = build_global_generators(p)
+    spectrum, V = gen.spectrum, gen.spectrum.vectors
+    oracle = [_per_site_jump_operators(spectrum, site) for site in (1, 2, 3)]
+    zero_mode_sites = [
+        str(w.message).split(":")[0] for w in caught if w.category is ZeroModeWarning
+    ]
+    assert zero_mode_sites == [f"site {s}" for s, o in zip((1, 2, 3), oracle) if o[4] > 1e-10]
+    assert bool(zero_mode_sites) == (p is ZERO_MODE)
+    for site, js, want in zip((1, 2, 3), gen.jumps, oracle):
+        assert js.site == site
+        for got, ref in zip((js.frequencies, js.operators, js.amplitudes, js.zero_part), want):
+            assert_same_bits(got, ref)
+    # and the same bits from a direct call, one JumpSet per site
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ZeroModeWarning)
+        direct_jumps = jump_operators(spectrum)
+    for js, direct in zip(gen.jumps, direct_jumps):
+        assert_same_bits(direct.amplitudes, js.amplitudes)
+        assert_same_bits(direct.zero_part, js.zero_part)
+    ref = [_reference_jumps(spectrum, site) for site in (1, 2, 3)]
     for js, (freqs, ops) in zip(gen.jumps, ref):
         assert_array_equal(js.frequencies, freqs)
         assert_array_equal(js.operators, np.asarray(ops).reshape(-1, 8, 8))
@@ -253,7 +321,19 @@ def test_batched_jumps_and_rate_matrices_keep_their_bits(p):
     ref_mats, ref_closed = _reference_rate_matrices(p, V, ref)
     assert closed == ref_closed == (p is not UNCLOSED_HARMONIC)
     for m, m_ref in zip(mats, ref_mats):
-        assert_array_equal(m, m_ref)
+        assert_same_bits(m, m_ref)
+    # the eigenbasis blocks are cut, bit for bit, from the one summed
+    # superoperator of the per-site amplitudes
+    ops, rates = [], []
+    for (freqs, _, amps, _, _), gamma, T in zip(oracle, p.gamma, p.T):
+        nbar = np.array([bose_occupation(w, T) for w in freqs])
+        ops += [amps, np.conj(np.transpose(amps, (0, 2, 1)))]
+        rates += [gamma * (1.0 + nbar), gamma * nbar]
+    summed = lindblad_superop(np.concatenate(ops), np.concatenate(rates))
+    assert list(gen.eigen_blocks) == list(spectrum.liouville_blocks)
+    for dm, (index, block) in gen.eigen_blocks.items():
+        assert_array_equal(index, spectrum.liouville_blocks[dm])
+        assert_same_bits(block, summed[np.ix_(index, index)])
     # the eigenbasis blocks tile the computational-basis generator,
     # transformed, and it has nothing between them
     W = np.kron(V.conj(), V)
@@ -264,6 +344,28 @@ def test_batched_jumps_and_rate_matrices_keep_their_bits(p):
     assert_array_equal(np.sort(np.concatenate([i for i, _ in gen.eigen_blocks.values()])),
                        np.arange(64))
     assert np.abs(assembled - W.conj().T @ summed @ W).max() <= 1e-12 * max(p.gamma)
+
+
+def test_harmonic_point_makes_one_pass_per_stage(monkeypatch):
+    # one clustering for the three sites, and one Bose occupation per kept
+    # cluster and site, shared by the generator and the rate matrices
+    points = _scatter_points(5)
+    clusters = [sum(len(js.frequencies) for js in build_global_generators(p).jumps)
+                for p in points]
+    calls = {"jump_operators": 0, "bose_occupation": 0}
+    for name in calls:
+        real = getattr(global_me, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(global_me, name, counted)
+    for p, n in zip(points, clusters):
+        calls.update(jump_operators=0, bose_occupation=0)
+        rec = evaluate_point(p)
+        assert rec.thermo is not None and not rec.flags
+        assert calls == {"jump_operators": 1, "bose_occupation": n}
 
 
 def test_lindblad_superop_matches_the_einsum_form():

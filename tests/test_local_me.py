@@ -22,7 +22,7 @@ from triqubit.local_me import (
 from triqubit.model import basis_magnetizations, interaction_hamiltonian, liouville_blocks
 from triqubit.sweeps import GridScanConfig, SweepConfig, _grid_points, draw_params
 
-from conftest import local_point
+from conftest import assert_same_bits, local_point
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -244,3 +244,16 @@ def test_current_set_keeps_the_bits_of_the_per_site_route(p):
     assert repr(cs.W) == repr(want_w)
     assert repr(cs.C) == repr({(j, i): interqubit_current(sol.rho, p, j, i)
                                for j, i in ((2, 1), (3, 1), (3, 2))})
+
+
+@pytest.mark.parametrize("p", LOCAL_POINTS, ids=LOCAL_IDS)
+def test_gathered_dissipator_actions_keep_the_bits_of_the_matrix_products(p):
+    # the stacked actions pick entries of rho where the one-site route
+    # multiplies 0/1 Pauli matrices; signed zeros included, on the steady
+    # state, its negation and all-zero states of either sign
+    rho = solve_point(p).rho
+    down, up = local_me._rate_arrays(p)
+    for state in (rho, -rho, rho.conj(), 0.0 * rho, -0.0 * rho):
+        got = local_me._dissipator_actions(down, up, state)
+        for s in (1, 2, 3):
+            assert_same_bits(got[s - 1], local_me._dissipator_action(p, s, state))

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from triqubit import (
-    DegenerateSteadyStateError, DomainError, ModelParams, algebra, local_me, model, sweeps,
+    DegenerateSteadyStateError, DomainError, ModelParams, algebra, global_me, local_me, model,
+    sweeps,
 )
 from triqubit.sweeps import (
     BASE_COLUMNS,
@@ -25,7 +26,7 @@ from triqubit.sweeps import (
     valve_sweep,
     write_records,
 )
-from triqubit.thermo import Regime
+from triqubit.thermo import DEFAULT_EPSILON, Regime
 
 from conftest import BOOST, GLOBAL_SCATTER, LOCAL_SCATTER, MASTER_SEED, VALVE, global_point
 
@@ -161,6 +162,27 @@ def test_evaluate_point_error_flag():
     assert ev.thermo is None and ev.correlations is None and ev.residual is None
 
 
+@pytest.mark.parametrize("p", [
+    ModelParams(B=(1.0, 2.0, 3.0), J=LOCAL_SCATTER["J"], Delta=LOCAL_SCATTER["Delta"],
+                T=(1.0, 2.0, 3.0), gamma=(1e200,) * 3, bath_model="repeated_interaction"),
+    global_point(B=(0.37, 0.61, 0.83), T=(1e300,) * 3),
+], ids=["local-huge-rates", "harmonic-hot-baths"])
+def test_overflowing_residual_is_a_consistency_error_record(p):
+    # the rates overflow the residual norm to inf; the point is one error
+    # record, not an exception out of the sweep
+    ev = evaluate_point(p)
+    assert "error:NumericalConsistencyError" in ev.flags
+    assert ev.thermo is None and ev.correlations is None and ev.residual is None
+
+
+def test_underflowing_bose_argument_is_a_domain_error_record():
+    # 2 B_1 / T_1 = 2e-330 underflows to 0, where 1/expm1 would divide by zero
+    p = ModelParams(B=(1e-300, 1.0, 2.0), J=LOCAL_SCATTER["J"], Delta=LOCAL_SCATTER["Delta"],
+                    T=(1e30, 2.0, 3.0), gamma=(0.5, 0.5, 0.5), bath_model="repeated_interaction")
+    records = sweeps._evaluate_many([p], DEFAULT_EPSILON, 1)
+    assert len(records) == 1 and records[0].flags == ("error:DomainError",)
+
+
 def test_cold_bath_sweeps_yield_one_record_per_index():
     # 2B/T reaches ~1e5 at the coldest decade, far past where e^(2B/T)
     # overflows a double; the sweep must still finish, one record per index.
@@ -199,14 +221,15 @@ def test_harmonic_cold_bath_roundoff_currents_are_unclassified():
 def test_sweeps_keep_the_memoized_operators_parameter_free(model_name, base):
     # a float parameter in any cache key would grow these caches per point
     caches = (algebra._embedded, model._pair_strings, model._sector_layout,
-              local_me._unit_dissipators, local_me._site_stacks)
+              local_me._unit_dissipators, local_me._site_stacks, local_me._flip_gathers,
+              global_me._site_couplings)
     for cache in caches:
         cache.cache_clear()
     cfg = SweepConfig(**{**base, "bath_model": model_name, "n_samples": 20,
                          "master_seed": MASTER_SEED})
     assert len(random_sweep(cfg)) == 20
     # 3 sites x 5 axes, 3 pairs, 1 register size, at most one template set
-    # and one set of site stacks
+    # and one of each set of site stacks
     sizes = [cache.cache_info().currsize for cache in caches]
     assert sizes[0] <= 15 and sizes[1:3] == [3, 1] and max(sizes[3:]) <= 1, sizes
 
