@@ -21,7 +21,6 @@ from .model import (
     ModelParams,
     Spectrum,
     build_hamiltonian,
-    magnetization_sectors,
     sector_spectrum,
 )
 from .global_me import (

@@ -34,7 +34,7 @@ from .sweeps import (
     random_sweep,
     write_records,
 )
-from .thermo import DEFAULT_EPSILON, invariant_violations
+from .thermo import DEFAULT_EPSILON, LAWS, LOCAL_LAWS, invariant_violations
 
 _POINT_KEYS = frozenset({"bath_model", "B", "J", "Delta", "T", "gamma", "epsilon"})
 
@@ -173,11 +173,7 @@ def _cmd_validate(args) -> int:
     cfg = _sweep_config(args, SweepConfig)
     records = random_sweep(cfg, workers=args.workers)
     local = cfg.bath_model == "repeated_interaction"
-    names = (
-        ("First Law", "Second Law")
-        + (("current-constraint", "continuity") if local else ())
-        + ("MI-bound",)
-    )
+    names = tuple(name for name in LAWS if local or name not in LOCAL_LAWS)
     broken = [
         # failed rows count against every check
         names if rec.thermo is None or rec.correlations is None

@@ -64,8 +64,12 @@ def bose_occupation(omega: float, T: float) -> float:
     if x == 0.0:
         raise DomainError(f"bose_occupation: omega/T = {omega}/{T} underflows to 0")
     # 1/(e^x - 1) = e^-x / (1 - e^-x): past x ~ 709.78 e^x overflows, while
-    # 1 - e^-x already rounds to 1 from x ~ 37 on
-    return 1.0 / math.expm1(x) if x < 709.0 else math.exp(-x)
+    # 1 - e^-x already rounds to 1 from x ~ 37 on; below x ~ 5.6e-309,
+    # 1/x overflows
+    n = 1.0 / math.expm1(x) if x < 709.0 else math.exp(-x)
+    if not math.isfinite(n):
+        raise DomainError(f"bose_occupation: omega/T = {omega}/{T} overflows the occupation")
+    return n
 
 
 @dataclass(frozen=True)
@@ -262,15 +266,12 @@ def build_global_generators(p: ModelParams) -> Generators:
         ops.append(_with_daggers(js.amplitudes))
     # each bath's down rates, then its up rates, in the order of ops
     summed = lindblad_superop(np.concatenate(ops), np.concatenate(sum(rates, ())))
-    blocks = {}
-    for dms, stacked in spectrum.liouville_block_groups:
-        cut = summed[stacked[:, :, None], stacked[:, None, :]]
-        blocks.update((dm, (index, block)) for dm, index, block in zip(dms, stacked, cut))
     return Generators(
         params=p,
         H=H,
         spectrum=spectrum,
-        eigen_blocks=blocks,
+        eigen_blocks=tuple(summed[index[:, :, None], index[:, None, :]]
+                           for index in spectrum.liouville_block_groups),
         build_dissipators=partial(_site_dissipators, jumps, p),
         jumps=jumps,
         jump_rates=tuple(rates),

@@ -127,23 +127,23 @@ def _unit_dissipators() -> tuple:
 
     Returns (full, groups). full[0] and full[1] are the (3, 64, 64) stacks
     over the sites of lindblad_superop((sigma_-^i,), (1,)) and
-    lindblad_superop((sigma_+^i,), (1,)). groups holds one (dms, rows,
-    down, up) per block size: the magnetization differences dms of that
-    size in liouville_blocks order, their computational-basis vec positions
-    stacked as rows, and the (len(dms), 3, n, n) stacks of their blocks of
-    full[0] and full[1]. Every array is read-only.
+    lindblad_superop((sigma_+^i,), (1,)). groups holds one (rows, down, up)
+    per index stack of liouville_block_groups of the computational basis:
+    rows is that (k, n) stack of vec positions, and down and up are the
+    (k, 3, n, n) stacks of its blocks of full[0] and full[1]. Every array
+    is read-only.
     """
     full = np.array([
         [lindblad_superop((_site_matrices(site)[k],), (1.0,)) for site in SITES]
         for k in (0, 1)
     ])
     groups = []
-    for dms, rows in liouville_block_groups(basis_magnetizations(N_SITES)):
+    for rows in liouville_block_groups(basis_magnetizations(N_SITES)):
         cut = full[:, :, rows[:, :, None], rows[:, None, :]].transpose(0, 2, 1, 3, 4)
         down, up = np.ascontiguousarray(cut[0]), np.ascontiguousarray(cut[1])
         for arr in (down, up):
             arr.setflags(write=False)
-        groups.append((dms, rows, down, up))
+        groups.append((rows, down, up))
     full.setflags(write=False)
     return full, tuple(groups)
 
@@ -297,22 +297,22 @@ def build_local_generators(p: ModelParams) -> Generators:
     down, up = _rate_arrays(p)
     V = spectrum.vectors
     W = kron(V.conj(), V)  # vec(V X V^dag) = W vec(X)
-    blocks = {}
-    # both groupings run by block size in liouville_blocks order
-    for (dms, rows, t_down, t_up), (_, cols) in zip(_unit_dissipators()[1],
-                                                   spectrum.liouville_block_groups):
+    blocks = []
+    # the eigenbasis labels permute the basis labels, so both layouts hold
+    # the same differences in the same order
+    for (rows, t_down, t_up), cols in zip(_unit_dissipators()[1],
+                                          spectrum.liouville_block_groups):
         # W maps each block onto the computational-basis block of the same
         # dm, so W_B^dag D[R_B, R_B] W_B is the dm block of W^dag D W; the
         # bath sum runs over the site axis, one bath after the other
         W_B = W[rows[:, :, None], cols[:, None, :]]
         D = down * t_down + up * t_up
-        summed = (W_B.conj().swapaxes(1, 2)[:, None] @ D @ W_B[:, None]).sum(axis=1)
-        blocks.update((dm, (index, block)) for dm, index, block in zip(dms, cols, summed))
+        blocks.append((W_B.conj().swapaxes(1, 2)[:, None] @ D @ W_B[:, None]).sum(axis=1))
     return Generators(
         params=p,
         H=H,
         spectrum=spectrum,
-        eigen_blocks=blocks,
+        eigen_blocks=tuple(blocks),
         build_dissipators=partial(_site_dissipators, down, up),
         H_int=H_int,
     )

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from types import MappingProxyType
 from typing import Callable
 
 import numpy as np
@@ -125,17 +124,13 @@ def total_sz(n_sites: int = N_SITES) -> np.ndarray:
     return out
 
 
-def magnetization_sectors(n_sites: int = N_SITES) -> dict:
-    """Map from total magnetization m to the basis indices of its sector.
+def basis_magnetizations(n_sites: int = N_SITES) -> tuple:
+    """Total magnetization of each computational basis state.
 
     Basis index bit b_i = 0 means sigma_z = +1 on site i; site 1 is the most
-    significant bit. m runs over n, n-2, ..., -n.
+    significant bit. The labels run over n, n-2, ..., -n.
     """
-    sectors: dict = {}
-    for idx in range(2**n_sites):
-        m = n_sites - 2 * bin(idx).count("1")
-        sectors.setdefault(m, []).append(idx)
-    return sectors
+    return tuple(n_sites - 2 * bin(idx).count("1") for idx in range(2**n_sites))
 
 
 @dataclass(frozen=True)
@@ -155,13 +150,8 @@ class Spectrum:
         return self.energies.size
 
     @property
-    def liouville_blocks(self) -> MappingProxyType:
-        """Magnetization-difference blocks of the eigenbasis vec positions."""
-        return liouville_blocks(tuple(self.sectors.tolist()))
-
-    @property
     def liouville_block_groups(self) -> tuple:
-        """liouville_blocks grouped by block size; see liouville_block_groups."""
+        """The block layout of the eigenbasis vec positions; see liouville_block_groups."""
         return liouville_block_groups(tuple(self.sectors.tolist()))
 
 
@@ -170,28 +160,28 @@ class Generators:
     """Lindblad generator pieces of one parameter point, for either bath model.
 
     eigen_blocks is the dissipative part of the generator in the eigenbasis
-    of H, where vec(X) stands for V X V^dag, cut into its
-    magnetization-difference blocks: it maps each dm of
-    Spectrum.liouville_blocks to (index, D), index the block's vec positions
-    and D the block of the dissipators summed over the three baths. Entries
+    of H, where vec(X) stands for V X V^dag, summed over the three baths
+    and cut into its magnetization-difference blocks: one (k, n, n) stack
+    per (k, n) index stack of Spectrum.liouville_block_groups, in that
+    order, whose [j] is the block at the vec positions index[j]. Entries
     between blocks are exactly zero. The repeated_interaction builder maps
-    each bath's computational-basis block there, the harmonic builder slices
-    the sum it builds in one piece from the eigenbasis jump amplitudes.
-    dissipators[i] is the superoperator of bath i + 1 in the computational
-    basis; build_dissipators makes them on first access, so a solve that
-    never asks for them does not pay for them. jumps holds the harmonic
-    model's per-site JumpSets; it is empty for the repeated_interaction
-    model, whose jumps are fixed site Paulis. jump_rates holds, per site,
-    the (down, up) rates of those JumpSets' clusters, empty for the
-    repeated_interaction model. H_int is the interaction part
-    of H on the repeated_interaction model, whose work current needs it,
-    and None on the harmonic model.
+    each bath's computational-basis blocks there, the harmonic builder
+    gathers them from the sum it builds in one piece from the eigenbasis
+    jump amplitudes. dissipators[i] is the superoperator of bath i + 1 in
+    the computational basis; build_dissipators makes them on first access,
+    so a solve that never asks for them does not pay for them. jumps holds
+    the harmonic model's per-site JumpSets; it is empty for the
+    repeated_interaction model, whose jumps are fixed site Paulis.
+    jump_rates holds, per site, the (down, up) rates of those JumpSets'
+    clusters, empty for the repeated_interaction model. H_int is the
+    interaction part of H on the repeated_interaction model, whose work
+    current needs it, and None on the harmonic model.
     """
 
     params: ModelParams
     H: np.ndarray
     spectrum: Spectrum
-    eigen_blocks: dict = field(repr=False)
+    eigen_blocks: tuple = field(repr=False)
     build_dissipators: Callable[[], tuple] = field(repr=False)
     jumps: tuple = ()
     jump_rates: tuple = ()
@@ -202,53 +192,42 @@ class Generators:
         return self.build_dissipators()
 
 
-def basis_magnetizations(n_sites: int = N_SITES) -> tuple:
-    """Total magnetization of each computational basis state."""
-    return tuple(n_sites - 2 * bin(idx).count("1") for idx in range(2**n_sites))
-
-
 # one entry per ordering of the magnetization labels: at most 1120 for three
 # qubits
 @lru_cache(maxsize=None)
-def liouville_blocks(labels: tuple) -> MappingProxyType:
+def liouville_block_groups(labels: tuple) -> tuple:
     """Vec positions of the magnetization-difference blocks of a Liouville space.
 
-    labels[k] is the total magnetization of basis state k. Maps each value
-    dm of m(a) - m(b), dm = 0 first and then +2, -2, +4, ..., to the
-    ascending vec positions a + d b (column stacking) of the |a><b| that
-    carry it. A generator that conserves the magnetization difference has no
-    entries between blocks, and its steady state lives in the dm = 0 block.
-    The map is built once per labelling and shared, so it and its arrays
-    are read-only.
+    labels[k] is the total magnetization of basis state k, and the vec
+    position a + d b (column stacking) of |a><b| carries the difference
+    dm = m(a) - m(b). The blocks, dm = 0 first and then +2, -2, +4, ...,
+    are stacked by size as _positions_by_size stacks them, so
+    X[index[:, :, None], index[:, None, :]] cuts every block of one size
+    out of a Liouville-space matrix X with one gather. The dm = 0 block is
+    the largest and sits alone in the first stack. A generator that
+    conserves the magnetization difference has no entries between blocks,
+    and its steady state lives in the dm = 0 block.
     """
     m = np.asarray(labels)
     dm = (m[:, None] - m[None, :]).reshape(-1, order="F")
-    blocks = {}
-    for value in sorted(set(dm.tolist()), key=lambda v: (abs(v), -v)):
-        index = np.flatnonzero(dm == value)
-        index.setflags(write=False)
-        blocks[value] = index
-    return MappingProxyType(blocks)
+    return _positions_by_size(dm, sorted(set(dm.tolist()), key=lambda v: (abs(v), -v)))
 
 
-@lru_cache(maxsize=None)
-def liouville_block_groups(labels: tuple) -> tuple:
-    """The blocks of liouville_blocks(labels) grouped by size, for one gather per size.
+def _positions_by_size(labels: np.ndarray, values) -> tuple:
+    """Read-only (k, n) stacks of where each of values sits in labels, one per count n.
 
-    Holds one (dms, index) per block size, in liouville_blocks order: the
-    differences dms of that size and the read-only (len(dms), size) stack
-    of their vec positions, so that X[index[:, :, None], index[:, None, :]]
-    cuts every block of that size out of a Liouville-space matrix X.
+    Row j of a stack holds the ascending positions of one value; the values
+    keep their order within a stack, and the stacks come in the order of
+    their first value.
     """
     by_size: dict = {}
-    for dm, index in liouville_blocks(labels).items():
-        by_size.setdefault(index.size, []).append((dm, index))
-    groups = []
-    for members in by_size.values():
-        stacked = np.stack([index for _, index in members])
-        stacked.setflags(write=False)
-        groups.append((tuple(dm for dm, _ in members), stacked))
-    return tuple(groups)
+    for value in values:
+        index = np.flatnonzero(labels == value)
+        by_size.setdefault(index.size, []).append(index)
+    groups = tuple(np.stack(members) for members in by_size.values())
+    for index in groups:
+        index.setflags(write=False)
+    return groups
 
 
 @lru_cache(maxsize=None)
@@ -264,31 +243,17 @@ def _sector_layout(n: int) -> tuple:
     the eigenvector matrix and cols their eigenvalues into the unsorted
     spectrum.
     """
-    sectors = magnetization_sectors(n)
-    label = np.empty(2**n, dtype=int)
-    for m, idx in sectors.items():
-        label[idx] = m
+    label = np.array(basis_magnetizations(n))
     cross = label[:, None] != label[None, :]
-    labels = np.empty(2**n, dtype=int)
-    by_size: dict = {}
-    col = 0
-    for m in sorted(sectors, reverse=True):
-        idx = np.array(sectors[m])
-        cols = np.arange(col, col + idx.size)
-        labels[cols] = m
-        by_size.setdefault(idx.size, []).append((idx, cols))
-        col += idx.size
-    groups = []
-    for members in by_size.values():
-        idx = np.stack([i for i, _ in members])
-        cols = np.stack([c for _, c in members])
-        for arr in (idx, cols):
-            arr.setflags(write=False)
-        groups.append(((idx[:, :, None], idx[:, None, :]),
-                       (idx[:, :, None], cols[:, None, :]), cols.ravel()))
+    labels = np.sort(label)[::-1]
+    sectors = sorted(set(label.tolist()), reverse=True)
+    groups = tuple(
+        ((idx[:, :, None], idx[:, None, :]), (idx[:, :, None], cols[:, None, :]), cols.ravel())
+        for idx, cols in zip(*(_positions_by_size(x, sectors) for x in (label, labels)))
+    )
     for arr in (cross, labels):
         arr.setflags(write=False)
-    return cross, labels, tuple(groups)
+    return cross, labels, groups
 
 
 def sector_spectrum(H: np.ndarray) -> Spectrum:

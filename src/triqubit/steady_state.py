@@ -3,10 +3,11 @@
 Both generators conserve the magnetization difference m(a) - m(b) of
 |a><b| (Buca and Prosen, New J. Phys. 14, 073007, 2012), so in the
 eigenbasis of H the vectorized generator L splits into exact blocks, one
-per difference: 20 + 2*15 + 2*6 + 2*1 for three qubits. SVDs of every
-block, singular values only and one stacked call per block size, certify
-that the null space of L is one-dimensional, with sigma_max the largest
-over all blocks. The state and the trace functional live in the
+per difference: 20 + 2*15 + 2*6 + 2*1 for three qubits. The builders
+hand them over stacked by size, in the layout of
+Spectrum.liouville_block_groups. SVDs of every block, singular values only
+and one call per stack, certify that the null space of L is
+one-dimensional, with sigma_max the largest over all blocks. The state and the trace functional live in the
 20-dimensional dm = 0 block L_0, and the state solves it with row 0
 replaced by the trace functional,
 
@@ -55,9 +56,12 @@ class SteadyStateResult:
 
 
 def _check_trace_preserving(blocks, on_diag: np.ndarray) -> None:
-    # the trace functional, one at on_diag, lives in blocks[0] alone
-    defect = float(np.linalg.norm(blocks[0][on_diag].sum(axis=0)))
-    scale = float(np.linalg.norm(np.concatenate([b.ravel() for b in blocks])))
+    # the trace functional, one at on_diag, lives in blocks[0][0] alone
+    with np.errstate(over="ignore"):
+        defect = float(np.linalg.norm(blocks[0][0][on_diag].sum(axis=0)))
+        scale = float(np.linalg.norm(np.concatenate([b.ravel() for b in blocks])))
+    if not math.isfinite(scale):
+        raise NumericalConsistencyError(f"generator norm is not finite ({scale})")
     if defect > 1e-10 * max(scale, 1e-300):
         raise DomainError(f"generator is not trace-preserving (defect {defect:.3e})")
 
@@ -120,21 +124,16 @@ def _finalize_state(x: np.ndarray) -> np.ndarray:
 def _unique_null_scale(blocks, on_diag: np.ndarray) -> float:
     """sigma_max of a trace-preserving generator whose null space is one-dimensional.
 
-    The generator is given by its diagonal blocks and is zero outside them;
-    blocks[0] holds the trace functional, which is one at its positions
-    on_diag. The singular values of the generator are those of its blocks,
-    taken with one SVD call per block size, and sigma_max is the largest of
-    them all. Singular values below _NULL_TOL * sigma_max count as null; a
-    null space of any dimension other than one raises.
+    The generator is given by its diagonal blocks, stacked by size, and is
+    zero outside them; blocks[0][0] holds the trace functional, which is one
+    at its positions on_diag. The singular values of the generator are
+    those of its blocks, taken with one SVD call per stack, and sigma_max is
+    the largest of them all. Singular values below _NULL_TOL * sigma_max
+    count as null; a null space of any dimension other than one raises.
     """
     _check_trace_preserving(blocks, on_diag)
-    by_shape: dict = {}
-    for b in blocks:
-        by_shape.setdefault(b.shape, []).append(b)
-    # one stacked call per block size returns the same bits as one per block
-    s = np.concatenate([
-        np.linalg.svd(np.stack(group), compute_uv=False).ravel() for group in by_shape.values()
-    ])
+    # a stacked call returns the same bits as one call per block
+    s = np.concatenate([np.linalg.svd(b, compute_uv=False).ravel() for b in blocks])
     sigma_max = float(s.max())
     if sigma_max == 0.0:
         raise DegenerateSteadyStateError("zero generator: every state is steady")
@@ -155,7 +154,7 @@ def solve_steady_state(L: np.ndarray) -> SteadyStateResult:
     if L.ndim != 2 or L.shape[1] != d2 or d * d != d2:
         raise DomainError(f"generator shape {L.shape} is not a vectorized square map")
     on_diag = np.arange(0, d2, d + 1)  # vec positions of the trace
-    _unique_null_scale([L], on_diag)
+    _unique_null_scale([L[None]], on_diag)
     x, res = _trace_one_state(L, on_diag, np.zeros(d2, dtype=CLD), L.astype(CLD))
     return SteadyStateResult(rho=_finalize_state(x), residual=res, nullspace_dim=1, method="nullspace")
 
@@ -197,8 +196,16 @@ def solve_point(p: ModelParams) -> PointSolution:
     V = gen.spectrum.vectors
     E = gen.spectrum.energies
     lam = (-1j * (E[:, None] - E[None, :])).reshape(-1, order="F")
-    blocks = [np.diag(lam[index]) + D for index, D in gen.eigen_blocks.values()]
-    index, D = gen.eigen_blocks[0]
+    groups = gen.spectrum.liouville_block_groups
+    blocks = []
+    for index, D in zip(groups, gen.eigen_blocks):
+        # the coherent part is diagonal: a zero stack with lam on its
+        # diagonals, plus D, as np.diag(lam[index[j]]) + D[j] is
+        coherent = np.zeros_like(D)
+        diag = np.arange(index.shape[1])
+        coherent[:, diag, diag] = lam[index]
+        blocks.append(coherent + D)
+    index, D = groups[0][0], gen.eigen_blocks[0][0]
     # index is ascending and starts at vec position 0, the ground-state
     # population, whose row the trace functional replaces
     on_diag = np.flatnonzero(index % (E.size + 1) == 0)
@@ -220,7 +227,7 @@ def solve_point(p: ModelParams) -> PointSolution:
     # mean the closure call was wrong)
     floor = 1e-12 * sigma_max
     if res_ref > floor:
-        x, res = _trace_one_state(blocks[0], on_diag, diag_ld, offdiag_ld)
+        x, res = _trace_one_state(blocks[0][0], on_diag, diag_ld, offdiag_ld)
     if refined is not None and (res_ref <= floor or res_ref <= res):
         x, res, populations = x_ref, res_ref, refined
     if not math.isfinite(res):

@@ -280,6 +280,12 @@ def _current_floor(p: ModelParams) -> float:
     return 1e-12 * max(p.gamma) * (1.0 + max(p.B))
 
 
+# the laws invariant_violations checks, in the order it names them; the
+# two in LOCAL_LAWS apply to the repeated_interaction model alone
+LAWS = ("First Law", "Second Law", "current-constraint", "continuity", "MI-bound")
+LOCAL_LAWS = LAWS[2:4]
+
+
 def invariant_violations(report: ThermoReport, params: ModelParams, correlations=None) -> tuple:
     """Names of the laws a steady-state report breaks; () when it breaks none.
 
@@ -302,23 +308,21 @@ def invariant_violations(report: ThermoReport, params: ModelParams, correlations
     q_scale = max(abs(q) for q in report.Q)
     flows = math.fsum(abs(q) / float(t) for q, t in zip(report.Q, params.T))
     roundoff = q_scale <= floor
+    first, second, constraint, continuity, mi_bound = LAWS
     holds = {
-        "First Law": roundoff
-        or report.first_law_residual <= 1e-10 * max(q_scale, abs(report.W)),
-        "Second Law": report.S_dot >= -max(1e-9 * flows, floor / min(params.T)),
+        first: roundoff or report.first_law_residual <= 1e-10 * max(q_scale, abs(report.W)),
+        second: report.S_dot >= -max(1e-9 * flows, floor / min(params.T)),
     }
     cs = report.currents
     if cs is not None:
         scale_q = max(abs(v) for v in cs.q)
         scale_c = max(scale_q, *(abs(v) for v in cs.C.values()))
-        holds["current-constraint"] = (
-            roundoff or report.magnetization_residual <= 1e-10 * scale_q
-        )
-        holds["continuity"] = (
+        holds[constraint] = roundoff or report.magnetization_residual <= 1e-10 * scale_q
+        holds[continuity] = (
             roundoff or max(abs(r) for r in continuity_residuals(cs)) <= 1e-9 * scale_c
         )
     if correlations is not None:
-        holds["MI-bound"] = all(
+        holds[mi_bound] = all(
             correlations.I[pair] >= correlations.mi_bound[pair] - 1e-10 for pair in PAIRS
         )
     return tuple(name for name, ok in holds.items() if not ok)

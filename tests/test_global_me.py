@@ -53,11 +53,13 @@ def test_bose_occupation_cold_bath():
 
 def test_bose_occupation_underflowing_argument():
     # omega / T = 0 in floating point is outside the domain; every x > 0
-    # keeps the value 1/expm1(x), which overflows to inf below 1/DBL_MAX
+    # with a finite occupation keeps the value 1/expm1(x)
     with pytest.raises(DomainError):
         bose_occupation(2e-300, 1e30)
     assert bose_occupation(1e-300, 1.0) == 1.0 / math.expm1(1e-300)
-    assert bose_occupation(5e-324, 1.0) == math.inf
+    # below 1/DBL_MAX the occupation itself overflows, also outside the domain
+    with pytest.raises(DomainError, match="overflows"):
+        bose_occupation(5e-324, 1.0)
 
 
 def test_uncoupled_jumps_are_lowering_operators():
@@ -330,19 +332,21 @@ def test_batched_jumps_and_rate_matrices_keep_their_bits(p):
         ops += [amps, np.conj(np.transpose(amps, (0, 2, 1)))]
         rates += [gamma * (1.0 + nbar), gamma * nbar]
     summed = lindblad_superop(np.concatenate(ops), np.concatenate(rates))
-    assert list(gen.eigen_blocks) == list(spectrum.liouville_blocks)
-    for dm, (index, block) in gen.eigen_blocks.items():
-        assert_array_equal(index, spectrum.liouville_blocks[dm])
-        assert_same_bits(block, summed[np.ix_(index, index)])
+    groups = spectrum.liouville_block_groups
+    assert len(gen.eigen_blocks) == len(groups)
+    for stacked, blocks in zip(groups, gen.eigen_blocks):
+        assert blocks.shape == stacked.shape + stacked.shape[1:]
+        for index, block in zip(stacked, blocks):
+            assert_same_bits(block, summed[np.ix_(index, index)])
     # the eigenbasis blocks tile the computational-basis generator,
     # transformed, and it has nothing between them
     W = np.kron(V.conj(), V)
     summed = gen.dissipators[0] + gen.dissipators[1] + gen.dissipators[2]
     assembled = np.zeros((64, 64), dtype=complex)
-    for index, block in gen.eigen_blocks.values():
-        assembled[np.ix_(index, index)] = block
-    assert_array_equal(np.sort(np.concatenate([i for i, _ in gen.eigen_blocks.values()])),
-                       np.arange(64))
+    for stacked, blocks in zip(groups, gen.eigen_blocks):
+        for index, block in zip(stacked, blocks):
+            assembled[np.ix_(index, index)] = block
+    assert_array_equal(np.sort(np.concatenate([i.ravel() for i in groups])), np.arange(64))
     assert np.abs(assembled - W.conj().T @ summed @ W).max() <= 1e-12 * max(p.gamma)
 
 

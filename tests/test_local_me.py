@@ -19,7 +19,7 @@ from triqubit.local_me import (
     local_rates,
     magnetization_current_closed_form,
 )
-from triqubit.model import basis_magnetizations, interaction_hamiltonian, liouville_blocks
+from triqubit.model import basis_magnetizations, interaction_hamiltonian
 from triqubit.sweeps import GridScanConfig, SweepConfig, _grid_points, draw_params
 
 from conftest import assert_same_bits, local_point
@@ -202,17 +202,28 @@ def _per_site_dissipators(p):
 
 
 def _per_block_eigen_blocks(gen):
-    """The eigenbasis blocks built one dm block at a time from the per-site dissipators."""
+    """The eigenbasis blocks built one dm block at a time from the per-site dissipators.
+
+    They come in the layout of Generators.eigen_blocks, one stack per index
+    stack of the spectrum's liouville_block_groups; the computational-basis
+    rows of each block are found from its dm alone.
+    """
     stacked = np.stack(_per_site_dissipators(gen.params))
     V = gen.spectrum.vectors
     W = np.kron(V.conj(), V)
-    rows = liouville_blocks(basis_magnetizations(3))
-    blocks = {}
-    for dm, index in gen.spectrum.liouville_blocks.items():
-        r = rows[dm]
-        W_B = W[np.ix_(r, index)]
-        blocks[dm] = (index, (W_B.conj().T @ stacked[:, r[:, None], r] @ W_B).sum(axis=0))
-    return blocks
+    basis_dm, eigen_dm = (
+        (m[:, None] - m[None, :]).reshape(-1, order="F")
+        for m in (np.array(basis_magnetizations(3)), gen.spectrum.sectors)
+    )
+    out = []
+    for indices in gen.spectrum.liouville_block_groups:
+        blocks = []
+        for index in indices:
+            r = np.flatnonzero(basis_dm == eigen_dm[index[0]])
+            W_B = W[np.ix_(r, index)]
+            blocks.append((W_B.conj().T @ stacked[:, r[:, None], r] @ W_B).sum(axis=0))
+        out.append(np.stack(blocks))
+    return out
 
 
 LOCAL_POINTS = _config_points("local_scatter", 20) + _boost_grid()[::24]
@@ -225,10 +236,9 @@ def test_local_generators_keep_the_bits_of_the_per_site_build(p):
     for got, want in zip(gen.dissipators, _per_site_dissipators(p), strict=True):
         assert_array_equal(_bits(got), _bits(want))
     want = _per_block_eigen_blocks(gen)
-    assert list(gen.eigen_blocks) == list(want)
-    for dm, (index, block) in gen.eigen_blocks.items():
-        assert_array_equal(index, want[dm][0])
-        assert_array_equal(_bits(block), _bits(want[dm][1]))
+    assert len(gen.eigen_blocks) == len(want)
+    for got, ref in zip(gen.eigen_blocks, want):
+        assert_array_equal(_bits(got), _bits(ref))
 
 
 @pytest.mark.parametrize("p", LOCAL_POINTS, ids=LOCAL_IDS)

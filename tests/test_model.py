@@ -4,9 +4,17 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from triqubit import ModelParams, build_hamiltonian, magnetization_sectors, sector_spectrum
+from triqubit import ModelParams, build_hamiltonian, sector_spectrum
 from triqubit.errors import DomainError
-from triqubit.model import interaction_hamiltonian, local_field_hamiltonian, total_sz
+from triqubit.global_me import build_global_generators
+from triqubit.local_me import build_local_generators
+from triqubit.model import (
+    basis_magnetizations,
+    interaction_hamiltonian,
+    liouville_block_groups,
+    local_field_hamiltonian,
+    total_sz,
+)
 
 from conftest import global_point, local_point
 
@@ -55,19 +63,18 @@ def test_magnetization_is_conserved():
 def test_cross_sector_blocks_vanish():
     p = local_point(B=(0.7, 1.9, 0.2))
     H = build_hamiltonian(p)
-    sectors = magnetization_sectors()
-    for m1, idx1 in sectors.items():
-        for m2, idx2 in sectors.items():
-            if m1 != m2:
-                assert np.all(H[np.ix_(idx1, idx2)] == 0.0)
+    m = np.array(basis_magnetizations())
+    for a in range(8):
+        for b in range(8):
+            if m[a] != m[b]:
+                assert H[a, b] == 0.0
 
 
 def test_magnetization_sectors_enumeration():
-    sectors = magnetization_sectors()
-    assert sectors[3] == [0]
-    assert sectors[1] == [1, 2, 4]
-    assert sectors[-1] == [3, 5, 6]
-    assert sectors[-3] == [7]
+    assert basis_magnetizations() == (3, 1, 1, -1, 1, -1, -1, -3)
+    # the labels are the diagonal of the total magnetization
+    np.testing.assert_array_equal(np.diag(total_sz()).real, basis_magnetizations())
+    assert basis_magnetizations(2) == (2, 0, 0, -2)
 
 
 def test_sector_spectrum_reconstructs():
@@ -136,10 +143,10 @@ def test_build_hamiltonian_matches_kron_reference(p):
 def test_sector_spectrum_rejects_cross_sector_and_nonhermitian_input():
     H = build_hamiltonian(local_point(B=(0.31, 0.77, 1.21)))
     scale = np.max(np.abs(H))
-    sectors = magnetization_sectors()
+    m = basis_magnetizations()
     for a in range(8):
         for b in range(a + 1, 8):
-            same = any(a in idx and b in idx for idx in sectors.values())
+            same = m[a] == m[b]
             for size, rejected in ((1e-11, not same), (1e-13, False)):
                 bad = H.copy()
                 bad[a, b] += size * scale
@@ -157,3 +164,25 @@ def test_sector_spectrum_rejects_cross_sector_and_nonhermitian_input():
     two = np.diag([2.0, 0.5, -0.5, -2.0]).astype(complex)
     two[1, 2] = two[2, 1] = 0.25
     assert_allclose(sector_spectrum(two).sectors, [-2, 0, 0, 2])
+
+
+@pytest.mark.parametrize("build, p", [
+    (build_local_generators, local_point(B=(0.9, 2.7, 4.1), gamma=(0.4, 0.8, 0.15))),
+    (build_global_generators, global_point(B=(0.37, 0.61, 0.83))),
+], ids=["local", "global"])
+def test_block_groups_tile_the_liouville_space(build, p):
+    gen = build(p)
+    for labels in (gen.spectrum.sectors, np.array(basis_magnetizations())):
+        groups = liouville_block_groups(tuple(labels.tolist()))
+        dm = (labels[:, None] - labels[None, :]).reshape(-1, order="F")
+        # every vec position once, each block all positions of one dm, ascending
+        np.testing.assert_array_equal(np.sort(np.concatenate([g.ravel() for g in groups])),
+                                      np.arange(64))
+        for indices in groups:
+            for index in indices:
+                np.testing.assert_array_equal(index, np.flatnonzero(dm == dm[index[0]]))
+        assert [int(dm[index[0]]) for indices in groups for index in indices] == [
+            0, 2, -2, 4, -4, 6, -6]
+        assert [g.shape for g in groups] == [(1, 20), (2, 15), (2, 6), (2, 1)]
+    assert [b.shape for b in gen.eigen_blocks] == [
+        (k, n, n) for k, n in (g.shape for g in gen.spectrum.liouville_block_groups)]

@@ -324,8 +324,9 @@ def test_block_solve_keeps_the_bits_of_the_full_solve(p):
 def _assembled(gen):
     """The 64 x 64 eigenbasis generator put together from its blocks."""
     L = np.diag(_eigen_coherent(gen))
-    for index, D in gen.eigen_blocks.values():
-        L[np.ix_(index, index)] += D
+    for indices, blocks in zip(gen.spectrum.liouville_block_groups, gen.eigen_blocks):
+        for index, D in zip(indices, blocks):
+            L[np.ix_(index, index)] += D
     return L
 
 
@@ -345,7 +346,8 @@ def test_certificate_sees_the_singular_values_of_every_block(monkeypatch, p):
     monkeypatch.setattr(np.linalg, "svd", svd)
     gen = solve_point(p).generators
     monkeypatch.undo()
-    # blocks of one size share a stacked call: every one of the 64 is seen
+    # one call per stack of same-size blocks: every one of the 64 is seen
+    assert len(seen) == len(gen.eigen_blocks)
     got = np.sort(np.concatenate([s.ravel() for s in seen]))
     want = np.sort(np.linalg.svd(_assembled(gen), compute_uv=False))
     assert got.size == 64
@@ -360,11 +362,13 @@ def test_a_singular_off_diagonal_block_fails_the_certificate(monkeypatch, p):
     # the dm = 0 block alone still has a one-dimensional null space, so a
     # certificate that looked only there would pass this generator
     gen = steady_state._build_generators(p)
-    index, D = gen.eigen_blocks[2]
+    # the first block of the second stack, dm = 2
+    index, D = gen.spectrum.liouville_block_groups[1][0], gen.eigen_blocks[1][0]
     u, s, vh = np.linalg.svd(np.diag(_eigen_coherent(gen)[index]) + D)
-    blocks = dict(gen.eigen_blocks)
-    blocks[2] = (index, D - s[-1] * np.outer(u[:, -1], vh[-1]))
-    singular = dataclasses.replace(gen, eigen_blocks=blocks)
+    blocks = list(gen.eigen_blocks)
+    blocks[1] = blocks[1].copy()
+    blocks[1][0] = D - s[-1] * np.outer(u[:, -1], vh[-1])
+    singular = dataclasses.replace(gen, eigen_blocks=tuple(blocks))
     monkeypatch.setattr(steady_state, "_build_generators", lambda params: singular)
     with pytest.raises(DegenerateSteadyStateError):
         solve_point(p)

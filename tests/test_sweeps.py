@@ -166,12 +166,16 @@ def test_evaluate_point_error_flag():
     ModelParams(B=(1.0, 2.0, 3.0), J=LOCAL_SCATTER["J"], Delta=LOCAL_SCATTER["Delta"],
                 T=(1.0, 2.0, 3.0), gamma=(1e200,) * 3, bath_model="repeated_interaction"),
     global_point(B=(0.37, 0.61, 0.83), T=(1e300,) * 3),
-], ids=["local-huge-rates", "harmonic-hot-baths"])
+    # 2 B_1 / T_1 = 2e-298 gives a finite occupation of 5e297
+    ModelParams(B=(1e-300, 1.0, 2.0), J=LOCAL_SCATTER["J"], Delta=LOCAL_SCATTER["Delta"],
+                T=(1e-2, 2.0, 3.0), gamma=(0.5, 0.5, 0.5), bath_model="repeated_interaction"),
+], ids=["local-huge-rates", "harmonic-hot-baths", "local-huge-occupation"])
 def test_overflowing_residual_is_a_consistency_error_record(p):
-    # the rates overflow the residual norm to inf; the point is one error
-    # record, not an exception out of the sweep
+    # the rates overflow the generator norm to inf; the point is one error
+    # record, not an exception out of the sweep, and no numpy overflow
+    # warning rides along
     ev = evaluate_point(p)
-    assert "error:NumericalConsistencyError" in ev.flags
+    assert ev.flags == ("error:NumericalConsistencyError",)
     assert ev.thermo is None and ev.correlations is None and ev.residual is None
 
 
@@ -181,6 +185,13 @@ def test_underflowing_bose_argument_is_a_domain_error_record():
                     T=(1e30, 2.0, 3.0), gamma=(0.5, 0.5, 0.5), bath_model="repeated_interaction")
     records = sweeps._evaluate_many([p], DEFAULT_EPSILON, 1)
     assert len(records) == 1 and records[0].flags == ("error:DomainError",)
+
+
+def test_overflowing_bose_occupation_is_a_domain_error_record():
+    # 2 B_1 / T_1 = 2e-310 is positive, but 1/expm1 of it overflows to inf
+    p = ModelParams(B=(1e-300, 1.0, 2.0), J=LOCAL_SCATTER["J"], Delta=LOCAL_SCATTER["Delta"],
+                    T=(1e10, 2.0, 3.0), gamma=(0.5, 0.5, 0.5), bath_model="repeated_interaction")
+    assert evaluate_point(p).flags == ("error:DomainError",)
 
 
 def test_cold_bath_sweeps_yield_one_record_per_index():
