@@ -227,7 +227,13 @@ def _check_bath(jumps: JumpSet, gamma: float, T: float) -> None:
 
 def _bath_rates(jumps: JumpSet, gamma: float, T: float):
     """Down and up rates gamma (1 + n) and gamma n of each of the site's jumps."""
-    nbar = np.array([bose_occupation(w, T) for w in jumps.frequencies.tolist()])
+    nbar = [bose_occupation(w, T) for w in jumps.frequencies.tolist()]
+    n_max = max(nbar, default=0.0)
+    if not math.isfinite(gamma * (1.0 + n_max)):  # the largest rate
+        raise DomainError(
+            f"bath of site {jumps.site}: rates overflow (gamma = {gamma}, n up to {n_max})"
+        )
+    nbar = np.array(nbar)
     return gamma * (1.0 + nbar), gamma * nbar
 
 

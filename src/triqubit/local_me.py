@@ -24,6 +24,7 @@ sigma_+^i), (r_down, r_up)). The three sites' work is done as one stack.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -84,11 +85,17 @@ def local_rates(p: ModelParams, site: int) -> LocalRates:
         raise DomainError(
             f"local bath of site {site} needs B > 0 (splitting 2B sets the rates), got {b}"
         )
-    return LocalRates(
+    rates = LocalRates(
         site=site,
         gamma=p.gamma[site - 1],
         n_up=bose_occupation(2.0 * b, p.T[site - 1]),
     )
+    if not math.isfinite(rates.down_rate):  # the larger of the two rates
+        raise DomainError(
+            f"local bath of site {site}: rates overflow "
+            f"(gamma = {rates.gamma}, n = {rates.n_up})"
+        )
+    return rates
 
 
 @lru_cache(maxsize=None)

@@ -57,7 +57,7 @@ class SteadyStateResult:
 
 def _check_trace_preserving(blocks, on_diag: np.ndarray) -> None:
     # the trace functional, one at on_diag, lives in blocks[0][0] alone
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         defect = float(np.linalg.norm(blocks[0][0][on_diag].sum(axis=0)))
         scale = float(np.linalg.norm(np.concatenate([b.ravel() for b in blocks])))
     if not math.isfinite(scale):
@@ -160,9 +160,13 @@ def solve_steady_state(L: np.ndarray) -> SteadyStateResult:
 
 
 def _build_generators(p: ModelParams) -> Generators:
-    if p.bath_model == BATH_HARMONIC:
-        return build_global_generators(p)
-    return build_local_generators(p)
+    # a bath whose rates overflow is a DomainError of its builder; finite
+    # rates can still overflow in assembly, which leaves a non-finite block
+    # that _check_trace_preserving reports as a NumericalConsistencyError
+    with np.errstate(over="ignore", invalid="ignore"):
+        if p.bath_model == BATH_HARMONIC:
+            return build_global_generators(p)
+        return build_local_generators(p)
 
 
 def build_liouvillian(p: ModelParams) -> np.ndarray:

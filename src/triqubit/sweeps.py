@@ -17,13 +17,13 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .correlations import CorrelationReport, correlation_report
 from .errors import DomainError, TriqubitError
@@ -267,10 +267,23 @@ def _evaluate_task(task) -> SweepRecord:
     return replace(evaluate_point(params, epsilon=epsilon), index=index)
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
 def _evaluate_many(points: Sequence, epsilon: float, workers: int) -> list:
-    """Records of points[k] at index k, in index order, on up to `workers` processes."""
+    """Records of points[k] at index k, in index order, on up to `workers` processes.
+
+    The pool gets no more processes than there are points or usable CPUs:
+    a forked pool starts all of its processes at the first submit.
+    """
     tasks = [(k, params, epsilon) for k, params in enumerate(points)]
-    if workers <= 1 or len(tasks) <= 1:
+    workers = min(workers, len(tasks), _cpu_count())
+    if workers <= 1:
         return [_evaluate_task(task) for task in tasks]
     chunk = max(1, len(tasks) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -368,6 +381,9 @@ def _locate_edge(cfg: GridScanConfig, records: list, solved: dict) -> Optional[f
     a, wa = low.params.B[1], low.thermo.W
     if wa == 0.0:
         return a
+    # imported here, where it is used, so that no other command pays the
+    # start-up time of loading scipy.optimize
+    from scipy.optimize import brentq
 
     def work(b2):
         thermo = _solved_at(cfg, b2, solved).thermo

@@ -130,6 +130,19 @@ def test_sweep_random_writes_csv(tmp_path, capsys):
     assert '"n_samples":4' in lines[0]
 
 
+@pytest.mark.parametrize("command, config", [
+    ("sweep-random", "local_scatter"), ("sweep-boost", "boost"), ("validate", "local_scatter"),
+])
+def test_workers_below_one_is_rejected(tmp_path, capsys, command, config):
+    out_path = tmp_path / "out.csv"
+    argv = [command, "--config", str(CONFIGS / f"{config}.json"), "--workers", "0"]
+    if command != "validate":
+        argv += ["--out", str(out_path)]
+    assert main(argv) == 2
+    assert "--workers must be at least 1" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_sweep_valve_flags_failures(tmp_path, capsys):
     cfg = write_json(tmp_path / "valve.json", dict(
         bath_model="repeated_interaction",

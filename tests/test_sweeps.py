@@ -1,6 +1,7 @@
 """Deterministic draws, sweep drivers, CSV round-trips."""
 
 import csv
+import itertools
 import json
 from pathlib import Path
 
@@ -9,7 +10,7 @@ import pytest
 
 from triqubit import (
     DegenerateSteadyStateError, DomainError, ModelParams, algebra, global_me, local_me, model,
-    sweeps,
+    solve_point, sweeps,
 )
 from triqubit.sweeps import (
     BASE_COLUMNS,
@@ -194,6 +195,35 @@ def test_overflowing_bose_occupation_is_a_domain_error_record():
     assert evaluate_point(p).flags == ("error:DomainError",)
 
 
+def test_overflowing_rates_leave_no_bare_runtime_warning():
+    # numpy's overflow warnings from rate and generator assembly used to
+    # ride along as warn:RuntimeWarning next to the error flag at gamma = 1e300
+    grid = itertools.product(
+        ("harmonic", "repeated_interaction"),
+        ((1e-300, 1.0, 2.0), (1.0, 2.0, 3.0), (1e-8,) * 3, (1e8, 1.0, 2.0), (1e300, 1.0, 2.0)),
+        (1e-300, 1e-20, 0.5, 1e300),
+        (1e-300, 1.0, 1e300),
+    )
+    for bath_model, B, gamma, t1 in grid:
+        p = ModelParams(B=B, J=LOCAL_SCATTER["J"], Delta=LOCAL_SCATTER["Delta"],
+                        T=(t1, 2.0, 3.0), gamma=(gamma,) * 3, bath_model=bath_model)
+        flags = evaluate_point(p).flags
+        assert "warn:RuntimeWarning" not in flags, (bath_model, B, gamma, t1, flags)
+        if gamma == 1e300:
+            errors = [f for f in flags if f.startswith("error:")]
+            assert len(errors) == 1, (bath_model, B, t1, flags)
+
+
+@pytest.mark.filterwarnings("ignore::triqubit.errors.SecularValidityWarning")
+@pytest.mark.parametrize("bath_model", ["harmonic", "repeated_interaction"])
+def test_overflowing_bath_rates_are_a_domain_error_naming_the_site(bath_model):
+    # the occupations of bath 1 reach ~1e300, so gamma (1 + n) overflows there
+    p = ModelParams(B=(1.0, 2.0, 3.0), J=LOCAL_SCATTER["J"], Delta=LOCAL_SCATTER["Delta"],
+                    T=(1e300, 2.0, 3.0), gamma=(1e10, 1.0, 1.0), bath_model=bath_model)
+    with pytest.raises(DomainError, match="site 1: rates overflow"):
+        solve_point(p)
+
+
 def test_cold_bath_sweeps_yield_one_record_per_index():
     # 2B/T reaches ~1e5 at the coldest decade, far past where e^(2B/T)
     # overflows a double; the sweep must still finish, one record per index.
@@ -259,6 +289,43 @@ def test_worker_count_does_not_change_output(tmp_path):
     write_records(random_sweep(cfg, workers=1), p1, "random", cfg)
     write_records(random_sweep(cfg, workers=2), p2, "random", cfg)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.parametrize("workers, cpus, expected", [
+    (4096, 64, [5]),  # no more processes than points
+    (4096, 3, [3]),  # nor than usable CPUs
+    (2, 64, [2]),
+    (4096, 1, []),  # one CPU: serial, no pool
+])
+def test_pool_size_is_capped_by_points_and_cpus(tmp_path, monkeypatch, workers, cpus, expected):
+    sizes = []
+
+    class SerialPool:
+        """ProcessPoolExecutor stand-in: records max_workers, starts no process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            return map(fn, iterable)
+
+    cfg = SweepConfig(**{**LOCAL_SCATTER, "bath_model": "repeated_interaction",
+                         "B_range": (0.5, 4.5), "gamma": (0.5, 0.5, 0.5),
+                         "n_samples": 5, "master_seed": MASTER_SEED})
+    serial = tmp_path / "serial.csv"
+    write_records(random_sweep(cfg, workers=1), serial, "random", cfg)
+    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(sweeps, "_cpu_count", lambda: cpus)
+    pooled = tmp_path / "pooled.csv"
+    write_records(random_sweep(cfg, workers=workers), pooled, "random", cfg)
+    assert sizes == expected
+    assert pooled.read_bytes() == serial.read_bytes()
 
 
 def test_valve_sweep_labels_and_error_point():
