@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .algebra import herm, partial_trace, partial_transpose
 from .errors import DomainError
-from .model import PAIRS, SITES, ModelParams
+from .model import N_SITES, PAIRS, SITES, ModelParams
 
 _EIG_FLOOR = -1e-10  # eigenvalues below this are treated as corrupt input
 
@@ -134,35 +135,84 @@ class CorrelationReport:
     ppt_min_eigenvalues: tuple
 
 
+@lru_cache(maxsize=None)
+def _reduction_gathers() -> tuple:
+    """Read-only indices into rho.ravel() of every reduction correlation_report takes.
+
+    Returns (pairs, sites, cuts). pairs[k, a, c] lists the entries of rho
+    whose sum is partial_trace(rho, PAIRS[k])[a, c], one per value of the
+    traced site; sites[k] does the same for the one-site reduction of site
+    k + 1, the two traced sites' values with the later site running
+    fastest; cuts[k] is partial_transpose(rho, k + 1). Each comes from
+    reshuffling the positions of rho themselves.
+    """
+    n = N_SITES
+    positions = np.arange(4**n).reshape((2,) * (2 * n))  # row bits, then column bits
+
+    def traced(keep):
+        gone = [s for s in SITES if s not in keep]
+        axes = [s - 1 for s in keep] + [n + s - 1 for s in keep]
+        axes += [s - 1 for s in gone] + [n + s - 1 for s in gone]
+        d, m = 2 ** len(keep), 2 ** len(gone)
+        # kept row, kept column, then the traced row and column, equal
+        return positions.transpose(axes).reshape(d, d, m, m).diagonal(axis1=2, axis2=3)
+
+    pairs = np.stack([traced(pair) for pair in PAIRS])
+    sites = np.stack([traced((site,)) for site in SITES])
+    cuts = np.stack([positions.swapaxes(site - 1, n + site - 1).reshape(2**n, 2**n)
+                     for site in SITES])
+    for arr in (pairs, sites, cuts):
+        arr.setflags(write=False)
+    return pairs, sites, cuts
+
+
+def _traced_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the last axis from +0.0, left to right, as np.einsum sums a trace."""
+    out = 0.0
+    for k in range(terms.shape[-1]):
+        out = out + terms[..., k]
+    return out
+
+
 def correlation_report(rho: np.ndarray, params: ModelParams) -> CorrelationReport:
     """Assemble every pairwise metric; bounds use the current implied by r23.
 
     The bound's current is reconstructed from the state itself as
     C = 8 J Im(r23), so the report stays meaningful for both bath models.
-    Pairs with J = 0 carry no current and get a zero bound. Each pair and
-    single-site reduction is taken once; the pair entropies, the single-site
-    entropies and the partial-transpose spectra are one eigvalsh call each.
-    Every number is bitwise equal to mutual_information and ppt_check.
+    Pairs with J = 0 carry no current and get a zero bound. The three pair
+    reductions, the three single-site reductions and the three partial
+    transposes are each one gather of rho.ravel() at the cached indices of
+    _reduction_gathers, and each kind goes through one eigvalsh call. The
+    X-form residual is np.linalg.norm's own sqrt(x.real . x.real + x.imag .
+    x.imag), as dot products of the three pairs at once. Every number is
+    bitwise equal to mutual_information, x_state_analysis and ppt_check.
     """
-    pairs = np.stack([partial_trace(rho, pair) for pair in PAIRS])
+    if rho.shape != (2**N_SITES, 2**N_SITES):
+        raise DomainError(f"expected a {N_SITES}-qubit state, got shape {rho.shape}")
+    pair_index, site_index, cut_index = _reduction_gathers()
+    flat = rho.ravel()
+    pairs = _traced_sum(flat[pair_index])
     s_pair = _entropies(pairs)
-    s_site = _entropies(np.stack([partial_trace(rho, (site,)) for site in SITES]))
-    cuts = np.stack([partial_transpose(rho, site) for site in SITES])
-    checks = [_ppt_verdict(float(lam)) for lam in np.linalg.eigvalsh(cuts).min(axis=1)]
+    s_site = _entropies(_traced_sum(flat[site_index]))
+    lam_min = np.linalg.eigvalsh(flat[cut_index]).min(axis=1)
+    checks = [_ppt_verdict(float(lam)) for lam in lam_min]
     hermitian = herm(pairs)
+    # (3, 1, 10) rows against (3, 10, 1) columns: one dot product per pair
+    outside = hermitian[:, ~_X_PATTERN][:, None, :]
+    re, im = outside.real, outside.imag
+    residual = np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2)).ravel()
     mi = {}
     residuals = {}
     bounds = {}
     r23s = {}
     for k, (i, j) in enumerate(PAIRS):
-        reduced = hermitian[k]
-        analysis = x_state_analysis(reduced)
-        residuals[(i, j)] = analysis.residual
-        r23s[(i, j)] = complex(reduced[1, 2])
+        r23 = hermitian[k, 1, 2]
+        residuals[(i, j)] = float(residual[k])
+        r23s[(i, j)] = complex(r23)
         mi[(i, j)] = float(s_site[i - 1]) + float(s_site[j - 1]) - float(s_pair[k])
         J = params.pair_value("J", i, j)
         if J > 0.0:
-            implied_current = 8.0 * J * float(reduced[1, 2].imag)
+            implied_current = 8.0 * J * float(r23.imag)
             bounds[(i, j)] = mi_lower_bound(implied_current, J)
         else:
             bounds[(i, j)] = 0.0

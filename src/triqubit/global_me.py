@@ -20,8 +20,8 @@ enter the secular generator.
 The three baths share the Bohr frequencies of H, so jump_operators clusters
 them once for all sites. The solver works in the eigenbasis of H.
 build_global_generators builds the summed dissipator there, from the jump
-amplitudes <a|A_omega|b>, with one lindblad_superop call, and cuts it into
-its magnetization-difference blocks; the per-bath computational-basis
+amplitudes <a|A_omega|b>, with one lindblad_superop call, and cuts out
+its dm >= 0 magnetization-difference blocks; the per-bath computational-basis
 dissipators are built only on first access to Generators.dissipators.
 site_rate_matrices reads the same amplitudes, and the rates the builder
 computed, for the Pauli rate matrices of the population solve.
@@ -276,7 +276,8 @@ def build_global_generators(p: ModelParams) -> Generators:
         params=p,
         H=H,
         spectrum=spectrum,
-        eigen_blocks=tuple(summed[index[:, :, None], index[:, None, :]]
+        # the dm >= 0 half, row 0 of each stack; see Generators.eigen_blocks
+        eigen_blocks=tuple(summed[index[:1, :, None], index[:1, None, :]]
                            for index in spectrum.liouville_block_groups),
         build_dissipators=partial(_site_dissipators, jumps, p),
         jumps=jumps,

@@ -136,8 +136,8 @@ def _unit_dissipators() -> tuple:
     over the sites of lindblad_superop((sigma_-^i,), (1,)) and
     lindblad_superop((sigma_+^i,), (1,)). groups holds one (rows, down, up)
     per index stack of liouville_block_groups of the computational basis:
-    rows is that (k, n) stack of vec positions, and down and up are the
-    (k, 3, n, n) stacks of its blocks of full[0] and full[1]. Every array
+    rows is the (1, n) dm >= 0 row of that stack, and down and up are the
+    (1, 3, n, n) stacks of its blocks of full[0] and full[1]. Every array
     is read-only.
     """
     full = np.array([
@@ -145,7 +145,8 @@ def _unit_dissipators() -> tuple:
         for k in (0, 1)
     ])
     groups = []
-    for rows in liouville_block_groups(basis_magnetizations(N_SITES)):
+    for index in liouville_block_groups(basis_magnetizations(N_SITES)):
+        rows = index[:1]
         cut = full[:, :, rows[:, :, None], rows[:, None, :]].transpose(0, 2, 1, 3, 4)
         down, up = np.ascontiguousarray(cut[0]), np.ascontiguousarray(cut[1])
         for arr in (down, up):
@@ -266,18 +267,19 @@ class CurrentSet:
     C: dict
 
 
-def local_current_set(rho_ss: np.ndarray, p: ModelParams, H_int: np.ndarray) -> CurrentSet:
+def local_current_set(rho_ss: np.ndarray, gen: Generators) -> CurrentSet:
     """Currents and work power of one steady state, sharing dissipator work.
 
-    H_int is interaction_hamiltonian(p), passed in by the caller that built
-    it. The three site actions, the seven traces behind q, Q and W, and the
-    three interqubit expectations are each one stacked computation; every
-    value is bitwise equal to the one-site-at-a-time route of
-    local_heat_current and interqubit_current.
+    gen is the point's build_local_generators record, whose H_int and bath
+    rates (jump_rates) the currents reuse. The three site actions, the
+    seven traces behind q, Q and W, and the three interqubit expectations
+    are each one stacked computation; every value is bitwise equal to the
+    one-site-at-a-time route of local_heat_current and interqubit_current.
     """
+    p, H_int = gen.params, gen.H_int
     if p.bath_model != "repeated_interaction":
         raise DomainError("local_current_set applies to the repeated_interaction model")
-    actions = _dissipator_actions(*_rate_arrays(p), rho_ss)
+    actions = _dissipator_actions(*gen.jump_rates, rho_ss)
     sz, flows, flow_norms = _site_stacks()
     # observables q_1..3, Q_1..3, W against the actions they trace
     obs = np.concatenate([sz, np.array(p.B)[:, None, None] * sz, H_int[None]])
@@ -311,8 +313,9 @@ def build_local_generators(p: ModelParams) -> Generators:
                                           spectrum.liouville_block_groups):
         # W maps each block onto the computational-basis block of the same
         # dm, so W_B^dag D[R_B, R_B] W_B is the dm block of W^dag D W; the
-        # bath sum runs over the site axis, one bath after the other
-        W_B = W[rows[:, :, None], cols[:, None, :]]
+        # bath sum runs over the site axis, one bath after the other. Only
+        # the dm >= 0 row is built; see Generators.eigen_blocks
+        W_B = W[rows[:, :, None], cols[:1, None, :]]
         D = down * t_down + up * t_up
         blocks.append((W_B.conj().swapaxes(1, 2)[:, None] @ D @ W_B[:, None]).sum(axis=1))
     return Generators(
@@ -321,5 +324,6 @@ def build_local_generators(p: ModelParams) -> Generators:
         spectrum=spectrum,
         eigen_blocks=tuple(blocks),
         build_dissipators=partial(_site_dissipators, down, up),
+        jump_rates=(down, up),
         H_int=H_int,
     )

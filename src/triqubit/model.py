@@ -159,13 +159,16 @@ class Spectrum:
 class Generators:
     """Lindblad generator pieces of one parameter point, for either bath model.
 
-    eigen_blocks is the dissipative part of the generator in the eigenbasis
-    of H, where vec(X) stands for V X V^dag, summed over the three baths
-    and cut into its magnetization-difference blocks: one (k, n, n) stack
-    per (k, n) index stack of Spectrum.liouville_block_groups, in that
-    order, whose [j] is the block at the vec positions index[j]. Entries
-    between blocks are exactly zero. The repeated_interaction builder maps
-    each bath's computational-basis blocks there, the harmonic builder
+    eigen_blocks is the dm >= 0 half of the dissipative part of the
+    generator in the eigenbasis of H, where vec(X) stands for V X V^dag,
+    summed over the three baths and cut into its magnetization-difference
+    blocks: one (1, n, n) stack per (k, n) index stack of
+    Spectrum.liouville_block_groups, in that order, whose [0] is the block
+    at the vec positions index[0]. Entries between blocks are exactly zero.
+    The block at index[1], of the opposite dm, is not built: the generator
+    preserves Hermiticity, so it is the conjugate of block [0] at the
+    swapped positions, b + d a for a + d b. The repeated_interaction builder
+    maps each bath's computational-basis blocks there, the harmonic builder
     gathers them from the sum it builds in one piece from the eigenbasis
     jump amplitudes. dissipators[i] is the superoperator of bath i + 1 in
     the computational basis; build_dissipators makes them on first access,
@@ -173,7 +176,8 @@ class Generators:
     the harmonic model's per-site JumpSets; it is empty for the
     repeated_interaction model, whose jumps are fixed site Paulis.
     jump_rates holds, per site, the (down, up) rates of those JumpSets'
-    clusters, empty for the repeated_interaction model. H_int is the
+    clusters; for the repeated_interaction model it is (down, up), the
+    (3, 1, 1) arrays of the three baths' rates. H_int is the
     interaction part of H on the repeated_interaction model, whose work
     current needs it, and None on the harmonic model.
     """

@@ -3,13 +3,17 @@
 Both generators conserve the magnetization difference m(a) - m(b) of
 |a><b| (Buca and Prosen, New J. Phys. 14, 073007, 2012), so in the
 eigenbasis of H the vectorized generator L splits into exact blocks, one
-per difference: 20 + 2*15 + 2*6 + 2*1 for three qubits. The builders
-hand them over stacked by size, in the layout of
-Spectrum.liouville_block_groups. SVDs of every block, singular values only
-and one call per stack, certify that the null space of L is
-one-dimensional, with sigma_max the largest over all blocks. The state and the trace functional live in the
-20-dimensional dm = 0 block L_0, and the state solves it with row 0
-replaced by the trace functional,
+per difference: 20 + 2*15 + 2*6 + 2*1 for three qubits. Every Lindblad
+generator preserves Hermiticity, L(X^dag) = L(X)^dag, so the -dm block is
+the +dm block conjugated, on the swapped positions |b><a| of its |a><b|,
+and has the same singular values. The builders therefore hand over only
+the dm >= 0 half, one block per stack of Spectrum.liouville_block_groups.
+SVDs of those four blocks, singular values only and one call per stack,
+certify that the null space of L is one-dimensional: each dm > 0 singular
+value counts twice, for its mirror, and sigma_max is the largest of them.
+The state and the trace functional live in the 20-dimensional dm = 0
+block L_0, and the state solves it with row 0 replaced by the trace
+functional,
 
     A x = e_0,    A = L_0 with row 0 set to vec(I)^H,
 
@@ -55,11 +59,12 @@ class SteadyStateResult:
     method: str  # "nullspace" or "evolution"
 
 
-def _check_trace_preserving(blocks, on_diag: np.ndarray) -> None:
+def _check_trace_preserving(blocks, weights, on_diag: np.ndarray) -> None:
     # the trace functional, one at on_diag, lives in blocks[0][0] alone
     with np.errstate(over="ignore", invalid="ignore"):
         defect = float(np.linalg.norm(blocks[0][0][on_diag].sum(axis=0)))
-        scale = float(np.linalg.norm(np.concatenate([b.ravel() for b in blocks])))
+        # the Frobenius norm, each block counted weights[i] times
+        scale = float(np.sqrt(sum(w * np.vdot(b, b).real for w, b in zip(weights, blocks))))
     if not math.isfinite(scale):
         raise NumericalConsistencyError(f"generator norm is not finite ({scale})")
     if defect > 1e-10 * max(scale, 1e-300):
@@ -121,26 +126,29 @@ def _finalize_state(x: np.ndarray) -> np.ndarray:
     return rho
 
 
-def _unique_null_scale(blocks, on_diag: np.ndarray) -> float:
+def _unique_null_scale(blocks, weights, on_diag: np.ndarray) -> float:
     """sigma_max of a trace-preserving generator whose null space is one-dimensional.
 
     The generator is given by its diagonal blocks, stacked by size, and is
-    zero outside them; blocks[0][0] holds the trace functional, which is one
-    at its positions on_diag. The singular values of the generator are
-    those of its blocks, taken with one SVD call per stack, and sigma_max is
-    the largest of them all. Singular values below _NULL_TOL * sigma_max
-    count as null; a null space of any dimension other than one raises.
+    zero outside them. Each block of blocks[i] counts weights[i] times: for
+    itself and for the mirror blocks that share its singular values and its
+    norm. blocks[0][0] holds the trace functional, which is one at its
+    positions on_diag. The singular values are taken with one SVD call per
+    stack, and sigma_max is the largest of them all. Singular values below
+    _NULL_TOL * sigma_max count as null, weights[i] times each; a null
+    space of any dimension other than one raises.
     """
-    _check_trace_preserving(blocks, on_diag)
+    _check_trace_preserving(blocks, weights, on_diag)
     # a stacked call returns the same bits as one call per block
-    s = np.concatenate([np.linalg.svd(b, compute_uv=False).ravel() for b in blocks])
-    sigma_max = float(s.max())
+    s = [np.linalg.svd(b, compute_uv=False).ravel() for b in blocks]
+    sigma_max = float(max(x.max() for x in s))
     if sigma_max == 0.0:
         raise DegenerateSteadyStateError("zero generator: every state is steady")
-    dim = int(np.sum(s <= _NULL_TOL * sigma_max))
+    dim = sum(w * int(np.sum(x <= _NULL_TOL * sigma_max)) for w, x in zip(weights, s))
     if dim == 0:
+        smallest = min(x.min() for x in s)
         raise NumericalConsistencyError(
-            f"no null vector within tolerance (smallest singular value {s.min():.3e})"
+            f"no null vector within tolerance (smallest singular value {smallest:.3e})"
         )
     if dim > 1:
         raise DegenerateSteadyStateError(f"steady state is degenerate (null dimension {dim})")
@@ -154,7 +162,7 @@ def solve_steady_state(L: np.ndarray) -> SteadyStateResult:
     if L.ndim != 2 or L.shape[1] != d2 or d * d != d2:
         raise DomainError(f"generator shape {L.shape} is not a vectorized square map")
     on_diag = np.arange(0, d2, d + 1)  # vec positions of the trace
-    _unique_null_scale([L[None]], on_diag)
+    _unique_null_scale([L[None]], (1,), on_diag)
     x, res = _trace_one_state(L, on_diag, np.zeros(d2, dtype=CLD), L.astype(CLD))
     return SteadyStateResult(rho=_finalize_state(x), residual=res, nullspace_dim=1, method="nullspace")
 
@@ -193,8 +201,9 @@ class PointSolution:
 def solve_point(p: ModelParams) -> PointSolution:
     """Build generators for a parameter point and solve in the eigenbasis.
 
-    Every magnetization-difference block is certified; the state is solved
-    in the dm = 0 block, which holds it and the trace functional.
+    Every magnetization-difference block is certified, the -dm ones
+    through their dm mirrors; the state is solved in the dm = 0 block,
+    which holds it and the trace functional.
     """
     gen = _build_generators(p)
     V = gen.spectrum.vectors
@@ -204,16 +213,17 @@ def solve_point(p: ModelParams) -> PointSolution:
     blocks = []
     for index, D in zip(groups, gen.eigen_blocks):
         # the coherent part is diagonal: a zero stack with lam on its
-        # diagonals, plus D, as np.diag(lam[index[j]]) + D[j] is
+        # diagonals, plus D, as np.diag(lam[index[0]]) + D[0] is
         coherent = np.zeros_like(D)
         diag = np.arange(index.shape[1])
-        coherent[:, diag, diag] = lam[index]
+        coherent[:, diag, diag] = lam[index[:1]]
         blocks.append(coherent + D)
     index, D = groups[0][0], gen.eigen_blocks[0][0]
     # index is ascending and starts at vec position 0, the ground-state
     # population, whose row the trace functional replaces
     on_diag = np.flatnonzero(index % (E.size + 1) == 0)
-    sigma_max = _unique_null_scale(blocks, on_diag)
+    # each block of a stack of k rows stands for itself and its k - 1 mirrors
+    sigma_max = _unique_null_scale(blocks, [g.shape[0] for g in groups], on_diag)
     diag_ld = lam[index].astype(CLD)
     offdiag_ld = D.astype(CLD)
 

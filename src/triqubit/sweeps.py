@@ -19,7 +19,6 @@ import json
 import math
 import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
@@ -285,6 +284,9 @@ def _evaluate_many(points: Sequence, epsilon: float, workers: int) -> list:
     workers = min(workers, len(tasks), _cpu_count())
     if workers <= 1:
         return [_evaluate_task(task) for task in tasks]
+    # imported here: it loads logging, which a serial run does not need
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, len(tasks) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_evaluate_task, tasks, chunksize=chunk))

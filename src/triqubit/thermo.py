@@ -344,7 +344,7 @@ def thermo_report(sol: PointSolution, epsilon: float = DEFAULT_EPSILON) -> Therm
         first_law = abs(math.fsum(Q))
         mag_residual = None
     else:
-        currents = local_current_set(sol.rho, p, sol.generators.H_int)
+        currents = local_current_set(sol.rho, sol.generators)
         Q = currents.Q
         W = currents.W
         submachines = submachine_report(currents, p.B, p.T, epsilon)

@@ -79,3 +79,28 @@ def assert_same_bits(got, want):
     for g, w in zip(parts[::2], parts[1::2]):
         assert_array_equal(g, w)
         assert_array_equal(np.signbit(g), np.signbit(w))
+
+
+def swapped_positions(index, d=8):
+    """Vec positions b + d a of |b><a| for the positions a + d b in index."""
+    return (index % d) * d + index // d
+
+
+def whole_eigen_blocks(gen):
+    """Generators.eigen_blocks completed to every row of liouville_block_groups.
+
+    The builders hand over the dm >= 0 row of each stack; the -dm row is its
+    Hermiticity mirror, the block conjugated on the swapped positions,
+    reordered to the ascending positions of index[1].
+    """
+    out = []
+    for index, half in zip(gen.spectrum.liouville_block_groups, gen.eigen_blocks, strict=True):
+        assert half.shape[0] == 1
+        rows = [half[0]]
+        if index.shape[0] == 2:
+            swapped = swapped_positions(index[0], gen.spectrum.dim)
+            order = np.argsort(swapped)
+            assert_array_equal(swapped[order], index[1])
+            rows.append(half[0][np.ix_(order, order)].conj())
+        out.append(np.stack(rows))
+    return out

@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from triqubit import DomainError, evaluate_point, solve_point
-from triqubit.algebra import herm, partial_trace
+from triqubit import DomainError, correlations, evaluate_point, solve_point
+from triqubit.algebra import herm, partial_trace, partial_transpose
 from triqubit.correlations import (
     correlation_report,
     mi_lower_bound,
@@ -18,10 +18,10 @@ from triqubit.correlations import (
     von_neumann_entropy,
     x_state_analysis,
 )
-from triqubit.model import PAIRS
+from triqubit.model import PAIRS, SITES
 from triqubit.sweeps import SweepConfig, draw_params
 
-from conftest import local_point
+from conftest import assert_same_bits, local_point
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -169,6 +169,15 @@ def test_correlation_report_zero_coupling_pair():
     assert rep.I[(1, 3)] >= 0.0
 
 
+def test_correlation_report_rejects_a_state_of_another_size():
+    # the cached gathers index an 8 x 8 state; any other shape would be
+    # read out of place
+    p = local_point(B=(0.8, 1.7, 2.9))
+    for d in (4, 16):
+        with pytest.raises(DomainError):
+            correlation_report(np.eye(d, dtype=complex) / d, p)
+
+
 def _per_pair_entropy(rho):
     lam = np.linalg.eigvalsh(rho)
     lam = lam[lam > 0.0]
@@ -221,6 +230,54 @@ def test_correlation_report_keeps_the_bits_of_the_per_pair_route(p):
     assert repr(rep.r23) == repr(want["r23"])
     assert repr(rep.ppt_min_eigenvalues) == repr(want["ppt"])
     assert rep.ppt_negative == want["negative"]
+
+
+def test_report_takes_its_reductions_as_gathers(monkeypatch):
+    # one eigvalsh per reduction kind (pairs, sites, partial transposes)
+    # and none of the per-pair route's reductions
+    from triqubit import algebra, correlations
+    p = local_point(B=(0.8, 1.7, 2.9), gamma=(0.5, 0.5, 0.5))
+    rho = solve_point(p).rho
+    calls = {}
+
+    def count(module, name):
+        real = getattr(module, name)
+
+        def spy(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+
+    count(np.linalg, "eigvalsh")
+    count(np, "einsum")
+    for module in (algebra, correlations):
+        for name in ("partial_trace", "partial_transpose"):
+            count(module, name)
+    count(correlations, "x_state_analysis")
+    correlation_report(rho, p)
+    assert calls == {"eigvalsh": 3}
+
+
+def test_gathered_reductions_keep_the_bits_of_partial_trace():
+    # random states spanning 40 decades, with signed zeros: the gathers
+    # sum the traced entries in np.einsum's order, from +0.0
+    pair_index, site_index, cut_index = correlations._reduction_gathers()
+    rng = np.random.default_rng(14)
+    for trial in range(200):
+        parts = rng.standard_normal((2, 8, 8)) * 10.0 ** rng.integers(-20, 20, (2, 8, 8))
+        parts[rng.random((2, 8, 8)) < 0.3] = 0.0
+        parts[rng.random((2, 8, 8)) < 0.3] = -0.0
+        rho = np.empty((8, 8), dtype=complex)
+        rho.real, rho.imag = parts  # keeps the signs of the zeros
+        flat = rho.ravel()
+        pairs = correlations._traced_sum(flat[pair_index])
+        sites = correlations._traced_sum(flat[site_index])
+        for k, pair in enumerate(PAIRS):
+            assert_same_bits(pairs[k], partial_trace(rho, pair))
+        for k, site in enumerate(SITES):
+            assert_same_bits(sites[k], partial_trace(rho, (site,)))
+            assert_same_bits(flat[cut_index[k]], partial_transpose(rho, site))
 
 
 def test_zero_eigenvalues_raise_no_warning():

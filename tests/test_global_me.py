@@ -25,7 +25,14 @@ from triqubit.global_me import global_dissipator, jump_operators, site_rate_matr
 from triqubit.model import build_hamiltonian, sector_spectrum, total_sz
 from triqubit.sweeps import SweepConfig, draw_params, evaluate_point, random_sweep
 
-from conftest import MASTER_SEED, UNCLOSED_HARMONIC, assert_same_bits, global_point, local_point
+from conftest import (
+    MASTER_SEED,
+    UNCLOSED_HARMONIC,
+    assert_same_bits,
+    global_point,
+    local_point,
+    whole_eigen_blocks,
+)
 
 
 def _uncoupled(B=(0.3, 0.7, 1.1), gamma=(1e-4, 2e-4, 1.5e-4)):
@@ -324,8 +331,8 @@ def test_batched_jumps_and_rate_matrices_keep_their_bits(p):
     assert closed == ref_closed == (p is not UNCLOSED_HARMONIC)
     for m, m_ref in zip(mats, ref_mats):
         assert_same_bits(m, m_ref)
-    # the eigenbasis blocks are cut, bit for bit, from the one summed
-    # superoperator of the per-site amplitudes
+    # the dm >= 0 eigenbasis blocks are cut, bit for bit, from the one
+    # summed superoperator of the per-site amplitudes
     ops, rates = [], []
     for (freqs, _, amps, _, _), gamma, T in zip(oracle, p.gamma, p.T):
         nbar = np.array([bose_occupation(w, T) for w in freqs])
@@ -335,15 +342,15 @@ def test_batched_jumps_and_rate_matrices_keep_their_bits(p):
     groups = spectrum.liouville_block_groups
     assert len(gen.eigen_blocks) == len(groups)
     for stacked, blocks in zip(groups, gen.eigen_blocks):
-        assert blocks.shape == stacked.shape + stacked.shape[1:]
-        for index, block in zip(stacked, blocks):
-            assert_same_bits(block, summed[np.ix_(index, index)])
-    # the eigenbasis blocks tile the computational-basis generator,
-    # transformed, and it has nothing between them
+        assert blocks.shape == (1,) + stacked.shape[1:] * 2
+        assert_same_bits(blocks[0], summed[np.ix_(stacked[0], stacked[0])])
+    # the eigenbasis blocks and their -dm mirrors tile the
+    # computational-basis generator, transformed, and it has nothing
+    # between them
     W = np.kron(V.conj(), V)
     summed = gen.dissipators[0] + gen.dissipators[1] + gen.dissipators[2]
     assembled = np.zeros((64, 64), dtype=complex)
-    for stacked, blocks in zip(groups, gen.eigen_blocks):
+    for stacked, blocks in zip(groups, whole_eigen_blocks(gen)):
         for index, block in zip(stacked, blocks):
             assembled[np.ix_(index, index)] = block
     assert_array_equal(np.sort(np.concatenate([i.ravel() for i in groups])), np.arange(64))

@@ -1,5 +1,6 @@
 """Repeated-interaction generator: rates, currents, work bookkeeping."""
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -66,7 +67,7 @@ def test_uncoupled_fixed_point_is_product_gibbs():
     assert np.linalg.norm(build_liouvillian(p) @ vec(gibbs)) < 1e-12
     sol = solve_point(p)
     assert trace_distance(sol.rho, gibbs) < 1e-12
-    cs = local_current_set(sol.rho, p, sol.generators.H_int)
+    cs = local_current_set(sol.rho, sol.generators)
     assert max(abs(q) for q in cs.Q) < 1e-14
     assert abs(cs.W) < 1e-14
 
@@ -77,14 +78,14 @@ def test_proportional_fields_keep_product_gibbs():
     p = local_point(B=(0.6, 1.2, 1.8), gamma=(0.3, 0.7, 0.2))
     sol = solve_point(p)
     assert trace_distance(sol.rho, _product_gibbs(p.B, p.T)) < 1e-10
-    cs = local_current_set(sol.rho, p, sol.generators.H_int)
+    cs = local_current_set(sol.rho, sol.generators)
     assert max(abs(q) for q in cs.Q) < 1e-12
 
 
 def test_work_routes_agree():
     p = local_point(B=(0.9, 2.7, 4.1), gamma=(0.4, 0.8, 0.15))
     sol = solve_point(p)
-    w = local_current_set(sol.rho, p, sol.generators.H_int).W
+    w = local_current_set(sol.rho, sol.generators).W
     heats = [local_heat_current(sol.rho, p, s) for s in (1, 2, 3)]
     scale = max(abs(w), max(abs(q) for q in heats))
     assert abs(w + sum(heats)) < 1e-10 * scale
@@ -93,7 +94,7 @@ def test_work_routes_agree():
 def test_heat_current_is_field_times_magnetization_current():
     p = local_point(B=(1.1, 0.5, 3.3), gamma=(0.6, 0.25, 0.9))
     sol = solve_point(p)
-    cs = local_current_set(sol.rho, p, sol.generators.H_int)
+    cs = local_current_set(sol.rho, sol.generators)
     for site in (1, 2, 3):
         q = cs.q[site - 1]
         assert abs(local_heat_current(sol.rho, p, site) - p.B[site - 1] * q) < 1e-12
@@ -102,7 +103,7 @@ def test_heat_current_is_field_times_magnetization_current():
 def test_magnetization_current_routes_agree():
     p = local_point(B=(1.1, 0.5, 3.3), gamma=(0.6, 0.25, 0.9))
     sol = solve_point(p)
-    cs = local_current_set(sol.rho, p, sol.generators.H_int)
+    cs = local_current_set(sol.rho, sol.generators)
     for site in (1, 2, 3):
         a = cs.q[site - 1]
         b = magnetization_current_closed_form(sol.rho, p, site)
@@ -113,7 +114,7 @@ def test_equal_fields_exchange_no_work():
     # Q_i = b * q_i and the q_i sum to zero, so W = -sum Q vanishes
     p = local_point(B=(1.4, 1.4, 1.4), gamma=(0.2, 0.5, 0.8))
     sol = solve_point(p)
-    cs = local_current_set(sol.rho, p, sol.generators.H_int)
+    cs = local_current_set(sol.rho, sol.generators)
     scale = max(abs(q) for q in cs.Q)
     assert scale > 1e-8  # heat genuinely flows
     assert abs(cs.W) < 1e-10 * scale
@@ -132,7 +133,7 @@ def test_interqubit_antisymmetry_and_validation():
 def test_current_set_consistency():
     p = local_point(B=(0.9, 2.7, 4.1), gamma=(0.4, 0.8, 0.15))
     sol = solve_point(p)
-    cs = local_current_set(sol.rho, p, sol.generators.H_int)
+    cs = local_current_set(sol.rho, sol.generators)
     assert_allclose(cs.Q, [b * q for b, q in zip(p.B, cs.q)], atol=1e-13)
     scale = max(abs(cs.W), max(abs(q) for q in cs.Q))
     assert abs(cs.W + sum(cs.Q)) < 1e-10 * scale
@@ -146,7 +147,7 @@ def test_current_set_rejects_wrong_model():
         B=p.B, J=p.J, Delta=p.Delta, T=p.T, gamma=p.gamma, bath_model="harmonic"
     )
     with pytest.raises(DomainError):
-        local_current_set(sol.rho, q, sol.generators.H_int)
+        local_current_set(sol.rho, dataclasses.replace(sol.generators, params=q))
 
 
 def test_generator_is_trace_preserving():
@@ -204,9 +205,9 @@ def _per_site_dissipators(p):
 def _per_block_eigen_blocks(gen):
     """The eigenbasis blocks built one dm block at a time from the per-site dissipators.
 
-    They come in the layout of Generators.eigen_blocks, one stack per index
-    stack of the spectrum's liouville_block_groups; the computational-basis
-    rows of each block are found from its dm alone.
+    They come in the layout of Generators.eigen_blocks, one stack of the
+    dm >= 0 row per index stack of the spectrum's liouville_block_groups;
+    the computational-basis rows of each block are found from its dm alone.
     """
     stacked = np.stack(_per_site_dissipators(gen.params))
     V = gen.spectrum.vectors
@@ -218,7 +219,7 @@ def _per_block_eigen_blocks(gen):
     out = []
     for indices in gen.spectrum.liouville_block_groups:
         blocks = []
-        for index in indices:
+        for index in indices[:1]:
             r = np.flatnonzero(basis_dm == eigen_dm[index[0]])
             W_B = W[np.ix_(r, index)]
             blocks.append((W_B.conj().T @ stacked[:, r[:, None], r] @ W_B).sum(axis=0))
@@ -244,7 +245,7 @@ def test_local_generators_keep_the_bits_of_the_per_site_build(p):
 @pytest.mark.parametrize("p", LOCAL_POINTS, ids=LOCAL_IDS)
 def test_current_set_keeps_the_bits_of_the_per_site_route(p):
     sol = solve_point(p)
-    cs = local_current_set(sol.rho, p, sol.generators.H_int)
+    cs = local_current_set(sol.rho, sol.generators)
     actions = [local_me._dissipator_action(p, s, sol.rho) for s in (1, 2, 3)]
     sz = [_site_matrices(s)[4] for s in (1, 2, 3)]
     want_q = [local_me._real_trace(sz[s - 1], actions[s - 1], "q") for s in (1, 2, 3)]

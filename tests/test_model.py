@@ -184,5 +184,6 @@ def test_block_groups_tile_the_liouville_space(build, p):
         assert [int(dm[index[0]]) for indices in groups for index in indices] == [
             0, 2, -2, 4, -4, 6, -6]
         assert [g.shape for g in groups] == [(1, 20), (2, 15), (2, 6), (2, 1)]
+    # the builders hand over the dm >= 0 row of each stack
     assert [b.shape for b in gen.eigen_blocks] == [
-        (k, n, n) for k, n in (g.shape for g in gen.spectrum.liouville_block_groups)]
+        (1, n, n) for _, n in (g.shape for g in gen.spectrum.liouville_block_groups)]

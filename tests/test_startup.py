@@ -25,16 +25,18 @@ ONE_THREAD = {
 }
 
 # runs the CLI commands of argv[1] (a JSON list of argument lists) in order,
-# with their stdout discarded, and prints the scipy modules loaded after
-# each command as one JSON list per line
+# with their stdout discarded, and prints the modules of package argv[2]
+# loaded after each command as one JSON list per line
 _COMMANDS = """
 import contextlib, io, json, sys
 from triqubit import cli
+package = sys.argv[2]
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
     assert code == 0, (argv, code)
-    print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+    print(json.dumps(sorted(m for m in sys.modules
+                            if m == package or m.startswith(package + "."))))
 """
 
 # minor page faults per point of a harmonic sweep: the difference of a
@@ -76,11 +78,28 @@ def test_only_the_boost_edge_search_loads_scipy(tmp_path):
     commands.append(["point", "--config", str(CONFIGS / "point.json")])
     boost = tmp_path / "boost.csv"
     commands.append(["sweep-boost", "--config", str(CONFIGS / "boost.json"), "--out", str(boost)])
-    loaded = [json.loads(line) for line in _fresh_python(_COMMANDS, json.dumps(commands))]
+    loaded = [json.loads(line)
+              for line in _fresh_python(_COMMANDS, json.dumps(commands), "scipy")]
     assert loaded[:3] == [[], [], []]
     assert "scipy.optimize" in loaded[3]
     rows = list(csv.DictReader(boost.read_text().splitlines()[1:]))
     assert "edge" in rows[-1]["flags"].split(";")
+
+
+def test_only_a_process_pool_loads_concurrent_futures(tmp_path):
+    # concurrent.futures loads logging; a serial run needs neither
+    scatter = str(CONFIGS / "local_scatter.json")
+    commands = [
+        ["point", "--config", str(CONFIGS / "point.json")],
+        ["sweep-random", "--config", scatter, "--samples", "3", "--workers", "1",
+         "--out", str(tmp_path / "serial.csv")],
+        ["sweep-random", "--config", scatter, "--samples", "2", "--workers", "2",
+         "--out", str(tmp_path / "pooled.csv")],
+    ]
+    loaded = [json.loads(line)
+              for line in _fresh_python(_COMMANDS, json.dumps(commands), "concurrent")]
+    assert loaded[:2] == [[], []]
+    assert "concurrent.futures" in loaded[2]
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc malloc parameters")

@@ -38,7 +38,13 @@ from triqubit.errors import DegenerateSteadyStateError, DomainError
 from triqubit.global_me import site_rate_matrices
 from triqubit.sweeps import GridScanConfig, SweepConfig, _grid_points, draw_params, random_sweep
 
-from conftest import UNCLOSED_HARMONIC, global_point, local_point
+from conftest import (
+    UNCLOSED_HARMONIC,
+    global_point,
+    local_point,
+    swapped_positions,
+    whole_eigen_blocks,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -322,9 +328,9 @@ def test_block_solve_keeps_the_bits_of_the_full_solve(p):
 
 
 def _assembled(gen):
-    """The 64 x 64 eigenbasis generator put together from its blocks."""
+    """The 64 x 64 eigenbasis generator put together from its blocks and their mirrors."""
     L = np.diag(_eigen_coherent(gen))
-    for indices, blocks in zip(gen.spectrum.liouville_block_groups, gen.eigen_blocks):
+    for indices, blocks in zip(gen.spectrum.liouville_block_groups, whole_eigen_blocks(gen)):
         for index, D in zip(indices, blocks):
             L[np.ix_(index, index)] += D
     return L
@@ -346,12 +352,42 @@ def test_certificate_sees_the_singular_values_of_every_block(monkeypatch, p):
     monkeypatch.setattr(np.linalg, "svd", svd)
     gen = solve_point(p).generators
     monkeypatch.undo()
-    # one call per stack of same-size blocks: every one of the 64 is seen
+    # one call per stack of same-size blocks, whose one dm >= 0 block also
+    # stands for its -dm mirror: every one of the 64 is seen
     assert len(seen) == len(gen.eigen_blocks)
-    got = np.sort(np.concatenate([s.ravel() for s in seen]))
+    groups = gen.spectrum.liouville_block_groups
+    got = np.sort(np.concatenate([np.tile(s.ravel(), index.shape[0])
+                                  for s, index in zip(seen, groups, strict=True)]))
     want = np.sort(np.linalg.svd(_assembled(gen), compute_uv=False))
     assert got.size == 64
     assert np.abs(got - want).max() <= 1e-12 * want[-1]
+
+
+MIRROR_POINTS = (
+    _config_points("local_scatter", 50) + _config_points("global_scatter", 50)
+    + [UNCLOSED_HARMONIC]
+)
+MIRROR_IDS = [f"local-{k}" for k in range(50)] + [f"global-{k}" for k in range(50)] + ["unclosed"]
+
+
+@pytest.mark.parametrize("p", MIRROR_POINTS, ids=MIRROR_IDS)
+def test_each_minus_dm_block_mirrors_its_plus_dm_block(p):
+    # the certificate counts the singular values of each dm > 0 block twice
+    # instead of decomposing its -dm mirror; check the mirror identity on
+    # the whole eigenbasis generator of the computational-basis dissipators,
+    # a route that shares no block with the builders
+    gen = steady_state._build_generators(p)
+    V = gen.spectrum.vectors
+    W = np.kron(V.conj(), V)
+    L = np.diag(_eigen_coherent(gen)) + W.conj().T @ sum(gen.dissipators) @ W
+    scale = float(np.linalg.norm(L, 2))
+    for index in gen.spectrum.liouville_block_groups[1:]:
+        plus = L[np.ix_(index[0], index[0])]
+        swapped = swapped_positions(index[0])
+        minus = L[np.ix_(swapped, swapped)]
+        assert np.abs(minus - plus.conj()).max() <= 1e-14 * scale
+        s_plus, s_minus = (np.linalg.svd(b, compute_uv=False) for b in (plus, minus))
+        assert np.abs(s_plus - s_minus).max() <= 1e-14 * s_plus[0]
 
 
 @pytest.mark.parametrize("p", [
@@ -397,9 +433,9 @@ def test_local_point_makes_one_numpy_call_per_stage(monkeypatch):
     # per local point: one SVD per block size (20, 15, 6, 1), one eigh per
     # sector size (1, 3), four refinement solves, one eigvalsh for the
     # state's positivity and three in correlation_report (pair entropies,
-    # single-site entropies, partial transposes), six partial traces, one
-    # interaction Hamiltonian, and no lindblad_superop once the unit-rate
-    # templates exist
+    # single-site entropies, partial transposes), no partial trace (the
+    # reductions are gathers), one interaction Hamiltonian, and no
+    # lindblad_superop once the unit-rate templates exist
     from triqubit import algebra, correlations, local_me, model
     p = local_point(B=(0.9, 2.7, 4.1), gamma=(0.4, 0.8, 0.15))
     evaluate_point(p)  # builds the process-wide templates
@@ -425,4 +461,4 @@ def test_local_point_makes_one_numpy_call_per_stage(monkeypatch):
     rec = evaluate_point(p)
     assert rec.flags == ()
     assert calls == {"svd": 4, "eigh": 2, "eigvalsh": 4, "solve": 4,
-                     "partial_trace": 6, "interaction_hamiltonian": 1}
+                     "interaction_hamiltonian": 1}

@@ -1,5 +1,6 @@
 """Deterministic draws, sweep drivers, CSV round-trips."""
 
+import concurrent.futures
 import csv
 import itertools
 import json
@@ -320,7 +321,7 @@ def test_pool_size_is_capped_by_points_and_cpus(tmp_path, monkeypatch, workers, 
                          "n_samples": 5, "master_seed": MASTER_SEED})
     serial = tmp_path / "serial.csv"
     write_records(random_sweep(cfg, workers=1), serial, "random", cfg)
-    monkeypatch.setattr(sweeps, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(sweeps, "_cpu_count", lambda: cpus)
     pooled = tmp_path / "pooled.csv"
     write_records(random_sweep(cfg, workers=workers), pooled, "random", cfg)

@@ -282,8 +282,8 @@ def test_thermo_report_raises_when_the_work_misses_the_first_law(monkeypatch):
     sol = solve_point(local_point(B=(0.9, 2.7, 4.1), gamma=(0.4, 0.8, 0.15)))
     honest = thermo.local_current_set
 
-    def shifted(rho, p, H_int):
-        cs = honest(rho, p, H_int)
+    def shifted(rho, gen):
+        cs = honest(rho, gen)
         return replace(cs, W=cs.W + 1e-8 * max(abs(q) for q in cs.Q))
 
     monkeypatch.setattr(thermo, "local_current_set", shifted)
