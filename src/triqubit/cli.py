@@ -34,7 +34,7 @@ from .sweeps import (
     random_sweep,
     write_records,
 )
-from .thermo import DEFAULT_EPSILON, LAWS, LOCAL_LAWS, invariant_violations
+from .thermo import DEFAULT_EPSILON, LAWS, LOCAL_LAWS, checked_epsilon, invariant_violations
 
 _POINT_KEYS = frozenset({"bath_model", "B", "J", "Delta", "T", "gamma", "epsilon"})
 
@@ -101,7 +101,7 @@ def _jsonify_key(key):
 def _cmd_point(args) -> int:
     data = _load_config(args.config, _POINT_KEYS)
     _apply_overrides(data, args.set, _POINT_KEYS)
-    epsilon = float(data.pop("epsilon", DEFAULT_EPSILON))
+    epsilon = checked_epsilon(data.pop("epsilon", DEFAULT_EPSILON))
     data.setdefault("T", _DEFAULT_T)
     params = ModelParams(**data)
     ev = evaluate_point(params, epsilon=epsilon)

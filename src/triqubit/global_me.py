@@ -18,13 +18,16 @@ part is discarded (with a warning when it carries weight) because it does not
 enter the secular generator.
 
 The three baths share the Bohr frequencies of H, so jump_operators clusters
-them once for all sites. The solver works in the eigenbasis of H.
-build_global_generators builds the summed dissipator there, from the jump
-amplitudes <a|A_omega|b>, with one lindblad_superop call, and cuts out
-its dm >= 0 magnetization-difference blocks; the per-bath computational-basis
-dissipators are built only on first access to Generators.dissipators.
-site_rate_matrices reads the same amplitudes, and the rates the builder
-computed, for the Pauli rate matrices of the population solve.
+them once for all sites. The solver works in the eigenbasis of H. Every
+jump flips one spin, so there its amplitudes <a|A_omega|b> vanish exactly
+unless |m(a) - m(b)| = 2, 30 of the 64 entries for three qubits.
+build_global_generators builds the dm >= 0 magnetization-difference
+blocks of the summed dissipator from that support, entry by entry as
+lindblad_superop would build the whole 64 x 64 superoperator, and keeps
+its bits; the per-bath computational-basis dissipators are built only on
+first access to Generators.dissipators. site_rate_matrices reads the same
+support of the amplitudes, and the rates the builder computed, for the
+Pauli rate matrices of the population solve.
 """
 
 from __future__ import annotations
@@ -51,7 +54,14 @@ from .errors import (
     SecularValidityWarning,
     ZeroModeWarning,
 )
-from .model import Generators, ModelParams, Spectrum, build_hamiltonian, sector_spectrum
+from .model import (
+    Generators,
+    ModelParams,
+    Spectrum,
+    build_hamiltonian,
+    liouville_block_groups,
+    sector_spectrum,
+)
 
 
 def bose_occupation(omega: float, T: float) -> float:
@@ -164,18 +174,26 @@ def jump_operators(spectrum: Spectrum, degeneracy_tol: float = None) -> tuple:
             "tighten degeneracy_tol or separate the parameters"
         )
     n_c = starts.size
-    # per site, the amplitudes of each cluster and, last, the discarded
-    # |E_b - E_a| <= tol part, all mapped to the computational basis at once
-    amps = np.zeros((n_sites, n_c + 1, d, d), dtype=complex)
-    amps[:, np.repeat(np.arange(n_c), counts), a_idx, b_idx] = sx_eig[:, a_idx, b_idx]
-    amps[:, n_c] = np.where(np.abs(diff) <= degeneracy_tol, sx_eig, 0.0)
-    ops = _sandwich(V, amps.reshape(-1, d, d), Vh).reshape(amps.shape)
-    zero_parts, ops = ops[:, n_c], ops[:, :n_c]
+    # per site, the amplitudes of each cluster and, after all sites, the
+    # discarded |E_b - E_a| <= tol parts; those with an amplitude are mapped
+    # to the computational basis at once. A (site, cluster) pair without
+    # one would map to an exactly zero operator, which the cut below drops
+    n_pairs = n_sites * n_c
+    amps = np.zeros((n_pairs + n_sites, d, d), dtype=complex)
+    amps[:n_pairs].reshape(n_sites, n_c, d, d)[
+        :, np.repeat(np.arange(n_c), counts), a_idx, b_idx] = sx_eig[:, a_idx, b_idx]
+    amps[n_pairs:] = np.where(np.abs(diff) <= degeneracy_tol, sx_eig, 0.0)
+    mapped = amps.any(axis=(1, 2))
+    mapped[n_pairs:] = True
+    ops = _sandwich(V, amps[mapped], Vh)
+    live = mapped[:n_pairs].reshape(n_sites, n_c)
+    zero_parts, ops = ops[-n_sites:], ops[:-n_sites]
     # drop the clusters that carry no weight for a site: the Frobenius
     # norm, as np.linalg.norm takes it over the last two axes
-    keep = np.sqrt(np.add.reduce((ops.conj() * ops).real, axis=(2, 3))) > 1e-12 * math.sqrt(d)
+    keep = np.zeros(live.shape, dtype=bool)
+    keep[live] = np.sqrt(np.add.reduce((ops.conj() * ops).real, axis=(1, 2))) > 1e-12 * math.sqrt(d)
     freqs = np.add.reduceat(vals, starts) / counts if n_c else vals
-    kept = ops[keep]
+    kept = ops[keep[live]]
     # mapped back from the operators rather than copied from sx_eig: the
     # rate matrices keep the rounding of that round trip, and the
     # first-law residuals of solved points are pinned to it
@@ -256,29 +274,108 @@ def global_heat_current(rho_ss: np.ndarray, H: np.ndarray, dissipator: np.ndarra
     return checked_real(val, scale, "heat current")
 
 
+# the two values of an identity's entries, as kron(eye, A) multiplies them
+_EYE_ENTRIES = np.array([[1.0], [0.0]], dtype=complex)
+
+
+# one entry per ordering of the magnetization labels, as for
+# liouville_block_groups
+@lru_cache(maxsize=None)
+def _jump_support(labels: tuple) -> tuple:
+    """Read-only index maps of the |dm| = 2 support of the jump amplitudes.
+
+    labels[k] is the magnetization of eigenstate k. A jump flips one spin,
+    so its amplitudes <a|A_omega|b> are exactly zero unless |m(a) - m(b)|
+    is 2: s = 30 of the 64 entries for three qubits. Returns (flat, where,
+    swap, pairs). flat holds the ascending positions a d + b of the support
+    in a flattened d x d matrix, and where the support index of each
+    position, s off the support. swap holds the support index of each
+    position's transpose b d + a, and pairs the two support indices of
+    each pair of positions that share a row or a column.
+    """
+    m = np.asarray(labels)
+    d = m.size
+    rows, cols = np.nonzero(np.abs(m[:, None] - m[None, :]) == 2)
+    where = np.full(d * d, rows.size, dtype=np.int16)
+    where[rows * d + cols] = np.arange(rows.size)
+    same = (rows[:, None] == rows[None, :]) | (cols[:, None] == cols[None, :])
+    out = (rows * d + cols, where, where[cols * d + rows], np.stack(np.nonzero(np.triu(same, 1))))
+    for arr in out:
+        arr.setflags(write=False)
+    return out
+
+
+# int16 keeps each entry to a few KiB
+@lru_cache(maxsize=None)
+def _block_gathers(labels: tuple) -> tuple:
+    """Read-only flat gathers of the dm >= 0 blocks of a summed dissipator.
+
+    Returns (sand, kron, blocks) for the entries of the blocks at the vec
+    positions index[0] of liouville_block_groups(labels), in its order and
+    each block row-major; blocks holds the (start, stop, shape) of each
+    block's run of entries, shape (1, n, n). Block entry (a + d b, c + d e),
+    |a><b| from |c><e|, is entry (i d + k, j d + l) of lindblad_superop
+    with (i, j, k, l) = (b, e, a, c). sand gathers its sandwich term from
+    the flattened Gram matrix of the _jump_support positions, padded by a
+    zero row and column for the pairs off the support. kron[0] gathers
+    eye[i, j] A[k, l] and kron[1] A^T[i, j] eye[k, l] from the flattened
+    (2, d, d) stack of 1 A and 0 A.
+    """
+    d = len(labels)
+    flat, where = _jump_support(labels)[:2]
+    s = flat.size
+    # each block's row positions against each of its column positions
+    pos = [index[0].astype(np.int16) for index in liouville_block_groups(labels)]
+    i, k = divmod(np.concatenate([np.repeat(x, x.size) for x in pos]), d)
+    j, l = divmod(np.concatenate([np.tile(x, x.size) for x in pos]), d)
+    off_eye = np.stack([i != j, k != l]).astype(np.int16)
+    out = (where[i * d + j] * (s + 1) + where[k * d + l],
+           off_eye * (d * d) + np.stack([k * d + l, j * d + i]))
+    for arr in out:
+        arr.setflags(write=False)
+    stops = np.cumsum([x.size**2 for x in pos]).tolist()
+    return out + (tuple((stop - x.size**2, stop, (1, x.size, x.size))
+                        for x, stop in zip(pos, stops)),)
+
+
 def build_global_generators(p: ModelParams) -> Generators:
     """Harmonic-bath generator, with the summed dissipator built in the eigenbasis.
 
-    The per-bath computational-basis dissipators are built on first access
-    to Generators.dissipators.
+    The dm >= 0 blocks are built entry by entry as lindblad_superop would
+    build the whole summed superoperator of the jump amplitudes, from the
+    same operands in the same order, so they keep its bits. Its sandwich
+    term is nonzero only between two support positions of the amplitudes,
+    and there it is one (s, w) by (w, s) product over the w jumps. The
+    per-bath computational-basis dissipators are built on first access to
+    Generators.dissipators.
     """
     H = build_hamiltonian(p)
     spectrum = sector_spectrum(H)
+    labels = tuple(spectrum.sectors.tolist())
+    flat = _jump_support(labels)[0]
+    sand, kron, blocks = _block_gathers(labels)
     jumps = jump_operators(spectrum)
-    ops, rates = [], []
+    rates = []
     for js, gamma, T in zip(jumps, p.gamma, p.T):
         _check_bath(js, gamma, T)
         rates.append(_bath_rates(js, gamma, T))
-        ops.append(_with_daggers(js.amplitudes))
-    # each bath's down rates, then its up rates, in the order of ops
-    summed = lindblad_superop(np.concatenate(ops), np.concatenate(sum(rates, ())))
+    # each bath's jumps and then their daggers, at its down and then its up
+    # rates
+    a = np.concatenate([_with_daggers(js.amplitudes) for js in jumps])
+    w, d = a.shape[:2]
+    scaled = np.concatenate(sum(rates, ()))[:, None, None] * a.conj()
+    anti = scaled.reshape(w * d, d).T @ a.reshape(w * d, d)
+    s = flat.size
+    gram = np.zeros((s + 1, s + 1), dtype=complex)
+    gram[:s, :s] = scaled.reshape(w, d * d)[:, flat].T @ a.reshape(w, d * d)[:, flat]
+    eye_anti = (_EYE_ENTRIES * anti.reshape(1, -1)).ravel()
+    entries = gram.ravel().take(sand) - 0.5 * (eye_anti.take(kron[0]) + eye_anti.take(kron[1]))
     return Generators(
         params=p,
         H=H,
         spectrum=spectrum,
         # the dm >= 0 half, row 0 of each stack; see Generators.eigen_blocks
-        eigen_blocks=tuple(summed[index[:1, :, None], index[:1, None, :]]
-                           for index in spectrum.liouville_block_groups),
+        eigen_blocks=tuple(entries[start:stop].reshape(shape) for start, stop, shape in blocks),
         build_dissipators=partial(_site_dissipators, jumps, p),
         jumps=jumps,
         jump_rates=tuple(rates),
@@ -297,19 +394,22 @@ def site_rate_matrices(gen: Generators):
     closed is True when no cluster operator has two nonzero entries sharing a
     row or a column, in which case the population sector decouples exactly
     from the coherences and the steady populations solve (sum_i M_i) p = 0.
-    The three baths are one stack, each site's clusters in the leading
-    slots of a zero-padded cluster axis, with the rates of gen.jump_rates.
+    The three baths are one stack over the support of the amplitudes,
+    each site's clusters in the leading slots of a zero-padded cluster
+    axis, with the rates of gen.jump_rates; off the support every term is
+    exactly zero.
     """
     counts = np.array([len(js.frequencies) for js in gen.jumps])
     d = gen.spectrum.dim
+    flat, _, swap, pairs = _jump_support(tuple(gen.spectrum.sectors.tolist()))
     slot = np.arange(counts.max()) < counts[:, None]
-    mags = np.zeros(slot.shape + (d, d))
-    mags[slot] = np.abs(np.concatenate([js.amplitudes for js in gen.jumps]))
+    mags = np.zeros(slot.shape + flat.shape)
+    mags[slot] = np.abs(np.concatenate([js.amplitudes for js in gen.jumps]).reshape(-1, d * d)[:, flat])
     down, up = np.zeros((2,) + slot.shape)
     down[slot], up[slot] = (np.concatenate(r) for r in zip(*gen.jump_rates))
-    cut = 1e-12 * np.maximum(mags.max(axis=(2, 3)), 1e-300)
-    nz = mags > cut[:, :, None, None]
-    closed = all(nz.sum(axis=axis, dtype=np.uint8).max(initial=0) <= 1 for axis in (2, 3))
+    cut = 1e-12 * np.maximum(mags.max(axis=2), 1e-300)
+    nz = mags > cut[:, :, None]
+    closed = not np.any(nz[:, :, pairs[0]] & nz[:, :, pairs[1]])
     g = mags.astype(np.longdouble) ** 2
     # accumulate in extended precision, each cluster's down term and then
     # its up term, in the order of the clusters (a sum over the cluster
@@ -317,12 +417,14 @@ def site_rate_matrices(gen: Generators):
     # zeros), and set the loss diagonal once at the end, so each column
     # sums to zero at the longdouble floor; the first law of a solved
     # point rides on that cancellation. Gains land strictly off the
-    # diagonal: a jump lowers the total magnetization, so it never
-    # connects a level to itself
-    terms = np.empty((len(counts), 2 * slot.shape[1], d, d), dtype=np.longdouble)
-    terms[:, 0::2] = down[:, :, None, None] * g
-    terms[:, 1::2] = up[:, :, None, None] * g.swapaxes(2, 3)
-    M = terms.sum(axis=1)
+    # diagonal: the support, where a jump flips one spin, holds no
+    # diagonal entry
+    terms = np.empty((len(counts), 2 * slot.shape[1], flat.size), dtype=np.longdouble)
+    terms[:, 0::2] = down[:, :, None] * g
+    terms[:, 1::2] = up[:, :, None] * g[:, :, swap]
+    M = np.zeros((len(counts), d * d), dtype=np.longdouble)
+    M[:, flat] = terms.sum(axis=1)
+    M = M.reshape(-1, d, d)
     diag = np.arange(d)
     M[:, diag, diag] -= M.sum(axis=1)
     return tuple(M), closed

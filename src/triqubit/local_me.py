@@ -35,7 +35,6 @@ from .algebra import (
     checked_real,
     embed_pauli,
     expectation,
-    kron,
     lindblad_superop,
     trace_product,
 )
@@ -299,23 +298,48 @@ def local_current_set(rho_ss: np.ndarray, gen: Generators) -> CurrentSet:
     return CurrentSet(Q=tuple(values[3:6]), W=values[6], q=tuple(values[:3]), C=c)
 
 
+@lru_cache(maxsize=None)
+def _transform_gathers(labels: tuple) -> tuple:
+    """Read-only flat gathers of the dm >= 0 blocks W_B of W = kron(conj(V), V).
+
+    vec(V X V^dag) = W vec(X), and W maps the eigenbasis block at the vec
+    positions index[0] of liouville_block_groups(labels) onto the
+    computational-basis block of the same dm; the eigenbasis labels permute
+    the basis labels, so both layouts hold the same differences in the same
+    order. W[i d + k, j d + l] is conj(V[i, j]) V[k, l]. Returns (left,
+    right, blocks): the flat positions i d + j and k d + l of the entries
+    of the four W_B, each row-major and one block after the other, and the
+    (start, stop, shape) of each block's run of entries, shape (1, n, n).
+    """
+    d = len(labels)
+    rows = [index[0] for index in liouville_block_groups(basis_magnetizations(N_SITES))]
+    cols = [index[0] for index in liouville_block_groups(labels)]
+    i, k = divmod(np.concatenate([np.repeat(x, x.size) for x in rows]), d)
+    j, l = divmod(np.concatenate([np.tile(y, y.size) for y in cols]), d)
+    # int16 keeps the entry, one per ordering of the labels, to a few KiB
+    left, right = (i * d + j).astype(np.int16), (k * d + l).astype(np.int16)
+    for arr in (left, right):
+        arr.setflags(write=False)
+    stops = np.cumsum([x.size**2 for x in cols]).tolist()
+    return left, right, tuple((stop - x.size**2, stop, (1, x.size, x.size))
+                              for x, stop in zip(cols, stops))
+
+
 def build_local_generators(p: ModelParams) -> Generators:
     H_int = interaction_hamiltonian(p)
     H = local_field_hamiltonian(p) + H_int  # build_hamiltonian(p), keeping H_int
     spectrum = sector_spectrum(H)
     down, up = _rate_arrays(p)
     V = spectrum.vectors
-    W = kron(V.conj(), V)  # vec(V X V^dag) = W vec(X)
+    left, right, spans = _transform_gathers(tuple(spectrum.sectors.tolist()))
+    # each entry the product kron(conj(V), V) takes, in its operand order
+    entries = V.conj().ravel().take(left) * V.ravel().take(right)
     blocks = []
-    # the eigenbasis labels permute the basis labels, so both layouts hold
-    # the same differences in the same order
-    for (rows, t_down, t_up), cols in zip(_unit_dissipators()[1],
-                                          spectrum.liouville_block_groups):
-        # W maps each block onto the computational-basis block of the same
-        # dm, so W_B^dag D[R_B, R_B] W_B is the dm block of W^dag D W; the
-        # bath sum runs over the site axis, one bath after the other. Only
-        # the dm >= 0 row is built; see Generators.eigen_blocks
-        W_B = W[rows[:, :, None], cols[:1, None, :]]
+    for (_, t_down, t_up), (start, stop, shape) in zip(_unit_dissipators()[1], spans):
+        # W_B^dag D[R_B, R_B] W_B is the dm block of W^dag D W; the bath
+        # sum runs over the site axis, one bath after the other. Only the
+        # dm >= 0 row is built; see Generators.eigen_blocks
+        W_B = entries[start:stop].reshape(shape)
         D = down * t_down + up * t_up
         blocks.append((W_B.conj().swapaxes(1, 2)[:, None] @ D @ W_B[:, None]).sum(axis=1))
     return Generators(

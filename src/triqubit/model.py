@@ -169,8 +169,8 @@ class Generators:
     preserves Hermiticity, so it is the conjugate of block [0] at the
     swapped positions, b + d a for a + d b. The repeated_interaction builder
     maps each bath's computational-basis blocks there, the harmonic builder
-    gathers them from the sum it builds in one piece from the eigenbasis
-    jump amplitudes. dissipators[i] is the superoperator of bath i + 1 in
+    builds them entry by entry from the support of the eigenbasis jump
+    amplitudes. dissipators[i] is the superoperator of bath i + 1 in
     the computational basis; build_dissipators makes them on first access,
     so a solve that never asks for them does not pay for them. jumps holds
     the harmonic model's per-site JumpSets; it is empty for the

@@ -34,7 +34,7 @@ from .model import (
     _triple,
 )
 from .steady_state import solve_point
-from .thermo import DEFAULT_EPSILON, Regime, ThermoReport, thermo_report
+from .thermo import DEFAULT_EPSILON, Regime, ThermoReport, checked_epsilon, thermo_report
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -146,8 +146,7 @@ class SweepConfig:
             if not np.isfinite(ratio) or ratio < 0.0:
                 raise DomainError("discard_rule must be a nonnegative ratio")
             object.__setattr__(self, "discard_rule", ratio)
-        if not (np.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise DomainError("epsilon must be positive")
+        checked_epsilon(self.epsilon)
 
     @property
     def effective_discard_rule(self) -> float:
@@ -186,8 +185,7 @@ class GridScanConfig:
             raise DomainError("B2_min must not exceed B2_max")
         if not isinstance(self.n_points, int) or self.n_points < 1:
             raise DomainError("n_points must be a positive integer")
-        if not (np.isfinite(self.epsilon) and self.epsilon > 0.0):
-            raise DomainError("epsilon must be positive")
+        checked_epsilon(self.epsilon)
 
 
 def _draw_at_least(rng: SplitMix64, low: float, high: float, floor: float) -> float:

@@ -63,6 +63,17 @@ _SIGN_TABLE = {
 HARMONIC_REGIMES = frozenset({Regime.IV, Regime.VI, Regime.VIII, Regime.X})
 
 
+def checked_epsilon(epsilon) -> float:
+    """epsilon as a float; raises DomainError unless it is positive and finite."""
+    try:
+        value = float(epsilon)
+    except (TypeError, ValueError):
+        raise DomainError(f"epsilon must be a number, got {epsilon!r}") from None
+    if not (math.isfinite(value) and value > 0.0):
+        raise DomainError(f"epsilon must be positive and finite, got {value}")
+    return value
+
+
 def classify_regime(Q, W: float, epsilon: float = DEFAULT_EPSILON) -> Regime:
     """Classify a steady state by the signs of its heat currents and work.
 
@@ -70,8 +81,7 @@ def classify_regime(Q, W: float, epsilon: float = DEFAULT_EPSILON) -> Regime:
     near-zero heat current makes the point Unclassified, a near-zero W falls
     into the workless branch of the table.
     """
-    if epsilon <= 0.0:
-        raise DomainError("classification threshold epsilon must be positive")
+    checked_epsilon(epsilon)
     q1, q2, q3 = (float(q) for q in Q)
     w = float(W)
     scale = max(abs(q1), abs(q2), abs(q3), abs(w))

@@ -94,6 +94,16 @@ def test_point_solver_failure_exit_code(tmp_path, capsys):
     assert payload["flags"] == ["error:DomainError"]
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-1"])
+def test_point_rejects_an_epsilon_the_sweep_configs_reject(tmp_path, capsys, value):
+    # as SweepConfig and GridScanConfig do: a DomainError before any solve
+    code = main(["point", "--config", point_config(tmp_path), "--set", f"epsilon={value}"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "epsilon must be positive and finite" in captured.err
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = write_json(tmp_path / "bad.json", {"bath_model": "harmonic", "Bmax": 2})
     code = main(["point", "--config", cfg])

@@ -192,8 +192,8 @@ def test_rate_matrix_signs():
 
 # --- the batched build against per-site and per-cluster references ---
 
-def _scatter_config(**overrides):
-    path = Path(__file__).resolve().parent.parent / "configs" / "global_scatter.json"
+def _scatter_config(config="global_scatter", **overrides):
+    path = Path(__file__).resolve().parent.parent / "configs" / f"{config}.json"
     return SweepConfig(**dict(json.loads(path.read_text()), **overrides))
 
 
@@ -429,6 +429,10 @@ def test_closed_points_build_no_computational_basis_dissipator(monkeypatch):
     records = random_sweep(_scatter_config(n_samples=20))
     assert len(records) == 20 and not any(r.flags for r in records)
     assert calls == [] and transforms == []
+    # the local builder gathers its W_B blocks from V and conj(V) instead
+    local = random_sweep(_scatter_config("local_scatter", n_samples=20))
+    assert len(local) == 20 and not any(r.flags for r in local)
+    assert calls == [] and transforms == []
 
     # asked for, the dissipators are still the per-bath 64 x 64 ones
     gen = build_global_generators(records[0].params)
@@ -439,3 +443,57 @@ def test_closed_points_build_no_computational_basis_dissipator(monkeypatch):
     u = vec(np.eye(8, dtype=complex))
     assert np.linalg.norm(u @ L) < 1e-12 * np.linalg.norm(L)
     assert_array_equal(L, build_liouvillian(records[0].params))
+
+
+def test_closed_harmonic_points_call_no_lindblad_superop(monkeypatch):
+    # the generator blocks are built from the amplitudes' support, without
+    # the 64 x 64 summed superoperator: no lindblad_superop under any name
+    # it is imported as, and no coherent_superop, the package's other
+    # 64 x 64 builder
+    calls = []
+
+    def spy(name, real):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapped
+
+    for name in ("lindblad_superop", "coherent_superop"):
+        real = getattr(algebra, name)
+        for module in [m for key, m in sys.modules.items()
+                       if key == "triqubit" or key.startswith("triqubit.")]:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, spy(name, real))
+    points = _scatter_points(10)
+    for p in points:
+        rec = evaluate_point(p)
+        assert rec.thermo is not None and not rec.flags
+    gen = build_global_generators(points[0])
+    assert site_rate_matrices(gen)[1]
+    assert calls == [] and "dissipators" not in vars(gen)
+    # asked for, the dissipators are the per-bath 64 x 64 superoperators
+    dissipators = gen.dissipators
+    assert calls == ["lindblad_superop"] * 3
+    assert [d.shape for d in dissipators] == [(64, 64)] * 3
+    for d, js, gamma, T in zip(dissipators, gen.jumps, points[0].gamma, points[0].T):
+        assert_array_equal(d, global_dissipator(js, gamma, T))
+
+
+SUPPORT_POINTS = _scatter_points(200) + [UNCLOSED_HARMONIC, ZERO_MODE]
+
+
+@pytest.mark.parametrize("p", SUPPORT_POINTS,
+                         ids=[f"scatter-{k}" for k in range(200)] + ["unclosed", "zero-mode"])
+def test_jump_amplitudes_vanish_off_the_one_flip_support(p):
+    # every jump flips one spin, so <a|A|b> is exactly 0.0 unless
+    # |m(a) - m(b)| = 2, the support the generator blocks and the rate
+    # matrices are built from
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ZeroModeWarning)
+        gen = build_global_generators(p)
+    m = gen.spectrum.sectors
+    off = np.abs(m[:, None] - m[None, :]) != 2
+    assert off.sum() == 34
+    for js in gen.jumps:
+        assert js.amplitudes.size and np.all(js.amplitudes[:, off] == 0.0)
+        assert np.any(js.amplitudes[:, ~off] != 0.0)

@@ -74,8 +74,9 @@ def test_regime_near_zero_band():
     assert classify_regime((0.0, 0.0, 0.0), 0.0) is Regime.UNCLASSIFIED
     # widening epsilon swallows otherwise classifiable points
     assert classify_regime((0.3, -0.5, 0.4), -0.2, epsilon=0.9) is Regime.UNCLASSIFIED
-    with pytest.raises(DomainError):
-        classify_regime((1.0, -1.0, 1.0), 0.0, epsilon=0.0)
+    for epsilon in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            classify_regime((1.0, -1.0, 1.0), 0.0, epsilon=epsilon)
 
 
 def test_entropy_production_value_and_validation():
