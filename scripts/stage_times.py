@@ -75,7 +75,6 @@ def main(argv=None) -> int:
                         help="checkout whose src/ is timed")
     parser.add_argument("--points", type=int, default=200, help="points of a random sweep")
     parser.add_argument("--rounds", type=int, default=5)
-    parser.add_argument("--seed", type=int, help="override the config's master_seed")
     args = parser.parse_args(argv)
     root = args.root.resolve()
     sys.path.insert(0, str(root / "src"))
@@ -88,8 +87,6 @@ def main(argv=None) -> int:
         cfg = sweeps.GridScanConfig(**data)
         points = sweeps._grid_points(cfg)
     else:
-        if args.seed is not None:
-            data["master_seed"] = args.seed
         cfg = sweeps.SweepConfig(**data)
         points = [sweeps.draw_params(cfg, k) for k in range(args.points)]
     clean = [p for p in points

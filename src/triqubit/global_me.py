@@ -58,8 +58,8 @@ from .model import (
     Generators,
     ModelParams,
     Spectrum,
+    block_entry_positions,
     build_hamiltonian,
-    liouville_block_groups,
     sector_spectrum,
 )
 
@@ -310,32 +310,25 @@ def _jump_support(labels: tuple) -> tuple:
 def _block_gathers(labels: tuple) -> tuple:
     """Read-only flat gathers of the dm >= 0 blocks of a summed dissipator.
 
-    Returns (sand, kron, blocks) for the entries of the blocks at the vec
-    positions index[0] of liouville_block_groups(labels), in its order and
-    each block row-major; blocks holds the (start, stop, shape) of each
-    block's run of entries, shape (1, n, n). Block entry (a + d b, c + d e),
-    |a><b| from |c><e|, is entry (i d + k, j d + l) of lindblad_superop
-    with (i, j, k, l) = (b, e, a, c). sand gathers its sandwich term from
-    the flattened Gram matrix of the _jump_support positions, padded by a
-    zero row and column for the pairs off the support. kron[0] gathers
-    eye[i, j] A[k, l] and kron[1] A^T[i, j] eye[k, l] from the flattened
-    (2, d, d) stack of 1 A and 0 A.
+    Returns (sand, kron, blocks) for the entries of the blocks as
+    block_entry_positions(labels, labels) lists them, with its spans as
+    blocks. Block entry (a + d b, c + d e), |a><b| from |c><e|, is entry
+    (i d + k, j d + l) of lindblad_superop with (i, j, k, l) = (b, e, a, c).
+    sand gathers its sandwich term from the flattened Gram matrix of the
+    _jump_support positions, padded by a zero row and column for the pairs
+    off the support. kron[0] gathers eye[i, j] A[k, l] and kron[1]
+    A^T[i, j] eye[k, l] from the flattened (2, d, d) stack of 1 A and 0 A.
     """
     d = len(labels)
     flat, where = _jump_support(labels)[:2]
     s = flat.size
-    # each block's row positions against each of its column positions
-    pos = [index[0].astype(np.int16) for index in liouville_block_groups(labels)]
-    i, k = divmod(np.concatenate([np.repeat(x, x.size) for x in pos]), d)
-    j, l = divmod(np.concatenate([np.tile(x, x.size) for x in pos]), d)
+    i, j, k, l, blocks = block_entry_positions(labels, labels)
     off_eye = np.stack([i != j, k != l]).astype(np.int16)
     out = (where[i * d + j] * (s + 1) + where[k * d + l],
            off_eye * (d * d) + np.stack([k * d + l, j * d + i]))
     for arr in out:
         arr.setflags(write=False)
-    stops = np.cumsum([x.size**2 for x in pos]).tolist()
-    return out + (tuple((stop - x.size**2, stop, (1, x.size, x.size))
-                        for x, stop in zip(pos, stops)),)
+    return out + (blocks,)
 
 
 def build_global_generators(p: ModelParams) -> Generators:

@@ -46,6 +46,7 @@ from .model import (
     Generators,
     ModelParams,
     basis_magnetizations,
+    block_entry_positions,
     interaction_hamiltonian,
     liouville_block_groups,
     local_field_hamiltonian,
@@ -133,11 +134,10 @@ def _unit_dissipators() -> tuple:
 
     Returns (full, groups). full[0] and full[1] are the (3, 64, 64) stacks
     over the sites of lindblad_superop((sigma_-^i,), (1,)) and
-    lindblad_superop((sigma_+^i,), (1,)). groups holds one (rows, down, up)
-    per index stack of liouville_block_groups of the computational basis:
-    rows is the (1, n) dm >= 0 row of that stack, and down and up are the
-    (1, 3, n, n) stacks of its blocks of full[0] and full[1]. Every array
-    is read-only.
+    lindblad_superop((sigma_+^i,), (1,)). groups holds one (down, up) per
+    index stack of liouville_block_groups of the computational basis: the
+    (1, 3, n, n) stacks of the blocks of full[0] and full[1] at the dm >= 0
+    row index[:1] of that stack. Every array is read-only.
     """
     full = np.array([
         [lindblad_superop((_site_matrices(site)[k],), (1.0,)) for site in SITES]
@@ -150,7 +150,7 @@ def _unit_dissipators() -> tuple:
         down, up = np.ascontiguousarray(cut[0]), np.ascontiguousarray(cut[1])
         for arr in (down, up):
             arr.setflags(write=False)
-        groups.append((rows, down, up))
+        groups.append((down, up))
     full.setflags(write=False)
     return full, tuple(groups)
 
@@ -298,6 +298,7 @@ def local_current_set(rho_ss: np.ndarray, gen: Generators) -> CurrentSet:
     return CurrentSet(Q=tuple(values[3:6]), W=values[6], q=tuple(values[:3]), C=c)
 
 
+# int16 keeps each entry, one per ordering of the labels, to a few KiB
 @lru_cache(maxsize=None)
 def _transform_gathers(labels: tuple) -> tuple:
     """Read-only flat gathers of the dm >= 0 blocks W_B of W = kron(conj(V), V).
@@ -307,22 +308,15 @@ def _transform_gathers(labels: tuple) -> tuple:
     computational-basis block of the same dm; the eigenbasis labels permute
     the basis labels, so both layouts hold the same differences in the same
     order. W[i d + k, j d + l] is conj(V[i, j]) V[k, l]. Returns (left,
-    right, blocks): the flat positions i d + j and k d + l of the entries
-    of the four W_B, each row-major and one block after the other, and the
-    (start, stop, shape) of each block's run of entries, shape (1, n, n).
+    right, spans): the flat positions i d + j and k d + l of the entries
+    of the four W_B, as block_entry_positions lists them, and its spans.
     """
     d = len(labels)
-    rows = [index[0] for index in liouville_block_groups(basis_magnetizations(N_SITES))]
-    cols = [index[0] for index in liouville_block_groups(labels)]
-    i, k = divmod(np.concatenate([np.repeat(x, x.size) for x in rows]), d)
-    j, l = divmod(np.concatenate([np.tile(y, y.size) for y in cols]), d)
-    # int16 keeps the entry, one per ordering of the labels, to a few KiB
-    left, right = (i * d + j).astype(np.int16), (k * d + l).astype(np.int16)
+    i, j, k, l, spans = block_entry_positions(basis_magnetizations(N_SITES), labels)
+    left, right = i * d + j, k * d + l
     for arr in (left, right):
         arr.setflags(write=False)
-    stops = np.cumsum([x.size**2 for x in cols]).tolist()
-    return left, right, tuple((stop - x.size**2, stop, (1, x.size, x.size))
-                              for x, stop in zip(cols, stops))
+    return left, right, spans
 
 
 def build_local_generators(p: ModelParams) -> Generators:
@@ -335,7 +329,7 @@ def build_local_generators(p: ModelParams) -> Generators:
     # each entry the product kron(conj(V), V) takes, in its operand order
     entries = V.conj().ravel().take(left) * V.ravel().take(right)
     blocks = []
-    for (_, t_down, t_up), (start, stop, shape) in zip(_unit_dissipators()[1], spans):
+    for (t_down, t_up), (start, stop, shape) in zip(_unit_dissipators()[1], spans):
         # W_B^dag D[R_B, R_B] W_B is the dm block of W^dag D W; the bath
         # sum runs over the site axis, one bath after the other. Only the
         # dm >= 0 row is built; see Generators.eigen_blocks

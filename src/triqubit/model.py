@@ -217,6 +217,28 @@ def liouville_block_groups(labels: tuple) -> tuple:
     return _positions_by_size(dm, sorted(set(dm.tolist()), key=lambda v: (abs(v), -v)))
 
 
+def block_entry_positions(row_labels: tuple, col_labels: tuple) -> tuple:
+    """Matrix positions of the entries of the dm >= 0 blocks of a Liouville-space map.
+
+    The block of each index stack of liouville_block_groups runs from the
+    vec positions index[0] of col_labels to those of row_labels; both label
+    tuples must hold the same values, so their stacks pair up. Returns (i,
+    j, k, l, spans). Entry (r, c) of the map, r = i d + k and c = j d + l,
+    is listed for the entries of every block, each block row-major and one
+    after the other; spans holds the (start, stop, shape) of each block's
+    run of entries, shape (1, n, n). The arrays are int16, built afresh on
+    each call: callers cache what they derive from them.
+    """
+    d = len(row_labels)
+    rows, cols = ([index[0].astype(np.int16) for index in liouville_block_groups(labels)]
+                  for labels in (row_labels, col_labels))
+    i, k = divmod(np.concatenate([np.repeat(r, c.size) for r, c in zip(rows, cols)]), d)
+    j, l = divmod(np.concatenate([np.tile(c, r.size) for r, c in zip(rows, cols)]), d)
+    stops = np.cumsum([c.size**2 for c in cols]).tolist()
+    return i, j, k, l, tuple((stop - c.size**2, stop, (1, c.size, c.size))
+                             for c, stop in zip(cols, stops))
+
+
 def _positions_by_size(labels: np.ndarray, values) -> tuple:
     """Read-only (k, n) stacks of where each of values sits in labels, one per count n.
 

@@ -146,7 +146,7 @@ class SweepConfig:
             if not np.isfinite(ratio) or ratio < 0.0:
                 raise DomainError("discard_rule must be a nonnegative ratio")
             object.__setattr__(self, "discard_rule", ratio)
-        checked_epsilon(self.epsilon)
+        object.__setattr__(self, "epsilon", checked_epsilon(self.epsilon))
 
     @property
     def effective_discard_rule(self) -> float:
@@ -185,7 +185,7 @@ class GridScanConfig:
             raise DomainError("B2_min must not exceed B2_max")
         if not isinstance(self.n_points, int) or self.n_points < 1:
             raise DomainError("n_points must be a positive integer")
-        checked_epsilon(self.epsilon)
+        object.__setattr__(self, "epsilon", checked_epsilon(self.epsilon))
 
 
 def _draw_at_least(rng: SplitMix64, low: float, high: float, floor: float) -> float:

@@ -81,7 +81,7 @@ def classify_regime(Q, W: float, epsilon: float = DEFAULT_EPSILON) -> Regime:
     near-zero heat current makes the point Unclassified, a near-zero W falls
     into the workless branch of the table.
     """
-    checked_epsilon(epsilon)
+    epsilon = checked_epsilon(epsilon)
     q1, q2, q3 = (float(q) for q in Q)
     w = float(W)
     scale = max(abs(q1), abs(q2), abs(q3), abs(w))

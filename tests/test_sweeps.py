@@ -120,6 +120,25 @@ def test_sweep_config_validation():
         sample_cfg(master_seed=1.5)
 
 
+def test_sweep_configs_keep_their_epsilon_as_a_float():
+    # a numeric string, as `--set epsilon=.01` passes it, is checked and
+    # stored as the number, so the sweep classifies with it
+    cfg = sample_cfg(epsilon=".01", n_samples=2)
+    assert type(cfg.epsilon) is float and cfg.epsilon == 0.01
+    assert all(rec.thermo is not None for rec in random_sweep(cfg))
+    grid = GridScanConfig(
+        bath_model="repeated_interaction",
+        J=VALVE["J"], Delta=VALVE["Delta"],
+        B1=VALVE["B1"], B3=VALVE["B3"],
+        B2_min=1.0, B2_max=2.0, n_points=2,
+        gamma=(0.5, 0.5, 0.5), epsilon="0.01",
+    )
+    assert type(grid.epsilon) is float and grid.epsilon == 0.01
+    assert all(rec.thermo is not None for rec in valve_sweep(grid))
+    with pytest.raises(DomainError):
+        sample_cfg(epsilon="tight")
+
+
 def test_effective_discard_rule_defaults():
     assert sample_cfg().effective_discard_rule == 0.0
     harmonic = sample_cfg(
@@ -265,7 +284,8 @@ def test_sweeps_keep_the_memoized_operators_parameter_free(model_name, base):
     caches = (algebra._embedded, model._pair_strings, model._sector_layout,
               local_me._unit_dissipators, local_me._site_stacks, local_me._flip_gathers,
               global_me._site_couplings)
-    for cache in caches:
+    for cache in caches + (model.liouville_block_groups, global_me._jump_support,
+                           global_me._block_gathers, local_me._transform_gathers):
         cache.cache_clear()
     cfg = SweepConfig(**{**base, "bath_model": model_name, "n_samples": 20,
                          "master_seed": MASTER_SEED})
@@ -274,6 +294,15 @@ def test_sweeps_keep_the_memoized_operators_parameter_free(model_name, base):
     # and one of each set of site stacks
     sizes = [cache.cache_info().currsize for cache in caches]
     assert sizes[0] <= 15 and sizes[1:3] == [3, 1] and max(sizes[3:]) <= 1, sizes
+    # the block layouts are keyed by the energy ordering of the magnetization
+    # labels: at most one entry per ordering the sweep met, plus the
+    # computational basis's own
+    orderings = {tuple(model.sector_spectrum(model.build_hamiltonian(draw_params(cfg, k)))
+                       .sectors.tolist()) for k in range(20)}
+    by_labels = (model.liouville_block_groups, global_me._jump_support,
+                 global_me._block_gathers, local_me._transform_gathers)
+    sizes = [cache.cache_info().currsize for cache in by_labels]
+    assert max(sizes) <= len(orderings) + 1 and sizes[0] >= 1, (sizes, len(orderings))
 
 
 def test_random_sweep_repeatable_csv(tmp_path):
