@@ -42,7 +42,6 @@ from .steady_state import (
     evolve_oracle,
     relaxation_time,
     solve_point,
-    solve_steady_state,
     steady_state_via_evolution,
 )
 from .thermo import (

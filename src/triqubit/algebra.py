@@ -79,17 +79,6 @@ def unvec(v: np.ndarray) -> np.ndarray:
     return v.reshape((d, d), order="F")
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two matrices, as one broadcast product.
-
-    Each entry is the same product of the same pair of operands as in
-    np.kron, so the result is bitwise equal, signed zeros included, without
-    np.kron's general-rank bookkeeping.
-    """
-    (m, n), (p, q) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
-
-
 def lindblad_superop(ops, rates) -> np.ndarray:
     """Superoperator of sum_k r_k D[A_k], D[A] = A . A^dag - (1/2){A^dag A, .}.
 
@@ -104,7 +93,7 @@ def lindblad_superop(ops, rates) -> np.ndarray:
     sand = sand.transpose(0, 2, 1, 3).reshape(d * d, d * d)
     anti = scaled.reshape(w * d, d).T @ a.reshape(w * d, d)
     eye = np.eye(d, dtype=complex)
-    return sand - 0.5 * (kron(eye, anti) + kron(anti.T, eye))
+    return sand - 0.5 * (np.kron(eye, anti) + np.kron(anti.T, eye))
 
 
 def coherent_superop(H: np.ndarray) -> np.ndarray:
@@ -164,19 +153,16 @@ def checked_real(val: complex, scale: float, what: str) -> float:
     return val.real
 
 
-def expectation(rho: np.ndarray, obs: np.ndarray) -> float:
-    """Real expectation value Tr(obs rho); raises if the imaginary residue is large."""
-    val = complex(np.trace(obs @ rho))
-    scale = float(np.linalg.norm(obs, "fro") * np.linalg.norm(rho, "fro"))
-    return checked_real(val, scale, "expectation")
-
-
 def herm(rho: np.ndarray) -> np.ndarray:
     """Hermitian part (rho + rho^dag)/2, of one matrix or of each of a stack."""
     return 0.5 * (rho + rho.conj().swapaxes(-1, -2))
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """(1/2)||a - b||_1 for Hermitian a, b (inputs are hermitized first)."""
+    """(1/2)||a - b||_1 for Hermitian a, b (inputs are hermitized first).
+
+    The acceptance tests (tests/test_acceptance.py) call it, which keeps it
+    in the package.
+    """
     diff = herm(a) - herm(b)
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))

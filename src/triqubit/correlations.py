@@ -42,7 +42,10 @@ def von_neumann_entropy(rho: np.ndarray) -> float:
 
 
 def mutual_information(rho: np.ndarray, i: int, j: int) -> float:
-    """Quantum mutual information S_i + S_j - S_ij of qubits i and j (nats)."""
+    """Quantum mutual information S_i + S_j - S_ij of qubits i and j (nats).
+
+    bench/gate.py's oracle check calls it, which keeps it in the package.
+    """
     if i == j:
         raise DomainError("mutual information needs two distinct sites")
     s_i = von_neumann_entropy(partial_trace(rho, (i,)))
@@ -68,7 +71,9 @@ def x_state_analysis(rho_pair: np.ndarray) -> XStateAnalysis:
     """Closed-form spectrum of a two-qubit state assuming the X pattern.
 
     residual is the Frobenius norm of every entry outside the pattern; the
-    closed-form eigenvalues are only meaningful when it is small.
+    closed-form eigenvalues are only meaningful when it is small. The
+    acceptance tests (tests/test_acceptance.py) call it, which keeps it in
+    the package.
     """
     if rho_pair.shape != (4, 4):
         raise DomainError(f"expected a 4x4 two-qubit state, got shape {rho_pair.shape}")
@@ -115,6 +120,7 @@ def ppt_check(rho: np.ndarray, site: int) -> PptCheck:
 
     A negative eigenvalue of the partial transpose certifies entanglement
     across that cut; min_eigenvalue within -1e-10 of zero counts as positive.
+    bench/gate.py's oracle check calls it, which keeps it in the package.
     """
     return _ppt_verdict(float(np.linalg.eigvalsh(partial_transpose(rho, site)).min()))
 

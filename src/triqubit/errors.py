@@ -14,7 +14,7 @@ class NumericalConsistencyError(TriqubitError):
 
 
 class ClusteringError(TriqubitError):
-    """Bohr-frequency clusters overlap; tighten parameters or tolerance."""
+    """Bohr-frequency clusters overlap; move the parameters apart."""
 
 
 class DegenerateSteadyStateError(TriqubitError):

@@ -86,11 +86,11 @@ def bose_occupation(omega: float, T: float) -> float:
 class JumpSet:
     """Clustered jump operators of one site.
 
-    frequencies are the ascending cluster centers (all > degeneracy_tol);
-    operators[k] lowers the system energy by frequencies[k], in the
-    computational basis, and amplitudes[k] is the same operator mapped back
-    to the eigenbasis of H, V^dag operators[k] V. zero_part is the discarded
-    |E_b - E_a| <= degeneracy_tol component of sigma_x^site.
+    frequencies are the ascending cluster centers (all > tol of
+    jump_operators); operators[k] lowers the system energy by
+    frequencies[k], in the computational basis, and amplitudes[k] is the
+    same operator mapped back to the eigenbasis of H, V^dag operators[k] V.
+    zero_part is the discarded |E_b - E_a| <= tol component of sigma_x^site.
     """
 
     site: int
@@ -98,18 +98,6 @@ class JumpSet:
     operators: np.ndarray
     amplitudes: np.ndarray
     zero_part: np.ndarray
-    degeneracy_tol: float
-
-    def reconstruct(self) -> np.ndarray:
-        """sum_omega (A_omega + A_omega^dag) + zero_part; equals sigma_x^site.
-
-        A test oracle: the tests check with it that the clustering loses no
-        part of the coupling operator.
-        """
-        out = self.zero_part.astype(complex).copy()
-        for op in self.operators:
-            out += op + op.conj().T
-        return out
 
 
 @lru_cache(maxsize=None)
@@ -133,24 +121,26 @@ def _sandwich(left: np.ndarray, X: np.ndarray, right: np.ndarray) -> np.ndarray:
     return (tall @ right).reshape(n, d, d)
 
 
-def jump_operators(spectrum: Spectrum, degeneracy_tol: float = None) -> tuple:
+def jump_operators(spectrum: Spectrum) -> tuple:
     """Clustered Fourier components of sigma_x^i under the system Hamiltonian.
 
     Returns one JumpSet per site, site 1 first. The Bohr frequencies are
     those of the one Hamiltonian, so one clustering serves every site, and
     each basis change of all the sites' clusters is one _sandwich.
+    Frequencies closer than tol = 1e-9 max(1, max |E|) merge into one
+    cluster, a cluster wider than 10 tol raises ClusteringError, and the
+    frequencies within tol of zero are discarded.
     """
     E = spectrum.energies
     V = spectrum.vectors
     Vh = V.conj().T
     d = spectrum.dim
     n_sites = d.bit_length() - 1
-    if degeneracy_tol is None:
-        degeneracy_tol = 1e-9 * max(1.0, float(np.max(np.abs(E))))
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(E))))
     sx_eig = _sandwich(Vh, _site_couplings(n_sites), V)
 
     diff = E[None, :] - E[:, None]  # diff[a, b] = E_b - E_a
-    pos = diff > degeneracy_tol
+    pos = diff > tol
     a_idx, b_idx = np.nonzero(pos)
     vals = diff[a_idx, b_idx]
     order = np.argsort(vals, kind="stable")
@@ -159,19 +149,20 @@ def jump_operators(spectrum: Spectrum, degeneracy_tol: float = None) -> tuple:
     # clusters are the runs of ascending values separated by gaps > tol
     new_run = np.empty(vals.size, dtype=bool)
     new_run[:1] = True
-    np.greater(vals[1:] - vals[:-1], degeneracy_tol, out=new_run[1:])
+    np.greater(vals[1:] - vals[:-1], tol, out=new_run[1:])
     starts = np.flatnonzero(new_run)
     ends = np.empty_like(starts)
     ends[:-1], ends[-1:] = starts[1:], vals.size
     counts = ends - starts
     diameters = vals[ends - 1] - vals[starts]
-    wide = np.flatnonzero(diameters > 10.0 * degeneracy_tol)
+    wide = np.flatnonzero(diameters > 10.0 * tol)
     if wide.size:
         k = wide[0]
         raise ClusteringError(
             f"Bohr frequency cluster near {vals[starts[k]]:.6g} has diameter "
-            f"{diameters[k]:.3e} > 10 * degeneracy_tol = {10 * degeneracy_tol:.3e}; "
-            "tighten degeneracy_tol or separate the parameters"
+            f"{diameters[k]:.3e} > 10 * tolerance = {10 * tol:.3e}; "
+            "change the fields B or the couplings J and Delta to separate these "
+            "Bohr frequencies"
         )
     n_c = starts.size
     # per site, the amplitudes of each cluster and, after all sites, the
@@ -182,7 +173,7 @@ def jump_operators(spectrum: Spectrum, degeneracy_tol: float = None) -> tuple:
     amps = np.zeros((n_pairs + n_sites, d, d), dtype=complex)
     amps[:n_pairs].reshape(n_sites, n_c, d, d)[
         :, np.repeat(np.arange(n_c), counts), a_idx, b_idx] = sx_eig[:, a_idx, b_idx]
-    amps[n_pairs:] = np.where(np.abs(diff) <= degeneracy_tol, sx_eig, 0.0)
+    amps[n_pairs:] = np.where(np.abs(diff) <= tol, sx_eig, 0.0)
     mapped = amps.any(axis=(1, 2))
     mapped[n_pairs:] = True
     ops = _sandwich(V, amps[mapped], Vh)
@@ -215,7 +206,6 @@ def jump_operators(spectrum: Spectrum, degeneracy_tol: float = None) -> tuple:
             operators=kept[start:stop],
             amplitudes=amplitudes[start:stop],
             zero_part=zero_part,
-            degeneracy_tol=float(degeneracy_tol),
         ))
     return tuple(out)
 

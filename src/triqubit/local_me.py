@@ -34,7 +34,6 @@ from .algebra import (
     CLD,
     checked_real,
     embed_pauli,
-    expectation,
     lindblad_superop,
     trace_product,
 )
@@ -72,11 +71,6 @@ class LocalRates:
     @property
     def up_rate(self) -> float:
         return self.gamma * self.n_up
-
-    @property
-    def bath_sz(self) -> float:
-        """Magnetization the bath drives its qubit toward, -1/(1 + 2 n)."""
-        return -1.0 / (1.0 + 2.0 * self.n_up)
 
 
 def local_rates(p: ModelParams, site: int) -> LocalRates:
@@ -226,30 +220,14 @@ def _real_trace(obs: np.ndarray, mat_ld: np.ndarray, what: str) -> float:
     return checked_real(val, scale, what)
 
 
-def magnetization_current_closed_form(rho_ss: np.ndarray, p: ModelParams, site: int) -> float:
-    """gamma (1 + 2n) (<sigma_z>_bath - <sigma_z>_i); equals local_current_set's q_i.
-
-    Nothing in the package calls it: the tests keep it as a closed-form
-    oracle for the dissipator-trace route.
-    """
-    rates = local_rates(p, site)
-    sz = expectation(rho_ss, _site_matrices(site)[4])
-    return rates.gamma * (1.0 + 2.0 * rates.n_up) * (rates.bath_sz - sz)
-
-
 def local_heat_current(rho_ss: np.ndarray, p: ModelParams, site: int) -> float:
-    """Q_i = Tr(B_i sigma_z^i D_i[rho]), one site at a time; a test oracle."""
+    """Q_i = Tr(B_i sigma_z^i D_i[rho]), one site at a time; the oracle route.
+
+    bench/gate.py's oracle check calls it, which keeps it in the package.
+    """
     action = _dissipator_action(p, site, rho_ss)
     h_site = p.B[site - 1] * _site_matrices(site)[4]
     return _real_trace(h_site, action, f"Q_{site}")
-
-
-def interqubit_current(rho_ss: np.ndarray, p: ModelParams, j: int, i: int) -> float:
-    """C_{j,i}, magnetization flowing from qubit j to qubit i."""
-    if i == j or not (1 <= i <= 3 and 1 <= j <= 3):
-        raise DomainError(f"need two distinct sites in 1..3, got ({j}, {i})")
-    coupling = p.pair_value("J", i, j)
-    return 2.0 * coupling * expectation(rho_ss, _pair_flow_observable(j, i))
 
 
 @dataclass(frozen=True)
@@ -273,7 +251,8 @@ def local_current_set(rho_ss: np.ndarray, gen: Generators) -> CurrentSet:
     rates (jump_rates) the currents reuse. The three site actions, the
     seven traces behind q, Q and W, and the three interqubit expectations
     are each one stacked computation; every value is bitwise equal to the
-    one-site-at-a-time route of local_heat_current and interqubit_current.
+    one-site-at-a-time route of local_heat_current and of the tests'
+    interqubit_current oracle.
     """
     p, H_int = gen.params, gen.H_int
     if p.bath_model != "repeated_interaction":

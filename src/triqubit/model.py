@@ -31,13 +31,34 @@ BATH_REPEATED_INTERACTION = "repeated_interaction"
 BATH_MODELS = (BATH_HARMONIC, BATH_REPEATED_INTERACTION)
 
 
-def _triple(name, value, minimum=None, strict=False):
+def as_number(name: str, value, integer: bool = False):
+    """value as a float, or as it is when integer is set and it is an int.
+
+    Anything else, a bool as an integer included, raises DomainError.
+    """
+    if integer:
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        raise DomainError(f"{name} must be an integer, got {value!r}")
     try:
-        out = tuple(float(x) for x in value)
+        return float(value)
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be a real number, got {value!r}") from None
+
+
+def as_reals(name: str, value, size: int) -> tuple:
+    """A sequence of size reals as a tuple of floats, each through as_number."""
+    try:  # a string iterates, but holds no reals
+        out = () if isinstance(value, str) else tuple(as_number(name, x) for x in value)
     except TypeError:
-        raise DomainError(f"{name} must be a sequence of 3 reals") from None
-    if len(out) != 3:
-        raise DomainError(f"{name} must have exactly 3 entries, got {len(out)}")
+        out = ()
+    if len(out) != size:
+        raise DomainError(f"{name} must be a sequence of {size} reals, got {value!r}")
+    return out
+
+
+def _triple(name, value, minimum=None, strict=False):
+    out = as_reals(name, value, 3)
     if any(not np.isfinite(x) for x in out):
         raise DomainError(f"{name} entries must be finite, got {out}")
     if minimum is not None:
@@ -112,18 +133,6 @@ def build_hamiltonian(p: ModelParams) -> np.ndarray:
     return local_field_hamiltonian(p) + interaction_hamiltonian(p)
 
 
-def total_sz(n_sites: int = N_SITES) -> np.ndarray:
-    """Total magnetization sum_i sigma_z^i.
-
-    A test oracle: the tests check with it that H conserves magnetization,
-    that the sector labels are right and that each jump lowers it by 2.
-    """
-    out = np.zeros((2**n_sites, 2**n_sites), dtype=complex)
-    for site in range(1, n_sites + 1):
-        out += embed_pauli(n_sites, "z", site)
-    return out
-
-
 def basis_magnetizations(n_sites: int = N_SITES) -> tuple:
     """Total magnetization of each computational basis state.
 
@@ -172,9 +181,11 @@ class Generators:
     builds them entry by entry from the support of the eigenbasis jump
     amplitudes. dissipators[i] is the superoperator of bath i + 1 in
     the computational basis; build_dissipators makes them on first access,
-    so a solve that never asks for them does not pay for them. jumps holds
-    the harmonic model's per-site JumpSets; it is empty for the
-    repeated_interaction model, whose jumps are fixed site Paulis.
+    so a solve that never asks for them does not pay for them; the heat
+    currents of an unclosed harmonic point and bench/gate.py's oracle check
+    ask for them. jumps holds the harmonic model's per-site JumpSets; it is
+    empty for the repeated_interaction model, whose jumps are fixed site
+    Paulis.
     jump_rates holds, per site, the (down, up) rates of those JumpSets'
     clusters; for the repeated_interaction model it is (down, up), the
     (3, 1, 1) arrays of the three baths' rates. H_int is the

@@ -27,8 +27,10 @@ its state is taken without the block solve when its residual sits at the
 roundoff floor. In the eigenbasis the coherent part of the generator is
 exactly diagonal, so the residual evaluation error scales with the
 dissipative rates instead of ||H||, and row 0 is the ground-state balance.
-solve_steady_state runs the same certificate and refinement on one whole
-generator in any basis.
+
+The evolution oracle, steady_state_via_evolution on the computational-basis
+generator of build_liouvillian, shares none of that solve. It stays in the
+package because bench/gate.py and the acceptance tests call it.
 """
 
 from __future__ import annotations
@@ -53,10 +55,10 @@ _NULL_TOL = 1e-10  # singular values below _NULL_TOL * sigma_max count as null
 
 @dataclass(frozen=True)
 class SteadyStateResult:
+    """A steady state of a whole generator and the norm of L vec(rho)."""
+
     rho: np.ndarray
     residual: float
-    nullspace_dim: int
-    method: str  # "nullspace" or "evolution"
 
 
 def _check_trace_preserving(blocks, weights, on_diag: np.ndarray) -> None:
@@ -155,18 +157,6 @@ def _unique_null_scale(blocks, weights, on_diag: np.ndarray) -> float:
     return sigma_max
 
 
-def solve_steady_state(L: np.ndarray) -> SteadyStateResult:
-    """Unique steady state of a trace-preserving generator."""
-    d2 = L.shape[0]
-    d = int(round(math.sqrt(d2)))
-    if L.ndim != 2 or L.shape[1] != d2 or d * d != d2:
-        raise DomainError(f"generator shape {L.shape} is not a vectorized square map")
-    on_diag = np.arange(0, d2, d + 1)  # vec positions of the trace
-    _unique_null_scale([L[None]], (1,), on_diag)
-    x, res = _trace_one_state(L, on_diag, np.zeros(d2, dtype=CLD), L.astype(CLD))
-    return SteadyStateResult(rho=_finalize_state(x), residual=res, nullspace_dim=1, method="nullspace")
-
-
 def _build_generators(p: ModelParams) -> Generators:
     # a bath whose rates overflow is a DomainError of its builder; finite
     # rates can still overflow in assembly, which leaves a non-finite block
@@ -178,7 +168,10 @@ def _build_generators(p: ModelParams) -> Generators:
 
 
 def build_liouvillian(p: ModelParams) -> np.ndarray:
-    """Full 64x64 generator in the computational basis, for the oracle."""
+    """Full 64x64 generator in the computational basis, for the oracle.
+
+    bench/gate.py and the acceptance tests call it; the solve does not.
+    """
     gen = _build_generators(p)
     return coherent_superop(gen.H) + gen.dissipators[0] + gen.dissipators[1] + gen.dissipators[2]
 
@@ -250,9 +243,6 @@ def solve_point(p: ModelParams) -> PointSolution:
     x_full = np.zeros(E.size**2, dtype=complex)
     x_full[index] = x
     rho_eig = _finalize_state(x_full)
-    if populations is not None:
-        # keep the exactly diagonal form; _finalize_state only rescaled it
-        rho_eig = np.diag(np.diag(rho_eig))
     rho = herm(V @ rho_eig @ V.conj().T)
     return PointSolution(
         params=p,
@@ -377,4 +367,4 @@ def steady_state_via_evolution(
         dt = 0.05 / float(np.linalg.norm(L, 2))
     rho = evolve_oracle(L, rho0, t_final, dt)
     res = float(np.linalg.norm(L @ vec(rho)))
-    return SteadyStateResult(rho=rho, residual=res, nullspace_dim=None, method="evolution")
+    return SteadyStateResult(rho=rho, residual=res)

@@ -32,6 +32,8 @@ from .model import (
     PAIRS,
     ModelParams,
     _triple,
+    as_number,
+    as_reals,
 )
 from .steady_state import solve_point
 from .thermo import DEFAULT_EPSILON, Regime, ThermoReport, checked_epsilon, thermo_report
@@ -77,9 +79,7 @@ def _as_triple(value, name: str) -> tuple:
 
 
 def _as_range(value, name: str) -> tuple:
-    pair = tuple(float(x) for x in value)
-    if len(pair) != 2:
-        raise DomainError(f"{name} must be a (low, high) pair")
+    pair = as_reals(name, value, 2)
     if not all(np.isfinite(pair)) or pair[0] > pair[1]:
         raise DomainError(f"{name} must satisfy low <= high with finite bounds")
     return pair
@@ -133,16 +133,16 @@ class SweepConfig:
             )
             if self.gamma_range[1] <= 0.0:
                 raise DomainError("gamma_range must reach positive rates")
-        if not isinstance(self.n_samples, int) or self.n_samples < 1:
+        if as_number("n_samples", self.n_samples, integer=True) < 1:
             raise DomainError("n_samples must be a positive integer")
-        if not isinstance(self.master_seed, int):
-            raise DomainError("master_seed must be an integer")
+        as_number("master_seed", self.master_seed, integer=True)
+        object.__setattr__(self, "min_field", as_number("min_field", self.min_field))
         if not (np.isfinite(self.min_field) and self.min_field > 0.0):
             raise DomainError("min_field must be positive")
         if self.B_range is not None and self.B_range[1] < self.min_field:
             raise DomainError("B_range lies entirely below min_field")
         if self.discard_rule is not None:
-            ratio = float(self.discard_rule)
+            ratio = as_number("discard_rule", self.discard_rule)
             if not np.isfinite(ratio) or ratio < 0.0:
                 raise DomainError("discard_rule must be a nonnegative ratio")
             object.__setattr__(self, "discard_rule", ratio)
@@ -177,13 +177,13 @@ class GridScanConfig:
         for name in ("J", "Delta", "T", "gamma"):
             object.__setattr__(self, name, _as_triple(getattr(self, name), name))
         for name in ("B1", "B3", "B2_min", "B2_max"):
-            value = float(getattr(self, name))
+            value = as_number(name, getattr(self, name))
             if not np.isfinite(value):
                 raise DomainError(f"{name} must be finite")
             object.__setattr__(self, name, value)
         if self.B2_min > self.B2_max:
             raise DomainError("B2_min must not exceed B2_max")
-        if not isinstance(self.n_points, int) or self.n_points < 1:
+        if as_number("n_points", self.n_points, integer=True) < 1:
             raise DomainError("n_points must be a positive integer")
         object.__setattr__(self, "epsilon", checked_epsilon(self.epsilon))
 

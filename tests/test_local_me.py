@@ -14,16 +14,15 @@ from triqubit.errors import DomainError
 from triqubit.local_me import (
     _site_matrices,
     build_local_generators,
-    interqubit_current,
     local_current_set,
     local_heat_current,
     local_rates,
-    magnetization_current_closed_form,
 )
 from triqubit.model import basis_magnetizations, interaction_hamiltonian
 from triqubit.sweeps import GridScanConfig, SweepConfig, _grid_points, draw_params
 
 from conftest import assert_same_bits, local_point
+from oracles import bath_sz, interqubit_current, magnetization_current_closed_form
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -52,7 +51,7 @@ def test_rates_detailed_balance():
         b, t = p.B[site - 1], p.T[site - 1]
         assert abs(r.n_up - 1.0 / np.expm1(2.0 * b / t)) < 1e-15
         assert abs(r.down_rate / r.up_rate - np.exp(2.0 * b / t)) < 1e-12
-        assert abs(r.bath_sz + np.tanh(b / t)) < 1e-15
+        assert abs(bath_sz(r) + np.tanh(b / t)) < 1e-15
 
 
 def test_rates_need_positive_field():

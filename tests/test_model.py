@@ -13,10 +13,10 @@ from triqubit.model import (
     interaction_hamiltonian,
     liouville_block_groups,
     local_field_hamiltonian,
-    total_sz,
 )
 
 from conftest import global_point, local_point
+from oracles import total_sz
 
 
 def test_params_validation():

@@ -109,19 +109,12 @@ def test_zero_work_merges_cop_and_cop_w():
 
 def test_trapezoid_membership():
     # coordinates are (B1/B3, B2/B3)
-    assert otto_conditions_and_trapezoid((0.3, 0.7, 1.0), (1.0, 2.0, 3.0)).inside_trapezoid
-    assert not otto_conditions_and_trapezoid((0.3, 0.5, 1.0), (1.0, 2.0, 3.0)).inside_trapezoid
+    assert otto_conditions_and_trapezoid((0.3, 0.7, 1.0), (1.0, 2.0, 3.0)) is True
+    assert otto_conditions_and_trapezoid((0.3, 0.5, 1.0), (1.0, 2.0, 3.0)) is False
     # below the lower horizontal edge
-    assert not otto_conditions_and_trapezoid((0.2, 0.6, 1.0), (1.0, 2.0, 3.0)).inside_trapezoid
+    assert otto_conditions_and_trapezoid((0.2, 0.6, 1.0), (1.0, 2.0, 3.0)) is False
     with pytest.raises(DomainError):
         otto_conditions_and_trapezoid((0.0, 0.5, 1.0), (1.0, 2.0, 3.0))
-
-
-def test_pair_windows_follow_field_ratios():
-    w = otto_conditions_and_trapezoid((0.3, 0.9, 1.0), (1.0, 2.0, 3.0))
-    assert w.pair_roles[(1, 2)] is Role.REFRIGERATOR  # 0.3/0.9 < 1/2
-    assert w.pair_roles[(2, 3)] is Role.ENGINE  # 2/3 < 0.9 < 1
-    assert w.pair_roles[(1, 3)] is Role.REFRIGERATOR
 
 
 def test_continuity_residuals_balance():
