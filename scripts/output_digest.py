@@ -13,18 +13,24 @@ configs.
 
 The optional argument is the root of the checkout whose ``src/`` and
 ``configs/`` are used; it defaults to the checkout holding this script.
-Each run takes a few minutes on one core.
+BLAS runs on one thread, so the digests do not depend on the BLAS build or
+the core count. Each run takes a few minutes on one core.
 """
 
 from __future__ import annotations
 
-import argparse
-import contextlib
-import hashlib
-import io
-import sys
-import tempfile
-from pathlib import Path
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from pathlib import Path  # noqa: E402
 
 SCATTER = ("local_scatter", "global_scatter")
 

@@ -107,9 +107,14 @@ def coherent_superop(H: np.ndarray) -> np.ndarray:
 CLD = np.clongdouble
 
 
-def trace_product(a: np.ndarray, b: np.ndarray) -> complex:
-    """Tr(a @ b) without forming the product; honors the input dtypes."""
-    return complex((a * b.T).sum())
+def checked_trace(obs: np.ndarray, mat_ld: np.ndarray, what: str) -> float:
+    """Real Tr(obs @ mat_ld) of a clongdouble mat_ld, summed without forming the product.
+
+    checked_real checks it at the scale of the two factors' Frobenius norms.
+    """
+    val = complex((obs.astype(CLD) * mat_ld.T).sum())
+    scale = float(np.linalg.norm(obs, "fro")) * float(np.linalg.norm(mat_ld).astype(float))
+    return checked_real(val, scale, what)
 
 
 def partial_trace(rho: np.ndarray, keep) -> np.ndarray:

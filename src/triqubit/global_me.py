@@ -11,7 +11,9 @@ and bath i contributes
     L_i[rho] = sum_omega gamma_i (1 + n(omega, T_i)) D[A_omega]
              + gamma_i n(omega, T_i) D[A_omega^dag],
 
-with n the Bose occupation. Heat currents are Q_i = Tr(H L_i[rho]).
+with n the Bose occupation. thermal_rates gives these rates; it is the one
+rate rule of both bath models, and local_me takes it at the bare splittings
+2 B_i. Heat currents are Q_i = Tr(H L_i[rho]).
 
 Nearly equal Bohr frequencies are merged into clusters; the zero-frequency
 part is discarded (with a warning when it carries weight) because it does not
@@ -25,9 +27,9 @@ build_global_generators builds the dm >= 0 magnetization-difference
 blocks of the summed dissipator from that support, entry by entry as
 lindblad_superop would build the whole 64 x 64 superoperator, and keeps
 its bits; the per-bath computational-basis dissipators are built only on
-first access to Generators.dissipators. site_rate_matrices reads the same
-support of the amplitudes, and the rates the builder computed, for the
-Pauli rate matrices of the population solve.
+first access to Generators.dissipators, at the rates the builder computed.
+site_rate_matrices reads the same support of the amplitudes, and those
+rates, for the Pauli rate matrices of the population solve.
 """
 
 from __future__ import annotations
@@ -41,10 +43,9 @@ import numpy as np
 
 from .algebra import (
     CLD,
-    checked_real,
+    checked_trace,
     embed_pauli,
     lindblad_superop,
-    trace_product,
     unvec,
     vec,
 )
@@ -210,16 +211,25 @@ def jump_operators(spectrum: Spectrum) -> tuple:
     return tuple(out)
 
 
-def _check_bath(jumps: JumpSet, gamma: float, T: float) -> None:
-    """Domain checks of one bath, and the secular-validity warning.
+def thermal_rates(site: int, omegas, gamma: float, T: float):
+    """Down and up rates gamma (1 + n(omega)) and gamma n(omega) of one bath.
 
-    Warns when gamma is not small against the spacing of the site's Bohr
-    frequencies, where the secular approximation is questionable.
+    The one rate rule of both bath models: omegas, a sequence of floats,
+    are the site's cluster frequencies on the harmonic model and its bare
+    splitting 2 B_i on the repeated_interaction model. Returns a (2, k)
+    array, the down rates in row 0 and the up rates in row 1, one per omega.
     """
-    if gamma <= 0.0:
-        raise DomainError(f"gamma must be > 0, got {gamma}")
-    if T <= 0.0:
-        raise DomainError(f"T must be > 0, got {T}")
+    nbar = [bose_occupation(w, T) for w in omegas]
+    down = [gamma * (1.0 + n) for n in nbar]
+    if not all(map(math.isfinite, down)):
+        raise DomainError(
+            f"bath of site {site}: rates overflow (gamma = {gamma}, n up to {max(nbar)})"
+        )
+    return np.array([down, [gamma * n for n in nbar]])
+
+
+def _warn_if_not_secular(jumps: JumpSet, gamma: float) -> None:
+    """Warns where gamma is not small against the site's Bohr spacings, so not secular."""
     freqs = jumps.frequencies
     if freqs.size >= 2:
         min_gap = float((freqs[1:] - freqs[:-1]).min())
@@ -233,35 +243,19 @@ def _check_bath(jumps: JumpSet, gamma: float, T: float) -> None:
             )
 
 
-def _bath_rates(jumps: JumpSet, gamma: float, T: float):
-    """Down and up rates gamma (1 + n) and gamma n of each of the site's jumps."""
-    nbar = [bose_occupation(w, T) for w in jumps.frequencies.tolist()]
-    n_max = max(nbar, default=0.0)
-    if not math.isfinite(gamma * (1.0 + n_max)):  # the largest rate
-        raise DomainError(
-            f"bath of site {jumps.site}: rates overflow (gamma = {gamma}, n up to {n_max})"
-        )
-    nbar = np.array(nbar)
-    return gamma * (1.0 + nbar), gamma * nbar
-
-
 def _with_daggers(ops: np.ndarray) -> np.ndarray:
     return np.concatenate([ops, np.conj(np.transpose(ops, (0, 2, 1)))])
 
 
-def global_dissipator(jumps: JumpSet, gamma: float, T: float) -> np.ndarray:
-    """Superoperator of bath `jumps.site` at rate gamma and temperature T."""
-    _check_bath(jumps, gamma, T)
-    down, up = _bath_rates(jumps, gamma, T)
+def global_dissipator(jumps: JumpSet, down: np.ndarray, up: np.ndarray) -> np.ndarray:
+    """Superoperator of bath `jumps.site` at the down and up rates of its jumps."""
     return lindblad_superop(_with_daggers(jumps.operators), np.concatenate([down, up]))
 
 
 def global_heat_current(rho_ss: np.ndarray, H: np.ndarray, dissipator: np.ndarray) -> float:
     """Q_i = Tr(H L_i[rho]); extended-precision accumulation."""
     w = dissipator.astype(CLD) @ vec(rho_ss).astype(CLD)
-    val = trace_product(H.astype(CLD), unvec(w))
-    scale = float(np.linalg.norm(H, "fro")) * float(np.linalg.norm(w).astype(float))
-    return checked_real(val, scale, "heat current")
+    return checked_trace(H, unvec(w), "heat current")
 
 
 # the two values of an identity's entries, as kron(eye, A) multiplies them
@@ -340,13 +334,14 @@ def build_global_generators(p: ModelParams) -> Generators:
     jumps = jump_operators(spectrum)
     rates = []
     for js, gamma, T in zip(jumps, p.gamma, p.T):
-        _check_bath(js, gamma, T)
-        rates.append(_bath_rates(js, gamma, T))
+        _warn_if_not_secular(js, gamma)
+        rates.append(thermal_rates(js.site, js.frequencies.tolist(), gamma, T))
+    rates = tuple(rates)
     # each bath's jumps and then their daggers, at its down and then its up
     # rates
     a = np.concatenate([_with_daggers(js.amplitudes) for js in jumps])
     w, d = a.shape[:2]
-    scaled = np.concatenate(sum(rates, ()))[:, None, None] * a.conj()
+    scaled = np.concatenate(rates, axis=None)[:, None, None] * a.conj()
     anti = scaled.reshape(w * d, d).T @ a.reshape(w * d, d)
     s = flat.size
     gram = np.zeros((s + 1, s + 1), dtype=complex)
@@ -359,14 +354,14 @@ def build_global_generators(p: ModelParams) -> Generators:
         spectrum=spectrum,
         # the dm >= 0 half, row 0 of each stack; see Generators.eigen_blocks
         eigen_blocks=tuple(entries[start:stop].reshape(shape) for start, stop, shape in blocks),
-        build_dissipators=partial(_site_dissipators, jumps, p),
+        build_dissipators=partial(_site_dissipators, jumps, rates),
         jumps=jumps,
-        jump_rates=tuple(rates),
+        jump_rates=rates,
     )
 
 
-def _site_dissipators(jumps: tuple, p: ModelParams) -> tuple:
-    return tuple(global_dissipator(js, gamma, T) for js, gamma, T in zip(jumps, p.gamma, p.T))
+def _site_dissipators(jumps: tuple, rates: tuple) -> tuple:
+    return tuple(global_dissipator(js, down, up) for js, (down, up) in zip(jumps, rates))
 
 
 def site_rate_matrices(gen: Generators):

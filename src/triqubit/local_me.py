@@ -1,7 +1,8 @@
 """Repeated-interaction (local) master equation and its steady-state currents.
 
 Each qubit exchanges excitations with its own bath through local jump
-operators sigma_-^i and sigma_+^i at rates fixed by the bare splitting 2 B_i:
+operators sigma_-^i and sigma_+^i at the rates of global_me.thermal_rates, the
+one rate rule of both bath models, taken at the bare splitting 2 B_i:
 
     D_i[rho] = gamma_i (n_i + 1) D[sigma_-^i] + gamma_i n_i D[sigma_+^i],
     n_i = 1/(exp(2 B_i / T_i) - 1).
@@ -24,7 +25,6 @@ sigma_+^i), (r_down, r_up)). The three sites' work is done as one stack.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -33,12 +33,12 @@ import numpy as np
 from .algebra import (
     CLD,
     checked_real,
+    checked_trace,
     embed_pauli,
     lindblad_superop,
-    trace_product,
 )
 from .errors import DomainError
-from .global_me import bose_occupation
+from .global_me import thermal_rates
 from .model import (
     N_SITES,
     SITES,
@@ -56,40 +56,17 @@ from .model import (
 FLOWS = ((2, 1), (3, 1), (3, 2))
 
 
-@dataclass(frozen=True)
-class LocalRates:
-    """Thermal rates of one local bath."""
-
-    site: int
-    gamma: float
-    n_up: float  # Bose occupation at the splitting 2 B_i
-
-    @property
-    def down_rate(self) -> float:
-        return self.gamma * (self.n_up + 1.0)
-
-    @property
-    def up_rate(self) -> float:
-        return self.gamma * self.n_up
-
-
-def local_rates(p: ModelParams, site: int) -> LocalRates:
-    b = p.B[site - 1]
-    if b <= 0.0:
-        raise DomainError(
-            f"local bath of site {site} needs B > 0 (splitting 2B sets the rates), got {b}"
-        )
-    rates = LocalRates(
-        site=site,
-        gamma=p.gamma[site - 1],
-        n_up=bose_occupation(2.0 * b, p.T[site - 1]),
-    )
-    if not math.isfinite(rates.down_rate):  # the larger of the two rates
-        raise DomainError(
-            f"local bath of site {site}: rates overflow "
-            f"(gamma = {rates.gamma}, n = {rates.n_up})"
-        )
-    return rates
+def local_rates(p: ModelParams) -> tuple:
+    """(3, 1, 1) arrays of the three baths' down and up rates, thermal_rates at each 2 B_i."""
+    rates = []
+    for site, b, gamma, T in zip(SITES, p.B, p.gamma, p.T):
+        if b <= 0.0:
+            raise DomainError(
+                f"local bath of site {site} needs B > 0 (splitting 2B sets the rates), got {b}"
+            )
+        rates.append(thermal_rates(site, (2.0 * b,), gamma, T))
+    rates = np.array(rates)[..., None]
+    return rates[:, 0], rates[:, 1]
 
 
 @lru_cache(maxsize=None)
@@ -149,14 +126,6 @@ def _unit_dissipators() -> tuple:
     return full, tuple(groups)
 
 
-def _rate_arrays(p: ModelParams) -> tuple:
-    """(3, 1, 1) arrays of the down and up rates of the three baths."""
-    rates = [local_rates(p, site) for site in SITES]
-    down = np.array([r.down_rate for r in rates])[:, None, None]
-    up = np.array([r.up_rate for r in rates])[:, None, None]
-    return down, up
-
-
 def _site_dissipators(down: np.ndarray, up: np.ndarray) -> tuple:
     """The three computational-basis bath dissipators from their rates."""
     full = _unit_dissipators()[0]
@@ -206,18 +175,12 @@ def _dissipator_actions(down: np.ndarray, up: np.ndarray, rho: np.ndarray) -> np
 
 def _dissipator_action(p: ModelParams, site: int, rho: np.ndarray) -> np.ndarray:
     """D_i[rho] of one site as an 8x8 clongdouble matrix; the oracle route."""
-    rates = local_rates(p, site)
+    down_rate, up_rate = (r[site - 1, 0, 0] for r in local_rates(p))
     sm, sp, spsm, smsp, _ = _site_matrices(site)
     r = rho.astype(CLD)
     down = sm @ r @ sp - 0.5 * (spsm @ r + r @ spsm)
     up = sp @ r @ sm - 0.5 * (smsp @ r + r @ smsp)
-    return rates.down_rate * down + rates.up_rate * up
-
-
-def _real_trace(obs: np.ndarray, mat_ld: np.ndarray, what: str) -> float:
-    val = trace_product(obs.astype(CLD), mat_ld)
-    scale = float(np.linalg.norm(obs, "fro")) * float(np.linalg.norm(mat_ld).astype(float))
-    return checked_real(val, scale, what)
+    return down_rate * down + up_rate * up
 
 
 def local_heat_current(rho_ss: np.ndarray, p: ModelParams, site: int) -> float:
@@ -227,7 +190,7 @@ def local_heat_current(rho_ss: np.ndarray, p: ModelParams, site: int) -> float:
     """
     action = _dissipator_action(p, site, rho_ss)
     h_site = p.B[site - 1] * _site_matrices(site)[4]
-    return _real_trace(h_site, action, f"Q_{site}")
+    return checked_trace(h_site, action, f"Q_{site}")
 
 
 @dataclass(frozen=True)
@@ -302,7 +265,7 @@ def build_local_generators(p: ModelParams) -> Generators:
     H_int = interaction_hamiltonian(p)
     H = local_field_hamiltonian(p) + H_int  # build_hamiltonian(p), keeping H_int
     spectrum = sector_spectrum(H)
-    down, up = _rate_arrays(p)
+    down, up = local_rates(p)
     V = spectrum.vectors
     left, right, spans = _transform_gathers(tuple(spectrum.sectors.tolist()))
     # each entry the product kron(conj(V), V) takes, in its operand order

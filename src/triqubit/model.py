@@ -34,16 +34,18 @@ BATH_MODELS = (BATH_HARMONIC, BATH_REPEATED_INTERACTION)
 def as_number(name: str, value, integer: bool = False):
     """value as a float, or as it is when integer is set and it is an int.
 
-    Anything else, a bool as an integer included, raises DomainError.
+    Anything else, a bool included, raises DomainError; numeric strings pass as reals.
     """
     if integer:
         if isinstance(value, int) and not isinstance(value, bool):
             return value
         raise DomainError(f"{name} must be an integer, got {value!r}")
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise DomainError(f"{name} must be a real number, got {value!r}") from None
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise DomainError(f"{name} must be a real number, got {value!r}")
 
 
 def as_reals(name: str, value, size: int) -> tuple:
@@ -186,9 +188,9 @@ class Generators:
     ask for them. jumps holds the harmonic model's per-site JumpSets; it is
     empty for the repeated_interaction model, whose jumps are fixed site
     Paulis.
-    jump_rates holds, per site, the (down, up) rates of those JumpSets'
-    clusters; for the repeated_interaction model it is (down, up), the
-    (3, 1, 1) arrays of the three baths' rates. H_int is the
+    jump_rates holds, per site, the (down, up) rows thermal_rates gives
+    for those JumpSets' clusters; for the repeated_interaction model it is
+    (down, up), the (3, 1, 1) arrays of the three baths' rates. H_int is the
     interaction part of H on the repeated_interaction model, whose work
     current needs it, and None on the harmonic model.
     """

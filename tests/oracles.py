@@ -12,7 +12,8 @@ import numpy as np
 
 from triqubit.algebra import CLD, checked_real, embed_pauli
 from triqubit.errors import DomainError
-from triqubit.local_me import LocalRates, _pair_flow_observable, _site_matrices, local_rates
+from triqubit.global_me import bose_occupation
+from triqubit.local_me import _pair_flow_observable, _site_matrices
 from triqubit.model import N_SITES, ModelParams
 from triqubit.steady_state import (
     SteadyStateResult,
@@ -53,9 +54,9 @@ def expectation(rho: np.ndarray, obs: np.ndarray) -> float:
     return checked_real(val, scale, "expectation")
 
 
-def bath_sz(rates: LocalRates) -> float:
-    """Magnetization a local bath drives its qubit toward, -1/(1 + 2 n)."""
-    return -1.0 / (1.0 + 2.0 * rates.n_up)
+def bath_sz(n: float) -> float:
+    """Magnetization a local bath of Bose occupation n drives its qubit toward, -1/(1 + 2 n)."""
+    return -1.0 / (1.0 + 2.0 * n)
 
 
 def magnetization_current_closed_form(rho_ss: np.ndarray, p: ModelParams, site: int) -> float:
@@ -63,9 +64,9 @@ def magnetization_current_closed_form(rho_ss: np.ndarray, p: ModelParams, site: 
 
     A closed-form oracle for the dissipator-trace route.
     """
-    rates = local_rates(p, site)
+    n = bose_occupation(2.0 * p.B[site - 1], p.T[site - 1])
     sz = expectation(rho_ss, _site_matrices(site)[4])
-    return rates.gamma * (1.0 + 2.0 * rates.n_up) * (bath_sz(rates) - sz)
+    return p.gamma[site - 1] * (1.0 + 2.0 * n) * (bath_sz(n) - sz)
 
 
 def interqubit_current(rho_ss: np.ndarray, p: ModelParams, j: int, i: int) -> float:

@@ -5,6 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from triqubit.algebra import (
+    CLD,
+    checked_trace,
     coherent_superop,
     embed_pauli,
     herm,
@@ -14,7 +16,6 @@ from triqubit.algebra import (
     partial_transpose,
     pauli,
     trace_distance,
-    trace_product,
     unvec,
     vec,
 )
@@ -199,7 +200,7 @@ def test_expectation_against_index_sum():
     obs = herm(_random_matrix(rng))
     oracle = sum(rho[i, j] * obs[j, i] for i in range(8) for j in range(8))
     assert abs(expectation(rho, obs) - oracle.real) < 1e-12
-    assert abs(trace_product(rho, obs) - oracle) < 1e-12
+    assert abs(checked_trace(rho, obs.astype(CLD), "trace") - oracle.real) < 1e-12
 
 
 def test_expectation_rejects_nonhermitian_observable():

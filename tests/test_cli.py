@@ -134,6 +134,9 @@ def test_missing_config_file(tmp_path, capsys):
     ("sweep-valve", "valve", "n_points=true"),
     ("sweep-random", "local_scatter", "n_samples=true"),
     ("sweep-random", "local_scatter", "master_seed=true"),
+    ("point", "point", "gamma=[true,0.5,0.5]"),
+    ("sweep-random", "local_scatter", "min_field=true"),
+    ("sweep-valve", "valve", "B1=true"),
 ])
 def test_non_numeric_config_entry_is_a_config_error(tmp_path, capsys, command, config, override):
     # a DomainError naming the key, exit code 2, before anything is written

@@ -121,14 +121,19 @@ def test_secular_warning_at_large_gamma():
         build_global_generators(p)
 
 
-def test_dissipator_validation():
-    p = _uncoupled()
-    spectrum = sector_spectrum(build_hamiltonian(p))
-    js = jump_operators(spectrum)[0]
-    with pytest.raises(DomainError):
-        global_dissipator(js, 0.0, 1.0)
-    with pytest.raises(DomainError):
-        global_dissipator(js, 1e-3, -1.0)
+def test_secular_warning_is_one_flag_on_a_complete_record():
+    # gamma = 0.05 is not small against this point's Bohr-frequency spacings
+    p = ModelParams(B=(0.4, 0.9, 1.6), J=(0.3, 0.2, 0.25), Delta=(0.1, 0.2, 0.3),
+                    T=(1.0, 2.0, 3.0), gamma=(0.05,) * 3, bath_model="harmonic")
+    rec = evaluate_point(p)
+    assert rec.flags == ("warn:SecularValidityWarning",)
+    assert rec.thermo is not None
+    # each site warns once per point, also when the computational-basis
+    # dissipators are built from the rates the builder derived
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        build_liouvillian(p)
+    assert [w.category for w in caught] == [SecularValidityWarning] * 3
 
 
 def test_generator_is_trace_preserving():
@@ -388,9 +393,9 @@ def test_lindblad_superop_matches_the_einsum_form():
     # local sigma-minus/sigma-plus sites: bit for bit, signed zeros included
     for p in (local_point(B=(0.9, 2.7, 4.1), gamma=(0.4, 0.8, 0.15)),
               local_point(B=(1.7, 0.4, 2.9), gamma=(0.9, 0.33, 0.51))):
+        down, up = local_rates(p)
         for site in (1, 2, 3):
-            r = local_rates(p, site)
-            args = (_site_matrices(site)[:2], (r.down_rate, r.up_rate))
+            args = (_site_matrices(site)[:2], (down[site - 1, 0, 0], up[site - 1, 0, 0]))
             got, want = lindblad_superop(*args), _einsum_lindblad(*args)
             assert_array_equal(got, want)
             for part in ("real", "imag"):
@@ -474,8 +479,8 @@ def test_closed_harmonic_points_call_no_lindblad_superop(monkeypatch):
     dissipators = gen.dissipators
     assert calls == ["lindblad_superop"] * 3
     assert [d.shape for d in dissipators] == [(64, 64)] * 3
-    for d, js, gamma, T in zip(dissipators, gen.jumps, points[0].gamma, points[0].T):
-        assert_array_equal(d, global_dissipator(js, gamma, T))
+    for d, js, (down, up) in zip(dissipators, gen.jumps, gen.jump_rates):
+        assert_array_equal(d, global_dissipator(js, down, up))
 
 
 SUPPORT_POINTS = _scatter_points(200) + [UNCLOSED_HARMONIC, ZERO_MODE]

@@ -10,7 +10,9 @@ from numpy.testing import assert_allclose, assert_array_equal
 
 from triqubit import ModelParams, build_liouvillian, local_me, solve_point
 from triqubit.algebra import lindblad_superop, trace_distance, vec
+from triqubit.algebra import checked_trace
 from triqubit.errors import DomainError
+from triqubit.global_me import bose_occupation
 from triqubit.local_me import (
     _site_matrices,
     build_local_generators,
@@ -46,18 +48,21 @@ def _product_gibbs(B, T):
 
 def test_rates_detailed_balance():
     p = local_point(B=(0.8, 1.5, 2.2))
+    down, up = local_rates(p)
+    assert down.shape == up.shape == (3, 1, 1)
     for site in (1, 2, 3):
-        r = local_rates(p, site)
-        b, t = p.B[site - 1], p.T[site - 1]
-        assert abs(r.n_up - 1.0 / np.expm1(2.0 * b / t)) < 1e-15
-        assert abs(r.down_rate / r.up_rate - np.exp(2.0 * b / t)) < 1e-12
-        assert abs(bath_sz(r) + np.tanh(b / t)) < 1e-15
+        b, t, gamma = p.B[site - 1], p.T[site - 1], p.gamma[site - 1]
+        n = bose_occupation(2.0 * b, t)
+        assert abs(n - 1.0 / np.expm1(2.0 * b / t)) < 1e-15
+        assert down[site - 1, 0, 0] == gamma * (1.0 + n) and up[site - 1, 0, 0] == gamma * n
+        assert abs(down[site - 1, 0, 0] / up[site - 1, 0, 0] - np.exp(2.0 * b / t)) < 1e-12
+        assert abs(bath_sz(n) + np.tanh(b / t)) < 1e-15
 
 
 def test_rates_need_positive_field():
     p = local_point(B=(0.0, 1.0, 1.0))
-    with pytest.raises(DomainError):
-        local_rates(p, 1)
+    with pytest.raises(DomainError, match="site 1 needs B > 0"):
+        local_rates(p)
 
 
 def test_uncoupled_fixed_point_is_product_gibbs():
@@ -195,9 +200,10 @@ def test_template_sums_equal_lindblad_superop_bit_for_bit():
 def _per_site_dissipators(p):
     """The bath dissipators as lindblad_superop built them one site at a time."""
     out = []
+    down, up = local_rates(p)
     for site in (1, 2, 3):
-        r = local_rates(p, site)
-        out.append(lindblad_superop(_site_matrices(site)[:2], (r.down_rate, r.up_rate)))
+        rates = (down[site - 1, 0, 0], up[site - 1, 0, 0])
+        out.append(lindblad_superop(_site_matrices(site)[:2], rates))
     return out
 
 
@@ -247,8 +253,8 @@ def test_current_set_keeps_the_bits_of_the_per_site_route(p):
     cs = local_current_set(sol.rho, sol.generators)
     actions = [local_me._dissipator_action(p, s, sol.rho) for s in (1, 2, 3)]
     sz = [_site_matrices(s)[4] for s in (1, 2, 3)]
-    want_q = [local_me._real_trace(sz[s - 1], actions[s - 1], "q") for s in (1, 2, 3)]
-    want_w = local_me._real_trace(interaction_hamiltonian(p), sum(actions[1:], actions[0]), "W")
+    want_q = [checked_trace(sz[s - 1], actions[s - 1], "q") for s in (1, 2, 3)]
+    want_w = checked_trace(interaction_hamiltonian(p), sum(actions[1:], actions[0]), "W")
     assert repr(cs.q) == repr(tuple(want_q))
     assert repr(cs.Q) == repr(tuple(local_heat_current(sol.rho, p, s) for s in (1, 2, 3)))
     assert repr(cs.W) == repr(want_w)
@@ -262,7 +268,7 @@ def test_gathered_dissipator_actions_keep_the_bits_of_the_matrix_products(p):
     # multiplies 0/1 Pauli matrices; signed zeros included, on the steady
     # state, its negation and all-zero states of either sign
     rho = solve_point(p).rho
-    down, up = local_me._rate_arrays(p)
+    down, up = local_me.local_rates(p)
     for state in (rho, -rho, rho.conj(), 0.0 * rho, -0.0 * rho):
         got = local_me._dissipator_actions(down, up, state)
         for s in (1, 2, 3):

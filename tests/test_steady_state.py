@@ -262,7 +262,7 @@ def _full_eigen_dissipators(gen):
     if p.bath_model == "harmonic":
         ops, rates = [], []
         for js, gamma, T in zip(gen.jumps, p.gamma, p.T):
-            down, up = global_me._bath_rates(js, gamma, T)
+            down, up = global_me.thermal_rates(js.site, js.frequencies.tolist(), gamma, T)
             ops.append(global_me._with_daggers(js.amplitudes))
             rates += [down, up]
         return [lindblad_superop(np.concatenate(ops), np.concatenate(rates))]
