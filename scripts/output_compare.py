@@ -1,21 +1,30 @@
-"""Compare the outputs of two checkouts on the bundled configs, number by number.
+"""Compare the outputs of two checkouts on the bundled configs, byte by byte and number by number.
 
-Runs every output of ``scripts/output_digest.py`` (the ``sweep-random`` CSVs
-of both scatter configs at one and two workers, the ``sweep-valve`` and
-``sweep-boost`` CSVs, ``point`` stdout and ``validate --samples 200`` stdout
-of both scatter configs) with the ``src/`` of each checkout, in one
-subprocess per checkout and both on ROOT's ``configs/``:
+Runs every output of ``_runs()`` (the ``sweep-random`` CSVs of both
+scatter configs at one and two workers, the ``sweep-valve`` CSV, the
+``sweep-boost`` CSV at one and two workers, ``point`` stdout and
+``validate --samples 200`` stdout of both scatter configs) with the
+``src/`` of each checkout, in one subprocess per checkout and both on
+ROOT's ``configs/``:
 
     python3 scripts/output_compare.py /path/to/parent/checkout [ROOT]
 
-ROOT defaults to the checkout holding this script. Exit codes, the
-``# scan=... config=...`` echo line of each CSV, every non-numeric CSV cell
-and JSON leaf, and ``validate`` stdout must be identical. Numeric CSV cells
-and numeric ``point`` JSON leaves a, b must agree within
-1e-9 * max(|a|, |b|) + 1e-15; ``nullspace_residual`` is reported but not
-gated. Prints, per column, the worst ratio |a - b| / bound and the number of
-cells whose text differs at all, and exits 1 on any violation. Each
-checkout takes a few minutes on one core.
+ROOT defaults to the checkout holding this script. BLAS runs on one thread
+in both subprocesses, so the outputs do not depend on the BLAS build or the
+core count. Each output gets one ``side  sha256  exit_code  name`` line per
+checkout. Exit codes, the ``# scan=... config=...`` echo line of each CSV,
+every non-numeric CSV cell and JSON leaf, and ``validate`` stdout must be
+identical. Numeric CSV cells and numeric ``point`` JSON leaves a, b must
+agree within 1e-9 * max(|a|, |b|) + 1e-15; ``nullspace_residual`` is
+reported but not gated. Prints, per column, the worst ratio |a - b| /
+bound and the number of cells whose text differs at all, and each side's
+``first_law_rel_p50`` as ``bench/gate.py``'s ``check_file`` takes it on
+the benchmark's reference data: records 0-199 of each one-worker
+``sweep-random`` CSV, and the ``sweep-boost`` CSV. The last line is
+``result: IDENTICAL`` when every output's bytes and exit code match,
+``result: PASS`` when the numbers agree within the bound, and ``result:
+FAIL`` on any violation, which exits 1. Each checkout takes a few minutes
+on one core.
 """
 
 from __future__ import annotations
@@ -23,6 +32,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
+import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -32,10 +44,35 @@ import sys
 import tempfile
 from pathlib import Path
 
-from output_digest import _runs
+SCRIPT_ROOT = Path(__file__).resolve().parent.parent
+SCATTER = ("local_scatter", "global_scatter")
+# the benchmark's reference data for first_law_rel_p50, per workload: the
+# output and how many of its first records (None for all); bench/run.py
+# sweeps REFERENCE_SAMPLES = 200 records of each scatter config
+FIRST_LAW_REFERENCE = {
+    "local_scatter": ("sweep-random local_scatter --workers 1", 200),
+    "global_scatter": ("sweep-random global_scatter --workers 1", 200),
+    "boost_pool": ("sweep-boost boost", None),
+}
 
 RTOL, ATOL = 1e-9, 1e-15
 UNGATED = frozenset({"nullspace_residual"})
+
+
+def _runs():
+    """(name, cli argv without --out, output kind) for every compared output."""
+    for config in SCATTER:
+        for workers in (1, 2):
+            yield (f"sweep-random {config} --workers {workers}",
+                   ["sweep-random", "--config", config, "--workers", str(workers)], "csv")
+    yield "sweep-valve valve", ["sweep-valve", "--config", "valve"], "csv"
+    yield "sweep-boost boost", ["sweep-boost", "--config", "boost"], "csv"
+    yield ("sweep-boost boost --workers 2",
+           ["sweep-boost", "--config", "boost", "--workers", "2"], "csv")
+    yield "point point", ["point", "--config", "point"], "stdout"
+    for config in SCATTER:
+        yield (f"validate {config} --samples 200",
+               ["validate", "--config", config, "--samples", "200"], "stdout")
 
 
 def _collect(src: Path, configs: Path, out_dir: Path) -> None:
@@ -82,6 +119,18 @@ class Comparison:
         self.worst = {}  # column -> (ratio, output name)
         self.changed = {}  # column -> cells whose text is not byte-identical
         self.errors = []
+        self.digested = 0  # outputs whose bytes and exit codes were compared
+        self.moved = 0  # of those, outputs whose bytes or exit code differ
+
+    def digests(self, name: str, a: bytes, b: bytes, code_a, code_b) -> None:
+        """Print each side's sha256 and exit code of one output, and compare the codes."""
+        sides = [(hashlib.sha256(data).hexdigest(), code)
+                 for data, code in ((a, code_a), (b, code_b))]
+        for side, (digest, code) in zip(("parent", "root"), sides):
+            print(f"{side:<6}  {digest}  {code}  {name}")
+        self.digested += 1
+        self.moved += sides[0] != sides[1]
+        self.same(code_a, code_b, f"{name}: exit code")
 
     def numbers(self, column: str, a: float, b: float, where: str, same_text: bool) -> None:
         self.changed[column] = self.changed.get(column, 0) + (not same_text)
@@ -98,10 +147,16 @@ class Comparison:
         if a != b:
             self.errors.append(f"{what}: {a!r} != {b!r}")
 
+    def unreadable(self, a: str, b: str, what: str) -> None:
+        """Names the sizes, not the text, of two outputs that cannot be compared cell by cell."""
+        if a != b:
+            self.errors.append(f"{what} of {len(a)} and {len(b)} characters, "
+                               "not readable on both sides")
+
     def csv(self, a: str, b: str, name: str) -> None:
         lines_a, lines_b = a.splitlines(), b.splitlines()
         if not lines_a or not lines_b:
-            self.same(a, b, f"{name}: CSV")
+            self.unreadable(a, b, f"{name}: CSV")
             return
         self.same(lines_a[0], lines_b[0], f"{name}: config echo")
         rows_a = list(csv.reader(lines_a[1:]))
@@ -118,8 +173,12 @@ class Comparison:
                     self.numbers(column, na, nb, f"{name} row {k}", ca == cb)
 
     def point(self, a: str, b: str, name: str) -> None:
-        leaves_a = list(_leaves(json.loads(a)))
-        leaves_b = list(_leaves(json.loads(b)))
+        try:
+            leaves_a, leaves_b = (list(_leaves(json.loads(text))) for text in (a, b))
+        except json.JSONDecodeError:
+            # a run that stops before its report prints nothing
+            self.unreadable(a, b, f"{name}: stdout")
+            return
         self.same([c for c, _ in leaves_a], [c for c, _ in leaves_b], f"{name}: JSON layout")
         for (column, va), (_, vb) in zip(leaves_a, leaves_b):
             numeric = all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in (va, vb))
@@ -138,13 +197,40 @@ class Comparison:
                 failed.append(f"{column}: ratio {ratio:.3e} at {where}")
         for line in failed:
             print(f"VIOLATION {line}")
-        print(f"result: {'FAIL' if failed else 'PASS'}")
+        if failed:
+            verdict = "FAIL"
+        else:
+            verdict = "IDENTICAL" if self.digested and not self.moved else "PASS"
+        print(f"result: {verdict}")
         return 1 if failed else 0
 
 
-def _read(out_dir: Path, k: int, kind: str) -> str:
+def _read(out_dir: Path, k: int, kind: str) -> bytes:
     path = out_dir / f"{k}.{kind}"
-    return path.read_text() if path.exists() else ""
+    return path.read_bytes() if path.exists() else b""
+
+
+@functools.lru_cache(maxsize=None)
+def _bench_gate():
+    path = SCRIPT_ROOT / "bench" / "gate.py"
+    spec = importlib.util.spec_from_file_location("bench_gate", path)
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+    return gate
+
+
+def first_law_p50(data: bytes, records, scratch: Path):
+    """bench/gate.py's first_law_rel_p50 of a CSV's first records records, all for None.
+
+    scratch is the path the cut CSV is written to for check_file. Returns
+    None for an empty output.
+    """
+    if not data:
+        return None
+    # the config echo line and the header come first
+    lines = data.splitlines(keepends=True)[: None if records is None else 2 + records]
+    scratch.write_bytes(b"".join(lines))
+    return _bench_gate().check_file(str(scratch), len(lines) - 2)["first_law_rel_p50"]
 
 
 def main(argv=None) -> int:
@@ -155,7 +241,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="checkout to compare against")
     parser.add_argument("root", nargs="?", type=Path,
-                        default=Path(__file__).resolve().parent.parent,
+                        default=SCRIPT_ROOT,
                         help="checkout whose configs/ both runs use (default: this one)")
     args = parser.parse_args(argv)
     root, parent = args.root.resolve(), args.parent.resolve()
@@ -175,15 +261,23 @@ def main(argv=None) -> int:
 
         comparison = Comparison()
         codes = [json.loads((d / "codes.json").read_text()) for d in dirs]
+        outputs = {}
         for k, (name, cli_args, kind) in enumerate(_runs()):
-            comparison.same(codes[0][name], codes[1][name], f"{name}: exit code")
-            a, b = (_read(d, k, kind) for d in dirs)
+            outputs[name] = [_read(d, k, kind) for d in dirs]
+            comparison.digests(name, *outputs[name], codes[0][name], codes[1][name])
+            a, b = (data.decode() for data in outputs[name])
             if kind == "csv":
                 comparison.csv(a, b, name)
             elif cli_args[0] == "point":
                 comparison.point(a, b, name)
             else:
                 comparison.same(a, b, f"{name}: stdout")
+
+        print(f"{'first_law_rel_p50':<18} {'parent':>24} {'root':>24}")
+        for workload, (name, records) in FIRST_LAW_REFERENCE.items():
+            p50 = [first_law_p50(data, records, Path(tmp) / "first_law.csv")
+                   for data in outputs[name]]
+            print(f"{workload:<18} {p50[0]!r:>24} {p50[1]!r:>24}")
         return comparison.report()
 
 

@@ -96,6 +96,11 @@ def lindblad_superop(ops, rates) -> np.ndarray:
     return sand - 0.5 * (np.kron(eye, anti) + np.kron(anti.T, eye))
 
 
+def with_daggers(ops: np.ndarray) -> np.ndarray:
+    """The (k, d, d) stack ops followed by the adjoint of each of its matrices."""
+    return np.concatenate([ops, np.conj(np.transpose(ops, (0, 2, 1)))])
+
+
 def coherent_superop(H: np.ndarray) -> np.ndarray:
     """Superoperator of rho -> -i[H, rho]."""
     eye = np.eye(H.shape[0], dtype=complex)

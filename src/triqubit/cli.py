@@ -36,7 +36,7 @@ from .sweeps import (
 )
 from .thermo import DEFAULT_EPSILON, LAWS, LOCAL_LAWS, checked_epsilon, invariant_violations
 
-_POINT_KEYS = frozenset({"bath_model", "B", "J", "Delta", "T", "gamma", "epsilon"})
+_POINT_KEYS = frozenset(f.name for f in fields(ModelParams)) | {"epsilon"}
 
 _DEFAULT_T = (1.0, 2.0, 3.0)
 

@@ -26,10 +26,8 @@ unless |m(a) - m(b)| = 2, 30 of the 64 entries for three qubits.
 build_global_generators builds the dm >= 0 magnetization-difference
 blocks of the summed dissipator from that support, entry by entry as
 lindblad_superop would build the whole 64 x 64 superoperator, and keeps
-its bits; the per-bath computational-basis dissipators are built only on
-first access to Generators.dissipators, at the rates the builder computed.
-site_rate_matrices reads the same support of the amplitudes, and those
-rates, for the Pauli rate matrices of the population solve.
+its bits. site_rate_matrices reads the same support of the amplitudes,
+and those rates, for the Pauli rate matrices of the population solve.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -45,9 +43,9 @@ from .algebra import (
     CLD,
     checked_trace,
     embed_pauli,
-    lindblad_superop,
     unvec,
     vec,
+    with_daggers,
 )
 from .errors import (
     ClusteringError,
@@ -243,15 +241,6 @@ def _warn_if_not_secular(jumps: JumpSet, gamma: float) -> None:
             )
 
 
-def _with_daggers(ops: np.ndarray) -> np.ndarray:
-    return np.concatenate([ops, np.conj(np.transpose(ops, (0, 2, 1)))])
-
-
-def global_dissipator(jumps: JumpSet, down: np.ndarray, up: np.ndarray) -> np.ndarray:
-    """Superoperator of bath `jumps.site` at the down and up rates of its jumps."""
-    return lindblad_superop(_with_daggers(jumps.operators), np.concatenate([down, up]))
-
-
 def global_heat_current(rho_ss: np.ndarray, H: np.ndarray, dissipator: np.ndarray) -> float:
     """Q_i = Tr(H L_i[rho]); extended-precision accumulation."""
     w = dissipator.astype(CLD) @ vec(rho_ss).astype(CLD)
@@ -322,9 +311,7 @@ def build_global_generators(p: ModelParams) -> Generators:
     build the whole summed superoperator of the jump amplitudes, from the
     same operands in the same order, so they keep its bits. Its sandwich
     term is nonzero only between two support positions of the amplitudes,
-    and there it is one (s, w) by (w, s) product over the w jumps. The
-    per-bath computational-basis dissipators are built on first access to
-    Generators.dissipators.
+    and there it is one (s, w) by (w, s) product over the w jumps.
     """
     H = build_hamiltonian(p)
     spectrum = sector_spectrum(H)
@@ -339,7 +326,7 @@ def build_global_generators(p: ModelParams) -> Generators:
     rates = tuple(rates)
     # each bath's jumps and then their daggers, at its down and then its up
     # rates
-    a = np.concatenate([_with_daggers(js.amplitudes) for js in jumps])
+    a = np.concatenate([with_daggers(js.amplitudes) for js in jumps])
     w, d = a.shape[:2]
     scaled = np.concatenate(rates, axis=None)[:, None, None] * a.conj()
     anti = scaled.reshape(w * d, d).T @ a.reshape(w * d, d)
@@ -354,14 +341,10 @@ def build_global_generators(p: ModelParams) -> Generators:
         spectrum=spectrum,
         # the dm >= 0 half, row 0 of each stack; see Generators.eigen_blocks
         eigen_blocks=tuple(entries[start:stop].reshape(shape) for start, stop, shape in blocks),
-        build_dissipators=partial(_site_dissipators, jumps, rates),
-        jumps=jumps,
+        jump_ops=tuple(js.operators for js in jumps),
         jump_rates=rates,
+        jumps=jumps,
     )
-
-
-def _site_dissipators(jumps: tuple, rates: tuple) -> tuple:
-    return tuple(global_dissipator(js, down, up) for js, (down, up) in zip(jumps, rates))
 
 
 def site_rate_matrices(gen: Generators):

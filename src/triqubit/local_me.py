@@ -17,16 +17,17 @@ Bookkeeping at the steady state:
 Traces over dissipator outputs are accumulated in extended precision: near
 detailed balance they are tiny differences of terms of size gamma*n*rho.
 
-Every bath dissipator is r_down D[sigma_-^i] + r_up D[sigma_+^i], assembled
-from the unit-rate superoperators of its site, which are built once per
-process; the sum is bitwise equal to lindblad_superop((sigma_-^i,
-sigma_+^i), (r_down, r_up)). The three sites' work is done as one stack.
+Every bath dissipator is r_down D[sigma_-^i] + r_up D[sigma_+^i]. Its
+eigenbasis blocks are assembled from the unit-rate blocks of its site, cut
+once per process; the sum is bitwise equal to the same blocks of
+lindblad_superop((sigma_-^i, sigma_+^i), (r_down, r_up)), the superoperator
+Generators.dissipators builds. The three sites' work is done as one stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -57,7 +58,7 @@ FLOWS = ((2, 1), (3, 1), (3, 2))
 
 
 def local_rates(p: ModelParams) -> tuple:
-    """(3, 1, 1) arrays of the three baths' down and up rates, thermal_rates at each 2 B_i."""
+    """The three baths' (2, 1) rate rows, thermal_rates at each 2 B_i."""
     rates = []
     for site, b, gamma, T in zip(SITES, p.B, p.gamma, p.T):
         if b <= 0.0:
@@ -65,8 +66,12 @@ def local_rates(p: ModelParams) -> tuple:
                 f"local bath of site {site} needs B > 0 (splitting 2B sets the rates), got {b}"
             )
         rates.append(thermal_rates(site, (2.0 * b,), gamma, T))
-    rates = np.array(rates)[..., None]
-    return rates[:, 0], rates[:, 1]
+    return tuple(rates)
+
+
+def _site_axis_rates(rates: tuple) -> np.ndarray:
+    """(down, up) of local_rates' rows, each a (3, 1, 1) array over the site axis."""
+    return np.array(rates)[..., None].swapaxes(0, 1)
 
 
 @lru_cache(maxsize=None)
@@ -74,6 +79,12 @@ def _site_matrices(site: int):
     sm = embed_pauli(N_SITES, "minus", site)
     sp = embed_pauli(N_SITES, "plus", site)
     return sm, sp, sp @ sm, sm @ sp, embed_pauli(N_SITES, "z", site)
+
+
+@lru_cache(maxsize=None)
+def _lowering_jumps() -> tuple:
+    """Read-only (1, 8, 8) stacks of sigma_-^i, the jumps of the three local baths."""
+    return tuple(_site_matrices(site)[0][None] for site in SITES)
 
 
 @lru_cache(maxsize=None)
@@ -101,14 +112,14 @@ def _site_stacks() -> tuple:
 
 @lru_cache(maxsize=None)
 def _unit_dissipators() -> tuple:
-    """Unit-rate D[sigma_-^i] and D[sigma_+^i] of the three sites, built once.
+    """Unit-rate blocks of D[sigma_-^i] and D[sigma_+^i] of the three sites, cut once.
 
-    Returns (full, groups). full[0] and full[1] are the (3, 64, 64) stacks
-    over the sites of lindblad_superop((sigma_-^i,), (1,)) and
-    lindblad_superop((sigma_+^i,), (1,)). groups holds one (down, up) per
-    index stack of liouville_block_groups of the computational basis: the
-    (1, 3, n, n) stacks of the blocks of full[0] and full[1] at the dm >= 0
-    row index[:1] of that stack. Every array is read-only.
+    Returns one (down, up) per index stack of liouville_block_groups of the
+    computational basis: the (1, 3, n, n) stacks over the sites of the
+    blocks of lindblad_superop((sigma_-^i,), (1,)) and
+    lindblad_superop((sigma_+^i,), (1,)) at the dm >= 0 row index[:1] of
+    that stack. Every array is read-only; the 64 x 64 superoperators they
+    are cut from are not kept.
     """
     full = np.array([
         [lindblad_superop((_site_matrices(site)[k],), (1.0,)) for site in SITES]
@@ -122,14 +133,7 @@ def _unit_dissipators() -> tuple:
         for arr in (down, up):
             arr.setflags(write=False)
         groups.append((down, up))
-    full.setflags(write=False)
-    return full, tuple(groups)
-
-
-def _site_dissipators(down: np.ndarray, up: np.ndarray) -> tuple:
-    """The three computational-basis bath dissipators from their rates."""
-    full = _unit_dissipators()[0]
-    return tuple(down * full[0] + up * full[1])
+    return tuple(groups)
 
 
 @lru_cache(maxsize=None)
@@ -157,8 +161,8 @@ def _flip_gathers() -> tuple:
     return arrays
 
 
-def _dissipator_actions(down: np.ndarray, up: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """D_i[rho] of the three sites as a (3, 8, 8) clongdouble stack.
+def _dissipator_actions(rates: tuple, rho: np.ndarray) -> np.ndarray:
+    """D_i[rho] of the three sites at local_rates' rows, as a (3, 8, 8) clongdouble stack.
 
     Every product with a 0/1 Pauli matrix only picks or masks entries of
     rho, so it is a gather here. It keeps the bits of the matrix products
@@ -170,12 +174,13 @@ def _dissipator_actions(down: np.ndarray, up: np.ndarray, rho: np.ndarray) -> np
     jumped = np.where(jump, r[flip[:, :, None], flip[:, None, :]], 0)
     anti = np.where(left, r, 0) + np.where(right, r, 0)
     lowered, raised = jumped - 0.5 * anti
+    down, up = _site_axis_rates(rates)
     return down * lowered + up * raised
 
 
 def _dissipator_action(p: ModelParams, site: int, rho: np.ndarray) -> np.ndarray:
     """D_i[rho] of one site as an 8x8 clongdouble matrix; the oracle route."""
-    down_rate, up_rate = (r[site - 1, 0, 0] for r in local_rates(p))
+    down_rate, up_rate = local_rates(p)[site - 1][:, 0]
     sm, sp, spsm, smsp, _ = _site_matrices(site)
     r = rho.astype(CLD)
     down = sm @ r @ sp - 0.5 * (spsm @ r + r @ spsm)
@@ -220,7 +225,7 @@ def local_current_set(rho_ss: np.ndarray, gen: Generators) -> CurrentSet:
     p, H_int = gen.params, gen.H_int
     if p.bath_model != "repeated_interaction":
         raise DomainError("local_current_set applies to the repeated_interaction model")
-    actions = _dissipator_actions(*gen.jump_rates, rho_ss)
+    actions = _dissipator_actions(gen.jump_rates, rho_ss)
     sz, flows, flow_norms = _site_stacks()
     # observables q_1..3, Q_1..3, W against the actions they trace
     obs = np.concatenate([sz, np.array(p.B)[:, None, None] * sz, H_int[None]])
@@ -265,13 +270,14 @@ def build_local_generators(p: ModelParams) -> Generators:
     H_int = interaction_hamiltonian(p)
     H = local_field_hamiltonian(p) + H_int  # build_hamiltonian(p), keeping H_int
     spectrum = sector_spectrum(H)
-    down, up = local_rates(p)
+    rates = local_rates(p)
+    down, up = _site_axis_rates(rates)
     V = spectrum.vectors
     left, right, spans = _transform_gathers(tuple(spectrum.sectors.tolist()))
     # each entry the product kron(conj(V), V) takes, in its operand order
     entries = V.conj().ravel().take(left) * V.ravel().take(right)
     blocks = []
-    for (t_down, t_up), (start, stop, shape) in zip(_unit_dissipators()[1], spans):
+    for (t_down, t_up), (start, stop, shape) in zip(_unit_dissipators(), spans):
         # W_B^dag D[R_B, R_B] W_B is the dm block of W^dag D W; the bath
         # sum runs over the site axis, one bath after the other. Only the
         # dm >= 0 row is built; see Generators.eigen_blocks
@@ -283,7 +289,7 @@ def build_local_generators(p: ModelParams) -> Generators:
         H=H,
         spectrum=spectrum,
         eigen_blocks=tuple(blocks),
-        build_dissipators=partial(_site_dissipators, down, up),
-        jump_rates=(down, up),
+        jump_ops=_lowering_jumps(),
+        jump_rates=rates,
         H_int=H_int,
     )

@@ -15,11 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Callable
 
 import numpy as np
 
-from .algebra import embed_pauli, num_qubits
+from .algebra import embed_pauli, lindblad_superop, num_qubits, with_daggers
 from .errors import DomainError
 
 N_SITES = 3
@@ -168,45 +167,43 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class Generators:
-    """Lindblad generator pieces of one parameter point, for either bath model.
+    """Lindblad generator pieces of one parameter point, the same record for either bath model.
 
-    eigen_blocks is the dm >= 0 half of the dissipative part of the
-    generator in the eigenbasis of H, where vec(X) stands for V X V^dag,
-    summed over the three baths and cut into its magnetization-difference
-    blocks: one (1, n, n) stack per (k, n) index stack of
-    Spectrum.liouville_block_groups, in that order, whose [0] is the block
-    at the vec positions index[0]. Entries between blocks are exactly zero.
-    The block at index[1], of the opposite dm, is not built: the generator
-    preserves Hermiticity, so it is the conjugate of block [0] at the
-    swapped positions, b + d a for a + d b. The repeated_interaction builder
-    maps each bath's computational-basis blocks there, the harmonic builder
-    builds them entry by entry from the support of the eigenbasis jump
-    amplitudes. dissipators[i] is the superoperator of bath i + 1 in
-    the computational basis; build_dissipators makes them on first access,
-    so a solve that never asks for them does not pay for them; the heat
-    currents of an unclosed harmonic point and bench/gate.py's oracle check
-    ask for them. jumps holds the harmonic model's per-site JumpSets; it is
-    empty for the repeated_interaction model, whose jumps are fixed site
-    Paulis.
-    jump_rates holds, per site, the (down, up) rows thermal_rates gives
-    for those JumpSets' clusters; for the repeated_interaction model it is
-    (down, up), the (3, 1, 1) arrays of the three baths' rates. H_int is the
-    interaction part of H on the repeated_interaction model, whose work
-    current needs it, and None on the harmonic model.
+    Bath i + 1 is sum_k r_k D[A_k] over its lowering jumps jump_ops[i], a
+    (k, d, d) stack in the computational basis, and their adjoints, at the
+    (2, k) rate rows jump_rates[i] of global_me.thermal_rates, down then up.
+    dissipators builds each as lindblad_superop(with_daggers(jump_ops[i]),
+    jump_rates[i].ravel()) on first access, for build_liouvillian, the heat
+    currents of an unclosed harmonic point and bench/gate.py's oracle
+    check; the solve reads only eigen_blocks.
+
+    eigen_blocks is the dm >= 0 half of the summed dissipator in the
+    eigenbasis of H, vec(X) standing for V X V^dag: one (1, n, n) stack per
+    (k, n) index stack of Spectrum.liouville_block_groups, whose [0] is the
+    block at the vec positions index[0]. Entries between blocks are exactly
+    zero. The block at index[1] is not built: the generator preserves
+    Hermiticity, so it is the conjugate of block [0] at the swapped
+    positions, b + d a for a + d b.
+
+    jumps holds the harmonic model's per-site JumpSets and is empty on the
+    repeated_interaction model. H_int is the interaction part of H on the
+    repeated_interaction model, whose work current needs it, and None on
+    the harmonic model.
     """
 
     params: ModelParams
     H: np.ndarray
     spectrum: Spectrum
     eigen_blocks: tuple = field(repr=False)
-    build_dissipators: Callable[[], tuple] = field(repr=False)
+    jump_ops: tuple = field(repr=False)
+    jump_rates: tuple
     jumps: tuple = ()
-    jump_rates: tuple = ()
     H_int: np.ndarray = field(default=None, repr=False)
 
     @cached_property
     def dissipators(self) -> tuple:
-        return self.build_dissipators()
+        return tuple(lindblad_superop(with_daggers(ops), rows.ravel())
+                     for ops, rows in zip(self.jump_ops, self.jump_rates))
 
 
 # one entry per ordering of the magnetization labels: at most 1120 for three

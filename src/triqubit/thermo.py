@@ -60,6 +60,8 @@ _SIGN_TABLE = {
     (-1, -1, 1): (Regime.IX, Regime.X),
 }
 
+# the regimes open to the workless harmonic model; tests/test_acceptance.py
+# imports it, which keeps it in the package
 HARMONIC_REGIMES = frozenset({Regime.IV, Regime.VI, Regime.VIII, Regime.X})
 
 

@@ -18,10 +18,17 @@ from triqubit import (
     bose_occupation,
     solve_point,
 )
-from triqubit import algebra, global_me
-from triqubit.algebra import coherent_superop, embed_pauli, lindblad_superop, trace_distance, vec
+from triqubit import algebra, global_me, model
+from triqubit.algebra import (
+    coherent_superop,
+    embed_pauli,
+    lindblad_superop,
+    trace_distance,
+    vec,
+    with_daggers,
+)
 from triqubit.errors import ClusteringError, DomainError, SecularValidityWarning, ZeroModeWarning
-from triqubit.global_me import global_dissipator, jump_operators, site_rate_matrices
+from triqubit.global_me import jump_operators, site_rate_matrices
 from triqubit.model import Spectrum, basis_magnetizations, build_hamiltonian, sector_spectrum
 from triqubit.sweeps import SweepConfig, draw_params, evaluate_point, random_sweep
 
@@ -393,9 +400,9 @@ def test_lindblad_superop_matches_the_einsum_form():
     # local sigma-minus/sigma-plus sites: bit for bit, signed zeros included
     for p in (local_point(B=(0.9, 2.7, 4.1), gamma=(0.4, 0.8, 0.15)),
               local_point(B=(1.7, 0.4, 2.9), gamma=(0.9, 0.33, 0.51))):
-        down, up = local_rates(p)
+        rates = local_rates(p)
         for site in (1, 2, 3):
-            args = (_site_matrices(site)[:2], (down[site - 1, 0, 0], up[site - 1, 0, 0]))
+            args = (_site_matrices(site)[:2], tuple(rates[site - 1][:, 0]))
             got, want = lindblad_superop(*args), _einsum_lindblad(*args)
             assert_array_equal(got, want)
             for part in ("real", "imag"):
@@ -412,10 +419,11 @@ def test_lindblad_superop_matches_the_einsum_form():
 
 
 def test_closed_points_build_no_computational_basis_dissipator(monkeypatch):
+    # Generators.dissipators is the only caller of model's lindblad_superop
     calls = []
-    real = global_me.global_dissipator
+    real = model.lindblad_superop
     monkeypatch.setattr(
-        global_me, "global_dissipator", lambda *args: calls.append(args) or real(*args)
+        model, "lindblad_superop", lambda *args: calls.append(args) or real(*args)
     )
     eye = np.eye(8)
     transforms = []
@@ -479,8 +487,9 @@ def test_closed_harmonic_points_call_no_lindblad_superop(monkeypatch):
     dissipators = gen.dissipators
     assert calls == ["lindblad_superop"] * 3
     assert [d.shape for d in dissipators] == [(64, 64)] * 3
-    for d, js, (down, up) in zip(dissipators, gen.jumps, gen.jump_rates):
-        assert_array_equal(d, global_dissipator(js, down, up))
+    for d, ops, js, (down, up) in zip(dissipators, gen.jump_ops, gen.jumps, gen.jump_rates):
+        assert ops is js.operators
+        assert_array_equal(d, lindblad_superop(with_daggers(ops), np.concatenate([down, up])))
 
 
 SUPPORT_POINTS = _scatter_points(200) + [UNCLOSED_HARMONIC, ZERO_MODE]

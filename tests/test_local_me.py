@@ -9,7 +9,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from triqubit import ModelParams, build_liouvillian, local_me, solve_point
-from triqubit.algebra import lindblad_superop, trace_distance, vec
+from triqubit.algebra import lindblad_superop, trace_distance, vec, with_daggers
 from triqubit.algebra import checked_trace
 from triqubit.errors import DomainError
 from triqubit.global_me import bose_occupation
@@ -20,7 +20,7 @@ from triqubit.local_me import (
     local_heat_current,
     local_rates,
 )
-from triqubit.model import basis_magnetizations, interaction_hamiltonian
+from triqubit.model import basis_magnetizations, interaction_hamiltonian, liouville_block_groups
 from triqubit.sweeps import GridScanConfig, SweepConfig, _grid_points, draw_params
 
 from conftest import assert_same_bits, local_point
@@ -48,14 +48,15 @@ def _product_gibbs(B, T):
 
 def test_rates_detailed_balance():
     p = local_point(B=(0.8, 1.5, 2.2))
-    down, up = local_rates(p)
-    assert down.shape == up.shape == (3, 1, 1)
+    rates = local_rates(p)
+    assert [r.shape for r in rates] == [(2, 1)] * 3
     for site in (1, 2, 3):
         b, t, gamma = p.B[site - 1], p.T[site - 1], p.gamma[site - 1]
         n = bose_occupation(2.0 * b, t)
         assert abs(n - 1.0 / np.expm1(2.0 * b / t)) < 1e-15
-        assert down[site - 1, 0, 0] == gamma * (1.0 + n) and up[site - 1, 0, 0] == gamma * n
-        assert abs(down[site - 1, 0, 0] / up[site - 1, 0, 0] - np.exp(2.0 * b / t)) < 1e-12
+        down, up = rates[site - 1][:, 0]
+        assert down == gamma * (1.0 + n) and up == gamma * n
+        assert abs(down / up - np.exp(2.0 * b / t)) < 1e-12
         assert abs(bath_sz(n) + np.tanh(b / t)) < 1e-15
 
 
@@ -186,24 +187,28 @@ def _rate_pair_cases():
 
 
 def test_template_sums_equal_lindblad_superop_bit_for_bit():
-    # r_down T_down + r_up T_up against the two-jump lindblad_superop, on
-    # 2000 random rate pairs per site and on r_up = 0, subnormal r_up and
-    # r_up one or two ulps below r_down
+    # the blocks r_down T_down + r_up T_up that build_local_generators sums
+    # against the same blocks of the dissipator Generators.dissipators
+    # builds, lindblad_superop of sigma_-^i and its adjoint, on 2000 random
+    # rate pairs per site and on r_up = 0, subnormal r_up and r_up one or
+    # two ulps below r_down
     down, up = _rate_pair_cases()
+    groups = liouville_block_groups(basis_magnetizations(3))
     for d, u in zip(down, up):
-        got = local_me._site_dissipators(d[:, None, None], u[:, None, None])
-        for site in (1, 2, 3):
-            want = lindblad_superop(_site_matrices(site)[:2], (d[site - 1], u[site - 1]))
-            assert_array_equal(_bits(got[site - 1]), _bits(want))
+        got = [d[:, None, None] * t_down + u[:, None, None] * t_up
+               for t_down, t_up in local_me._unit_dissipators()]
+        for site, jumps in zip((1, 2, 3), local_me._lowering_jumps()):
+            want = lindblad_superop(with_daggers(jumps), (d[site - 1], u[site - 1]))
+            for blocks, index in zip(got, groups, strict=True):
+                cut = want[np.ix_(index[0], index[0])]
+                assert_array_equal(_bits(blocks[0, site - 1]), _bits(cut))
 
 
 def _per_site_dissipators(p):
     """The bath dissipators as lindblad_superop built them one site at a time."""
     out = []
-    down, up = local_rates(p)
-    for site in (1, 2, 3):
-        rates = (down[site - 1, 0, 0], up[site - 1, 0, 0])
-        out.append(lindblad_superop(_site_matrices(site)[:2], rates))
+    for site, rates in zip((1, 2, 3), local_rates(p)):
+        out.append(lindblad_superop(_site_matrices(site)[:2], tuple(rates[:, 0])))
     return out
 
 
@@ -268,8 +273,8 @@ def test_gathered_dissipator_actions_keep_the_bits_of_the_matrix_products(p):
     # multiplies 0/1 Pauli matrices; signed zeros included, on the steady
     # state, its negation and all-zero states of either sign
     rho = solve_point(p).rho
-    down, up = local_me.local_rates(p)
+    rates = local_me.local_rates(p)
     for state in (rho, -rho, rho.conj(), 0.0 * rho, -0.0 * rho):
-        got = local_me._dissipator_actions(down, up, state)
+        got = local_me._dissipator_actions(rates, state)
         for s in (1, 2, 3):
             assert_same_bits(got[s - 1], local_me._dissipator_action(p, s, state))

@@ -1,12 +1,16 @@
 """Hamiltonian assembly, magnetization structure, sector diagonalization."""
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from triqubit import ModelParams, build_hamiltonian, sector_spectrum
+from triqubit.algebra import embed_pauli, lindblad_superop
 from triqubit.errors import DomainError
-from triqubit.global_me import build_global_generators
+from triqubit.global_me import build_global_generators, site_rate_matrices, thermal_rates
 from triqubit.local_me import build_local_generators
 from triqubit.model import (
     basis_magnetizations,
@@ -15,7 +19,7 @@ from triqubit.model import (
     local_field_hamiltonian,
 )
 
-from conftest import global_point, local_point
+from conftest import UNCLOSED_HARMONIC, assert_same_bits, global_point, local_point
 from oracles import total_sz
 
 
@@ -187,3 +191,39 @@ def test_block_groups_tile_the_liouville_space(build, p):
     # the builders hand over the dm >= 0 row of each stack
     assert [b.shape for b in gen.eigen_blocks] == [
         (1, n, n) for _, n in (g.shape for g in gen.spectrum.liouville_block_groups)]
+
+
+@pytest.mark.parametrize("p", [
+    local_point(B=(0.9, 2.7, 4.1), gamma=(0.4, 0.8, 0.15)),
+    global_point(B=(0.37, 0.61, 0.83)),
+    UNCLOSED_HARMONIC,
+], ids=["local", "closed-harmonic", "unclosed-harmonic"])
+def test_generators_are_plain_data_with_one_dissipator_rule(p):
+    harmonic = p.bath_model == "harmonic"
+    gen = (build_global_generators if harmonic else build_local_generators)(p)
+    if harmonic:
+        assert site_rate_matrices(gen)[1] is (p is not UNCLOSED_HARMONIC)
+    for f in dataclasses.fields(gen):
+        assert not callable(getattr(gen, f.name)), f.name
+    # each bath's lowering jumps and rate rows, from the parameters
+    if harmonic:
+        jumps = [js.operators for js in gen.jumps]
+        rates = [thermal_rates(js.site, js.frequencies.tolist(), g, t)
+                 for js, g, t in zip(gen.jumps, p.gamma, p.T)]
+    else:
+        jumps = [embed_pauli(3, "minus", site)[None] for site in (1, 2, 3)]
+        rates = [thermal_rates(site, (2.0 * b,), g, t)
+                 for site, b, g, t in zip((1, 2, 3), p.B, p.gamma, p.T)]
+    want = []
+    for ops, (down, up) in zip(jumps, rates, strict=True):
+        assert ops.shape[1:] == (8, 8) and down.shape == up.shape == (len(ops),)
+        raising = [op.conj().T for op in ops]
+        want.append(lindblad_superop([*ops, *raising], [*down, *up]))
+    copy = pickle.loads(pickle.dumps(gen))
+    for record in (gen, copy):
+        for got, ops in zip(record.jump_ops, jumps, strict=True):
+            assert_same_bits(got, ops)
+        for got, rows in zip(record.jump_rates, rates, strict=True):
+            assert_same_bits(got, rows)
+        for got, ref in zip(record.dissipators, want, strict=True):
+            assert_same_bits(got, ref)

@@ -32,6 +32,7 @@ from triqubit.algebra import (
     trace_distance,
     unvec,
     vec,
+    with_daggers,
 )
 from triqubit.errors import DegenerateSteadyStateError, DomainError
 from triqubit.global_me import site_rate_matrices
@@ -263,7 +264,7 @@ def _full_eigen_dissipators(gen):
         ops, rates = [], []
         for js, gamma, T in zip(gen.jumps, p.gamma, p.T):
             down, up = global_me.thermal_rates(js.site, js.frequencies.tolist(), gamma, T)
-            ops.append(global_me._with_daggers(js.amplitudes))
+            ops.append(with_daggers(js.amplitudes))
             rates += [down, up]
         return [lindblad_superop(np.concatenate(ops), np.concatenate(rates))]
     V = gen.spectrum.vectors
@@ -453,7 +454,7 @@ def test_local_point_makes_one_numpy_call_per_stage(monkeypatch):
     count(correlations, "partial_trace")
     for module in (model, local_me):
         count(module, "interaction_hamiltonian")
-    for module in (algebra, local_me):
+    for module in (algebra, local_me, model):
         count(module, "lindblad_superop")
     rec = evaluate_point(p)
     assert rec.flags == ()

@@ -283,7 +283,7 @@ def test_sweeps_keep_the_memoized_operators_parameter_free(model_name, base):
     # a float parameter in any cache key would grow these caches per point
     caches = (algebra._embedded, model._pair_strings, model._sector_layout,
               local_me._unit_dissipators, local_me._site_stacks, local_me._flip_gathers,
-              global_me._site_couplings)
+              local_me._lowering_jumps, global_me._site_couplings)
     for cache in caches + (model.liouville_block_groups, global_me._jump_support,
                            global_me._block_gathers, local_me._transform_gathers):
         cache.cache_clear()
