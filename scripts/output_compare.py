@@ -20,7 +20,9 @@ reported but not gated. Prints, per column, the worst ratio |a - b| /
 bound and the number of cells whose text differs at all, and each side's
 ``first_law_rel_p50`` as ``bench/gate.py``'s ``check_file`` takes it on
 the benchmark's reference data: records 0-199 of each one-worker
-``sweep-random`` CSV, and the ``sweep-boost`` CSV. The last line is
+``sweep-random`` CSV, and the ``sweep-boost`` CSV. ROOT's median may not
+exceed the parent's by more than the metric's bound in the
+``end_to_end`` list of ``BENCHMARK.json``. The last line is
 ``result: IDENTICAL`` when every output's bytes and exit code match,
 ``result: PASS`` when the numbers agree within the bound, and ``result:
 FAIL`` on any violation, which exits 1. Each checkout takes a few minutes
@@ -187,6 +189,12 @@ class Comparison:
             else:
                 self.same(va, vb, f"{name}: {column}")
 
+    def first_law(self, workload: str, parent, root, bound: float) -> None:
+        """Fails when root's first_law_rel_p50 exceeds parent's by more than bound, relatively."""
+        if parent is not None and root is not None and root > parent * (1.0 + bound):
+            self.errors.append(f"first_law_rel_p50 {workload}: root {root!r} > parent "
+                               f"{parent!r} * (1 + {bound!r})")
+
     def report(self) -> int:
         failed = list(self.errors)
         for column, (ratio, where) in sorted(self.worst.items()):
@@ -233,6 +241,12 @@ def first_law_p50(data: bytes, records, scratch: Path):
     return _bench_gate().check_file(str(scratch), len(lines) - 2)["first_law_rel_p50"]
 
 
+def first_law_bound() -> float:
+    """The relative bound of first_law_rel_p50 among BENCHMARK.json's end_to_end metrics."""
+    metrics = json.loads((SCRIPT_ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    return next(m["bound"] for m in metrics if m["name"] == "first_law_rel_p50")
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["--collect"]:  # child mode: --collect SRC CONFIGS OUT_DIR
@@ -274,10 +288,12 @@ def main(argv=None) -> int:
                 comparison.same(a, b, f"{name}: stdout")
 
         print(f"{'first_law_rel_p50':<18} {'parent':>24} {'root':>24}")
+        bound = first_law_bound()
         for workload, (name, records) in FIRST_LAW_REFERENCE.items():
             p50 = [first_law_p50(data, records, Path(tmp) / "first_law.csv")
                    for data in outputs[name]]
             print(f"{workload:<18} {p50[0]!r:>24} {p50[1]!r:>24}")
+            comparison.first_law(workload, *p50, bound)
         return comparison.report()
 
 

@@ -1,19 +1,26 @@
 """Print the in-process time per point of each pipeline stage of one config.
 
     python3 scripts/stage_times.py configs/global_scatter.json
-    python3 scripts/stage_times.py local_scatter /path/to/other/checkout --rounds 9
+    python3 scripts/stage_times.py local_scatter /path/to/parent /path/to/this --rounds 9
 
-CONFIG is a config file, or the name of one in ``configs/``; a random-sweep
-config gives its first ``--points`` draws, a grid config its grid points.
-The optional ROOT is the checkout whose ``src/`` is timed; it defaults to
-the checkout holding this script. Each stage runs over the clean points
-(those whose ``evaluate_point`` record carries no error flag) on inputs
-prepared beforehand, once per round, the stages interleaved within each
-round. One line per stage gives the minimum and the median over the rounds
-of its microseconds per point. BLAS runs on one thread, and glibc's heap
-thresholds are pinned as the CLI pins them, so the numbers compare with
-the benchmark's CLI runs. Stages below about 0.05 ms per point, which a
-traced benchmark run cannot resolve, show here.
+CONFIG is a config file, or the name of one in the ``configs/`` of the
+first ROOT; a random-sweep config gives its first ``--points`` draws, a
+grid config its grid points. Each ROOT is a checkout whose ``src/`` is
+timed; the default is the checkout holding this script. Each root runs in
+a child interpreter of its own, on the points that are clean (whose
+``evaluate_point`` record carries no error flag) in every root, and the
+rounds alternate between the roots, so that drift of the host reads as
+spread rather than as a difference between them. Within a round each
+stage runs over all points on inputs prepared beforehand, the stages one
+after the other.
+
+With one root, one line per stage gives the minimum and the median over
+the rounds of its microseconds per point. With several, each stage that
+every root has gets one line per root, with the ratio of its minimum and
+of its median to the first root's. BLAS runs on one thread, and glibc's
+heap thresholds are pinned as the CLI pins them, so the numbers compare
+with the benchmark's CLI runs. Stages below about 0.05 ms per point,
+which a traced benchmark run cannot resolve, show here.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import json  # noqa: E402
 import statistics  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 import time  # noqa: E402
 import warnings  # noqa: E402
@@ -67,49 +75,117 @@ def _stages(points, epsilon):
     ]
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("config", help="config file, or the name of one in configs/")
-    parser.add_argument("root", nargs="?", type=Path,
-                        default=Path(__file__).resolve().parent.parent,
-                        help="checkout whose src/ is timed")
-    parser.add_argument("--points", type=int, default=200, help="points of a random sweep")
-    parser.add_argument("--rounds", type=int, default=5)
-    args = parser.parse_args(argv)
-    root = args.root.resolve()
+def _send(message) -> None:
+    print(json.dumps(message), flush=True)
+
+
+def _child(root: Path, path: Path, n_points: int) -> None:
+    """Times one root's stages, one round per "round" line on stdin.
+
+    Writes one JSON line for each request: the number of points and the
+    indices of the clean ones, then the stage names for the indices it is
+    sent, then each round's microseconds per point of every stage.
+    """
     sys.path.insert(0, str(root / "src"))
     from triqubit import cli, sweeps
 
     cli._pin_heap_trim()
-    path = _config_path(args.config, root)
     data = json.loads(path.read_text())
     if "n_points" in data:
         cfg = sweeps.GridScanConfig(**data)
         points = sweeps._grid_points(cfg)
     else:
         cfg = sweeps.SweepConfig(**data)
-        points = [sweeps.draw_params(cfg, k) for k in range(args.points)]
-    clean = [p for p in points
-             if not any(f.startswith("error:") for f in sweeps.evaluate_point(p, cfg.epsilon).flags)]
-    if not clean:
-        print(f"no clean point among {len(points)}", file=sys.stderr)
-        return 1
-    times: dict = {}
+        points = [sweeps.draw_params(cfg, k) for k in range(n_points)]
+    _send({"points": len(points), "clean": [
+        k for k, p in enumerate(points)
+        if not any(f.startswith("error:") for f in sweeps.evaluate_point(p, cfg.epsilon).flags)]})
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        stages = _stages(clean, cfg.epsilon)
-        for _ in range(args.rounds):
+        line = sys.stdin.readline()
+        if not line:  # no point is clean in every root
+            return
+        stages = _stages([points[k] for k in json.loads(line)], cfg.epsilon)
+        _send([name for name, _, _ in stages])
+        for _ in sys.stdin:
+            times = {}
             for name, fn, calls in stages:
                 start = time.perf_counter_ns()
                 for call in calls:
                     fn(*call)
-                elapsed = time.perf_counter_ns() - start
-                times.setdefault(name, []).append(elapsed / 1e3 / len(calls))
-    print(f"# {path.name}: {len(clean)} clean of {len(points)} points, "
-          f"{args.rounds} rounds, BLAS on 1 thread, root {root}")
-    print(f"{'stage':<40} {'min_us':>10} {'median_us':>10}")
-    for name, values in times.items():
-        print(f"{name:<40} {min(values):>10.1f} {statistics.median(values):>10.1f}")
+                times[name] = (time.perf_counter_ns() - start) / 1e3 / len(calls)
+            _send(times)
+
+
+def _receive(proc):
+    line = proc.stdout.readline()
+    if not line:
+        raise RuntimeError(f"a timing child exited with code {proc.wait()}")
+    return json.loads(line)
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--child"]:  # child mode: --child ROOT CONFIG_PATH N_POINTS
+        _child(Path(argv[1]), Path(argv[2]), int(argv[3]))
+        return 0
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("config", help="config file, or the name of one in configs/")
+    parser.add_argument("roots", nargs="*", type=Path,
+                        default=[Path(__file__).resolve().parent.parent],
+                        help="checkouts whose src/ is timed, the first the reference")
+    parser.add_argument("--points", type=int, default=200, help="points of a random sweep")
+    parser.add_argument("--rounds", type=int, default=5)
+    args = parser.parse_args(argv)
+    roots = [root.resolve() for root in args.roots]
+    path = _config_path(args.config, roots[0]).resolve()
+    procs = [subprocess.Popen([sys.executable, __file__, "--child", str(root), str(path),
+                               str(args.points)],
+                              stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+             for root in roots]
+    try:
+        found = [_receive(proc) for proc in procs]
+        n_points = found[0]["points"]
+        clean = sorted(set.intersection(*(set(f["clean"]) for f in found)))
+        if not clean:
+            print(f"no clean point among {n_points}", file=sys.stderr)
+            return 1
+        for proc in procs:
+            proc.stdin.write(json.dumps(clean) + "\n")
+            proc.stdin.flush()
+        names = [_receive(proc) for proc in procs]
+        times = [{name: [] for name in root_names} for root_names in names]
+        for _ in range(args.rounds):
+            for proc, root_times in zip(procs, times):
+                proc.stdin.write("round\n")
+                proc.stdin.flush()
+                for name, us in _receive(proc).items():
+                    root_times[name].append(us)
+    finally:
+        for proc in procs:
+            proc.stdin.close()
+            proc.wait()
+    head = f"# {path.name}: {len(clean)} clean of {n_points} points, {args.rounds} rounds, "
+    if len(roots) == 1:
+        print(f"{head}BLAS on 1 thread, root {roots[0]}")
+        print(f"{'stage':<40} {'min_us':>10} {'median_us':>10}")
+        for name, values in times[0].items():
+            print(f"{name:<40} {min(values):>10.1f} {statistics.median(values):>10.1f}")
+        return 0
+    print(f"{head}BLAS on 1 thread, {len(roots)} roots interleaved")
+    for k, root in enumerate(roots):
+        print(f"# root {k}: {root}")
+    print(f"{'stage':<40} {'root':>4} {'min_us':>10} {'median_us':>10} "
+          f"{'min_ratio':>10} {'median_ratio':>12}")
+    for name in names[0]:
+        if not all(name in root_times for root_times in times):
+            continue
+        first = times[0][name]
+        for k, root_times in enumerate(times):
+            values = root_times[name]
+            low, mid = min(values), statistics.median(values)
+            print(f"{name:<40} {k:>4} {low:>10.1f} {mid:>10.1f} "
+                  f"{low / min(first):>10.3f} {mid / statistics.median(first):>12.3f}")
     return 0
 
 

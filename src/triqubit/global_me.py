@@ -23,11 +23,13 @@ The three baths share the Bohr frequencies of H, so jump_operators clusters
 them once for all sites. The solver works in the eigenbasis of H. Every
 jump flips one spin, so there its amplitudes <a|A_omega|b> vanish exactly
 unless |m(a) - m(b)| = 2, 30 of the 64 entries for three qubits.
-build_global_generators builds the dm >= 0 magnetization-difference
-blocks of the summed dissipator from that support, entry by entry as
-lindblad_superop would build the whole 64 x 64 superoperator, and keeps
-its bits. site_rate_matrices reads the same support of the amplitudes,
-and those rates, for the Pauli rate matrices of the population solve.
+site_rate_matrices reads that support of the amplitudes, and the rates
+of build_global_generators, for the Pauli rate matrices of the
+population solve. Where some cluster holds more than one transition, the
+solve also reads the dm >= 0 magnetization-difference blocks of the
+summed dissipator, which Generators.eigen_blocks builds on first access
+from the same support, entry by entry as lindblad_superop would build
+the whole 64 x 64 superoperator, keeping its bits.
 """
 
 from __future__ import annotations
@@ -305,7 +307,26 @@ def _block_gathers(labels: tuple) -> tuple:
 
 
 def build_global_generators(p: ModelParams) -> Generators:
-    """Harmonic-bath generator, with the summed dissipator built in the eigenbasis.
+    """Harmonic-bath generator: the jumps of each bath and their thermal rates."""
+    H = build_hamiltonian(p)
+    spectrum = sector_spectrum(H)
+    jumps = jump_operators(spectrum)
+    rates = []
+    for js, gamma, T in zip(jumps, p.gamma, p.T):
+        _warn_if_not_secular(js, gamma)
+        rates.append(thermal_rates(js.site, js.frequencies.tolist(), gamma, T))
+    return Generators(
+        params=p,
+        H=H,
+        spectrum=spectrum,
+        jump_ops=tuple(js.operators for js in jumps),
+        jump_rates=tuple(rates),
+        jumps=jumps,
+    )
+
+
+def _eigen_blocks(gen: Generators) -> tuple:
+    """Generators.eigen_blocks of a harmonic point, from the jump amplitudes.
 
     The dm >= 0 blocks are built entry by entry as lindblad_superop would
     build the whole summed superoperator of the jump amplitudes, from the
@@ -313,48 +334,37 @@ def build_global_generators(p: ModelParams) -> Generators:
     term is nonzero only between two support positions of the amplitudes,
     and there it is one (s, w) by (w, s) product over the w jumps.
     """
-    H = build_hamiltonian(p)
-    spectrum = sector_spectrum(H)
-    labels = tuple(spectrum.sectors.tolist())
+    labels = tuple(gen.spectrum.sectors.tolist())
     flat = _jump_support(labels)[0]
     sand, kron, blocks = _block_gathers(labels)
-    jumps = jump_operators(spectrum)
-    rates = []
-    for js, gamma, T in zip(jumps, p.gamma, p.T):
-        _warn_if_not_secular(js, gamma)
-        rates.append(thermal_rates(js.site, js.frequencies.tolist(), gamma, T))
-    rates = tuple(rates)
     # each bath's jumps and then their daggers, at its down and then its up
     # rates
-    a = np.concatenate([with_daggers(js.amplitudes) for js in jumps])
+    a = np.concatenate([with_daggers(js.amplitudes) for js in gen.jumps])
     w, d = a.shape[:2]
-    scaled = np.concatenate(rates, axis=None)[:, None, None] * a.conj()
+    scaled = np.concatenate(gen.jump_rates, axis=None)[:, None, None] * a.conj()
     anti = scaled.reshape(w * d, d).T @ a.reshape(w * d, d)
     s = flat.size
     gram = np.zeros((s + 1, s + 1), dtype=complex)
     gram[:s, :s] = scaled.reshape(w, d * d)[:, flat].T @ a.reshape(w, d * d)[:, flat]
     eye_anti = (_EYE_ENTRIES * anti.reshape(1, -1)).ravel()
     entries = gram.ravel().take(sand) - 0.5 * (eye_anti.take(kron[0]) + eye_anti.take(kron[1]))
-    return Generators(
-        params=p,
-        H=H,
-        spectrum=spectrum,
-        # the dm >= 0 half, row 0 of each stack; see Generators.eigen_blocks
-        eigen_blocks=tuple(entries[start:stop].reshape(shape) for start, stop, shape in blocks),
-        jump_ops=tuple(js.operators for js in jumps),
-        jump_rates=rates,
-        jumps=jumps,
-    )
+    # the dm >= 0 half, row 0 of each stack; see Generators.eigen_blocks
+    return tuple(entries[start:stop].reshape(shape) for start, stop, shape in blocks)
 
 
 def site_rate_matrices(gen: Generators):
     """Per-bath Pauli rate matrices on eigenbasis populations.
 
-    Returns (mats, closed). mats[i] is the real d x d matrix giving bath i's
-    contribution to dp/dt = sum_i M_i p for diagonal (eigenbasis) states.
-    closed is True when no cluster operator has two nonzero entries sharing a
-    row or a column, in which case the population sector decouples exactly
-    from the coherences and the steady populations solve (sum_i M_i) p = 0.
+    Returns (mats, closed, secular). mats[i] is the real d x d matrix giving
+    bath i's contribution to dp/dt = sum_i M_i p for diagonal (eigenbasis)
+    states. closed is True when no cluster operator has two nonzero entries
+    sharing a row or a column, in which case the population sector
+    decouples exactly from the coherences and the steady populations solve
+    (sum_i M_i) p = 0. secular is True when every cluster operator has a
+    single nonzero entry, one transition a <- b; then the generator is
+    the Pauli rate matrix sum_i M_i on the populations and diagonal on the
+    coherences. An entry counts as nonzero above 1e-12 of its cluster's
+    largest.
     The three baths are one stack over the support of the amplitudes,
     each site's clusters in the leading slots of a zero-padded cluster
     axis, with the rates of gen.jump_rates; off the support every term is
@@ -371,6 +381,7 @@ def site_rate_matrices(gen: Generators):
     cut = 1e-12 * np.maximum(mags.max(axis=2), 1e-300)
     nz = mags > cut[:, :, None]
     closed = not np.any(nz[:, :, pairs[0]] & nz[:, :, pairs[1]])
+    secular = bool(np.all(nz.sum(axis=2)[slot] == 1))
     g = mags.astype(np.longdouble) ** 2
     # accumulate in extended precision, each cluster's down term and then
     # its up term, in the order of the clusters (a sum over the cluster
@@ -388,4 +399,4 @@ def site_rate_matrices(gen: Generators):
     M = M.reshape(-1, d, d)
     diag = np.arange(d)
     M[:, diag, diag] -= M.sum(axis=1)
-    return tuple(M), closed
+    return tuple(M), closed, secular

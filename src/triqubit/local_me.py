@@ -269,11 +269,21 @@ def _transform_gathers(labels: tuple) -> tuple:
 def build_local_generators(p: ModelParams) -> Generators:
     H_int = interaction_hamiltonian(p)
     H = local_field_hamiltonian(p) + H_int  # build_hamiltonian(p), keeping H_int
-    spectrum = sector_spectrum(H)
-    rates = local_rates(p)
-    down, up = _site_axis_rates(rates)
-    V = spectrum.vectors
-    left, right, spans = _transform_gathers(tuple(spectrum.sectors.tolist()))
+    return Generators(
+        params=p,
+        H=H,
+        spectrum=sector_spectrum(H),
+        jump_ops=_lowering_jumps(),
+        jump_rates=local_rates(p),
+        H_int=H_int,
+    )
+
+
+def _eigen_blocks(gen: Generators) -> tuple:
+    """Generators.eigen_blocks of a repeated_interaction point."""
+    down, up = _site_axis_rates(gen.jump_rates)
+    V = gen.spectrum.vectors
+    left, right, spans = _transform_gathers(tuple(gen.spectrum.sectors.tolist()))
     # each entry the product kron(conj(V), V) takes, in its operand order
     entries = V.conj().ravel().take(left) * V.ravel().take(right)
     blocks = []
@@ -284,12 +294,4 @@ def build_local_generators(p: ModelParams) -> Generators:
         W_B = entries[start:stop].reshape(shape)
         D = down * t_down + up * t_up
         blocks.append((W_B.conj().swapaxes(1, 2)[:, None] @ D @ W_B[:, None]).sum(axis=1))
-    return Generators(
-        params=p,
-        H=H,
-        spectrum=spectrum,
-        eigen_blocks=tuple(blocks),
-        jump_ops=_lowering_jumps(),
-        jump_rates=rates,
-        H_int=H_int,
-    )
+    return tuple(blocks)

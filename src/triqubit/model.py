@@ -175,7 +175,7 @@ class Generators:
     dissipators builds each as lindblad_superop(with_daggers(jump_ops[i]),
     jump_rates[i].ravel()) on first access, for build_liouvillian, the heat
     currents of an unclosed harmonic point and bench/gate.py's oracle
-    check; the solve reads only eigen_blocks.
+    check; the solve never reads them.
 
     eigen_blocks is the dm >= 0 half of the summed dissipator in the
     eigenbasis of H, vec(X) standing for V X V^dag: one (1, n, n) stack per
@@ -183,7 +183,10 @@ class Generators:
     block at the vec positions index[0]. Entries between blocks are exactly
     zero. The block at index[1] is not built: the generator preserves
     Hermiticity, so it is the conjugate of block [0] at the swapped
-    positions, b + d a for a + d b.
+    positions, b + d a for a + d b. It too is built on first access, by
+    the bath model's builder module: the local solve reads it at once, the
+    harmonic solve only where the point is not fully secular (see
+    steady_state.solve_point).
 
     jumps holds the harmonic model's per-site JumpSets and is empty on the
     repeated_interaction model. H_int is the interaction part of H on the
@@ -194,7 +197,6 @@ class Generators:
     params: ModelParams
     H: np.ndarray
     spectrum: Spectrum
-    eigen_blocks: tuple = field(repr=False)
     jump_ops: tuple = field(repr=False)
     jump_rates: tuple
     jumps: tuple = ()
@@ -204,6 +206,17 @@ class Generators:
     def dissipators(self) -> tuple:
         return tuple(lindblad_superop(with_daggers(ops), rows.ravel())
                      for ops, rows in zip(self.jump_ops, self.jump_rates))
+
+    @cached_property
+    def eigen_blocks(self) -> tuple:
+        from . import global_me, local_me  # both import this module
+
+        harmonic = self.params.bath_model == BATH_HARMONIC
+        build = global_me._eigen_blocks if harmonic else local_me._eigen_blocks
+        # finite rates can still overflow in assembly; the non-finite block
+        # that leaves fails the solve's trace-preserving check
+        with np.errstate(over="ignore", invalid="ignore"):
+            return build(self)
 
 
 # one entry per ordering of the magnetization labels: at most 1120 for three

@@ -28,6 +28,14 @@ roundoff floor. In the eigenbasis the coherent part of the generator is
 exactly diagonal, so the residual evaluation error scales with the
 dissipative rates instead of ||H||, and row 0 is the ground-state balance.
 
+A fully secular harmonic point, each of whose Bohr-frequency clusters
+holds a single transition, needs no block at all: its generator is the
+8x8 Pauli rate matrix on the populations and diagonal on the 56
+coherences. One SVD of the rate matrix and the moduli of that diagonal
+certify it by the same rule, its residual is taken on the rate matrix,
+and its blocks are never built. Every bundled harmonic point is of this
+kind; the block route stays for the others and as the fallback.
+
 The evolution oracle, steady_state_via_evolution on the computational-basis
 generator of build_liouvillian, shares none of that solve. It stays in the
 package because bench/gate.py and the acceptance tests call it.
@@ -51,6 +59,7 @@ from .local_me import build_local_generators
 from .model import BATH_HARMONIC, Generators, ModelParams
 
 _NULL_TOL = 1e-10  # singular values below _NULL_TOL * sigma_max count as null
+_FLOOR = 1e-12  # a residual below _FLOOR * sigma_max is at the roundoff floor
 
 
 @dataclass(frozen=True)
@@ -61,12 +70,16 @@ class SteadyStateResult:
     residual: float
 
 
-def _check_trace_preserving(blocks, weights, on_diag: np.ndarray) -> None:
-    # the trace functional, one at on_diag, lives in blocks[0][0] alone
+def _check_trace_preserving(trace_rows, parts, weights) -> None:
+    """Raises unless the columns of trace_rows sum to zero at the generator's scale.
+
+    trace_rows are the generator's rows at the positions of the trace
+    functional; the scale is the Frobenius norm of the generator, which
+    is made of parts, each counted weights[i] times.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        defect = float(np.linalg.norm(blocks[0][0][on_diag].sum(axis=0)))
-        # the Frobenius norm, each block counted weights[i] times
-        scale = float(np.sqrt(sum(w * np.vdot(b, b).real for w, b in zip(weights, blocks))))
+        defect = float(np.linalg.norm(trace_rows.sum(axis=0)))
+        scale = float(np.sqrt(sum(w * np.vdot(b, b).real for w, b in zip(weights, parts))))
     if not math.isfinite(scale):
         raise NumericalConsistencyError(f"generator norm is not finite ({scale})")
     if defect > 1e-10 * max(scale, 1e-300):
@@ -136,13 +149,47 @@ def _unique_null_scale(blocks, weights, on_diag: np.ndarray) -> float:
     itself and for the mirror blocks that share its singular values and its
     norm. blocks[0][0] holds the trace functional, which is one at its
     positions on_diag. The singular values are taken with one SVD call per
-    stack, and sigma_max is the largest of them all. Singular values below
-    _NULL_TOL * sigma_max count as null, weights[i] times each; a null
-    space of any dimension other than one raises.
+    stack; _null_scale counts them.
     """
-    _check_trace_preserving(blocks, weights, on_diag)
+    _check_trace_preserving(blocks[0][0][on_diag], blocks, weights)
     # a stacked call returns the same bits as one call per block
-    s = [np.linalg.svd(b, compute_uv=False).ravel() for b in blocks]
+    return _null_scale([np.linalg.svd(b, compute_uv=False).ravel() for b in blocks], weights)
+
+
+def _pauli_scale(M: np.ndarray, energies: np.ndarray) -> float:
+    """sigma_max of a fully secular generator whose null space is one-dimensional.
+
+    M is the summed longdouble rate matrix. Such a generator is, in the
+    eigenbasis of H, the Pauli rate matrix M on the populations and
+    diagonal on the coherences (Breuer and Petruccione, The Theory of Open
+    Quantum Systems, 2002):
+
+        L |a><c| = (-i (E_a - E_c) - (G_a + G_c) / 2) |a><c|,  G_a = -M_aa,
+
+    so its singular values are those of the real d x d matrix M and the
+    moduli of the d (d - 1) coherence eigenvalues, each coherence and its
+    mirror |c><a| counted apart. _null_scale counts them as it counts the
+    blocks' singular values; the columns of M carry the trace functional.
+    """
+    # an overflow leaves a non-finite norm, which the check reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = M.astype(float)
+        loss = -np.diagonal(M)
+        omega = energies[:, None] - energies[None, :]
+        coherent = -1j * omega - 0.5 * (loss[:, None] + loss[None, :])
+        moduli = np.abs(coherent[~np.eye(energies.size, dtype=bool)])
+    _check_trace_preserving(M, (M, moduli), (1, 1))
+    return _null_scale([np.linalg.svd(M, compute_uv=False), moduli], (1, 1))
+
+
+def _null_scale(singular_values, weights) -> float:
+    """sigma_max, the largest of singular_values, when one of them is null.
+
+    Each value of singular_values[i] counts weights[i] times. Values below
+    _NULL_TOL * sigma_max count as null; a null space of any dimension
+    other than one raises.
+    """
+    s = singular_values
     sigma_max = float(max(x.max() for x in s))
     if sigma_max == 0.0:
         raise DegenerateSteadyStateError("zero generator: every state is steady")
@@ -158,9 +205,7 @@ def _unique_null_scale(blocks, weights, on_diag: np.ndarray) -> float:
 
 
 def _build_generators(p: ModelParams) -> Generators:
-    # a bath whose rates overflow is a DomainError of its builder; finite
-    # rates can still overflow in assembly, which leaves a non-finite block
-    # that _check_trace_preserving reports as a NumericalConsistencyError
+    # a bath whose rates overflow is a DomainError of its builder
     with np.errstate(over="ignore", invalid="ignore"):
         if p.bath_model == BATH_HARMONIC:
             return build_global_generators(p)
@@ -194,12 +239,66 @@ class PointSolution:
 def solve_point(p: ModelParams) -> PointSolution:
     """Build generators for a parameter point and solve in the eigenbasis.
 
-    Every magnetization-difference block is certified, the -dm ones
-    through their dm mirrors; the state is solved in the dm = 0 block,
-    which holds it and the trace functional.
+    A fully secular harmonic point is certified and solved on its Pauli
+    rate matrix alone, when its population state has a residual at the
+    roundoff floor. Every other point goes through the blocks: every
+    magnetization-difference block is certified, the -dm ones through
+    their dm mirrors, and the state is solved in the dm = 0 block, which
+    holds it and the trace functional.
     """
     gen = _build_generators(p)
+    rate_matrices = closed = solved = None
+    if p.bath_model == BATH_HARMONIC:
+        rate_matrices, closed, secular = site_rate_matrices(gen)
+        if secular:
+            solved = _pauli_state(sum(rate_matrices), gen.spectrum.energies)
+    if solved is None:
+        solved = _block_state(gen, rate_matrices if closed else None)
+    x, res, populations = solved
+    if not math.isfinite(res):
+        raise NumericalConsistencyError(f"steady-state residual is not finite ({res})")
+    rho_eig = _finalize_state(x)
     V = gen.spectrum.vectors
+    rho = herm(V @ rho_eig @ V.conj().T)
+    return PointSolution(
+        params=p,
+        generators=gen,
+        rho=rho,
+        rho_eig=rho_eig,
+        residual=res,
+        nullspace_dim=1,
+        populations=populations,
+        rate_matrices=rate_matrices,
+        population_closed=closed,
+    )
+
+
+def _pauli_state(M: np.ndarray, energies: np.ndarray):
+    """(vec rho, residual, populations) of a fully secular point, or None.
+
+    Certifies the generator with _pauli_scale and takes the populations of
+    _refined_population; its residual is |M p| in extended precision. The
+    coherences of the state are exactly zero. Returns None, for the block
+    solve, when there are no populations or their residual is above the
+    roundoff floor of the block solve.
+    """
+    sigma_max = _pauli_scale(M, energies)
+    populations = _refined_population(M, energies)
+    if populations is None:
+        return None
+    res = float(np.linalg.norm((M @ populations).astype(float)))
+    if res > _FLOOR * sigma_max:
+        return None
+    return vec(np.diag(populations.astype(complex))), res, populations
+
+
+def _block_state(gen: Generators, rate_matrices):
+    """(vec rho, residual, populations) from the eigen blocks of gen.
+
+    rate_matrices, the harmonic model's when its clusters are closed and
+    None otherwise, offer the population state first; populations is None
+    unless it is taken.
+    """
     E = gen.spectrum.energies
     lam = (-1j * (E[:, None] - E[None, :])).reshape(-1, order="F")
     groups = gen.spectrum.liouville_block_groups
@@ -220,11 +319,10 @@ def solve_point(p: ModelParams) -> PointSolution:
     diag_ld = lam[index].astype(CLD)
     offdiag_ld = D.astype(CLD)
 
-    populations = rate_matrices = closed = refined = None
+    populations = refined = None
     res_ref = math.inf  # residual of the population state, when there is one
-    if p.bath_model == BATH_HARMONIC:
-        rate_matrices, closed = site_rate_matrices(gen)
-        refined = _refined_population(rate_matrices, E) if closed else None
+    if rate_matrices is not None:
+        refined = _refined_population(sum(rate_matrices), E)
         if refined is not None:
             x_ref = vec(np.diag(refined.astype(complex)))[index]
             res_ref = float(np.linalg.norm(_residual(diag_ld, offdiag_ld, x_ref).astype(complex)))
@@ -232,33 +330,18 @@ def solve_point(p: ModelParams) -> PointSolution:
     # it needs no generic solve, and above it, it is used unless its
     # residual is materially worse than the generic solve's (which would
     # mean the closure call was wrong)
-    floor = 1e-12 * sigma_max
+    floor = _FLOOR * sigma_max
     if res_ref > floor:
         x, res = _trace_one_state(blocks[0][0], on_diag, diag_ld, offdiag_ld)
     if refined is not None and (res_ref <= floor or res_ref <= res):
         x, res, populations = x_ref, res_ref, refined
-    if not math.isfinite(res):
-        raise NumericalConsistencyError(f"steady-state residual is not finite ({res})")
-
     x_full = np.zeros(E.size**2, dtype=complex)
     x_full[index] = x
-    rho_eig = _finalize_state(x_full)
-    rho = herm(V @ rho_eig @ V.conj().T)
-    return PointSolution(
-        params=p,
-        generators=gen,
-        rho=rho,
-        rho_eig=rho_eig,
-        residual=res,
-        nullspace_dim=1,
-        populations=populations,
-        rate_matrices=rate_matrices,
-        population_closed=closed,
-    )
+    return x_full, res, populations
 
 
-def _refined_population(rate_matrices, energies: np.ndarray):
-    """Extended-precision stationary populations of the summed rate matrix.
+def _refined_population(M: np.ndarray, energies: np.ndarray):
+    """Extended-precision stationary populations of the summed longdouble rate matrix M.
 
     Solves the trace-bordered 8x8 balance equations with _refine on
     longdouble residuals. The population residual then sits at the
@@ -267,7 +350,6 @@ def _refined_population(rate_matrices, energies: np.ndarray):
     first-law tolerance even when transport is very weak. Returns None
     when the system is singular or the result is not a distribution.
     """
-    M = sum(m.astype(np.longdouble) for m in rate_matrices)
     d = M.shape[0]
     # the enforced rows balance to the longdouble floor, so whatever
     # column-sum defect the matrices carry lands entirely on the dropped

@@ -182,7 +182,7 @@ def test_rate_matrices_detailed_balance_and_column_sums():
         T=(1.0, 2.0, 3.0), gamma=(1e-4, 1e-4, 1e-4), bath_model="harmonic",
     )
     gen = build_global_generators(p)
-    mats, closed = site_rate_matrices(gen)
+    mats, closed, _ = site_rate_matrices(gen)
     assert closed
     for m, t in zip(mats, p.T):
         # each bath alone drives the populations toward its own Gibbs state
@@ -197,7 +197,7 @@ def test_rate_matrices_detailed_balance_and_column_sums():
 def test_rate_matrix_signs():
     p = _uncoupled()
     gen = build_global_generators(p)
-    mats, _ = site_rate_matrices(gen)
+    mats = site_rate_matrices(gen)[0]
     for m in mats:
         md = m.astype(float)
         assert np.all(np.diag(md) <= 0.0)
@@ -341,7 +341,7 @@ def test_batched_jumps_and_rate_matrices_keep_their_bits(p):
     for js, (freqs, ops) in zip(gen.jumps, ref):
         assert_array_equal(js.frequencies, freqs)
         assert_array_equal(js.operators, np.asarray(ops).reshape(-1, 8, 8))
-    mats, closed = site_rate_matrices(gen)
+    mats, closed, _ = site_rate_matrices(gen)
     ref_mats, ref_closed = _reference_rate_matrices(p, V, ref)
     assert closed == ref_closed == (p is not UNCLOSED_HARMONIC)
     for m, m_ref in zip(mats, ref_mats):
@@ -510,3 +510,23 @@ def test_jump_amplitudes_vanish_off_the_one_flip_support(p):
     for js in gen.jumps:
         assert js.amplitudes.size and np.all(js.amplitudes[:, off] == 0.0)
         assert np.any(js.amplitudes[:, ~off] != 0.0)
+
+
+@pytest.mark.parametrize("p, closed, secular", [
+    (_scatter_points(1)[0], True, True),
+    (_uncoupled(), True, False),
+    (UNCLOSED_HARMONIC, False, False),
+], ids=["scatter", "uncoupled", "unclosed"])
+def test_a_fully_secular_point_has_one_transition_per_cluster(p, closed, secular):
+    # uncoupled, each flip of a site has one Bohr frequency for all four
+    # states of the other two sites: four transitions, no shared row or
+    # column, in one cluster
+    gen = build_global_generators(p)
+    assert site_rate_matrices(gen)[1:] == (closed, secular)
+    transitions = [int(np.sum(np.abs(a) > 1e-12 * np.abs(a).max()))
+                   for js in gen.jumps for a in js.amplitudes]
+    assert (set(transitions) == {1}) is secular
+    # the solve reads the eigen blocks only where the point is not fully secular
+    sol = solve_point(p)
+    assert ("eigen_blocks" in vars(sol.generators)) is not secular
+    assert (sol.populations is not None) is closed

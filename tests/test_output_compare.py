@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
-from output_compare import Comparison, first_law_p50  # noqa: E402
+from output_compare import Comparison, first_law_bound, first_law_p50  # noqa: E402
 
 ECHO = "# scan=random config={}"
 HEADER = "index,Q1,nullspace_residual,flags"
@@ -115,3 +115,20 @@ def test_first_law_median_is_the_gates_over_the_leading_records(tmp_path):
             for n in (2, 3, 4)]
     assert got == want
     assert first_law_p50(b"", 200, scratch) is None
+
+
+def test_a_first_law_regression_past_the_benchmark_bound_fails(capsys):
+    bound = first_law_bound()  # the benchmark's, 0.2 when this was written
+    assert 0.0 < bound < 1.0
+    parent = 4.728448643743028e-15
+    comparison = Comparison()
+    comparison.first_law("global_scatter", parent, parent * (1.0 + bound) * 1.01, bound)
+    # inside the bound, better, or without an output on one side
+    comparison.first_law("local_scatter", parent, parent * (1.0 + bound) * 0.99, bound)
+    comparison.first_law("boost_pool", parent, 0.5 * parent, bound)
+    comparison.first_law("boost_pool", None, parent, bound)
+    assert comparison.report() == 1
+    violations = [line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("VIOLATION")]
+    assert len(violations) == 1
+    assert violations[0].startswith("VIOLATION first_law_rel_p50 global_scatter")

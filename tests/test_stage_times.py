@@ -32,3 +32,23 @@ def test_stage_times_prints_one_line_per_stage(config):
     assert [row[0] for row in rows] == STAGES[config] + COMMON
     for _, low, mid in rows:
         assert 0.0 < float(low) <= float(mid)
+
+
+def test_two_roots_alternate_and_print_ratios_to_the_first():
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "stage_times.py"), "global_scatter",
+         str(ROOT), str(ROOT), "--points", "3", "--rounds", "2"],
+        capture_output=True, text=True, check=True, timeout=120,
+    ).stdout.splitlines()
+    assert out[0] == ("# global_scatter.json: 3 clean of 3 points, 2 rounds, "
+                      "BLAS on 1 thread, 2 roots interleaved")
+    assert out[1:3] == [f"# root 0: {ROOT}", f"# root 1: {ROOT}"]
+    assert out[3].split() == ["stage", "root", "min_us", "median_us", "min_ratio", "median_ratio"]
+    rows = [line.split() for line in out[4:]]
+    stages = STAGES["global_scatter"] + COMMON
+    assert [(row[0], row[1]) for row in rows] == [(s, k) for s in stages for k in "01"]
+    # the ratios of the unrounded times, against the times printed to 0.1 us
+    for first, other in zip(rows[::2], rows[1::2]):
+        assert first[4:] == ["1.000", "1.000"]
+        assert float(other[4]) == pytest.approx(float(other[2]) / float(first[2]), rel=1e-2)
+        assert float(other[5]) == pytest.approx(float(other[3]) / float(first[3]), rel=1e-2)

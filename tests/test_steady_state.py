@@ -1,6 +1,6 @@
 """Null-space solver, eigenbasis pipeline, and the propagation oracle."""
 
-import dataclasses
+import copy
 import json
 import math
 import pickle
@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.linalg import expm
 
 from triqubit import (
+    ModelParams,
     build_global_generators,
     build_liouvillian,
     evaluate_point,
@@ -22,7 +23,7 @@ from triqubit import (
     solve_point,
     steady_state_via_evolution,
 )
-from triqubit import global_me, steady_state
+from triqubit import global_me, steady_state, sweeps
 from triqubit.algebra import (
     CLD,
     coherent_superop,
@@ -34,12 +35,13 @@ from triqubit.algebra import (
     vec,
     with_daggers,
 )
-from triqubit.errors import DegenerateSteadyStateError, DomainError
+from triqubit.errors import DegenerateSteadyStateError, DomainError, TriqubitError
 from triqubit.global_me import site_rate_matrices
 from triqubit.sweeps import GridScanConfig, SweepConfig, _grid_points, draw_params, random_sweep
 
 from conftest import (
     UNCLOSED_HARMONIC,
+    assert_same_bits,
     global_point,
     local_point,
     swapped_positions,
@@ -223,12 +225,12 @@ def test_unclosed_harmonic_point_end_to_end():
 
 def test_wrong_population_state_falls_back_to_the_full_solve(monkeypatch):
     p = global_point(B=(0.37, 0.61, 0.83))
-    monkeypatch.setattr(steady_state, "_refined_population", lambda mats, energies: None)
+    monkeypatch.setattr(steady_state, "_refined_population", lambda M, energies: None)
     full = solve_point(p)
     assert full.population_closed and full.populations is None
 
     uniform = np.full(8, 1.0 / 8.0, dtype=np.longdouble)
-    monkeypatch.setattr(steady_state, "_refined_population", lambda mats, energies: uniform)
+    monkeypatch.setattr(steady_state, "_refined_population", lambda M, energies: uniform)
     sol = solve_point(p)
     assert sol.population_closed and sol.populations is None
     assert_array_equal(sol.rho, full.rho)
@@ -239,15 +241,22 @@ def test_wrong_population_state_falls_back_to_the_full_solve(monkeypatch):
                          ids=["local", "global"])
 def test_point_solution_pickles_with_its_lazy_dissipators(p):
     # a solution can cross a process boundary before or after its
-    # computational-basis dissipators are built
+    # computational-basis dissipators and its eigen blocks are built
     sol = solve_point(p)
     before = pickle.loads(pickle.dumps(sol))
     dissipators = sol.generators.dissipators
+    blocks = sol.generators.eigen_blocks
     after = pickle.loads(pickle.dumps(sol))
-    for copy in (before, after):
-        assert_array_equal(copy.rho, sol.rho)
-        for got, want in zip(copy.generators.dissipators, dissipators):
+    assert "eigen_blocks" in vars(after.generators)
+    for clone in (before, after):
+        assert_array_equal(clone.rho, sol.rho)
+        assert clone.population_closed is sol.population_closed
+        if sol.populations is not None:
+            assert_same_bits(clone.populations, sol.populations)
+        for got, want in zip(clone.generators.dissipators, dissipators, strict=True):
             assert_array_equal(got, want)
+        for got, want in zip(clone.generators.eigen_blocks, blocks, strict=True):
+            assert_same_bits(got, want)
 
 
 # --- the block solve against the whole 64 x 64 eigenbasis generator ---
@@ -285,8 +294,8 @@ def _full_solve(p):
     offdiag_ld = reduce(np.add, eigen).astype(CLD)
     res_ref = math.inf
     if p.bath_model == "harmonic":
-        mats, closed = site_rate_matrices(gen)
-        refined = steady_state._refined_population(mats, E) if closed else None
+        mats, closed, _ = site_rate_matrices(gen)
+        refined = steady_state._refined_population(sum(mats), E) if closed else None
         if refined is not None:
             x_ref = vec(np.diag(refined.astype(complex)))
             res_ref = float(np.linalg.norm(
@@ -336,9 +345,8 @@ def _assembled(gen):
 
 @pytest.mark.parametrize("p", [
     local_point(B=(0.9, 2.7, 4.1), gamma=(0.4, 0.8, 0.15)),
-    global_point(B=(0.37, 0.61, 0.83)),
     UNCLOSED_HARMONIC,
-], ids=["local", "global", "unclosed"])
+], ids=["local", "unclosed"])
 def test_certificate_sees_the_singular_values_of_every_block(monkeypatch, p):
     seen = []
     real_svd = np.linalg.svd
@@ -390,8 +398,8 @@ def test_each_minus_dm_block_mirrors_its_plus_dm_block(p):
 
 @pytest.mark.parametrize("p", [
     local_point(B=(0.9, 2.7, 4.1), gamma=(0.4, 0.8, 0.15)),
-    global_point(B=(0.37, 0.61, 0.83)),
-], ids=["local", "global"])
+    UNCLOSED_HARMONIC,
+], ids=["local", "unclosed"])
 def test_a_singular_off_diagonal_block_fails_the_certificate(monkeypatch, p):
     # the dm = 0 block alone still has a one-dimensional null space, so a
     # certificate that looked only there would pass this generator
@@ -402,10 +410,161 @@ def test_a_singular_off_diagonal_block_fails_the_certificate(monkeypatch, p):
     blocks = list(gen.eigen_blocks)
     blocks[1] = blocks[1].copy()
     blocks[1][0] = D - s[-1] * np.outer(u[:, -1], vh[-1])
-    singular = dataclasses.replace(gen, eigen_blocks=tuple(blocks))
+    singular = copy.copy(gen)
+    vars(singular)["eigen_blocks"] = tuple(blocks)  # the lazy attribute, already built
     monkeypatch.setattr(steady_state, "_build_generators", lambda params: singular)
     with pytest.raises(DegenerateSteadyStateError):
         solve_point(p)
+
+
+# --- the Pauli route of fully secular harmonic points ---
+
+def _deny_secular(monkeypatch):
+    """Sends every harmonic point through the block route, as if it were not fully secular."""
+    real = steady_state.site_rate_matrices
+    monkeypatch.setattr(steady_state, "site_rate_matrices", lambda gen: real(gen)[:2] + (False,))
+
+
+def _capture_null_scale(monkeypatch, edit=None):
+    """Records the (singular values, weights) of every certificate; edit may change them first."""
+    seen = []
+    real = steady_state._null_scale
+
+    def spy(singular_values, weights):
+        if edit is not None:
+            singular_values = edit(singular_values)
+        seen.append((singular_values, weights))
+        return real(singular_values, weights)
+
+    monkeypatch.setattr(steady_state, "_null_scale", spy)
+    return seen
+
+
+def test_pauli_certificate_sees_the_singular_values_of_the_whole_generator(monkeypatch):
+    p = global_point(B=(0.37, 0.61, 0.83))
+    seen = _capture_null_scale(monkeypatch)
+    gen = solve_point(p).generators
+    monkeypatch.undo()
+    assert "eigen_blocks" not in vars(gen)
+    # the rate matrix's 8 and the 56 coherence moduli, each counted once
+    [(singular_values, weights)] = seen
+    assert weights == (1, 1) and [s.size for s in singular_values] == [8, 56]
+    got = np.sort(np.concatenate(singular_values))
+    want = np.sort(np.linalg.svd(_assembled(gen), compute_uv=False))
+    assert np.abs(got - want).max() <= 1e-12 * want[-1]
+
+
+def _rank_deficient_rate_matrix(monkeypatch):
+    # removing the second smallest singular value of the summed matrix
+    # keeps its column sums, since the left null vector is the trace
+    real = steady_state.site_rate_matrices
+
+    def site_rate_matrices(gen):
+        mats, closed, secular = real(gen)
+        M = sum(mats).astype(float)
+        u, s, vh = np.linalg.svd(M)
+        first = mats[0] - (s[-2] * np.outer(u[:, -2], vh[-2])).astype(np.longdouble)
+        return (first,) + mats[1:], closed, secular
+
+    monkeypatch.setattr(steady_state, "site_rate_matrices", site_rate_matrices)
+
+
+def _null_coherence(monkeypatch):
+    def edit(singular_values):
+        if len(singular_values) != 2:  # a block certificate
+            return singular_values
+        moduli = singular_values[1].copy()
+        moduli[7] = 0.0
+        return [singular_values[0], moduli]
+
+    _capture_null_scale(monkeypatch, edit)
+
+
+@pytest.mark.parametrize("break_generator", [_rank_deficient_rate_matrix, _null_coherence],
+                         ids=["rate-matrix", "coherence"])
+def test_a_null_pauli_mode_fails_the_certificate(monkeypatch, break_generator):
+    p = global_point(B=(0.37, 0.61, 0.83))
+    break_generator(monkeypatch)
+    with pytest.raises(DegenerateSteadyStateError):
+        solve_point(p)
+
+
+def test_fully_secular_point_makes_one_small_svd_and_builds_no_block(monkeypatch):
+    shapes = []
+    real = np.linalg.svd
+
+    def svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    sol = solve_point(global_point(B=(0.37, 0.61, 0.83)))
+    assert shapes == [(8, 8)]
+    assert "eigen_blocks" not in vars(sol.generators)
+    assert sol.population_closed and sol.populations is not None
+    # the block route certifies one stack of blocks per size
+    block_shapes = [(1, 20, 20), (1, 15, 15), (1, 6, 6), (1, 1, 1)]
+    shapes.clear()
+    sol = solve_point(UNCLOSED_HARMONIC)
+    assert shapes == block_shapes and "eigen_blocks" in vars(sol.generators)
+    # a secular point without populations falls back to it
+    monkeypatch.setattr(steady_state, "_refined_population", lambda M, energies: None)
+    shapes.clear()
+    sol = solve_point(global_point(B=(0.37, 0.61, 0.83)))
+    assert shapes == [(8, 8)] + block_shapes and "eigen_blocks" in vars(sol.generators)
+    assert sol.population_closed and sol.populations is None
+
+
+def _solved_records(points, monkeypatch):
+    """evaluate_point's record and solve_point's solution of every point."""
+    sols = []
+    real = sweeps.solve_point
+    with monkeypatch.context() as patch:
+        patch.setattr(sweeps, "solve_point", lambda p: sols.append(real(p)) or sols[-1])
+        records = [evaluate_point(p) for p in points]
+    return records, sols
+
+
+def test_pauli_route_keeps_the_bits_of_the_block_route(monkeypatch):
+    points = _config_points("global_scatter", 1000)
+    records, sols = _solved_records(points, monkeypatch)
+    # every one of them is fully secular, and solved without its blocks
+    assert len(sols) == len(points)
+    assert not any("eigen_blocks" in vars(sol.generators) for sol in sols)
+    _deny_secular(monkeypatch)
+    block_records, block_sols = _solved_records(points, monkeypatch)
+    assert all("eigen_blocks" in vars(sol.generators) for sol in block_sols)
+    for k, (rec, sol, block_rec, block_sol) in enumerate(
+            zip(records, sols, block_records, block_sols, strict=True)):
+        assert rec.flags == block_rec.flags, k
+        assert rec.thermo.Q == block_rec.thermo.Q, k
+        assert sol.population_closed is block_sol.population_closed is True, k
+        for got, want in ((sol.rho, block_sol.rho), (sol.rho_eig, block_sol.rho_eig),
+                          (sol.populations, block_sol.populations)):
+            assert_same_bits(got, want)
+
+
+WEAK_DAMPING = dict(B=(0.4, 0.9, 1.6), J=(0.3, 0.2, 0.25), Delta=(0.1, 0.2, 0.3),
+                    T=(1.0, 2.0, 3.0), bath_model="harmonic")
+
+
+def _verdict(p):
+    try:
+        solve_point(p)
+    except (TriqubitError, np.linalg.LinAlgError) as exc:
+        return type(exc)
+    return None
+
+
+@pytest.mark.parametrize("exponent", range(6, 15))
+def test_pauli_verdict_is_the_block_verdict_at_weak_damping(monkeypatch, exponent):
+    p = ModelParams(gamma=(10.0**-exponent,) * 3, **WEAK_DAMPING)
+    assert site_rate_matrices(build_global_generators(p))[2]
+    verdict = _verdict(p)
+    _deny_secular(monkeypatch)
+    assert verdict is _verdict(p)
+    # s_2 of the rate matrix is about 0.1 gamma, against sigma_max ~ ||H||
+    assert verdict is (None if exponent <= 9 else DegenerateSteadyStateError)
 
 
 def test_local_sweep_factors_nothing_larger_than_the_zero_block(monkeypatch):

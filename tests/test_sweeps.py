@@ -302,7 +302,9 @@ def test_sweeps_keep_the_memoized_operators_parameter_free(model_name, base):
     by_labels = (model.liouville_block_groups, global_me._jump_support,
                  global_me._block_gathers, local_me._transform_gathers)
     sizes = [cache.cache_info().currsize for cache in by_labels]
-    assert max(sizes) <= len(orderings) + 1 and sizes[0] >= 1, (sizes, len(orderings))
+    # the fully secular harmonic points read only the jump support
+    used = 0 if model_name == "repeated_interaction" else 1
+    assert max(sizes) <= len(orderings) + 1 and sizes[used] >= 1, (sizes, len(orderings))
 
 
 def test_random_sweep_repeatable_csv(tmp_path):
