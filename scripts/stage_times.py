@@ -12,7 +12,12 @@ a child interpreter of its own, on the points that are clean (whose
 rounds alternate between the roots, so that drift of the host reads as
 spread rather than as a difference between them. Within a round each
 stage runs over all points on inputs prepared beforehand, the stages one
-after the other.
+after the other. Besides the solve, the stages of the sweeps module show:
+``draw_params`` (random configs) or ``_grid_params`` (grid configs) per
+point, ``write_records`` per record and, on a grid with a refrigerator
+window, the boost scan's ``_locate_edge`` per scan, each round from a fresh
+copy of the grid's solved map. A comment line after the table gives the
+number of new solves that search makes.
 
 With one root, one line per stage gives the minimum and the median over
 the rounds of its microseconds per point. With several, each stage that
@@ -35,6 +40,7 @@ import json  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 import warnings  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -45,34 +51,86 @@ def _config_path(config: str, root: Path) -> Path:
     return path if path.exists() else root / "configs" / f"{config}.json"
 
 
-def _stages(points, epsilon):
-    """(name, function, one argument tuple per point) of every stage."""
+def _stages(cfg, indices, all_points, out_dir):
+    """(name, run, units) of every stage.
+
+    run() covers units points, records or scans and returns a note to print
+    after the table, or None.
+    """
     from triqubit import correlations, global_me, local_me, model, steady_state, sweeps, thermo
 
+    points = [all_points[k] for k in indices]
+    epsilon = cfg.epsilon
     harmonic = points[0].bath_model == model.BATH_HARMONIC
     H = [model.build_hamiltonian(p) for p in points]
     spectra = [model.sector_spectrum(h) for h in H]
     builder = global_me.build_global_generators if harmonic else local_me.build_local_generators
     sols = [steady_state.solve_point(p) for p in points]
-    stages = [
+    grid = isinstance(cfg, sweeps.GridScanConfig)
+    # a grid's records over all its points feed the edge search too
+    records = [sweeps.evaluate_point(p, epsilon) for p in (all_points if grid else points)]
+    written = [records[k] for k in indices] if grid else records
+    if grid:
+        draw = ("sweeps._grid_params", sweeps._grid_params, [(cfg, p.B[1]) for p in points])
+    else:
+        draw = ("sweeps.draw_params", sweeps.draw_params, [(cfg, k) for k in indices])
+    calls = [
+        draw,
         ("model.build_hamiltonian", model.build_hamiltonian, [(p,) for p in points]),
         ("model.sector_spectrum", model.sector_spectrum, [(h,) for h in H]),
         (f"{builder.__module__.split('.')[-1]}.{builder.__name__}", builder,
          [(p,) for p in points]),
     ]
     if harmonic:
-        stages += [
+        calls += [
             ("global_me.jump_operators", global_me.jump_operators, [(s,) for s in spectra]),
             ("global_me.site_rate_matrices", global_me.site_rate_matrices,
              [(sol.generators,) for sol in sols]),
         ]
-    return stages + [
+    calls += [
         ("steady_state.solve_point", steady_state.solve_point, [(p,) for p in points]),
         ("thermo.thermo_report", thermo.thermo_report, [(sol, epsilon) for sol in sols]),
         ("correlations.correlation_report", correlations.correlation_report,
          [(sol.rho, sol.params) for sol in sols]),
         ("sweeps.evaluate_point", sweeps.evaluate_point, [(p, epsilon) for p in points]),
     ]
+    stages = [(name, _calling(fn, args), len(args)) for name, fn, args in calls]
+    path = out_dir / "records.csv"
+    stages.append(("sweeps.write_records",
+                   lambda: sweeps.write_records(written, path, "stage_times", cfg), len(written)))
+    edge = _edge_search(cfg, records) if grid else None
+    return stages + ([edge] if edge else [])
+
+
+def _calling(fn, args):
+    """A stage's run(): fn over every argument tuple, with no note."""
+    def run():
+        for call in args:
+            fn(*call)
+
+    return run
+
+
+def _edge_search(cfg, grid):
+    """The boost scan's edge search from the grid's records, or None without a window.
+
+    Each run starts from a fresh copy of the grid's solved map, so that it
+    solves the same new points every round; its note gives their count.
+    """
+    from triqubit import sweeps
+    from triqubit.thermo import Regime
+
+    if not any(rec.thermo is not None and rec.thermo.regime is Regime.IV for rec in grid):
+        return None
+    solved = {rec.params.B[1]: rec for rec in grid}
+
+    def run():
+        fresh = dict(solved)
+        sweeps._locate_edge(cfg, list(grid), fresh)
+        return f"sweeps._locate_edge makes {len(fresh) - len(solved)} new solves per scan"
+
+    run()  # the first search imports scipy.optimize
+    return ("sweeps._locate_edge", run, 1)
 
 
 def _send(message) -> None:
@@ -84,7 +142,8 @@ def _child(root: Path, path: Path, n_points: int) -> None:
 
     Writes one JSON line for each request: the number of points and the
     indices of the clean ones, then the stage names for the indices it is
-    sent, then each round's microseconds per point of every stage.
+    sent, then each round's microseconds per point of every stage and the
+    notes its stages return.
     """
     sys.path.insert(0, str(root / "src"))
     from triqubit import cli, sweeps
@@ -100,21 +159,22 @@ def _child(root: Path, path: Path, n_points: int) -> None:
     _send({"points": len(points), "clean": [
         k for k, p in enumerate(points)
         if not any(f.startswith("error:") for f in sweeps.evaluate_point(p, cfg.epsilon).flags)]})
-    with warnings.catch_warnings():
+    with warnings.catch_warnings(), tempfile.TemporaryDirectory() as out_dir:
         warnings.simplefilter("ignore")
         line = sys.stdin.readline()
         if not line:  # no point is clean in every root
             return
-        stages = _stages([points[k] for k in json.loads(line)], cfg.epsilon)
+        stages = _stages(cfg, json.loads(line), points, Path(out_dir))
         _send([name for name, _, _ in stages])
         for _ in sys.stdin:
-            times = {}
-            for name, fn, calls in stages:
+            times, notes = {}, []
+            for name, run, units in stages:
                 start = time.perf_counter_ns()
-                for call in calls:
-                    fn(*call)
-                times[name] = (time.perf_counter_ns() - start) / 1e3 / len(calls)
-            _send(times)
+                note = run()
+                times[name] = (time.perf_counter_ns() - start) / 1e3 / units
+                if note is not None:
+                    notes.append(note)
+            _send({"times": times, "notes": notes})
 
 
 def _receive(proc):
@@ -155,12 +215,15 @@ def main(argv=None) -> int:
             proc.stdin.flush()
         names = [_receive(proc) for proc in procs]
         times = [{name: [] for name in root_names} for root_names in names]
+        notes = [[] for _ in roots]
         for _ in range(args.rounds):
-            for proc, root_times in zip(procs, times):
+            for k, (proc, root_times) in enumerate(zip(procs, times)):
                 proc.stdin.write("round\n")
                 proc.stdin.flush()
-                for name, us in _receive(proc).items():
+                message = _receive(proc)
+                for name, us in message["times"].items():
                     root_times[name].append(us)
+                notes[k] = message["notes"]
     finally:
         for proc in procs:
             proc.stdin.close()
@@ -171,6 +234,7 @@ def main(argv=None) -> int:
         print(f"{'stage':<40} {'min_us':>10} {'median_us':>10}")
         for name, values in times[0].items():
             print(f"{name:<40} {min(values):>10.1f} {statistics.median(values):>10.1f}")
+        _print_notes(notes)
         return 0
     print(f"{head}BLAS on 1 thread, {len(roots)} roots interleaved")
     for k, root in enumerate(roots):
@@ -186,7 +250,14 @@ def main(argv=None) -> int:
             low, mid = min(values), statistics.median(values)
             print(f"{name:<40} {k:>4} {low:>10.1f} {mid:>10.1f} "
                   f"{low / min(first):>10.3f} {mid / statistics.median(first):>12.3f}")
+    _print_notes(notes)
     return 0
+
+
+def _print_notes(notes) -> None:
+    for k, root_notes in enumerate(notes):
+        for note in root_notes:
+            print(f"# root {k}: {note}")
 
 
 if __name__ == "__main__":

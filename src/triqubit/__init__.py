@@ -7,6 +7,7 @@ from .errors import (
     ClusteringError,
     DegenerateSteadyStateError,
     DomainError,
+    ExactCurrentsWarning,
     ImpossibleCurrentsError,
     NumericalConsistencyError,
     SecularValidityWarning,

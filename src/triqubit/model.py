@@ -13,6 +13,7 @@ sigma_z^i] = 0, so H is block diagonal in the four magnetization sectors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
@@ -42,6 +43,10 @@ def as_number(name: str, value, integer: bool = False):
     if not isinstance(value, bool):
         try:
             return float(value)
+        except OverflowError:  # an int too large for a double
+            raise DomainError(
+                f"{name} must be a real number within the range of a double"
+            ) from None
         except (TypeError, ValueError):
             pass
     raise DomainError(f"{name} must be a real number, got {value!r}")
@@ -60,7 +65,7 @@ def as_reals(name: str, value, size: int) -> tuple:
 
 def _triple(name, value, minimum=None, strict=False):
     out = as_reals(name, value, 3)
-    if any(not np.isfinite(x) for x in out):
+    if not all(map(math.isfinite, out)):
         raise DomainError(f"{name} entries must be finite, got {out}")
     if minimum is not None:
         for x in out:

@@ -340,6 +340,17 @@ def _block_state(gen: Generators, rate_matrices):
     return x_full, res, populations
 
 
+def _dropped_row(energies: np.ndarray) -> int:
+    """The balance row a population solve replaces by the trace functional.
+
+    The enforced rows balance to the arithmetic's floor, so whatever
+    column-sum defect the rate matrices carry lands entirely on the dropped
+    one; it is parked on the level nearest zero energy, where it perturbs
+    the energy balance least.
+    """
+    return int(np.argmin(np.abs(energies)))
+
+
 def _refined_population(M: np.ndarray, energies: np.ndarray):
     """Extended-precision stationary populations of the summed longdouble rate matrix M.
 
@@ -351,11 +362,7 @@ def _refined_population(M: np.ndarray, energies: np.ndarray):
     when the system is singular or the result is not a distribution.
     """
     d = M.shape[0]
-    # the enforced rows balance to the longdouble floor, so whatever
-    # column-sum defect the matrices carry lands entirely on the dropped
-    # one; park it on the level nearest zero energy, where it perturbs
-    # the energy balance least
-    k = int(np.argmin(np.abs(energies)))
+    k = _dropped_row(energies)
     A = M.copy()
     A[k, :] = 1.0
     b = np.zeros(d, dtype=np.longdouble)

@@ -80,7 +80,7 @@ def _as_triple(value, name: str) -> tuple:
 
 def _as_range(value, name: str) -> tuple:
     pair = as_reals(name, value, 2)
-    if not all(np.isfinite(pair)) or pair[0] > pair[1]:
+    if not all(map(math.isfinite, pair)) or pair[0] > pair[1]:
         raise DomainError(f"{name} must satisfy low <= high with finite bounds")
     return pair
 
@@ -137,13 +137,13 @@ class SweepConfig:
             raise DomainError("n_samples must be a positive integer")
         as_number("master_seed", self.master_seed, integer=True)
         object.__setattr__(self, "min_field", as_number("min_field", self.min_field))
-        if not (np.isfinite(self.min_field) and self.min_field > 0.0):
+        if not (math.isfinite(self.min_field) and self.min_field > 0.0):
             raise DomainError("min_field must be positive")
         if self.B_range is not None and self.B_range[1] < self.min_field:
             raise DomainError("B_range lies entirely below min_field")
         if self.discard_rule is not None:
             ratio = as_number("discard_rule", self.discard_rule)
-            if not np.isfinite(ratio) or ratio < 0.0:
+            if not math.isfinite(ratio) or ratio < 0.0:
                 raise DomainError("discard_rule must be a nonnegative ratio")
             object.__setattr__(self, "discard_rule", ratio)
         object.__setattr__(self, "epsilon", checked_epsilon(self.epsilon))
@@ -178,7 +178,7 @@ class GridScanConfig:
             object.__setattr__(self, name, _as_triple(getattr(self, name), name))
         for name in ("B1", "B3", "B2_min", "B2_max"):
             value = as_number(name, getattr(self, name))
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise DomainError(f"{name} must be finite")
             object.__setattr__(self, name, value)
         if self.B2_min > self.B2_max:
@@ -365,12 +365,15 @@ def _locate_edge(cfg: GridScanConfig, records: list, solved: dict) -> Optional[f
     """Return the B2 where the work power crosses zero above the window.
 
     Starts from the last nonpositive-work grid point and brackets the sign
-    change, extending past the grid end if the scan stops inside the window.
-    Every B2 is solved at most once: solved maps each B2 already solved in
-    the scan to its record, and gains the points the search solves. A solve
-    that fails during the search ends it without an edge: the record at the
-    bracket's lower end is replaced in `records` by a copy flagged
-    "edge_failed", and None is returned.
+    change: inside the grid at the next positive-work point, past the grid
+    end by probes. Each probe lies slightly past the secant root of the two
+    highest points solved below the edge, or one grid step up when there is
+    no second point or W does not rise between them; a probe below the edge
+    becomes the bracket's lower end. Every B2 is solved at most once: solved
+    maps each B2 already solved in the scan to its record, and gains the
+    points the search solves. A solve that fails during the search ends it
+    without an edge: the last nonpositive-work grid record is replaced in
+    `records` by a copy flagged "edge_failed", and None is returned.
     """
     below = [
         k for k, rec in enumerate(records) if rec.thermo is not None and rec.thermo.W <= 0.0
@@ -400,11 +403,24 @@ def _locate_edge(cfg: GridScanConfig, records: list, solved: dict) -> Optional[f
         step = (cfg.B2_max - cfg.B2_min) / max(cfg.n_points - 1, 1)
         if step <= 0.0:
             step = max(0.05 * (1.0 + abs(a)), 1e-3)
-        b = a
+        prev = records[below[-2]] if len(below) > 1 else None
+        a0, w0 = (prev.params.B[1], prev.thermo.W) if prev is not None else (None, None)
         for _ in range(50):
-            b += step
-            if work(b) > 0.0:
+            if a0 is not None and wa > w0:
+                # 1% past the secant root, so that it brackets the edge when
+                # W is close to linear over the last interval; clamped so
+                # that a steep W cannot stall the search nor a flat one
+                # throw it far past the edge
+                distance = min(max(1.01 * wa * (a - a0) / (w0 - wa), step / 64), 16 * step)
+            else:
+                distance = step
+            b = a + distance
+            wb = work(b)
+            if wb > 0.0:
                 return float(brentq(work, a, b, xtol=1e-12))
+            if wb == 0.0:
+                return b
+            a0, w0, a, wa = a, wa, b, wb
     except DomainError:
         records[below[-1]] = replace(low, flags=low.flags + ("edge_failed",))
     return None
@@ -464,14 +480,14 @@ BOOST_COLUMNS = ("cop_norm", "cop_w_norm", "cop_otto_norm")
 
 
 def _fmt(value) -> str:
+    if isinstance(value, (float, np.floating)):  # most cells
+        return f"{float(value):.17g}"
     if value is None:
         return ""
     if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, Regime):
         return value.value
-    if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
     return str(value)
 
 

@@ -15,18 +15,25 @@ from __future__ import annotations
 
 import enum
 import math
+import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, ImpossibleCurrentsError, NumericalConsistencyError
+from .errors import (
+    DomainError,
+    ExactCurrentsWarning,
+    ImpossibleCurrentsError,
+    NumericalConsistencyError,
+)
 from .global_me import global_heat_current
 from .local_me import CurrentSet, local_current_set
 from .model import BATH_HARMONIC, PAIRS, ModelParams, as_number
-from .steady_state import PointSolution
+from .steady_state import PointSolution, _dropped_row
 
 DEFAULT_EPSILON = 1e-6  # relative zero band for sign classification
+_FIRST_LAW_RTOL = 1e-10  # |W + sum Q| allowed per unit of max(|Q_i|, |W|)
 
 
 class Regime(enum.Enum):
@@ -247,12 +254,74 @@ class ThermoReport:
 
 
 def _harmonic_heat_currents(sol: PointSolution):
+    """Q_i of the harmonic model: e . M_i p on the population route.
+
+    Where those longdouble currents would miss the first law, above the
+    roundoff floor, they are taken from _exact_heat_currents instead, with an
+    ExactCurrentsWarning, so that a sweep flags every point rescued this way.
+    """
     if sol.populations is not None:
-        e = sol.generators.spectrum.energies.astype(np.longdouble)
+        energies = sol.generators.spectrum.energies
+        e = energies.astype(np.longdouble)
         p = sol.populations.astype(np.longdouble)
-        return tuple(float(e @ (m.astype(np.longdouble) @ p)) for m in sol.rate_matrices)
+        Q = tuple(float(e @ (m.astype(np.longdouble) @ p)) for m in sol.rate_matrices)
+        scale = max(abs(q) for q in Q)
+        if scale > _current_floor(sol.params) and abs(math.fsum(Q)) > _FIRST_LAW_RTOL * scale:
+            exact = _exact_heat_currents(sol.rate_matrices, energies)
+            if exact is not None:
+                warnings.warn(
+                    f"longdouble heat currents miss the first law by "
+                    f"{abs(math.fsum(Q)) / scale:.1e} of max|Q|; recomputed exactly",
+                    ExactCurrentsWarning, stacklevel=2,
+                )
+                return exact
+        return Q
     gen = sol.generators
     return tuple(global_heat_current(sol.rho, gen.H, d) for d in gen.dissipators)
+
+
+def _exact_heat_currents(rate_matrices, energies: np.ndarray):
+    """Q_i = e . M_i p in exact rational arithmetic, each rounded once; None if singular.
+
+    At tiny fields the gross energy flows through the levels exceed max|Q_i|
+    by up to some 1e10, more than longdouble can cancel to the first-law
+    tolerance. Here each longdouble entry of M_i is taken exactly, each
+    diagonal is reset so that its column sums to exactly zero, and p solves
+    the trace-bordered balance equations of sum_i M_i, with the row the
+    population solve drops, by exact elimination. Then M p = 0 and sum Q = 0
+    hold exactly before the rounding.
+    """
+    # imported here, where it is used: it loads the decimal module, whose
+    # start-up time no point under the threshold should pay
+    from fractions import Fraction
+
+    d = energies.size
+    mats = []
+    for m in rate_matrices:
+        exact = [[Fraction(*x.as_integer_ratio()) for x in row] for row in m]
+        for j in range(d):
+            exact[j][j] = -sum(exact[a][j] for a in range(d) if a != j)
+        mats.append(exact)
+    k = _dropped_row(energies)
+    rows = [[sum(m[a][j] for m in mats) for j in range(d)] + [Fraction(0)] for a in range(d)]
+    rows[k] = [Fraction(1)] * d + [Fraction(1)]
+    for c in range(d):  # Gaussian elimination on the augmented rows
+        pivot = next((r for r in range(c, d) if rows[r][c]), None)
+        if pivot is None:
+            return None
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        for r in range(c + 1, d):
+            f = rows[r][c] / rows[c][c]
+            if f:
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
+    p = [Fraction(0)] * d
+    for c in reversed(range(d)):
+        p[c] = (rows[c][d] - sum(rows[c][j] * p[j] for j in range(c + 1, d))) / rows[c][c]
+    e = [Fraction(float(x)) for x in energies]
+    return tuple(
+        float(sum(e[a] * sum(m[a][j] * p[j] for j in range(d)) for a in range(d)))
+        for m in mats
+    )
 
 
 def _current_floor(p: ModelParams) -> float:
@@ -294,7 +363,9 @@ def invariant_violations(report: ThermoReport, params: ModelParams, correlations
     roundoff = q_scale <= floor
     first, second, constraint, continuity, mi_bound = LAWS
     holds = {
-        first: roundoff or report.first_law_residual <= 1e-10 * max(q_scale, abs(report.W)),
+        first: roundoff or (
+            report.first_law_residual <= _FIRST_LAW_RTOL * max(q_scale, abs(report.W))
+        ),
         second: report.S_dot >= -max(1e-9 * flows, floor / min(params.T)),
     }
     cs = report.currents

@@ -149,6 +149,26 @@ def test_non_numeric_config_entry_is_a_config_error(tmp_path, capsys, command, c
     assert not out_path.exists()
 
 
+HUGE = "1" + "0" * 400  # an integer far outside the range of a double
+
+
+@pytest.mark.parametrize("command, config, override", [
+    ("point", "point", f"B=[{HUGE},1,2]"),
+    ("sweep-random", "local_scatter", f"min_field={HUGE}"),
+    ("sweep-valve", "valve", f"B1={HUGE}"),
+], ids=["point-B", "sweep-random-min_field", "sweep-valve-B1"])
+def test_config_integer_beyond_a_double_is_a_config_error(tmp_path, capsys, command, config,
+                                                           override):
+    out_path = tmp_path / "out"
+    argv = [command, "--config", str(CONFIGS / f"{config}.json"), "--set", override,
+            "--out", str(out_path)]
+    assert main(argv) == 2
+    key = override.partition("=")[0]
+    assert capsys.readouterr().err == (
+        f"error: {key} must be a real number within the range of a double\n")
+    assert not out_path.exists()
+
+
 def test_sweep_random_writes_csv(tmp_path, capsys):
     out_path = tmp_path / "sweep.csv"
     code = main([

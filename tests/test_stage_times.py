@@ -1,5 +1,6 @@
 """scripts/stage_times.py: per-stage in-process timings of one config."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -9,14 +10,14 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 STAGES = {
-    "global_scatter": ["model.build_hamiltonian", "model.sector_spectrum",
+    "global_scatter": ["sweeps.draw_params", "model.build_hamiltonian", "model.sector_spectrum",
                        "global_me.build_global_generators", "global_me.jump_operators",
                        "global_me.site_rate_matrices"],
-    "local_scatter": ["model.build_hamiltonian", "model.sector_spectrum",
+    "local_scatter": ["sweeps.draw_params", "model.build_hamiltonian", "model.sector_spectrum",
                       "local_me.build_local_generators"],
 }
 COMMON = ["steady_state.solve_point", "thermo.thermo_report",
-          "correlations.correlation_report", "sweeps.evaluate_point"]
+          "correlations.correlation_report", "sweeps.evaluate_point", "sweeps.write_records"]
 
 
 @pytest.mark.parametrize("config", sorted(STAGES))
@@ -52,3 +53,22 @@ def test_two_roots_alternate_and_print_ratios_to_the_first():
         assert first[4:] == ["1.000", "1.000"]
         assert float(other[4]) == pytest.approx(float(other[2]) / float(first[2]), rel=1e-2)
         assert float(other[5]) == pytest.approx(float(other[3]) / float(first[3]), rel=1e-2)
+
+
+def test_boost_grid_times_the_edge_search_and_counts_its_solves(tmp_path):
+    config = tmp_path / "boost.json"
+    data = json.loads((ROOT / "configs" / "boost.json").read_text())
+    config.write_text(json.dumps(dict(data, n_points=6)))
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "stage_times.py"), str(config), "--rounds", "2"],
+        capture_output=True, text=True, check=True, timeout=120,
+    ).stdout.splitlines()
+    assert out[0].startswith("# boost.json: 6 clean of 6 points, 2 rounds")
+    rows = [line.split() for line in out[2:-1]]
+    assert [row[0] for row in rows] == (
+        ["sweeps._grid_params", "model.build_hamiltonian", "model.sector_spectrum",
+         "local_me.build_local_generators"] + COMMON + ["sweeps._locate_edge"])
+    for _, low, mid in rows:
+        assert 0.0 < float(low) <= float(mid)
+    assert out[-1].startswith("# root 0: sweeps._locate_edge makes ")
+    assert int(out[-1].split()[-5]) > 0

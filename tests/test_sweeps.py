@@ -4,7 +4,9 @@ import concurrent.futures
 import csv
 import itertools
 import json
+from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -414,8 +416,8 @@ def test_boost_scan_appends_edge():
 
 
 def test_boost_edge_search_solves_each_b2_once(monkeypatch):
-    # brentq opens on two bracket ends whose work the grid or the extension
-    # step has already solved, and the edge it returns is a point it solved
+    # brentq opens on two bracket ends whose work the grid or the secant
+    # probe has already solved, and the edge it returns is a point it solved
     cfg = GridScanConfig(**json.loads((CONFIGS / "boost.json").read_text()))
     solved = []
     real = sweeps.evaluate_point
@@ -426,13 +428,138 @@ def test_boost_edge_search_solves_each_b2_once(monkeypatch):
 
     monkeypatch.setattr(sweeps, "evaluate_point", spy)
     records = boost_scan(cfg)
-    assert len(solved) == len(set(solved)) == cfg.n_points + 13
+    assert len(solved) == len(set(solved)) == cfg.n_points + 5
     edge = records[-1]
     assert edge.index == cfg.n_points and edge.params.B[1] in solved[cfg.n_points:]
     fresh = real(edge.params, epsilon=cfg.epsilon)
     assert edge.flags == fresh.flags + ("edge",)
     assert (edge.thermo, edge.correlations, edge.residual) == (
         fresh.thermo, fresh.correlations, fresh.residual)
+
+
+# the zero-work edge of configs/boost.json, as the step-by-step search found it
+BOOST_EDGE_B2 = 3.3277271647192781
+
+
+def _bench_run():
+    import sys
+
+    bench = str(CONFIGS.parent / "bench")
+    if bench not in sys.path:
+        sys.path.insert(0, bench)
+    import run
+
+    return run
+
+
+@pytest.mark.parametrize("shift", [None, 1, 2, 3, 4, 5])
+def test_boost_edge_lies_on_the_zero_of_w(shift):
+    # the bundled grid (None) and the benchmark's shifted grids
+    base = json.loads((CONFIGS / "boost.json").read_text())
+    data, expected = _bench_run().seeded_config("boost_pool", base, shift)
+    records = boost_scan(GridScanConfig(**data))
+    assert len(records) == expected
+    edge = records[-1]
+    assert "edge" in edge.flags
+    assert abs(edge.thermo.W) <= 1e-15
+    assert abs(edge.params.B[1] - BOOST_EDGE_B2) <= 1e-13
+
+
+def _fake_work(monkeypatch, cfg, w_of_b2):
+    """Grid records whose work is w_of_b2(B2); every later solve is logged."""
+    def fake(params, epsilon):
+        return SimpleNamespace(params=params, thermo=SimpleNamespace(W=w_of_b2(params.B[1])),
+                               flags=())
+
+    grid = [fake(p, cfg.epsilon) for p in sweeps._grid_points(cfg)]
+    probes = []
+    monkeypatch.setattr(
+        sweeps, "evaluate_point",
+        lambda params, epsilon: probes.append(params.B[1]) or fake(params, epsilon))
+    return grid, {rec.params.B[1]: rec for rec in grid}, probes
+
+
+def _grid_cfg(b2_min, b2_max, n_points):
+    return GridScanConfig(bath_model="repeated_interaction", J=BOOST["J"],
+                          Delta=BOOST["Delta"], B1=BOOST["B1"], B3=BOOST["B3"],
+                          B2_min=b2_min, B2_max=b2_max, n_points=n_points,
+                          gamma=BOOST["gamma"])
+
+
+def test_edge_search_probes_just_past_the_secant_root(monkeypatch):
+    cfg = _grid_cfg(2.9, 3.3, 5)
+    grid, solved, probes = _fake_work(monkeypatch, cfg, lambda b2: b2 - 3.4)
+    edge = sweeps._locate_edge(cfg, grid, solved)
+    assert probes[0] == pytest.approx(3.3 + 1.01 * 0.1, rel=1e-14)
+    assert edge == pytest.approx(3.4, abs=1e-12)
+
+
+def test_edge_search_steps_one_grid_spacing_where_w_does_not_rise(monkeypatch):
+    cfg = _grid_cfg(2.9, 3.3, 5)
+    grid, solved, probes = _fake_work(
+        monkeypatch, cfg, lambda b2: -1.0 if b2 <= 3.3 + 1e-9 else b2 - 3.35)
+    edge = sweeps._locate_edge(cfg, grid, solved)
+    step = (cfg.B2_max - cfg.B2_min) / (cfg.n_points - 1)
+    assert probes[0] == cfg.B2_max + step
+    assert edge == pytest.approx(3.35, abs=1e-12)
+
+
+def test_edge_search_steps_one_grid_spacing_from_a_single_point(monkeypatch):
+    # one grid point has no second point for a secant, and its grid has no
+    # spacing: the step is 5% of 1 + B2
+    cfg = _grid_cfg(3.05, 3.05, 1)
+    grid, solved, probes = _fake_work(monkeypatch, cfg, lambda b2: b2 - 3.1)
+    edge = sweeps._locate_edge(cfg, grid, solved)
+    assert probes[0] == 3.05 + 0.05 * (1.0 + 3.05)
+    assert edge == pytest.approx(3.1, abs=1e-12)
+
+
+def test_edge_search_probe_below_the_edge_becomes_the_lower_end(monkeypatch):
+    # W is concave, so the secant of the last two grid points undershoots
+    cfg = _grid_cfg(2.9, 3.3, 5)
+    grid, solved, probes = _fake_work(monkeypatch, cfg, lambda b2: (b2 - 2.0) ** 0.5 - 1.2)
+    edge = sweeps._locate_edge(cfg, grid, solved)
+    first, second = probes[:2]
+    assert cfg.B2_max < first < 3.44
+    # the next secant starts from the probe and the last grid point
+    w_grid, w_first = solved[cfg.B2_max].thermo.W, solved[first].thermo.W
+    assert second == pytest.approx(
+        first + 1.01 * w_first * (first - cfg.B2_max) / (w_grid - w_first), rel=1e-14)
+    assert edge == pytest.approx(3.44, abs=1e-12)
+    assert len(probes) == len(set(probes))
+
+
+def test_edge_search_caps_the_probe_where_w_is_nearly_flat(monkeypatch):
+    # W rises by 1e-7 over the last grid interval, so the secant root lies
+    # some 100 units away: the probe stops at 16 grid steps, past the edge
+    cfg = _grid_cfg(2.9, 3.3, 5)
+    grid, solved, probes = _fake_work(
+        monkeypatch, cfg, lambda b2: 1e-6 * (b2 - 3.3) - 1e-3 if b2 <= 3.3 else b2 - 4.0)
+    edge = sweeps._locate_edge(cfg, grid, solved)
+    step = (cfg.B2_max - cfg.B2_min) / (cfg.n_points - 1)
+    assert probes[0] == cfg.B2_max + 16 * step
+    assert edge == pytest.approx(4.0, abs=1e-12)
+
+
+def test_edge_search_floors_the_probe_where_w_rises_steeply(monkeypatch):
+    # W climbs from -1e3 to -1e-9 over the last grid interval, so the secant
+    # root lies 1e-13 away: the probe goes at least 1/64 of a grid step
+    cfg = _grid_cfg(2.9, 3.3, 5)
+    grid, solved, probes = _fake_work(
+        monkeypatch, cfg, lambda b2: -1e-9 - 1e4 * (3.3 - b2) if b2 <= 3.3 else b2 - 3.3001)
+    edge = sweeps._locate_edge(cfg, grid, solved)
+    step = (cfg.B2_max - cfg.B2_min) / (cfg.n_points - 1)
+    assert probes[0] == cfg.B2_max + step / 64
+    assert edge == pytest.approx(3.3001, abs=1e-12)
+
+
+def test_edge_search_takes_a_probe_at_zero_work_as_the_edge(monkeypatch):
+    # W is exactly zero on [3.35, 3.45], where the first secant probe lands
+    cfg = _grid_cfg(2.9, 3.3, 5)
+    grid, solved, probes = _fake_work(
+        monkeypatch, cfg, lambda b2: min(b2 - 3.35, 0.0) if b2 < 3.45 else b2 - 3.45)
+    edge = sweeps._locate_edge(cfg, grid, solved)
+    assert len(probes) == 1 and edge == probes[0] and 3.35 < edge < 3.45
 
 
 def test_boost_edge_search_failure_keeps_the_scan(monkeypatch):
@@ -503,3 +630,62 @@ def test_write_records_empty_and_extra_columns(tmp_path):
     lines = empty.read_text().splitlines()
     assert len(lines) == 2
     assert next(csv.reader([lines[1]])) == list(BASE_COLUMNS + BOOST_COLUMNS)
+
+
+@pytest.mark.parametrize("value, cell", [
+    (None, ""),
+    (True, "true"),
+    (False, "false"),
+    (np.bool_(True), "true"),
+    (np.bool_(False), "false"),
+    (Regime.IV, "IV"),
+    (Regime.UNCLASSIFIED, "Unclassified"),
+    (0.1, "0.10000000000000001"),
+    (np.float64(0.1), "0.10000000000000001"),
+    (-0.0, "-0"),
+    (np.float64(-0.0), "-0"),
+    (1e-300, "1e-300"),
+    (1.0 / 3.0, "0.33333333333333331"),
+    (float("inf"), "inf"),
+    (float("nan"), "nan"),
+    (7, "7"),
+    (np.int64(7), "7"),
+    ("Q1>0,Q3<0", "Q1>0,Q3<0"),
+])
+def test_every_kind_of_cell_has_one_spelling(value, cell):
+    assert sweeps._fmt(value) == cell
+
+
+def test_written_rows_spell_every_kind_of_cell(tmp_path):
+    # discarded rows, an error row, boost extras of every kind, and numpy
+    # scalars in the cells that usually hold floats
+    cfg = sample_cfg(n_samples=4, discard_rule=1e6)
+    records = random_sweep(cfg)
+    assert all("discarded" in rec.flags for rec in records)
+    boost = boost_scan(GridScanConfig(
+        bath_model="repeated_interaction", J=BOOST["J"], Delta=BOOST["Delta"],
+        B1=BOOST["B1"], B3=BOOST["B3"], B2_min=2.95, B2_max=3.05, n_points=3,
+        gamma=BOOST["gamma"]))
+    error = SweepRecord(len(records), records[0].params, None, None, None,
+                        ("error:LinAlgError", "warn:RuntimeWarning"))
+    mixed = replace(
+        records[1], residual=np.float64(records[1].residual),
+        extra={"cop_norm": np.float64(0.25), "cop_w_norm": 3, "cop_otto_norm": np.bool_(True)})
+    rows = records + boost + [error, mixed]
+    path = tmp_path / "records.csv"
+    write_records(rows, path, "boost", cfg, extra_columns=BOOST_COLUMNS)
+    with open(path, newline="") as fh:
+        cells = list(csv.DictReader(line for line in fh if not line.startswith("#")))
+    assert len(cells) == len(rows)
+    for rec, row in zip(rows, cells):
+        assert row["flags"] == ";".join(rec.flags)
+        for key in BOOST_COLUMNS:
+            value = (rec.extra or {}).get(key)
+            if isinstance(value, float):  # 17 significant digits read back exactly
+                assert float(row[key]) == value
+    assert [row["flags"] for row in cells[:4]] == ["discarded"] * 4
+    assert cells[-2]["Q1"] == cells[-2]["regime"] == "" and cells[-2]["sample_index"] == "4"
+    assert cells[-1]["nullspace_residual"] == cells[1]["nullspace_residual"]
+    assert float(cells[-1]["nullspace_residual"]) == records[1].residual
+    assert [cells[-1][key] for key in BOOST_COLUMNS] == ["0.25", "3", "true"]
+    assert cells[4]["regime"] in {r.value for r in Regime}

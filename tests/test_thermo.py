@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
@@ -12,8 +13,13 @@ import pytest
 from triqubit import (
     Regime, classify_regime, correlation_report, solve_point, thermo, thermo_report,
 )
-from triqubit.errors import DomainError, ImpossibleCurrentsError, NumericalConsistencyError
-from triqubit.sweeps import SweepConfig, draw_params
+from triqubit.errors import (
+    DomainError,
+    ExactCurrentsWarning,
+    ImpossibleCurrentsError,
+    NumericalConsistencyError,
+)
+from triqubit.sweeps import SweepConfig, draw_params, random_sweep
 from triqubit.thermo import (
     HARMONIC_REGIMES,
     Role,
@@ -283,3 +289,58 @@ def test_thermo_report_raises_when_the_work_misses_the_first_law(monkeypatch):
     monkeypatch.setattr(thermo, "local_current_set", shifted)
     with pytest.raises(NumericalConsistencyError, match="First Law"):
         thermo_report(sol)
+
+
+# a global_scatter draw at B1 = 1.77e-3 whose longdouble currents read
+# |sum Q| = 1.4e-10 max|Q|
+TAIL_SEED, TAIL_INDEX = 3272349822893091107, 29
+
+
+def _global_scatter_draw(seed, index):
+    data = json.loads((Path(__file__).resolve().parent.parent / "configs"
+                       / "global_scatter.json").read_text())
+    return draw_params(SweepConfig(**dict(data, master_seed=seed, n_samples=index + 1)), index)
+
+
+def _longdouble_currents(sol):
+    e = sol.generators.spectrum.energies.astype(np.longdouble)
+    p = sol.populations.astype(np.longdouble)
+    return tuple(float(e @ (m.astype(np.longdouble) @ p)) for m in sol.rate_matrices)
+
+
+def test_exact_currents_rescue_only_the_points_that_miss_the_first_law():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ExactCurrentsWarning)
+        for index in range(20):  # every draw keeps the bits of the longdouble route
+            sol = solve_point(_global_scatter_draw(TAIL_SEED, index))
+            assert thermo._harmonic_heat_currents(sol) == _longdouble_currents(sol)
+    sol = solve_point(_global_scatter_draw(TAIL_SEED, TAIL_INDEX))
+    before = _longdouble_currents(sol)
+    assert abs(math.fsum(before)) > 1e-10 * max(map(abs, before))
+    with pytest.warns(ExactCurrentsWarning, match="recomputed exactly"):
+        Q = thermo._harmonic_heat_currents(sol)
+    assert abs(math.fsum(Q)) <= 1e-15 * max(map(abs, Q))
+    assert Q == pytest.approx(before, rel=1e-6)
+    with pytest.warns(ExactCurrentsWarning):
+        report = thermo_report(sol)
+    assert invariant_violations(report, sol.params) == ()
+
+
+def test_no_bundled_global_scatter_point_needs_the_exact_currents():
+    # the rescue is for the rare tiny-field tail; a rescued point is flagged,
+    # so a less precise population solve would show up here as flags
+    data = json.loads((Path(__file__).resolve().parent.parent / "configs"
+                       / "global_scatter.json").read_text())
+    records = random_sweep(SweepConfig(**data))
+    assert len(records) == 1000
+    assert not [rec.index for rec in records if "warn:ExactCurrentsWarning" in rec.flags]
+
+
+def test_exact_currents_balance_exactly_and_match_the_longdouble_route():
+    sol = solve_point(global_point(B=(0.37, 0.61, 0.83)))
+    energies = sol.generators.spectrum.energies
+    Q = thermo._exact_heat_currents(sol.rate_matrices, energies)
+    assert Q == pytest.approx(_longdouble_currents(sol), rel=1e-9)
+    assert abs(math.fsum(Q)) <= 4 * np.finfo(float).eps * max(map(abs, Q))
+    zero = np.zeros((8, 8), dtype=np.longdouble)
+    assert thermo._exact_heat_currents((zero,) * 3, energies) is None
