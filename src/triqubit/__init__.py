@@ -7,7 +7,6 @@ from .errors import (
     ClusteringError,
     DegenerateSteadyStateError,
     DomainError,
-    ExactCurrentsWarning,
     ImpossibleCurrentsError,
     NumericalConsistencyError,
     SecularValidityWarning,

@@ -31,7 +31,3 @@ class SecularValidityWarning(UserWarning):
 
 class ZeroModeWarning(UserWarning):
     """A non-negligible zero-frequency part was discarded from a jump set."""
-
-
-class ExactCurrentsWarning(UserWarning):
-    """The heat currents were recomputed in exact arithmetic to meet the first law."""

@@ -368,7 +368,11 @@ def site_rate_matrices(gen: Generators):
     The three baths are one stack over the support of the amplitudes,
     each site's clusters in the leading slots of a zero-padded cluster
     axis, with the rates of gen.jump_rates; off the support every term is
-    exactly zero.
+    exactly zero. Each off-diagonal entry is the sum of the clusters' down
+    terms plus the sum of their up terms, in extended precision. The
+    diagonal, minus each column's sum, serves the certificate and the
+    blocks; the populations and the heat currents read only the
+    off-diagonal rates.
     """
     counts = np.array([len(js.frequencies) for js in gen.jumps])
     d = gen.spectrum.dim
@@ -383,19 +387,10 @@ def site_rate_matrices(gen: Generators):
     closed = not np.any(nz[:, :, pairs[0]] & nz[:, :, pairs[1]])
     secular = bool(np.all(nz.sum(axis=2)[slot] == 1))
     g = mags.astype(np.longdouble) ** 2
-    # accumulate in extended precision, each cluster's down term and then
-    # its up term, in the order of the clusters (a sum over the cluster
-    # axis adds the slices one after the other, and the padding adds exact
-    # zeros), and set the loss diagonal once at the end, so each column
-    # sums to zero at the longdouble floor; the first law of a solved
-    # point rides on that cancellation. Gains land strictly off the
-    # diagonal: the support, where a jump flips one spin, holds no
-    # diagonal entry
-    terms = np.empty((len(counts), 2 * slot.shape[1], flat.size), dtype=np.longdouble)
-    terms[:, 0::2] = down[:, :, None] * g
-    terms[:, 1::2] = up[:, :, None] * g[:, :, swap]
+    # gains land strictly off the diagonal: the support, where a jump
+    # flips one spin, holds no diagonal entry
     M = np.zeros((len(counts), d * d), dtype=np.longdouble)
-    M[:, flat] = terms.sum(axis=1)
+    M[:, flat] = (down[:, :, None] * g).sum(axis=1) + (up[:, :, None] * g[:, :, swap]).sum(axis=1)
     M = M.reshape(-1, d, d)
     diag = np.arange(d)
     M[:, diag, diag] -= M.sum(axis=1)

@@ -21,12 +21,13 @@ by mixed-precision iterative refinement (Higham, Accuracy and Stability of
 Numerical Algorithms, 2002, ch. 12): started from zero, four
 double-precision solves of A, each on a residual evaluated in 80-bit
 precision. Every coherence between magnetization sectors is exactly zero.
-The harmonic model's population solve on the summed 8x8 rate matrix, tried
-first whenever the secular clusters decouple, runs through the same loop;
-its state is taken without the block solve when its residual sits at the
-roundoff floor. In the eigenbasis the coherent part of the generator is
-exactly diagonal, so the residual evaluation error scales with the
-dissipative rates instead of ||H||, and row 0 is the ground-state balance.
+The harmonic model's populations, tried first whenever the secular
+clusters decouple, come instead from GTH state reduction of the summed 8x8
+rate matrix, which never subtracts; that state is taken without the block
+solve when its residual sits at the roundoff floor. In the eigenbasis the
+coherent part of the generator is exactly diagonal, so the residual
+evaluation error scales with the dissipative rates instead of ||H||, and
+row 0 is the ground-state balance.
 
 A fully secular harmonic point, each of whose Bohr-frequency clusters
 holds a single transition, needs no block at all: its generator is the
@@ -277,13 +278,13 @@ def _pauli_state(M: np.ndarray, energies: np.ndarray):
     """(vec rho, residual, populations) of a fully secular point, or None.
 
     Certifies the generator with _pauli_scale and takes the populations of
-    _refined_population; its residual is |M p| in extended precision. The
+    _gth_population; its residual is |M p| in extended precision. The
     coherences of the state are exactly zero. Returns None, for the block
-    solve, when there are no populations or their residual is above the
+    solve, when the chain is reducible or the residual is above the
     roundoff floor of the block solve.
     """
     sigma_max = _pauli_scale(M, energies)
-    populations = _refined_population(M, energies)
+    populations = _gth_population(M)
     if populations is None:
         return None
     res = float(np.linalg.norm((M @ populations).astype(float)))
@@ -319,12 +320,12 @@ def _block_state(gen: Generators, rate_matrices):
     diag_ld = lam[index].astype(CLD)
     offdiag_ld = D.astype(CLD)
 
-    populations = refined = None
+    populations = gth = None
     res_ref = math.inf  # residual of the population state, when there is one
     if rate_matrices is not None:
-        refined = _refined_population(sum(rate_matrices), E)
-        if refined is not None:
-            x_ref = vec(np.diag(refined.astype(complex)))[index]
+        gth = _gth_population(sum(rate_matrices))
+        if gth is not None:
+            x_ref = vec(np.diag(gth.astype(complex)))[index]
             res_ref = float(np.linalg.norm(_residual(diag_ld, offdiag_ld, x_ref).astype(complex)))
     # the diagonal form is exact for closed clusters: at the roundoff floor
     # it needs no generic solve, and above it, it is used unless its
@@ -333,53 +334,36 @@ def _block_state(gen: Generators, rate_matrices):
     floor = _FLOOR * sigma_max
     if res_ref > floor:
         x, res = _trace_one_state(blocks[0][0], on_diag, diag_ld, offdiag_ld)
-    if refined is not None and (res_ref <= floor or res_ref <= res):
-        x, res, populations = x_ref, res_ref, refined
+    if gth is not None and (res_ref <= floor or res_ref <= res):
+        x, res, populations = x_ref, res_ref, gth
     x_full = np.zeros(E.size**2, dtype=complex)
     x_full[index] = x
     return x_full, res, populations
 
 
-def _dropped_row(energies: np.ndarray) -> int:
-    """The balance row a population solve replaces by the trace functional.
+def _gth_population(M: np.ndarray):
+    """Stationary populations of the summed longdouble rate matrix M, or None if reducible.
 
-    The enforced rows balance to the arithmetic's floor, so whatever
-    column-sum defect the rate matrices carry lands entirely on the dropped
-    one; it is parked on the level nearest zero energy, where it perturbs
-    the energy balance least.
-    """
-    return int(np.argmin(np.abs(energies)))
-
-
-def _refined_population(M: np.ndarray, energies: np.ndarray):
-    """Extended-precision stationary populations of the summed longdouble rate matrix M.
-
-    Solves the trace-bordered 8x8 balance equations with _refine on
-    longdouble residuals. The population residual then sits at the
-    longdouble floor, orders of magnitude below what the 64x64 solve can
-    reach, which is what lets per-bath heat currents cancel to the
-    first-law tolerance even when transport is very weak. Returns None
-    when the system is singular or the result is not a distribution.
+    GTH state reduction (Grassmann, Taksar and Heyman, Oper. Res. 33, 1107,
+    1985) on the off-diagonal rates alone: each pivot is a sum of rates
+    out of the state it eliminates, so nothing is ever subtracted and every
+    population keeps a small relative error (O'Cinneide, Numer. Math. 65,
+    109, 1993). A pivot that is not positive leaves a state with no way
+    back to the rest, a reducible chain: returns None.
     """
     d = M.shape[0]
-    k = _dropped_row(energies)
-    A = M.copy()
-    A[k, :] = 1.0
-    b = np.zeros(d, dtype=np.longdouble)
-    b[k] = 1.0
-    A_dbl = A.astype(float)
-    try:
-        p = _refine(A_dbl, b, lambda v: A @ v)
-    except np.linalg.LinAlgError:
-        return None
-    r = b - A @ p
-    row_scale = float(np.abs(A_dbl).sum(axis=1).max())
-    if float(np.linalg.norm(r.astype(float))) > 1e-13 * max(row_scale, 1e-300):
-        return None
-    if float(p.min().astype(float)) < -1e-12:
-        return None
-    p = np.clip(p, 0.0, None)
-    return p / p.sum()
+    P = M.T.copy()  # P[b, a]: rate of the jump b -> a; the diagonal is never read
+    for k in range(d - 1, 0, -1):
+        pivot = np.add.reduce(P[k, :k])
+        if not pivot > 0.0:
+            return None
+        into = P[:k, k]  # a view: the scaled rates into k stay for the back-substitution
+        into /= pivot
+        P[:k, :k] += into[:, None] * P[k, :k]
+    p = np.ones(d, dtype=P.dtype)
+    for k in range(1, d):
+        p[k] = p[:k] @ P[:k, k]
+    return p / np.add.reduce(p)
 
 
 def evolve_oracle(L: np.ndarray, rho0: np.ndarray, t_final: float, dt: float) -> np.ndarray:

@@ -15,22 +15,16 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    ExactCurrentsWarning,
-    ImpossibleCurrentsError,
-    NumericalConsistencyError,
-)
+from .errors import DomainError, ImpossibleCurrentsError, NumericalConsistencyError
 from .global_me import global_heat_current
 from .local_me import CurrentSet, local_current_set
 from .model import BATH_HARMONIC, PAIRS, ModelParams, as_number
-from .steady_state import PointSolution, _dropped_row
+from .steady_state import PointSolution
 
 DEFAULT_EPSILON = 1e-6  # relative zero band for sign classification
 _FIRST_LAW_RTOL = 1e-10  # |W + sum Q| allowed per unit of max(|Q_i|, |W|)
@@ -254,74 +248,22 @@ class ThermoReport:
 
 
 def _harmonic_heat_currents(sol: PointSolution):
-    """Q_i of the harmonic model: e . M_i p on the population route.
+    """Q_i of the harmonic model; on the population route, as edge sums in longdouble.
 
-    Where those longdouble currents would miss the first law, above the
-    roundoff floor, they are taken from _exact_heat_currents instead, with an
-    ExactCurrentsWarning, so that a sweep flags every point rescued this way.
+    Q_i = sum_{a != b} (e_a - e_b) M_i[a, b] p_b: the energy each jump b -> a
+    of bath i carries, weighted by its flow. No diagonal of M_i enters, so
+    with the subtraction-free populations of the solve the three currents
+    cancel to the first-law tolerance even where the gross flows through
+    the levels exceed max|Q_i| by orders of magnitude.
     """
     if sol.populations is not None:
-        energies = sol.generators.spectrum.energies
-        e = energies.astype(np.longdouble)
-        p = sol.populations.astype(np.longdouble)
-        Q = tuple(float(e @ (m.astype(np.longdouble) @ p)) for m in sol.rate_matrices)
-        scale = max(abs(q) for q in Q)
-        if scale > _current_floor(sol.params) and abs(math.fsum(Q)) > _FIRST_LAW_RTOL * scale:
-            exact = _exact_heat_currents(sol.rate_matrices, energies)
-            if exact is not None:
-                warnings.warn(
-                    f"longdouble heat currents miss the first law by "
-                    f"{abs(math.fsum(Q)) / scale:.1e} of max|Q|; recomputed exactly",
-                    ExactCurrentsWarning, stacklevel=2,
-                )
-                return exact
-        return Q
+        e = sol.generators.spectrum.energies.astype(np.longdouble)
+        # the diagonal gaps are exactly zero, which drops the loss terms
+        gaps = e[:, None] - e[None, :]
+        flows = gaps * np.stack(sol.rate_matrices) * sol.populations
+        return tuple(float(q) for q in flows.sum(axis=(1, 2)))
     gen = sol.generators
     return tuple(global_heat_current(sol.rho, gen.H, d) for d in gen.dissipators)
-
-
-def _exact_heat_currents(rate_matrices, energies: np.ndarray):
-    """Q_i = e . M_i p in exact rational arithmetic, each rounded once; None if singular.
-
-    At tiny fields the gross energy flows through the levels exceed max|Q_i|
-    by up to some 1e10, more than longdouble can cancel to the first-law
-    tolerance. Here each longdouble entry of M_i is taken exactly, each
-    diagonal is reset so that its column sums to exactly zero, and p solves
-    the trace-bordered balance equations of sum_i M_i, with the row the
-    population solve drops, by exact elimination. Then M p = 0 and sum Q = 0
-    hold exactly before the rounding.
-    """
-    # imported here, where it is used: it loads the decimal module, whose
-    # start-up time no point under the threshold should pay
-    from fractions import Fraction
-
-    d = energies.size
-    mats = []
-    for m in rate_matrices:
-        exact = [[Fraction(*x.as_integer_ratio()) for x in row] for row in m]
-        for j in range(d):
-            exact[j][j] = -sum(exact[a][j] for a in range(d) if a != j)
-        mats.append(exact)
-    k = _dropped_row(energies)
-    rows = [[sum(m[a][j] for m in mats) for j in range(d)] + [Fraction(0)] for a in range(d)]
-    rows[k] = [Fraction(1)] * d + [Fraction(1)]
-    for c in range(d):  # Gaussian elimination on the augmented rows
-        pivot = next((r for r in range(c, d) if rows[r][c]), None)
-        if pivot is None:
-            return None
-        rows[c], rows[pivot] = rows[pivot], rows[c]
-        for r in range(c + 1, d):
-            f = rows[r][c] / rows[c][c]
-            if f:
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[c])]
-    p = [Fraction(0)] * d
-    for c in reversed(range(d)):
-        p[c] = (rows[c][d] - sum(rows[c][j] * p[j] for j in range(c + 1, d))) / rows[c][c]
-    e = [Fraction(float(x)) for x in energies]
-    return tuple(
-        float(sum(e[a] * sum(m[a][j] * p[j] for j in range(d)) for a in range(d)))
-        for m in mats
-    )
 
 
 def _current_floor(p: ModelParams) -> float:

@@ -23,6 +23,8 @@ from triqubit.sweeps import (
     write_records,
 )
 
+from conftest import HARMONIC_TAIL
+
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
 
@@ -30,16 +32,10 @@ _spec = importlib.util.spec_from_file_location("bench_gate", ROOT / "bench" / "g
 gate = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(gate)
 
-# global_scatter draws on the population route with one field near 1.1e-3
-# to 1.8e-3: their longdouble currents miss the first law (9.3e-10 and
-# 1.9e-10 of max|Q| at the first two), and the exact rescue of
-# thermo._harmonic_heat_currents makes them clean records, flagged with its
-# warning
-TAIL = [(2827956119220495982, 230), (858442059008659882, 1931), (3272349822893091107, 29)]
-TAIL_IDS = [f"harmonic-tail-{index}" for _, index in TAIL]
+TAIL_IDS = [f"harmonic-tail-{index}" for _, index in HARMONIC_TAIL]
 CASES = [
     pytest.param("global_scatter", seed, [index], id=name)
-    for (seed, index), name in zip(TAIL, TAIL_IDS)
+    for (seed, index), name in zip(HARMONIC_TAIL, TAIL_IDS)
 ] + [
     pytest.param(name, random.Random(s).getrandbits(62), list(range(50)), id=f"{name}-{s}")
     for name in ("local_scatter", "global_scatter")
@@ -71,17 +67,19 @@ def test_clean_scatter_records_pass_the_gate(name, seed, indices, tmp_path):
     assert _clean_rows_breaking_the_gate(path) == {}
 
 
-@pytest.mark.parametrize("seed,index", TAIL, ids=TAIL_IDS)
+@pytest.mark.parametrize("seed,index", HARMONIC_TAIL, ids=TAIL_IDS)
 def test_first_law_tail_points_are_clean_records_the_oracle_confirms(seed, index, tmp_path):
+    # the subtraction-free populations and edge-form currents make them
+    # clean records with no flag
     data = json.loads((CONFIGS / "global_scatter.json").read_text())
     cfg = SweepConfig(**dict(data, master_seed=seed, n_samples=index + 1))
     rec = replace(evaluate_point(draw_params(cfg, index), epsilon=cfg.epsilon), index=index)
     path = tmp_path / "records.csv"
     write_records([rec], path, "random", cfg)
     (row,) = gate.read_rows(str(path))
-    assert row["flags"] == "warn:ExactCurrentsWarning"
+    assert row["flags"] == ""
     assert gate.record_violations(row) == []
-    assert gate.first_law_rel(row) < 1e-15
+    assert gate.first_law_rel(row) < 1e-13
     assert gate.oracle_check(row)["ok"]
 
 

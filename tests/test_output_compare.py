@@ -9,7 +9,9 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
-from output_compare import Comparison, first_law_bound, first_law_p50  # noqa: E402
+from output_compare import (  # noqa: E402
+    FIRST_LAW_HEADER, Comparison, first_law_bound, first_law_figures,
+)
 
 ECHO = "# scan=random config={}"
 HEADER = "index,Q1,nullspace_residual,flags"
@@ -110,25 +112,43 @@ def test_first_law_median_is_the_gates_over_the_leading_records(tmp_path):
                                         0, 0, 0, 0, 0, 0, flags])))
     data = ("\n".join(lines) + "\n").encode()
     scratch = tmp_path / "cut.csv"
-    got = [first_law_p50(data, records, scratch) for records in (2, 3, None)]
-    want = [statistics.median(abs(math.fsum(q)) for index, *q in rows[:n] if index != 2)
-            for n in (2, 3, 4)]
-    assert got == want
-    assert first_law_p50(b"", 200, scratch) is None
+    got = [first_law_figures(data, records, scratch) for records in (2, 3, None)]
+    clean = [[abs(math.fsum(q)) for index, *q in rows[:n] if index != 2] for n in (2, 3, 4)]
+    assert got == [(statistics.median(rel), max(rel)) for rel in clean]
+    assert first_law_figures(b"", 200, scratch) == (None, None)
 
 
 def test_a_first_law_regression_past_the_benchmark_bound_fails(capsys):
     bound = first_law_bound()  # the benchmark's, 0.2 when this was written
     assert 0.0 < bound < 1.0
     parent = 4.728448643743028e-15
+    tail = 1e-10  # the max is reported, never gated
     comparison = Comparison()
-    comparison.first_law("global_scatter", parent, parent * (1.0 + bound) * 1.01, bound)
+    comparison.first_law("global_scatter", (parent, 0.0), (parent * (1.0 + bound) * 1.01, 0.0),
+                         bound)
     # inside the bound, better, or without an output on one side
-    comparison.first_law("local_scatter", parent, parent * (1.0 + bound) * 0.99, bound)
-    comparison.first_law("boost_pool", parent, 0.5 * parent, bound)
-    comparison.first_law("boost_pool", None, parent, bound)
+    comparison.first_law("local_scatter", (parent, 0.0), (parent * (1.0 + bound) * 0.99, tail),
+                         bound)
+    comparison.first_law("boost_pool", (parent, 0.0), (0.5 * parent, tail), bound)
+    comparison.first_law("boost_pool", (None, None), (parent, tail), bound)
     assert comparison.report() == 1
     violations = [line for line in capsys.readouterr().out.splitlines()
                   if line.startswith("VIOLATION")]
     assert len(violations) == 1
     assert violations[0].startswith("VIOLATION first_law_rel_p50 global_scatter")
+
+
+def test_first_law_line_prints_both_medians_and_both_maxima(capsys):
+    comparison = Comparison()
+    comparison.first_law("global_scatter", (4.728448643743028e-15, 2.589e-12),
+                         (3.363801354750725e-15, 1.574e-13), 0.2)
+    comparison.first_law("boost_pool", (None, None), (4.0143829873014997e-16, 0.0), 0.2)
+    lines = [FIRST_LAW_HEADER] + capsys.readouterr().out.splitlines()
+    assert lines[0].split() == ["first_law_rel", "p50", "parent", "p50", "root",
+                                "max", "parent", "max", "root"]
+    assert lines[1].split() == ["global_scatter", "4.728448643743028e-15",
+                                "3.363801354750725e-15", "2.589e-12", "1.574e-13"]
+    assert lines[2].split() == ["boost_pool", "None", "4.0143829873014997e-16", "None", "0.0"]
+    # every value is right-aligned in its heading's column
+    assert {len(line) for line in lines} == {len(FIRST_LAW_HEADER)}
+    assert comparison.errors == []

@@ -225,12 +225,12 @@ def test_unclosed_harmonic_point_end_to_end():
 
 def test_wrong_population_state_falls_back_to_the_full_solve(monkeypatch):
     p = global_point(B=(0.37, 0.61, 0.83))
-    monkeypatch.setattr(steady_state, "_refined_population", lambda M, energies: None)
+    monkeypatch.setattr(steady_state, "_gth_population", lambda M: None)
     full = solve_point(p)
     assert full.population_closed and full.populations is None
 
     uniform = np.full(8, 1.0 / 8.0, dtype=np.longdouble)
-    monkeypatch.setattr(steady_state, "_refined_population", lambda M, energies: uniform)
+    monkeypatch.setattr(steady_state, "_gth_population", lambda M: uniform)
     sol = solve_point(p)
     assert sol.population_closed and sol.populations is None
     assert_array_equal(sol.rho, full.rho)
@@ -284,7 +284,7 @@ def _full_eigen_dissipators(gen):
 def _full_solve(p):
     """(rho, rho_eig, population route) from the 64 x 64 generator: full SVD, full solve."""
     gen = steady_state._build_generators(p)
-    V, E = gen.spectrum.vectors, gen.spectrum.energies
+    V = gen.spectrum.vectors
     lam = _eigen_coherent(gen)
     eigen = _full_eigen_dissipators(gen)
     L = reduce(np.add, eigen, np.diag(lam))
@@ -295,9 +295,9 @@ def _full_solve(p):
     res_ref = math.inf
     if p.bath_model == "harmonic":
         mats, closed, _ = site_rate_matrices(gen)
-        refined = steady_state._refined_population(sum(mats), E) if closed else None
-        if refined is not None:
-            x_ref = vec(np.diag(refined.astype(complex)))
+        gth = steady_state._gth_population(sum(mats)) if closed else None
+        if gth is not None:
+            x_ref = vec(np.diag(gth.astype(complex)))
             res_ref = float(np.linalg.norm(
                 steady_state._residual(diag_ld, offdiag_ld, x_ref).astype(complex)))
     floor = 1e-12 * float(s[0])
@@ -508,11 +508,58 @@ def test_fully_secular_point_makes_one_small_svd_and_builds_no_block(monkeypatch
     sol = solve_point(UNCLOSED_HARMONIC)
     assert shapes == block_shapes and "eigen_blocks" in vars(sol.generators)
     # a secular point without populations falls back to it
-    monkeypatch.setattr(steady_state, "_refined_population", lambda M, energies: None)
+    monkeypatch.setattr(steady_state, "_gth_population", lambda M: None)
     shapes.clear()
     sol = solve_point(global_point(B=(0.37, 0.61, 0.83)))
     assert shapes == [(8, 8)] + block_shapes and "eigen_blocks" in vars(sol.generators)
     assert sol.population_closed and sol.populations is None
+
+
+@pytest.mark.parametrize("T", [0.05, 0.02])
+def test_gth_populations_are_entrywise_gibbs_at_one_cold_temperature(T):
+    # with one temperature for every bath the stationary state is the Gibbs
+    # state; at T = 0.02 it spans some 50 orders of magnitude, and each
+    # population keeps its own relative accuracy
+    sol = solve_point(global_point(B=(0.37, 0.61, 0.83), T=(T, T, T)))
+    assert sol.populations is not None
+    E = sol.generators.spectrum.energies
+    gibbs = np.exp(-(E - E.min()) / T)
+    gibbs /= gibbs.sum()
+    assert np.abs(sol.populations.astype(float) / gibbs - 1.0).max() <= 1e-12
+
+
+def _two_closed_classes(M):
+    """M without its rates between the states 0-3 and 4-7, diagonal reset to minus the column sums."""
+    classes = np.arange(8) < 4
+    out = np.where(classes[:, None] == classes[None, :], M, 0.0).astype(np.longdouble)
+    diag = np.arange(8)
+    out[diag, diag] = 0.0
+    out[diag, diag] = -out.sum(axis=0)
+    return out
+
+
+def test_gth_population_refuses_a_reducible_chain(monkeypatch):
+    p = global_point(B=(0.37, 0.61, 0.83))
+    mats = site_rate_matrices(build_global_generators(p))[0]
+    M = _two_closed_classes(sum(mats))
+    assert steady_state._gth_population(sum(mats)) is not None
+    assert steady_state._gth_population(M) is None
+    assert steady_state._gth_population(np.zeros((8, 8), dtype=np.longdouble)) is None
+    # the point of such rate matrices: the Pauli certificate sees both
+    # classes, and the block route, whose certificate reads the true
+    # blocks, solves without the population state
+    real = steady_state.site_rate_matrices
+    monkeypatch.setattr(steady_state, "site_rate_matrices", lambda gen: (
+        tuple(_two_closed_classes(m) for m in real(gen)[0]),) + real(gen)[1:])
+    with pytest.raises(DegenerateSteadyStateError):
+        solve_point(p)
+    _deny_secular(monkeypatch)
+    sol = solve_point(p)
+    assert sol.population_closed and sol.populations is None
+    monkeypatch.setattr(steady_state, "_gth_population", lambda M: None)
+    full = solve_point(p)
+    assert_array_equal(sol.rho, full.rho)
+    assert sol.residual == full.residual
 
 
 def _solved_records(points, monkeypatch):
