@@ -20,8 +20,11 @@ part is discarded (with a warning when it carries weight) because it does not
 enter the secular generator.
 
 The three baths share the Bohr frequencies of H, so jump_operators clusters
-them once for all sites. The solver works in the eigenbasis of H. Every
-jump flips one spin, so there its amplitudes <a|A_omega|b> vanish exactly
+them once for all sites. The solver works in the eigenbasis of H, where
+each A_omega is sigma_x^i at its cluster's transitions and zero elsewhere,
+so the jumps are kept there; Generators.jump_ops maps them to the
+computational basis only on first access, for the 64 x 64 dissipators.
+Every jump flips one spin, so its amplitudes <a|A_omega|b> vanish exactly
 unless |m(a) - m(b)| = 2, 30 of the 64 entries for three qubits.
 site_rate_matrices reads that support of the amplitudes, and the rates
 of build_global_generators, for the Pauli rate matrices of the
@@ -85,18 +88,19 @@ def bose_occupation(omega: float, T: float) -> float:
 
 @dataclass(frozen=True)
 class JumpSet:
-    """Clustered jump operators of one site.
+    """Clustered jump operators of one site, in the eigenbasis of H.
 
     frequencies are the ascending cluster centers (all > tol of
-    jump_operators); operators[k] lowers the system energy by
-    frequencies[k], in the computational basis, and amplitudes[k] is the
-    same operator mapped back to the eigenbasis of H, V^dag operators[k] V.
-    zero_part is the discarded |E_b - E_a| <= tol component of sigma_x^site.
+    jump_operators). amplitudes[k] is the jump that lowers the system
+    energy by frequencies[k]: the entries <a|sigma_x^site|b> at the
+    cluster's transitions, E_b - E_a in the cluster, and exactly 0.0
+    elsewhere. V amplitudes[k] V^dag is the jump in the computational
+    basis. zero_part is the discarded |E_b - E_a| <= tol component of
+    sigma_x^site, also in the eigenbasis.
     """
 
     site: int
     frequencies: np.ndarray
-    operators: np.ndarray
     amplitudes: np.ndarray
     zero_part: np.ndarray
 
@@ -127,18 +131,19 @@ def jump_operators(spectrum: Spectrum) -> tuple:
 
     Returns one JumpSet per site, site 1 first. The Bohr frequencies are
     those of the one Hamiltonian, so one clustering serves every site, and
-    each basis change of all the sites' clusters is one _sandwich.
-    Frequencies closer than tol = 1e-9 max(1, max |E|) merge into one
-    cluster, a cluster wider than 10 tol raises ClusteringError, and the
-    frequencies within tol of zero are discarded.
+    the one basis change, of the three sigma_x^i into the eigenbasis, is
+    one _sandwich. Frequencies closer than tol = 1e-9 max(1, max |E|)
+    merge into one cluster, a cluster wider than 10 tol raises
+    ClusteringError, and the frequencies within tol of zero are discarded.
+    A cluster is kept for a site where its amplitudes' Frobenius norm
+    exceeds 1e-12 sqrt(d).
     """
     E = spectrum.energies
     V = spectrum.vectors
-    Vh = V.conj().T
     d = spectrum.dim
     n_sites = d.bit_length() - 1
     tol = 1e-9 * max(1.0, float(np.max(np.abs(E))))
-    sx_eig = _sandwich(Vh, _site_couplings(n_sites), V)
+    sx_eig = _sandwich(V.conj().T, _site_couplings(n_sites), V)
 
     diff = E[None, :] - E[:, None]  # diff[a, b] = E_b - E_a
     pos = diff > tol
@@ -166,33 +171,17 @@ def jump_operators(spectrum: Spectrum) -> tuple:
             "Bohr frequencies"
         )
     n_c = starts.size
-    # per site, the amplitudes of each cluster and, after all sites, the
-    # discarded |E_b - E_a| <= tol parts; those with an amplitude are mapped
-    # to the computational basis at once. A (site, cluster) pair without
-    # one would map to an exactly zero operator, which the cut below drops
-    n_pairs = n_sites * n_c
-    amps = np.zeros((n_pairs + n_sites, d, d), dtype=complex)
-    amps[:n_pairs].reshape(n_sites, n_c, d, d)[
-        :, np.repeat(np.arange(n_c), counts), a_idx, b_idx] = sx_eig[:, a_idx, b_idx]
-    amps[n_pairs:] = np.where(np.abs(diff) <= tol, sx_eig, 0.0)
-    mapped = amps.any(axis=(1, 2))
-    mapped[n_pairs:] = True
-    ops = _sandwich(V, amps[mapped], Vh)
-    live = mapped[:n_pairs].reshape(n_sites, n_c)
-    zero_parts, ops = ops[-n_sites:], ops[:-n_sites]
-    # drop the clusters that carry no weight for a site: the Frobenius
-    # norm, as np.linalg.norm takes it over the last two axes
-    keep = np.zeros(live.shape, dtype=bool)
-    keep[live] = np.sqrt(np.add.reduce((ops.conj() * ops).real, axis=(1, 2))) > 1e-12 * math.sqrt(d)
+    # each cluster's amplitudes are sx_eig at its own transitions and
+    # exactly 0.0 elsewhere; the zero parts hold the |E_b - E_a| <= tol rest
+    amps = np.zeros((n_sites, n_c, d, d), dtype=complex)
+    amps[:, np.repeat(np.arange(n_c), counts), a_idx, b_idx] = sx_eig[:, a_idx, b_idx]
+    zero_parts = np.where(np.abs(diff) <= tol, sx_eig, 0.0)
+    # drop the clusters that carry no weight for a site; V is unitary, so
+    # the Frobenius norm is that of the computational-basis operator
+    keep = np.linalg.norm(amps, axis=(2, 3)) > 1e-12 * math.sqrt(d)
     freqs = np.add.reduceat(vals, starts) / counts if n_c else vals
-    kept = ops[keep[live]]
-    # mapped back from the operators rather than copied from sx_eig: the
-    # rate matrices keep the rounding of that round trip, and the
-    # first-law residuals of solved points are pinned to it
-    amplitudes = _sandwich(Vh, kept, V)
     out = []
-    stop = 0
-    for site, site_keep, zero_part in zip(range(1, n_sites + 1), keep, zero_parts):
+    for site, site_keep, site_amps, zero_part in zip(range(1, n_sites + 1), keep, amps, zero_parts):
         zero_norm = float(np.linalg.norm(zero_part, "fro"))
         if zero_norm > 1e-10:
             warnings.warn(
@@ -200,12 +189,10 @@ def jump_operators(spectrum: Spectrum) -> tuple:
                 ZeroModeWarning,
                 stacklevel=2,
             )
-        start, stop = stop, stop + int(site_keep.sum())
         out.append(JumpSet(
             site=site,
             frequencies=freqs[site_keep],
-            operators=kept[start:stop],
-            amplitudes=amplitudes[start:stop],
+            amplitudes=site_amps[site_keep],
             zero_part=zero_part,
         ))
     return tuple(out)
@@ -315,14 +302,14 @@ def build_global_generators(p: ModelParams) -> Generators:
     for js, gamma, T in zip(jumps, p.gamma, p.T):
         _warn_if_not_secular(js, gamma)
         rates.append(thermal_rates(js.site, js.frequencies.tolist(), gamma, T))
-    return Generators(
-        params=p,
-        H=H,
-        spectrum=spectrum,
-        jump_ops=tuple(js.operators for js in jumps),
-        jump_rates=tuple(rates),
-        jumps=jumps,
-    )
+    return Generators(params=p, H=H, spectrum=spectrum, jump_rates=tuple(rates), jumps=jumps)
+
+
+def _jump_ops(gen: Generators) -> tuple:
+    """Generators.jump_ops of a harmonic point: every site's amplitudes in one _sandwich."""
+    V = gen.spectrum.vectors
+    ops = _sandwich(V, np.concatenate([js.amplitudes for js in gen.jumps]), V.conj().T)
+    return tuple(np.split(ops, np.cumsum([len(js.amplitudes) for js in gen.jumps[:-1]])))
 
 
 def _eigen_blocks(gen: Generators) -> tuple:

@@ -273,7 +273,6 @@ def build_local_generators(p: ModelParams) -> Generators:
         params=p,
         H=H,
         spectrum=sector_spectrum(H),
-        jump_ops=_lowering_jumps(),
         jump_rates=local_rates(p),
         H_int=H_int,
     )

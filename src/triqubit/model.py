@@ -177,10 +177,13 @@ class Generators:
     Bath i + 1 is sum_k r_k D[A_k] over its lowering jumps jump_ops[i], a
     (k, d, d) stack in the computational basis, and their adjoints, at the
     (2, k) rate rows jump_rates[i] of global_me.thermal_rates, down then up.
-    dissipators builds each as lindblad_superop(with_daggers(jump_ops[i]),
+    jump_ops is built on first access by the bath model's builder module:
+    sigma_-^i on the repeated_interaction model, and on the harmonic model
+    each site's JumpSet amplitudes A mapped to V A V^dag. dissipators
+    builds each bath as lindblad_superop(with_daggers(jump_ops[i]),
     jump_rates[i].ravel()) on first access, for build_liouvillian, the heat
     currents of an unclosed harmonic point and bench/gate.py's oracle
-    check; the solve never reads them.
+    check; the solve never reads either.
 
     eigen_blocks is the dm >= 0 half of the summed dissipator in the
     eigenbasis of H, vec(X) standing for V X V^dag: one (1, n, n) stack per
@@ -202,10 +205,17 @@ class Generators:
     params: ModelParams
     H: np.ndarray
     spectrum: Spectrum
-    jump_ops: tuple = field(repr=False)
     jump_rates: tuple
     jumps: tuple = ()
     H_int: np.ndarray = field(default=None, repr=False)
+
+    @cached_property
+    def jump_ops(self) -> tuple:
+        from . import global_me, local_me  # both import this module
+
+        if self.params.bath_model == BATH_HARMONIC:
+            return global_me._jump_ops(self)
+        return local_me._lowering_jumps()
 
     @cached_property
     def dissipators(self) -> tuple:

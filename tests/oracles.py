@@ -36,14 +36,14 @@ def total_sz(n_sites: int = N_SITES) -> np.ndarray:
 
 
 def reconstruct(jumps) -> np.ndarray:
-    """sum_omega (A_omega + A_omega^dag) + zero_part of a JumpSet; equals sigma_x^site.
+    """sum_omega (A_omega + A_omega^dag) + zero_part of a JumpSet, in the eigenbasis.
 
-    The tests check with it that the clustering loses no part of the
-    coupling operator.
+    It equals V^dag sigma_x^site V. The tests check with it that the
+    clustering loses no part of the coupling operator.
     """
     out = jumps.zero_part.astype(complex).copy()
-    for op in jumps.operators:
-        out += op + op.conj().T
+    for amp in jumps.amplitudes:
+        out += amp + amp.conj().T
     return out
 
 

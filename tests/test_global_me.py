@@ -18,7 +18,7 @@ from triqubit import (
     bose_occupation,
     solve_point,
 )
-from triqubit import algebra, global_me, model
+from triqubit import algebra, global_me, local_me, model, sweeps
 from triqubit.algebra import (
     coherent_superop,
     embed_pauli,
@@ -29,6 +29,7 @@ from triqubit.algebra import (
 )
 from triqubit.errors import ClusteringError, DomainError, SecularValidityWarning, ZeroModeWarning
 from triqubit.global_me import jump_operators, site_rate_matrices
+from triqubit.local_me import build_local_generators
 from triqubit.model import Spectrum, basis_magnetizations, build_hamiltonian, sector_spectrum
 from triqubit.sweeps import SweepConfig, draw_params, evaluate_point, random_sweep
 
@@ -80,22 +81,28 @@ def test_bose_occupation_underflowing_argument():
 def test_uncoupled_jumps_are_lowering_operators():
     p = _uncoupled()
     spectrum = sector_spectrum(build_hamiltonian(p))
+    V = spectrum.vectors
     for site, js in zip((1, 2, 3), jump_operators(spectrum)):
         assert js.site == site
         assert_allclose(js.frequencies, [2.0 * p.B[site - 1]], atol=1e-14)
-        assert_allclose(js.operators[0], embed_pauli(3, "minus", site), atol=1e-13)
+        assert_allclose(V @ js.amplitudes[0] @ V.conj().T, embed_pauli(3, "minus", site),
+                        atol=1e-13)
 
 
 def test_jump_completeness_and_lowering():
-    # the clusters plus the zero part reassemble sigma_x of the site, and
-    # every cluster operator lowers the total magnetization by exactly 2
+    # the clusters plus the zero part reassemble sigma_x of the site, in
+    # the eigenbasis and mapped back, and every cluster operator lowers the
+    # total magnetization by exactly 2
     p = global_point(B=(0.37, 0.61, 0.83))
     spectrum = sector_spectrum(build_hamiltonian(p))
+    V = spectrum.vectors
     S = total_sz()
     for site, js in zip((1, 2, 3), jump_operators(spectrum)):
+        sx = embed_pauli(3, "x", site)
         assert np.all(np.diff(js.frequencies) > 0)
-        assert_allclose(reconstruct(js), embed_pauli(3, "x", site), atol=1e-10)
-        for op in js.operators:
+        assert_allclose(reconstruct(js), V.conj().T @ sx @ V, atol=1e-10)
+        assert np.abs(V @ reconstruct(js) @ V.conj().T - sx).max() <= 1e-13
+        for op in V @ js.amplitudes @ V.conj().T:
             assert np.linalg.norm(S @ op - op @ S + 2.0 * op) < 1e-10
 
 
@@ -218,10 +225,11 @@ def _scatter_points(n, **overrides):
 
 
 def _per_site_jump_operators(spectrum, site):
-    """(frequencies, operators, amplitudes, zero_part, zero_norm) of one site.
+    """(frequencies, amplitudes, zero_part, zero_norm) of one site.
 
     The per-site route that jump_operators replaced, kept as its bit
-    oracle: its own clustering, and stacked 8 x 8 products per site.
+    oracle: its own clustering, one pair of 8 x 8 products per site, and
+    the keep rule and the zero-mode norm taken in the eigenbasis.
     """
     E, V, d = spectrum.energies, spectrum.vectors, spectrum.dim
     tol = 1e-9 * max(1.0, float(np.max(np.abs(E))))
@@ -235,18 +243,18 @@ def _per_site_jump_operators(spectrum, site):
     counts = np.diff(starts, append=vals.size)
     amps = np.zeros((starts.size, d, d), dtype=complex)
     amps[np.repeat(np.arange(starts.size), counts), a_idx, b_idx] = sx_eig[a_idx, b_idx]
-    ops = V @ amps @ V.conj().T
-    keep = np.linalg.norm(ops, axis=(1, 2)) > 1e-12 * np.sqrt(d)
+    keep = np.linalg.norm(amps, axis=(1, 2)) > 1e-12 * np.sqrt(d)
     freqs = (np.add.reduceat(vals, starts) / counts)[keep] if starts.size else vals
-    ops = ops[keep]
-    zero_amp = np.where(np.abs(diff) <= tol, sx_eig, 0.0)
-    zero_part = V @ zero_amp @ V.conj().T
-    zero_norm = float(np.linalg.norm(zero_part, "fro"))
-    return freqs, ops, V.conj().T @ ops @ V, zero_part, zero_norm
+    zero_part = np.where(np.abs(diff) <= tol, sx_eig, 0.0)
+    return freqs, amps[keep], zero_part, float(np.linalg.norm(zero_part, "fro"))
 
 
 def _reference_jumps(spectrum, site):
-    """(frequencies, operators) from one amplitude matrix per Bohr cluster."""
+    """(frequencies, amplitudes, operators), one amplitude matrix per Bohr cluster.
+
+    A cluster is kept where its computational-basis operator V A V^dag has
+    weight, the rule jump_operators takes in the eigenbasis.
+    """
     E, V, d = spectrum.energies, spectrum.vectors, spectrum.dim
     tol = 1e-9 * max(1.0, float(np.max(np.abs(E))))
     sx_eig = V.conj().T @ embed_pauli(3, "x", site) @ V
@@ -255,7 +263,7 @@ def _reference_jumps(spectrum, site):
     vals = diff[a_idx, b_idx]
     order = np.argsort(vals, kind="stable")
     a_idx, b_idx, vals = a_idx[order], b_idx[order], vals[order]
-    freqs, ops = [], []
+    freqs, amps, ops = [], [], []
     start = 0
     for stop in range(1, len(vals) + 1):
         if stop < len(vals) and vals[stop] - vals[stop - 1] <= tol:
@@ -266,18 +274,19 @@ def _reference_jumps(spectrum, site):
         op = V @ amp @ V.conj().T
         if np.linalg.norm(op, "fro") > 1e-12 * np.sqrt(d):
             freqs.append(float(vals[start:stop].mean()))
+            amps.append(amp)
             ops.append(op)
         start = stop
-    return np.asarray(freqs), ops
+    return np.asarray(freqs), amps, ops
 
 
-def _reference_rate_matrices(p, V, site_jumps):
+def _reference_rate_matrices(p, site_jumps):
     """Rate matrices and closure, accumulated one cluster at a time."""
     mats, closed = [], True
-    for (freqs, ops), gamma, T in zip(site_jumps, p.gamma, p.T):
+    for (freqs, amps, _), gamma, T in zip(site_jumps, p.gamma, p.T):
         M = np.zeros((8, 8), dtype=np.longdouble)
-        for omega, op in zip(freqs, ops):
-            mags = np.abs(V.conj().T @ op @ V)
+        for omega, amp in zip(freqs, amps):
+            mags = np.abs(amp)
             nz = mags > 1e-12 * max(float(mags.max()), 1e-300)
             if np.any(nz.sum(axis=0) > 1) or np.any(nz.sum(axis=1) > 1):
                 closed = False
@@ -324,12 +333,21 @@ def test_batched_jumps_and_rate_matrices_keep_their_bits(p):
     zero_mode_sites = [
         str(w.message).split(":")[0] for w in caught if w.category is ZeroModeWarning
     ]
-    assert zero_mode_sites == [f"site {s}" for s, o in zip((1, 2, 3), oracle) if o[4] > 1e-10]
+    assert zero_mode_sites == [f"site {s}" for s, o in zip((1, 2, 3), oracle) if o[3] > 1e-10]
     assert bool(zero_mode_sites) == (p is ZERO_MODE)
+    E = spectrum.energies
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(E))))
+    diff = E[None, :] - E[:, None]
     for site, js, want in zip((1, 2, 3), gen.jumps, oracle):
         assert js.site == site
-        for got, ref in zip((js.frequencies, js.operators, js.amplitudes, js.zero_part), want):
+        for got, ref in zip((js.frequencies, js.amplitudes, js.zero_part), want):
             assert_same_bits(got, ref)
+        # each amplitude is sx_eig at its cluster's transitions, 0.0 elsewhere
+        sx_eig = V.conj().T @ embed_pauli(3, "x", site) @ V
+        for omega, amp in zip(js.frequencies, js.amplitudes):
+            own = np.abs(diff - omega) <= tol
+            assert_same_bits(amp[own], sx_eig[own])
+            assert np.all(amp[~own] == 0.0)
     # and the same bits from a direct call, one JumpSet per site
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ZeroModeWarning)
@@ -338,18 +356,19 @@ def test_batched_jumps_and_rate_matrices_keep_their_bits(p):
         assert_same_bits(direct.amplitudes, js.amplitudes)
         assert_same_bits(direct.zero_part, js.zero_part)
     ref = [_reference_jumps(spectrum, site) for site in (1, 2, 3)]
-    for js, (freqs, ops) in zip(gen.jumps, ref):
+    for js, ops, (freqs, amps, ref_ops) in zip(gen.jumps, gen.jump_ops, ref):
         assert_array_equal(js.frequencies, freqs)
-        assert_array_equal(js.operators, np.asarray(ops).reshape(-1, 8, 8))
+        assert_array_equal(js.amplitudes, np.asarray(amps).reshape(-1, 8, 8))
+        assert_array_equal(ops, np.asarray(ref_ops).reshape(-1, 8, 8))
     mats, closed, _ = site_rate_matrices(gen)
-    ref_mats, ref_closed = _reference_rate_matrices(p, V, ref)
+    ref_mats, ref_closed = _reference_rate_matrices(p, ref)
     assert closed == ref_closed == (p is not UNCLOSED_HARMONIC)
     for m, m_ref in zip(mats, ref_mats):
         assert_same_bits(m, m_ref)
     # the dm >= 0 eigenbasis blocks are cut, bit for bit, from the one
     # summed superoperator of the per-site amplitudes
     ops, rates = [], []
-    for (freqs, _, amps, _, _), gamma, T in zip(oracle, p.gamma, p.T):
+    for (freqs, amps, _, _), gamma, T in zip(oracle, p.gamma, p.T):
         nbar = np.array([bose_occupation(w, T) for w in freqs])
         ops += [amps, np.conj(np.transpose(amps, (0, 2, 1)))]
         rates += [gamma * (1.0 + nbar), gamma * nbar]
@@ -361,7 +380,7 @@ def test_batched_jumps_and_rate_matrices_keep_their_bits(p):
         assert_same_bits(blocks[0], summed[np.ix_(stacked[0], stacked[0])])
     # the eigenbasis blocks and their -dm mirrors tile the
     # computational-basis generator, transformed, and it has nothing
-    # between them
+    # between them, to roundoff at the scale of the largest rate
     W = np.kron(V.conj(), V)
     summed = gen.dissipators[0] + gen.dissipators[1] + gen.dissipators[2]
     assembled = np.zeros((64, 64), dtype=complex)
@@ -369,7 +388,8 @@ def test_batched_jumps_and_rate_matrices_keep_their_bits(p):
         for index, block in zip(stacked, blocks):
             assembled[np.ix_(index, index)] = block
     assert_array_equal(np.sort(np.concatenate([i.ravel() for i in groups])), np.arange(64))
-    assert np.abs(assembled - W.conj().T @ summed @ W).max() <= 1e-12 * max(p.gamma)
+    top_rate = max(float(r.max()) for r in gen.jump_rates)
+    assert np.abs(assembled - W.conj().T @ summed @ W).max() <= 1e-12 * top_rate
 
 
 def test_harmonic_point_makes_one_pass_per_stage(monkeypatch):
@@ -409,8 +429,9 @@ def test_lindblad_superop_matches_the_einsum_form():
                 assert_array_equal(np.signbit(getattr(got, part)), np.signbit(getattr(want, part)))
     # a 30-jump harmonic site: the matmul rounds differently, within 1e-15
     p = _scatter_points(1)[0]
-    js = build_global_generators(p).jumps[0]
-    ops = np.concatenate([js.operators, np.conj(np.transpose(js.operators, (0, 2, 1)))])
+    gen = build_global_generators(p)
+    js, lowering = gen.jumps[0], gen.jump_ops[0]
+    ops = np.concatenate([lowering, np.conj(np.transpose(lowering, (0, 2, 1)))])
     nbar = np.array([bose_occupation(w, p.T[0]) for w in js.frequencies])
     rates = p.gamma[0] * np.concatenate([1.0 + nbar, nbar])
     assert len(ops) == 30
@@ -487,9 +508,40 @@ def test_closed_harmonic_points_call_no_lindblad_superop(monkeypatch):
     dissipators = gen.dissipators
     assert calls == ["lindblad_superop"] * 3
     assert [d.shape for d in dissipators] == [(64, 64)] * 3
+    V = gen.spectrum.vectors
     for d, ops, js, (down, up) in zip(dissipators, gen.jump_ops, gen.jumps, gen.jump_rates):
-        assert ops is js.operators
+        assert_same_bits(ops, V @ js.amplitudes @ V.conj().T)
         assert_array_equal(d, lindblad_superop(with_daggers(ops), np.concatenate([down, up])))
+
+
+def test_computational_basis_jumps_are_built_on_first_access_only(monkeypatch):
+    # a fully secular point is solved without its computational-basis
+    # jumps or dissipators
+    solved = []
+    real = sweeps.solve_point
+    monkeypatch.setattr(sweeps, "solve_point", lambda p: solved.append(real(p)) or solved[-1])
+    p = _scatter_points(1)[0]
+    assert evaluate_point(p).thermo is not None
+    gen = solved[0].generators
+    assert site_rate_matrices(gen)[2]
+    assert "jump_ops" not in vars(gen) and "dissipators" not in vars(gen)
+    # on first access, each bath's jumps are its amplitudes mapped by V,
+    # with the bits of the per-matrix products
+    V = gen.spectrum.vectors
+    for ops, js in zip(gen.jump_ops, gen.jumps, strict=True):
+        assert ops.shape == js.amplitudes.shape
+        for op, amp in zip(ops, js.amplitudes, strict=True):
+            assert_same_bits(op, V @ amp @ V.conj().T)
+    assert "dissipators" not in vars(gen)
+    # and the dissipators keep the bits of the rule on the per-cluster
+    # operators V A V^dag, each cluster kept by its computational-basis norm
+    for d, site, (down, up) in zip(gen.dissipators, (1, 2, 3), gen.jump_rates, strict=True):
+        ops = np.asarray(_reference_jumps(gen.spectrum, site)[2]).reshape(-1, 8, 8)
+        assert_same_bits(d, lindblad_superop(with_daggers(ops), np.concatenate([down, up])))
+    # the local model's jumps are its sigma_-^i, also built on first access
+    local = build_local_generators(local_point(B=(0.9, 2.7, 4.1)))
+    assert "jump_ops" not in vars(local)
+    assert local.jump_ops is local_me._lowering_jumps()
 
 
 SUPPORT_POINTS = _scatter_points(200) + [UNCLOSED_HARMONIC, ZERO_MODE]

@@ -205,9 +205,13 @@ def test_generators_are_plain_data_with_one_dissipator_rule(p):
         assert site_rate_matrices(gen)[1] is (p is not UNCLOSED_HARMONIC)
     for f in dataclasses.fields(gen):
         assert not callable(getattr(gen, f.name)), f.name
-    # each bath's lowering jumps and rate rows, from the parameters
+    # each bath's lowering jumps and rate rows, from the parameters; the
+    # jumps are built on first access, also on a copy pickled before it
+    assert "jump_ops" not in vars(gen)
+    copy = pickle.loads(pickle.dumps(gen))
     if harmonic:
-        jumps = [js.operators for js in gen.jumps]
+        V = gen.spectrum.vectors
+        jumps = [V @ js.amplitudes @ V.conj().T for js in gen.jumps]
         rates = [thermal_rates(js.site, js.frequencies.tolist(), g, t)
                  for js, g, t in zip(gen.jumps, p.gamma, p.T)]
     else:
@@ -219,7 +223,6 @@ def test_generators_are_plain_data_with_one_dissipator_rule(p):
         assert ops.shape[1:] == (8, 8) and down.shape == up.shape == (len(ops),)
         raising = [op.conj().T for op in ops]
         want.append(lindblad_superop([*ops, *raising], [*down, *up]))
-    copy = pickle.loads(pickle.dumps(gen))
     for record in (gen, copy):
         for got, ops in zip(record.jump_ops, jumps, strict=True):
             assert_same_bits(got, ops)
@@ -227,3 +230,8 @@ def test_generators_are_plain_data_with_one_dissipator_rule(p):
             assert_same_bits(got, rows)
         for got, ref in zip(record.dissipators, want, strict=True):
             assert_same_bits(got, ref)
+    # once built, the jumps travel with a pickled record
+    again = pickle.loads(pickle.dumps(gen))
+    assert "jump_ops" in vars(again)
+    for got, ops in zip(again.jump_ops, jumps, strict=True):
+        assert_same_bits(got, ops)
