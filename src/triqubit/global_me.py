@@ -24,6 +24,8 @@ them once for all sites. The solver works in the eigenbasis of H, where
 each A_omega is sigma_x^i at its cluster's transitions and zero elsewhere,
 so the jumps are kept there; Generators.jump_ops maps them to the
 computational basis only on first access, for the 64 x 64 dissipators.
+build_global_generators takes the eigenvectors V one Newton step toward
+unitarity first, so that both maps agree to roundoff.
 Every jump flips one spin, so its amplitudes <a|A_omega|b> vanish exactly
 unless |m(a) - m(b)| = 2, 30 of the 64 entries for three qubits.
 site_rate_matrices reads that support of the amplitudes, and the rates
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -297,19 +299,17 @@ def build_global_generators(p: ModelParams) -> Generators:
     """Harmonic-bath generator: the jumps of each bath and their thermal rates."""
     H = build_hamiltonian(p)
     spectrum = sector_spectrum(H)
+    # one Newton step toward the polar factor, in extended precision, makes
+    # V unitary to the last bit: the jumps are taken in the eigenbasis and
+    # mapped back by V, with V^dag standing in for its inverse both ways
+    V = spectrum.vectors.astype(np.clongdouble)
+    spectrum = replace(spectrum, vectors=(1.5 * V - 0.5 * V @ (V.conj().T @ V)).astype(complex))
     jumps = jump_operators(spectrum)
     rates = []
     for js, gamma, T in zip(jumps, p.gamma, p.T):
         _warn_if_not_secular(js, gamma)
         rates.append(thermal_rates(js.site, js.frequencies.tolist(), gamma, T))
     return Generators(params=p, H=H, spectrum=spectrum, jump_rates=tuple(rates), jumps=jumps)
-
-
-def _jump_ops(gen: Generators) -> tuple:
-    """Generators.jump_ops of a harmonic point: every site's amplitudes in one _sandwich."""
-    V = gen.spectrum.vectors
-    ops = _sandwich(V, np.concatenate([js.amplitudes for js in gen.jumps]), V.conj().T)
-    return tuple(np.split(ops, np.cumsum([len(js.amplitudes) for js in gen.jumps[:-1]])))
 
 
 def _eigen_blocks(gen: Generators) -> tuple:

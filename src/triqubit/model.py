@@ -177,9 +177,9 @@ class Generators:
     Bath i + 1 is sum_k r_k D[A_k] over its lowering jumps jump_ops[i], a
     (k, d, d) stack in the computational basis, and their adjoints, at the
     (2, k) rate rows jump_rates[i] of global_me.thermal_rates, down then up.
-    jump_ops is built on first access by the bath model's builder module:
-    sigma_-^i on the repeated_interaction model, and on the harmonic model
-    each site's JumpSet amplitudes A mapped to V A V^dag. dissipators
+    jump_ops is built on first access: sigma_-^i on the
+    repeated_interaction model, and on the harmonic model each site's
+    JumpSet amplitudes A mapped to V A V^dag. dissipators
     builds each bath as lindblad_superop(with_daggers(jump_ops[i]),
     jump_rates[i].ravel()) on first access, for build_liouvillian, the heat
     currents of an unclosed harmonic point and bench/gate.py's oracle
@@ -211,11 +211,12 @@ class Generators:
 
     @cached_property
     def jump_ops(self) -> tuple:
-        from . import global_me, local_me  # both import this module
+        from .local_me import _lowering_jumps  # local_me imports this module
 
         if self.params.bath_model == BATH_HARMONIC:
-            return global_me._jump_ops(self)
-        return local_me._lowering_jumps()
+            V = self.spectrum.vectors
+            return tuple(V @ js.amplitudes @ V.conj().T for js in self.jumps)
+        return _lowering_jumps()
 
     @cached_property
     def dissipators(self) -> tuple:

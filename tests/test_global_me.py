@@ -380,7 +380,7 @@ def test_batched_jumps_and_rate_matrices_keep_their_bits(p):
         assert_same_bits(blocks[0], summed[np.ix_(stacked[0], stacked[0])])
     # the eigenbasis blocks and their -dm mirrors tile the
     # computational-basis generator, transformed, and it has nothing
-    # between them, to roundoff at the scale of the largest rate
+    # between them
     W = np.kron(V.conj(), V)
     summed = gen.dissipators[0] + gen.dissipators[1] + gen.dissipators[2]
     assembled = np.zeros((64, 64), dtype=complex)
@@ -388,8 +388,28 @@ def test_batched_jumps_and_rate_matrices_keep_their_bits(p):
         for index, block in zip(stacked, blocks):
             assembled[np.ix_(index, index)] = block
     assert_array_equal(np.sort(np.concatenate([i.ravel() for i in groups])), np.arange(64))
-    top_rate = max(float(r.max()) for r in gen.jump_rates)
-    assert np.abs(assembled - W.conj().T @ summed @ W).max() <= 1e-12 * top_rate
+    assert np.abs(assembled - W.conj().T @ summed @ W).max() <= 1e-12 * max(p.gamma)
+
+
+def test_harmonic_eigenvectors_are_unitary_to_the_last_bit():
+    # eigh leaves V^dag V off the identity by up to 5 eps on these points;
+    # the builder's Newton step takes it to 1 eps, keeps each eigenvector in
+    # its magnetization sector and still diagonalizes H
+    labels = np.array(basis_magnetizations())
+    eps = np.finfo(float).eps
+    raw = []
+    for p in BIT_PIN_POINTS:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ZeroModeWarning)
+            gen = build_global_generators(p)
+        V, E = gen.spectrum.vectors, gen.spectrum.energies
+        assert np.abs(V.conj().T @ V - np.eye(8)).max() <= eps
+        assert np.all(V[labels[:, None] != gen.spectrum.sectors[None, :]] == 0.0)
+        scale = max(1.0, float(np.abs(E).max()))
+        assert np.abs(V.conj().T @ gen.H @ V - np.diag(E)).max() <= 1e-14 * scale
+        V0 = sector_spectrum(gen.H).vectors
+        raw.append(np.abs(V0.conj().T @ V0 - np.eye(8)).max())
+    assert max(raw) > 4 * eps
 
 
 def test_harmonic_point_makes_one_pass_per_stage(monkeypatch):
