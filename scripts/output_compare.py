@@ -2,7 +2,8 @@
 
 Runs every output of ``_runs()`` (the ``sweep-random`` CSVs of both
 scatter configs at one and two workers, the ``sweep-valve`` CSV, the
-``sweep-boost`` CSV at one and two workers, ``point`` stdout and
+``sweep-boost`` CSV at one and two workers, ``point`` stdout of the
+point config and of an unclosed harmonic point set over it, and
 ``validate --samples 200`` stdout of both scatter configs) with the
 ``src/`` of each checkout, in one subprocess per checkout and both on
 ROOT's ``configs/``:
@@ -76,6 +77,11 @@ def _runs():
     yield ("sweep-boost boost --workers 2",
            ["sweep-boost", "--config", "boost", "--workers", "2"], "csv")
     yield "point point", ["point", "--config", "point"], "stdout"
+    # an unclosed harmonic point, the one output whose currents read coherences
+    yield ("point point unclosed-harmonic",
+           ["point", "--config", "point", "--set", "bath_model=harmonic",
+            "--set", "B=[0.5,0.5,0.5]", "--set", "J=[0.02,0.02,0.02]",
+            "--set", "Delta=[0,0,0]", "--set", "gamma=[1e-4,1e-4,1e-4]"], "stdout")
     for config in SCATTER:
         yield (f"validate {config} --samples 200",
                ["validate", "--config", config, "--samples", "200"], "stdout")

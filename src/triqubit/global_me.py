@@ -175,12 +175,14 @@ def jump_operators(spectrum: Spectrum) -> tuple:
     n_c = starts.size
     # each cluster's amplitudes are sx_eig at its own transitions and
     # exactly 0.0 elsewhere; the zero parts hold the |E_b - E_a| <= tol rest
+    gathered = sx_eig[:, a_idx, b_idx]
     amps = np.zeros((n_sites, n_c, d, d), dtype=complex)
-    amps[:, np.repeat(np.arange(n_c), counts), a_idx, b_idx] = sx_eig[:, a_idx, b_idx]
+    amps[:, np.repeat(np.arange(n_c), counts), a_idx, b_idx] = gathered
     zero_parts = np.where(np.abs(diff) <= tol, sx_eig, 0.0)
-    # drop the clusters that carry no weight for a site; V is unitary, so
-    # the Frobenius norm is that of the computational-basis operator
-    keep = np.linalg.norm(amps, axis=(2, 3)) > 1e-12 * math.sqrt(d)
+    # drop the clusters that carry no weight for a site, by the Frobenius norm
+    # of their gathered amplitudes, that of the computational-basis operator
+    sq = np.abs(gathered) ** 2
+    keep = np.sqrt(np.add.reduceat(sq, starts, axis=1) if n_c else sq) > 1e-12 * math.sqrt(d)
     freqs = np.add.reduceat(vals, starts) / counts if n_c else vals
     out = []
     for site, site_keep, site_amps, zero_part in zip(range(1, n_sites + 1), keep, amps, zero_parts):
@@ -233,9 +235,23 @@ def _warn_if_not_secular(jumps: JumpSet, gamma: float) -> None:
 
 
 def global_heat_current(rho_ss: np.ndarray, H: np.ndarray, dissipator: np.ndarray) -> float:
-    """Q_i = Tr(H L_i[rho]); extended-precision accumulation."""
+    """Q_i = Tr(H L_i[rho]) in extended precision; the oracle of bench/gate.py and the tests."""
     w = dissipator.astype(CLD) @ vec(rho_ss).astype(CLD)
     return checked_trace(H, unvec(w), "heat current")
+
+
+def _heat_generators(gen: Generators) -> np.ndarray:
+    """G_i = D_i^dag[H] of each bath in the eigenbasis, a (3, d, d) clongdouble stack.
+
+    G_i[b, c] = sum_k r_k sum_a conj(A_k[a, b]) A_k[a, c] (e_a - (e_b + e_c) / 2)
+    over bath i's jumps and their daggers, in extended precision with the
+    energy differences formed first; G_i[b, b] = sum_a (e_a - e_b) M_i[a, b].
+    """
+    e = gen.spectrum.energies.astype(np.longdouble)
+    gaps = e[:, None, None] - 0.5 * (e[None, :, None] + e[None, None, :])
+    amps = [with_daggers(js.amplitudes) for js in gen.jumps]
+    return np.stack([np.einsum("k,kab,kac,abc->bc", r.ravel(), a.conj(), a, gaps)
+                     for a, r in zip(amps, gen.jump_rates)])
 
 
 # the two values of an identity's entries, as kron(eye, A) multiplies them

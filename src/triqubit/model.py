@@ -181,9 +181,9 @@ class Generators:
     repeated_interaction model, and on the harmonic model each site's
     JumpSet amplitudes A mapped to V A V^dag. dissipators
     builds each bath as lindblad_superop(with_daggers(jump_ops[i]),
-    jump_rates[i].ravel()) on first access, for build_liouvillian, the heat
-    currents of an unclosed harmonic point and bench/gate.py's oracle
-    check; the solve never reads either.
+    jump_rates[i].ravel()) on first access, for build_liouvillian and
+    bench/gate.py's oracle check; neither the solve nor the heat currents
+    read either.
 
     eigen_blocks is the dm >= 0 half of the summed dissipator in the
     eigenbasis of H, vec(X) standing for V X V^dag: one (1, n, n) stack per

@@ -20,8 +20,9 @@ from typing import Optional
 
 import numpy as np
 
+from .algebra import checked_real
 from .errors import DomainError, ImpossibleCurrentsError, NumericalConsistencyError
-from .global_me import global_heat_current
+from .global_me import _heat_generators
 from .local_me import CurrentSet, local_current_set
 from .model import BATH_HARMONIC, PAIRS, ModelParams, as_number
 from .steady_state import PointSolution
@@ -248,22 +249,26 @@ class ThermoReport:
 
 
 def _harmonic_heat_currents(sol: PointSolution):
-    """Q_i of the harmonic model; on the population route, as edge sums in longdouble.
+    """Q_i = Tr(G_i rho) of the harmonic model in the eigenbasis, in longdouble.
 
-    Q_i = sum_{a != b} (e_a - e_b) M_i[a, b] p_b: the energy each jump b -> a
-    of bath i carries, weighted by its flow. No diagonal of M_i enters, so
-    with the subtraction-free populations of the solve the three currents
-    cancel to the first-law tolerance even where the gross flows through
-    the levels exceed max|Q_i| by orders of magnitude.
+    The populations p enter as the edge sum sum_{a != b} (e_a - e_b) M_i[a, b]
+    p_b, G_i's diagonal (global_me._heat_generators), which reads no diagonal
+    of M_i: with the subtraction-free populations of the solve the currents
+    cancel to the first law even where the gross flows exceed max|Q_i| by
+    orders of magnitude. Without those, p is the state's diagonal and its
+    coherences add Re sum_{b != c} G_i[b, c] rho[c, b].
     """
-    if sol.populations is not None:
-        e = sol.generators.spectrum.energies.astype(np.longdouble)
-        # the diagonal gaps are exactly zero, which drops the loss terms
-        gaps = e[:, None] - e[None, :]
-        flows = gaps * np.stack(sol.rate_matrices) * sol.populations
-        return tuple(float(q) for q in flows.sum(axis=(1, 2)))
-    gen = sol.generators
-    return tuple(global_heat_current(sol.rho, gen.H, d) for d in gen.dissipators)
+    rho, p = sol.rho_eig, sol.populations
+    e = sol.generators.spectrum.energies.astype(np.longdouble)
+    # the diagonal gaps are exactly zero, which drops the loss terms
+    flows = (e[:, None] - e[None, :]) * np.stack(sol.rate_matrices)
+    Q = (flows * (np.diagonal(rho).real if p is None else p)).sum(axis=(1, 2))
+    if p is None:
+        G = _heat_generators(sol.generators)
+        coherent = (G * (rho * (1.0 - np.eye(e.size))).T).sum(axis=(1, 2))
+        scales = np.linalg.norm(G.astype(complex), axis=(1, 2)) * np.linalg.norm(rho)
+        Q += [checked_real(q, s, "heat current") for q, s in zip(coherent, scales)]
+    return tuple(float(q) for q in Q)
 
 
 def _current_floor(p: ModelParams) -> float:

@@ -18,7 +18,7 @@ from triqubit import (
     bose_occupation,
     solve_point,
 )
-from triqubit import algebra, global_me, local_me, model, sweeps
+from triqubit import algebra, global_me, local_me, model, steady_state, sweeps
 from triqubit.algebra import (
     coherent_superop,
     embed_pauli,
@@ -459,7 +459,7 @@ def test_lindblad_superop_matches_the_einsum_form():
     assert np.abs(lindblad_superop(ops, rates) - want).max() <= 1e-15 * np.abs(want).max()
 
 
-def test_closed_points_build_no_computational_basis_dissipator(monkeypatch):
+def test_solved_points_build_no_computational_basis_dissipator(monkeypatch):
     # Generators.dissipators is the only caller of model's lindblad_superop
     calls = []
     real = model.lindblad_superop
@@ -486,6 +486,21 @@ def test_closed_points_build_no_computational_basis_dissipator(monkeypatch):
     local = random_sweep(_scatter_config("local_scatter", n_samples=20))
     assert len(local) == 20 and not any(r.flags for r in local)
     assert calls == [] and transforms == []
+    # nor do the points the blocks solve, whose currents read the
+    # coherences too: an unclosed point, and a closed one whose population
+    # state is refused
+    solved = []
+    solve = sweeps.solve_point
+    monkeypatch.setattr(sweeps, "solve_point", lambda p: solved.append(solve(p)) or solved[-1])
+    assert evaluate_point(UNCLOSED_HARMONIC).flags == ()
+    monkeypatch.setattr(steady_state, "_gth_population", lambda M: None)
+    assert evaluate_point(global_point(B=(0.37, 0.61, 0.83))).flags == ()
+    assert [sol.population_closed for sol in solved] == [False, True]
+    assert [sol.populations for sol in solved] == [None, None]
+    assert calls == [] and transforms == []
+    for sol in solved:
+        assert "jump_ops" not in vars(sol.generators)
+        assert "dissipators" not in vars(sol.generators)
 
     # asked for, the dissipators are still the per-bath 64 x 64 ones
     gen = build_global_generators(records[0].params)
@@ -532,6 +547,20 @@ def test_closed_harmonic_points_call_no_lindblad_superop(monkeypatch):
     for d, ops, js, (down, up) in zip(dissipators, gen.jump_ops, gen.jumps, gen.jump_rates):
         assert_same_bits(ops, V @ js.amplitudes @ V.conj().T)
         assert_array_equal(d, lindblad_superop(with_daggers(ops), np.concatenate([down, up])))
+
+
+def test_heat_generator_diagonal_is_the_edge_sum_of_the_rate_matrices():
+    # G_i[b, b] = sum_a (e_a - e_b) M_i[a, b], so the edge sum of the
+    # population route is the diagonal of G_i applied to the populations
+    sol = solve_point(_scatter_points(1)[0])
+    assert sol.populations is not None
+    e = sol.generators.spectrum.energies.astype(np.longdouble)
+    flows = (e[:, None] - e[None, :]) * np.stack(sol.rate_matrices)
+    diagonal = np.diagonal(global_me._heat_generators(sol.generators), axis1=1, axis2=2)
+    assert diagonal.dtype == np.clongdouble and np.all(diagonal.imag == 0.0)
+    gross = np.abs(flows).sum(axis=1)
+    tol = 16 * np.finfo(np.longdouble).eps * gross
+    assert np.all(np.abs(diagonal.real - flows.sum(axis=1)) <= tol)
 
 
 def test_computational_basis_jumps_are_built_on_first_access_only(monkeypatch):

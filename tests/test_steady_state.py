@@ -202,24 +202,53 @@ def test_relaxation_time_needs_decay():
         relaxation_time(np.zeros((4, 4)))
 
 
-def test_unclosed_harmonic_point_end_to_end():
-    sol = solve_point(UNCLOSED_HARMONIC)
+# unclosed harmonic points: equal fields and weak uniform exchange, from
+# nearly degenerate levels to well separated ones
+UNCLOSED_POINTS = [pytest.param(UNCLOSED_HARMONIC, id="UNCLOSED_HARMONIC")] + [
+    pytest.param(
+        ModelParams(B=(b, b, b), J=(j, j, j), Delta=(0.0, 0.0, 0.0), T=(1.0, 2.0, 3.0),
+                    gamma=(gamma, gamma, gamma), bath_model="harmonic"),
+        id=f"b{b}-j{j}-gamma{gamma}",
+        # at b = j some Bohr clusters hold transitions of both dm = +2 and
+        # dm = -2, which couple the magnetization-difference blocks that
+        # the block solve keeps apart: its state misses the evolution
+        # oracle's by 2.3e-4 in trace distance
+        marks=[pytest.mark.xfail(strict=True, raises=AssertionError,
+                                 reason="the block solve drops couplings between dm blocks")]
+        if b == j else [],
+    )
+    for b in (1e-3, 1e-2, 0.1, 1.0, 3.0) for j in (1e-4, 1e-2) for gamma in (1e-7, 1e-5)
+]
+
+
+@pytest.mark.parametrize("p", UNCLOSED_POINTS)
+def test_unclosed_harmonic_point_end_to_end(p):
+    sol = solve_point(p)
     assert sol.population_closed is False
     assert sol.populations is None
-    rec = evaluate_point(UNCLOSED_HARMONIC)
-    assert rec.flags == ()
+    rec = evaluate_point(p)
+    # where b = j, levels of different magnetization cross, and the
+    # discarded zero-frequency part carries weight
+    assert rec.flags == (("warn:ZeroModeWarning",) if p.B == p.J else ())
     Q = rec.thermo.Q
-    assert rec.thermo.first_law_residual < 1e-10 * max(abs(q) for q in Q)
+    q_max = max(abs(q) for q in Q)
+    assert rec.thermo.first_law_residual < 1e-10 * q_max
+    # the eigenbasis currents against the 64 x 64 dissipators on the same state
+    gen = sol.generators
+    q_dense = [global_heat_current(sol.rho, gen.H, d) for d in gen.dissipators]
+    assert max(abs(a - b) for a, b in zip(q_dense, Q)) <= 1e-11 * q_max
 
-    oracle = steady_state_via_evolution(build_liouvillian(UNCLOSED_HARMONIC)).rho
-    assert trace_distance(sol.rho, oracle) < 1e-8
-    gen = build_global_generators(UNCLOSED_HARMONIC)
+    L = build_liouvillian(p)
+    oracle = steady_state_via_evolution(L).rho
+    # the oracle's one-step map holds the dissipation as h gamma, h =
+    # 0.05 / ||L||, against entries of order one: its own roundoff moves
+    # the state by some eps ||L|| / gamma, up to 5.6 times that here
+    td = max(1e-8, 100 * np.finfo(float).eps * float(np.linalg.norm(L, 2)) / min(p.gamma))
+    assert trace_distance(sol.rho, oracle) < td
     q_oracle = [global_heat_current(oracle, gen.H, d) for d in gen.dissipators]
-    # the heat-current rule of bench/gate.py's oracle check
-    q_tol = max(
-        1e-6 * max(abs(q) for q in Q),
-        1e-8 * max(UNCLOSED_HARMONIC.gamma) * float(np.linalg.norm(gen.H, 2)),
-    )
+    # the heat-current rule of bench/gate.py's oracle check, whose state
+    # error of trace distance 1e-8 moves a current by at most 1e-8 gamma ||H||
+    q_tol = max(1e-6 * q_max, td * max(p.gamma) * float(np.linalg.norm(gen.H, 2)))
     assert max(abs(a - b) for a, b in zip(q_oracle, Q)) <= q_tol
 
 

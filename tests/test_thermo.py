@@ -7,6 +7,7 @@ from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from triqubit import (
@@ -25,7 +26,7 @@ from triqubit.thermo import (
     submachine_report,
 )
 
-from conftest import BOOST, HARMONIC_TAIL, VALVE, global_point, local_point
+from conftest import BOOST, HARMONIC_TAIL, UNCLOSED_HARMONIC, VALVE, global_point, local_point
 
 
 # one representative (Q1, Q2, Q3, W) per labeled regime
@@ -283,6 +284,18 @@ def test_thermo_report_raises_when_the_work_misses_the_first_law(monkeypatch):
     monkeypatch.setattr(thermo, "local_current_set", shifted)
     with pytest.raises(NumericalConsistencyError, match="First Law"):
         thermo_report(sol)
+
+
+def test_coherence_currents_must_be_real():
+    # off the population route the currents read the state's coherences;
+    # coherences that are not Hermitian leave an imaginary residue
+    sol = solve_point(UNCLOSED_HARMONIC)
+    assert sol.populations is None
+    assert thermo._harmonic_heat_currents(sol) == thermo_report(sol).Q
+    off = 1.0 - np.eye(8)
+    skewed = replace(sol, rho_eig=sol.rho_eig + 1e-3j * off)
+    with pytest.raises(NumericalConsistencyError, match="heat current has imaginary residue"):
+        thermo._harmonic_heat_currents(skewed)
 
 
 @pytest.mark.filterwarnings("ignore::triqubit.errors.SecularValidityWarning")
