@@ -1,8 +1,8 @@
 """Compare the outputs of two checkouts on the bundled configs, byte by byte and number by number.
 
 Runs every output of ``_runs()`` (the ``sweep-random`` CSVs of both
-scatter configs at one and two workers, the ``sweep-valve`` CSV, the
-``sweep-boost`` CSV at one and two workers, ``point`` stdout of the
+scatter configs at one and two workers, the ``sweep-valve`` and
+``sweep-boost`` CSVs at one and two workers, ``point`` stdout of the
 point config and of an unclosed harmonic point set over it, and
 ``validate --samples 200`` stdout of both scatter configs) with the
 ``src/`` of each checkout, in one subprocess per checkout and both on
@@ -73,6 +73,9 @@ def _runs():
             yield (f"sweep-random {config} --workers {workers}",
                    ["sweep-random", "--config", config, "--workers", str(workers)], "csv")
     yield "sweep-valve valve", ["sweep-valve", "--config", "valve"], "csv"
+    # the grid with mixed sector orders, whose chunks the pool solves too
+    yield ("sweep-valve valve --workers 2",
+           ["sweep-valve", "--config", "valve", "--workers", "2"], "csv")
     yield "sweep-boost boost", ["sweep-boost", "--config", "boost"], "csv"
     yield ("sweep-boost boost --workers 2",
            ["sweep-boost", "--config", "boost", "--workers", "2"], "csv")

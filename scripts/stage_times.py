@@ -14,10 +14,12 @@ spread rather than as a difference between them. Within a round each
 stage runs over all points on inputs prepared beforehand, the stages one
 after the other. Besides the solve, the stages of the sweeps module show:
 ``draw_params`` (random configs) or ``_grid_params`` (grid configs) per
-point, ``write_records`` per record and, on a grid with a refrigerator
-window, the boost scan's ``_locate_edge`` per scan, each round from a fresh
-copy of the grid's solved map. A comment line after the table gives the
-number of new solves that search makes.
+point; on grid configs, ``_evaluate_many`` per point, the chunk route
+that a grid scan takes on one worker; ``write_records`` per record and,
+on a grid with a refrigerator window, the boost scan's ``_locate_edge``
+per scan, each round from a fresh copy of the grid's solved map. A
+comment line after the table gives the number of new solves that search
+makes.
 
 With one root, one line per stage gives the minimum and the median over
 the rounds of its microseconds per point. With several, each stage that
@@ -36,6 +38,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import inspect  # noqa: E402
 import json  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
@@ -65,6 +68,9 @@ def _stages(cfg, indices, all_points, out_dir):
     H = [model.build_hamiltonian(p) for p in points]
     spectra = [model.sector_spectrum(h) for h in H]
     builder = global_me.build_global_generators if harmonic else local_me.build_local_generators
+    # a builder that takes a sequence of points gets one point at a time
+    build = [([p],) if "points" in inspect.signature(builder).parameters else (p,)
+             for p in points]
     sols = [steady_state.solve_point(p) for p in points]
     grid = isinstance(cfg, sweeps.GridScanConfig)
     # a grid's records over all its points feed the edge search too
@@ -78,8 +84,7 @@ def _stages(cfg, indices, all_points, out_dir):
         draw,
         ("model.build_hamiltonian", model.build_hamiltonian, [(p,) for p in points]),
         ("model.sector_spectrum", model.sector_spectrum, [(h,) for h in H]),
-        (f"{builder.__module__.split('.')[-1]}.{builder.__name__}", builder,
-         [(p,) for p in points]),
+        (f"{builder.__module__.split('.')[-1]}.{builder.__name__}", builder, build),
     ]
     if harmonic:
         calls += [
@@ -95,6 +100,12 @@ def _stages(cfg, indices, all_points, out_dir):
         ("sweeps.evaluate_point", sweeps.evaluate_point, [(p, epsilon) for p in points]),
     ]
     stages = [(name, _calling(fn, args), len(args)) for name, fn, args in calls]
+    if grid and not harmonic and hasattr(sweeps, "_GRID_CHUNK"):
+        # the grid's chunk route, serial: the traced benchmark cannot see
+        # it, because it runs in the pool's workers
+        chunked = [(points, epsilon, 1, sweeps._GRID_CHUNK)]
+        stages.append(("sweeps._evaluate_many", _calling(sweeps._evaluate_many, chunked),
+                       len(points)))
     path = out_dir / "records.csv"
     stages.append(("sweeps.write_records",
                    lambda: sweeps.write_records(written, path, "stage_times", cfg), len(written)))

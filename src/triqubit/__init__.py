@@ -42,6 +42,7 @@ from .steady_state import (
     evolve_oracle,
     relaxation_time,
     solve_point,
+    solve_points,
     steady_state_via_evolution,
 )
 from .thermo import (

@@ -45,6 +45,7 @@ from .model import (
     SITES,
     Generators,
     ModelParams,
+    Spectrum,
     basis_magnetizations,
     block_entry_positions,
     interaction_hamiltonian,
@@ -266,31 +267,47 @@ def _transform_gathers(labels: tuple) -> tuple:
     return left, right, spans
 
 
-def build_local_generators(p: ModelParams) -> Generators:
-    H_int = interaction_hamiltonian(p)
-    H = local_field_hamiltonian(p) + H_int  # build_hamiltonian(p), keeping H_int
-    return Generators(
-        params=p,
-        H=H,
-        spectrum=sector_spectrum(H),
-        jump_rates=local_rates(p),
-        H_int=H_int,
-    )
+def build_local_generators(points) -> list:
+    """Generators of a sequence of repeated_interaction points, one record each.
+
+    Each H is built on its own; their spectra come from one sector_spectrum
+    call on the stack of them, whose records hold views of its arrays.
+    """
+    H_int = [interaction_hamiltonian(p) for p in points]
+    # build_hamiltonian(p), keeping H_int
+    H = np.array([local_field_hamiltonian(p) + h for p, h in zip(points, H_int)])
+    spectra = sector_spectrum(H)
+    return [
+        Generators(
+            params=p,
+            H=H[k],
+            spectrum=Spectrum(spectra.energies[k], spectra.vectors[k], spectra.sectors[k]),
+            jump_rates=local_rates(p),
+            H_int=H_int[k],
+        )
+        for k, p in enumerate(points)
+    ]
 
 
-def _eigen_blocks(gen: Generators) -> tuple:
-    """Generators.eigen_blocks of a repeated_interaction point."""
-    down, up = _site_axis_rates(gen.jump_rates)
-    V = gen.spectrum.vectors
-    left, right, spans = _transform_gathers(tuple(gen.spectrum.sectors.tolist()))
+def _eigen_blocks(gens) -> tuple:
+    """Generators.eigen_blocks of repeated_interaction points that share one sector order.
+
+    Returns one (N, n, n) stack per index stack of liouville_block_groups,
+    N = len(gens), whose [k:k + 1] is gens[k].eigen_blocks' (1, n, n)
+    stack; for one point, the two are the same.
+    """
+    # (2, N, 3, 1, 1): down and up rates of each point and site
+    down, up = np.array([gen.jump_rates for gen in gens])[..., None].transpose(2, 0, 1, 3, 4)
+    V = np.array([gen.spectrum.vectors for gen in gens]).reshape(len(gens), -1)
+    left, right, spans = _transform_gathers(tuple(gens[0].spectrum.sectors.tolist()))
     # each entry the product kron(conj(V), V) takes, in its operand order
-    entries = V.conj().ravel().take(left) * V.ravel().take(right)
+    entries = V.conj().take(left, axis=1) * V.take(right, axis=1)
     blocks = []
     for (t_down, t_up), (start, stop, shape) in zip(_unit_dissipators(), spans):
         # W_B^dag D[R_B, R_B] W_B is the dm block of W^dag D W; the bath
         # sum runs over the site axis, one bath after the other. Only the
         # dm >= 0 row is built; see Generators.eigen_blocks
-        W_B = entries[start:stop].reshape(shape)
+        W_B = entries[:, start:stop].reshape(-1, *shape)
         D = down * t_down + up * t_up
-        blocks.append((W_B.conj().swapaxes(1, 2)[:, None] @ D @ W_B[:, None]).sum(axis=1))
+        blocks.append((W_B.conj().swapaxes(2, 3) @ D @ W_B).sum(axis=1))
     return tuple(blocks)

@@ -227,12 +227,12 @@ class Generators:
     def eigen_blocks(self) -> tuple:
         from . import global_me, local_me  # both import this module
 
-        harmonic = self.params.bath_model == BATH_HARMONIC
-        build = global_me._eigen_blocks if harmonic else local_me._eigen_blocks
         # finite rates can still overflow in assembly; the non-finite block
         # that leaves fails the solve's trace-preserving check
         with np.errstate(over="ignore", invalid="ignore"):
-            return build(self)
+            if self.params.bath_model == BATH_HARMONIC:
+                return global_me._eigen_blocks(self)
+            return local_me._eigen_blocks([self])
 
 
 # one entry per ordering of the magnetization labels: at most 1120 for three
@@ -299,21 +299,24 @@ def _positions_by_size(labels: np.ndarray, values) -> tuple:
 def _sector_layout(n: int) -> tuple:
     """Constant index layout of sector_spectrum for an n-qubit register.
 
-    Returns (cross, labels, groups). cross is the read-only dim x dim mask
-    of the matrix elements that join two different magnetization sectors;
-    labels[k] is the magnetization of column k of the unsorted spectrum,
-    whose sectors run in descending m. groups holds one (rows, place, cols)
-    per sector size, for the sectors of that size stacked in descending m:
-    rows gathers their blocks of H, place scatters their eigenvectors into
-    the eigenvector matrix and cols their eigenvalues into the unsorted
-    spectrum.
+    Returns (cross, labels, groups). cross holds the read-only positions
+    of the entries of a flattened dim x dim matrix that join two different
+    magnetization sectors; labels[k] is the magnetization of column k of
+    the unsorted spectrum, whose sectors run in descending m. groups holds
+    one (rows, place, cols) per sector size, for the sectors of that size
+    stacked in descending m: rows gathers their (k, s, s) stack of blocks
+    out of a flattened H, place scatters their eigenvectors into a
+    flattened eigenvector matrix and cols their eigenvalues into the
+    unsorted spectrum.
     """
     label = np.array(basis_magnetizations(n))
-    cross = label[:, None] != label[None, :]
+    dim = label.size
+    cross = np.flatnonzero(label[:, None] != label[None, :])
     labels = np.sort(label)[::-1]
     sectors = sorted(set(label.tolist()), reverse=True)
     groups = tuple(
-        ((idx[:, :, None], idx[:, None, :]), (idx[:, :, None], cols[:, None, :]), cols.ravel())
+        (idx[:, :, None] * dim + idx[:, None, :],
+         (idx[:, :, None] * dim + cols[:, None, :]).ravel(), cols.ravel())
         for idx, cols in zip(*(_positions_by_size(x, sectors) for x in (label, labels)))
     )
     for arr in (cross, labels):
@@ -322,25 +325,40 @@ def _sector_layout(n: int) -> tuple:
 
 
 def sector_spectrum(H: np.ndarray) -> Spectrum:
-    """Diagonalize a magnetization-conserving Hamiltonian sector by sector.
+    """Diagonalize magnetization-conserving Hamiltonians sector by sector.
 
-    The sectors of one size go through one stacked eigh call, which returns
-    the same bits as one call per sector.
+    H is one d x d matrix, or an (N, d, d) stack of them, whose Spectrum
+    then holds (N, d) energies and sectors and (N, d, d) vectors. The
+    sectors of one size go through one stacked eigh call over the whole
+    stack, which returns the same bits as one call per sector and matrix.
     """
-    n = num_qubits(H)
-    scale = max(float(np.max(np.abs(H))), 1e-300)
-    if np.linalg.norm(H - H.conj().T, "fro") > 1e-12 * scale * H.shape[0]:
-        raise DomainError("H is not Hermitian")
+    stack = H[None] if H.ndim == 2 else H
+    n = num_qubits(stack[0])
     cross, labels, groups = _sector_layout(n)
-    # block diagonality is exact for exchange-form couplings
-    if np.abs(H[cross]).max(initial=0.0) > 1e-12 * scale:
-        raise DomainError("H has matrix elements across magnetization sectors")
+    count, dim = stack.shape[:2]
+    flat = stack.reshape(count, -1)
+    skew = stack - stack.conj().swapaxes(1, 2)
+    # the model builds exactly Hermitian matrices with exact zeros across
+    # sectors (exchange-form couplings), which skip the norms
+    if np.count_nonzero(skew) or np.count_nonzero(flat.take(cross, axis=1)):
+        scale = np.maximum(np.abs(flat).max(axis=1), 1e-300)
+        skew = skew.view(float).reshape(count, -1)
+        if (np.sqrt(np.einsum("ki,ki->k", skew, skew)) > 1e-12 * scale * dim).any():
+            raise DomainError("H is not Hermitian")
+        if (np.abs(flat.take(cross, axis=1)).max(axis=1, initial=0.0) > 1e-12 * scale).any():
+            raise DomainError("H has matrix elements across magnetization sectors")
 
-    dim = 2**n
-    energies = np.empty(dim)
-    vectors = np.zeros((dim, dim), dtype=complex)
+    energies = np.empty((count, dim))
+    vectors = np.zeros((count, dim * dim), dtype=complex)
     for rows, place, cols in groups:
-        w, vectors[place] = np.linalg.eigh(H[rows])
-        energies[cols] = w.ravel()
+        w, v = np.linalg.eigh(flat.take(rows, axis=1))
+        vectors[:, place] = v.reshape(count, -1)
+        energies[:, cols] = w.reshape(count, -1)
     order = np.argsort(energies, kind="stable")
-    return Spectrum(energies=energies[order], vectors=vectors[:, order], sectors=labels[order])
+    points = np.arange(count)[:, None]
+    energies, sectors = energies[points, order], labels[order]
+    vectors = vectors.reshape(count, dim, dim)[points, :, order]  # eigenvectors as rows
+    vectors = np.ascontiguousarray(vectors.swapaxes(1, 2))
+    if H.ndim == 2:
+        energies, vectors, sectors = energies[0], vectors[0], sectors[0]
+    return Spectrum(energies=energies, vectors=vectors, sectors=sectors)

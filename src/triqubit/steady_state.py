@@ -37,6 +37,15 @@ certify it by the same rule, its residual is taken on the rate matrix,
 and its blocks are never built. Every bundled harmonic point is of this
 kind; the block route stays for the others and as the fallback.
 
+solve_points solves repeated-interaction points as stacks. Their
+Hamiltonians go through one stacked sector_spectrum call, and the points
+whose sorted spectra carry the same magnetization labels, and so share
+one block layout, go through the block route as (N, ...) stacks: the
+eigen blocks, the certificate SVDs, the refinement solves and V rho
+V^dag. Each stacked step returns for every point the bits it returns for
+that point alone, and every check is made per point. A harmonic point is
+solved alone, its clustering being its own; solve_point is a stack of one.
+
 The evolution oracle, steady_state_via_evolution on the computational-basis
 generator of build_liouvillian, shares none of that solve. It stays in the
 package because bench/gate.py and the acceptance tests call it.
@@ -49,6 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import local_me
 from .algebra import CLD, coherent_superop, herm, unvec, vec
 from .errors import (
     DegenerateSteadyStateError,
@@ -72,23 +82,31 @@ class SteadyStateResult:
 
 
 def _check_trace_preserving(trace_rows, parts, weights) -> None:
-    """Raises unless the columns of trace_rows sum to zero at the generator's scale.
+    """Raises unless each point's trace rows sum to zero at its generator's scale.
 
-    trace_rows are the generator's rows at the positions of the trace
-    functional; the scale is the Frobenius norm of the generator, which
-    is made of parts, each counted weights[i] times.
+    trace_rows[k] are the rows of point k's generator at the positions of
+    the trace functional; the scale is the Frobenius norm of that
+    generator, which is made of parts[i][k], each counted weights[i] times.
+    Each point is checked as it would be alone, and the first that fails
+    raises.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        defect = float(np.linalg.norm(trace_rows.sum(axis=0)))
-        scale = float(np.sqrt(sum(w * np.vdot(b, b).real for w, b in zip(weights, parts))))
-    if not math.isfinite(scale):
-        raise NumericalConsistencyError(f"generator norm is not finite ({scale})")
-    if defect > 1e-10 * max(scale, 1e-300):
-        raise DomainError(f"generator is not trace-preserving (defect {defect:.3e})")
+        for k, defect in enumerate(trace_rows.sum(axis=1)):
+            defect = float(np.linalg.norm(defect))
+            squares = (w * np.vdot(b[k], b[k]).real for w, b in zip(weights, parts))
+            scale = float(np.sqrt(sum(squares)))
+            if not math.isfinite(scale):
+                raise NumericalConsistencyError(f"generator norm is not finite ({scale})")
+            if defect > 1e-10 * max(scale, 1e-300):
+                raise DomainError(f"generator is not trace-preserving (defect {defect:.3e})")
 
 
 def _residual(diag_ld: np.ndarray, offdiag_ld: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """L @ x in extended precision, with L split as diag(diag_ld) + offdiag_ld."""
+    """L @ x in extended precision, with L split as diag(diag_ld) + offdiag_ld.
+
+    On stacks, x and diag_ld hold column vectors, (N, n, 1), for the (N, n,
+    n) stack offdiag_ld.
+    """
     x_ld = x.astype(CLD)
     return diag_ld * x_ld + offdiag_ld @ x_ld
 
@@ -98,63 +116,73 @@ def _refine(A: np.ndarray, b: np.ndarray, apply) -> np.ndarray:
 
     Starts from zero and takes four double-precision solves of A, each on
     the residual b - apply(x) that apply evaluates in extended precision.
-    A singular A raises np.linalg.LinAlgError.
+    A singular A raises np.linalg.LinAlgError. A stack of A takes a stack
+    of column vectors b, (N, n, 1).
     """
     x = np.zeros_like(b)
     for _ in range(4):
-        x = x + np.linalg.solve(A, (b - apply(x)).astype(A.dtype)).astype(b.dtype)
+        x = x + np.linalg.solve(A, (b - apply(x)).astype(A.dtype)).astype(b.dtype, copy=False)
     return x
+
+
+def _norms(r: np.ndarray) -> list:
+    """The 2-norm of each of a stack of vectors, as one np.linalg.norm call on it returns it."""
+    return [float(np.linalg.norm(v)) for v in r.astype(complex)]
 
 
 def _trace_one_state(L: np.ndarray, on_diag: np.ndarray, diag_ld: np.ndarray,
                      offdiag_ld: np.ndarray):
-    """Trace-one null vector of L and the norm of its residual L @ x.
+    """Trace-one null vectors of a stack of L and the norms of their residuals L @ x.
 
-    Row 0 of L is replaced by the trace functional, which is one at the
-    positions on_diag; the other rows keep their residual from _residual on
-    the extended-precision split of L.
+    Row 0 of each L is replaced by the trace functional, which is one at
+    the positions on_diag; the other rows keep their residual from
+    _residual on the extended-precision split of L. x comes as a stack of
+    column vectors, as diag_ld does.
     """
-    d2 = L.shape[0]
     A = L.astype(complex)
-    A[0] = 0.0
-    A[0, on_diag] = 1.0
-    b = np.zeros(d2, dtype=complex)
-    b[0] = 1.0
+    A[:, 0] = 0.0
+    A[:, 0, on_diag] = 1.0
+    b = np.zeros(diag_ld.shape, dtype=complex)
+    b[:, 0] = 1.0
 
     def apply(x):
         r = _residual(diag_ld, offdiag_ld, x)
-        r[0] = x[on_diag].sum(dtype=CLD)
+        r[:, 0] = x.take(on_diag, axis=1).sum(axis=1, dtype=CLD)
         return r
 
     x = _refine(A, b, apply)
-    return x, float(np.linalg.norm(_residual(diag_ld, offdiag_ld, x).astype(complex)))
+    return x, _norms(_residual(diag_ld, offdiag_ld, x))
 
 
 def _finalize_state(x: np.ndarray) -> np.ndarray:
-    rho = herm(unvec(x))
-    tr = float(np.trace(rho).real)
-    if abs(tr) < 1e-14:
+    """The (N, d, d) states of a stack of vec rho, each Hermitian with trace one."""
+    d = math.isqrt(x.shape[1])
+    rho = herm(x.reshape(-1, d, d).swapaxes(1, 2))  # unvec of each
+    tr = rho.trace(axis1=1, axis2=2).real
+    if np.count_nonzero(abs(tr) < 1e-14):
         raise DegenerateSteadyStateError("null vector is traceless; cannot normalize")
-    rho = rho / tr
-    lo = float(np.linalg.eigvalsh(rho).min())
-    if lo < -1e-10:
-        raise NumericalConsistencyError(f"steady state has negative eigenvalue {lo:.3e}")
+    rho = rho / tr[:, None, None]
+    lo = np.minimum.reduce(np.linalg.eigvalsh(rho), axis=1)
+    if np.count_nonzero(lo < -1e-10):
+        raise NumericalConsistencyError(
+            f"steady state has negative eigenvalue {lo[lo < -1e-10][0]:.3e}")
     return rho
 
 
-def _unique_null_scale(blocks, weights, on_diag: np.ndarray) -> float:
-    """sigma_max of a trace-preserving generator whose null space is one-dimensional.
+def _unique_null_scale(blocks, weights, on_diag: np.ndarray) -> np.ndarray:
+    """sigma_max of each of a stack of generators, all trace-preserving with a 1-d null space.
 
-    The generator is given by its diagonal blocks, stacked by size, and is
-    zero outside them. Each block of blocks[i] counts weights[i] times: for
-    itself and for the mirror blocks that share its singular values and its
-    norm. blocks[0][0] holds the trace functional, which is one at its
-    positions on_diag. The singular values are taken with one SVD call per
-    stack; _null_scale counts them.
+    Each generator is given by its diagonal blocks, one of each size, and
+    is zero outside them: blocks[i] stacks the points' blocks of the i-th
+    size, point k's at [k]. Each block of blocks[i] counts weights[i]
+    times: for itself and for the mirror blocks that share its singular
+    values and its norm. blocks[0] holds the trace functional, which is
+    one at its positions on_diag. The singular values are taken with one
+    SVD call per stack; _null_scale counts them.
     """
-    _check_trace_preserving(blocks[0][0][on_diag], blocks, weights)
+    _check_trace_preserving(blocks[0].take(on_diag, axis=1), blocks, weights)
     # a stacked call returns the same bits as one call per block
-    return _null_scale([np.linalg.svd(b, compute_uv=False).ravel() for b in blocks], weights)
+    return _null_scale([np.linalg.svd(b, compute_uv=False) for b in blocks], weights)
 
 
 def _pauli_scale(M: np.ndarray, energies: np.ndarray) -> float:
@@ -179,30 +207,31 @@ def _pauli_scale(M: np.ndarray, energies: np.ndarray) -> float:
         omega = energies[:, None] - energies[None, :]
         coherent = -1j * omega - 0.5 * (loss[:, None] + loss[None, :])
         moduli = np.abs(coherent[~np.eye(energies.size, dtype=bool)])
-    _check_trace_preserving(M, (M, moduli), (1, 1))
-    return _null_scale([np.linalg.svd(M, compute_uv=False), moduli], (1, 1))
+    _check_trace_preserving(M[None], (M[None], moduli[None]), (1, 1))
+    return float(_null_scale([np.linalg.svd(M, compute_uv=False), moduli], (1, 1)))
 
 
-def _null_scale(singular_values, weights) -> float:
-    """sigma_max, the largest of singular_values, when one of them is null.
+def _null_scale(singular_values, weights) -> np.ndarray:
+    """sigma_max, the largest of singular_values, of each point when one of them is null.
 
-    Each value of singular_values[i] counts weights[i] times. Values below
+    singular_values[i] is a (..., m_i) array, its leading axes over the
+    points, whose values each count weights[i] times. Values below
     _NULL_TOL * sigma_max count as null; a null space of any dimension
     other than one raises.
     """
-    s = singular_values
-    sigma_max = float(max(x.max() for x in s))
-    if sigma_max == 0.0:
+    values = np.concatenate(singular_values, axis=-1)
+    sigma_max = np.maximum.reduce(values, axis=-1)
+    null = values <= _NULL_TOL * sigma_max[..., None]
+    dim = null @ np.array(weights).repeat([x.shape[-1] for x in singular_values])
+    if not np.count_nonzero((dim != 1) | (sigma_max == 0.0)):
+        return sigma_max
+    if np.count_nonzero(sigma_max == 0.0):
         raise DegenerateSteadyStateError("zero generator: every state is steady")
-    dim = sum(w * int(np.sum(x <= _NULL_TOL * sigma_max)) for w, x in zip(weights, s))
-    if dim == 0:
-        smallest = min(x.min() for x in s)
+    if np.count_nonzero(dim == 0):
         raise NumericalConsistencyError(
-            f"no null vector within tolerance (smallest singular value {smallest:.3e})"
+            f"no null vector within tolerance (smallest singular value {values.min():.3e})"
         )
-    if dim > 1:
-        raise DegenerateSteadyStateError(f"steady state is degenerate (null dimension {dim})")
-    return sigma_max
+    raise DegenerateSteadyStateError(f"steady state is degenerate (null dimension {dim.max()})")
 
 
 def _build_generators(p: ModelParams) -> Generators:
@@ -210,7 +239,7 @@ def _build_generators(p: ModelParams) -> Generators:
     with np.errstate(over="ignore", invalid="ignore"):
         if p.bath_model == BATH_HARMONIC:
             return build_global_generators(p)
-        return build_local_generators(p)
+        return build_local_generators([p])[0]
 
 
 def build_liouvillian(p: ModelParams) -> np.ndarray:
@@ -238,50 +267,101 @@ class PointSolution:
 
 
 def solve_point(p: ModelParams) -> PointSolution:
-    """Build generators for a parameter point and solve in the eigenbasis.
+    """Build generators for a parameter point and solve in the eigenbasis; see solve_points."""
+    # the shared route is private, so that bench/tracer.py, which wraps the
+    # public functions, times the whole solve of a point as solve_point's
+    return _solve_points([p])[0]
 
-    A fully secular harmonic point is certified and solved on its Pauli
-    rate matrix alone, when its population state has a residual at the
-    roundoff floor. Every other point goes through the blocks: every
+
+def solve_points(points) -> list:
+    """Solve a sequence of parameter points in the eigenbasis, one PointSolution each.
+
+    A harmonic point comes alone, for its jump clustering is its own. A
+    fully secular one is certified and solved on its Pauli rate matrix
+    alone, when its population state has a residual at the roundoff
+    floor. Every other point goes through the blocks: every
     magnetization-difference block is certified, the -dm ones through
     their dm mirrors, and the state is solved in the dm = 0 block, which
-    holds it and the trace functional.
+    holds it and the trace functional. Repeated-interaction points share
+    one stacked sector_spectrum call, and those that share a sector order
+    (the magnetization labels of the sorted spectrum), and so one block
+    layout, go through every step of the block solve as one stack. Each
+    step returns for each point the bits it returns for that point alone,
+    and a check that fails for any point raises for the whole call.
     """
+    return _solve_points(points)
+
+
+def _solve_points(points) -> list:
+    if any(p.bath_model == BATH_HARMONIC for p in points):
+        if len(points) != 1:
+            raise DomainError("harmonic points are solved one at a time")
+        return [_harmonic_solution(points[0])]
+    runs: dict = {}
+    # as in _build_generators and Generators.eigen_blocks
+    with np.errstate(over="ignore", invalid="ignore"):
+        gens = build_local_generators(points)
+        for k, gen in enumerate(gens):
+            runs.setdefault(gen.spectrum.sectors.tobytes(), []).append(k)
+        blocks = [local_me._eigen_blocks([gens[k] for k in members]) for members in runs.values()]
+    solutions = [None] * len(gens)
+    for members, eigen_blocks in zip(runs.values(), blocks):
+        group = [gens[k] for k in members]
+        energies = np.array([gen.spectrum.energies for gen in group])
+        x, res, _ = _block_states(energies, eigen_blocks,
+                                  group[0].spectrum.liouville_block_groups)
+        for k, sol in zip(members, _solutions(group, x, res)):
+            solutions[k] = sol
+    return solutions
+
+
+def _harmonic_solution(p: ModelParams) -> PointSolution:
+    """The PointSolution of one harmonic point; see solve_points."""
     gen = _build_generators(p)
-    rate_matrices = closed = solved = None
-    if p.bath_model == BATH_HARMONIC:
-        rate_matrices, closed, secular = site_rate_matrices(gen)
-        if secular:
-            solved = _pauli_state(sum(rate_matrices), gen.spectrum.energies)
+    rate_matrices, closed, secular = site_rate_matrices(gen)
+    solved = None
+    if secular:
+        solved = _pauli_state(sum(rate_matrices), gen.spectrum.energies)
     if solved is None:
-        solved = _block_state(gen, rate_matrices if closed else None)
-    x, res, populations = solved
-    if not math.isfinite(res):
-        raise NumericalConsistencyError(f"steady-state residual is not finite ({res})")
+        solved = _block_states(gen.spectrum.energies[None], gen.eigen_blocks,
+                               gen.spectrum.liouville_block_groups,
+                               sum(rate_matrices) if closed else None)
+    return _solutions([gen], *solved, rate_matrices, closed)[0]
+
+
+def _solutions(gens, x, res, populations=None, rate_matrices=None, closed=None) -> list:
+    """The PointSolutions of gens from the stack x of their vec rho_eig and their residuals res."""
+    for value in res:
+        if not math.isfinite(value):
+            raise NumericalConsistencyError(f"steady-state residual is not finite ({value})")
     rho_eig = _finalize_state(x)
-    V = gen.spectrum.vectors
-    rho = herm(V @ rho_eig @ V.conj().T)
-    return PointSolution(
-        params=p,
-        generators=gen,
-        rho=rho,
-        rho_eig=rho_eig,
-        residual=res,
-        nullspace_dim=1,
-        populations=populations,
-        rate_matrices=rate_matrices,
-        population_closed=closed,
-    )
+    V = np.array([gen.spectrum.vectors for gen in gens])
+    rho = herm(V @ rho_eig @ V.conj().swapaxes(1, 2))
+    return [
+        PointSolution(
+            params=gen.params,
+            generators=gen,
+            rho=rho[k],
+            rho_eig=rho_eig[k],
+            residual=res[k],
+            nullspace_dim=1,
+            populations=populations,
+            rate_matrices=rate_matrices,
+            population_closed=closed,
+        )
+        for k, gen in enumerate(gens)
+    ]
 
 
 def _pauli_state(M: np.ndarray, energies: np.ndarray):
-    """(vec rho, residual, populations) of a fully secular point, or None.
+    """(vec rho, residuals, populations) of a fully secular point, or None.
 
     Certifies the generator with _pauli_scale and takes the populations of
     _gth_population; its residual is |M p| in extended precision. The
-    coherences of the state are exactly zero. Returns None, for the block
-    solve, when the chain is reducible or the residual is above the
-    roundoff floor of the block solve.
+    coherences of the state are exactly zero. vec rho is a stack of one
+    and residuals a list of one, as _block_states returns them. Returns
+    None, for the block solve, when the chain is reducible or the residual
+    is above the roundoff floor of the block solve.
     """
     sigma_max = _pauli_scale(M, energies)
     populations = _gth_population(M)
@@ -290,54 +370,59 @@ def _pauli_state(M: np.ndarray, energies: np.ndarray):
     res = float(np.linalg.norm((M @ populations).astype(float)))
     if res > _FLOOR * sigma_max:
         return None
-    return vec(np.diag(populations.astype(complex))), res, populations
+    return vec(np.diag(populations.astype(complex)))[None], [res], populations
 
 
-def _block_state(gen: Generators, rate_matrices):
-    """(vec rho, residual, populations) from the eigen blocks of gen.
+def _block_states(energies: np.ndarray, eigen_blocks, groups, M: np.ndarray = None):
+    """(vec rho, residuals, populations) of points that share one block layout.
 
-    rate_matrices, the harmonic model's when its clusters are closed and
-    None otherwise, offer the population state first; populations is None
-    unless it is taken.
+    energies is the (N, d) stack of the points' spectra, eigen_blocks
+    holds one (N, n, n) stack of their Generators.eigen_blocks per index
+    stack of groups, their liouville_block_groups (for one point, its own
+    eigen_blocks), and vec rho comes as an (N, d * d) stack. M, the summed
+    rate matrix of a single harmonic point whose clusters are closed, and
+    None otherwise, offers the population state first; populations is
+    None unless it is taken.
     """
-    E = gen.spectrum.energies
-    lam = (-1j * (E[:, None] - E[None, :])).reshape(-1, order="F")
-    groups = gen.spectrum.liouville_block_groups
+    count, d = energies.shape
+    # each point's -i (E_a - E_b) at the vec position a + d b
+    lam = (-1j * (energies[:, None, :] - energies[:, :, None])).reshape(count, -1)
     blocks = []
-    for index, D in zip(groups, gen.eigen_blocks):
+    for index, D in zip(groups, eigen_blocks):
         # the coherent part is diagonal: a zero stack with lam on its
         # diagonals, plus D, as np.diag(lam[index[0]]) + D[0] is
         coherent = np.zeros_like(D)
-        diag = np.arange(index.shape[1])
-        coherent[:, diag, diag] = lam[index[:1]]
+        coherent.reshape(count, -1)[:, ::index.shape[1] + 1] = lam.take(index[0], axis=1)
         blocks.append(coherent + D)
-    index, D = groups[0][0], gen.eigen_blocks[0][0]
+    index = groups[0][0]
     # index is ascending and starts at vec position 0, the ground-state
     # population, whose row the trace functional replaces
-    on_diag = np.flatnonzero(index % (E.size + 1) == 0)
+    on_diag = np.flatnonzero(index % (d + 1) == 0)
     # each block of a stack of k rows stands for itself and its k - 1 mirrors
     sigma_max = _unique_null_scale(blocks, [g.shape[0] for g in groups], on_diag)
-    diag_ld = lam[index].astype(CLD)
-    offdiag_ld = D.astype(CLD)
+    diag_ld = lam.take(index, axis=1)[:, :, None].astype(CLD)
+    offdiag_ld = eigen_blocks[0].astype(CLD)
 
     populations = gth = None
     res_ref = math.inf  # residual of the population state, when there is one
-    if rate_matrices is not None:
-        gth = _gth_population(sum(rate_matrices))
+    if M is not None:
+        gth = _gth_population(M)
         if gth is not None:
-            x_ref = vec(np.diag(gth.astype(complex)))[index]
-            res_ref = float(np.linalg.norm(_residual(diag_ld, offdiag_ld, x_ref).astype(complex)))
+            x_ref = vec(np.diag(gth.astype(complex)))[None, index, None]
+            res_ref = _norms(_residual(diag_ld, offdiag_ld, x_ref))[0]
     # the diagonal form is exact for closed clusters: at the roundoff floor
     # it needs no generic solve, and above it, it is used unless its
     # residual is materially worse than the generic solve's (which would
     # mean the closure call was wrong)
-    floor = _FLOOR * sigma_max
+    # without M, res_ref is inf and the generic solve runs; M comes with a
+    # single point, whose floor this is
+    floor = _FLOOR * sigma_max[0]
     if res_ref > floor:
-        x, res = _trace_one_state(blocks[0][0], on_diag, diag_ld, offdiag_ld)
-    if gth is not None and (res_ref <= floor or res_ref <= res):
-        x, res, populations = x_ref, res_ref, gth
-    x_full = np.zeros(E.size**2, dtype=complex)
-    x_full[index] = x
+        x, res = _trace_one_state(blocks[0], on_diag, diag_ld, offdiag_ld)
+    if gth is not None and (res_ref <= floor or res_ref <= res[0]):
+        x, res, populations = x_ref, [res_ref], gth
+    x_full = np.zeros((count, d * d), dtype=complex)
+    x_full[:, index] = x[..., 0]
     return x_full, res, populations
 
 

@@ -10,6 +10,17 @@ Reproducibility contract: every sample index gets its own tiny generator
 seeded from (master_seed XOR index), so the drawn parameters depend only on
 the config, never on execution order. Point evaluations are pure, which
 makes the output byte-identical for any worker count.
+
+Repeated-interaction grid scans solve their points in chunks:
+_evaluate_many gives each task a run of up to _GRID_CHUNK consecutive
+points, and steady_state.solve_points solves the points of a run that
+share a sector order as one stack, each with the bits it gets alone, so
+the output does not depend on the chunk size either. The thermo and
+correlation reports stay per point. A run whose stacked solve raises or
+warns is redone point by point, so that each failure and warning lands
+on its own index. Random sweeps stay one evaluate_point call per point,
+because the benchmark's tracer counts a point as one such call (ROADMAP
+item 1).
 """
 
 from __future__ import annotations
@@ -35,13 +46,17 @@ from .model import (
     as_number,
     as_reals,
 )
-from .steady_state import solve_point
+from .steady_state import solve_point, solve_points
 from .thermo import DEFAULT_EPSILON, Regime, ThermoReport, checked_epsilon, thermo_report
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
+
+# the most points of a grid scan that go through one stacked solve; the
+# stacks of 64 points take a few MB
+_GRID_CHUNK = 64
 
 # rejection sampling must terminate even on a misconfigured range
 _MAX_REDRAWS = 1000
@@ -241,12 +256,18 @@ def evaluate_point(params: ModelParams, epsilon: float = DEFAULT_EPSILON) -> Swe
     record. A sweep therefore always yields one record per index. The
     record carries index 0; the sweep drivers renumber it.
     """
+    return _record(params, epsilon)
+
+
+def _record(params: ModelParams, epsilon: float, sol=None) -> SweepRecord:
+    """evaluate_point's record of params, built on its PointSolution sol when one is given."""
     flags: list = []
     thermo = correlations = residual = None
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            sol = solve_point(params)
+            if sol is None:
+                sol = solve_point(params)
             thermo = thermo_report(sol, epsilon=epsilon)
             correlations = correlation_report(sol.rho, params)
             residual = sol.residual
@@ -259,9 +280,30 @@ def evaluate_point(params: ModelParams, epsilon: float = DEFAULT_EPSILON) -> Swe
     return SweepRecord(0, params, thermo, correlations, residual, tuple(flags))
 
 
-def _evaluate_task(task) -> SweepRecord:
-    index, params, epsilon = task
-    return replace(evaluate_point(params, epsilon=epsilon), index=index)
+def _stacked_records(points: Sequence, epsilon: float) -> Optional[list]:
+    """The records of points from one solve_points call, or None if that call raised or warned.
+
+    The reports of each point are built as evaluate_point builds them, so
+    their failures and warnings land on their own record.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            sols = solve_points(points)
+        except Exception:  # any failure: each point is redone on its own
+            return None
+    if caught:
+        return None
+    return [_record(params, epsilon, sol) for params, sol in zip(points, sols)]
+
+
+def _evaluate_chunk(task) -> list:
+    """The records of one chunk (start, points, epsilon), at indices start, start + 1, ..."""
+    start, points, epsilon = task
+    records = _stacked_records(points, epsilon) if len(points) > 1 else None
+    if records is None:
+        records = [evaluate_point(params, epsilon=epsilon) for params in points]
+    return [replace(rec, index=start + k) for k, rec in enumerate(records)]
 
 
 def _cpu_count() -> int:
@@ -272,26 +314,48 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _evaluate_many(points: Sequence, epsilon: float, workers: int) -> list:
+def _evaluate_many(points: Sequence, epsilon: float, workers: int, chunk: int = 1) -> list:
     """Records of points[k] at index k, in index order, on up to `workers` processes.
+
+    The points go in runs of at most chunk, each run one task, as few
+    runs as that allows, rounded up to a multiple of the workers, of as
+    even a size as they can be. A run of one point is one evaluate_point
+    call; random sweeps pass chunk 1, for the benchmark's tracer counts a
+    point as one evaluate_point call. A longer run is one solve_points
+    call, which stacks the points that share a sector order; if that call
+    raises or warns, the run is redone point by point through
+    evaluate_point, so that every failure and warning lands on its own
+    index. A record does not depend on the run it is in: each stacked
+    step returns the bits of the point alone.
 
     The pool gets no more processes than there are points or usable CPUs:
     a forked pool starts all of its processes at the first submit.
     """
-    tasks = [(k, params, epsilon) for k, params in enumerate(points)]
-    workers = min(workers, len(tasks), _cpu_count())
+    workers = max(1, min(workers, len(points), _cpu_count()))
+    runs = workers * math.ceil(len(points) / (workers * chunk))
+    size = math.ceil(len(points) / runs) if runs else 1
+    tasks = [(start, points[start:start + size], epsilon)
+             for start in range(0, len(points), size)]
+    workers = min(workers, len(tasks))
     if workers <= 1:
-        return [_evaluate_task(task) for task in tasks]
+        return [rec for task in tasks for rec in _evaluate_chunk(task)]
     # imported here: it loads logging, which a serial run does not need
     from concurrent.futures import ProcessPoolExecutor
 
-    chunk = max(1, len(tasks) // (4 * workers))
+    batch = max(1, len(tasks) // (4 * workers))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_evaluate_task, tasks, chunksize=chunk))
+        return [rec for recs in pool.map(_evaluate_chunk, tasks, chunksize=batch) for rec in recs]
 
 
 def random_sweep(cfg: SweepConfig, workers: int = 1) -> list:
-    """Evaluate n_samples independently drawn points, in index order."""
+    """Evaluate n_samples independently drawn points, in index order.
+
+    Each point is its own run, one evaluate_point call, and is not stacked
+    with others: the benchmark's tracer takes a point to be one such call,
+    and test_tracer_counts_match_an_independent_count_and_program_is_restored
+    in bench/tests/test_bench.py pins that on a random sweep. Random sweeps
+    can take chunks once the tracer has a chunk boundary (ROADMAP item 1).
+    """
     points = [draw_params(cfg, k) for k in range(cfg.n_samples)]
     ratio = cfg.effective_discard_rule
     return [
@@ -330,11 +394,21 @@ def _combination_label(thermo: Optional[ThermoReport], epsilon: float) -> str:
     return "Q1{}0,Q3{}0".format(">" if q1 > 0 else "<", ">" if q3 > 0 else "<")
 
 
+def _grid_records(cfg: GridScanConfig, workers: int) -> list:
+    """The records of the grid points of cfg, in chunks where solve_points stacks them.
+
+    It stacks repeated-interaction points only; a harmonic grid goes point
+    by point.
+    """
+    chunk = _GRID_CHUNK if cfg.bath_model == BATH_REPEATED_INTERACTION else 1
+    return _evaluate_many(_grid_points(cfg), cfg.epsilon, workers, chunk)
+
+
 def valve_sweep(cfg: GridScanConfig, workers: int = 1) -> list:
     """Scan B2 and label each point by the signs of the outer heat currents."""
     return [
         replace(rec, extra={"combination": _combination_label(rec.thermo, cfg.epsilon)})
-        for rec in _evaluate_many(_grid_points(cfg), cfg.epsilon, workers)
+        for rec in _grid_records(cfg, workers)
     ]
 
 
@@ -433,7 +507,7 @@ def boost_scan(cfg: GridScanConfig, workers: int = 1) -> list:
     (the window is empty for the given fields). The edge search reuses the
     grid's records and solves no B2 twice.
     """
-    grid = _evaluate_many(_grid_points(cfg), cfg.epsilon, workers)
+    grid = _grid_records(cfg, workers)
     records = [replace(rec, extra=_boost_extras(rec.thermo)) for rec in grid]
     if not any(
         rec.thermo is not None and rec.thermo.regime is Regime.IV for rec in records

@@ -88,6 +88,8 @@ def solve_steady_state(L: np.ndarray) -> SteadyStateResult:
     if L.ndim != 2 or L.shape[1] != d2 or d * d != d2:
         raise DomainError(f"generator shape {L.shape} is not a vectorized square map")
     on_diag = np.arange(0, d2, d + 1)  # vec positions of the trace
+    # the solve's steps take stacks of points: here a stack of one
     _unique_null_scale([L[None]], (1,), on_diag)
-    x, res = _trace_one_state(L, on_diag, np.zeros(d2, dtype=CLD), L.astype(CLD))
-    return SteadyStateResult(rho=_finalize_state(x), residual=res)
+    x, res = _trace_one_state(L[None], on_diag, np.zeros((1, d2, 1), dtype=CLD),
+                              L[None].astype(CLD))
+    return SteadyStateResult(rho=_finalize_state(x[..., 0])[0], residual=res[0])

@@ -588,7 +588,7 @@ def test_computational_basis_jumps_are_built_on_first_access_only(monkeypatch):
         ops = np.asarray(_reference_jumps(gen.spectrum, site)[2]).reshape(-1, 8, 8)
         assert_same_bits(d, lindblad_superop(with_daggers(ops), np.concatenate([down, up])))
     # the local model's jumps are its sigma_-^i, also built on first access
-    local = build_local_generators(local_point(B=(0.9, 2.7, 4.1)))
+    [local] = build_local_generators([local_point(B=(0.9, 2.7, 4.1))])
     assert "jump_ops" not in vars(local)
     assert local.jump_ops is local_me._lowering_jumps()
 

@@ -243,7 +243,7 @@ LOCAL_IDS = [f"local-{k}" for k in range(20)] + [f"boost-{k}" for k in range(0, 
 
 @pytest.mark.parametrize("p", LOCAL_POINTS, ids=LOCAL_IDS)
 def test_local_generators_keep_the_bits_of_the_per_site_build(p):
-    gen = build_local_generators(p)
+    [gen] = build_local_generators([p])
     for got, want in zip(gen.dissipators, _per_site_dissipators(p), strict=True):
         assert_array_equal(_bits(got), _bits(want))
     want = _per_block_eigen_blocks(gen)

@@ -171,7 +171,8 @@ def test_sector_spectrum_rejects_cross_sector_and_nonhermitian_input():
 
 
 @pytest.mark.parametrize("build, p", [
-    (build_local_generators, local_point(B=(0.9, 2.7, 4.1), gamma=(0.4, 0.8, 0.15))),
+    (lambda p: build_local_generators([p])[0],
+     local_point(B=(0.9, 2.7, 4.1), gamma=(0.4, 0.8, 0.15))),
     (build_global_generators, global_point(B=(0.37, 0.61, 0.83))),
 ], ids=["local", "global"])
 def test_block_groups_tile_the_liouville_space(build, p):
@@ -200,7 +201,7 @@ def test_block_groups_tile_the_liouville_space(build, p):
 ], ids=["local", "closed-harmonic", "unclosed-harmonic"])
 def test_generators_are_plain_data_with_one_dissipator_rule(p):
     harmonic = p.bath_model == "harmonic"
-    gen = (build_global_generators if harmonic else build_local_generators)(p)
+    gen = build_global_generators(p) if harmonic else build_local_generators([p])[0]
     if harmonic:
         assert site_rate_matrices(gen)[1] is (p is not UNCLOSED_HARMONIC)
     for f in dataclasses.fields(gen):

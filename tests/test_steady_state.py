@@ -23,7 +23,7 @@ from triqubit import (
     solve_point,
     steady_state_via_evolution,
 )
-from triqubit import global_me, steady_state, sweeps
+from triqubit import global_me, local_me, steady_state, sweeps
 from triqubit.algebra import (
     CLD,
     coherent_superop,
@@ -154,7 +154,7 @@ def test_build_liouvillian_dispatch():
         return coherent_superop(gen.H) + d1 + d2 + d3
 
     pl = local_point(B=(0.9, 2.7, 4.1))
-    assert_allclose(build_liouvillian(pl), assembled(build_local_generators(pl)), atol=0)
+    assert_allclose(build_liouvillian(pl), assembled(build_local_generators([pl])[0]), atol=0)
     pg = global_point(B=(0.37, 0.61, 0.83))
     assert_allclose(build_liouvillian(pg), assembled(build_global_generators(pg)), atol=0)
 
@@ -332,10 +332,12 @@ def _full_solve(p):
     floor = 1e-12 * float(s[0])
     population = False
     if res_ref > floor:
-        x, res = steady_state._trace_one_state(L, np.arange(0, 64, 9), diag_ld, offdiag_ld)
+        x, res = steady_state._trace_one_state(L[None], np.arange(0, 64, 9),
+                                               diag_ld[None, :, None], offdiag_ld[None])
+        x, res = x[0, :, 0], res[0]
     if res_ref <= floor or res_ref <= res:
         x, population = x_ref, True
-    rho_eig = steady_state._finalize_state(x)
+    rho_eig = steady_state._finalize_state(x[None])[0]
     if population:
         rho_eig = np.diag(np.diag(rho_eig))
     return herm(V @ rho_eig @ V.conj().T), rho_eig, population
@@ -441,7 +443,10 @@ def test_a_singular_off_diagonal_block_fails_the_certificate(monkeypatch, p):
     blocks[1][0] = D - s[-1] * np.outer(u[:, -1], vh[-1])
     singular = copy.copy(gen)
     vars(singular)["eigen_blocks"] = tuple(blocks)  # the lazy attribute, already built
+    # a harmonic solve reads its generators' blocks, a local one builds
+    # them as stacks over its points
     monkeypatch.setattr(steady_state, "_build_generators", lambda params: singular)
+    monkeypatch.setattr(local_me, "_eigen_blocks", lambda gens: tuple(blocks))
     with pytest.raises(DegenerateSteadyStateError):
         solve_point(p)
 
@@ -674,8 +679,9 @@ def test_local_sweep_factors_nothing_larger_than_the_zero_block(monkeypatch):
     records = random_sweep(cfg)
     assert len(records) == 20
     assert not [f for rec in records for f in rec.flags if f.startswith("error:")]
-    assert (20, 20) in shapes
-    assert max(max(shape) for shape in shapes) == 20
+    # the matrices are the last two axes; a leading axis runs over points
+    assert (20, 20) in [shape[-2:] for shape in shapes]
+    assert max(max(shape[-2:]) for shape in shapes) == 20
 
 
 def test_local_point_makes_one_numpy_call_per_stage(monkeypatch):

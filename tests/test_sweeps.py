@@ -4,6 +4,7 @@ import concurrent.futures
 import csv
 import itertools
 import json
+import warnings
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -13,7 +14,7 @@ import pytest
 
 from triqubit import (
     DegenerateSteadyStateError, DomainError, ModelParams, algebra, global_me, local_me, model,
-    solve_point, sweeps,
+    solve_point, steady_state, sweeps,
 )
 from triqubit.sweeps import (
     BASE_COLUMNS,
@@ -382,6 +383,96 @@ def test_valve_sweep_labels_and_error_point():
         }
 
 
+# --- grid scans in chunks: one stacked solve per sector order ---
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("config", ["boost", "valve"])
+def test_grid_csv_does_not_depend_on_the_chunk_size(tmp_path, monkeypatch, config, workers):
+    cfg = GridScanConfig(**json.loads((CONFIGS / f"{config}.json").read_text()))
+    driver, columns = {"boost": (boost_scan, BOOST_COLUMNS),
+                       "valve": (valve_sweep, VALVE_COLUMNS)}[config]
+    written = []
+    for chunk in (1, 7, 64):
+        # a forked pool's workers see the constant as the parent sets it
+        monkeypatch.setattr(sweeps, "_GRID_CHUNK", chunk)
+        path = tmp_path / f"{chunk}.csv"
+        write_records(driver(cfg, workers=workers), path, config, cfg, extra_columns=columns)
+        written.append(path.read_bytes())
+    assert written[1] == written[0] and written[2] == written[0]
+
+
+def _sector_order(p):
+    return tuple(model.sector_spectrum(model.build_hamiltonian(p)).sectors.tolist())
+
+
+def test_stacked_solves_keep_the_bits_of_one_point_solves():
+    cfg = SweepConfig(**{**json.loads((CONFIGS / "local_scatter.json").read_text()),
+                         "n_samples": 300})
+    points = [draw_params(cfg, k) for k in range(cfg.n_samples)]
+    groups = {}
+    for p in points:
+        groups.setdefault(_sector_order(p), []).append(p)
+    assert len(groups) > 1
+    for group in groups.values():
+        for start in range(0, len(group), 64):
+            run = group[start:start + 64]
+            for p, sol in zip(run, steady_state.solve_points(run), strict=True):
+                alone = solve_point(p)
+                assert np.array_equal(sol.rho, alone.rho)
+                assert np.array_equal(sol.rho_eig, alone.rho_eig)
+                assert sol.residual == alone.residual
+
+
+def _valve_chunk():
+    """Clean points of the bundled valve grid, the last of another sector order than the rest."""
+    cfg = GridScanConfig(**json.loads((CONFIGS / "valve.json").read_text()))
+    grid = sweeps._grid_points(cfg)
+    points = grid[:8] + grid[-1:]
+    orders = [_sector_order(p) for p in points]
+    assert len(set(orders[:-1])) == 1 and orders[-1] != orders[0]
+    return cfg, points
+
+
+def test_a_chunk_of_two_sector_orders_is_solved_stacked(monkeypatch):
+    cfg, points = _valve_chunk()
+    alone = [replace(evaluate_point(p, cfg.epsilon), index=k) for k, p in enumerate(points)]
+    monkeypatch.setattr(sweeps, "solve_point", None)  # no point is solved on its own
+    records = sweeps._evaluate_many(points, cfg.epsilon, 1, len(points))
+    assert records == alone and not any(rec.flags for rec in records)
+
+
+def test_failures_and_warnings_in_a_chunk_stay_on_their_own_index(monkeypatch):
+    cfg, points = _valve_chunk()
+    failing = {
+        2: (sweeps._grid_params(cfg, 0.0), ("error:DomainError",)),
+        4: (ModelParams(B=(1.0, 2.0, 3.0), J=LOCAL_SCATTER["J"], Delta=LOCAL_SCATTER["Delta"],
+                        T=(1.0, 2.0, 3.0), gamma=(1e200,) * 3,
+                        bath_model="repeated_interaction"), ("error:NumericalConsistencyError",)),
+    }
+    for k, (p, _) in failing.items():
+        points[k] = p
+    # a warning the rates of one point raise, in the stacked pass and alone
+    warned = points[6]
+    real = local_me.local_rates
+
+    def rates(p):
+        if p == warned:
+            warnings.warn("injected", RuntimeWarning)
+        return real(p)
+
+    monkeypatch.setattr(local_me, "local_rates", rates)
+    records = sweeps._evaluate_many(points, cfg.epsilon, 1, len(points))
+    assert [rec.index for rec in records] == list(range(len(points)))
+    for k, rec in enumerate(records):
+        assert rec == replace(evaluate_point(points[k], cfg.epsilon), index=k)
+        if k in failing:
+            assert rec.flags == failing[k][1] and rec.thermo is None
+        elif k == 6:
+            assert rec.flags == ("warn:RuntimeWarning",) and rec.thermo is not None
+        else:
+            assert rec.flags == ()
+
+
 def test_boost_scan_empty_outside_window():
     cfg = GridScanConfig(
         bath_model="repeated_interaction",
@@ -420,18 +511,20 @@ def test_boost_edge_search_solves_each_b2_once(monkeypatch):
     # probe has already solved, and the edge it returns is a point it solved
     cfg = GridScanConfig(**json.loads((CONFIGS / "boost.json").read_text()))
     solved = []
-    real = sweeps.evaluate_point
+    real = steady_state._solve_points
 
-    def spy(params, epsilon):
-        solved.append(params.B[1])
-        return real(params, epsilon=epsilon)
+    def spy(points):
+        # the grid's stacked solves and the search's one-point solves meet here
+        solved.extend(params.B[1] for params in points)
+        return real(points)
 
-    monkeypatch.setattr(sweeps, "evaluate_point", spy)
+    monkeypatch.setattr(steady_state, "_solve_points", spy)
     records = boost_scan(cfg)
     assert len(solved) == len(set(solved)) == cfg.n_points + 5
     edge = records[-1]
     assert edge.index == cfg.n_points and edge.params.B[1] in solved[cfg.n_points:]
-    fresh = real(edge.params, epsilon=cfg.epsilon)
+    monkeypatch.undo()
+    fresh = evaluate_point(edge.params, epsilon=cfg.epsilon)
     assert edge.flags == fresh.flags + ("edge",)
     assert (edge.thermo, edge.correlations, edge.residual) == (
         fresh.thermo, fresh.correlations, fresh.residual)
