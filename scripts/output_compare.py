@@ -2,7 +2,8 @@
 
 Runs every output of ``_runs()`` (the ``sweep-random`` CSVs of both
 scatter configs at one and two workers, the ``sweep-valve`` and
-``sweep-boost`` CSVs at one and two workers, ``point`` stdout of the
+``sweep-boost`` CSVs at one and two workers, the ``sweep-valve`` CSV of
+the harmonic model at two workers, ``point`` stdout of the
 point config and of an unclosed harmonic point set over it, and
 ``validate --samples 200`` stdout of both scatter configs) with the
 ``src/`` of each checkout, in one subprocess per checkout and both on
@@ -76,6 +77,10 @@ def _runs():
     # the grid with mixed sector orders, whose chunks the pool solves too
     yield ("sweep-valve valve --workers 2",
            ["sweep-valve", "--config", "valve", "--workers", "2"], "csv")
+    # the harmonic grid, whose chunks go through the same stacked solve
+    yield ("sweep-valve valve --set bath_model=harmonic --workers 2",
+           ["sweep-valve", "--config", "valve", "--set", "bath_model=harmonic",
+            "--workers", "2"], "csv")
     yield "sweep-boost boost", ["sweep-boost", "--config", "boost"], "csv"
     yield ("sweep-boost boost --workers 2",
            ["sweep-boost", "--config", "boost", "--workers", "2"], "csv")

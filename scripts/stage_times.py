@@ -100,7 +100,7 @@ def _stages(cfg, indices, all_points, out_dir):
         ("sweeps.evaluate_point", sweeps.evaluate_point, [(p, epsilon) for p in points]),
     ]
     stages = [(name, _calling(fn, args), len(args)) for name, fn, args in calls]
-    if grid and not harmonic and hasattr(sweeps, "_GRID_CHUNK"):
+    if grid and hasattr(sweeps, "_GRID_CHUNK"):
         # the grid's chunk route, serial: the traced benchmark cannot see
         # it, because it runs in the pool's workers
         chunked = [(points, epsilon, 1, sweeps._GRID_CHUNK)]

@@ -336,14 +336,32 @@ def _eigen_blocks(gen: Generators) -> tuple:
     same operands in the same order, so they keep its bits. Its sandwich
     term is nonzero only between two support positions of the amplitudes,
     and there it is one (s, w) by (w, s) product over the w jumps.
+
+    A cluster whose amplitudes are nonzero, above 1e-12 of its largest as
+    in site_rate_matrices, at both dm = m(a) - m(b) = +2 and -2 couples
+    the dm blocks, which these blocks keep apart: it raises
+    ClusteringError.
     """
     labels = tuple(gen.spectrum.sectors.tolist())
     flat = _jump_support(labels)[0]
+    d = len(labels)
+    raising = np.subtract.outer(labels, labels).ravel()[flat] > 0
+    for js in gen.jumps:
+        mags = np.abs(js.amplitudes.reshape(-1, d * d)[:, flat])
+        nz = mags > 1e-12 * np.maximum(mags.max(axis=1), 1e-300)[:, None]
+        mixed = np.flatnonzero((nz & raising).any(axis=1) & (nz & ~raising).any(axis=1))
+        if mixed.size:
+            raise ClusteringError(
+                f"site {js.site}: the Bohr frequency cluster near "
+                f"{js.frequencies[mixed[0]]:.6g} holds transitions of both dm = +2 and "
+                "dm = -2, which couple the magnetization-difference blocks; change the "
+                "fields B or the couplings J and Delta to separate these Bohr frequencies"
+            )
     sand, kron, blocks = _block_gathers(labels)
     # each bath's jumps and then their daggers, at its down and then its up
     # rates
     a = np.concatenate([with_daggers(js.amplitudes) for js in gen.jumps])
-    w, d = a.shape[:2]
+    w = a.shape[0]
     scaled = np.concatenate(gen.jump_rates, axis=None)[:, None, None] * a.conj()
     anti = scaled.reshape(w * d, d).T @ a.reshape(w * d, d)
     s = flat.size

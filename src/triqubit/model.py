@@ -192,9 +192,9 @@ class Generators:
     zero. The block at index[1] is not built: the generator preserves
     Hermiticity, so it is the conjugate of block [0] at the swapped
     positions, b + d a for a + d b. It too is built on first access, by
-    the bath model's builder module: the local solve reads it at once, the
-    harmonic solve only where the point is not fully secular (see
-    steady_state.solve_point).
+    the bath model's builder module: the local solve builds the blocks of
+    its points as stacks, and the harmonic solve reads them only where the
+    point is not fully secular (see steady_state.solve_points).
 
     jumps holds the harmonic model's per-site JumpSets and is empty on the
     repeated_interaction model. H_int is the interaction part of H on the

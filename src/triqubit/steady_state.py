@@ -37,14 +37,13 @@ certify it by the same rule, its residual is taken on the rate matrix,
 and its blocks are never built. Every bundled harmonic point is of this
 kind; the block route stays for the others and as the fallback.
 
-solve_points solves repeated-interaction points as stacks. Their
-Hamiltonians go through one stacked sector_spectrum call, and the points
-whose sorted spectra carry the same magnetization labels, and so share
-one block layout, go through the block route as (N, ...) stacks: the
-eigen blocks, the certificate SVDs, the refinement solves and V rho
-V^dag. Each stacked step returns for every point the bits it returns for
-that point alone, and every check is made per point. A harmonic point is
-solved alone, its clustering being its own; solve_point is a stack of one.
+solve_points solves a run of points of one bath model; solve_point is a
+run of one. The points whose sorted spectra carry the same magnetization
+labels, and so share one block layout, go through the block route as
+(N, ...) stacks, and V rho V^dag is one stack over the run; a harmonic
+point brings its own eigen blocks, its clustering being its own. Each
+stacked step returns for every point the bits it returns for that point
+alone, and every check is made per point.
 
 The evolution oracle, steady_state_via_evolution on the computational-basis
 generator of build_liouvillian, shares none of that solve. It stays in the
@@ -234,12 +233,15 @@ def _null_scale(singular_values, weights) -> np.ndarray:
     raise DegenerateSteadyStateError(f"steady state is degenerate (null dimension {dim.max()})")
 
 
-def _build_generators(p: ModelParams) -> Generators:
+def _build_generators(points) -> list:
+    """The Generators of a sequence of points of one bath model, one record each."""
+    if len({p.bath_model for p in points}) > 1:
+        raise DomainError("the points of one solve must share one bath model")
     # a bath whose rates overflow is a DomainError of its builder
     with np.errstate(over="ignore", invalid="ignore"):
-        if p.bath_model == BATH_HARMONIC:
-            return build_global_generators(p)
-        return build_local_generators([p])[0]
+        if points[0].bath_model == BATH_HARMONIC:
+            return [build_global_generators(p) for p in points]
+        return build_local_generators(points)
 
 
 def build_liouvillian(p: ModelParams) -> np.ndarray:
@@ -247,7 +249,7 @@ def build_liouvillian(p: ModelParams) -> np.ndarray:
 
     bench/gate.py and the acceptance tests call it; the solve does not.
     """
-    gen = _build_generators(p)
+    gen = _build_generators([p])[0]
     return coherent_superop(gen.H) + gen.dissipators[0] + gen.dissipators[1] + gen.dissipators[2]
 
 
@@ -276,15 +278,15 @@ def solve_point(p: ModelParams) -> PointSolution:
 def solve_points(points) -> list:
     """Solve a sequence of parameter points in the eigenbasis, one PointSolution each.
 
-    A harmonic point comes alone, for its jump clustering is its own. A
-    fully secular one is certified and solved on its Pauli rate matrix
-    alone, when its population state has a residual at the roundoff
-    floor. Every other point goes through the blocks: every
+    The points share one bath model; a mix raises DomainError. A fully
+    secular harmonic point is certified and solved on its Pauli rate
+    matrix alone, when its population state has a residual at the
+    roundoff floor. Every other point goes through the blocks: every
     magnetization-difference block is certified, the -dm ones through
     their dm mirrors, and the state is solved in the dm = 0 block, which
-    holds it and the trace functional. Repeated-interaction points share
-    one stacked sector_spectrum call, and those that share a sector order
-    (the magnetization labels of the sorted spectrum), and so one block
+    holds it and the trace functional, or taken from the populations of
+    a closed harmonic point. The points that share a sector order (the
+    magnetization labels of the sorted spectrum), and so one block
     layout, go through every step of the block solve as one stack. Each
     step returns for each point the bits it returns for that point alone,
     and a check that fails for any point raises for the whole call.
@@ -293,75 +295,45 @@ def solve_points(points) -> list:
 
 
 def _solve_points(points) -> list:
-    if any(p.bath_model == BATH_HARMONIC for p in points):
-        if len(points) != 1:
-            raise DomainError("harmonic points are solved one at a time")
-        return [_harmonic_solution(points[0])]
+    gens = _build_generators(points)
+    rates = [(None, None)] * len(gens)  # (rate_matrices, population_closed) of each point
+    solved = [None] * len(gens)  # (vec rho_eig, residual, populations) of each point
     runs: dict = {}
-    # as in _build_generators and Generators.eigen_blocks
-    with np.errstate(over="ignore", invalid="ignore"):
-        gens = build_local_generators(points)
-        for k, gen in enumerate(gens):
+    for k, gen in enumerate(gens):
+        if gen.params.bath_model == BATH_HARMONIC:
+            rate_matrices, closed, secular = site_rate_matrices(gen)
+            rates[k] = rate_matrices, closed
+            if secular:
+                solved[k] = _pauli_state(sum(rate_matrices), gen.spectrum.energies)
+        if solved[k] is None:
             runs.setdefault(gen.spectrum.sectors.tobytes(), []).append(k)
-        blocks = [local_me._eigen_blocks([gens[k] for k in members]) for members in runs.values()]
-    solutions = [None] * len(gens)
-    for members, eigen_blocks in zip(runs.values(), blocks):
-        group = [gens[k] for k in members]
-        energies = np.array([gen.spectrum.energies for gen in group])
-        x, res, _ = _block_states(energies, eigen_blocks,
-                                  group[0].spectrum.liouville_block_groups)
-        for k, sol in zip(members, _solutions(group, x, res)):
-            solutions[k] = sol
-    return solutions
-
-
-def _harmonic_solution(p: ModelParams) -> PointSolution:
-    """The PointSolution of one harmonic point; see solve_points."""
-    gen = _build_generators(p)
-    rate_matrices, closed, secular = site_rate_matrices(gen)
-    solved = None
-    if secular:
-        solved = _pauli_state(sum(rate_matrices), gen.spectrum.energies)
-    if solved is None:
-        solved = _block_states(gen.spectrum.energies[None], gen.eigen_blocks,
-                               gen.spectrum.liouville_block_groups,
-                               sum(rate_matrices) if closed else None)
-    return _solutions([gen], *solved, rate_matrices, closed)[0]
-
-
-def _solutions(gens, x, res, populations=None, rate_matrices=None, closed=None) -> list:
-    """The PointSolutions of gens from the stack x of their vec rho_eig and their residuals res."""
+    for members in runs.values():
+        states = _block_states([gens[k] for k in members], [rates[k] for k in members])
+        for k, state in zip(members, states):
+            solved[k] = state
+    x, res, populations = zip(*solved)
     for value in res:
         if not math.isfinite(value):
             raise NumericalConsistencyError(f"steady-state residual is not finite ({value})")
-    rho_eig = _finalize_state(x)
+    rho_eig = _finalize_state(np.array(x))
     V = np.array([gen.spectrum.vectors for gen in gens])
     rho = herm(V @ rho_eig @ V.conj().swapaxes(1, 2))
     return [
-        PointSolution(
-            params=gen.params,
-            generators=gen,
-            rho=rho[k],
-            rho_eig=rho_eig[k],
-            residual=res[k],
-            nullspace_dim=1,
-            populations=populations,
-            rate_matrices=rate_matrices,
-            population_closed=closed,
-        )
+        PointSolution(params=gen.params, generators=gen, rho=rho[k], rho_eig=rho_eig[k],
+                      residual=res[k], populations=populations[k],
+                      rate_matrices=rates[k][0], population_closed=rates[k][1])
         for k, gen in enumerate(gens)
     ]
 
 
 def _pauli_state(M: np.ndarray, energies: np.ndarray):
-    """(vec rho, residuals, populations) of a fully secular point, or None.
+    """(vec rho, residual, populations) of a fully secular point, or None.
 
     Certifies the generator with _pauli_scale and takes the populations of
     _gth_population; its residual is |M p| in extended precision. The
-    coherences of the state are exactly zero. vec rho is a stack of one
-    and residuals a list of one, as _block_states returns them. Returns
-    None, for the block solve, when the chain is reducible or the residual
-    is above the roundoff floor of the block solve.
+    coherences of the state are exactly zero. Returns None, for the block
+    solve, when the chain is reducible or the residual is above the
+    roundoff floor of the block solve.
     """
     sigma_max = _pauli_scale(M, energies)
     populations = _gth_population(M)
@@ -370,21 +342,27 @@ def _pauli_state(M: np.ndarray, energies: np.ndarray):
     res = float(np.linalg.norm((M @ populations).astype(float)))
     if res > _FLOOR * sigma_max:
         return None
-    return vec(np.diag(populations.astype(complex)))[None], [res], populations
+    return vec(np.diag(populations.astype(complex))), res, populations
 
 
-def _block_states(energies: np.ndarray, eigen_blocks, groups, M: np.ndarray = None):
-    """(vec rho, residuals, populations) of points that share one block layout.
+def _block_states(gens, rates):
+    """(vec rho, residual, populations) of each of points that share one block layout.
 
-    energies is the (N, d) stack of the points' spectra, eigen_blocks
-    holds one (N, n, n) stack of their Generators.eigen_blocks per index
-    stack of groups, their liouville_block_groups (for one point, its own
-    eigen_blocks), and vec rho comes as an (N, d * d) stack. M, the summed
-    rate matrix of a single harmonic point whose clusters are closed, and
-    None otherwise, offers the population state first; populations is
-    None unless it is taken.
+    gens are the points' Generators, of one bath model and one sector
+    order, and rates[k] is point k's (rate_matrices, population_closed).
+    A closed harmonic point's summed rate matrix offers its population
+    state first; populations is None unless that state is taken.
     """
-    count, d = energies.shape
+    count, d = len(gens), gens[0].spectrum.dim
+    groups = gens[0].spectrum.liouville_block_groups
+    energies = np.array([gen.spectrum.energies for gen in gens])
+    # as in Generators.eigen_blocks, whose blocks a harmonic point keeps;
+    # local ones are built as stacks over the points
+    with np.errstate(over="ignore", invalid="ignore"):
+        if gens[0].params.bath_model == BATH_HARMONIC:
+            eigen_blocks = [np.concatenate(b) for b in zip(*(gen.eigen_blocks for gen in gens))]
+        else:
+            eigen_blocks = local_me._eigen_blocks(gens)
     # each point's -i (E_a - E_b) at the vec position a + d b
     lam = (-1j * (energies[:, None, :] - energies[:, :, None])).reshape(count, -1)
     blocks = []
@@ -399,31 +377,35 @@ def _block_states(energies: np.ndarray, eigen_blocks, groups, M: np.ndarray = No
     # population, whose row the trace functional replaces
     on_diag = np.flatnonzero(index % (d + 1) == 0)
     # each block of a stack of k rows stands for itself and its k - 1 mirrors
-    sigma_max = _unique_null_scale(blocks, [g.shape[0] for g in groups], on_diag)
+    floor = _FLOOR * _unique_null_scale(blocks, [g.shape[0] for g in groups], on_diag)
     diag_ld = lam.take(index, axis=1)[:, :, None].astype(CLD)
     offdiag_ld = eigen_blocks[0].astype(CLD)
 
-    populations = gth = None
-    res_ref = math.inf  # residual of the population state, when there is one
-    if M is not None:
-        gth = _gth_population(M)
+    x = np.zeros((count, index.size, 1), dtype=complex)
+    res = [math.inf] * count  # residual of each population state, where there is one
+    populations = [None] * count
+    for k, (rate_matrices, closed) in enumerate(rates):
+        gth = _gth_population(sum(rate_matrices)) if closed else None
         if gth is not None:
-            x_ref = vec(np.diag(gth.astype(complex)))[None, index, None]
-            res_ref = _norms(_residual(diag_ld, offdiag_ld, x_ref))[0]
+            x[k] = vec(np.diag(gth.astype(complex)))[index, None]
+            res[k] = _norms(_residual(diag_ld[k:k + 1], offdiag_ld[k:k + 1], x[k:k + 1]))[0]
+            populations[k] = gth
     # the diagonal form is exact for closed clusters: at the roundoff floor
     # it needs no generic solve, and above it, it is used unless its
     # residual is materially worse than the generic solve's (which would
-    # mean the closure call was wrong)
-    # without M, res_ref is inf and the generic solve runs; M comes with a
-    # single point, whose floor this is
-    floor = _FLOOR * sigma_max[0]
-    if res_ref > floor:
-        x, res = _trace_one_state(blocks[0], on_diag, diag_ld, offdiag_ld)
-    if gth is not None and (res_ref <= floor or res_ref <= res[0]):
-        x, res, populations = x_ref, [res_ref], gth
+    # mean the closure call was wrong); without a population state, res is
+    # inf and the generic solve runs, on the stack of the points that need it
+    generic = [k for k in range(count) if res[k] > floor[k]]
+    if generic:
+        rows = slice(None) if len(generic) == count else generic  # views where it can
+        x_gen, res_gen = _trace_one_state(blocks[0][rows], on_diag, diag_ld[rows],
+                                          offdiag_ld[rows])
+        for k, xk, r in zip(generic, x_gen, res_gen):
+            if populations[k] is None or not res[k] <= r:
+                x[k], res[k], populations[k] = xk, r, None
     x_full = np.zeros((count, d * d), dtype=complex)
     x_full[:, index] = x[..., 0]
-    return x_full, res, populations
+    return list(zip(x_full, res, populations))
 
 
 def _gth_population(M: np.ndarray):

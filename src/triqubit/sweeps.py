@@ -11,7 +11,7 @@ seeded from (master_seed XOR index), so the drawn parameters depend only on
 the config, never on execution order. Point evaluations are pure, which
 makes the output byte-identical for any worker count.
 
-Repeated-interaction grid scans solve their points in chunks:
+Grid scans of either bath model solve their points in chunks:
 _evaluate_many gives each task a run of up to _GRID_CHUNK consecutive
 points, and steady_state.solve_points solves the points of a run that
 share a sector order as one stack, each with the bits it gets alone, so
@@ -395,13 +395,8 @@ def _combination_label(thermo: Optional[ThermoReport], epsilon: float) -> str:
 
 
 def _grid_records(cfg: GridScanConfig, workers: int) -> list:
-    """The records of the grid points of cfg, in chunks where solve_points stacks them.
-
-    It stacks repeated-interaction points only; a harmonic grid goes point
-    by point.
-    """
-    chunk = _GRID_CHUNK if cfg.bath_model == BATH_REPEATED_INTERACTION else 1
-    return _evaluate_many(_grid_points(cfg), cfg.epsilon, workers, chunk)
+    """The records of the grid points of cfg, in runs of up to _GRID_CHUNK that solve_points stacks."""
+    return _evaluate_many(_grid_points(cfg), cfg.epsilon, workers, _GRID_CHUNK)
 
 
 def valve_sweep(cfg: GridScanConfig, workers: int = 1) -> list:

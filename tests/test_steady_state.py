@@ -35,7 +35,13 @@ from triqubit.algebra import (
     vec,
     with_daggers,
 )
-from triqubit.errors import DegenerateSteadyStateError, DomainError, TriqubitError
+from triqubit.errors import (
+    ClusteringError,
+    DegenerateSteadyStateError,
+    DomainError,
+    TriqubitError,
+    ZeroModeWarning,
+)
 from triqubit.global_me import site_rate_matrices
 from triqubit.sweeps import GridScanConfig, SweepConfig, _grid_points, draw_params, random_sweep
 
@@ -202,22 +208,17 @@ def test_relaxation_time_needs_decay():
         relaxation_time(np.zeros((4, 4)))
 
 
+def _uniform_harmonic(b, j, gamma):
+    return ModelParams(B=(b, b, b), J=(j, j, j), Delta=(0.0, 0.0, 0.0), T=(1.0, 2.0, 3.0),
+                       gamma=(gamma, gamma, gamma), bath_model="harmonic")
+
+
 # unclosed harmonic points: equal fields and weak uniform exchange, from
-# nearly degenerate levels to well separated ones
+# nearly degenerate levels to well separated ones; b = j is refused below
 UNCLOSED_POINTS = [pytest.param(UNCLOSED_HARMONIC, id="UNCLOSED_HARMONIC")] + [
-    pytest.param(
-        ModelParams(B=(b, b, b), J=(j, j, j), Delta=(0.0, 0.0, 0.0), T=(1.0, 2.0, 3.0),
-                    gamma=(gamma, gamma, gamma), bath_model="harmonic"),
-        id=f"b{b}-j{j}-gamma{gamma}",
-        # at b = j some Bohr clusters hold transitions of both dm = +2 and
-        # dm = -2, which couple the magnetization-difference blocks that
-        # the block solve keeps apart: its state misses the evolution
-        # oracle's by 2.3e-4 in trace distance
-        marks=[pytest.mark.xfail(strict=True, raises=AssertionError,
-                                 reason="the block solve drops couplings between dm blocks")]
-        if b == j else [],
-    )
+    pytest.param(_uniform_harmonic(b, j, gamma), id=f"b{b}-j{j}-gamma{gamma}")
     for b in (1e-3, 1e-2, 0.1, 1.0, 3.0) for j in (1e-4, 1e-2) for gamma in (1e-7, 1e-5)
+    if b != j
 ]
 
 
@@ -227,9 +228,7 @@ def test_unclosed_harmonic_point_end_to_end(p):
     assert sol.population_closed is False
     assert sol.populations is None
     rec = evaluate_point(p)
-    # where b = j, levels of different magnetization cross, and the
-    # discarded zero-frequency part carries weight
-    assert rec.flags == (("warn:ZeroModeWarning",) if p.B == p.J else ())
+    assert rec.flags == ()
     Q = rec.thermo.Q
     q_max = max(abs(q) for q in Q)
     assert rec.thermo.first_law_residual < 1e-10 * q_max
@@ -250,6 +249,21 @@ def test_unclosed_harmonic_point_end_to_end(p):
     # error of trace distance 1e-8 moves a current by at most 1e-8 gamma ||H||
     q_tol = max(1e-6 * q_max, td * max(p.gamma) * float(np.linalg.norm(gen.H, 2)))
     assert max(abs(a - b) for a, b in zip(q_oracle, Q)) <= q_tol
+
+
+@pytest.mark.parametrize("gamma", [1e-7, 1e-5])
+def test_a_cluster_of_both_dm_signs_is_refused(gamma):
+    # at b = j, levels of different magnetization cross: some Bohr clusters
+    # hold transitions of both dm = +2 and dm = -2, which couple the
+    # magnetization-difference blocks that the block solve keeps apart
+    # (its state would miss the evolution oracle's by 2.3e-4 in trace
+    # distance), and the discarded zero-frequency part carries weight
+    p = _uniform_harmonic(1e-2, 1e-2, gamma)
+    with pytest.warns(ZeroModeWarning), pytest.raises(ClusteringError, match="dm = \\+2"):
+        solve_point(p)
+    rec = evaluate_point(p)
+    assert rec.flags == ("error:ClusteringError", "warn:ZeroModeWarning")
+    assert rec.thermo is None and rec.correlations is None and rec.residual is None
 
 
 def test_wrong_population_state_falls_back_to_the_full_solve(monkeypatch):
@@ -312,7 +326,7 @@ def _full_eigen_dissipators(gen):
 
 def _full_solve(p):
     """(rho, rho_eig, population route) from the 64 x 64 generator: full SVD, full solve."""
-    gen = steady_state._build_generators(p)
+    gen = steady_state._build_generators([p])[0]
     V = gen.spectrum.vectors
     lam = _eigen_coherent(gen)
     eigen = _full_eigen_dissipators(gen)
@@ -413,7 +427,7 @@ def test_each_minus_dm_block_mirrors_its_plus_dm_block(p):
     # instead of decomposing its -dm mirror; check the mirror identity on
     # the whole eigenbasis generator of the computational-basis dissipators,
     # a route that shares no block with the builders
-    gen = steady_state._build_generators(p)
+    gen = steady_state._build_generators([p])[0]
     V = gen.spectrum.vectors
     W = np.kron(V.conj(), V)
     L = np.diag(_eigen_coherent(gen)) + W.conj().T @ sum(gen.dissipators) @ W
@@ -434,7 +448,7 @@ def test_each_minus_dm_block_mirrors_its_plus_dm_block(p):
 def test_a_singular_off_diagonal_block_fails_the_certificate(monkeypatch, p):
     # the dm = 0 block alone still has a one-dimensional null space, so a
     # certificate that looked only there would pass this generator
-    gen = steady_state._build_generators(p)
+    gen = steady_state._build_generators([p])[0]
     # the first block of the second stack, dm = 2
     index, D = gen.spectrum.liouville_block_groups[1][0], gen.eigen_blocks[1][0]
     u, s, vh = np.linalg.svd(np.diag(_eigen_coherent(gen)[index]) + D)
@@ -445,7 +459,7 @@ def test_a_singular_off_diagonal_block_fails_the_certificate(monkeypatch, p):
     vars(singular)["eigen_blocks"] = tuple(blocks)  # the lazy attribute, already built
     # a harmonic solve reads its generators' blocks, a local one builds
     # them as stacks over its points
-    monkeypatch.setattr(steady_state, "_build_generators", lambda params: singular)
+    monkeypatch.setattr(steady_state, "_build_generators", lambda points: [singular])
     monkeypatch.setattr(local_me, "_eigen_blocks", lambda gens: tuple(blocks))
     with pytest.raises(DegenerateSteadyStateError):
         solve_point(p)

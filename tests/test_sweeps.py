@@ -386,9 +386,14 @@ def test_valve_sweep_labels_and_error_point():
 # --- grid scans in chunks: one stacked solve per sector order ---
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("config", ["boost", "valve"])
-def test_grid_csv_does_not_depend_on_the_chunk_size(tmp_path, monkeypatch, config, workers):
+@pytest.mark.parametrize("config, bath_model", [
+    ("boost", None), ("valve", None), ("valve", "harmonic"),
+], ids=["boost", "valve", "valve-harmonic"])
+def test_grid_csv_does_not_depend_on_the_chunk_size(tmp_path, monkeypatch, config, bath_model,
+                                                     workers):
     cfg = GridScanConfig(**json.loads((CONFIGS / f"{config}.json").read_text()))
+    if bath_model:
+        cfg = replace(cfg, bath_model=bath_model)
     driver, columns = {"boost": (boost_scan, BOOST_COLUMNS),
                        "valve": (valve_sweep, VALVE_COLUMNS)}[config]
     written = []
@@ -405,6 +410,36 @@ def _sector_order(p):
     return tuple(model.sector_spectrum(model.build_hamiltonian(p)).sectors.tolist())
 
 
+def _assert_solved_alone(run):
+    """solve_points(run) returns for each point the solution solve_point returns for it."""
+    for p, sol in zip(run, steady_state.solve_points(run), strict=True):
+        alone = solve_point(p)
+        assert np.array_equal(sol.rho, alone.rho)
+        assert np.array_equal(sol.rho_eig, alone.rho_eig)
+        assert sol.residual == alone.residual
+        assert np.array_equal(sol.populations, alone.populations)
+        assert sol.population_closed == alone.population_closed
+
+
+def _harmonic_run():
+    """Harmonic points of several sector orders: 40 fully secular, 40 closed, 8 unclosed."""
+    cfg = SweepConfig(**json.loads((CONFIGS / "global_scatter.json").read_text()))
+    secular = [draw_params(cfg, k) for k in range(40)]
+    # uncoupled, a site's flip is one cluster of four transitions that
+    # share no row or column: closed, not fully secular
+    closed = [replace(p, J=(0.0,) * 3, Delta=(0.0,) * 3) for p in secular]
+    unclosed = [ModelParams(B=(b,) * 3, J=(j,) * 3, Delta=(0.0,) * 3, T=(1.0, 2.0, 3.0),
+                            gamma=(1e-7,) * 3, bath_model="harmonic")
+                for b in (1e-3, 0.1, 1.0, 3.0) for j in (1e-4, 1e-2)]
+    run = [p for trio in itertools.zip_longest(secular, closed, unclosed) for p in trio if p]
+    kinds = [global_me.site_rate_matrices(steady_state._build_generators([p])[0])[1:]
+             for p in run]
+    assert {kind: kinds.count(kind) for kind in set(kinds)} == {
+        (True, True): 40, (True, False): 40, (False, False): 8}
+    assert len({_sector_order(p) for p in run}) > 1
+    return run
+
+
 def test_stacked_solves_keep_the_bits_of_one_point_solves():
     cfg = SweepConfig(**{**json.loads((CONFIGS / "local_scatter.json").read_text()),
                          "n_samples": 300})
@@ -415,12 +450,16 @@ def test_stacked_solves_keep_the_bits_of_one_point_solves():
     assert len(groups) > 1
     for group in groups.values():
         for start in range(0, len(group), 64):
-            run = group[start:start + 64]
-            for p, sol in zip(run, steady_state.solve_points(run), strict=True):
-                alone = solve_point(p)
-                assert np.array_equal(sol.rho, alone.rho)
-                assert np.array_equal(sol.rho_eig, alone.rho_eig)
-                assert sol.residual == alone.residual
+            _assert_solved_alone(group[start:start + 64])
+    # harmonic points go in one call, whatever their kind and sector order
+    _assert_solved_alone(_harmonic_run())
+
+
+def test_one_solve_takes_one_bath_model():
+    points = [draw_params(sample_cfg(), 0), global_point(B=(0.37, 0.61, 0.83))]
+    for run in (points, points[::-1]):
+        with pytest.raises(DomainError, match="one bath model"):
+            steady_state.solve_points(run)
 
 
 def _valve_chunk():
