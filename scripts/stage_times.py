@@ -14,8 +14,12 @@ spread rather than as a difference between them. Within a round each
 stage runs over all points on inputs prepared beforehand, the stages one
 after the other. Besides the solve, the stages of the sweeps module show:
 ``draw_params`` (random configs) or ``_grid_params`` (grid configs) per
-point; on grid configs, ``_evaluate_many`` per point, the chunk route
-that a grid scan takes on one worker; ``write_records`` per record and,
+point; on grid configs, ``_chunk_records`` per point, the report half
+of the chunk route (each report kind one stacked pass over a run of the
+grid's chunk size, from solutions prepared beforehand), next to the
+one-point ``thermo_report`` and ``correlation_report``, and
+``_evaluate_many`` per point, the whole chunk route that a grid scan
+takes on one worker; ``write_records`` per record and,
 on a grid with a refrigerator window, the boost scan's ``_locate_edge``
 per scan, each round from a fresh copy of the grid's solved map. A
 comment line after the table gives the number of new solves that search
@@ -40,6 +44,7 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import inspect  # noqa: E402
 import json  # noqa: E402
+import math  # noqa: E402
 import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
@@ -100,6 +105,16 @@ def _stages(cfg, indices, all_points, out_dir):
         ("sweeps.evaluate_point", sweeps.evaluate_point, [(p, epsilon) for p in points]),
     ]
     stages = [(name, _calling(fn, args), len(args)) for name, fn, args in calls]
+    if grid and hasattr(sweeps, "_chunk_records"):
+        # the report half of the chunk route, next to the one-point reports:
+        # the runs one worker gets, each from its solutions in hand
+        runs = math.ceil(len(points) / sweeps._GRID_CHUNK)
+        size = math.ceil(len(points) / runs)
+        chunks = [points[start:start + size] for start in range(0, len(points), size)]
+        reported = [(chunk, steady_state.solve_points(chunk), epsilon) for chunk in chunks]
+        at = [name for name, _, _ in stages].index("correlations.correlation_report") + 1
+        stages.insert(at, ("sweeps._chunk_records", _calling(sweeps._chunk_records, reported),
+                           len(points)))
     if grid and hasattr(sweeps, "_GRID_CHUNK"):
         # the grid's chunk route, serial: the traced benchmark cannot see
         # it, because it runs in the pool's workers

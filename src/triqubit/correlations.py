@@ -145,12 +145,13 @@ class CorrelationReport:
 def _reduction_gathers() -> tuple:
     """Read-only indices into rho.ravel() of every reduction correlation_report takes.
 
-    Returns (pairs, sites, cuts). pairs[k, a, c] lists the entries of rho
-    whose sum is partial_trace(rho, PAIRS[k])[a, c], one per value of the
-    traced site; sites[k] does the same for the one-site reduction of site
-    k + 1, the two traced sites' values with the later site running
-    fastest; cuts[k] is partial_transpose(rho, k + 1). Each comes from
-    reshuffling the positions of rho themselves.
+    Returns (pairs, sites, cuts). pairs[:, k, a, c] lists the entries of
+    rho whose sum is partial_trace(rho, PAIRS[k])[a, c], one per value of
+    the traced site; sites[:, k] does the same for the one-site reduction
+    of site k + 1, the two traced sites' values with the later site
+    running fastest; cuts[k] is partial_transpose(rho, k + 1). Each comes
+    from reshuffling the positions of rho themselves. The traced values
+    lead, so that each term of a sum is one contiguous block of a gather.
     """
     n = N_SITES
     positions = np.arange(4**n).reshape((2,) * (2 * n))  # row bits, then column bits
@@ -161,10 +162,11 @@ def _reduction_gathers() -> tuple:
         axes += [s - 1 for s in gone] + [n + s - 1 for s in gone]
         d, m = 2 ** len(keep), 2 ** len(gone)
         # kept row, kept column, then the traced row and column, equal
-        return positions.transpose(axes).reshape(d, d, m, m).diagonal(axis1=2, axis2=3)
+        terms = positions.transpose(axes).reshape(d, d, m, m).diagonal(axis1=2, axis2=3)
+        return np.moveaxis(terms, -1, 0)
 
-    pairs = np.stack([traced(pair) for pair in PAIRS])
-    sites = np.stack([traced((site,)) for site in SITES])
+    pairs = np.stack([traced(pair) for pair in PAIRS], axis=1)
+    sites = np.stack([traced((site,)) for site in SITES], axis=1)
     cuts = np.stack([positions.swapaxes(site - 1, n + site - 1).reshape(2**n, 2**n)
                      for site in SITES])
     for arr in (pairs, sites, cuts):
@@ -173,60 +175,71 @@ def _reduction_gathers() -> tuple:
 
 
 def _traced_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum over the last axis from +0.0, left to right, as np.einsum sums a trace."""
+    """Sum over axis 1 of an (N, m, ...) gather from +0.0, in order, as np.einsum sums a trace."""
     out = 0.0
-    for k in range(terms.shape[-1]):
-        out = out + terms[..., k]
+    for k in range(terms.shape[1]):
+        out = out + terms[:, k]
     return out
 
 
 def correlation_report(rho: np.ndarray, params: ModelParams) -> CorrelationReport:
     """Assemble every pairwise metric; bounds use the current implied by r23.
 
-    The bound's current is reconstructed from the state itself as
-    C = 8 J Im(r23), so the report stays meaningful for both bath models.
-    Pairs with J = 0 carry no current and get a zero bound. The three pair
-    reductions, the three single-site reductions and the three partial
-    transposes are each one gather of rho.ravel() at the cached indices of
-    _reduction_gathers, and each kind goes through one eigvalsh call. The
-    X-form residual is np.linalg.norm's own sqrt(x.real . x.real + x.imag .
-    x.imag), as dot products of the three pairs at once. Every number is
-    bitwise equal to mutual_information, x_state_analysis and ppt_check.
+    A stack of one of _correlation_reports. The bound's current is
+    reconstructed from the state itself as C = 8 J Im(r23), so the report
+    stays meaningful for both bath models. Pairs with J = 0 carry no
+    current and get a zero bound. Every number is bitwise equal to
+    mutual_information, x_state_analysis and ppt_check.
     """
-    if rho.shape != (2**N_SITES, 2**N_SITES):
-        raise DomainError(f"expected a {N_SITES}-qubit state, got shape {rho.shape}")
+    return _correlation_reports(rho[None], (params,))[0]
+
+
+def _correlation_reports(rhos: np.ndarray, params) -> list:
+    """The CorrelationReport of each state of an (N, 8, 8) stack rhos, params[k] that of rhos[k].
+
+    The three pair reductions, the three single-site reductions and the
+    three partial transposes of every state are each one gather of the
+    flattened stack at the cached indices of _reduction_gathers, and each
+    kind goes through one eigvalsh call. The X-form residual is
+    np.linalg.norm's own sqrt(x.real . x.real + x.imag . x.imag), as dot
+    products of all the pairs at once. The bounds and the PPT verdicts are
+    taken point by point. Every number is the one correlation_report gives
+    for that state alone.
+    """
+    if rhos.shape[1:] != (2**N_SITES, 2**N_SITES):
+        raise DomainError(f"expected a {N_SITES}-qubit state, got shape {rhos.shape[1:]}")
     pair_index, site_index, cut_index = _reduction_gathers()
-    flat = rho.ravel()
-    pairs = _traced_sum(flat[pair_index])
-    s_pair = _entropies(pairs)
-    s_site = _entropies(_traced_sum(flat[site_index]))
-    lam_min = np.linalg.eigvalsh(flat[cut_index]).min(axis=1)
-    checks = [_ppt_verdict(float(lam)) for lam in lam_min]
+    flat = rhos.reshape(len(rhos), -1)
+    pairs = _traced_sum(flat.take(pair_index, axis=1))
+    s_pair = _entropies(pairs).tolist()
+    s_site = _entropies(_traced_sum(flat.take(site_index, axis=1))).tolist()
+    lam_min = np.linalg.eigvalsh(flat.take(cut_index, axis=1)).min(axis=2).tolist()
     hermitian = herm(pairs)
-    # (3, 1, 10) rows against (3, 10, 1) columns: one dot product per pair
-    outside = hermitian[:, ~_X_PATTERN][:, None, :]
+    # (N, 3, 1, 10) rows against (N, 3, 10, 1) columns: one dot product per pair
+    outside = hermitian[:, :, None, ~_X_PATTERN]
     re, im = outside.real, outside.imag
-    residual = np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2)).ravel()
-    mi = {}
-    residuals = {}
-    bounds = {}
-    r23s = {}
-    for k, (i, j) in enumerate(PAIRS):
-        r23 = hermitian[k, 1, 2]
-        residuals[(i, j)] = float(residual[k])
-        r23s[(i, j)] = complex(r23)
-        mi[(i, j)] = float(s_site[i - 1]) + float(s_site[j - 1]) - float(s_pair[k])
-        J = params.pair_value("J", i, j)
-        if J > 0.0:
-            implied_current = 8.0 * J * float(r23.imag)
-            bounds[(i, j)] = mi_lower_bound(implied_current, J)
-        else:
-            bounds[(i, j)] = 0.0
-    return CorrelationReport(
-        I=mi,
-        x_form_residual=residuals,
-        mi_bound=bounds,
-        r23=r23s,
-        ppt_negative=tuple(c.is_negative for c in checks),
-        ppt_min_eigenvalues=tuple(c.min_eigenvalue for c in checks),
-    )
+    residual = np.sqrt(re @ re.swapaxes(2, 3) + im @ im.swapaxes(2, 3)).reshape(-1, 3).tolist()
+    r23 = hermitian[:, :, 1, 2].tolist()
+    reports = []
+    for p, s_pair_k, s_site_k, lam_k, residual_k, r23_k in zip(
+            params, s_pair, s_site, lam_min, residual, r23):
+        checks = [_ppt_verdict(lam) for lam in lam_k]
+        mi = {}
+        bounds = {}
+        for k, (i, j) in enumerate(PAIRS):
+            mi[(i, j)] = s_site_k[i - 1] + s_site_k[j - 1] - s_pair_k[k]
+            J = p.pair_value("J", i, j)
+            if J > 0.0:
+                implied_current = 8.0 * J * r23_k[k].imag
+                bounds[(i, j)] = mi_lower_bound(implied_current, J)
+            else:
+                bounds[(i, j)] = 0.0
+        reports.append(CorrelationReport(
+            I=mi,
+            x_form_residual=dict(zip(PAIRS, residual_k)),
+            mi_bound=bounds,
+            r23=dict(zip(PAIRS, r23_k)),
+            ppt_negative=tuple(c.is_negative for c in checks),
+            ppt_min_eigenvalues=tuple(c.min_eigenvalue for c in checks),
+        ))
+    return reports

@@ -56,6 +56,8 @@ from .model import (
 
 # the interqubit currents C_{j,i}, keyed (from_site, to_site)
 FLOWS = ((2, 1), (3, 1), (3, 2))
+# what _current_sets checks, in the order of its seven traces
+_TRACE_NAMES = tuple(f"q_{s}" for s in SITES) + tuple(f"Q_{s}" for s in SITES) + ("work power",)
 
 
 def local_rates(p: ModelParams) -> tuple:
@@ -68,11 +70,6 @@ def local_rates(p: ModelParams) -> tuple:
             )
         rates.append(thermal_rates(site, (2.0 * b,), gamma, T))
     return tuple(rates)
-
-
-def _site_axis_rates(rates: tuple) -> np.ndarray:
-    """(down, up) of local_rates' rows, each a (3, 1, 1) array over the site axis."""
-    return np.array(rates)[..., None].swapaxes(0, 1)
 
 
 @lru_cache(maxsize=None)
@@ -99,16 +96,18 @@ def _pair_flow_observable(j: int, i: int) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _site_stacks() -> tuple:
-    """Read-only (sz, flows, flow_norms) of the three sites and the three flows.
+    """Read-only (sz, sz_norms, flows, flow_norms) of the three sites and the three flows.
 
     sz stacks sigma_z^i over the sites, flows the _pair_flow_observable of
-    FLOWS, and flow_norms holds their Frobenius norms.
+    FLOWS; sz_norms and flow_norms hold their Frobenius norms, as
+    _current_sets and np.linalg.norm(f, "fro") take them.
     """
     sz = np.stack([_site_matrices(s)[4] for s in SITES])
     flows = np.stack([_pair_flow_observable(j, i) for j, i in FLOWS])
     for arr in (sz, flows):
         arr.setflags(write=False)
-    return sz, flows, tuple(np.linalg.norm(f, "fro") for f in flows)
+    sz_norms = np.linalg.norm(sz, axis=(1, 2)).tolist()
+    return sz, sz_norms, flows, tuple(np.linalg.norm(f, "fro") for f in flows)
 
 
 @lru_cache(maxsize=None)
@@ -141,41 +140,48 @@ def _unit_dissipators() -> tuple:
 def _flip_gathers() -> tuple:
     """Read-only index and mask stacks that apply D[sigma_-^i] and D[sigma_+^i] by gathers.
 
-    Returns (flip, jump, left, right). flip[i] maps each basis state to the
-    one with site i + 1 flipped. jump[0, i] marks the entries (a, c) where
-    both states have that site down, jump[1, i] where both have it up;
-    left[k, i] and right[k, i] mark the rows and the columns of the states
-    with the site up (k = 0) or down (k = 1). So sigma_-^i X sigma_+^i and
-    sigma_+^i X sigma_-^i are X[flip[i]][:, flip[i]] masked by jump[0, i]
-    and jump[1, i], and sigma_+^i sigma_-^i X + X sigma_+^i sigma_-^i is X
-    masked by left[0, i] plus X masked by right[0, i].
+    Returns (flip, jump, left, right). flip[i, a, c] is the position in
+    X.ravel() of X[a', c'], a' and c' the basis states a and c with site
+    i + 1 flipped. jump[0, 0, i] marks the entries (a, c) where both states
+    have that site down, jump[1, 0, i] where both have it up; left[k, 0, i]
+    and right[k, 0, i] mark the rows and the columns of the states with the
+    site up (k = 0) or down (k = 1). So sigma_-^i X sigma_+^i and
+    sigma_+^i X sigma_-^i are X.ravel()[flip[i]] masked by jump[0, 0, i]
+    and jump[1, 0, i], and sigma_+^i sigma_-^i X + X sigma_+^i sigma_-^i is
+    X masked by left[0, 0, i] plus X masked by right[0, 0, i]. The unit
+    axis of the masks takes a stack of states.
     """
     states = np.arange(2**N_SITES)
     bits = np.array([1 << (N_SITES - site) for site in SITES])[:, None]
-    flip = states ^ bits
+    flipped = states ^ bits
     is_down = (states & bits) != 0
-    spins = np.stack([is_down, ~is_down])
-    arrays = (flip, spins[:, :, :, None] & spins[:, :, None, :],
-              ~spins[:, :, :, None], ~spins[:, :, None, :])
+    spins = np.stack([is_down, ~is_down])[:, None]
+    arrays = (flipped[:, :, None] * states.size + flipped[:, None, :],
+              spins[..., :, None] & spins[..., None, :],
+              ~spins[..., :, None], ~spins[..., None, :])
     for arr in arrays:
         arr.setflags(write=False)
     return arrays
 
 
-def _dissipator_actions(rates: tuple, rho: np.ndarray) -> np.ndarray:
-    """D_i[rho] of the three sites at local_rates' rows, as a (3, 8, 8) clongdouble stack.
+def _dissipator_actions(rates, rhos: np.ndarray) -> np.ndarray:
+    """D_i[rho] of the three sites of each state of an (N, 8, 8) stack, as (N, 3, 8, 8) clongdouble.
 
-    Every product with a 0/1 Pauli matrix only picks or masks entries of
-    rho, so it is a gather here. It keeps the bits of the matrix products
-    of _dissipator_action, whose sums start at +0 and so turn a -0 entry
-    into +0; the + 0.0 does the same.
+    rates[k] holds local_rates' rows of rhos[k]. Every product with a 0/1
+    Pauli matrix only picks or masks entries of rho, so it is a gather
+    here. It keeps the bits of the matrix products of _dissipator_action,
+    whose sums start at +0 and so turn a -0 entry into +0; the + 0.0 does
+    the same.
     """
     flip, jump, left, right = _flip_gathers()
-    r = rho.astype(CLD) + 0.0
-    jumped = np.where(jump, r[flip[:, :, None], flip[:, None, :]], 0)
-    anti = np.where(left, r, 0) + np.where(right, r, 0)
+    r = rhos.astype(CLD) + 0.0
+    # (2, N, 3, 8, 8): the sigma_- and the sigma_+ terms of each state and site
+    jumped = np.where(jump, r.reshape(len(r), -1).take(flip, axis=1), 0)
+    anti = r[:, None]
+    anti = np.where(left, anti, 0) + np.where(right, anti, 0)
     lowered, raised = jumped - 0.5 * anti
-    down, up = _site_axis_rates(rates)
+    # (2, N, 3, 1, 1): down and up rates of each point and site
+    down, up = np.asarray(rates)[..., None].transpose(2, 0, 1, 3, 4)
     return down * lowered + up * raised
 
 
@@ -214,36 +220,63 @@ class CurrentSet:
 
 
 def local_current_set(rho_ss: np.ndarray, gen: Generators) -> CurrentSet:
-    """Currents and work power of one steady state, sharing dissipator work.
+    """Currents and work power of one steady state; a stack of one of _current_sets.
 
     gen is the point's build_local_generators record, whose H_int and bath
-    rates (jump_rates) the currents reuse. The three site actions, the
-    seven traces behind q, Q and W, and the three interqubit expectations
-    are each one stacked computation; every value is bitwise equal to the
-    one-site-at-a-time route of local_heat_current and of the tests'
+    rates (jump_rates) the currents reuse. Every value is bitwise equal to
+    the one-site-at-a-time route of local_heat_current and of the tests'
     interqubit_current oracle.
     """
-    p, H_int = gen.params, gen.H_int
-    if p.bath_model != "repeated_interaction":
-        raise DomainError("local_current_set applies to the repeated_interaction model")
-    actions = _dissipator_actions(gen.jump_rates, rho_ss)
-    sz, flows, flow_norms = _site_stacks()
+    return _current_sets(rho_ss[None], (gen,))[0]
+
+
+def _current_sets(rhos: np.ndarray, gens) -> list:
+    """The CurrentSet of each state of an (N, 8, 8) stack rhos, gens[k] the generators of rhos[k].
+
+    The site actions, the seven traces behind q, Q and W, their scales,
+    the norms of the states and the three interqubit expectations are each
+    one computation over the stack; checked_real checks each value of each
+    point. Every value is the one local_current_set gives for that point
+    alone.
+    """
+    for gen in gens:
+        if gen.params.bath_model != "repeated_interaction":
+            raise DomainError("local_current_set applies to the repeated_interaction model")
+    n = len(gens)
+    actions = _dissipator_actions([gen.jump_rates for gen in gens], rhos)
+    sz, sz_norms, flows, flow_norms = _site_stacks()
     # observables q_1..3, Q_1..3, W against the actions they trace
-    obs = np.concatenate([sz, np.array(p.B)[:, None, None] * sz, H_int[None]])
-    mats = np.concatenate([actions, actions, (actions[0] + actions[1] + actions[2])[None]])
-    traces = (obs.astype(CLD) * mats.swapaxes(1, 2)).reshape(len(obs), -1).sum(axis=1)
-    scales = np.linalg.norm(obs, axis=(1, 2)) * np.linalg.norm(mats, axis=(1, 2)).astype(float)
-    names = [f"q_{s}" for s in SITES] + [f"Q_{s}" for s in SITES] + ["work power"]
-    values = [checked_real(complex(t), float(sc), name)
-              for t, sc, name in zip(traces, scales, names)]
-    expect = np.trace(flows @ rho_ss, axis1=1, axis2=2)
-    rho_norm = np.linalg.norm(rho_ss, "fro")
-    c = {
-        (j, i): 2.0 * p.pair_value("J", i, j)
-        * checked_real(complex(e), float(norm * rho_norm), "expectation")
-        for (j, i), e, norm in zip(FLOWS, expect, flow_norms)
-    }
-    return CurrentSet(Q=tuple(values[3:6]), W=values[6], q=tuple(values[:3]), C=c)
+    obs = np.empty((n, 7, 8, 8), dtype=complex)
+    obs[:, :3] = sz
+    obs[:, 3:6] = np.array([gen.params.B for gen in gens])[:, :, None, None] * sz
+    for k, gen in enumerate(gens):
+        obs[k, 6] = gen.H_int
+    mats = np.empty((n, 7, 8, 8), dtype=CLD)
+    mats[:, :3] = mats[:, 3:6] = actions
+    mats[:, 6] = actions[:, 0] + actions[:, 1] + actions[:, 2]
+    traces = (obs.astype(CLD) * mats.swapaxes(2, 3)).reshape(n, 7, -1).sum(axis=2)
+    # each scale the product of the two factors' Frobenius norms; q_i and
+    # Q_i share their action's
+    obs_norms = np.linalg.norm(obs[:, 3:], axis=(2, 3)).tolist()
+    mat_norms = np.linalg.norm(mats[:, 3:], axis=(2, 3)).astype(float).tolist()
+    expect = np.trace(flows @ rhos[:, None], axis1=2, axis2=3).tolist()
+    # np.linalg.norm(rho, "fro")'s own sqrt(x.real . x.real + x.imag . x.imag)
+    # of (1, 64) rows against (64, 1) columns
+    flat = rhos.reshape(n, 1, -1)
+    re, im = flat.real, flat.imag
+    rho_norms = np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2)).ravel()
+    sets = []
+    for gen, trace, obs_n, mat_n, e, rho_norm in zip(
+            gens, traces.astype(complex).tolist(), obs_norms, mat_norms, expect, rho_norms):
+        scales = [a * b for a, b in zip(sz_norms + obs_n, mat_n[:3] + mat_n)]
+        values = [checked_real(t, sc, name) for t, sc, name in zip(trace, scales, _TRACE_NAMES)]
+        c = {
+            (j, i): 2.0 * gen.params.pair_value("J", i, j)
+            * checked_real(e_ji, float(norm * rho_norm), "expectation")
+            for (j, i), e_ji, norm in zip(FLOWS, e, flow_norms)
+        }
+        sets.append(CurrentSet(Q=tuple(values[3:6]), W=values[6], q=tuple(values[:3]), C=c))
+    return sets
 
 
 # int16 keeps each entry, one per ordering of the labels, to a few KiB

@@ -295,6 +295,8 @@ def solve_points(points) -> list:
 
 
 def _solve_points(points) -> list:
+    if not points:
+        return []
     gens = _build_generators(points)
     rates = [(None, None)] * len(gens)  # (rate_matrices, population_closed) of each point
     solved = [None] * len(gens)  # (vec rho_eig, residual, populations) of each point

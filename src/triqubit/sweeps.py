@@ -15,9 +15,11 @@ Grid scans of either bath model solve their points in chunks:
 _evaluate_many gives each task a run of up to _GRID_CHUNK consecutive
 points, and steady_state.solve_points solves the points of a run that
 share a sector order as one stack, each with the bits it gets alone, so
-the output does not depend on the chunk size either. The thermo and
-correlation reports stay per point. A run whose stacked solve raises or
-warns is redone point by point, so that each failure and warning lands
+the output does not depend on the chunk size either. The currents and
+correlations of a run are then taken as (N, ...) stacks as well, with
+the same bits. A run whose stacked solve raises or warns is redone point
+by point; a run whose stacked reports raise or warn has each record
+rebuilt on its own from its solution. So each failure and warning lands
 on its own index. Random sweeps stay one evaluate_point call per point,
 because the benchmark's tracer counts a point as one such call (ROADMAP
 item 1).
@@ -35,7 +37,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .correlations import CorrelationReport, correlation_report
+from .correlations import CorrelationReport, _correlation_reports, correlation_report
 from .errors import DomainError, TriqubitError
 from .model import (
     BATH_HARMONIC,
@@ -47,7 +49,9 @@ from .model import (
     as_reals,
 )
 from .steady_state import solve_point, solve_points
-from .thermo import DEFAULT_EPSILON, Regime, ThermoReport, checked_epsilon, thermo_report
+from .thermo import (
+    DEFAULT_EPSILON, Regime, ThermoReport, _thermo_reports, checked_epsilon, thermo_report,
+)
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -283,8 +287,8 @@ def _record(params: ModelParams, epsilon: float, sol=None) -> SweepRecord:
 def _stacked_records(points: Sequence, epsilon: float) -> Optional[list]:
     """The records of points from one solve_points call, or None if that call raised or warned.
 
-    The reports of each point are built as evaluate_point builds them, so
-    their failures and warnings land on their own record.
+    The reports of the run are built from the solutions by _chunk_records,
+    as stacks; a failure or a warning there costs no new solve.
     """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -294,7 +298,28 @@ def _stacked_records(points: Sequence, epsilon: float) -> Optional[list]:
             return None
     if caught:
         return None
-    return [_record(params, epsilon, sol) for params, sol in zip(points, sols)]
+    return _chunk_records(points, sols, epsilon)
+
+
+def _chunk_records(points: Sequence, sols: Sequence, epsilon: float) -> list:
+    """The records of points from their solutions sols, each report kind one stacked pass.
+
+    If a stacked report raises or warns, every record is rebuilt on its
+    own from its solution, as evaluate_point builds it, so that each
+    failure and warning lands on its own record.
+    """
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            thermos = _thermo_reports(sols, epsilon)
+            reports = _correlation_reports(np.array([sol.rho for sol in sols]), points)
+        stacked = not caught
+    except Exception:  # any failure: each record is rebuilt on its own
+        stacked = False
+    if not stacked:
+        return [_record(params, epsilon, sol) for params, sol in zip(points, sols)]
+    return [SweepRecord(0, params, thermo, correlations, sol.residual, ())
+            for params, sol, thermo, correlations in zip(points, sols, thermos, reports)]
 
 
 def _evaluate_chunk(task) -> list:
@@ -322,11 +347,13 @@ def _evaluate_many(points: Sequence, epsilon: float, workers: int, chunk: int = 
     even a size as they can be. A run of one point is one evaluate_point
     call; random sweeps pass chunk 1, for the benchmark's tracer counts a
     point as one evaluate_point call. A longer run is one solve_points
-    call, which stacks the points that share a sector order; if that call
+    call, which stacks the points that share a sector order, and one
+    stacked pass of each report kind (_chunk_records). If the solve
     raises or warns, the run is redone point by point through
-    evaluate_point, so that every failure and warning lands on its own
-    index. A record does not depend on the run it is in: each stacked
-    step returns the bits of the point alone.
+    evaluate_point; if a stacked report does, each record is rebuilt from
+    its solution. So every failure and warning lands on its own index. A
+    record does not depend on the run it is in: each stacked step returns
+    the bits of the point alone.
 
     The pool gets no more processes than there are points or usable CPUs:
     a forked pool starts all of its processes at the first submit.

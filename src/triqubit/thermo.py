@@ -23,7 +23,7 @@ import numpy as np
 from .algebra import checked_real
 from .errors import DomainError, ImpossibleCurrentsError, NumericalConsistencyError
 from .global_me import _heat_generators
-from .local_me import CurrentSet, local_current_set
+from .local_me import CurrentSet, _current_sets, local_current_set
 from .model import BATH_HARMONIC, PAIRS, ModelParams, as_number
 from .steady_state import PointSolution
 
@@ -337,16 +337,37 @@ def thermo_report(sol: PointSolution, epsilon: float = DEFAULT_EPSILON) -> Therm
     invariant_violations the currents break, before the regime is read off
     their signs.
     """
+    currents = None
+    if sol.params.bath_model != BATH_HARMONIC:
+        currents = local_current_set(sol.rho, sol.generators)
+    return _thermo_report(sol, currents, epsilon)
+
+
+def _thermo_reports(sols, epsilon: float) -> list:
+    """thermo_report of each of sols, which share one bath model, in order.
+
+    The local currents of all of them are one _current_sets stack; the
+    bookkeeping on them is made per point.
+    """
+    if sols[0].params.bath_model == BATH_HARMONIC:
+        currents = [None] * len(sols)
+    else:
+        currents = _current_sets(np.array([sol.rho for sol in sols]),
+                                 [sol.generators for sol in sols])
+    return [_thermo_report(sol, cs, epsilon) for sol, cs in zip(sols, currents)]
+
+
+def _thermo_report(sol: PointSolution, currents: Optional[CurrentSet],
+                   epsilon: float) -> ThermoReport:
+    """thermo_report of sol, whose local currents are given (None on the harmonic model)."""
     p = sol.params
-    if p.bath_model == BATH_HARMONIC:
+    if currents is None:
         Q = _harmonic_heat_currents(sol)
         W = 0.0  # the harmonic generator exchanges no work by construction
-        currents = None
         submachines = None
         first_law = abs(math.fsum(Q))
         mag_residual = None
     else:
-        currents = local_current_set(sol.rho, sol.generators)
         Q = currents.Q
         W = currents.W
         submachines = submachine_report(currents, p.B, p.T, epsilon)

@@ -270,14 +270,14 @@ def test_gathered_reductions_keep_the_bits_of_partial_trace():
         parts[rng.random((2, 8, 8)) < 0.3] = -0.0
         rho = np.empty((8, 8), dtype=complex)
         rho.real, rho.imag = parts  # keeps the signs of the zeros
-        flat = rho.ravel()
-        pairs = correlations._traced_sum(flat[pair_index])
-        sites = correlations._traced_sum(flat[site_index])
+        flat = rho.reshape(1, -1)
+        pairs = correlations._traced_sum(flat[:, pair_index])[0]
+        sites = correlations._traced_sum(flat[:, site_index])[0]
         for k, pair in enumerate(PAIRS):
             assert_same_bits(pairs[k], partial_trace(rho, pair))
         for k, site in enumerate(SITES):
             assert_same_bits(sites[k], partial_trace(rho, (site,)))
-            assert_same_bits(flat[cut_index[k]], partial_transpose(rho, site))
+            assert_same_bits(flat[0, cut_index[k]], partial_transpose(rho, site))
 
 
 def test_zero_eigenvalues_raise_no_warning():

@@ -275,6 +275,6 @@ def test_gathered_dissipator_actions_keep_the_bits_of_the_matrix_products(p):
     rho = solve_point(p).rho
     rates = local_me.local_rates(p)
     for state in (rho, -rho, rho.conj(), 0.0 * rho, -0.0 * rho):
-        got = local_me._dissipator_actions(rates, state)
+        got = local_me._dissipator_actions([rates], state[None])
         for s in (1, 2, 3):
-            assert_same_bits(got[s - 1], local_me._dissipator_action(p, s, state))
+            assert_same_bits(got[0, s - 1], local_me._dissipator_action(p, s, state))

@@ -67,8 +67,8 @@ def test_boost_grid_times_the_edge_search_and_counts_its_solves(tmp_path):
     rows = [line.split() for line in out[2:-1]]
     assert [row[0] for row in rows] == (
         ["sweeps._grid_params", "model.build_hamiltonian", "model.sector_spectrum",
-         "local_me.build_local_generators"] + COMMON[:-1]
-        + ["sweeps._evaluate_many", "sweeps.write_records", "sweeps._locate_edge"])
+         "local_me.build_local_generators"] + COMMON[:3] + ["sweeps._chunk_records"]
+        + COMMON[3:-1] + ["sweeps._evaluate_many", "sweeps.write_records", "sweeps._locate_edge"])
     for _, low, mid in rows:
         assert 0.0 < float(low) <= float(mid)
     assert out[-1].startswith("# root 0: sweeps._locate_edge makes ")

@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from triqubit import (
-    DegenerateSteadyStateError, DomainError, ModelParams, algebra, global_me, local_me, model,
-    solve_point, steady_state, sweeps,
+    DegenerateSteadyStateError, DomainError, ModelParams, algebra, correlations, global_me,
+    local_me, model, solve_point, steady_state, sweeps, thermo,
 )
 from triqubit.sweeps import (
     BASE_COLUMNS,
@@ -455,6 +455,43 @@ def test_stacked_solves_keep_the_bits_of_one_point_solves():
     _assert_solved_alone(_harmonic_run())
 
 
+def _assert_reported_alone(run, epsilon=DEFAULT_EPSILON):
+    """The stacked reports of run's solutions are field by field those of each point alone."""
+    sols = steady_state.solve_points(run)
+    rhos = np.array([sol.rho for sol in sols])
+    pairs = [(correlations._correlation_reports(rhos, run),
+              [correlations.correlation_report(sol.rho, p) for p, sol in zip(run, sols)]),
+             (thermo._thermo_reports(sols, epsilon),
+              [thermo.thermo_report(sol, epsilon) for sol in sols])]
+    if run[0].bath_model == "repeated_interaction":
+        pairs.append((local_me._current_sets(rhos, [sol.generators for sol in sols]),
+                      [local_me.local_current_set(sol.rho, sol.generators) for sol in sols]))
+    for stacked, alone in pairs:
+        assert len(stacked) == len(run)
+        # repr spells every float to its last bit, signed zeros included
+        assert [repr(r) for r in stacked] == [repr(r) for r in alone]
+
+
+def test_stacked_reports_keep_the_bits_of_one_point_reports():
+    cfg = SweepConfig(**{**json.loads((CONFIGS / "local_scatter.json").read_text()),
+                         "n_samples": 300})
+    groups = {}
+    for p in (draw_params(cfg, k) for k in range(cfg.n_samples)):
+        groups.setdefault(_sector_order(p), []).append(p)
+    assert len(groups) > 1
+    for group in groups.values():
+        for start in range(0, len(group), 64):
+            _assert_reported_alone(group[start:start + 64])
+    boost = GridScanConfig(**json.loads((CONFIGS / "boost.json").read_text()))
+    _assert_reported_alone(sweeps._grid_points(boost), boost.epsilon)
+    valve = GridScanConfig(**json.loads((CONFIGS / "valve.json").read_text()))
+    _assert_reported_alone(sweeps._grid_points(replace(valve, bath_model="harmonic")))
+
+
+def test_solve_points_of_no_points_is_empty():
+    assert steady_state.solve_points([]) == []
+
+
 def test_one_solve_takes_one_bath_model():
     points = [draw_params(sample_cfg(), 0), global_point(B=(0.37, 0.61, 0.83))]
     for run in (points, points[::-1]):
@@ -475,7 +512,9 @@ def _valve_chunk():
 def test_a_chunk_of_two_sector_orders_is_solved_stacked(monkeypatch):
     cfg, points = _valve_chunk()
     alone = [replace(evaluate_point(p, cfg.epsilon), index=k) for k, p in enumerate(points)]
-    monkeypatch.setattr(sweeps, "solve_point", None)  # no point is solved on its own
+    # no point is solved or reported on its own
+    for name in ("solve_point", "thermo_report", "correlation_report"):
+        monkeypatch.setattr(sweeps, name, None)
     records = sweeps._evaluate_many(points, cfg.epsilon, 1, len(points))
     assert records == alone and not any(rec.flags for rec in records)
 
@@ -510,6 +549,35 @@ def test_failures_and_warnings_in_a_chunk_stay_on_their_own_index(monkeypatch):
             assert rec.flags == ("warn:RuntimeWarning",) and rec.thermo is not None
         else:
             assert rec.flags == ()
+    # a report that raises for one point of a clean chunk: the records are
+    # rebuilt from the stacked solutions, and no point is solved again
+    monkeypatch.undo()
+    cfg, points = _valve_chunk()
+    broken = points[3].B
+    real = thermo.cop_metrics
+
+    def cop_metrics(Q, W, T, B):
+        if tuple(B) == broken:
+            raise DomainError("injected")
+        return real(Q, W, T, B)
+
+    monkeypatch.setattr(thermo, "cop_metrics", cop_metrics)
+    alone = [replace(evaluate_point(p, cfg.epsilon), index=k) for k, p in enumerate(points)]
+    solved = []
+    solve = steady_state._solve_points
+
+    def spy(run):
+        solved.extend(run)
+        return solve(run)
+
+    monkeypatch.setattr(steady_state, "_solve_points", spy)
+    records = sweeps._evaluate_many(points, cfg.epsilon, 1, len(points))
+    assert records == alone
+    assert [rec.flags for rec in records] == [
+        ("error:DomainError",) if k == 3 else () for k in range(len(points))]
+    assert records[3].thermo is None and records[3].correlations is None
+    # the stacked solve is not redone: each point is solved once
+    assert solved == points
 
 
 def test_boost_scan_empty_outside_window():
