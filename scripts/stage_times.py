@@ -19,11 +19,13 @@ of the chunk route (each report kind one stacked pass over a run of the
 grid's chunk size, from solutions prepared beforehand), next to the
 one-point ``thermo_report`` and ``correlation_report``, and
 ``_evaluate_many`` per point, the whole chunk route that a grid scan
-takes on one worker; ``write_records`` per record and,
+takes on one worker, and ``_evaluate_many/2`` per point, the same route
+at two workers in wall time, whose note gives the CPU milliseconds per
+scan of the forked process; ``write_records`` per record and,
 on a grid with a refrigerator window, the boost scan's ``_locate_edge``
 per scan, each round from a fresh copy of the grid's solved map. A
 comment line after the table gives the number of new solves that search
-makes.
+makes. The notes are those of the last round.
 
 With one root, one line per stage gives the minimum and the median over
 the rounds of its microseconds per point. With several, each stage that
@@ -116,11 +118,12 @@ def _stages(cfg, indices, all_points, out_dir):
         stages.insert(at, ("sweeps._chunk_records", _calling(sweeps._chunk_records, reported),
                            len(points)))
     if grid and hasattr(sweeps, "_GRID_CHUNK"):
-        # the grid's chunk route, serial: the traced benchmark cannot see
-        # it, because it runs in the pool's workers
+        # the grid's chunk route, serial and at the benchmark's two workers
         chunked = [(points, epsilon, 1, sweeps._GRID_CHUNK)]
         stages.append(("sweeps._evaluate_many", _calling(sweeps._evaluate_many, chunked),
                        len(points)))
+        stages.append(("sweeps._evaluate_many/2", _pooled(sweeps._evaluate_many, points, epsilon,
+                                                          sweeps._GRID_CHUNK), len(points)))
     path = out_dir / "records.csv"
     stages.append(("sweeps.write_records",
                    lambda: sweeps.write_records(written, path, "stage_times", cfg), len(written)))
@@ -133,6 +136,24 @@ def _calling(fn, args):
     def run():
         for call in args:
             fn(*call)
+
+    return run
+
+
+def _pooled(evaluate_many, points, epsilon, chunk):
+    """A stage's run(): the chunk route at two workers; its note gives the child's CPU.
+
+    The CPU of the forked process is the RUSAGE_CHILDREN delta over the
+    call, which counts it once the pool has reaped it.
+    """
+    import resource
+
+    def run():
+        before = resource.getrusage(resource.RUSAGE_CHILDREN)
+        evaluate_many(points, epsilon, 2, chunk)
+        after = resource.getrusage(resource.RUSAGE_CHILDREN)
+        cpu = (after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime) * 1e3
+        return f"sweeps._evaluate_many/2 children take {cpu:.1f} ms CPU per scan"
 
     return run
 

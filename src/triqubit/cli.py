@@ -233,7 +233,9 @@ def _build_parser() -> argparse.ArgumentParser:
         if random:
             p.add_argument("--seed", type=int, help="override master_seed")
             p.add_argument("--samples", type=int, help="override n_samples")
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=int, default=1,
+                       help="processes that evaluate points, this one included "
+                            "(2 forks one; default 1, at most the points and usable CPUs)")
         p.set_defaults(handler=handler)
 
     return parser

@@ -9,7 +9,9 @@ and one CSV layout.
 Reproducibility contract: every sample index gets its own tiny generator
 seeded from (master_seed XOR index), so the drawn parameters depend only on
 the config, never on execution order. Point evaluations are pure, which
-makes the output byte-identical for any worker count.
+makes the output byte-identical for any worker count. N workers are N
+processes evaluating points, this one included, so N workers fork a pool
+of N - 1 processes, and one worker forks none.
 
 Grid scans of either bath model solve their points in chunks:
 _evaluate_many gives each task a run of up to _GRID_CHUNK consecutive
@@ -355,8 +357,13 @@ def _evaluate_many(points: Sequence, epsilon: float, workers: int, chunk: int = 
     record does not depend on the run it is in: each stacked step returns
     the bits of the point alone.
 
-    The pool gets no more processes than there are points or usable CPUs:
-    a forked pool starts all of its processes at the first submit.
+    This process is one of the workers: it evaluates the first
+    len(tasks) // workers runs itself, and a pool of workers - 1 forked
+    processes takes the rest, so `workers` 2 forks one. The pool's runs
+    are submitted first, so that the fork happens before this process
+    starts on its own share. No more workers run than there are points or
+    usable CPUs: a forked pool starts all of its processes at the first
+    submit.
     """
     workers = max(1, min(workers, len(points), _cpu_count()))
     runs = workers * math.ceil(len(points) / (workers * chunk))
@@ -369,9 +376,13 @@ def _evaluate_many(points: Sequence, epsilon: float, workers: int, chunk: int = 
     # imported here: it loads logging, which a serial run does not need
     from concurrent.futures import ProcessPoolExecutor
 
-    batch = max(1, len(tasks) // (4 * workers))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [rec for recs in pool.map(_evaluate_chunk, tasks, chunksize=batch) for rec in recs]
+    split = len(tasks) // workers
+    own, rest = tasks[:split], tasks[split:]
+    batch = max(1, len(rest) // (4 * (workers - 1)))
+    with ProcessPoolExecutor(max_workers=workers - 1) as pool:
+        pooled = pool.map(_evaluate_chunk, rest, chunksize=batch)
+        records = [rec for task in own for rec in _evaluate_chunk(task)]
+        return records + [rec for recs in pooled for rec in recs]
 
 
 def random_sweep(cfg: SweepConfig, workers: int = 1) -> list:

@@ -64,12 +64,18 @@ def test_boost_grid_times_the_edge_search_and_counts_its_solves(tmp_path):
         capture_output=True, text=True, check=True, timeout=120,
     ).stdout.splitlines()
     assert out[0].startswith("# boost.json: 6 clean of 6 points, 2 rounds")
-    rows = [line.split() for line in out[2:-1]]
+    rows = [line.split() for line in out[2:-2]]
     assert [row[0] for row in rows] == (
         ["sweeps._grid_params", "model.build_hamiltonian", "model.sector_spectrum",
          "local_me.build_local_generators"] + COMMON[:3] + ["sweeps._chunk_records"]
-        + COMMON[3:-1] + ["sweeps._evaluate_many", "sweeps.write_records", "sweeps._locate_edge"])
+        + COMMON[3:-1] + ["sweeps._evaluate_many", "sweeps._evaluate_many/2",
+                          "sweeps.write_records", "sweeps._locate_edge"])
     for _, low, mid in rows:
         assert 0.0 < float(low) <= float(mid)
-    assert out[-1].startswith("# root 0: sweeps._locate_edge makes ")
-    assert int(out[-1].split()[-5]) > 0
+    # the forked process of the two-worker route: its CPU per scan
+    pool_note, edge_note = out[-2:]
+    assert pool_note.startswith("# root 0: sweeps._evaluate_many/2 children take ")
+    assert pool_note.endswith(" ms CPU per scan")
+    assert float(pool_note.split()[-5]) >= 0.0
+    assert edge_note.startswith("# root 0: sweeps._locate_edge makes ")
+    assert int(edge_note.split()[-5]) > 0

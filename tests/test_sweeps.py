@@ -4,6 +4,7 @@ import concurrent.futures
 import csv
 import itertools
 import json
+import math
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -327,16 +328,16 @@ def test_worker_count_does_not_change_output(tmp_path):
 
 
 @pytest.mark.parametrize("workers, cpus, expected", [
-    (4096, 64, [5]),  # no more processes than points
-    (4096, 3, [3]),  # nor than usable CPUs
-    (2, 64, [2]),
+    (4096, 64, [4]),  # no more workers than points, this process one of them
+    (4096, 3, [2]),  # nor than usable CPUs
+    (2, 64, [1]),
     (4096, 1, []),  # one CPU: serial, no pool
 ])
 def test_pool_size_is_capped_by_points_and_cpus(tmp_path, monkeypatch, workers, cpus, expected):
-    sizes = []
+    sizes, pooled_tasks = [], []
 
     class SerialPool:
-        """ProcessPoolExecutor stand-in: records max_workers, starts no process."""
+        """ProcessPoolExecutor stand-in: records max_workers and tasks, starts no process."""
 
         def __init__(self, max_workers):
             sizes.append(max_workers)
@@ -348,7 +349,9 @@ def test_pool_size_is_capped_by_points_and_cpus(tmp_path, monkeypatch, workers, 
             return False
 
         def map(self, fn, iterable, chunksize=1):
-            return map(fn, iterable)
+            tasks = list(iterable)
+            pooled_tasks.extend(tasks)
+            return map(fn, tasks)
 
     cfg = SweepConfig(**{**LOCAL_SCATTER, "bath_model": "repeated_interaction",
                          "B_range": (0.5, 4.5), "gamma": (0.5, 0.5, 0.5),
@@ -361,6 +364,10 @@ def test_pool_size_is_capped_by_points_and_cpus(tmp_path, monkeypatch, workers, 
     write_records(random_sweep(cfg, workers=workers), pooled, "random", cfg)
     assert sizes == expected
     assert pooled.read_bytes() == serial.read_bytes()
+    # this process ran the first tasks itself; the pool got the rest
+    starts = [start for start, _, _ in pooled_tasks]
+    assert 0 not in starts
+    assert bool(starts) == bool(expected) and starts == list(range(5 - len(starts), 5))
 
 
 def test_valve_sweep_labels_and_error_point():
@@ -385,12 +392,15 @@ def test_valve_sweep_labels_and_error_point():
 
 # --- grid scans in chunks: one stacked solve per sector order ---
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("config, bath_model", [
     ("boost", None), ("valve", None), ("valve", "harmonic"),
 ], ids=["boost", "valve", "valve-harmonic"])
 def test_grid_csv_does_not_depend_on_the_chunk_size(tmp_path, monkeypatch, config, bath_model,
                                                      workers):
+    # three workers run on three CPUs, whatever the host has: a pool of two
+    # forked processes beside this one
+    monkeypatch.setattr(sweeps, "_cpu_count", lambda: 3)
     cfg = GridScanConfig(**json.loads((CONFIGS / f"{config}.json").read_text()))
     if bath_model:
         cfg = replace(cfg, bath_model=bath_model)
@@ -519,13 +529,19 @@ def test_a_chunk_of_two_sector_orders_is_solved_stacked(monkeypatch):
     assert records == alone and not any(rec.flags for rec in records)
 
 
-def test_failures_and_warnings_in_a_chunk_stay_on_their_own_index(monkeypatch):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failures_and_warnings_in_a_chunk_stay_on_their_own_index(monkeypatch, workers):
+    # at two workers this process takes points 0-4, and one forked process
+    # points 5-8, which inherits the stand-ins patched in below
+    monkeypatch.setattr(sweeps, "_cpu_count", lambda: 2)
     cfg, points = _valve_chunk()
+    overflowing = ModelParams(B=(1.0, 2.0, 3.0), J=LOCAL_SCATTER["J"],
+                              Delta=LOCAL_SCATTER["Delta"], T=(1.0, 2.0, 3.0),
+                              gamma=(1e200,) * 3, bath_model="repeated_interaction")
     failing = {
         2: (sweeps._grid_params(cfg, 0.0), ("error:DomainError",)),
-        4: (ModelParams(B=(1.0, 2.0, 3.0), J=LOCAL_SCATTER["J"], Delta=LOCAL_SCATTER["Delta"],
-                        T=(1.0, 2.0, 3.0), gamma=(1e200,) * 3,
-                        bath_model="repeated_interaction"), ("error:NumericalConsistencyError",)),
+        4: (overflowing, ("error:NumericalConsistencyError",)),
+        7: (overflowing, ("error:NumericalConsistencyError",)),
     }
     for k, (p, _) in failing.items():
         points[k] = p
@@ -539,7 +555,7 @@ def test_failures_and_warnings_in_a_chunk_stay_on_their_own_index(monkeypatch):
         return real(p)
 
     monkeypatch.setattr(local_me, "local_rates", rates)
-    records = sweeps._evaluate_many(points, cfg.epsilon, 1, len(points))
+    records = sweeps._evaluate_many(points, cfg.epsilon, workers, len(points))
     assert [rec.index for rec in records] == list(range(len(points)))
     for k, rec in enumerate(records):
         assert rec == replace(evaluate_point(points[k], cfg.epsilon), index=k)
@@ -552,12 +568,13 @@ def test_failures_and_warnings_in_a_chunk_stay_on_their_own_index(monkeypatch):
     # a report that raises for one point of a clean chunk: the records are
     # rebuilt from the stacked solutions, and no point is solved again
     monkeypatch.undo()
+    monkeypatch.setattr(sweeps, "_cpu_count", lambda: 2)
     cfg, points = _valve_chunk()
-    broken = points[3].B
+    broken = {points[3].B, points[6].B}
     real = thermo.cop_metrics
 
     def cop_metrics(Q, W, T, B):
-        if tuple(B) == broken:
+        if tuple(B) in broken:
             raise DomainError("injected")
         return real(Q, W, T, B)
 
@@ -571,13 +588,15 @@ def test_failures_and_warnings_in_a_chunk_stay_on_their_own_index(monkeypatch):
         return solve(run)
 
     monkeypatch.setattr(steady_state, "_solve_points", spy)
-    records = sweeps._evaluate_many(points, cfg.epsilon, 1, len(points))
+    records = sweeps._evaluate_many(points, cfg.epsilon, workers, len(points))
     assert records == alone
     assert [rec.flags for rec in records] == [
-        ("error:DomainError",) if k == 3 else () for k in range(len(points))]
-    assert records[3].thermo is None and records[3].correlations is None
-    # the stacked solve is not redone: each point is solved once
-    assert solved == points
+        ("error:DomainError",) if k in (3, 6) else () for k in range(len(points))]
+    for k in (3, 6):
+        assert records[k].thermo is None and records[k].correlations is None
+    # the stacked solve is not redone: each point of this process's share
+    # is solved once (the forked process's solves are not seen here)
+    assert solved == points[:math.ceil(len(points) / workers)]
 
 
 def test_boost_scan_empty_outside_window():
