@@ -20,12 +20,13 @@ grid's chunk size, from solutions prepared beforehand), next to the
 one-point ``thermo_report`` and ``correlation_report``, and
 ``_evaluate_many`` per point, the whole chunk route that a grid scan
 takes on one worker, and ``_evaluate_many/2`` per point, the same route
-at two workers in wall time, whose note gives the CPU milliseconds per
-scan of the forked process; ``write_records`` per record and,
-on a grid with a refrigerator window, the boost scan's ``_locate_edge``
-per scan, each round from a fresh copy of the grid's solved map. A
-comment line after the table gives the number of new solves that search
-makes. The notes are those of the last round.
+at two workers in wall time, whose note gives the CPU milliseconds and
+the minor page faults per scan of the forked process; ``write_records``
+per record and, on a grid with a refrigerator window, the boost scan's
+``_locate_edge`` per scan, each round from a fresh copy of the grid's
+solved map. A comment line after the table gives the number of new
+solves that search makes, and one per root the peak RSS (``ru_maxrss``)
+of its child interpreter. The notes are those of the last round.
 
 With one root, one line per stage gives the minimum and the median over
 the rounds of its microseconds per point. With several, each stage that
@@ -141,10 +142,11 @@ def _calling(fn, args):
 
 
 def _pooled(evaluate_many, points, epsilon, chunk):
-    """A stage's run(): the chunk route at two workers; its note gives the child's CPU.
+    """A stage's run(): the chunk route at two workers; its note gives the child's costs.
 
-    The CPU of the forked process is the RUSAGE_CHILDREN delta over the
-    call, which counts it once the pool has reaped it.
+    The CPU and the minor page faults of the forked process are the
+    RUSAGE_CHILDREN deltas over the call, which count it once the pool has
+    reaped it.
     """
     import resource
 
@@ -153,7 +155,9 @@ def _pooled(evaluate_many, points, epsilon, chunk):
         evaluate_many(points, epsilon, 2, chunk)
         after = resource.getrusage(resource.RUSAGE_CHILDREN)
         cpu = (after.ru_utime + after.ru_stime - before.ru_utime - before.ru_stime) * 1e3
-        return f"sweeps._evaluate_many/2 children take {cpu:.1f} ms CPU per scan"
+        faults = after.ru_minflt - before.ru_minflt
+        return (f"sweeps._evaluate_many/2 children take {cpu:.1f} ms CPU "
+                f"and {faults} minor page faults per scan")
 
     return run
 
@@ -176,7 +180,7 @@ def _edge_search(cfg, grid):
         sweeps._locate_edge(cfg, list(grid), fresh)
         return f"sweeps._locate_edge makes {len(fresh) - len(solved)} new solves per scan"
 
-    run()  # the first search imports scipy.optimize
+    run()  # a first search, so that every timed round finds the same caches warm
     return ("sweeps._locate_edge", run, 1)
 
 
@@ -192,6 +196,8 @@ def _child(root: Path, path: Path, n_points: int) -> None:
     sent, then each round's microseconds per point of every stage and the
     notes its stages return.
     """
+    import resource
+
     sys.path.insert(0, str(root / "src"))
     from triqubit import cli, sweeps
 
@@ -221,6 +227,8 @@ def _child(root: Path, path: Path, n_points: int) -> None:
                 times[name] = (time.perf_counter_ns() - start) / 1e3 / units
                 if note is not None:
                     notes.append(note)
+            peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+            notes.append(f"child interpreter peak RSS {peak:.1f} MB")
             _send({"times": times, "notes": notes})
 
 

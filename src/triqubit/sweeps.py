@@ -468,6 +468,73 @@ def _solved_at(cfg: GridScanConfig, b2: float, solved: dict) -> SweepRecord:
     return solved[b2]
 
 
+# relative tolerance 4 eps and iteration cap of the reference brentq
+_BRENT_RTOL = 4 * 2.0 ** -52
+_BRENT_MAXITER = 100
+
+
+def _brent_root(f, a: float, b: float, xtol: float) -> float:
+    """The root of f in [a, b] by Brent's method (Brent, 1973, ch. 4).
+
+    This is the zeroin iteration of the classic brentq routine with its
+    default rtol (4 eps) and maxiter (100): it evaluates f at the same
+    abscissae and returns the same bits, which tests/test_sweeps.py checks
+    against that routine. An end where f is exactly 0 is returned; ends
+    whose values have the same sign bit, or a NaN value of f, raise
+    ValueError, and no convergence within maxiter steps raises RuntimeError.
+    An exception raised by f propagates.
+    """
+    def value(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot converge.")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            # cur becomes the end with the smaller |f|
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        stry = None
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass  # an underflowed denominator: C's infinite or NaN step bisects too
+        if stry is not None and 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations, value is {xcur}")
+
+
 def _locate_edge(cfg: GridScanConfig, records: list, solved: dict) -> Optional[float]:
     """Return the B2 where the work power crosses zero above the window.
 
@@ -491,9 +558,6 @@ def _locate_edge(cfg: GridScanConfig, records: list, solved: dict) -> Optional[f
     a, wa = low.params.B[1], low.thermo.W
     if wa == 0.0:
         return a
-    # imported here, where it is used, so that no other command pays the
-    # start-up time of loading scipy.optimize
-    from scipy.optimize import brentq
 
     def work(b2):
         thermo = _solved_at(cfg, b2, solved).thermo
@@ -506,7 +570,7 @@ def _locate_edge(cfg: GridScanConfig, records: list, solved: dict) -> Optional[f
     try:
         for rec in records:
             if rec.thermo is not None and rec.params.B[1] > a and rec.thermo.W > 0.0:
-                return float(brentq(work, a, rec.params.B[1], xtol=1e-12))
+                return _brent_root(work, a, rec.params.B[1], xtol=1e-12)
         step = (cfg.B2_max - cfg.B2_min) / max(cfg.n_points - 1, 1)
         if step <= 0.0:
             step = max(0.05 * (1.0 + abs(a)), 1e-3)
@@ -524,7 +588,7 @@ def _locate_edge(cfg: GridScanConfig, records: list, solved: dict) -> Optional[f
             b = a + distance
             wb = work(b)
             if wb > 0.0:
-                return float(brentq(work, a, b, xtol=1e-12))
+                return _brent_root(work, a, b, xtol=1e-12)
             if wb == 0.0:
                 return b
             a0, w0, a, wa = a, wa, b, wb

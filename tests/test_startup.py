@@ -69,21 +69,23 @@ def _fresh_python(script: str, *args: str, env: dict = None) -> list:
     return proc.stdout.splitlines()
 
 
-def test_only_the_boost_edge_search_loads_scipy(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     commands = [
         ["sweep-random", "--config", str(CONFIGS / f"{name}.json"), "--samples", "3",
          "--out", str(tmp_path / f"{name}.csv")]
         for name in ("local_scatter", "global_scatter")
     ]
     commands.append(["point", "--config", str(CONFIGS / "point.json")])
-    boost = tmp_path / "boost.csv"
-    commands.append(["sweep-boost", "--config", str(CONFIGS / "boost.json"), "--out", str(boost)])
+    boosts = [tmp_path / f"boost{workers}.csv" for workers in (1, 2)]
+    commands += [["sweep-boost", "--config", str(CONFIGS / "boost.json"),
+                  "--workers", str(workers), "--out", str(out)]
+                 for workers, out in zip((1, 2), boosts)]
     loaded = [json.loads(line)
               for line in _fresh_python(_COMMANDS, json.dumps(commands), "scipy")]
-    assert loaded[:3] == [[], [], []]
-    assert "scipy.optimize" in loaded[3]
-    rows = list(csv.DictReader(boost.read_text().splitlines()[1:]))
-    assert "edge" in rows[-1]["flags"].split(";")
+    assert loaded == [[]] * len(commands)
+    for out in boosts:
+        rows = list(csv.DictReader(out.read_text().splitlines()[1:]))
+        assert "edge" in rows[-1]["flags"].split(";")
 
 
 def test_only_a_process_pool_loads_concurrent_futures(tmp_path):

@@ -5,6 +5,7 @@ import csv
 import itertools
 import json
 import math
+import random
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -633,8 +634,9 @@ def test_boost_scan_appends_edge():
 
 
 def test_boost_edge_search_solves_each_b2_once(monkeypatch):
-    # brentq opens on two bracket ends whose work the grid or the secant
-    # probe has already solved, and the edge it returns is a point it solved
+    # the Brent root search opens on two bracket ends whose work the grid or
+    # the secant probe has already solved, and the edge it returns is a
+    # point it solved
     cfg = GridScanConfig(**json.loads((CONFIGS / "boost.json").read_text()))
     solved = []
     real = steady_state._solve_points
@@ -804,6 +806,120 @@ def test_boost_edge_search_failure_keeps_the_scan(monkeypatch):
     assert [rec.flags for rec in records] == [(), (), ("edge_failed",)]
     assert all(rec.thermo.regime is Regime.IV for rec in records)
     assert records[2].extra["cop_norm"] is not None
+
+
+def _brent_families(rng):
+    """(family, f, a, b, xtol) brackets of one sign change, seeded by rng."""
+    def tanh(r, s):
+        return lambda x: math.tanh(s * (x - r))
+
+    def cubic(r, s):
+        return lambda x: (x - r) ** 3 + s * (x - r)
+
+    def expm1(r, s):
+        return lambda x: math.expm1(s * (x - r))
+
+    def damped_sine(r, s):
+        return lambda x: math.exp(-0.3 * x) * math.sin(s * (x - r))
+
+    def near_double(r, s):
+        # roots at r -+ sqrt(d), a hair apart: the bracket holds the upper one
+        return lambda x: (x - r) ** 2 - s * 1e-12
+
+    def underflowing(r, s):
+        # values near 1e-300, whose interpolation denominators underflow to 0
+        return lambda x: 1e-300 * math.tanh(s * (x - r)) + 1e-310 * (x - r) ** 3
+
+    for family in (tanh, cubic, expm1, damped_sine, near_double, underflowing):
+        for _ in range(400):
+            r, s = rng.uniform(-3.0, 3.0), 10.0 ** rng.uniform(-2.0, 2.0)
+            if family is near_double:
+                root = r + math.sqrt(s * 1e-12)
+                a, b = r + rng.random() * (root - r), root + 10.0 ** rng.uniform(-6.0, 0.5)
+            elif family is damped_sine:
+                half = 0.99 * math.pi / s
+                a, b = r - rng.uniform(0.01, 1.0) * half, r + rng.uniform(0.01, 1.0) * half
+            else:
+                a, b = r - 10.0 ** rng.uniform(-6.0, 1.0), r + 10.0 ** rng.uniform(-6.0, 1.0)
+                if family is expm1:  # keep exp(s (x - r)) finite
+                    b = min(b, r + 700.0 / s)
+            if rng.random() < 0.5:
+                a, b = b, a
+            xtol = 1e-12 if rng.random() < 0.5 else 10.0 ** rng.uniform(-15.0, -3.0)
+            yield family.__name__, family(r, s), a, b, xtol
+
+
+def _logged(solver, f, a, b, xtol):
+    """The root solver returns (as its hex) or the exception type it raises, and
+    the hex of every abscissa at which it evaluates f."""
+    calls = []
+
+    def logged(x):
+        calls.append(x.hex())
+        return f(x)
+
+    try:
+        outcome = solver(logged, a, b, xtol=xtol).hex()
+    except (ValueError, RuntimeError) as exc:
+        outcome = type(exc)
+    return outcome, calls
+
+
+def test_brent_root_takes_the_steps_of_brentq():
+    # the oracle is the compiled brentq of scipy, a test-only dependency: the
+    # same root bits from the same sequence of evaluated abscissae
+    from scipy.optimize import brentq
+
+    corpus = list(_brent_families(random.Random(20280)))
+    assert len(corpus) >= 2000
+    for family, f, a, b, xtol in corpus:
+        ours = _logged(sweeps._brent_root, f, a, b, xtol)
+        assert ours == _logged(brentq, f, a, b, xtol), (family, a, b, xtol)
+        assert isinstance(ours[0], str), (family, a, b, xtol)
+
+
+@pytest.mark.parametrize("zero_at", ["a", "b"])
+def test_brent_root_returns_an_end_where_f_is_zero(zero_at):
+    a, b = 1.0, 3.0
+    root = a if zero_at == "a" else b
+    calls = []
+    f = lambda x: calls.append(x) or x - root
+    assert sweeps._brent_root(f, a, b, xtol=1e-12) == root
+    assert calls == [a, b]
+
+
+def test_brent_root_refuses_ends_of_one_sign_and_nan():
+    with pytest.raises(ValueError, match="different signs"):
+        sweeps._brent_root(lambda x: x * x + 1.0, -1.0, 2.0, xtol=1e-12)
+    # -0.0 and 1.0 differ in sign bit, but the end at a zero is returned first
+    assert sweeps._brent_root(lambda x: -0.0 if x < 0 else 1.0, -1.0, 2.0, xtol=1e-12) == -1.0
+    with pytest.raises(ValueError, match="NaN"):
+        sweeps._brent_root(lambda x: x if x > 0 else math.nan, -1.0, 2.0, xtol=1e-12)
+    with pytest.raises(ValueError, match="NaN"):
+        sweeps._brent_root(lambda x: math.nan if abs(x) < 1.0 else x, -2.0, 3.0, xtol=1e-12)
+
+
+def test_brent_root_stops_after_100_iterations():
+    # a unit step at 0 can only be bisected, and xtol = 1e-300 asks for
+    # about 1000 halvings: two end values and 100 steps, then RuntimeError
+    calls = []
+    step = lambda x: calls.append(x) or (1.0 if x > 0 else -1.0)
+    with pytest.raises(RuntimeError, match="100 iterations"):
+        sweeps._brent_root(step, -1.0, 2.0, xtol=1e-300)
+    assert len(calls) == 102
+
+
+def test_brent_root_lets_the_error_of_f_through():
+    error = DomainError("steady-state solve failed")
+
+    def f(x):
+        if 0.0 < x < 2.0:
+            raise error
+        return x - 1.0
+
+    with pytest.raises(DomainError) as raised:
+        sweeps._brent_root(f, 0.0, 4.0, xtol=1e-12)
+    assert raised.value is error
 
 
 def test_write_records_round_trip(tmp_path):
