@@ -3,7 +3,8 @@
 Runs every output of ``_runs()`` (the ``sweep-random`` CSVs of both
 scatter configs at one and two workers, the ``sweep-valve`` and
 ``sweep-boost`` CSVs at one and two workers, the ``sweep-valve`` CSV of
-the harmonic model at two workers, ``point`` stdout of the
+the harmonic model at two workers and, with J = Delta = 0, at one and
+two workers, ``point`` stdout of the
 point config and of an unclosed harmonic point set over it, and
 ``validate --samples 200`` stdout of both scatter configs) with the
 ``src/`` of each checkout, in one subprocess per checkout and both on
@@ -81,6 +82,14 @@ def _runs():
     yield ("sweep-valve valve --set bath_model=harmonic --workers 2",
            ["sweep-valve", "--config", "valve", "--set", "bath_model=harmonic",
             "--workers", "2"], "csv")
+    # uncoupled, every point is closed but not fully secular, so its
+    # solve reads the eigenbasis blocks of the summed dissipator
+    for workers in (1, 2):
+        yield (f"sweep-valve valve --set bath_model=harmonic --set J=[0,0,0] "
+               f"--set Delta=[0,0,0] --workers {workers}",
+               ["sweep-valve", "--config", "valve", "--set", "bath_model=harmonic",
+                "--set", "J=[0,0,0]", "--set", "Delta=[0,0,0]", "--workers", str(workers)],
+               "csv")
     yield "sweep-boost boost", ["sweep-boost", "--config", "boost"], "csv"
     yield ("sweep-boost boost --workers 2",
            ["sweep-boost", "--config", "boost", "--workers", "2"], "csv")

@@ -108,7 +108,9 @@ def coherent_superop(H: np.ndarray) -> np.ndarray:
 
 
 # 80-bit extended precision; used to accumulate traces whose terms cancel
-# almost completely (near-detailed-balance dissipator applications).
+# almost completely (near-detailed-balance dissipator applications). The
+# package spells the extended types only by these two names.
+LD = np.longdouble
 CLD = np.clongdouble
 
 

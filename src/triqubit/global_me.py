@@ -32,9 +32,8 @@ site_rate_matrices reads that support of the amplitudes, and the rates
 of build_global_generators, for the Pauli rate matrices of the
 population solve. Where some cluster holds more than one transition, the
 solve also reads the dm >= 0 magnetization-difference blocks of the
-summed dissipator, which Generators.eigen_blocks builds on first access
-from the same support, entry by entry as lindblad_superop would build
-the whole 64 x 64 superoperator, keeping its bits.
+summed dissipator, which Generators.eigen_blocks cuts on first access
+from lindblad_superop of all the jumps in the eigenbasis.
 """
 
 from __future__ import annotations
@@ -48,8 +47,10 @@ import numpy as np
 
 from .algebra import (
     CLD,
+    LD,
     checked_trace,
     embed_pauli,
+    lindblad_superop,
     unvec,
     vec,
     with_daggers,
@@ -64,7 +65,6 @@ from .model import (
     Generators,
     ModelParams,
     Spectrum,
-    block_entry_positions,
     build_hamiltonian,
     sector_spectrum,
 )
@@ -247,15 +247,11 @@ def _heat_generators(gen: Generators) -> np.ndarray:
     over bath i's jumps and their daggers, in extended precision with the
     energy differences formed first; G_i[b, b] = sum_a (e_a - e_b) M_i[a, b].
     """
-    e = gen.spectrum.energies.astype(np.longdouble)
+    e = gen.spectrum.energies.astype(LD)
     gaps = e[:, None, None] - 0.5 * (e[None, :, None] + e[None, None, :])
     amps = [with_daggers(js.amplitudes) for js in gen.jumps]
     return np.stack([np.einsum("k,kab,kac,abc->bc", r.ravel(), a.conj(), a, gaps)
                      for a, r in zip(amps, gen.jump_rates)])
-
-
-# the two values of an identity's entries, as kron(eye, A) multiplies them
-_EYE_ENTRIES = np.array([[1.0], [0.0]], dtype=complex)
 
 
 # one entry per ordering of the magnetization labels, as for
@@ -266,12 +262,11 @@ def _jump_support(labels: tuple) -> tuple:
 
     labels[k] is the magnetization of eigenstate k. A jump flips one spin,
     so its amplitudes <a|A_omega|b> are exactly zero unless |m(a) - m(b)|
-    is 2: s = 30 of the 64 entries for three qubits. Returns (flat, where,
-    swap, pairs). flat holds the ascending positions a d + b of the support
-    in a flattened d x d matrix, and where the support index of each
-    position, s off the support. swap holds the support index of each
-    position's transpose b d + a, and pairs the two support indices of
-    each pair of positions that share a row or a column.
+    is 2: s = 30 of the 64 entries for three qubits. Returns (flat, swap,
+    pairs). flat holds the ascending positions a d + b of the support in a
+    flattened d x d matrix, swap the support index of each position's
+    transpose b d + a, and pairs the two support indices of each pair of
+    positions that share a row or a column.
     """
     m = np.asarray(labels)
     d = m.size
@@ -279,36 +274,10 @@ def _jump_support(labels: tuple) -> tuple:
     where = np.full(d * d, rows.size, dtype=np.int16)
     where[rows * d + cols] = np.arange(rows.size)
     same = (rows[:, None] == rows[None, :]) | (cols[:, None] == cols[None, :])
-    out = (rows * d + cols, where, where[cols * d + rows], np.stack(np.nonzero(np.triu(same, 1))))
+    out = (rows * d + cols, where[cols * d + rows], np.stack(np.nonzero(np.triu(same, 1))))
     for arr in out:
         arr.setflags(write=False)
     return out
-
-
-# int16 keeps each entry to a few KiB
-@lru_cache(maxsize=None)
-def _block_gathers(labels: tuple) -> tuple:
-    """Read-only flat gathers of the dm >= 0 blocks of a summed dissipator.
-
-    Returns (sand, kron, blocks) for the entries of the blocks as
-    block_entry_positions(labels, labels) lists them, with its spans as
-    blocks. Block entry (a + d b, c + d e), |a><b| from |c><e|, is entry
-    (i d + k, j d + l) of lindblad_superop with (i, j, k, l) = (b, e, a, c).
-    sand gathers its sandwich term from the flattened Gram matrix of the
-    _jump_support positions, padded by a zero row and column for the pairs
-    off the support. kron[0] gathers eye[i, j] A[k, l] and kron[1]
-    A^T[i, j] eye[k, l] from the flattened (2, d, d) stack of 1 A and 0 A.
-    """
-    d = len(labels)
-    flat, where = _jump_support(labels)[:2]
-    s = flat.size
-    i, j, k, l, blocks = block_entry_positions(labels, labels)
-    off_eye = np.stack([i != j, k != l]).astype(np.int16)
-    out = (where[i * d + j] * (s + 1) + where[k * d + l],
-           off_eye * (d * d) + np.stack([k * d + l, j * d + i]))
-    for arr in out:
-        arr.setflags(write=False)
-    return out + (blocks,)
 
 
 def build_global_generators(p: ModelParams) -> Generators:
@@ -318,7 +287,7 @@ def build_global_generators(p: ModelParams) -> Generators:
     # one Newton step toward the polar factor, in extended precision, makes
     # V unitary to the last bit: the jumps are taken in the eigenbasis and
     # mapped back by V, with V^dag standing in for its inverse both ways
-    V = spectrum.vectors.astype(np.clongdouble)
+    V = spectrum.vectors.astype(CLD)
     spectrum = replace(spectrum, vectors=(1.5 * V - 0.5 * V @ (V.conj().T @ V)).astype(complex))
     jumps = jump_operators(spectrum)
     rates = []
@@ -331,11 +300,9 @@ def build_global_generators(p: ModelParams) -> Generators:
 def _eigen_blocks(gen: Generators) -> tuple:
     """Generators.eigen_blocks of a harmonic point, from the jump amplitudes.
 
-    The dm >= 0 blocks are built entry by entry as lindblad_superop would
-    build the whole summed superoperator of the jump amplitudes, from the
-    same operands in the same order, so they keep its bits. Its sandwich
-    term is nonzero only between two support positions of the amplitudes,
-    and there it is one (s, w) by (w, s) product over the w jumps.
+    The dm >= 0 blocks are cut from lindblad_superop of the jumps of all
+    three baths and their daggers, the 64 x 64 summed dissipator in the
+    eigenbasis. Only points that are not fully secular read them.
 
     A cluster whose amplitudes are nonzero, above 1e-12 of its largest as
     in site_rate_matrices, at both dm = m(a) - m(b) = +2 and -2 couples
@@ -357,20 +324,13 @@ def _eigen_blocks(gen: Generators) -> tuple:
                 "dm = -2, which couple the magnetization-difference blocks; change the "
                 "fields B or the couplings J and Delta to separate these Bohr frequencies"
             )
-    sand, kron, blocks = _block_gathers(labels)
     # each bath's jumps and then their daggers, at its down and then its up
     # rates
-    a = np.concatenate([with_daggers(js.amplitudes) for js in gen.jumps])
-    w = a.shape[0]
-    scaled = np.concatenate(gen.jump_rates, axis=None)[:, None, None] * a.conj()
-    anti = scaled.reshape(w * d, d).T @ a.reshape(w * d, d)
-    s = flat.size
-    gram = np.zeros((s + 1, s + 1), dtype=complex)
-    gram[:s, :s] = scaled.reshape(w, d * d)[:, flat].T @ a.reshape(w, d * d)[:, flat]
-    eye_anti = (_EYE_ENTRIES * anti.reshape(1, -1)).ravel()
-    entries = gram.ravel().take(sand) - 0.5 * (eye_anti.take(kron[0]) + eye_anti.take(kron[1]))
+    summed = lindblad_superop(np.concatenate([with_daggers(js.amplitudes) for js in gen.jumps]),
+                              np.concatenate(gen.jump_rates, axis=None))
     # the dm >= 0 half, row 0 of each stack; see Generators.eigen_blocks
-    return tuple(entries[start:stop].reshape(shape) for start, stop, shape in blocks)
+    return tuple(summed[index[:1, :, None], index[:1, None, :]]
+                 for index in gen.spectrum.liouville_block_groups)
 
 
 def site_rate_matrices(gen: Generators):
@@ -397,7 +357,7 @@ def site_rate_matrices(gen: Generators):
     """
     counts = np.array([len(js.frequencies) for js in gen.jumps])
     d = gen.spectrum.dim
-    flat, _, swap, pairs = _jump_support(tuple(gen.spectrum.sectors.tolist()))
+    flat, swap, pairs = _jump_support(tuple(gen.spectrum.sectors.tolist()))
     slot = np.arange(counts.max()) < counts[:, None]
     mags = np.zeros(slot.shape + flat.shape)
     mags[slot] = np.abs(np.concatenate([js.amplitudes for js in gen.jumps]).reshape(-1, d * d)[:, flat])
@@ -407,10 +367,10 @@ def site_rate_matrices(gen: Generators):
     nz = mags > cut[:, :, None]
     closed = not np.any(nz[:, :, pairs[0]] & nz[:, :, pairs[1]])
     secular = bool(np.all(nz.sum(axis=2)[slot] == 1))
-    g = mags.astype(np.longdouble) ** 2
+    g = mags.astype(LD) ** 2
     # gains land strictly off the diagonal: the support, where a jump
     # flips one spin, holds no diagonal entry
-    M = np.zeros((len(counts), d * d), dtype=np.longdouble)
+    M = np.zeros((len(counts), d * d), dtype=LD)
     M[:, flat] = (down[:, :, None] * g).sum(axis=1) + (up[:, :, None] * g[:, :, swap]).sum(axis=1)
     M = M.reshape(-1, d, d)
     diag = np.arange(d)

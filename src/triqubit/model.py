@@ -64,7 +64,8 @@ def as_reals(name: str, value, size: int) -> tuple:
 
 
 def _triple(name, value, minimum=None, strict=False):
-    out = as_reals(name, value, 3)
+    """Three finite reals, each >= minimum (> where strict); a scalar stands for all three."""
+    out = as_reals(name, (value,) * 3 if np.isscalar(value) else value, 3)
     if not all(map(math.isfinite, out)):
         raise DomainError(f"{name} entries must be finite, got {out}")
     if minimum is not None:
@@ -266,7 +267,8 @@ def block_entry_positions(row_labels: tuple, col_labels: tuple) -> tuple:
     is listed for the entries of every block, each block row-major and one
     after the other; spans holds the (start, stop, shape) of each block's
     run of entries, shape (1, n, n). The arrays are int16, built afresh on
-    each call: callers cache what they derive from them.
+    each call: local_me._transform_gathers, the one caller, caches what it
+    derives from them.
     """
     d = len(row_labels)
     rows, cols = ([index[0].astype(np.int16) for index in liouville_block_groups(labels)]

@@ -94,11 +94,6 @@ class SplitMix64:
         return low + (high - low) * x
 
 
-def _as_triple(value, name: str) -> tuple:
-    """model._triple, with a scalar standing for the same value on all sites."""
-    return _triple(name, (value,) * 3 if np.isscalar(value) else value)
-
-
 def _as_range(value, name: str) -> tuple:
     pair = as_reals(name, value, 2)
     if not all(map(math.isfinite, pair)) or pair[0] > pair[1]:
@@ -135,19 +130,19 @@ class SweepConfig:
     def __post_init__(self):
         if self.bath_model not in (BATH_HARMONIC, BATH_REPEATED_INTERACTION):
             raise DomainError(f"unknown bath_model {self.bath_model!r}")
-        object.__setattr__(self, "J", _as_triple(self.J, "J"))
-        object.__setattr__(self, "Delta", _as_triple(self.Delta, "Delta"))
-        object.__setattr__(self, "T", _as_triple(self.T, "T"))
+        object.__setattr__(self, "J", _triple("J", self.J))
+        object.__setattr__(self, "Delta", _triple("Delta", self.Delta))
+        object.__setattr__(self, "T", _triple("T", self.T))
         if (self.B is None) == (self.B_range is None):
             raise DomainError("exactly one of B and B_range must be given")
         if (self.gamma is None) == (self.gamma_range is None):
             raise DomainError("exactly one of gamma and gamma_range must be given")
         if self.B is not None:
-            object.__setattr__(self, "B", _as_triple(self.B, "B"))
+            object.__setattr__(self, "B", _triple("B", self.B))
         else:
             object.__setattr__(self, "B_range", _as_range(self.B_range, "B_range"))
         if self.gamma is not None:
-            object.__setattr__(self, "gamma", _as_triple(self.gamma, "gamma"))
+            object.__setattr__(self, "gamma", _triple("gamma", self.gamma))
         else:
             object.__setattr__(
                 self, "gamma_range", _as_range(self.gamma_range, "gamma_range")
@@ -196,7 +191,7 @@ class GridScanConfig:
         if self.bath_model not in (BATH_HARMONIC, BATH_REPEATED_INTERACTION):
             raise DomainError(f"unknown bath_model {self.bath_model!r}")
         for name in ("J", "Delta", "T", "gamma"):
-            object.__setattr__(self, name, _as_triple(getattr(self, name), name))
+            object.__setattr__(self, name, _triple(name, getattr(self, name)))
         for name in ("B1", "B3", "B2_min", "B2_max"):
             value = as_number(name, getattr(self, name))
             if not math.isfinite(value):

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import checked_real
+from .algebra import LD, checked_real
 from .errors import DomainError, ImpossibleCurrentsError, NumericalConsistencyError
 from .global_me import _heat_generators
 from .local_me import CurrentSet, _current_sets, local_current_set
@@ -259,7 +259,7 @@ def _harmonic_heat_currents(sol: PointSolution):
     coherences add Re sum_{b != c} G_i[b, c] rho[c, b].
     """
     rho, p = sol.rho_eig, sol.populations
-    e = sol.generators.spectrum.energies.astype(np.longdouble)
+    e = sol.generators.spectrum.energies.astype(LD)
     # the diagonal gaps are exactly zero, which drops the loss terms
     flows = (e[:, None] - e[None, :]) * np.stack(sol.rate_matrices)
     Q = (flows * (np.diagonal(rho).real if p is None else p)).sum(axis=(1, 2))

@@ -1,11 +1,16 @@
 """Operator and superoperator building blocks, checked against index oracles."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import triqubit
 from triqubit.algebra import (
     CLD,
+    LD,
     checked_trace,
     coherent_superop,
     embed_pauli,
@@ -223,3 +228,26 @@ def test_herm_projects():
     h = herm(a)
     assert_allclose(h, h.conj().T, atol=0)
 
+
+
+# numpy's extended types under every name they go by
+_EXTENDED = {"longdouble", "clongdouble", "longfloat", "clongfloat", "longcomplex",
+             "float96", "float128", "complex192", "complex256"}
+
+
+def test_the_extended_types_are_spelled_only_in_algebra():
+    # LD and CLD are the one name each of the extended types: the rest of
+    # the package imports them, so a change of extended type is a change
+    # of algebra.py
+    assert (LD, CLD) == (np.longdouble, np.clongdouble)
+    package = Path(triqubit.__file__).parent
+    spelled = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "algebra.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name in _EXTENDED:
+                spelled.append(f"{path.name}:{node.lineno}: {name}")
+    assert spelled == []

@@ -84,6 +84,17 @@ def test_point_set_override_and_out(tmp_path, capsys):
     assert json.loads(printed) == payload
 
 
+def test_point_scalar_triple_stands_for_all_three_sites(tmp_path, capsys):
+    # the rule of the sweep configs: a scalar is the same value on every site
+    printed = []
+    for value in ("0.5", "[0.5,0.5,0.5]"):
+        assert main(["point", "--config", str(CONFIGS / "point.json"),
+                     "--set", f"gamma={value}"]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0] == printed[1]
+    assert json.loads(printed[0])["config"]["gamma"] == [0.5, 0.5, 0.5]
+
+
 def test_point_solver_failure_exit_code(tmp_path, capsys):
     code = main([
         "point", "--config", point_config(tmp_path, B=(0.0, 1.0, 1.0)),

@@ -513,11 +513,11 @@ def test_solved_points_build_no_computational_basis_dissipator(monkeypatch):
     assert_array_equal(L, build_liouvillian(records[0].params))
 
 
-def test_closed_harmonic_points_call_no_lindblad_superop(monkeypatch):
-    # the generator blocks are built from the amplitudes' support, without
-    # the 64 x 64 summed superoperator: no lindblad_superop under any name
-    # it is imported as, and no coherent_superop, the package's other
-    # 64 x 64 builder
+def _spy_on_superop_builders(monkeypatch) -> list:
+    """The names of lindblad_superop and coherent_superop, in call order.
+
+    Each is spied on under every name the package imports it as.
+    """
     calls = []
 
     def spy(name, real):
@@ -532,6 +532,14 @@ def test_closed_harmonic_points_call_no_lindblad_superop(monkeypatch):
                        if key == "triqubit" or key.startswith("triqubit.")]:
             if getattr(module, name, None) is real:
                 monkeypatch.setattr(module, name, spy(name, real))
+    return calls
+
+
+def test_fully_secular_points_call_no_lindblad_superop(monkeypatch):
+    # a fully secular point is solved on its Pauli rate matrix, without
+    # the 64 x 64 summed superoperator: no lindblad_superop, and no
+    # coherent_superop, the package's other 64 x 64 builder
+    calls = _spy_on_superop_builders(monkeypatch)
     points = _scatter_points(10)
     for p in points:
         rec = evaluate_point(p)
@@ -547,6 +555,18 @@ def test_closed_harmonic_points_call_no_lindblad_superop(monkeypatch):
     for d, ops, js, (down, up) in zip(dissipators, gen.jump_ops, gen.jumps, gen.jump_rates):
         assert_same_bits(ops, V @ js.amplitudes @ V.conj().T)
         assert_array_equal(d, lindblad_superop(with_daggers(ops), np.concatenate([down, up])))
+
+
+def test_a_closed_point_that_is_not_fully_secular_calls_lindblad_superop_once(monkeypatch):
+    # at J = Delta = 0 each Bohr cluster holds the four flips of one site:
+    # closed, but not fully secular, so the solve reads the eigenbasis
+    # blocks, cut from one summed superoperator of all three baths
+    calls = _spy_on_superop_builders(monkeypatch)
+    p = _uncoupled()
+    _, closed, secular = site_rate_matrices(build_global_generators(p))
+    assert closed and not secular and calls == []
+    sol = solve_point(p)
+    assert calls == ["lindblad_superop"] and "eigen_blocks" in vars(sol.generators)
 
 
 def test_heat_generator_diagonal_is_the_edge_sum_of_the_rate_matrices():

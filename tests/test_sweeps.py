@@ -290,7 +290,7 @@ def test_sweeps_keep_the_memoized_operators_parameter_free(model_name, base):
               local_me._unit_dissipators, local_me._site_stacks, local_me._flip_gathers,
               local_me._lowering_jumps, global_me._site_couplings)
     for cache in caches + (model.liouville_block_groups, global_me._jump_support,
-                           global_me._block_gathers, local_me._transform_gathers):
+                           local_me._transform_gathers):
         cache.cache_clear()
     cfg = SweepConfig(**{**base, "bath_model": model_name, "n_samples": 20,
                          "master_seed": MASTER_SEED})
@@ -305,7 +305,7 @@ def test_sweeps_keep_the_memoized_operators_parameter_free(model_name, base):
     orderings = {tuple(model.sector_spectrum(model.build_hamiltonian(draw_params(cfg, k)))
                        .sectors.tolist()) for k in range(20)}
     by_labels = (model.liouville_block_groups, global_me._jump_support,
-                 global_me._block_gathers, local_me._transform_gathers)
+                 local_me._transform_gathers)
     sizes = [cache.cache_info().currsize for cache in by_labels]
     # the fully secular harmonic points read only the jump support
     used = 0 if model_name == "repeated_interaction" else 1
