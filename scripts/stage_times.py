@@ -25,8 +25,11 @@ the minor page faults per scan of the forked process; ``write_records``
 per record and, on a grid with a refrigerator window, the boost scan's
 ``_locate_edge`` per scan, each round from a fresh copy of the grid's
 solved map. A comment line after the table gives the number of new
-solves that search makes, and one per root the peak RSS (``ru_maxrss``)
-of its child interpreter. The notes are those of the last round.
+solves that search makes; on grid configs, one per root gives the pool's
+fixed cost, the wall milliseconds of one empty two-worker round trip
+(fork, pipe, reap, no points) and the minor page faults of its child; and
+one per root the peak RSS (``ru_maxrss``) of its child interpreter. The
+notes are those of the last round.
 
 With one root, one line per stage gives the minimum and the median over
 the rounds of its microseconds per point. With several, each stage that
@@ -162,6 +165,23 @@ def _pooled(evaluate_many, points, epsilon, chunk):
     return run
 
 
+def _round_trip_note(sweeps) -> str:
+    """The pool's fixed cost: one empty two-worker round trip, in ms, and its child's faults.
+
+    A round trip forks one share of no runs, reads its pipe to EOF and
+    reaps it; its minor page faults are the RUSAGE_CHILDREN delta.
+    """
+    import resource
+
+    before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+    start = time.perf_counter_ns()
+    sweeps._ForkedShare([]).records()
+    ms = (time.perf_counter_ns() - start) / 1e6
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
+    return (f"pool fixed cost: an empty two-worker round trip takes {ms:.2f} ms "
+            f"and {faults} child minor page faults")
+
+
 def _edge_search(cfg, grid):
     """The boost scan's edge search from the grid's records, or None without a window.
 
@@ -227,6 +247,8 @@ def _child(root: Path, path: Path, n_points: int) -> None:
                 times[name] = (time.perf_counter_ns() - start) / 1e3 / units
                 if note is not None:
                     notes.append(note)
+            if isinstance(cfg, sweeps.GridScanConfig) and hasattr(sweeps, "_ForkedShare"):
+                notes.append(_round_trip_note(sweeps))
             peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
             notes.append(f"child interpreter peak RSS {peak:.1f} MB")
             _send({"times": times, "notes": notes})

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, fields
 from enum import Enum
@@ -160,9 +161,26 @@ _SWEEPS = {
 }
 
 
+def _check_writable(path) -> None:
+    """Raise DomainError unless path opens for writing; a file made to check is removed."""
+    try:
+        try:
+            with open(path, "x"):
+                pass
+        except FileExistsError:
+            with open(path, "a"):
+                pass
+        else:
+            os.remove(path)
+    except OSError as exc:
+        raise DomainError(f"cannot write records to {path!r}: {exc}") from exc
+
+
 def _cmd_sweep(args) -> int:
     cls, driver, scan_name, columns = _SWEEPS[args.command]
     cfg = _sweep_config(args, cls)
+    # before the sweep, so that an unwritable --out costs no point
+    _check_writable(args.out)
     records = getattr(sweeps, driver)(cfg, workers=args.workers)
     write_records(records, args.out, scan_name, cfg, extra_columns=columns)
     if not records:  # only a boost scan over an empty window yields none
@@ -235,7 +253,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--samples", type=int, help="override n_samples")
         p.add_argument("--workers", type=int, default=1,
                        help="processes that evaluate points, this one included "
-                            "(2 forks one; default 1, at most the points and usable CPUs)")
+                            "(2 forks one; default 1, at most the points and usable CPUs; "
+                            "serial where os.fork does not exist)")
         p.set_defaults(handler=handler)
 
     return parser
@@ -246,7 +265,8 @@ def _pin_heap_trim() -> None:
 
     A harmonic point allocates temporaries of a few hundred KiB. At glibc's
     dynamic defaults each of them grows the heap and trims it again on
-    free, at some 50 to 100 minor page faults per point. Forked pool workers
+    free, at some 50 to 100 minor page faults per point. The processes that
+    --workers forks are os.fork children of this one, so they always
     inherit the setting. Where there is no mallopt, nothing is set.
     """
     import ctypes

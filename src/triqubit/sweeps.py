@@ -10,8 +10,11 @@ Reproducibility contract: every sample index gets its own tiny generator
 seeded from (master_seed XOR index), so the drawn parameters depend only on
 the config, never on execution order. Point evaluations are pure, which
 makes the output byte-identical for any worker count. N workers are N
-processes evaluating points, this one included, so N workers fork a pool
-of N - 1 processes, and one worker forks none.
+processes evaluating points, this one included: N workers make N - 1
+os.fork calls, each child evaluating its share of the runs and sending
+back its records as one pickle on a pipe of its own, and one worker
+forks none. No process pool library is loaded, and where there is no
+os.fork the runs are evaluated in this process.
 
 Grid scans of either bath model solve their points in chunks:
 _evaluate_many gives each task a run of up to _GRID_CHUNK consecutive
@@ -33,6 +36,7 @@ import csv
 import json
 import math
 import os
+import pickle
 import warnings
 from dataclasses import asdict, dataclass, field, replace
 from typing import Mapping, Optional, Sequence
@@ -336,6 +340,89 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
+def _share_records(tasks: Sequence) -> dict:
+    """The records of the runs tasks, keyed by run start."""
+    return {task[0]: _evaluate_chunk(task) for task in tasks}
+
+
+def _share_reply(tasks: Sequence) -> bytes:
+    """The pickle a forked share sends: its records by run start, or its failure."""
+    try:
+        return pickle.dumps(("records", _share_records(tasks)))
+    except BaseException as exc:  # the invoking process raises it
+        try:
+            reply = pickle.dumps(("error", exc))
+            pickle.loads(reply)  # some exceptions pickle but do not load
+            return reply
+        except Exception:
+            import traceback
+
+            return pickle.dumps(("traceback", "".join(traceback.format_exception(exc))))
+
+
+class _ForkedShare:
+    """A share of the runs, evaluated in a forked process that pipes back one pickle.
+
+    The forked process holds the runs already, so nothing is sent to it.
+    It writes ("records", records by run start) or, if its share raises,
+    ("error", the exception), or ("traceback", its text) when the
+    exception does not pickle, and exits 0 once the whole pickle is
+    written. It leaves through os._exit in every case, so it never returns
+    into the caller's stack nor flushes the stdio buffers it inherited.
+    """
+
+    def __init__(self, tasks: Sequence):
+        read, write = os.pipe()
+        try:
+            self.pid = os.fork()
+        except BaseException:
+            os.close(read)
+            os.close(write)
+            raise
+        if self.pid == 0:
+            code = 1
+            try:
+                os.close(read)
+                with os.fdopen(write, "wb") as pipe:
+                    pipe.write(_share_reply(tasks))
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write)
+        self.pipe = os.fdopen(read, "rb")
+
+    def records(self) -> dict:
+        """The share's records by run start, once the process is reaped; raises its failure.
+
+        A process that ends without its whole reply raises RuntimeError
+        naming its exit status or signal.
+        """
+        with self.pipe:
+            reply = self.pipe.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = None
+        code = os.waitstatus_to_exitcode(status)
+        if code:
+            ended = f"exited with status {code}" if code > 0 else f"was killed by signal {-code}"
+            raise RuntimeError(f"a forked sweep worker {ended} before it sent its records")
+        kind, value = pickle.loads(reply)
+        if kind == "error":
+            raise value
+        if kind == "traceback":
+            raise RuntimeError(f"a forked sweep worker failed:\n{value}")
+        return value
+
+    def kill(self) -> None:
+        """Kill and reap the process unless records() has reaped it."""
+        self.pipe.close()
+        if self.pid is not None:
+            import signal
+
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = None
+
+
 def _evaluate_many(points: Sequence, epsilon: float, workers: int, chunk: int = 1) -> list:
     """Records of points[k] at index k, in index order, on up to `workers` processes.
 
@@ -352,13 +439,17 @@ def _evaluate_many(points: Sequence, epsilon: float, workers: int, chunk: int = 
     record does not depend on the run it is in: each stacked step returns
     the bits of the point alone.
 
-    This process is one of the workers: it evaluates the first
-    len(tasks) // workers runs itself, and a pool of workers - 1 forked
-    processes takes the rest, so `workers` 2 forks one. The pool's runs
-    are submitted first, so that the fork happens before this process
-    starts on its own share. No more workers run than there are points or
-    usable CPUs: a forked pool starts all of its processes at the first
-    submit.
+    This process is one of the workers: the runs go in `workers` shares
+    of consecutive runs, and this process evaluates the first,
+    len(tasks) // workers runs, itself. Each other share is one
+    _ForkedShare, one os.fork and one os.pipe, so `workers` 2 forks one
+    process; they are forked before this process starts on its own
+    share. Then each pipe is read to EOF and its process reaped, and the
+    failure of a share is raised here. If this process's own share
+    raises, KeyboardInterrupt included, every process still running is
+    killed and reaped: none outlives the call. No more workers run than
+    there are points or usable CPUs, and where there is no os.fork the
+    runs are evaluated here, one after the other.
     """
     workers = max(1, min(workers, len(points), _cpu_count()))
     runs = workers * math.ceil(len(points) / (workers * chunk))
@@ -366,18 +457,20 @@ def _evaluate_many(points: Sequence, epsilon: float, workers: int, chunk: int = 
     tasks = [(start, points[start:start + size], epsilon)
              for start in range(0, len(points), size)]
     workers = min(workers, len(tasks))
-    if workers <= 1:
+    if workers <= 1 or not hasattr(os, "fork"):
         return [rec for task in tasks for rec in _evaluate_chunk(task)]
-    # imported here: it loads logging, which a serial run does not need
-    from concurrent.futures import ProcessPoolExecutor
-
-    split = len(tasks) // workers
-    own, rest = tasks[:split], tasks[split:]
-    batch = max(1, len(rest) // (4 * (workers - 1)))
-    with ProcessPoolExecutor(max_workers=workers - 1) as pool:
-        pooled = pool.map(_evaluate_chunk, rest, chunksize=batch)
-        records = [rec for task in own for rec in _evaluate_chunk(task)]
-        return records + [rec for recs in pooled for rec in recs]
+    bounds = [k * len(tasks) // workers for k in range(workers + 1)]
+    shares = []
+    try:
+        for k in range(1, workers):
+            shares.append(_ForkedShare(tasks[bounds[k]:bounds[k + 1]]))
+        by_start = _share_records(tasks[:bounds[1]])
+        for share in shares:
+            by_start.update(share.records())
+    finally:
+        for share in shares:
+            share.kill()
+    return [rec for recs in by_start.values() for rec in recs]
 
 
 def random_sweep(cfg: SweepConfig, workers: int = 1) -> list:

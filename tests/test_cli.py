@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from triqubit import sweeps, thermo
+from triqubit import DomainError, sweeps, thermo
 from triqubit.cli import main
 from triqubit.sweeps import BOOST_COLUMNS, GridScanConfig, boost_scan, write_records
 
@@ -208,6 +208,31 @@ def test_workers_below_one_is_rejected(tmp_path, capsys, command, config):
     assert main(argv) == 2
     assert "--workers must be at least 1" in capsys.readouterr().err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command, config, driver", [
+    ("sweep-random", "local_scatter", "random_sweep"), ("sweep-valve", "valve", "valve_sweep"),
+    ("sweep-boost", "boost", "boost_scan"),
+])
+def test_an_unwritable_out_fails_before_the_sweep(tmp_path, monkeypatch, capsys, command,
+                                                  config, driver):
+    seen = []  # whether a file stood at --out when the driver ran
+
+    def spy(cfg, workers):
+        seen.append(out.exists())
+        raise DomainError("stopped by the test")
+
+    monkeypatch.setattr(sweeps, driver, spy)
+    argv = [command, "--config", str(CONFIGS / f"{config}.json"), "--out"]
+    out = tmp_path / "missing" / "out.csv"
+    assert main(argv + [str(out)]) == 2
+    assert "cannot write records" in capsys.readouterr().err
+    assert seen == [] and not out.parent.exists()
+    # a writable --out is checked without leaving a file behind
+    out = tmp_path / "out.csv"
+    assert main(argv + [str(out)]) == 2
+    assert "stopped by the test" in capsys.readouterr().err
+    assert seen == [False] and not out.exists()
 
 
 def test_sweep_valve_flags_failures(tmp_path, capsys):

@@ -74,7 +74,7 @@ def test_boost_grid_times_the_edge_search_and_counts_its_solves(tmp_path):
         capture_output=True, text=True, check=True, timeout=120,
     ).stdout.splitlines()
     assert out[0].startswith("# boost.json: 6 clean of 6 points, 2 rounds")
-    rows = [line.split() for line in out[2:-3]]
+    rows = [line.split() for line in out[2:-4]]
     assert [row[0] for row in rows] == (
         ["sweeps._grid_params", "model.build_hamiltonian", "model.sector_spectrum",
          "local_me.build_local_generators"] + COMMON[:3] + ["sweeps._chunk_records"]
@@ -84,7 +84,7 @@ def test_boost_grid_times_the_edge_search_and_counts_its_solves(tmp_path):
         assert 0.0 < float(low) <= float(mid)
     # the forked process of the two-worker route: its CPU and its minor
     # page faults per scan
-    pool_note, edge_note, rss_note = out[-3:]
+    pool_note, edge_note, trip_note, rss_note = out[-4:]
     assert pool_note.startswith("# root 0: sweeps._evaluate_many/2 children take ")
     assert pool_note.endswith(" minor page faults per scan")
     words = pool_note.split()
@@ -94,4 +94,12 @@ def test_boost_grid_times_the_edge_search_and_counts_its_solves(tmp_path):
     assert int(words[-6]) > 0
     assert edge_note.startswith("# root 0: sweeps._locate_edge makes ")
     assert int(edge_note.split()[-5]) > 0
+    # the pool's fixed cost: one empty two-worker round trip and the minor
+    # page faults of its child, which forking alone makes nonzero
+    assert trip_note.startswith(
+        "# root 0: pool fixed cost: an empty two-worker round trip takes ")
+    words = trip_note.split()
+    assert words[-7:-5] == ["ms", "and"] and words[-4:] == ["child", "minor", "page", "faults"]
+    assert 0.0 < float(words[-8]) < 10_000.0
+    assert int(words[-5]) > 0
     _check_peak_rss_note(rss_note, 0)

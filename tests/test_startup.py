@@ -25,17 +25,17 @@ ONE_THREAD = {
 }
 
 # runs the CLI commands of argv[1] (a JSON list of argument lists) in order,
-# with their stdout discarded, and prints the modules of package argv[2]
-# loaded after each command as one JSON list per line
+# with their stdout discarded, and prints the modules of the comma-separated
+# packages argv[2] loaded after each command as one JSON list per line
 _COMMANDS = """
 import contextlib, io, json, sys
 from triqubit import cli
-package = sys.argv[2]
+packages = sys.argv[2].split(",")
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
     assert code == 0, (argv, code)
-    print(json.dumps(sorted(m for m in sys.modules
+    print(json.dumps(sorted(m for m in sys.modules for package in packages
                             if m == package or m.startswith(package + "."))))
 """
 
@@ -88,20 +88,24 @@ def test_no_command_loads_scipy(tmp_path):
         assert "edge" in rows[-1]["flags"].split(";")
 
 
-def test_only_a_process_pool_loads_concurrent_futures(tmp_path):
-    # concurrent.futures loads logging; a serial run needs neither
+def test_no_command_loads_a_process_pool_library(tmp_path):
+    # --workers forks with os.fork and reads pipes: neither concurrent.futures
+    # (which loads logging) nor multiprocessing is needed, at any worker count
     scatter = str(CONFIGS / "local_scatter.json")
-    commands = [
-        ["point", "--config", str(CONFIGS / "point.json")],
-        ["sweep-random", "--config", scatter, "--samples", "3", "--workers", "1",
-         "--out", str(tmp_path / "serial.csv")],
-        ["sweep-random", "--config", scatter, "--samples", "2", "--workers", "2",
-         "--out", str(tmp_path / "pooled.csv")],
-    ]
-    loaded = [json.loads(line)
-              for line in _fresh_python(_COMMANDS, json.dumps(commands), "concurrent")]
-    assert loaded[:2] == [[], []]
-    assert "concurrent.futures" in loaded[2]
+    commands = [["point", "--config", str(CONFIGS / "point.json")]]
+    for workers in ("1", "2"):
+        commands += [
+            ["sweep-random", "--config", scatter, "--samples", "3", "--workers", workers,
+             "--out", str(tmp_path / f"random{workers}.csv")],
+            ["validate", "--config", scatter, "--samples", "3", "--workers", workers],
+            ["sweep-valve", "--config", str(CONFIGS / "valve.json"), "--set", "n_points=6",
+             "--workers", workers, "--out", str(tmp_path / f"valve{workers}.csv")],
+            ["sweep-boost", "--config", str(CONFIGS / "boost.json"), "--set", "n_points=12",
+             "--workers", workers, "--out", str(tmp_path / f"boost{workers}.csv")],
+        ]
+    loaded = [json.loads(line) for line in _fresh_python(
+        _COMMANDS, json.dumps(commands), "concurrent,logging,multiprocessing")]
+    assert loaded == [[]] * len(commands)
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc malloc parameters")

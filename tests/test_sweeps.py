@@ -1,11 +1,13 @@
 """Deterministic draws, sweep drivers, CSV round-trips."""
 
-import concurrent.futures
 import csv
 import itertools
 import json
 import math
+import os
 import random
+import signal
+import time
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -335,40 +337,110 @@ def test_worker_count_does_not_change_output(tmp_path):
     (4096, 1, []),  # one CPU: serial, no pool
 ])
 def test_pool_size_is_capped_by_points_and_cpus(tmp_path, monkeypatch, workers, cpus, expected):
-    sizes, pooled_tasks = [], []
+    forked = []  # the tasks of each forked share
 
-    class SerialPool:
-        """ProcessPoolExecutor stand-in: records max_workers and tasks, starts no process."""
+    class InProcessShare:
+        """_ForkedShare stand-in: evaluates its share here, starts no process."""
 
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+        def __init__(self, tasks):
+            forked.append(tasks)
+            self._records = sweeps._share_records(tasks)
 
-        def __enter__(self):
-            return self
+        def records(self):
+            return self._records
 
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, iterable, chunksize=1):
-            tasks = list(iterable)
-            pooled_tasks.extend(tasks)
-            return map(fn, tasks)
+        def kill(self):
+            pass
 
     cfg = SweepConfig(**{**LOCAL_SCATTER, "bath_model": "repeated_interaction",
                          "B_range": (0.5, 4.5), "gamma": (0.5, 0.5, 0.5),
                          "n_samples": 5, "master_seed": MASTER_SEED})
     serial = tmp_path / "serial.csv"
     write_records(random_sweep(cfg, workers=1), serial, "random", cfg)
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(sweeps, "_ForkedShare", InProcessShare)
     monkeypatch.setattr(sweeps, "_cpu_count", lambda: cpus)
     pooled = tmp_path / "pooled.csv"
     write_records(random_sweep(cfg, workers=workers), pooled, "random", cfg)
-    assert sizes == expected
+    # one _evaluate_many call, which forks workers - 1 shares
+    assert ([len(forked)] if forked else []) == expected
     assert pooled.read_bytes() == serial.read_bytes()
-    # this process ran the first tasks itself; the pool got the rest
-    starts = [start for start, _, _ in pooled_tasks]
+    # this process ran the first tasks itself; the forked shares got the rest
+    starts = [start for tasks in forked for start, _, _ in tasks]
     assert 0 not in starts
     assert bool(starts) == bool(expected) and starts == list(range(5 - len(starts), 5))
+
+
+class Unpicklable(Exception):
+    """An exception that pickles but does not load: its __init__ takes two arguments."""
+
+    def __init__(self, where, what):
+        super().__init__(f"{what} at run {where}")
+
+
+def _fork_two_shares(monkeypatch, run):
+    """_evaluate_many on 4 points at 2 real workers, run(task, real) in place of each run.
+
+    This process evaluates the runs that start at 0 and 1, one forked
+    process those at 2 and 3. Returns the call's exception, and checks
+    that no child process is left.
+    """
+    real = sweeps._evaluate_chunk
+    monkeypatch.setattr(sweeps, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(sweeps, "_evaluate_chunk", lambda task: run(task, real))
+    points = [draw_params(sample_cfg(), k) for k in range(4)]
+    with pytest.raises(BaseException) as caught:
+        sweeps._evaluate_many(points, DEFAULT_EPSILON, 2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return caught.value
+
+
+def _raise_in_the_fork(make):
+    """A run() that raises make(start) in place of the runs of the forked share."""
+    def run(task, real):
+        if task[0] >= 2:
+            raise make(task[0])
+        return real(task)
+
+    return run
+
+
+def test_a_forked_share_that_raises_raises_here(monkeypatch):
+    error = _fork_two_shares(monkeypatch, _raise_in_the_fork(
+        lambda start: DomainError(f"injected at run {start}")))
+    assert type(error) is DomainError and str(error) == "injected at run 2"
+    # an exception that does not load comes back as its traceback's text
+    error = _fork_two_shares(monkeypatch, _raise_in_the_fork(
+        lambda start: Unpicklable(start, "injected")))
+    assert type(error) is RuntimeError
+    assert str(error).startswith("a forked sweep worker failed:\nTraceback")
+    assert str(error).endswith("Unpicklable: injected at run 2\n")
+
+
+@pytest.mark.parametrize("end, named", [
+    (lambda: os._exit(3), "exited with status 3"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9"),
+], ids=["exit", "signal"])
+def test_a_forked_share_that_dies_names_its_exit_status(monkeypatch, end, named):
+    def run(task, real):
+        if task[0] >= 2:
+            end()
+        return real(task)
+
+    error = _fork_two_shares(monkeypatch, run)
+    assert type(error) is RuntimeError
+    assert str(error) == f"a forked sweep worker {named} before it sent its records"
+
+
+def test_a_failing_own_share_kills_and_reaps_the_forked_ones(monkeypatch):
+    def run(task, real):
+        if task[0] >= 2:
+            time.sleep(120)  # killed long before it wakes
+        raise KeyboardInterrupt
+
+    start = time.monotonic()
+    assert type(_fork_two_shares(monkeypatch, run)) is KeyboardInterrupt
+    assert time.monotonic() - start < 60
 
 
 def test_valve_sweep_labels_and_error_point():
