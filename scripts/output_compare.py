@@ -4,8 +4,12 @@ Runs every output of ``_runs()`` (the ``sweep-random`` CSVs of both
 scatter configs at one and two workers, the ``sweep-valve`` and
 ``sweep-boost`` CSVs at one and two workers, the ``sweep-valve`` CSV of
 the harmonic model at two workers and, with J = Delta = 0, at one and
-two workers, ``point`` stdout of the
-point config and of an unclosed harmonic point set over it, and
+two workers, three more ``sweep-valve`` CSVs at one and two workers whose
+chunks fall back to one point at a time (the harmonic grid at gamma =
+0.05, where every row warns; the grid from B2 = 0, whose row 0 is an
+error; and a near-equilibrium harmonic grid where 99 rows break the
+first law, a count that the rate-matrix bits decide), ``point`` stdout
+of the point config and of an unclosed harmonic point set over it, and
 ``validate --samples 200`` stdout of both scatter configs) with the
 ``src/`` of each checkout, in one subprocess per checkout and both on
 ROOT's ``configs/``:
@@ -90,6 +94,23 @@ def _runs():
                ["sweep-valve", "--config", "valve", "--set", "bath_model=harmonic",
                 "--set", "J=[0,0,0]", "--set", "Delta=[0,0,0]", "--workers", str(workers)],
                "csv")
+    # a warned harmonic grid and a grid with an error row in its first
+    # chunk, whose chunks are solved again point by point, and a harmonic
+    # grid whose rate-matrix bits decide which rows break the first law,
+    # whose chunks' reports are rebuilt point by point
+    for label, sets in (
+        ("warned-harmonic", ["bath_model=harmonic", "gamma=[0.05,0.05,0.05]"]),
+        ("error-row", ["B2_min=0"]),
+        ("first-law-harmonic", ["bath_model=harmonic", "J=[5.49e-4,2.960e-4,4.963e-4]",
+                                "Delta=[7.93e-4,9.67e-4,1.69e-4]",
+                                "gamma=[8.71e-7,5.76e-7,7.56e-7]", "T=[1.50015,1.5,1.5]",
+                                "B2_max=1"]),
+    ):
+        for workers in (1, 2):
+            yield (f"sweep-valve valve {label} --workers {workers}",
+                   ["sweep-valve", "--config", "valve",
+                    *(arg for value in sets for arg in ("--set", value)),
+                    "--workers", str(workers)], "csv")
     yield "sweep-boost boost", ["sweep-boost", "--config", "boost"], "csv"
     yield ("sweep-boost boost --workers 2",
            ["sweep-boost", "--config", "boost", "--workers", "2"], "csv")

@@ -105,6 +105,8 @@ def _cmd_point(args) -> int:
     epsilon = checked_epsilon(data.pop("epsilon", DEFAULT_EPSILON))
     data.setdefault("T", _DEFAULT_T)
     params = ModelParams(**data)
+    if args.out:  # before the solve, so that an unwritable --out costs no point
+        _check_writable(args.out)
     ev = evaluate_point(params, epsilon=epsilon)
     payload = {
         "config": {**_jsonify(asdict(params)), "epsilon": epsilon},

@@ -26,14 +26,15 @@ so the jumps are kept there; Generators.jump_ops maps them to the
 computational basis only on first access, for the 64 x 64 dissipators.
 build_global_generators takes the eigenvectors V one Newton step toward
 unitarity first, so that both maps agree to roundoff.
-Every jump flips one spin, so its amplitudes <a|A_omega|b> vanish exactly
-unless |m(a) - m(b)| = 2, 30 of the 64 entries for three qubits.
-site_rate_matrices reads that support of the amplitudes, and the rates
-of build_global_generators, for the Pauli rate matrices of the
-population solve. Where some cluster holds more than one transition, the
+Each JumpSet lists its site's transitions a <- b with their amplitudes
+<a|sigma_x^i|b>, nonzero only where |m(a) - m(b)| = 2: every jump flips
+one spin. site_rate_matrices reads them, with the rates of
+build_global_generators, for the Pauli rate matrices of the population
+solve. Where some cluster holds more than one nonzero transition, the
 solve also reads the dm >= 0 magnetization-difference blocks of the
 summed dissipator, which Generators.eigen_blocks cuts on first access
-from lindblad_superop of all the jumps in the eigenbasis.
+from lindblad_superop of the dense jumps, JumpSet.amplitudes, themselves
+built on first access.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -90,21 +91,40 @@ def bose_occupation(omega: float, T: float) -> float:
 
 @dataclass(frozen=True)
 class JumpSet:
-    """Clustered jump operators of one site, in the eigenbasis of H.
+    """Clustered jump operators of one site, as the list of their transitions.
 
     frequencies are the ascending cluster centers (all > tol of
-    jump_operators). amplitudes[k] is the jump that lowers the system
-    energy by frequencies[k]: the entries <a|sigma_x^site|b> at the
-    cluster's transitions, E_b - E_a in the cluster, and exactly 0.0
-    elsewhere. V amplitudes[k] V^dag is the jump in the computational
+    jump_operators). Transition t, in cluster order, is a <- b for a =
+    lower[t] and b = upper[t], E_b - E_a in cluster cluster[t], with the
+    eigenbasis amplitude values[t] = <a|sigma_x^site|b>. amplitudes[k],
+    built on first access, is the eigenbasis jump that lowers the energy
+    by frequencies[k]: values at its transitions and exactly 0.0
+    elsewhere; V amplitudes[k] V^dag is the jump in the computational
     basis. zero_part is the discarded |E_b - E_a| <= tol component of
     sigma_x^site, also in the eigenbasis.
     """
 
     site: int
     frequencies: np.ndarray
-    amplitudes: np.ndarray
+    cluster: np.ndarray
+    lower: np.ndarray
+    upper: np.ndarray
+    values: np.ndarray
     zero_part: np.ndarray
+
+    @cached_property
+    def amplitudes(self) -> np.ndarray:
+        d = self.zero_part.shape[0]
+        out = np.zeros((self.frequencies.size, d, d), dtype=complex)
+        out[self.cluster, self.lower, self.upper] = self.values
+        return out
+
+    def nonzero(self) -> np.ndarray:
+        """Mask of the transitions whose |value| exceeds 1e-12 of their cluster's largest."""
+        mags = np.abs(self.values)
+        largest = np.zeros(self.frequencies.size)
+        np.maximum.at(largest, self.cluster, mags)
+        return mags > 1e-12 * np.maximum(largest, 1e-300)[self.cluster]
 
 
 @lru_cache(maxsize=None)
@@ -173,19 +193,22 @@ def jump_operators(spectrum: Spectrum) -> tuple:
             "Bohr frequencies"
         )
     n_c = starts.size
-    # each cluster's amplitudes are sx_eig at its own transitions and
-    # exactly 0.0 elsewhere; the zero parts hold the |E_b - E_a| <= tol rest
+    # every transition's values; the zero parts hold the |E_b - E_a| <= tol rest
     gathered = sx_eig[:, a_idx, b_idx]
-    amps = np.zeros((n_sites, n_c, d, d), dtype=complex)
-    amps[:, np.repeat(np.arange(n_c), counts), a_idx, b_idx] = gathered
     zero_parts = np.where(np.abs(diff) <= tol, sx_eig, 0.0)
     # drop the clusters that carry no weight for a site, by the Frobenius norm
     # of their gathered amplitudes, that of the computational-basis operator
     sq = np.abs(gathered) ** 2
     keep = np.sqrt(np.add.reduceat(sq, starts, axis=1) if n_c else sq) > 1e-12 * math.sqrt(d)
     freqs = np.add.reduceat(vals, starts) / counts if n_c else vals
+    # each site keeps the transitions of its kept clusters, each numbered
+    # among the site's kept clusters
+    cluster = np.repeat(np.arange(n_c), counts)
+    kept = keep[:, cluster]
+    renumbered = (np.cumsum(keep, axis=1) - 1)[:, cluster]
     out = []
-    for site, site_keep, site_amps, zero_part in zip(range(1, n_sites + 1), keep, amps, zero_parts):
+    for site, site_keep, t, clusters, values, zero_part in zip(
+            range(1, n_sites + 1), keep, kept, renumbered, gathered, zero_parts):
         zero_norm = float(np.linalg.norm(zero_part, "fro"))
         if zero_norm > 1e-10:
             warnings.warn(
@@ -196,7 +219,10 @@ def jump_operators(spectrum: Spectrum) -> tuple:
         out.append(JumpSet(
             site=site,
             frequencies=freqs[site_keep],
-            amplitudes=site_amps[site_keep],
+            cluster=clusters[t],
+            lower=a_idx[t],
+            upper=b_idx[t],
+            values=values[t],
             zero_part=zero_part,
         ))
     return tuple(out)
@@ -254,32 +280,6 @@ def _heat_generators(gen: Generators) -> np.ndarray:
                      for a, r in zip(amps, gen.jump_rates)])
 
 
-# one entry per ordering of the magnetization labels, as for
-# liouville_block_groups
-@lru_cache(maxsize=None)
-def _jump_support(labels: tuple) -> tuple:
-    """Read-only index maps of the |dm| = 2 support of the jump amplitudes.
-
-    labels[k] is the magnetization of eigenstate k. A jump flips one spin,
-    so its amplitudes <a|A_omega|b> are exactly zero unless |m(a) - m(b)|
-    is 2: s = 30 of the 64 entries for three qubits. Returns (flat, swap,
-    pairs). flat holds the ascending positions a d + b of the support in a
-    flattened d x d matrix, swap the support index of each position's
-    transpose b d + a, and pairs the two support indices of each pair of
-    positions that share a row or a column.
-    """
-    m = np.asarray(labels)
-    d = m.size
-    rows, cols = np.nonzero(np.abs(m[:, None] - m[None, :]) == 2)
-    where = np.full(d * d, rows.size, dtype=np.int16)
-    where[rows * d + cols] = np.arange(rows.size)
-    same = (rows[:, None] == rows[None, :]) | (cols[:, None] == cols[None, :])
-    out = (rows * d + cols, where[cols * d + rows], np.stack(np.nonzero(np.triu(same, 1))))
-    for arr in out:
-        arr.setflags(write=False)
-    return out
-
-
 def build_global_generators(p: ModelParams) -> Generators:
     """Harmonic-bath generator: the jumps of each bath and their thermal rates."""
     H = build_hamiltonian(p)
@@ -304,19 +304,15 @@ def _eigen_blocks(gen: Generators) -> tuple:
     three baths and their daggers, the 64 x 64 summed dissipator in the
     eigenbasis. Only points that are not fully secular read them.
 
-    A cluster whose amplitudes are nonzero, above 1e-12 of its largest as
-    in site_rate_matrices, at both dm = m(a) - m(b) = +2 and -2 couples
-    the dm blocks, which these blocks keep apart: it raises
-    ClusteringError.
+    A cluster with nonzero transitions (JumpSet.nonzero) at both dm =
+    m(a) - m(b) = +2 and -2 couples the dm blocks, which these blocks keep
+    apart: it raises ClusteringError.
     """
-    labels = tuple(gen.spectrum.sectors.tolist())
-    flat = _jump_support(labels)[0]
-    d = len(labels)
-    raising = np.subtract.outer(labels, labels).ravel()[flat] > 0
+    m = gen.spectrum.sectors
     for js in gen.jumps:
-        mags = np.abs(js.amplitudes.reshape(-1, d * d)[:, flat])
-        nz = mags > 1e-12 * np.maximum(mags.max(axis=1), 1e-300)[:, None]
-        mixed = np.flatnonzero((nz & raising).any(axis=1) & (nz & ~raising).any(axis=1))
+        nz = js.nonzero()
+        raising = (m[js.lower] > m[js.upper])[nz]
+        mixed = np.intersect1d(js.cluster[nz][raising], js.cluster[nz][~raising])
         if mixed.size:
             raise ClusteringError(
                 f"site {js.site}: the Bohr frequency cluster near "
@@ -338,41 +334,37 @@ def site_rate_matrices(gen: Generators):
 
     Returns (mats, closed, secular). mats[i] is the real d x d matrix giving
     bath i's contribution to dp/dt = sum_i M_i p for diagonal (eigenbasis)
-    states. closed is True when no cluster operator has two nonzero entries
-    sharing a row or a column, in which case the population sector
-    decouples exactly from the coherences and the steady populations solve
-    (sum_i M_i) p = 0. secular is True when every cluster operator has a
-    single nonzero entry, one transition a <- b; then the generator is
-    the Pauli rate matrix sum_i M_i on the populations and diagonal on the
-    coherences. An entry counts as nonzero above 1e-12 of its cluster's
-    largest.
-    The three baths are one stack over the support of the amplitudes,
-    each site's clusters in the leading slots of a zero-padded cluster
-    axis, with the rates of gen.jump_rates; off the support every term is
-    exactly zero. Each off-diagonal entry is the sum of the clusters' down
-    terms plus the sum of their up terms, in extended precision. The
-    diagonal, minus each column's sum, serves the certificate and the
-    blocks; the populations and the heat currents read only the
-    off-diagonal rates.
+    states. closed is True when no cluster has two nonzero transitions
+    (JumpSet.nonzero) sharing their lower or their upper state, in which
+    case the population sector decouples exactly from the coherences and
+    the steady populations solve (sum_i M_i) p = 0. secular is True when
+    every cluster has a single nonzero transition a <- b; then the
+    generator is the Pauli rate matrix sum_i M_i on the populations and
+    diagonal on the coherences.
+    Each transition a <- b of a cluster with rates (down, up) of
+    gen.jump_rates and amplitude v gives M_i[a, b] = down |v|^2 and M_i[b,
+    a] = up |v|^2, one product in extended precision: no two transitions
+    share a position. The diagonal, minus each column's sum, serves the
+    certificate and the blocks; the populations and the heat currents read
+    only the off-diagonal rates.
     """
-    counts = np.array([len(js.frequencies) for js in gen.jumps])
     d = gen.spectrum.dim
-    flat, swap, pairs = _jump_support(tuple(gen.spectrum.sectors.tolist()))
-    slot = np.arange(counts.max()) < counts[:, None]
-    mags = np.zeros(slot.shape + flat.shape)
-    mags[slot] = np.abs(np.concatenate([js.amplitudes for js in gen.jumps]).reshape(-1, d * d)[:, flat])
-    down, up = np.zeros((2,) + slot.shape)
-    down[slot], up[slot] = (np.concatenate(r) for r in zip(*gen.jump_rates))
-    cut = 1e-12 * np.maximum(mags.max(axis=2), 1e-300)
-    nz = mags > cut[:, :, None]
-    closed = not np.any(nz[:, :, pairs[0]] & nz[:, :, pairs[1]])
-    secular = bool(np.all(nz.sum(axis=2)[slot] == 1))
-    g = mags.astype(LD) ** 2
-    # gains land strictly off the diagonal: the support, where a jump
-    # flips one spin, holds no diagonal entry
-    M = np.zeros((len(counts), d * d), dtype=LD)
-    M[:, flat] = (down[:, :, None] * g).sum(axis=1) + (up[:, :, None] * g[:, :, swap]).sum(axis=1)
-    M = M.reshape(-1, d, d)
+    M = np.zeros((len(gen.jumps), d, d), dtype=LD)
+    closed = secular = True
+    for M_i, js, (down, up) in zip(M, gen.jumps, gen.jump_rates):
+        g = np.abs(js.values).astype(LD) ** 2
+        M_i[js.lower, js.upper] = down[js.cluster] * g
+        M_i[js.upper, js.lower] = up[js.cluster] * g
+        nz = js.nonzero()
+        cluster = js.cluster[nz]
+        per_cluster = np.bincount(cluster, minlength=js.frequencies.size)
+        secular = secular and bool(np.all(per_cluster == 1))
+        # only a cluster with two nonzero transitions can share a state;
+        # ends numbers each (cluster, lower) and (cluster, upper) pair
+        if closed and per_cluster.max(initial=0) > 1:
+            ends = np.concatenate([cluster * 2 * d + js.lower[nz],
+                                   cluster * 2 * d + d + js.upper[nz]])
+            closed = bool(np.bincount(ends).max() <= 1)
     diag = np.arange(d)
     M[:, diag, diag] -= M.sum(axis=1)
     return tuple(M), closed, secular

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from triqubit import DomainError, sweeps, thermo
+from triqubit import DomainError, cli, sweeps, thermo
 from triqubit.cli import main
 from triqubit.sweeps import BOOST_COLUMNS, GridScanConfig, boost_scan, write_records
 
@@ -233,6 +233,15 @@ def test_an_unwritable_out_fails_before_the_sweep(tmp_path, monkeypatch, capsys,
     assert main(argv + [str(out)]) == 2
     assert "stopped by the test" in capsys.readouterr().err
     assert seen == [False] and not out.exists()
+
+
+def test_an_unwritable_out_fails_before_the_point_is_solved(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "evaluate_point", lambda *args, **kwargs: calls.append(args))
+    argv = ["point", "--config", str(CONFIGS / "point.json"), "--out", "/nonexistent/x.json"]
+    assert main(argv) == 2
+    assert "cannot write" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_sweep_valve_flags_failures(tmp_path, capsys):

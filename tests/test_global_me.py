@@ -620,8 +620,7 @@ SUPPORT_POINTS = _scatter_points(200) + [UNCLOSED_HARMONIC, ZERO_MODE]
                          ids=[f"scatter-{k}" for k in range(200)] + ["unclosed", "zero-mode"])
 def test_jump_amplitudes_vanish_off_the_one_flip_support(p):
     # every jump flips one spin, so <a|A|b> is exactly 0.0 unless
-    # |m(a) - m(b)| = 2, the support the generator blocks and the rate
-    # matrices are built from
+    # |m(a) - m(b)| = 2: only those transitions carry a rate
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ZeroModeWarning)
         gen = build_global_generators(p)
@@ -650,4 +649,6 @@ def test_a_fully_secular_point_has_one_transition_per_cluster(p, closed, secular
     # the solve reads the eigen blocks only where the point is not fully secular
     sol = solve_point(p)
     assert ("eigen_blocks" in vars(sol.generators)) is not secular
+    # and only those blocks build the dense amplitude stacks
+    assert all(("amplitudes" in vars(js)) is not secular for js in sol.generators.jumps)
     assert (sol.populations is not None) is closed

@@ -291,8 +291,7 @@ def test_sweeps_keep_the_memoized_operators_parameter_free(model_name, base):
     caches = (algebra._embedded, model._pair_strings, model._sector_layout,
               local_me._unit_dissipators, local_me._site_stacks, local_me._flip_gathers,
               local_me._lowering_jumps, global_me._site_couplings)
-    for cache in caches + (model.liouville_block_groups, global_me._jump_support,
-                           local_me._transform_gathers):
+    for cache in caches + (model.liouville_block_groups, local_me._transform_gathers):
         cache.cache_clear()
     cfg = SweepConfig(**{**base, "bath_model": model_name, "n_samples": 20,
                          "master_seed": MASTER_SEED})
@@ -306,12 +305,13 @@ def test_sweeps_keep_the_memoized_operators_parameter_free(model_name, base):
     # computational basis's own
     orderings = {tuple(model.sector_spectrum(model.build_hamiltonian(draw_params(cfg, k)))
                        .sectors.tolist()) for k in range(20)}
-    by_labels = (model.liouville_block_groups, global_me._jump_support,
-                 local_me._transform_gathers)
+    by_labels = (model.liouville_block_groups, local_me._transform_gathers)
     sizes = [cache.cache_info().currsize for cache in by_labels]
-    # the fully secular harmonic points read only the jump support
-    used = 0 if model_name == "repeated_interaction" else 1
-    assert max(sizes) <= len(orderings) + 1 and sizes[used] >= 1, (sizes, len(orderings))
+    assert max(sizes) <= len(orderings) + 1, (sizes, len(orderings))
+    if model_name == "repeated_interaction":
+        assert sizes[0] >= 1, sizes
+    else:  # the fully secular harmonic points read no layout keyed by the labels
+        assert sizes == [0, 0], sizes
 
 
 def test_random_sweep_repeatable_csv(tmp_path):
