@@ -17,14 +17,18 @@ after the other. Besides the solve, the stages of the sweeps module show:
 point; on grid configs, ``_chunk_records`` per point, the report half
 of the chunk route (each report kind one stacked pass over a run of the
 grid's chunk size, from solutions prepared beforehand), next to the
-one-point ``thermo_report`` and ``correlation_report``, and
-``_evaluate_many`` per point, the whole chunk route that a grid scan
-takes on one worker, and ``_evaluate_many/2`` per point, the same route
-at two workers in wall time, whose note gives the CPU milliseconds and
-the minor page faults per scan of the forked process; ``write_records``
-per record and, on a grid with a refrigerator window, the boost scan's
-``_locate_edge`` per scan, each round from a fresh copy of the grid's
-solved map. A comment line after the table gives the number of new
+one-point ``thermo_report`` and ``correlation_report``, and after it
+``thermo._thermo_rows`` per point, the stacked bookkeeping of those runs
+alone on their currents in hand; ``_evaluate_many`` per point, the whole
+chunk route that a grid scan takes on one worker, and
+``_evaluate_many/2`` per point, the same route at two workers in wall
+time, whose note gives the CPU milliseconds and the minor page faults per
+scan of the forked process, and ``share_transport`` per scan, the records
+of that process's share, evaluated beforehand, encoded as it sends them
+and decoded as the invoking process takes them; ``write_records`` per
+record, of the records the chunk route hands it, and, on a grid with a
+refrigerator window, the boost scan's ``_locate_edge`` per scan, each
+round from a fresh copy of the map of the points it has solved. A comment line after the table gives the number of new
 solves that search makes; on grid configs, one per root gives the pool's
 fixed cost, the wall milliseconds of one empty two-worker round trip
 (fork, pipe, reap, no points) and the minor page faults of its child; and
@@ -84,9 +88,10 @@ def _stages(cfg, indices, all_points, out_dir):
              for p in points]
     sols = [steady_state.solve_point(p) for p in points]
     grid = isinstance(cfg, sweeps.GridScanConfig)
-    # a grid's records over all its points feed the edge search too
-    records = [sweeps.evaluate_point(p, epsilon) for p in (all_points if grid else points)]
-    written = [records[k] for k in indices] if grid else records
+    chunk = sweeps._GRID_CHUNK if grid and hasattr(sweeps, "_GRID_CHUNK") else 1
+    # the records the CLI hands write_records: the chunk route's (columns
+    # where a checkout has them)
+    written = sweeps._evaluate_many(points, epsilon, 1, chunk)
     if grid:
         draw = ("sweeps._grid_params", sweeps._grid_params, [(cfg, p.B[1]) for p in points])
     else:
@@ -117,22 +122,63 @@ def _stages(cfg, indices, all_points, out_dir):
         runs = math.ceil(len(points) / sweeps._GRID_CHUNK)
         size = math.ceil(len(points) / runs)
         chunks = [points[start:start + size] for start in range(0, len(points), size)]
-        reported = [(chunk, steady_state.solve_points(chunk), epsilon) for chunk in chunks]
+        reported = [(run, steady_state.solve_points(run), epsilon) for run in chunks]
         at = [name for name, _, _ in stages].index("correlations.correlation_report") + 1
         stages.insert(at, ("sweeps._chunk_records", _calling(sweeps._chunk_records, reported),
                            len(points)))
+        if hasattr(thermo, "_thermo_rows"):
+            # the stacked bookkeeping alone, on each run's currents in hand
+            bookkept = [(sols, epsilon, None if harmonic else _current_rows(local_me, sols))
+                        for _, sols, _ in reported]
+            stages.insert(at + 1, ("thermo._thermo_rows", _calling(thermo._thermo_rows, bookkept),
+                                   len(points)))
     if grid and hasattr(sweeps, "_GRID_CHUNK"):
         # the grid's chunk route, serial and at the benchmark's two workers
-        chunked = [(points, epsilon, 1, sweeps._GRID_CHUNK)]
+        chunked = [(points, epsilon, 1, chunk)]
         stages.append(("sweeps._evaluate_many", _calling(sweeps._evaluate_many, chunked),
                        len(points)))
         stages.append(("sweeps._evaluate_many/2", _pooled(sweeps._evaluate_many, points, epsilon,
-                                                          sweeps._GRID_CHUNK), len(points)))
+                                                          chunk), len(points)))
+        stages.append(("sweeps.share_transport", _transport(sweeps, points, epsilon, chunk), 1))
     path = out_dir / "records.csv"
     stages.append(("sweeps.write_records",
                    lambda: sweeps.write_records(written, path, "stage_times", cfg), len(written)))
-    edge = _edge_search(cfg, records) if grid else None
+    edge = _edge_search(cfg, all_points) if grid else None
     return stages + ([edge] if edge else [])
+
+
+def _current_rows(local_me, sols):
+    """(q, Q, W, C) of each of sols, from one stack of its local currents."""
+    import numpy as np
+
+    columns = local_me._current_columns(np.array([sol.rho for sol in sols]),
+                                        [sol.generators for sol in sols])
+    return list(zip(*(column.tolist() for column in columns)))
+
+
+def _transport(sweeps, points, epsilon, chunk):
+    """A stage's run(): the pipe's share of the two-worker chunk route, encoded and decoded.
+
+    The share is the runs a forked process takes at two workers, evaluated
+    beforehand; a run encodes its records as the forked process does and
+    decodes them as the invoking process does. A checkout without
+    sweeps._share_payload pickles and unpickles the share's records whole.
+    """
+    import pickle
+
+    runs = 2 * math.ceil(len(points) / (2 * chunk))
+    size = math.ceil(len(points) / runs)
+    tasks = [(start, points[start:start + size], epsilon) for start in range(0, len(points), size)]
+    share = tasks[len(tasks) // 2:]
+    records = sweeps._share_records(share)
+    if not hasattr(sweeps, "_share_payload"):
+        return lambda: pickle.loads(pickle.dumps(("records", records)))[1] and None
+    share_points = [p for _, run, _ in share for p in run]
+
+    def run():
+        sweeps._share_columns(sweeps._share_payload(records), share_points, epsilon)
+
+    return run
 
 
 def _calling(fn, args):
@@ -182,22 +228,31 @@ def _round_trip_note(sweeps) -> str:
             f"and {faults} child minor page faults")
 
 
-def _edge_search(cfg, grid):
+def _edge_search(cfg, points):
     """The boost scan's edge search from the grid's records, or None without a window.
 
-    Each run starts from a fresh copy of the grid's solved map, so that it
-    solves the same new points every round; its note gives their count.
+    Each run starts from a fresh copy of the map of the points it has
+    solved, so that it solves the same new points every round; its note
+    gives their count. A checkout whose search takes the grid's B2 and work
+    gets those, one whose search takes the grid's records gets them.
     """
     from triqubit import sweeps
     from triqubit.thermo import Regime
 
+    grid = [sweeps.evaluate_point(p, cfg.epsilon) for p in points]
     if not any(rec.thermo is not None and rec.thermo.regime is Regime.IV for rec in grid):
         return None
-    solved = {rec.params.B[1]: rec for rec in grid}
+    if "w" in inspect.signature(sweeps._locate_edge).parameters:
+        args = ([rec.params.B[1] for rec in grid],
+                [None if rec.thermo is None else rec.thermo.W for rec in grid])
+        solved = {}
+    else:
+        args = (grid,)
+        solved = {rec.params.B[1]: rec for rec in grid}
 
     def run():
         fresh = dict(solved)
-        sweeps._locate_edge(cfg, list(grid), fresh)
+        sweeps._locate_edge(cfg, *(list(arg) for arg in args), fresh)
         return f"sweeps._locate_edge makes {len(fresh) - len(solved)} new solves per scan"
 
     run()  # a first search, so that every timed round finds the same caches warm

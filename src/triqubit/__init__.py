@@ -46,16 +46,12 @@ from .steady_state import (
     steady_state_via_evolution,
 )
 from .thermo import (
-    CopMetrics,
     Regime,
     Role,
     SubmachineFigures,
     ThermoReport,
     classify_regime,
-    cop_metrics,
-    entropy_production,
     invariant_violations,
-    otto_conditions_and_trapezoid,
     submachine_report,
     thermo_report,
 )
@@ -70,6 +66,7 @@ from .correlations import (
 )
 from .sweeps import (
     GridScanConfig,
+    Records,
     SplitMix64,
     SweepConfig,
     SweepRecord,

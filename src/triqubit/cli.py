@@ -106,7 +106,7 @@ def _cmd_point(args) -> int:
     data.setdefault("T", _DEFAULT_T)
     params = ModelParams(**data)
     if args.out:  # before the solve, so that an unwritable --out costs no point
-        _check_writable(args.out)
+        _check_writable(args.out, "the report")
     ev = evaluate_point(params, epsilon=epsilon)
     payload = {
         "config": {**_jsonify(asdict(params)), "epsilon": epsilon},
@@ -129,7 +129,9 @@ def _cmd_point(args) -> int:
 
 
 def _failed_indices(records) -> list:
-    return [r.index for r in records if any(f.startswith("error:") for f in r.flags)]
+    """The indices of the error records of a sweep's Records, read off its columns."""
+    return [index for index, flags in zip(records.index.tolist(), records.flags)
+            if any(f.startswith("error:") for f in flags)]
 
 
 def _report_failures(records) -> int:
@@ -163,8 +165,11 @@ _SWEEPS = {
 }
 
 
-def _check_writable(path) -> None:
-    """Raise DomainError unless path opens for writing; a file made to check is removed."""
+def _check_writable(path, what: str) -> None:
+    """Raise DomainError, naming what the command writes, unless path opens for writing.
+
+    A file made to check is removed.
+    """
     try:
         try:
             with open(path, "x"):
@@ -175,14 +180,14 @@ def _check_writable(path) -> None:
         else:
             os.remove(path)
     except OSError as exc:
-        raise DomainError(f"cannot write records to {path!r}: {exc}") from exc
+        raise DomainError(f"cannot write {what} to {path!r}: {exc}") from exc
 
 
 def _cmd_sweep(args) -> int:
     cls, driver, scan_name, columns = _SWEEPS[args.command]
     cfg = _sweep_config(args, cls)
     # before the sweep, so that an unwritable --out costs no point
-    _check_writable(args.out)
+    _check_writable(args.out, "records")
     records = getattr(sweeps, driver)(cfg, workers=args.workers)
     write_records(records, args.out, scan_name, cfg, extra_columns=columns)
     if not records:  # only a boost scan over an empty window yields none
@@ -211,7 +216,7 @@ def _cmd_validate(args) -> int:
         print(f"{name:<20} {passed}/{len(records)} {status}")
         all_pass = all_pass and passed == len(records)
     failures = len(_failed_indices(records))
-    discarded = sum(1 for r in records if "discarded" in r.flags)
+    discarded = sum(1 for flags in records.flags if "discarded" in flags)
     print(f"{'solver failures':<20} {failures}/{len(records)}")
     print(f"{'discarded':<20} {discarded}/{len(records)}")
     print(f"result: {'PASS' if all_pass else 'FAIL'}")

@@ -19,6 +19,7 @@ from .errors import DomainError
 from .model import N_SITES, PAIRS, SITES, ModelParams
 
 _EIG_FLOOR = -1e-10  # eigenvalues below this are treated as corrupt input
+_PPT_FLOOR = -1e-10  # a partial transpose's least eigenvalue below this is negative
 
 
 def _entropies(states: np.ndarray) -> np.ndarray:
@@ -126,7 +127,7 @@ def ppt_check(rho: np.ndarray, site: int) -> PptCheck:
 
 
 def _ppt_verdict(lam_min: float) -> PptCheck:
-    return PptCheck(min_eigenvalue=lam_min, is_negative=lam_min < -1e-10)
+    return PptCheck(min_eigenvalue=lam_min, is_negative=lam_min < _PPT_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -182,29 +183,38 @@ def _traced_sum(terms: np.ndarray) -> np.ndarray:
     return out
 
 
+# the columns of a run's correlation reports, one row per point, in PAIRS and
+# SITES order; up to ppt3 they are the CSV's correlation columns in its order
+CORRELATION_COLUMNS = (
+    "I12", "I13", "I23", "mibound12", "mibound13", "mibound23",
+    "xres12", "xres13", "xres23", "ppt1", "ppt2", "ppt3",
+    "r23re12", "r23re13", "r23re23", "r23im12", "r23im13", "r23im23",
+)
+
+
 def correlation_report(rho: np.ndarray, params: ModelParams) -> CorrelationReport:
     """Assemble every pairwise metric; bounds use the current implied by r23.
 
-    A stack of one of _correlation_reports. The bound's current is
+    A stack of one of _correlation_rows. The bound's current is
     reconstructed from the state itself as C = 8 J Im(r23), so the report
     stays meaningful for both bath models. Pairs with J = 0 carry no
     current and get a zero bound. Every number is bitwise equal to
     mutual_information, x_state_analysis and ppt_check.
     """
-    return _correlation_reports(rho[None], (params,))[0]
+    return _correlation_view(_correlation_rows(rho[None], (params,))[0])
 
 
-def _correlation_reports(rhos: np.ndarray, params) -> list:
-    """The CorrelationReport of each state of an (N, 8, 8) stack rhos, params[k] that of rhos[k].
+def _correlation_rows(rhos: np.ndarray, params) -> list:
+    """correlation_report of each state of an (N, 8, 8) stack rhos, as rows of CORRELATION_COLUMNS.
 
-    The three pair reductions, the three single-site reductions and the
-    three partial transposes of every state are each one gather of the
-    flattened stack at the cached indices of _reduction_gathers, and each
-    kind goes through one eigvalsh call. The X-form residual is
-    np.linalg.norm's own sqrt(x.real . x.real + x.imag . x.imag), as dot
-    products of all the pairs at once. The bounds and the PPT verdicts are
-    taken point by point. Every number is the one correlation_report gives
-    for that state alone.
+    params[k] is that of rhos[k]. The three pair reductions, the three
+    single-site reductions and the three partial transposes of every state
+    are each one gather of the flattened stack at the cached indices of
+    _reduction_gathers, and each kind goes through one eigvalsh call. The
+    X-form residual is np.linalg.norm's own sqrt(x.real . x.real + x.imag .
+    x.imag), as dot products of all the pairs at once. The mutual
+    informations and the bounds are taken point by point. Every number is
+    the one correlation_report gives for that state alone.
     """
     if rhos.shape[1:] != (2**N_SITES, 2**N_SITES):
         raise DomainError(f"expected a {N_SITES}-qubit state, got shape {rhos.shape[1:]}")
@@ -219,27 +229,37 @@ def _correlation_reports(rhos: np.ndarray, params) -> list:
     outside = hermitian[:, :, None, ~_X_PATTERN]
     re, im = outside.real, outside.imag
     residual = np.sqrt(re @ re.swapaxes(2, 3) + im @ im.swapaxes(2, 3)).reshape(-1, 3).tolist()
-    r23 = hermitian[:, :, 1, 2].tolist()
-    reports = []
-    for p, s_pair_k, s_site_k, lam_k, residual_k, r23_k in zip(
-            params, s_pair, s_site, lam_min, residual, r23):
-        checks = [_ppt_verdict(lam) for lam in lam_k]
-        mi = {}
-        bounds = {}
-        for k, (i, j) in enumerate(PAIRS):
-            mi[(i, j)] = s_site_k[i - 1] + s_site_k[j - 1] - s_pair_k[k]
+    r23 = hermitian[:, :, 1, 2]
+    rows = []
+    for p, s_pair_k, s_site_k, lam_k, residual_k, re_k, im_k in zip(
+            params, s_pair, s_site, lam_min, residual, r23.real.tolist(), r23.imag.tolist()):
+        mi, bounds = [], []
+        for (i, j), s_ij, im_ij in zip(PAIRS, s_pair_k, im_k):
+            mi.append(s_site_k[i - 1] + s_site_k[j - 1] - s_ij)
             J = p.pair_value("J", i, j)
-            if J > 0.0:
-                implied_current = 8.0 * J * r23_k[k].imag
-                bounds[(i, j)] = mi_lower_bound(implied_current, J)
-            else:
-                bounds[(i, j)] = 0.0
-        reports.append(CorrelationReport(
-            I=mi,
-            x_form_residual=dict(zip(PAIRS, residual_k)),
-            mi_bound=bounds,
-            r23=dict(zip(PAIRS, r23_k)),
-            ppt_negative=tuple(c.is_negative for c in checks),
-            ppt_min_eigenvalues=tuple(c.min_eigenvalue for c in checks),
-        ))
-    return reports
+            bounds.append(mi_lower_bound(8.0 * J * im_ij, J) if J > 0.0 else 0.0)
+        rows.append(mi + bounds + residual_k + lam_k + re_k + im_k)
+    return rows
+
+
+def _correlation_view(cells) -> CorrelationReport:
+    """The CorrelationReport of one row of CORRELATION_COLUMNS, as a list of floats."""
+    lam = cells[9:12]
+    return CorrelationReport(
+        I=dict(zip(PAIRS, cells[0:3])),
+        x_form_residual=dict(zip(PAIRS, cells[6:9])),
+        mi_bound=dict(zip(PAIRS, cells[3:6])),
+        r23=dict(zip(PAIRS, map(complex, cells[12:15], cells[15:18]))),
+        ppt_negative=tuple(v < _PPT_FLOOR for v in lam),
+        ppt_min_eigenvalues=tuple(lam),
+    )
+
+
+def _correlation_cells(report: CorrelationReport) -> list:
+    """The row of CORRELATION_COLUMNS of a report, all None for None; _correlation_view's inverse."""
+    if report is None:
+        return [None] * len(CORRELATION_COLUMNS)
+    r23 = [complex(report.r23[pair]) for pair in PAIRS]
+    return [*(report.I[pair] for pair in PAIRS), *(report.mi_bound[pair] for pair in PAIRS),
+            *(report.x_form_residual[pair] for pair in PAIRS), *report.ppt_min_eigenvalues,
+            *(c.real for c in r23), *(c.imag for c in r23)]

@@ -56,8 +56,10 @@ from .model import (
 
 # the interqubit currents C_{j,i}, keyed (from_site, to_site)
 FLOWS = ((2, 1), (3, 1), (3, 2))
-# what _current_sets checks, in the order of its seven traces
-_TRACE_NAMES = tuple(f"q_{s}" for s in SITES) + tuple(f"Q_{s}" for s in SITES) + ("work power",)
+# what _current_columns checks, in the order of its seven traces and three
+# interqubit expectations
+_CHECKED_NAMES = (tuple(f"q_{s}" for s in SITES) + tuple(f"Q_{s}" for s in SITES)
+                  + ("work power",) + ("expectation",) * len(FLOWS))
 
 
 def local_rates(p: ModelParams) -> tuple:
@@ -100,7 +102,7 @@ def _site_stacks() -> tuple:
 
     sz stacks sigma_z^i over the sites, flows the _pair_flow_observable of
     FLOWS; sz_norms and flow_norms hold their Frobenius norms, as
-    _current_sets and np.linalg.norm(f, "fro") take them.
+    _current_columns and np.linalg.norm(f, "fro") take them.
     """
     sz = np.stack([_site_matrices(s)[4] for s in SITES])
     flows = np.stack([_pair_flow_observable(j, i) for j, i in FLOWS])
@@ -137,52 +139,48 @@ def _unit_dissipators() -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _flip_gathers() -> tuple:
-    """Read-only index and mask stacks that apply D[sigma_-^i] and D[sigma_+^i] by gathers.
+def _action_gathers() -> tuple:
+    """Read-only (3, 8, 8) index stacks that apply D[sigma_-^i] and D[sigma_+^i] by gathers.
 
-    Returns (flip, jump, left, right). flip[i, a, c] is the position in
-    X.ravel() of X[a', c'], a' and c' the basis states a and c with site
-    i + 1 flipped. jump[0, 0, i] marks the entries (a, c) where both states
-    have that site down, jump[1, 0, i] where both have it up; left[k, 0, i]
-    and right[k, 0, i] mark the rows and the columns of the states with the
-    site up (k = 0) or down (k = 1). So sigma_-^i X sigma_+^i and
-    sigma_+^i X sigma_-^i are X.ravel()[flip[i]] masked by jump[0, 0, i]
-    and jump[1, 0, i], and sigma_+^i sigma_-^i X + X sigma_+^i sigma_-^i is
-    X masked by left[0, 0, i] plus X masked by right[0, 0, i]. The unit
-    axis of the masks takes a stack of states.
+    Returns (lower, upper): positions in the (192,) row [X, 0 - X, 0 - X/2]
+    of a flattened 8x8 X. Entry (a, c) of sigma_-^i X sigma_+^i - {sigma_+^i
+    sigma_-^i, X}/2 is X[a', c'] where both states have site i down (a'
+    and c' the states with it flipped), -X[a, c] where both have it up and
+    -X[a, c]/2 where they differ; lower[i - 1] lists those entries, and
+    upper[i - 1] those of the sigma_+^i term, with up and down swapped.
     """
-    states = np.arange(2**N_SITES)
+    d = 2**N_SITES
+    states = np.arange(d)
     bits = np.array([1 << (N_SITES - site) for site in SITES])[:, None]
     flipped = states ^ bits
-    is_down = (states & bits) != 0
-    spins = np.stack([is_down, ~is_down])[:, None]
-    arrays = (flipped[:, :, None] * states.size + flipped[:, None, :],
-              spins[..., :, None] & spins[..., None, :],
-              ~spins[..., :, None], ~spins[..., None, :])
-    for arr in arrays:
+    down = ((states & bits) != 0)[:, :, None]
+    both_down, both_up = down & down.swapaxes(1, 2), ~down & ~down.swapaxes(1, 2)
+    flip = flipped[:, :, None] * d + flipped[:, None, :]
+    own = states[:, None] * d + states[None, :]
+    negated, halved = d * d + own, 2 * d * d + own
+    lower = np.where(both_down, flip, np.where(both_up, negated, halved))
+    upper = np.where(both_up, flip, np.where(both_down, negated, halved))
+    for arr in (lower, upper):
         arr.setflags(write=False)
-    return arrays
+    return lower, upper
 
 
 def _dissipator_actions(rates, rhos: np.ndarray) -> np.ndarray:
     """D_i[rho] of the three sites of each state of an (N, 8, 8) stack, as (N, 3, 8, 8) clongdouble.
 
     rates[k] holds local_rates' rows of rhos[k]. Every product with a 0/1
-    Pauli matrix only picks or masks entries of rho, so it is a gather
-    here. It keeps the bits of the matrix products of _dissipator_action,
-    whose sums start at +0 and so turn a -0 entry into +0; the + 0.0 does
-    the same.
+    Pauli matrix only picks or masks entries of rho, so each entry of D_i[rho]
+    is down * L + up * R with L and R each one of rho[flip], 0 - rho and
+    0 - rho/2, gathered from one row of the three (_action_gathers). It
+    keeps the bits of the matrix products of _dissipator_action, whose sums
+    start at +0 and so turn a -0 entry into +0; the + 0.0 does the same.
     """
-    flip, jump, left, right = _flip_gathers()
-    r = rhos.astype(CLD) + 0.0
-    # (2, N, 3, 8, 8): the sigma_- and the sigma_+ terms of each state and site
-    jumped = np.where(jump, r.reshape(len(r), -1).take(flip, axis=1), 0)
-    anti = r[:, None]
-    anti = np.where(left, anti, 0) + np.where(right, anti, 0)
-    lowered, raised = jumped - 0.5 * anti
+    lower, upper = _action_gathers()
+    r = rhos.astype(CLD).reshape(len(rhos), -1) + 0.0
+    terms = np.concatenate([r, 0.0 - r, 0.0 - 0.5 * r], axis=1)
     # (2, N, 3, 1, 1): down and up rates of each point and site
     down, up = np.asarray(rates)[..., None].transpose(2, 0, 1, 3, 4)
-    return down * lowered + up * raised
+    return down * terms.take(lower, axis=1) + up * terms.take(upper, axis=1)
 
 
 def _dissipator_action(p: ModelParams, site: int, rho: np.ndarray) -> np.ndarray:
@@ -220,24 +218,27 @@ class CurrentSet:
 
 
 def local_current_set(rho_ss: np.ndarray, gen: Generators) -> CurrentSet:
-    """Currents and work power of one steady state; a stack of one of _current_sets.
+    """Currents and work power of one steady state; a stack of one of _current_columns.
 
     gen is the point's build_local_generators record, whose H_int and bath
     rates (jump_rates) the currents reuse. Every value is bitwise equal to
     the one-site-at-a-time route of local_heat_current and of the tests'
     interqubit_current oracle.
     """
-    return _current_sets(rho_ss[None], (gen,))[0]
+    q, Q, W, C = (col[0].tolist() for col in _current_columns(rho_ss[None], (gen,)))
+    return CurrentSet(Q=tuple(Q), W=W, q=tuple(q), C=dict(zip(FLOWS, C)))
 
 
-def _current_sets(rhos: np.ndarray, gens) -> list:
-    """The CurrentSet of each state of an (N, 8, 8) stack rhos, gens[k] the generators of rhos[k].
+def _current_columns(rhos: np.ndarray, gens) -> tuple:
+    """(q, Q, W, C) of each state of an (N, 8, 8) stack rhos, gens[k] the generators of rhos[k].
 
-    The site actions, the seven traces behind q, Q and W, their scales,
-    the norms of the states and the three interqubit expectations are each
-    one computation over the stack; checked_real checks each value of each
-    point. Every value is the one local_current_set gives for that point
-    alone.
+    q, Q and C are (N, 3) arrays, C in FLOWS order, and W is (N,). The site
+    actions, the seven traces behind q, Q and W, their scales, the norms of
+    the states and the three interqubit expectations are each one
+    computation over the stack, and so is the check that each trace and
+    expectation is real; the first one that is not raises, as
+    algebra.checked_real does. Every value is the one local_current_set
+    gives for that point alone.
     """
     for gen in gens:
         if gen.params.bath_model != "repeated_interaction":
@@ -257,26 +258,25 @@ def _current_sets(rhos: np.ndarray, gens) -> list:
     traces = (obs.astype(CLD) * mats.swapaxes(2, 3)).reshape(n, 7, -1).sum(axis=2)
     # each scale the product of the two factors' Frobenius norms; q_i and
     # Q_i share their action's
-    obs_norms = np.linalg.norm(obs[:, 3:], axis=(2, 3)).tolist()
-    mat_norms = np.linalg.norm(mats[:, 3:], axis=(2, 3)).astype(float).tolist()
-    expect = np.trace(flows @ rhos[:, None], axis1=2, axis2=3).tolist()
+    mat_norms = np.linalg.norm(mats[:, 3:], axis=(2, 3)).astype(float)
+    trace_scales = np.concatenate(
+        [sz_norms * mat_norms[:, :3], np.linalg.norm(obs[:, 3:], axis=(2, 3)) * mat_norms], axis=1)
+    expect = np.trace(flows @ rhos[:, None], axis1=2, axis2=3)
     # np.linalg.norm(rho, "fro")'s own sqrt(x.real . x.real + x.imag . x.imag)
     # of (1, 64) rows against (64, 1) columns
     flat = rhos.reshape(n, 1, -1)
     re, im = flat.real, flat.imag
-    rho_norms = np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2)).ravel()
-    sets = []
-    for gen, trace, obs_n, mat_n, e, rho_norm in zip(
-            gens, traces.astype(complex).tolist(), obs_norms, mat_norms, expect, rho_norms):
-        scales = [a * b for a, b in zip(sz_norms + obs_n, mat_n[:3] + mat_n)]
-        values = [checked_real(t, sc, name) for t, sc, name in zip(trace, scales, _TRACE_NAMES)]
-        c = {
-            (j, i): 2.0 * gen.params.pair_value("J", i, j)
-            * checked_real(e_ji, float(norm * rho_norm), "expectation")
-            for (j, i), e_ji, norm in zip(FLOWS, e, flow_norms)
-        }
-        sets.append(CurrentSet(Q=tuple(values[3:6]), W=values[6], q=tuple(values[:3]), C=c))
-    return sets
+    rho_norms = np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2)).reshape(n, 1)
+    values = np.concatenate([traces.astype(complex), expect], axis=1)
+    scales = np.concatenate([trace_scales, np.array(flow_norms) * rho_norms], axis=1)
+    unreal = np.abs(values.imag) > 1e-10 * np.maximum(scales, 1e-300)
+    if unreal.any():
+        k, m = np.argwhere(unreal)[0]
+        checked_real(complex(values[k, m]), float(scales[k, m]), _CHECKED_NAMES[m])
+    real = values.real
+    # the pairs of FLOWS are those of PAIRS, the order of J
+    J = np.array([gen.params.J for gen in gens])
+    return real[:, :3], real[:, 3:6], real[:, 6], 2.0 * J * real[:, 7:]
 
 
 # int16 keeps each entry, one per ordering of the labels, to a few KiB

@@ -12,9 +12,15 @@ the config, never on execution order. Point evaluations are pure, which
 makes the output byte-identical for any worker count. N workers are N
 processes evaluating points, this one included: N workers make N - 1
 os.fork calls, each child evaluating its share of the runs and sending
-back its records as one pickle on a pipe of its own, and one worker
-forks none. No process pool library is loaded, and where there is no
-os.fork the runs are evaluated in this process.
+back the columns of its records, raw int64, float64 and bool buffers and
+a flags list, as one pickle on a pipe of its own; one worker forks none.
+No process pool library is loaded, and where there is no os.fork the runs
+are evaluated in this process.
+
+Every driver returns its records as Records: columns, one row per record,
+that index as SweepRecords. write_records, the valve labels, the boost
+extras and the edge search read the columns; a SweepRecord and its reports
+are built only where a caller indexes the Records.
 
 Grid scans of either bath model solve their points in chunks:
 _evaluate_many gives each task a run of up to _GRID_CHUNK consecutive
@@ -22,28 +28,33 @@ points, and steady_state.solve_points solves the points of a run that
 share a sector order as one stack, each with the bits it gets alone, so
 the output does not depend on the chunk size either. The currents and
 correlations of a run are then taken as (N, ...) stacks as well, with
-the same bits. A run whose stacked solve raises or warns is redone point
-by point; a run whose stacked reports raise or warn has each record
-rebuilt on its own from its solution. So each failure and warning lands
-on its own index. Random sweeps stay one evaluate_point call per point,
-because the benchmark's tracer counts a point as one such call (ROADMAP
-item 1).
+the same bits, and its thermodynamic bookkeeping is one pass over them
+(thermo._thermo_rows) straight into the run's columns. A point whose
+currents break a law is an error row on its own index. A run whose
+stacked solve raises or warns is redone point by point; a run whose
+stacked reports raise or warn has each record rebuilt on its own from its
+solution. So each failure and warning lands on its own index. Random
+sweeps stay one evaluate_point call per point, a run of one, because the
+benchmark's tracer counts a point as one such call (ROADMAP item 1).
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import os
 import pickle
 import warnings
-from dataclasses import asdict, dataclass, field, replace
-from typing import Mapping, Optional, Sequence
+from collections.abc import Sequence
+from dataclasses import asdict, dataclass, field
+from typing import Mapping, Optional
 
 import numpy as np
 
-from .correlations import CorrelationReport, _correlation_reports, correlation_report
+from .correlations import (
+    CORRELATION_COLUMNS, CorrelationReport, _correlation_cells, _correlation_rows,
+    _correlation_view, correlation_report,
+)
 from .errors import DomainError, TriqubitError
 from .model import (
     BATH_HARMONIC,
@@ -56,7 +67,8 @@ from .model import (
 )
 from .steady_state import solve_point, solve_points
 from .thermo import (
-    DEFAULT_EPSILON, Regime, ThermoReport, _thermo_reports, checked_epsilon, thermo_report,
+    DEFAULT_EPSILON, REGIMES, THERMO_COLUMNS, Regime, ThermoReport, _thermo_cells,
+    _thermo_rows, _thermo_view, checked_epsilon, thermo_report,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -285,7 +297,118 @@ def _record(params: ModelParams, epsilon: float, sol=None) -> SweepRecord:
     return SweepRecord(0, params, thermo, correlations, residual, tuple(flags))
 
 
-def _stacked_records(points: Sequence, epsilon: float) -> Optional[list]:
+# the numbers of a record, one row per record: its thermo report's columns,
+# its correlation report's and its null-space residual
+VALUE_COLUMNS = THERMO_COLUMNS + CORRELATION_COLUMNS + ("nullspace_residual",)
+_THERMO = slice(0, len(THERMO_COLUMNS))
+_CORRELATIONS = slice(len(THERMO_COLUMNS), len(THERMO_COLUMNS) + len(CORRELATION_COLUMNS))
+_Q1, _W, _REGIME, _INSIDE = (VALUE_COLUMNS.index(name) for name in ("Q1", "W", "regime", "inside"))
+
+
+class Records(Sequence):
+    """Evaluated points as columns, read as a sequence of SweepRecords.
+
+    Row k is one record: index[k], params[k], flags[k], the numbers of its
+    reports and its residual in values[k] (VALUE_COLUMNS), and
+    extra[name][k] for each scan-specific column. empty[k] marks the cells
+    that the record leaves None, where values[k] holds NaN: every thermo
+    cell of a record without a thermo report, and so on for its correlation
+    report and its residual. epsilon is the zero band its submachine roles
+    are read with.
+    Indexing builds the SweepRecord with its reports; write_records, the
+    scan labels and the edge search read the columns.
+    """
+
+    def __init__(self, index, params, values, empty, flags, extra=None,
+                 epsilon: float = DEFAULT_EPSILON):
+        self.index = np.asarray(index, dtype=np.int64)
+        self.params = list(params)
+        self.values = values
+        self.empty = empty
+        self.flags = list(flags)
+        self.extra = dict(extra or {})
+        self.epsilon = epsilon
+
+    @classmethod
+    def from_rows(cls, index, params, rows, flags, extra=None,
+                  epsilon: float = DEFAULT_EPSILON) -> "Records":
+        """Records whose numbers are rows, lists of VALUE_COLUMNS with None in the empty cells."""
+        shape = (len(rows), len(VALUE_COLUMNS))
+        return cls(index, params, np.array(rows, dtype=float).reshape(shape),
+                   np.array([[v is None for v in row] for row in rows], dtype=bool).reshape(shape),
+                   flags, extra, epsilon)
+
+    @classmethod
+    def from_records(cls, records, extra_columns: Sequence = (),
+                     epsilon: float = DEFAULT_EPSILON) -> "Records":
+        """The columns of a sequence of SweepRecords, with their extras of extra_columns."""
+        records = list(records)
+        return cls.from_rows(
+            [rec.index for rec in records], [rec.params for rec in records],
+            [_thermo_cells(rec.thermo) + _correlation_cells(rec.correlations) + [rec.residual]
+             for rec in records],
+            [tuple(rec.flags) for rec in records],
+            {name: [rec.extra.get(name) for rec in records] for name in extra_columns},
+            epsilon,
+        )
+
+    @classmethod
+    def concat(cls, parts: Sequence) -> "Records":
+        """The rows of each of parts, in order; their extra columns are the first part's."""
+        if not parts:
+            return cls.from_records(())
+        return cls(
+            np.concatenate([part.index for part in parts]),
+            [p for part in parts for p in part.params],
+            np.concatenate([part.values for part in parts]),
+            np.concatenate([part.empty for part in parts]),
+            [f for part in parts for f in part.flags],
+            {name: [v for part in parts for v in part.extra[name]] for name in parts[0].extra},
+            parts[0].epsilon,
+        )
+
+    def take(self, rows: Sequence) -> "Records":
+        """The rows of the indices rows, in that order."""
+        return Records(
+            self.index[rows], [self.params[k] for k in rows], self.values[rows],
+            self.empty[rows], [self.flags[k] for k in rows],
+            {name: [column[k] for k in rows] for name, column in self.extra.items()},
+            self.epsilon,
+        )
+
+    def reported(self) -> np.ndarray:
+        """(N,) bool: which records carry a thermo report."""
+        return ~self.empty[:, _Q1]
+
+    def __len__(self) -> int:
+        return len(self.params)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return [self[i] for i in range(len(self))[k]]
+        k = range(len(self))[k]
+        cells = [None if gap else v for v, gap in zip(self.values[k].tolist(), self.empty[k].tolist())]
+        params, thermo, correlations = self.params[k], cells[_THERMO], cells[_CORRELATIONS]
+        return SweepRecord(
+            int(self.index[k]), params,
+            None if thermo[0] is None else _thermo_view(thermo, params, self.epsilon),
+            None if correlations[0] is None else _correlation_view(correlations),
+            cells[-1], self.flags[k], {name: column[k] for name, column in self.extra.items()},
+        )
+
+    def __eq__(self, other):
+        if isinstance(other, (Records, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __add__(self, other):
+        return list(self) + list(other)
+
+    def __radd__(self, other):
+        return list(other) + list(self)
+
+
+def _stacked_records(points: Sequence, epsilon: float) -> Optional[Records]:
     """The records of points from one solve_points call, or None if that call raised or warned.
 
     The reports of the run are built from the solutions by _chunk_records,
@@ -302,34 +425,46 @@ def _stacked_records(points: Sequence, epsilon: float) -> Optional[list]:
     return _chunk_records(points, sols, epsilon)
 
 
-def _chunk_records(points: Sequence, sols: Sequence, epsilon: float) -> list:
+def _chunk_records(points: Sequence, sols: Sequence, epsilon: float) -> Records:
     """The records of points from their solutions sols, each report kind one stacked pass.
 
-    If a stacked report raises or warns, every record is rebuilt on its
-    own from its solution, as evaluate_point builds it, so that each
-    failure and warning lands on its own record.
+    A point whose currents break a law of thermo.LAWS is an
+    error:NumericalConsistencyError record with no reports and no residual,
+    as evaluate_point makes it. If a stacked report raises or warns, every
+    record is rebuilt on its own from its solution, as evaluate_point builds
+    it, so that each failure and warning lands on its own record.
     """
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            thermos = _thermo_reports(sols, epsilon)
-            reports = _correlation_reports(np.array([sol.rho for sol in sols]), points)
+            thermo = _thermo_rows(sols, epsilon)
+            correlations = _correlation_rows(np.array([sol.rho for sol in sols]), points)
         stacked = not caught
     except Exception:  # any failure: each record is rebuilt on its own
         stacked = False
     if not stacked:
-        return [_record(params, epsilon, sol) for params, sol in zip(points, sols)]
-    return [SweepRecord(0, params, thermo, correlations, sol.residual, ())
-            for params, sol, thermo, correlations in zip(points, sols, thermos, reports)]
+        return Records.from_records(
+            [_record(params, epsilon, sol) for params, sol in zip(points, sols)], epsilon=epsilon)
+    rows, flags = [], []
+    for (cells, broken), co, sol in zip(thermo, correlations, sols):
+        if broken:
+            rows.append([None] * len(VALUE_COLUMNS))
+            flags.append(("error:NumericalConsistencyError",))
+        else:
+            rows.append(cells + co + [sol.residual])
+            flags.append(())
+    return Records.from_rows(range(len(points)), points, rows, flags, epsilon=epsilon)
 
 
-def _evaluate_chunk(task) -> list:
+def _evaluate_chunk(task) -> Records:
     """The records of one chunk (start, points, epsilon), at indices start, start + 1, ..."""
     start, points, epsilon = task
     records = _stacked_records(points, epsilon) if len(points) > 1 else None
     if records is None:
-        records = [evaluate_point(params, epsilon=epsilon) for params in points]
-    return [replace(rec, index=start + k) for k, rec in enumerate(records)]
+        records = Records.from_records(
+            [evaluate_point(params, epsilon=epsilon) for params in points], epsilon=epsilon)
+    records.index = np.arange(start, start + len(points))
+    return records
 
 
 def _cpu_count() -> int:
@@ -340,15 +475,37 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _share_records(tasks: Sequence) -> dict:
-    """The records of the runs tasks, keyed by run start."""
-    return {task[0]: _evaluate_chunk(task) for task in tasks}
+def _share_records(tasks: Sequence) -> Records:
+    """The records of the runs tasks, in order."""
+    return Records.concat([_evaluate_chunk(task) for task in tasks])
+
+
+def _share_payload(records: Records) -> bytes:
+    """The pickle of a share's records a forked share sends: ("records", their columns).
+
+    The columns are the index and the numbers of the records, as raw int64,
+    float64 and bool buffers, and their flags; the parameters are the
+    invoking process's own, and a share's records have no extra columns.
+    """
+    return pickle.dumps(("records", (records.index, records.values, records.empty, records.flags)),
+                        protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _share_columns(reply: bytes, points: Sequence, epsilon: float) -> Records:
+    """The records of points a forked share's reply holds; raises the failure it holds instead."""
+    kind, value = pickle.loads(reply)
+    if kind == "error":
+        raise value
+    if kind == "traceback":
+        raise RuntimeError(f"a forked sweep worker failed:\n{value}")
+    index, values, empty, flags = value
+    return Records(index, points, values, empty, flags, epsilon=epsilon)
 
 
 def _share_reply(tasks: Sequence) -> bytes:
-    """The pickle a forked share sends: its records by run start, or its failure."""
+    """The pickle a forked share sends: its _share_payload, or its failure."""
     try:
-        return pickle.dumps(("records", _share_records(tasks)))
+        return _share_payload(_share_records(tasks))
     except BaseException as exc:  # the invoking process raises it
         try:
             reply = pickle.dumps(("error", exc))
@@ -364,14 +521,16 @@ class _ForkedShare:
     """A share of the runs, evaluated in a forked process that pipes back one pickle.
 
     The forked process holds the runs already, so nothing is sent to it.
-    It writes ("records", records by run start) or, if its share raises,
-    ("error", the exception), or ("traceback", its text) when the
+    It writes ("records", the columns of its records) or, if its share
+    raises, ("error", the exception), or ("traceback", its text) when the
     exception does not pickle, and exits 0 once the whole pickle is
     written. It leaves through os._exit in every case, so it never returns
     into the caller's stack nor flushes the stdio buffers it inherited.
     """
 
     def __init__(self, tasks: Sequence):
+        self.points = [params for _, points, _ in tasks for params in points]
+        self.epsilon = tasks[0][2] if tasks else DEFAULT_EPSILON
         read, write = os.pipe()
         try:
             self.pid = os.fork()
@@ -391,8 +550,8 @@ class _ForkedShare:
         os.close(write)
         self.pipe = os.fdopen(read, "rb")
 
-    def records(self) -> dict:
-        """The share's records by run start, once the process is reaped; raises its failure.
+    def records(self) -> Records:
+        """The share's records, once the process is reaped; raises its failure.
 
         A process that ends without its whole reply raises RuntimeError
         naming its exit status or signal.
@@ -405,12 +564,7 @@ class _ForkedShare:
         if code:
             ended = f"exited with status {code}" if code > 0 else f"was killed by signal {-code}"
             raise RuntimeError(f"a forked sweep worker {ended} before it sent its records")
-        kind, value = pickle.loads(reply)
-        if kind == "error":
-            raise value
-        if kind == "traceback":
-            raise RuntimeError(f"a forked sweep worker failed:\n{value}")
-        return value
+        return _share_columns(reply, self.points, self.epsilon)
 
     def kill(self) -> None:
         """Kill and reap the process unless records() has reaped it."""
@@ -423,7 +577,7 @@ class _ForkedShare:
             self.pid = None
 
 
-def _evaluate_many(points: Sequence, epsilon: float, workers: int, chunk: int = 1) -> list:
+def _evaluate_many(points: Sequence, epsilon: float, workers: int, chunk: int = 1) -> Records:
     """Records of points[k] at index k, in index order, on up to `workers` processes.
 
     The points go in runs of at most chunk, each run one task, as few
@@ -437,15 +591,17 @@ def _evaluate_many(points: Sequence, epsilon: float, workers: int, chunk: int = 
     evaluate_point; if a stacked report does, each record is rebuilt from
     its solution. So every failure and warning lands on its own index. A
     record does not depend on the run it is in: each stacked step returns
-    the bits of the point alone.
+    the bits of the point alone. Every run's records are columns, and the
+    call returns them as one Records.
 
     This process is one of the workers: the runs go in `workers` shares
     of consecutive runs, and this process evaluates the first,
     len(tasks) // workers runs, itself. Each other share is one
     _ForkedShare, one os.fork and one os.pipe, so `workers` 2 forks one
     process; they are forked before this process starts on its own
-    share. Then each pipe is read to EOF and its process reaped, and the
-    failure of a share is raised here. If this process's own share
+    share. Then each pipe is read to EOF, its process reaped and its
+    columns joined to the parameters this process holds, and the failure
+    of a share is raised here. If this process's own share
     raises, KeyboardInterrupt included, every process still running is
     killed and reaped: none outlives the call. No more workers run than
     there are points or usable CPUs, and where there is no os.fork the
@@ -458,22 +614,21 @@ def _evaluate_many(points: Sequence, epsilon: float, workers: int, chunk: int = 
              for start in range(0, len(points), size)]
     workers = min(workers, len(tasks))
     if workers <= 1 or not hasattr(os, "fork"):
-        return [rec for task in tasks for rec in _evaluate_chunk(task)]
+        return _share_records(tasks)
     bounds = [k * len(tasks) // workers for k in range(workers + 1)]
     shares = []
     try:
         for k in range(1, workers):
             shares.append(_ForkedShare(tasks[bounds[k]:bounds[k + 1]]))
-        by_start = _share_records(tasks[:bounds[1]])
-        for share in shares:
-            by_start.update(share.records())
+        parts = [_share_records(tasks[:bounds[1]])]
+        parts += [share.records() for share in shares]
     finally:
         for share in shares:
             share.kill()
-    return [rec for recs in by_start.values() for rec in recs]
+    return Records.concat(parts)
 
 
-def random_sweep(cfg: SweepConfig, workers: int = 1) -> list:
+def random_sweep(cfg: SweepConfig, workers: int = 1) -> Records:
     """Evaluate n_samples independently drawn points, in index order.
 
     Each point is its own run, one evaluate_point call, and is not stacked
@@ -483,13 +638,12 @@ def random_sweep(cfg: SweepConfig, workers: int = 1) -> list:
     can take chunks once the tracer has a chunk boundary (ROADMAP item 1).
     """
     points = [draw_params(cfg, k) for k in range(cfg.n_samples)]
+    records = _evaluate_many(points, cfg.epsilon, workers)
     ratio = cfg.effective_discard_rule
-    return [
-        replace(rec, flags=rec.flags + ("discarded",))
-        if ratio > 0.0 and min(rec.params.B) < ratio * max(rec.params.gamma)
-        else rec
-        for rec in _evaluate_many(points, cfg.epsilon, workers)
-    ]
+    if ratio > 0.0:
+        records.flags = [flags + ("discarded",) if min(p.B) < ratio * max(p.gamma) else flags
+                         for flags, p in zip(records.flags, records.params)]
+    return records
 
 
 def _grid_params(cfg: GridScanConfig, b2: float) -> ModelParams:
@@ -508,52 +662,51 @@ def _grid_points(cfg: GridScanConfig) -> list:
 
 
 COMBINATION_INDETERMINATE = "indeterminate"
+# the label of each sign pattern 2 [Q1 > 0] + [Q3 > 0], then the indeterminate
+# one and that of a record without a thermo report
+_COMBINATIONS = np.array(
+    ["Q1<0,Q3<0", "Q1<0,Q3>0", "Q1>0,Q3<0", "Q1>0,Q3>0", COMBINATION_INDETERMINATE, ""],
+    dtype=object)
 
 
-def _combination_label(thermo: Optional[ThermoReport], epsilon: float) -> str:
-    if thermo is None:
-        return ""
-    q1, _, q3 = thermo.Q
-    scale = max(abs(q1), abs(q3))
-    if scale == 0.0 or abs(q1) <= epsilon * scale or abs(q3) <= epsilon * scale:
-        return COMBINATION_INDETERMINATE
-    return "Q1{}0,Q3{}0".format(">" if q1 > 0 else "<", ">" if q3 > 0 else "<")
+def _combination_labels(records: Records, epsilon: float) -> list:
+    """The signs of Q1 and Q3 of each record; indeterminate within epsilon of the larger."""
+    q1, q3 = records.values[:, _Q1], records.values[:, VALUE_COLUMNS.index("Q3")]
+    scale = np.maximum(np.abs(q1), np.abs(q3))
+    signed = (scale != 0.0) & (np.abs(q1) > epsilon * scale) & (np.abs(q3) > epsilon * scale)
+    code = np.select([~records.reported(), ~signed], [5, 4], 2 * (q1 > 0.0) + (q3 > 0.0))
+    return _COMBINATIONS[code].tolist()
 
 
-def _grid_records(cfg: GridScanConfig, workers: int) -> list:
+def _grid_records(cfg: GridScanConfig, workers: int) -> Records:
     """The records of the grid points of cfg, in runs of up to _GRID_CHUNK that solve_points stacks."""
     return _evaluate_many(_grid_points(cfg), cfg.epsilon, workers, _GRID_CHUNK)
 
 
-def valve_sweep(cfg: GridScanConfig, workers: int = 1) -> list:
+def valve_sweep(cfg: GridScanConfig, workers: int = 1) -> Records:
     """Scan B2 and label each point by the signs of the outer heat currents."""
-    return [
-        replace(rec, extra={"combination": _combination_label(rec.thermo, cfg.epsilon)})
-        for rec in _grid_records(cfg, workers)
-    ]
+    records = _grid_records(cfg, workers)
+    records.extra["combination"] = _combination_labels(records, cfg.epsilon)
+    return records
 
 
-def _boost_extras(thermo: Optional[ThermoReport]) -> dict:
-    extras = {"cop_norm": None, "cop_w_norm": None, "cop_otto_norm": None}
-    if thermo is None or thermo.regime is not Regime.IV:
-        return extras
-    if thermo.cop_max is None or thermo.cop_max == 0.0:
-        return extras
-    for key, value in (
-        ("cop_norm", thermo.cop),
-        ("cop_w_norm", thermo.cop_w),
-        ("cop_otto_norm", thermo.cop_otto),
-    ):
-        if value is not None:
-            extras[key] = value / thermo.cop_max
+def _boost_extras(records: Records) -> list:
+    """cop, cop_w and cop_otto over cop_max of each absorption refrigerator, None elsewhere.
+
+    A figure that is None, and every figure of a record whose cop_max is
+    None or zero, is None. One list per column of BOOST_COLUMNS.
+    """
+    cop_max = VALUE_COLUMNS.index("cop_max")
+    normed = (records.reported() & (records.values[:, _REGIME] == REGIMES.index(Regime.IV))
+              & ~records.empty[:, cop_max] & (records.values[:, cop_max] != 0.0))
+    extras = []
+    for name in ("cop", "cop_w", "cop_otto"):
+        k = VALUE_COLUMNS.index(name)
+        with np.errstate(all="ignore"):
+            ratios = records.values[:, k] / records.values[:, cop_max]
+        keep = normed & ~records.empty[:, k]
+        extras.append([r if ok else None for r, ok in zip(ratios.tolist(), keep.tolist())])
     return extras
-
-
-def _solved_at(cfg: GridScanConfig, b2: float, solved: dict) -> SweepRecord:
-    """The record at B2 = b2; solved maps each B2 already solved in the scan to its record."""
-    if b2 not in solved:
-        solved[b2] = evaluate_point(_grid_params(cfg, b2), epsilon=cfg.epsilon)
-    return solved[b2]
 
 
 # relative tolerance 4 eps and iteration cap of the reference brentq
@@ -623,91 +776,100 @@ def _brent_root(f, a: float, b: float, xtol: float) -> float:
     raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations, value is {xcur}")
 
 
-def _locate_edge(cfg: GridScanConfig, records: list, solved: dict) -> Optional[float]:
+def _locate_edge(cfg: GridScanConfig, b2: Sequence, w: Sequence, solved: dict) -> Optional[float]:
     """Return the B2 where the work power crosses zero above the window.
 
-    Starts from the last nonpositive-work grid point and brackets the sign
-    change: inside the grid at the next positive-work point, past the grid
-    end by probes. Each probe lies slightly past the secant root of the two
-    highest points solved below the edge, or one grid step up when there is
-    no second point or W does not rise between them; a probe below the edge
-    becomes the bracket's lower end. Every B2 is solved at most once: solved
-    maps each B2 already solved in the scan to its record, and gains the
-    points the search solves. A solve that fails during the search ends it
-    without an edge: the last nonpositive-work grid record is replaced in
-    `records` by a copy flagged "edge_failed", and None is returned.
+    b2 and w are the grid's B2 and work power, w[k] None where point k has
+    no thermo report. Starts from the last nonpositive-work grid point and
+    brackets the sign change: inside the grid at the next positive-work
+    point, past the grid end by probes. Each probe lies slightly past the
+    secant root of the two highest points solved below the edge, or one grid
+    step up when there is no second point or W does not rise between them; a
+    probe below the edge becomes the bracket's lower end. Every B2 is solved
+    at most once: the grid's work is read off w, and solved maps each other
+    B2 the search solves to its evaluate_point record. A B2 that has no thermo
+    report ends the search with DomainError.
     """
-    below = [
-        k for k, rec in enumerate(records) if rec.thermo is not None and rec.thermo.W <= 0.0
-    ]
+    grid = dict(zip(b2, w))
+    below = [k for k, wk in enumerate(w) if wk is not None and wk <= 0.0]
     if not below:
         return None
-    low = records[below[-1]]
-    a, wa = low.params.B[1], low.thermo.W
+    a, wa = b2[below[-1]], w[below[-1]]
     if wa == 0.0:
         return a
 
-    def work(b2):
-        thermo = _solved_at(cfg, b2, solved).thermo
-        if thermo is None:
+    def work(x):
+        if x in grid:
+            value = grid[x]
+        else:
+            if x not in solved:
+                solved[x] = evaluate_point(_grid_params(cfg, x), epsilon=cfg.epsilon)
+            thermo = solved[x].thermo
+            value = None if thermo is None else thermo.W
+        if value is None:
             raise DomainError(
-                f"steady-state solve failed at B2={b2!r} while locating the zero-work edge"
+                f"steady-state solve failed at B2={x!r} while locating the zero-work edge"
             )
-        return thermo.W
+        return value
 
-    try:
-        for rec in records:
-            if rec.thermo is not None and rec.params.B[1] > a and rec.thermo.W > 0.0:
-                return _brent_root(work, a, rec.params.B[1], xtol=1e-12)
-        step = (cfg.B2_max - cfg.B2_min) / max(cfg.n_points - 1, 1)
-        if step <= 0.0:
-            step = max(0.05 * (1.0 + abs(a)), 1e-3)
-        prev = records[below[-2]] if len(below) > 1 else None
-        a0, w0 = (prev.params.B[1], prev.thermo.W) if prev is not None else (None, None)
-        for _ in range(50):
-            if a0 is not None and wa > w0:
-                # 1% past the secant root, so that it brackets the edge when
-                # W is close to linear over the last interval; clamped so
-                # that a steep W cannot stall the search nor a flat one
-                # throw it far past the edge
-                distance = min(max(1.01 * wa * (a - a0) / (w0 - wa), step / 64), 16 * step)
-            else:
-                distance = step
-            b = a + distance
-            wb = work(b)
-            if wb > 0.0:
-                return _brent_root(work, a, b, xtol=1e-12)
-            if wb == 0.0:
-                return b
-            a0, w0, a, wa = a, wa, b, wb
-    except DomainError:
-        records[below[-1]] = replace(low, flags=low.flags + ("edge_failed",))
+    for bk, wk in zip(b2, w):
+        if wk is not None and bk > a and wk > 0.0:
+            return _brent_root(work, a, bk, xtol=1e-12)
+    step = (cfg.B2_max - cfg.B2_min) / max(cfg.n_points - 1, 1)
+    if step <= 0.0:
+        step = max(0.05 * (1.0 + abs(a)), 1e-3)
+    a0, w0 = (b2[below[-2]], w[below[-2]]) if len(below) > 1 else (None, None)
+    for _ in range(50):
+        if a0 is not None and wa > w0:
+            # 1% past the secant root, so that it brackets the edge when
+            # W is close to linear over the last interval; clamped so
+            # that a steep W cannot stall the search nor a flat one
+            # throw it far past the edge
+            distance = min(max(1.01 * wa * (a - a0) / (w0 - wa), step / 64), 16 * step)
+        else:
+            distance = step
+        b = a + distance
+        wb = work(b)
+        if wb > 0.0:
+            return _brent_root(work, a, b, xtol=1e-12)
+        if wb == 0.0:
+            return b
+        a0, w0, a, wa = a, wa, b, wb
     return None
 
 
-def boost_scan(cfg: GridScanConfig, workers: int = 1) -> list:
+def boost_scan(cfg: GridScanConfig, workers: int = 1) -> Records:
     """Scan the refrigerator window and append its zero-work edge point.
 
-    Returns an empty list when no grid point is an absorption refrigerator
-    (the window is empty for the given fields). The edge search reuses the
-    grid's records and solves no B2 twice.
+    Returns no records when no grid point is an absorption refrigerator
+    (the window is empty for the given fields). The edge search reads the
+    grid's columns and solves no B2 twice; if a solve fails during it, the
+    last nonpositive-work grid record is flagged "edge_failed" and no edge
+    is appended.
     """
-    grid = _grid_records(cfg, workers)
-    records = [replace(rec, extra=_boost_extras(rec.thermo)) for rec in grid]
-    if not any(
-        rec.thermo is not None and rec.thermo.regime is Regime.IV for rec in records
-    ):
-        return []
-    solved = {rec.params.B[1]: rec for rec in grid}
-    edge = _locate_edge(cfg, records, solved)
+    records = _grid_records(cfg, workers)
+    reported = records.reported()
+    if not (reported & (records.values[:, _REGIME] == REGIMES.index(Regime.IV))).any():
+        return records.take([])
+    b2 = [p.B[1] for p in records.params]
+    w = [wk if ok else None for wk, ok in zip(records.values[:, _W].tolist(), reported.tolist())]
+    solved = {}
+    try:
+        edge = _locate_edge(cfg, b2, w, solved)
+    except DomainError:
+        last = max(k for k, wk in enumerate(w) if wk is not None and wk <= 0.0)
+        records.flags[last] += ("edge_failed",)
+        edge = None
     if edge is not None:
-        rec = _solved_at(cfg, edge, solved)
-        records.append(
-            replace(
-                rec, index=len(records), flags=rec.flags + ("edge",),
-                extra=_boost_extras(rec.thermo),
-            )
-        )
+        grid = {value: k for k, value in enumerate(b2)}
+        if edge in grid:
+            row = records.take([grid[edge]])
+        else:
+            row = Records.from_records([solved[edge]], epsilon=cfg.epsilon)
+        row.index[:] = len(records)
+        row.flags[0] += ("edge",)
+        records = Records.concat([records, row])
+    records.extra = dict(zip(BOOST_COLUMNS, _boost_extras(records)))
     return records
 
 
@@ -739,6 +901,7 @@ BOOST_COLUMNS = ("cop_norm", "cop_w_norm", "cop_otto_norm")
 
 
 def _fmt(value) -> str:
+    """The CSV spelling of one cell: floats to 17 significant digits, None empty."""
     if isinstance(value, (float, np.floating)):  # most cells
         return f"{float(value):.17g}"
     if value is None:
@@ -750,36 +913,59 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _record_row(rec: SweepRecord, extra_columns: Sequence) -> list:
-    p = rec.params
-    th = rec.thermo
-    co = rec.correlations
-    cells = [str(rec.index), p.bath_model]
-    cells += [_fmt(v) for v in (*p.B, *p.J, *p.Delta, *p.T, *p.gamma)]
-    if th is None:
-        cells += [""] * 17
-    else:
-        cells += [_fmt(v) for v in (*th.Q, th.W, th.S_dot)]
-        if th.currents is None:
-            cells += [""] * 6
-        else:
-            c = th.currents.C
-            cells += [_fmt(v) for v in (*th.currents.q, c[(2, 1)], c[(3, 1)], c[(3, 2)])]
-        cells.append(th.regime.value)
-        cells += [_fmt(v) for v in (th.cop, th.cop_w, th.cop_max, th.cop_otto)]
-        cells.append(_fmt(th.inside_trapezoid))
-    if co is None:
-        cells += [""] * 12
-    else:
-        cells += [_fmt(co.I[pair]) for pair in PAIRS]
-        cells += [_fmt(co.mi_bound[pair]) for pair in PAIRS]
-        cells += [_fmt(co.x_form_residual[pair]) for pair in PAIRS]
-        cells += [_fmt(v) for v in co.ppt_min_eigenvalues]
-    cells.append(_fmt(rec.residual))
-    cells.append(";".join(rec.flags))
-    for name in extra_columns:
-        cells.append(_fmt(rec.extra.get(name)))
-    return cells
+def _quoted(cell: str) -> str:
+    """cell as csv.writer writes it at its defaults: in quotes when it holds ',', '"' or a newline."""
+    if "," in cell or '"' in cell or "\n" in cell:
+        return '"' + cell.replace('"', '""') + '"'
+    return cell
+
+
+# the CSV cells that spell a number of VALUE_COLUMNS; the regime is spelled by name
+_NUMBER_CELLS = [name for name in BASE_COLUMNS if name in VALUE_COLUMNS and name != "regime"]
+_NUMBER_SLOTS = [BASE_COLUMNS.index(name) for name in _NUMBER_CELLS]
+_NUMBER_VALUES = [VALUE_COLUMNS.index(name) for name in _NUMBER_CELLS]
+_REGIME_CELLS = np.array([regime.value for regime in REGIMES] + [""], dtype=object)
+_INSIDE_CELLS = np.array(["false", "true", ""], dtype=object)
+
+
+# the most rows write_records formats at once, which bounds the cell objects
+# a large sweep holds while it is written
+_CSV_BLOCK = 64
+# the bit of each number cell in the key of a row's pattern of empty cells
+_GAP_BITS = 1 << np.arange(len(_NUMBER_CELLS), dtype=np.int64)
+
+
+def _row_format(gaps: int, n_extra: int) -> str:
+    """The %-format of a CSV row whose number cells are empty where the bits of gaps are set."""
+    slots = ["%d", "%s"] + ["%.17g"] * 15 + ["%s"] * (len(BASE_COLUMNS) - 17 + n_extra)
+    for k, slot in enumerate(_NUMBER_SLOTS):
+        slots[slot] = "%.0s" if gaps >> k & 1 else "%.17g"  # %.0s spells its value as nothing
+    return ",".join(slots) + "\n"
+
+
+def _csv_rows(records: Records, extra_columns: Sequence) -> str:
+    """The CSV rows of records, as csv.writer writes the cells _fmt spells.
+
+    Each row is one %-format of all its cells, one format per pattern of
+    empty number cells, so every float goes through '%.17g' once.
+    """
+    n = len(records)
+    cells = np.empty((n, len(BASE_COLUMNS) + len(extra_columns)), dtype=object)
+    cells[:, 0] = records.index
+    cells[:, 1] = [p.bath_model for p in records.params]
+    cells[:, 2:17] = [(*p.B, *p.J, *p.Delta, *p.T, *p.gamma) for p in records.params]
+    cells[:, _NUMBER_SLOTS] = records.values[:, _NUMBER_VALUES]
+    reported = records.reported()
+    cells[:, BASE_COLUMNS.index("regime")] = _REGIME_CELLS[
+        np.where(reported, records.values[:, _REGIME], len(REGIMES)).astype(int)]
+    cells[:, BASE_COLUMNS.index("inside_trapezoid")] = _INSIDE_CELLS[
+        np.where(reported, records.values[:, _INSIDE], 2).astype(int)]
+    cells[:, BASE_COLUMNS.index("flags")] = [_quoted(";".join(flags)) for flags in records.flags]
+    for k, name in enumerate(extra_columns, start=len(BASE_COLUMNS)):
+        cells[:, k] = [_quoted(_fmt(v)) for v in records.extra.get(name, [None] * n)]
+    gaps = (records.empty[:, _NUMBER_VALUES] @ _GAP_BITS).tolist()
+    formats = {key: _row_format(key, len(extra_columns)) for key in set(gaps)}
+    return "".join([formats[key] % tuple(row) for key, row in zip(gaps, cells.tolist())])
 
 
 def config_echo(scan_name: str, config) -> str:
@@ -791,16 +977,19 @@ def config_echo(scan_name: str, config) -> str:
 def write_records(records, path, scan_name: str, config, extra_columns: Sequence = ()) -> None:
     """Write records as CSV behind a config-echo comment line.
 
-    Column order is fixed; floats carry 17 significant digits so parsing
-    the file back reproduces every value bit for bit.
+    records is a Records, as the sweeps return them, or any sequence of
+    SweepRecords, whose columns are taken first. Column order is fixed;
+    floats carry 17 significant digits so parsing the file back reproduces
+    every value bit for bit.
     """
+    if not isinstance(records, Records):
+        records = Records.from_records(records, extra_columns)
     columns = BASE_COLUMNS + tuple(extra_columns)
     try:
         with open(path, "w", newline="") as fh:
-            fh.write(config_echo(scan_name, config) + "\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(columns)
-            for rec in records:
-                writer.writerow(_record_row(rec, extra_columns))
+            fh.write(config_echo(scan_name, config) + "\n" + ",".join(map(_quoted, columns)) + "\n")
+            for start in range(0, len(records), _CSV_BLOCK):
+                block = records.take(range(start, min(start + _CSV_BLOCK, len(records))))
+                fh.write(_csv_rows(block, extra_columns))
     except OSError as exc:
         raise DomainError(f"cannot write records to {path!r}: {exc}") from exc

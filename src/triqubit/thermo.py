@@ -9,13 +9,22 @@ The two-reservoir decomposition uses the opposite orientation, which is what
 makes its bookkeeping algebraic: Q_ij > 0 is heat dumped INTO bath i by the
 pair device (i,j), and W_ij > 0 is work produced by it, so that
 W_12 + W_13 + W_23 + W = 0 and W_ij = -Q_ij - Q_ji hold identically.
+
+The bookkeeping of a run of points, the figures of merit, the entropy
+production, the invariant checks and the regime, is one pass over the run's
+currents (_thermo_rows) that writes the rows of THERMO_COLUMNS, with no
+object per point; thermo_report is a run of one, and a ThermoReport is built
+from a row only where a caller reads it, its submachine figures with it.
+tests/oracles.py keeps the scalar functions the pass took over
+(cop_metrics, entropy_production, otto_conditions_and_trapezoid), and
+tests/test_thermo.py holds every field of every report to them bit for bit.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -23,7 +32,7 @@ import numpy as np
 from .algebra import LD, checked_real
 from .errors import DomainError, ImpossibleCurrentsError, NumericalConsistencyError
 from .global_me import _heat_generators
-from .local_me import CurrentSet, _current_sets, local_current_set
+from .local_me import FLOWS, CurrentSet, _current_columns, local_current_set
 from .model import BATH_HARMONIC, PAIRS, ModelParams, as_number
 from .steady_state import PointSolution
 
@@ -51,6 +60,10 @@ class Regime(enum.Enum):
     X = "X"
     UNCLASSIFIED = "Unclassified"
 
+
+# every Regime in its code order: the regime column of a run holds codes
+REGIMES = tuple(Regime)
+_REGIME_CODES = {regime: code for code, regime in enumerate(REGIMES)}
 
 # sign pattern of (Q1, Q2, Q3) -> (regime for W > 0, regime for W <= 0)
 _SIGN_TABLE = {
@@ -102,43 +115,6 @@ def classify_regime(Q, W: float, epsilon: float = DEFAULT_EPSILON) -> Regime:
     return regime if regime is not None else Regime.UNCLASSIFIED
 
 
-def entropy_production(Q, T) -> float:
-    """Total entropy production rate -sum_i Q_i / T_i."""
-    if any(t <= 0.0 for t in T):
-        raise DomainError("bath temperatures must be positive")
-    return -math.fsum(float(q) / float(t) for q, t in zip(Q, T))
-
-
-@dataclass(frozen=True)
-class CopMetrics:
-    cop: Optional[float]
-    cop_w: Optional[float]
-    cop_max: Optional[float]
-    cop_otto: Optional[float]
-
-
-def cop_metrics(Q, W: float, T, B) -> CopMetrics:
-    """Refrigeration figures of merit; metrics with vanishing denominators are None.
-
-    cop_w credits the work the machine itself produces (W < 0) back to the
-    driving heat. cop_max depends only on temperature ratios and bounds cop
-    for any absorption refrigerator; cop_otto plays the same role in terms of
-    field ratios when the produced work drives an auxiliary two-level chiller
-    between baths 1 and 2.
-    """
-    q1, _, q3 = (float(q) for q in Q)
-    w = float(W)
-    t1, t2, t3 = (float(t) for t in T)
-    b1, b2, b3 = (float(b) for b in B)
-
-    cop = q1 / q3 if q3 != 0.0 else None
-    denom_w = q3 + w
-    cop_w = q1 / denom_w if denom_w != 0.0 else None
-    cop_max = t1 * (t3 - t2) / (t3 * (t2 - t1)) if (t2 != t1 and t3 != 0.0) else None
-    cop_otto = b1 * (b3 - b2) / (b3 * (b2 - b1)) if (b2 != b1 and b3 != 0.0) else None
-    return CopMetrics(cop=cop, cop_w=cop_w, cop_max=cop_max, cop_otto=cop_otto)
-
-
 class Role(enum.Enum):
     ENGINE = "engine"
     REFRIGERATOR = "refrigerator"
@@ -164,17 +140,20 @@ class SubmachineFigures:
     efficiency_or_cop: Optional[float]
 
 
+def _continuity(q, C) -> tuple:
+    """Site imbalances (q1 + C21 + C31, q2 - C21 + C32, q3 - C31 - C32), C in FLOWS order."""
+    q1, q2, q3 = q
+    c21, c31, c32 = C
+    return (q1 + c21 + c31, q2 - c21 + c32, q3 - c31 - c32)
+
+
 def continuity_residuals(currents: CurrentSet) -> tuple:
     """Per-site imbalance between the bath current and the pair currents.
 
     Vanishes at a steady state: whatever magnetization a bath pushes into
     a site must leave through the two couplings.
     """
-    c21 = currents.C[(2, 1)]
-    c31 = currents.C[(3, 1)]
-    c32 = currents.C[(3, 2)]
-    q1, q2, q3 = currents.q
-    return (q1 + c21 + c31, q2 - c21 + c32, q3 - c31 - c32)
+    return _continuity(currents.q, [currents.C[flow] for flow in FLOWS])
 
 
 def submachine_report(currents: CurrentSet, B, T, epsilon: float = DEFAULT_EPSILON) -> tuple:
@@ -213,22 +192,6 @@ def submachine_report(currents: CurrentSet, B, T, epsilon: float = DEFAULT_EPSIL
     return tuple(figures)
 
 
-def otto_conditions_and_trapezoid(B, T) -> bool:
-    """Whether the field ratios (B1/B3, B2/B3) lie inside the Otto trapezoid.
-
-    For a pair (i, j) with T_i < T_j, an ideal two-level machine cycling
-    between the fields refrigerates for B_i/B_j below T_i/T_j and works as
-    an engine between that ratio and 1. The trapezoid combines the
-    refrigerator window of (2,3) with the engine window of (1,2): a
-    necessary condition for the three-qubit absorption refrigerator.
-    """
-    if any(b <= 0.0 for b in B) or any(t <= 0.0 for t in T):
-        raise DomainError("fields and temperatures must be positive")
-    x1 = float(B[0]) / float(B[2])
-    x2 = float(B[1]) / float(B[2])
-    return (x2 > (float(T[1]) / float(T[0])) * x1) and (float(T[1]) / float(T[2]) < x2 < 1.0)
-
-
 @dataclass(frozen=True)
 class ThermoReport:
     """Complete thermodynamic account of one solved steady state."""
@@ -246,6 +209,18 @@ class ThermoReport:
     inside_trapezoid: bool
     first_law_residual: float
     magnetization_residual: Optional[float]
+
+
+# the columns of a run's thermo reports, one row per point; up to "inside"
+# they are the CSV's thermo columns in its order. regime holds the point's
+# code in REGIMES, inside 1.0 or 0.0. A harmonic point leaves the local
+# currents and the magnetization residual empty (None), and so does a figure
+# of merit with a vanishing denominator
+THERMO_COLUMNS = (
+    "Q1", "Q2", "Q3", "W", "Sdot", "q1", "q2", "q3", "C21", "C31", "C32",
+    "regime", "cop", "cop_w", "cop_max", "cop_otto", "inside",
+    "first_law_residual", "magnetization_residual",
+)
 
 
 def _harmonic_heat_currents(sol: PointSolution):
@@ -286,11 +261,8 @@ LAWS = ("First Law", "Second Law", "current-constraint", "continuity", "MI-bound
 LOCAL_LAWS = LAWS[2:4]
 
 
-def invariant_violations(report: ThermoReport, params: ModelParams, correlations=None) -> tuple:
-    """Names of the laws a steady-state report breaks; () when it breaks none.
-
-    The one definition of each invariant and its tolerance. thermo_report
-    raises on any of them; the validate command counts them per record.
+def _broken_laws(Q, W, S_dot, first_law, T, floor, flows, local=None, bounds=None) -> tuple:
+    """Names of the laws of LAWS a point breaks, in that order; the one definition of each.
 
         First Law           |W + sum Q| <= 1e-10 max(|Q_i|, |W|)
         Second Law          S_dot >= -max(1e-9 sum |Q_i|/T_i, floor/min T)
@@ -298,108 +270,157 @@ def invariant_violations(report: ThermoReport, params: ModelParams, correlations
         continuity          site residuals <= 1e-9 max(|q|, |C|)  (local model)
         MI-bound            I_ij >= bound_ij - 1e-10  (correlations given)
 
-    floor is the absolute roundoff of the heat currents. When every |Q_i|
-    is at or below it the currents are roundoff of either sign, and the
-    conservation laws are not checked. A genuine second-law violation would
-    be of the order of the entropy flows |Q_i|/T_i themselves. Each check
-    is written as the condition that holds, so a NaN breaks it.
+    floor is _current_floor and flows sum |Q_i|/T_i. local is (q, C in
+    FLOWS order, magnetization residual) of the local model and bounds (I,
+    mi_bound) in PAIRS order; a law whose inputs are not given holds. When
+    every |Q_i| is at or below the floor the currents are roundoff of
+    either sign, and the conservation laws are not checked. A genuine
+    second-law violation would be of the order of the entropy flows
+    |Q_i|/T_i themselves. Each check is written as the condition that
+    holds, so a NaN breaks it.
     """
-    floor = _current_floor(params)
-    q_scale = max(abs(q) for q in report.Q)
-    flows = math.fsum(abs(q) / float(t) for q, t in zip(report.Q, params.T))
-    roundoff = q_scale <= floor
     first, second, constraint, continuity, mi_bound = LAWS
+    q_scale = max(abs(v) for v in Q)
+    roundoff = q_scale <= floor
     holds = {
-        first: roundoff or (
-            report.first_law_residual <= _FIRST_LAW_RTOL * max(q_scale, abs(report.W))
-        ),
-        second: report.S_dot >= -max(1e-9 * flows, floor / min(params.T)),
+        first: roundoff or first_law <= _FIRST_LAW_RTOL * max(q_scale, abs(W)),
+        second: S_dot >= -max(1e-9 * flows, floor / min(T)),
     }
+    if local is not None:
+        q, C, magnetization = local
+        scale_q = max(abs(v) for v in q)
+        scale_c = max(scale_q, *(abs(v) for v in C))
+        holds[constraint] = roundoff or magnetization <= 1e-10 * scale_q
+        holds[continuity] = roundoff or max(abs(r) for r in _continuity(q, C)) <= 1e-9 * scale_c
+    if bounds is not None:
+        holds[mi_bound] = all(i >= b - 1e-10 for i, b in zip(*bounds))
+    return tuple(name for name, ok in holds.items() if not ok)
+
+
+def invariant_violations(report: ThermoReport, params: ModelParams, correlations=None) -> tuple:
+    """Names of the laws a steady-state report breaks; () when it breaks none.
+
+    The laws and their tolerances are _broken_laws', checked on this one
+    report: the local laws when it carries currents, the MI bound when
+    correlations are given. thermo_report raises on any of them; the
+    validate command counts them per record.
+    """
+    flows = math.fsum(abs(q) / t for q, t in zip(report.Q, params.T))
+    local = bounds = None
     cs = report.currents
     if cs is not None:
-        scale_q = max(abs(v) for v in cs.q)
-        scale_c = max(scale_q, *(abs(v) for v in cs.C.values()))
-        holds[constraint] = roundoff or report.magnetization_residual <= 1e-10 * scale_q
-        holds[continuity] = (
-            roundoff or max(abs(r) for r in continuity_residuals(cs)) <= 1e-9 * scale_c
-        )
+        local = (cs.q, [cs.C[flow] for flow in FLOWS], report.magnetization_residual)
     if correlations is not None:
-        holds[mi_bound] = all(
-            correlations.I[pair] >= correlations.mi_bound[pair] - 1e-10 for pair in PAIRS
-        )
-    return tuple(name for name, ok in holds.items() if not ok)
+        bounds = ([correlations.I[pair] for pair in PAIRS],
+                  [correlations.mi_bound[pair] for pair in PAIRS])
+    return _broken_laws(report.Q, report.W, report.S_dot, report.first_law_residual,
+                        params.T, _current_floor(params), flows, local, bounds)
 
 
 def thermo_report(sol: PointSolution, epsilon: float = DEFAULT_EPSILON) -> ThermoReport:
     """Heat currents, work, entropy production, figures of merit and regime.
 
+    A run of one of _thermo_rows; the local currents are local_current_set's.
     Raises NumericalConsistencyError naming every law of
     invariant_violations the currents break, before the regime is read off
     their signs.
     """
     currents = None
     if sol.params.bath_model != BATH_HARMONIC:
-        currents = local_current_set(sol.rho, sol.generators)
-    return _thermo_report(sol, currents, epsilon)
-
-
-def _thermo_reports(sols, epsilon: float) -> list:
-    """thermo_report of each of sols, which share one bath model, in order.
-
-    The local currents of all of them are one _current_sets stack; the
-    bookkeeping on them is made per point.
-    """
-    if sols[0].params.bath_model == BATH_HARMONIC:
-        currents = [None] * len(sols)
-    else:
-        currents = _current_sets(np.array([sol.rho for sol in sols]),
-                                 [sol.generators for sol in sols])
-    return [_thermo_report(sol, cs, epsilon) for sol, cs in zip(sols, currents)]
-
-
-def _thermo_report(sol: PointSolution, currents: Optional[CurrentSet],
-                   epsilon: float) -> ThermoReport:
-    """thermo_report of sol, whose local currents are given (None on the harmonic model)."""
-    p = sol.params
-    if currents is None:
-        Q = _harmonic_heat_currents(sol)
-        W = 0.0  # the harmonic generator exchanges no work by construction
-        submachines = None
-        first_law = abs(math.fsum(Q))
-        mag_residual = None
-    else:
-        Q = currents.Q
-        W = currents.W
-        submachines = submachine_report(currents, p.B, p.T, epsilon)
-        first_law = abs(W + math.fsum(Q))
-        mag_residual = abs(math.fsum(currents.q))
-
-    metrics = cop_metrics(Q, W, p.T, p.B)
-    if all(b > 0.0 for b in p.B):
-        inside = otto_conditions_and_trapezoid(p.B, p.T)
-    else:
-        inside = False  # a switched-off field is outside every window
-    report = ThermoReport(
-        Q=tuple(float(q) for q in Q),
-        W=float(W),
-        S_dot=entropy_production(Q, p.T),
-        regime=Regime.UNCLASSIFIED,
-        cop=metrics.cop,
-        cop_w=metrics.cop_w,
-        cop_max=metrics.cop_max,
-        cop_otto=metrics.cop_otto,
-        currents=currents,
-        submachines=submachines,
-        inside_trapezoid=inside,
-        first_law_residual=first_law,
-        magnetization_residual=mag_residual,
-    )
-    broken = invariant_violations(report, p)
+        cs = local_current_set(sol.rho, sol.generators)
+        currents = [(cs.q, cs.Q, cs.W, [cs.C[flow] for flow in FLOWS])]
+    [(cells, broken)] = _thermo_rows([sol], epsilon, currents)
     if broken:
         raise NumericalConsistencyError(
-            f"steady state breaks {', '.join(broken)}: "
-            f"Q = {report.Q}, W = {report.W!r}, S_dot = {report.S_dot:.3e}"
+            f"steady state breaks {', '.join(broken)}: Q = {tuple(cells[:3])}, "
+            f"W = {cells[3]!r}, S_dot = {cells[4]:.3e}"
         )
-    if min(abs(q) for q in report.Q) <= _current_floor(p):
-        return report
-    return replace(report, regime=classify_regime(report.Q, report.W, epsilon))
+    return _thermo_view(cells, sol.params, epsilon)
+
+
+def _thermo_rows(sols, epsilon: float, currents=None) -> list:
+    """thermo_report of each of sols, which share one bath model, as rows of THERMO_COLUMNS.
+
+    Returns one (cells, broken) per point: cells its row, None where the
+    report leaves None, and broken the names of the laws it breaks, in the
+    order of LAWS; a point that breaks one has no report, and thermo_report
+    raises for it. currents holds (q, Q, W, C) of each point, C in FLOWS
+    order; on the local model, when it is not given, the currents of all of
+    sols are one local_me._current_columns stack. The bookkeeping is one pass
+    over the run's currents, with no object per point: each figure, check
+    and regime is that of the point alone. A point, the first in order,
+    whose currents above the floor all share one sign raises
+    ImpossibleCurrentsError.
+    """
+    params = [sol.params for sol in sols]
+    if params[0].bath_model == BATH_HARMONIC:
+        # the harmonic generator exchanges no work by construction
+        currents = [(None, _harmonic_heat_currents(sol), 0.0, None) for sol in sols]
+    elif currents is None:
+        columns = _current_columns(np.array([sol.rho for sol in sols]),
+                                   [sol.generators for sol in sols])
+        currents = zip(*(column.tolist() for column in columns))
+    rows = []
+    for p, (q, Q, W, C) in zip(params, currents):
+        (t1, t2, t3), (b1, b2, b3) = p.T, p.B
+        q1, q2, q3 = Q
+        ratios = (q1 / t1, q2 / t2, q3 / t3)
+        S_dot = -math.fsum(ratios)
+        first_law = abs(W + math.fsum(Q))
+        floor = _current_floor(p)
+        magnetization = None if q is None else abs(math.fsum(q))
+        broken = _broken_laws(Q, W, S_dot, first_law, p.T, floor, math.fsum(map(abs, ratios)),
+                              None if q is None else (q, C, magnetization))
+        regime = Regime.UNCLASSIFIED
+        if not broken and min(abs(q1), abs(q2), abs(q3)) > floor:
+            regime = classify_regime(Q, W, epsilon)
+        denom_w = q3 + W
+        # the Otto trapezoid of (B1/B3, B2/B3): the refrigerator window of
+        # (2,3) with the engine window of (1,2), a necessary condition for the
+        # absorption refrigerator; a switched-off field is outside
+        inside = (b1 > 0.0 and b2 > 0.0 and b3 > 0.0
+                  and b2 / b3 > (t2 / t1) * (b1 / b3) and t2 / t3 < b2 / b3 < 1.0)
+        # the figures of merit, None where a denominator vanishes: cop_w
+        # credits the work the machine produces (W < 0) back to the driving
+        # heat; cop_max bounds cop by the temperature ratios, cop_otto by
+        # the field ratios of an auxiliary two-level chiller between baths
+        # 1 and 2 that the produced work drives
+        rows.append(([
+            q1, q2, q3, W, S_dot, *(q or (None,) * 3), *(C or (None,) * 3),
+            _REGIME_CODES[regime],
+            q1 / q3 if q3 != 0.0 else None,
+            q1 / denom_w if denom_w != 0.0 else None,
+            t1 * (t3 - t2) / (t3 * (t2 - t1)) if (t2 != t1 and t3 != 0.0) else None,
+            b1 * (b3 - b2) / (b3 * (b2 - b1)) if (b2 != b1 and b3 != 0.0) else None,
+            float(inside), first_law, magnetization,
+        ], broken))
+    return rows
+
+
+def _thermo_view(cells, params: ModelParams, epsilon: float) -> ThermoReport:
+    """The ThermoReport of one row of THERMO_COLUMNS, cells its values with None where empty."""
+    (Q1, Q2, Q3, W, S_dot, q1, q2, q3, c21, c31, c32, regime, cop, cop_w, cop_max, cop_otto,
+     inside, first_law, magnetization) = cells
+    currents = submachines = None
+    if q1 is not None:
+        currents = CurrentSet(Q=(Q1, Q2, Q3), W=W, q=(q1, q2, q3),
+                              C=dict(zip(FLOWS, (c21, c31, c32))))
+        submachines = submachine_report(currents, params.B, params.T, epsilon)
+    return ThermoReport(
+        Q=(Q1, Q2, Q3), W=W, S_dot=S_dot, regime=REGIMES[int(regime)],
+        cop=cop, cop_w=cop_w, cop_max=cop_max, cop_otto=cop_otto,
+        currents=currents, submachines=submachines, inside_trapezoid=inside == 1.0,
+        first_law_residual=first_law, magnetization_residual=magnetization,
+    )
+
+
+def _thermo_cells(report: Optional[ThermoReport]) -> list:
+    """The row of THERMO_COLUMNS of a report, all None for None; _thermo_view's inverse."""
+    if report is None:
+        return [None] * len(THERMO_COLUMNS)
+    cs = report.currents
+    local = [None] * 6 if cs is None else [*cs.q, *(cs.C[flow] for flow in FLOWS)]
+    return [*report.Q, report.W, report.S_dot, *local, _REGIME_CODES[report.regime],
+            report.cop, report.cop_w, report.cop_max, report.cop_otto,
+            float(report.inside_trapezoid), report.first_law_residual,
+            report.magnetization_residual]

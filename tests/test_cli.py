@@ -240,7 +240,9 @@ def test_an_unwritable_out_fails_before_the_point_is_solved(monkeypatch, capsys)
     monkeypatch.setattr(cli, "evaluate_point", lambda *args, **kwargs: calls.append(args))
     argv = ["point", "--config", str(CONFIGS / "point.json"), "--out", "/nonexistent/x.json"]
     assert main(argv) == 2
-    assert "cannot write" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # a point writes a JSON report, not records
+    assert "cannot write the report to '/nonexistent/x.json'" in err and "records" not in err
     assert calls == []
 
 

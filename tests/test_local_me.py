@@ -11,7 +11,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from triqubit import ModelParams, build_liouvillian, local_me, solve_point
 from triqubit.algebra import lindblad_superop, trace_distance, vec, with_daggers
 from triqubit.algebra import checked_trace
-from triqubit.errors import DomainError
+from triqubit.errors import DomainError, NumericalConsistencyError
 from triqubit.global_me import bose_occupation
 from triqubit.local_me import (
     _site_matrices,
@@ -278,3 +278,17 @@ def test_gathered_dissipator_actions_keep_the_bits_of_the_matrix_products(p):
         got = local_me._dissipator_actions([rates], state[None])
         for s in (1, 2, 3):
             assert_same_bits(got[0, s - 1], local_me._dissipator_action(p, s, state))
+
+
+def test_a_stack_raises_as_its_first_unreal_point_raises_alone():
+    # a state that is not Hermitian leaves an imaginary residue in the work
+    # power and the expectations: the stacked check of a run raises with the
+    # message of its first such point on its own
+    sols = [solve_point(p) for p in LOCAL_POINTS[:3]]
+    skewed = sols[1].rho + 1e-3j * (1.0 - np.eye(8))
+    with pytest.raises(NumericalConsistencyError, match="work power has imaginary") as alone:
+        local_current_set(skewed, sols[1].generators)
+    rhos = np.array([sols[0].rho, skewed, sols[2].rho])
+    with pytest.raises(NumericalConsistencyError) as stacked:
+        local_me._current_columns(rhos, [sol.generators for sol in sols])
+    assert str(stacked.value) == str(alone.value)

@@ -37,6 +37,7 @@ from triqubit.sweeps import (
 )
 from triqubit.thermo import DEFAULT_EPSILON, Regime
 
+import oracles
 from conftest import BOOST, GLOBAL_SCATTER, LOCAL_SCATTER, MASTER_SEED, VALVE, global_point
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -289,7 +290,7 @@ def test_harmonic_cold_bath_roundoff_currents_are_unclassified():
 def test_sweeps_keep_the_memoized_operators_parameter_free(model_name, base):
     # a float parameter in any cache key would grow these caches per point
     caches = (algebra._embedded, model._pair_strings, model._sector_layout,
-              local_me._unit_dissipators, local_me._site_stacks, local_me._flip_gathers,
+              local_me._unit_dissipators, local_me._site_stacks, local_me._action_gathers,
               local_me._lowering_jumps, global_me._site_couplings)
     for cache in caches + (model.liouville_block_groups, local_me._transform_gathers):
         cache.cache_clear()
@@ -465,28 +466,79 @@ def test_valve_sweep_labels_and_error_point():
 
 # --- grid scans in chunks: one stacked solve per sector order ---
 
+def _flip_harmonic_currents(monkeypatch, b2s):
+    """Every heat current of the harmonic points at the fields B2 in b2s flipped: a second-law breach."""
+    honest = thermo._harmonic_heat_currents
+    monkeypatch.setattr(thermo, "_harmonic_heat_currents", lambda sol: (
+        tuple(-q for q in honest(sol)) if sol.params.B[1] in b2s else honest(sol)))
+
+
+def _fail_past_the_grid(monkeypatch, cfg):
+    """Every solve past the end of cfg's grid, as the edge search makes them, fails."""
+    solve = sweeps.solve_point
+
+    def failing(p):
+        if p.B[1] > cfg.B2_max:
+            raise DegenerateSteadyStateError("injected failure")
+        return solve(p)
+
+    monkeypatch.setattr(sweeps, "solve_point", failing)
+
+
+# id: (config, overrides, the flags some record must carry)
+CSV_CASES = {
+    "boost": ("boost", {}, ("edge",)),
+    "valve": ("valve", {}, ()),
+    "valve-harmonic": ("valve", {"bath_model": "harmonic"}, ()),
+    # the zero-field point cannot build its bath
+    "valve-zero-field": ("valve", {"B2_min": 0.0, "n_points": 40}, ("error:DomainError",)),
+    # every point warns, and two of them break the second law
+    "valve-harmonic-warned": ("valve", {"bath_model": "harmonic", "gamma": [0.05] * 3,
+                                        "n_points": 40},
+                              ("error:NumericalConsistencyError", "warn:SecularValidityWarning")),
+    # every solve past the grid fails, so the edge search finds no edge
+    "boost-edge-failed": ("boost", {"n_points": 20}, ("edge_failed",)),
+    "random": ("local_scatter", {"n_samples": 30, "discard_rule": 2.0}, ("discarded",)),
+}
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("config, bath_model", [
-    ("boost", None), ("valve", None), ("valve", "harmonic"),
-], ids=["boost", "valve", "valve-harmonic"])
-def test_grid_csv_does_not_depend_on_the_chunk_size(tmp_path, monkeypatch, config, bath_model,
-                                                     workers):
-    # three workers run on three CPUs, whatever the host has: a pool of two
-    # forked processes beside this one
+@pytest.mark.parametrize("case", list(CSV_CASES))
+def test_grid_csv_does_not_depend_on_the_chunk_size(tmp_path, monkeypatch, case, workers):
+    # the bytes write_records takes from the columns are those csv.writer
+    # writes of each record's cells (oracles.record_row), at every chunk size
+    # and worker count. Three workers run on three CPUs, whatever the host
+    # has: a pool of two forked processes beside this one
     monkeypatch.setattr(sweeps, "_cpu_count", lambda: 3)
-    cfg = GridScanConfig(**json.loads((CONFIGS / f"{config}.json").read_text()))
-    if bath_model:
-        cfg = replace(cfg, bath_model=bath_model)
-    driver, columns = {"boost": (boost_scan, BOOST_COLUMNS),
-                       "valve": (valve_sweep, VALVE_COLUMNS)}[config]
+    config, overrides, flags = CSV_CASES[case]
+    data = {**json.loads((CONFIGS / f"{config}.json").read_text()), **overrides}
+    if config == "local_scatter":
+        cfg, driver, columns = SweepConfig(**data), random_sweep, ()
+    else:
+        cfg = GridScanConfig(**data)
+        driver, columns = {"boost": (boost_scan, BOOST_COLUMNS),
+                           "valve": (valve_sweep, VALVE_COLUMNS)}[config]
+    if case == "valve-harmonic-warned":
+        grid = sweeps._grid_points(cfg)
+        _flip_harmonic_currents(monkeypatch, {grid[3].B[1], grid[30].B[1]})
+    if case == "boost-edge-failed":
+        _fail_past_the_grid(monkeypatch, cfg)
     written = []
     for chunk in (1, 7, 64):
         # a forked pool's workers see the constant as the parent sets it
         monkeypatch.setattr(sweeps, "_GRID_CHUNK", chunk)
+        records = driver(cfg, workers=workers)
         path = tmp_path / f"{chunk}.csv"
-        write_records(driver(cfg, workers=workers), path, config, cfg, extra_columns=columns)
+        write_records(records, path, config, cfg, extra_columns=columns)
         written.append(path.read_bytes())
+        assert written[-1] == oracles.csv_text(list(records), config, cfg, columns).encode()
     assert written[1] == written[0] and written[2] == written[0]
+    seen = {flag for rec in records for flag in rec.flags}
+    assert set(flags) <= seen, seen
+    if config == "valve":  # the labels hold commas: csv.writer quotes them
+        assert b'"Q1' in written[0]
+    if case == "valve-harmonic-warned":
+        assert [rec.index for rec in records if rec.thermo is None] == [3, 30]
 
 
 def _sector_order(p):
@@ -542,13 +594,19 @@ def _assert_reported_alone(run, epsilon=DEFAULT_EPSILON):
     """The stacked reports of run's solutions are field by field those of each point alone."""
     sols = steady_state.solve_points(run)
     rhos = np.array([sol.rho for sol in sols])
-    pairs = [(correlations._correlation_reports(rhos, run),
+    rows = thermo._thermo_rows(sols, epsilon)
+    assert [broken for _, broken in rows] == [()] * len(run)
+    pairs = [([correlations._correlation_view(row)
+               for row in correlations._correlation_rows(rhos, run)],
               [correlations.correlation_report(sol.rho, p) for p, sol in zip(run, sols)]),
-             (thermo._thermo_reports(sols, epsilon),
+             ([thermo._thermo_view(cells, p, epsilon) for (cells, _), p in zip(rows, run)],
               [thermo.thermo_report(sol, epsilon) for sol in sols])]
     if run[0].bath_model == "repeated_interaction":
-        pairs.append((local_me._current_sets(rhos, [sol.generators for sol in sols]),
-                      [local_me.local_current_set(sol.rho, sol.generators) for sol in sols]))
+        columns = local_me._current_columns(rhos, [sol.generators for sol in sols])
+        alone = [local_me.local_current_set(sol.rho, sol.generators) for sol in sols]
+        pairs.append((list(zip(*(column.tolist() for column in columns))),
+                      [(list(cs.q), list(cs.Q), cs.W, [cs.C[flow] for flow in local_me.FLOWS])
+                       for cs in alone]))
     for stacked, alone in pairs:
         assert len(stacked) == len(run)
         # repr spells every float to its last bit, signed zeros included
@@ -644,14 +702,14 @@ def test_failures_and_warnings_in_a_chunk_stay_on_their_own_index(monkeypatch, w
     monkeypatch.setattr(sweeps, "_cpu_count", lambda: 2)
     cfg, points = _valve_chunk()
     broken = {points[3].B, points[6].B}
-    real = thermo.cop_metrics
+    real = thermo._current_floor
 
-    def cop_metrics(Q, W, T, B):
-        if tuple(B) in broken:
+    def current_floor(p):
+        if p.B in broken:
             raise DomainError("injected")
-        return real(Q, W, T, B)
+        return real(p)
 
-    monkeypatch.setattr(thermo, "cop_metrics", cop_metrics)
+    monkeypatch.setattr(thermo, "_current_floor", current_floor)
     alone = [replace(evaluate_point(p, cfg.epsilon), index=k) for k, p in enumerate(points)]
     solved = []
     solve = steady_state._solve_points
@@ -759,17 +817,18 @@ def test_boost_edge_lies_on_the_zero_of_w(shift):
 
 
 def _fake_work(monkeypatch, cfg, w_of_b2):
-    """Grid records whose work is w_of_b2(B2); every later solve is logged."""
+    """The grid's B2 and work w_of_b2(B2), and the map of the B2 solved past it; every later
+    solve is logged."""
+    b2 = [p.B[1] for p in sweeps._grid_points(cfg)]
+    probes = []
+
     def fake(params, epsilon):
+        probes.append(params.B[1])
         return SimpleNamespace(params=params, thermo=SimpleNamespace(W=w_of_b2(params.B[1])),
                                flags=())
 
-    grid = [fake(p, cfg.epsilon) for p in sweeps._grid_points(cfg)]
-    probes = []
-    monkeypatch.setattr(
-        sweeps, "evaluate_point",
-        lambda params, epsilon: probes.append(params.B[1]) or fake(params, epsilon))
-    return grid, {rec.params.B[1]: rec for rec in grid}, probes
+    monkeypatch.setattr(sweeps, "evaluate_point", fake)
+    return (b2, [w_of_b2(x) for x in b2]), {}, probes
 
 
 def _grid_cfg(b2_min, b2_max, n_points):
@@ -782,7 +841,7 @@ def _grid_cfg(b2_min, b2_max, n_points):
 def test_edge_search_probes_just_past_the_secant_root(monkeypatch):
     cfg = _grid_cfg(2.9, 3.3, 5)
     grid, solved, probes = _fake_work(monkeypatch, cfg, lambda b2: b2 - 3.4)
-    edge = sweeps._locate_edge(cfg, grid, solved)
+    edge = sweeps._locate_edge(cfg, *grid, solved)
     assert probes[0] == pytest.approx(3.3 + 1.01 * 0.1, rel=1e-14)
     assert edge == pytest.approx(3.4, abs=1e-12)
 
@@ -791,7 +850,7 @@ def test_edge_search_steps_one_grid_spacing_where_w_does_not_rise(monkeypatch):
     cfg = _grid_cfg(2.9, 3.3, 5)
     grid, solved, probes = _fake_work(
         monkeypatch, cfg, lambda b2: -1.0 if b2 <= 3.3 + 1e-9 else b2 - 3.35)
-    edge = sweeps._locate_edge(cfg, grid, solved)
+    edge = sweeps._locate_edge(cfg, *grid, solved)
     step = (cfg.B2_max - cfg.B2_min) / (cfg.n_points - 1)
     assert probes[0] == cfg.B2_max + step
     assert edge == pytest.approx(3.35, abs=1e-12)
@@ -802,7 +861,7 @@ def test_edge_search_steps_one_grid_spacing_from_a_single_point(monkeypatch):
     # spacing: the step is 5% of 1 + B2
     cfg = _grid_cfg(3.05, 3.05, 1)
     grid, solved, probes = _fake_work(monkeypatch, cfg, lambda b2: b2 - 3.1)
-    edge = sweeps._locate_edge(cfg, grid, solved)
+    edge = sweeps._locate_edge(cfg, *grid, solved)
     assert probes[0] == 3.05 + 0.05 * (1.0 + 3.05)
     assert edge == pytest.approx(3.1, abs=1e-12)
 
@@ -811,11 +870,11 @@ def test_edge_search_probe_below_the_edge_becomes_the_lower_end(monkeypatch):
     # W is concave, so the secant of the last two grid points undershoots
     cfg = _grid_cfg(2.9, 3.3, 5)
     grid, solved, probes = _fake_work(monkeypatch, cfg, lambda b2: (b2 - 2.0) ** 0.5 - 1.2)
-    edge = sweeps._locate_edge(cfg, grid, solved)
+    edge = sweeps._locate_edge(cfg, *grid, solved)
     first, second = probes[:2]
     assert cfg.B2_max < first < 3.44
     # the next secant starts from the probe and the last grid point
-    w_grid, w_first = solved[cfg.B2_max].thermo.W, solved[first].thermo.W
+    w_grid, w_first = grid[1][-1], solved[first].thermo.W
     assert second == pytest.approx(
         first + 1.01 * w_first * (first - cfg.B2_max) / (w_grid - w_first), rel=1e-14)
     assert edge == pytest.approx(3.44, abs=1e-12)
@@ -828,7 +887,7 @@ def test_edge_search_caps_the_probe_where_w_is_nearly_flat(monkeypatch):
     cfg = _grid_cfg(2.9, 3.3, 5)
     grid, solved, probes = _fake_work(
         monkeypatch, cfg, lambda b2: 1e-6 * (b2 - 3.3) - 1e-3 if b2 <= 3.3 else b2 - 4.0)
-    edge = sweeps._locate_edge(cfg, grid, solved)
+    edge = sweeps._locate_edge(cfg, *grid, solved)
     step = (cfg.B2_max - cfg.B2_min) / (cfg.n_points - 1)
     assert probes[0] == cfg.B2_max + 16 * step
     assert edge == pytest.approx(4.0, abs=1e-12)
@@ -840,7 +899,7 @@ def test_edge_search_floors_the_probe_where_w_rises_steeply(monkeypatch):
     cfg = _grid_cfg(2.9, 3.3, 5)
     grid, solved, probes = _fake_work(
         monkeypatch, cfg, lambda b2: -1e-9 - 1e4 * (3.3 - b2) if b2 <= 3.3 else b2 - 3.3001)
-    edge = sweeps._locate_edge(cfg, grid, solved)
+    edge = sweeps._locate_edge(cfg, *grid, solved)
     step = (cfg.B2_max - cfg.B2_min) / (cfg.n_points - 1)
     assert probes[0] == cfg.B2_max + step / 64
     assert edge == pytest.approx(3.3001, abs=1e-12)
@@ -851,7 +910,7 @@ def test_edge_search_takes_a_probe_at_zero_work_as_the_edge(monkeypatch):
     cfg = _grid_cfg(2.9, 3.3, 5)
     grid, solved, probes = _fake_work(
         monkeypatch, cfg, lambda b2: min(b2 - 3.35, 0.0) if b2 < 3.45 else b2 - 3.45)
-    edge = sweeps._locate_edge(cfg, grid, solved)
+    edge = sweeps._locate_edge(cfg, *grid, solved)
     assert len(probes) == 1 and edge == probes[0] and 3.35 < edge < 3.45
 
 

@@ -11,22 +11,18 @@ import numpy as np
 import pytest
 
 from triqubit import (
-    Regime, classify_regime, correlation_report, solve_point, thermo, thermo_report,
+    Regime, classify_regime, correlation_report, solve_point, sweeps, thermo, thermo_report,
 )
 from triqubit.errors import DomainError, ImpossibleCurrentsError, NumericalConsistencyError
+from triqubit.local_me import local_current_set
 from triqubit.sweeps import SweepConfig, draw_params
 from triqubit.thermo import (
-    HARMONIC_REGIMES,
-    Role,
-    continuity_residuals,
-    cop_metrics,
-    entropy_production,
-    invariant_violations,
-    otto_conditions_and_trapezoid,
-    submachine_report,
+    DEFAULT_EPSILON, HARMONIC_REGIMES, Role, ThermoReport, continuity_residuals,
+    invariant_violations, submachine_report,
 )
 
 from conftest import BOOST, HARMONIC_TAIL, UNCLOSED_HARMONIC, VALVE, global_point, local_point
+from oracles import cop_metrics, entropy_production, otto_conditions_and_trapezoid
 
 
 # one representative (Q1, Q2, Q3, W) per labeled regime
@@ -319,3 +315,106 @@ def test_no_harmonic_draw_misses_the_first_law_by_more_than_1e_12():
         if scale > thermo._current_floor(p) and abs(math.fsum(Q)) > 1e-12 * scale:
             missed[k] = abs(math.fsum(Q)) / scale
     assert missed == {}
+
+
+def _oracle_report(sol, epsilon):
+    """(report, broken laws) of sol, its bookkeeping taken one scalar function at a time.
+
+    The route thermo_report took before the bookkeeping of a run became one
+    pass over its rows: the oracles cop_metrics, otto_conditions_and_trapezoid
+    and entropy_production, then submachine_report and classify_regime, on
+    the point's own currents.
+    """
+    p = sol.params
+    if p.bath_model == "harmonic":
+        currents, Q, W = None, thermo._harmonic_heat_currents(sol), 0.0
+        submachines, first_law, magnetization = None, abs(math.fsum(Q)), None
+    else:
+        currents = local_current_set(sol.rho, sol.generators)
+        Q, W = currents.Q, currents.W
+        submachines = submachine_report(currents, p.B, p.T, epsilon)
+        first_law, magnetization = abs(W + math.fsum(Q)), abs(math.fsum(currents.q))
+    metrics = cop_metrics(Q, W, p.T, p.B)
+    report = ThermoReport(
+        Q=tuple(Q), W=W, S_dot=entropy_production(Q, p.T), regime=Regime.UNCLASSIFIED,
+        cop=metrics.cop, cop_w=metrics.cop_w, cop_max=metrics.cop_max,
+        cop_otto=metrics.cop_otto, currents=currents, submachines=submachines,
+        inside_trapezoid=(otto_conditions_and_trapezoid(p.B, p.T)
+                          if all(b > 0.0 for b in p.B) else False),
+        first_law_residual=first_law, magnetization_residual=magnetization,
+    )
+    broken = invariant_violations(report, p)
+    if not broken and min(abs(q) for q in Q) > thermo._current_floor(p):
+        report = replace(report, regime=classify_regime(Q, W, epsilon))
+    return report, broken
+
+
+def _solved(points):
+    """The solutions of the points of points that solve."""
+    sols = []
+    for p in points:
+        try:
+            sols.append(solve_point(p))
+        except (DomainError, NumericalConsistencyError):
+            pass
+    return sols
+
+
+def _bookkeeping_runs():
+    """Runs of up to 64 solutions: the bundled valve grid on both models, the boost grid,
+    520 local_scatter draws, points with None figures and idle pairs, currents at the floor,
+    and a boost run in which the states of two points are not steady."""
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    points = []
+    for name, overrides in (("valve", {}), ("valve", {"bath_model": "harmonic"}), ("boost", {})):
+        data = {**json.loads((configs / f"{name}.json").read_text()), **overrides}
+        points.append(sweeps._grid_points(sweeps.GridScanConfig(**data)))
+    cfg = SweepConfig(**json.loads((configs / "local_scatter.json").read_text()))
+    points.append([draw_params(cfg, k) for k in range(520)])
+    # T1 = T2 and B1 = B2: no cop_max nor cop_otto, an idle (1, 2) pair
+    points.append([local_point(B=(1.0, 1.0, 2.0), T=(1.0, 1.0, 3.0)),
+                   local_point(B=(0.8, 0.8, 2.5), gamma=(0.3, 0.6, 0.9))])
+    points.append([global_point(B=(0.37, 0.61, 0.83), T=(1e-4, 2e-4, 3e-4)),
+                   global_point(B=(0.5, 0.5, 0.9), T=(1.0, 1.0, 3.0))])
+    runs = [sols[k:k + 64] for sols in map(_solved, points) for k in range(0, len(sols), 64)]
+    boost = list(runs[-5])
+    assert boost[0].params.bath_model == "repeated_interaction"
+    boost[5] = replace(boost[5], rho=np.eye(8, dtype=complex) / 8)
+    boost[40] = replace(boost[40], rho=np.diag([0.5, 0.2, 0.1, 0.1, 0.05, 0.03, 0.01, 0.01]) + 0j)
+    return runs + [boost]
+
+
+@pytest.mark.filterwarnings("ignore::triqubit.errors.SecularValidityWarning")
+def test_stacked_bookkeeping_keeps_the_bits_of_the_scalar_oracles(monkeypatch):
+    # every run goes through the chunk route's one stacked pass: no record is
+    # rebuilt point by point, and each field of each report is the oracles'
+    monkeypatch.setattr(sweeps, "_record", None)
+    seen = {"roles": set(), "regimes": set(), "none_cops": 0, "at_floor": 0, "broken": []}
+    for run in _bookkeeping_runs():
+        records = sweeps._chunk_records([sol.params for sol in run], run, DEFAULT_EPSILON)
+        for k, (sol, rec) in enumerate(zip(run, records)):
+            report, broken = _oracle_report(sol, DEFAULT_EPSILON)
+            if broken:
+                seen["broken"].append(k)
+                assert rec.flags == ("error:NumericalConsistencyError",)
+                assert rec.thermo is None and rec.correlations is None and rec.residual is None
+                with pytest.raises(NumericalConsistencyError) as raised:
+                    thermo_report(sol)
+                assert str(raised.value) == (
+                    f"steady state breaks {', '.join(broken)}: Q = {report.Q}, "
+                    f"W = {report.W!r}, S_dot = {report.S_dot:.3e}")
+                continue
+            # repr spells every float to its last bit, signed zeros included
+            assert repr(rec.thermo) == repr(report)
+            assert repr(thermo_report(sol)) == repr(report)
+            assert rec.flags == ()
+            seen["roles"] |= {f.role for f in report.submachines or ()}
+            seen["regimes"].add(report.regime)
+            seen["none_cops"] += None in (report.cop, report.cop_w, report.cop_max,
+                                          report.cop_otto)
+            at_floor = min(map(abs, report.Q)) <= thermo._current_floor(sol.params)
+            seen["at_floor"] += at_floor and report.regime is Regime.UNCLASSIFIED
+    assert seen["roles"] == set(Role)
+    assert len(seen["regimes"]) >= 4 and seen["none_cops"] and seen["at_floor"]
+    # the two points of the last run whose states are not steady, each on its own index
+    assert seen["broken"] == [5, 40]
