@@ -5,10 +5,11 @@ scatter configs at one and two workers, the ``sweep-valve`` and
 ``sweep-boost`` CSVs at one and two workers, the ``sweep-valve`` CSV of
 the harmonic model at two workers and, with J = Delta = 0, at one and
 two workers, three more ``sweep-valve`` CSVs at one and two workers whose
-chunks fall back to one point at a time (the harmonic grid at gamma =
-0.05, where every row warns; the grid from B2 = 0, whose row 0 is an
-error; and a near-equilibrium harmonic grid where 99 rows break the
-first law, a count that the rate-matrix bits decide), ``point`` stdout
+rows carry flags (the harmonic grid at gamma = 0.05, where every row
+carries the warning of its generator build; the grid from B2 = 0, whose
+row 0 is an error and whose first chunk is split into runs of one; and a
+near-equilibrium harmonic grid where 99 rows break the first law, a
+count that the rate-matrix bits decide), ``point`` stdout
 of the point config and of an unclosed harmonic point set over it, and
 ``validate --samples 200`` stdout of both scatter configs) with the
 ``src/`` of each checkout, in one subprocess per checkout and both on
@@ -94,10 +95,10 @@ def _runs():
                ["sweep-valve", "--config", "valve", "--set", "bath_model=harmonic",
                 "--set", "J=[0,0,0]", "--set", "Delta=[0,0,0]", "--workers", str(workers)],
                "csv")
-    # a warned harmonic grid and a grid with an error row in its first
-    # chunk, whose chunks are solved again point by point, and a harmonic
-    # grid whose rate-matrix bits decide which rows break the first law,
-    # whose chunks' reports are rebuilt point by point
+    # a harmonic grid whose every row carries its build's warning, a grid
+    # with an error row in its first chunk, which is split into runs of one
+    # and solved again, and a harmonic grid whose rate-matrix bits decide
+    # which rows break the first law, each an error row of its chunk
     for label, sets in (
         ("warned-harmonic", ["bath_model=harmonic", "gamma=[0.05,0.05,0.05]"]),
         ("error-row", ["B2_min=0"]),

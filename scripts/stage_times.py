@@ -14,13 +14,14 @@ spread rather than as a difference between them. Within a round each
 stage runs over all points on inputs prepared beforehand, the stages one
 after the other. Besides the solve, the stages of the sweeps module show:
 ``draw_params`` (random configs) or ``_grid_params`` (grid configs) per
-point; on grid configs, ``_chunk_records`` per point, the report half
-of the chunk route (each report kind one stacked pass over a run of the
-grid's chunk size, from solutions prepared beforehand), next to the
+point; ``_chunk_records`` per point, the report half of the record body
+``_run_records`` (each report kind one stacked pass over a run, of the
+grid's chunk size on grid configs and of one point on random configs,
+from solutions prepared beforehand, into a Records), next to the
 one-point ``thermo_report`` and ``correlation_report``, and after it
 ``thermo._thermo_rows`` per point, the stacked bookkeeping of those runs
-alone on their currents in hand; ``_evaluate_many`` per point, the whole
-chunk route that a grid scan takes on one worker, and
+alone on their currents in hand; on grid configs, ``_evaluate_many`` per
+point, the whole chunk route that a grid scan takes on one worker, and
 ``_evaluate_many/2`` per point, the same route at two workers in wall
 time, whose note gives the CPU milliseconds and the minor page faults per
 scan of the forked process, and ``share_transport`` per scan, the records
@@ -116,16 +117,16 @@ def _stages(cfg, indices, all_points, out_dir):
         ("sweeps.evaluate_point", sweeps.evaluate_point, [(p, epsilon) for p in points]),
     ]
     stages = [(name, _calling(fn, args), len(args)) for name, fn, args in calls]
-    if grid and hasattr(sweeps, "_chunk_records"):
-        # the report half of the chunk route, next to the one-point reports:
+    records = _report_half(sweeps)
+    if records is not None:
+        # the report half of the record body, next to the one-point reports:
         # the runs one worker gets, each from its solutions in hand
-        runs = math.ceil(len(points) / sweeps._GRID_CHUNK)
+        runs = math.ceil(len(points) / chunk)
         size = math.ceil(len(points) / runs)
         chunks = [points[start:start + size] for start in range(0, len(points), size)]
         reported = [(run, steady_state.solve_points(run), epsilon) for run in chunks]
         at = [name for name, _, _ in stages].index("correlations.correlation_report") + 1
-        stages.insert(at, ("sweeps._chunk_records", _calling(sweeps._chunk_records, reported),
-                           len(points)))
+        stages.insert(at, ("sweeps._chunk_records", _calling(records, reported), len(points)))
         if hasattr(thermo, "_thermo_rows"):
             # the stacked bookkeeping alone, on each run's currents in hand
             bookkept = [(sols, epsilon, None if harmonic else _current_rows(local_me, sols))
@@ -145,6 +146,22 @@ def _stages(cfg, indices, all_points, out_dir):
                    lambda: sweeps.write_records(written, path, "stage_times", cfg), len(written)))
     edge = _edge_search(cfg, all_points) if grid else None
     return stages + ([edge] if edge else [])
+
+
+def _report_half(sweeps):
+    """f(points, sols, epsilon): the Records of a run from its solutions sols, or None.
+
+    It is sweeps._run_records on the solutions in hand, its rows taken into
+    a Records as a grid run's are, or, in a checkout from before that
+    body, sweeps._chunk_records; the stage keeps the older name, so that
+    checkouts of either kind time it side by side. None where a checkout
+    has neither.
+    """
+    if hasattr(sweeps, "_run_records"):
+        return lambda points, sols, epsilon: sweeps.Records.from_rows(
+            range(len(points)), points, *zip(*sweeps._run_records(points, epsilon, sols)),
+            epsilon=epsilon)
+    return getattr(sweeps, "_chunk_records", None)
 
 
 def _current_rows(local_me, sols):

@@ -51,7 +51,6 @@ from .thermo import (
     SubmachineFigures,
     ThermoReport,
     classify_regime,
-    invariant_violations,
     submachine_report,
     thermo_report,
 )

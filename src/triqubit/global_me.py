@@ -101,7 +101,8 @@ class JumpSet:
     by frequencies[k]: values at its transitions and exactly 0.0
     elsewhere; V amplitudes[k] V^dag is the jump in the computational
     basis. zero_part is the discarded |E_b - E_a| <= tol component of
-    sigma_x^site, also in the eigenbasis.
+    sigma_x^site, also in the eigenbasis, and warning the ZeroModeWarning
+    jump_operators issued for it, or None.
     """
 
     site: int
@@ -111,6 +112,7 @@ class JumpSet:
     upper: np.ndarray
     values: np.ndarray
     zero_part: np.ndarray
+    warning: ZeroModeWarning = None
 
     @cached_property
     def amplitudes(self) -> np.ndarray:
@@ -210,12 +212,11 @@ def jump_operators(spectrum: Spectrum) -> tuple:
     for site, site_keep, t, clusters, values, zero_part in zip(
             range(1, n_sites + 1), keep, kept, renumbered, gathered, zero_parts):
         zero_norm = float(np.linalg.norm(zero_part, "fro"))
+        warning = None
         if zero_norm > 1e-10:
-            warnings.warn(
-                f"site {site}: discarded zero-frequency component with norm {zero_norm:.3e}",
-                ZeroModeWarning,
-                stacklevel=2,
-            )
+            warning = ZeroModeWarning(
+                f"site {site}: discarded zero-frequency component with norm {zero_norm:.3e}")
+            warnings.warn(warning, stacklevel=2)
         out.append(JumpSet(
             site=site,
             frequencies=freqs[site_keep],
@@ -224,6 +225,7 @@ def jump_operators(spectrum: Spectrum) -> tuple:
             upper=b_idx[t],
             values=values[t],
             zero_part=zero_part,
+            warning=warning,
         ))
     return tuple(out)
 
@@ -245,19 +247,22 @@ def thermal_rates(site: int, omegas, gamma: float, T: float):
     return np.array([down, [gamma * n for n in nbar]])
 
 
-def _warn_if_not_secular(jumps: JumpSet, gamma: float) -> None:
-    """Warns where gamma is not small against the site's Bohr spacings, so not secular."""
+def _warn_if_not_secular(jumps: JumpSet, gamma: float):
+    """Warns where gamma is not small against the site's Bohr spacings, so not secular.
+
+    Returns the SecularValidityWarning it issued, or None.
+    """
     freqs = jumps.frequencies
     if freqs.size >= 2:
         min_gap = float((freqs[1:] - freqs[:-1]).min())
         if gamma >= 0.1 * min_gap:
-            warnings.warn(
+            warning = SecularValidityWarning(
                 f"site {jumps.site}: gamma = {gamma:.3e} is not small against the "
                 f"minimum Bohr-frequency spacing {min_gap:.3e}; the secular "
-                "approximation is questionable here",
-                SecularValidityWarning,
-                stacklevel=3,
-            )
+                "approximation is questionable here")
+            warnings.warn(warning, stacklevel=3)
+            return warning
+    return None
 
 
 def global_heat_current(rho_ss: np.ndarray, H: np.ndarray, dissipator: np.ndarray) -> float:
@@ -281,7 +286,10 @@ def _heat_generators(gen: Generators) -> np.ndarray:
 
 
 def build_global_generators(p: ModelParams) -> Generators:
-    """Harmonic-bath generator: the jumps of each bath and their thermal rates."""
+    """Harmonic-bath generator: the jumps of each bath and their thermal rates.
+
+    The warnings the build issues are also its build_warnings, in the order issued.
+    """
     H = build_hamiltonian(p)
     spectrum = sector_spectrum(H)
     # one Newton step toward the polar factor, in extended precision, makes
@@ -290,11 +298,12 @@ def build_global_generators(p: ModelParams) -> Generators:
     V = spectrum.vectors.astype(CLD)
     spectrum = replace(spectrum, vectors=(1.5 * V - 0.5 * V @ (V.conj().T @ V)).astype(complex))
     jumps = jump_operators(spectrum)
-    rates = []
+    rates, issued = [], [js.warning for js in jumps]
     for js, gamma, T in zip(jumps, p.gamma, p.T):
-        _warn_if_not_secular(js, gamma)
+        issued.append(_warn_if_not_secular(js, gamma))
         rates.append(thermal_rates(js.site, js.frequencies.tolist(), gamma, T))
-    return Generators(params=p, H=H, spectrum=spectrum, jump_rates=tuple(rates), jumps=jumps)
+    return Generators(params=p, H=H, spectrum=spectrum, jump_rates=tuple(rates), jumps=jumps,
+                      build_warnings=tuple(w for w in issued if w is not None))
 
 
 def _eigen_blocks(gen: Generators) -> tuple:

@@ -200,7 +200,8 @@ class Generators:
     jumps holds the harmonic model's per-site JumpSets and is empty on the
     repeated_interaction model. H_int is the interaction part of H on the
     repeated_interaction model, whose work current needs it, and None on
-    the harmonic model.
+    the harmonic model. build_warnings are the warnings a harmonic point's
+    build issued (global_me.build_global_generators), in order.
     """
 
     params: ModelParams
@@ -209,6 +210,7 @@ class Generators:
     jump_rates: tuple
     jumps: tuple = ()
     H_int: np.ndarray = field(default=None, repr=False)
+    build_warnings: tuple = ()
 
     @cached_property
     def jump_ops(self) -> tuple:

@@ -289,7 +289,9 @@ def solve_points(points) -> list:
     magnetization labels of the sorted spectrum), and so one block
     layout, go through every step of the block solve as one stack. Each
     step returns for each point the bits it returns for that point alone,
-    and a check that fails for any point raises for the whole call.
+    and a check that fails for any point raises for the whole call. The
+    warnings a harmonic point's build issues reach the caller, and its
+    generators keep them as build_warnings.
     """
     return _solve_points(points)
 

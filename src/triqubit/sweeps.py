@@ -22,6 +22,7 @@ that index as SweepRecords. write_records, the valve labels, the boost
 extras and the edge search read the columns; a SweepRecord and its reports
 are built only where a caller indexes the Records.
 
+Every record is made by one body, _run_records, from a run of points.
 Grid scans of either bath model solve their points in chunks:
 _evaluate_many gives each task a run of up to _GRID_CHUNK consecutive
 points, and steady_state.solve_points solves the points of a run that
@@ -29,13 +30,13 @@ share a sector order as one stack, each with the bits it gets alone, so
 the output does not depend on the chunk size either. The currents and
 correlations of a run are then taken as (N, ...) stacks as well, with
 the same bits, and its thermodynamic bookkeeping is one pass over them
-(thermo._thermo_rows) straight into the run's columns. A point whose
-currents break a law is an error row on its own index. A run whose
-stacked solve raises or warns is redone point by point; a run whose
-stacked reports raise or warn has each record rebuilt on its own from its
-solution. So each failure and warning lands on its own index. Random
-sweeps stay one evaluate_point call per point, a run of one, because the
-benchmark's tracer counts a point as one such call (ROADMAP item 1).
+(thermo._thermo_rows) straight into the run's rows. A point whose
+currents break a law is an error row, and a harmonic point's build
+warnings are flags of its own row. A run that raises, or warns in any
+other way, is split into runs of one, so each failure and warning lands
+on its own index. Random sweeps stay one evaluate_point call, a run of
+one, per point, for the benchmark's tracer counts a point as one such
+call (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -53,9 +54,9 @@ import numpy as np
 
 from .correlations import (
     CORRELATION_COLUMNS, CorrelationReport, _correlation_cells, _correlation_rows,
-    _correlation_view, correlation_report,
+    _correlation_view,
 )
-from .errors import DomainError, TriqubitError
+from .errors import DomainError, NumericalConsistencyError, TriqubitError
 from .model import (
     BATH_HARMONIC,
     BATH_REPEATED_INTERACTION,
@@ -68,7 +69,7 @@ from .model import (
 from .steady_state import solve_point, solve_points
 from .thermo import (
     DEFAULT_EPSILON, REGIMES, THERMO_COLUMNS, Regime, ThermoReport, _thermo_cells,
-    _thermo_rows, _thermo_view, checked_epsilon, thermo_report,
+    _thermo_rows, _thermo_view, checked_epsilon,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -268,33 +269,13 @@ class SweepRecord:
 def evaluate_point(params: ModelParams, epsilon: float = DEFAULT_EPSILON) -> SweepRecord:
     """Solve one point and build both reports, never letting failures escape.
 
-    Solver and consistency failures become "error:<Name>" flags with empty
-    reports; warnings become "warn:<Name>" flags on an otherwise complete
-    record. A sweep therefore always yields one record per index. The
-    record carries index 0; the sweep drivers renumber it.
+    A run of one of _run_records: failures become "error:<Name>" flags
+    with empty reports, warnings "warn:<Name>" flags on an otherwise
+    complete record, so a sweep yields one record per index. The record
+    carries index 0; the sweep drivers renumber it.
     """
-    return _record(params, epsilon)
-
-
-def _record(params: ModelParams, epsilon: float, sol=None) -> SweepRecord:
-    """evaluate_point's record of params, built on its PointSolution sol when one is given."""
-    flags: list = []
-    thermo = correlations = residual = None
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            if sol is None:
-                sol = solve_point(params)
-            thermo = thermo_report(sol, epsilon=epsilon)
-            correlations = correlation_report(sol.rho, params)
-            residual = sol.residual
-        except (TriqubitError, np.linalg.LinAlgError) as exc:
-            flags.append(f"error:{type(exc).__name__}")
-    for entry in caught:
-        name = f"warn:{entry.category.__name__}"
-        if name not in flags:
-            flags.append(name)
-    return SweepRecord(0, params, thermo, correlations, residual, tuple(flags))
+    [(row, flags)] = _run_records([params], epsilon)
+    return _sweep_record(0, params, row, flags, {}, epsilon)
 
 
 # the numbers of a record, one row per record: its thermo report's columns,
@@ -388,81 +369,87 @@ class Records(Sequence):
             return [self[i] for i in range(len(self))[k]]
         k = range(len(self))[k]
         cells = [None if gap else v for v, gap in zip(self.values[k].tolist(), self.empty[k].tolist())]
-        params, thermo, correlations = self.params[k], cells[_THERMO], cells[_CORRELATIONS]
-        return SweepRecord(
-            int(self.index[k]), params,
-            None if thermo[0] is None else _thermo_view(thermo, params, self.epsilon),
-            None if correlations[0] is None else _correlation_view(correlations),
-            cells[-1], self.flags[k], {name: column[k] for name, column in self.extra.items()},
-        )
+        return _sweep_record(int(self.index[k]), self.params[k], cells, self.flags[k],
+                             {name: column[k] for name, column in self.extra.items()}, self.epsilon)
 
     def __eq__(self, other):
         if isinstance(other, (Records, list, tuple)):
             return list(self) == list(other)
         return NotImplemented
 
-    def __add__(self, other):
-        return list(self) + list(other)
 
-    def __radd__(self, other):
-        return list(other) + list(self)
+def _sweep_record(index, params, cells, flags, extra, epsilon: float) -> SweepRecord:
+    """The SweepRecord of one row of VALUE_COLUMNS, cells its values with None where empty."""
+    thermo, correlations = cells[_THERMO], cells[_CORRELATIONS]
+    return SweepRecord(index, params,
+                       None if thermo[0] is None else _thermo_view(thermo, params, epsilon),
+                       None if correlations[0] is None else _correlation_view(correlations),
+                       cells[-1], flags, extra)
 
 
-def _stacked_records(points: Sequence, epsilon: float) -> Optional[Records]:
-    """The records of points from one solve_points call, or None if that call raised or warned.
+def _run_records(points: Sequence, epsilon: float, sols=None) -> list:
+    """The (row, flags) of each record of a run of points; the one place a record is made.
 
-    The reports of the run are built from the solutions by _chunk_records,
-    as stacks; a failure or a warning there costs no new solve.
+    row holds the VALUE_COLUMNS, None where empty. The run is one
+    solve_points call (solve_point for one point) unless its solutions sols
+    are given, then one stacked pass of each report kind; a point that
+    breaks a law of thermo.LAWS is an error:NumericalConsistencyError row.
+    Flags are the error, then the warnings as first seen, each once; a
+    harmonic point's Generators.build_warnings are its own. A run of one
+    flags a TriqubitError or LinAlgError and lets other exceptions through.
+    A longer run that raises, or warns with anything but build warnings, is
+    split into runs of one, which keep sols unless the solve failed.
     """
+    solved = None  # how many warnings the solve issued, once it returned
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            sols = solve_points(points)
-        except Exception:  # any failure: each point is redone on its own
-            return None
-    if caught:
-        return None
-    return _chunk_records(points, sols, epsilon)
-
-
-def _chunk_records(points: Sequence, sols: Sequence, epsilon: float) -> Records:
-    """The records of points from their solutions sols, each report kind one stacked pass.
-
-    A point whose currents break a law of thermo.LAWS is an
-    error:NumericalConsistencyError record with no reports and no residual,
-    as evaluate_point makes it. If a stacked report raises or warns, every
-    record is rebuilt on its own from its solution, as evaluate_point builds
-    it, so that each failure and warning lands on its own record.
-    """
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
+            if sols is None:
+                sols = [solve_point(points[0])] if len(points) == 1 else solve_points(points)
+            solved = len(caught)
             thermo = _thermo_rows(sols, epsilon)
             correlations = _correlation_rows(np.array([sol.rho for sol in sols]), points)
-        stacked = not caught
-    except Exception:  # any failure: each record is rebuilt on its own
-        stacked = False
-    if not stacked:
-        return Records.from_records(
-            [_record(params, epsilon, sol) for params, sol in zip(points, sols)], epsilon=epsilon)
-    rows, flags = [], []
-    for (cells, broken), co, sol in zip(thermo, correlations, sols):
-        if broken:
-            rows.append([None] * len(VALUE_COLUMNS))
-            flags.append(("error:NumericalConsistencyError",))
-        else:
-            rows.append(cells + co + [sol.residual])
-            flags.append(())
-    return Records.from_rows(range(len(points)), points, rows, flags, epsilon=epsilon)
+            error = None
+        except Exception as exc:
+            if len(points) == 1 and not isinstance(exc, (TriqubitError, np.linalg.LinAlgError)):
+                raise
+            error = exc
+    held = set()  # the build warnings of sols, when the solve returned them
+    if caught and solved is not None:
+        held = {id(m) for sol in sols for m in sol.generators.build_warnings}
+    stray = [w.category for w in caught if id(w.message) not in held]
+    if len(points) > 1 and (error is not None or stray):
+        clean = solved is not None and all(id(w.message) in held for w in caught[:solved])
+        return [_run_records([p], epsilon, [sols[k]] if clean else None)[0]
+                for k, p in enumerate(points)]
+    if error is not None:  # a run of one
+        built = () if solved is None else sols[0].generators.build_warnings
+        return [([None] * len(VALUE_COLUMNS), _flags(type(error), [*map(type, built), *stray]))]
+    return [([None] * len(VALUE_COLUMNS) if broken else cells + co + [sol.residual],
+             _flags(NumericalConsistencyError if broken else None,
+                    [*map(type, sol.generators.build_warnings), *stray]))
+            for (cells, broken), co, sol in zip(thermo, correlations, sols)]
+
+
+def _flags(error: Optional[type], categories: list) -> tuple:
+    """error:<Name> of the class error unless None, then warn:<Name> of each category once."""
+    if error is None and not categories:
+        return ()
+    names = [] if error is None else [f"error:{error.__name__}"]
+    return tuple(dict.fromkeys(names + [f"warn:{c.__name__}" for c in categories]))
 
 
 def _evaluate_chunk(task) -> Records:
-    """The records of one chunk (start, points, epsilon), at indices start, start + 1, ..."""
+    """The records of one chunk (start, points, epsilon), at indices start, start + 1, ...
+
+    A chunk of one point, as random sweeps make them, is one evaluate_point call.
+    """
     start, points, epsilon = task
-    records = _stacked_records(points, epsilon) if len(points) > 1 else None
-    if records is None:
-        records = Records.from_records(
-            [evaluate_point(params, epsilon=epsilon) for params in points], epsilon=epsilon)
+    if len(points) == 1:
+        records = Records.from_records([evaluate_point(points[0], epsilon)], epsilon=epsilon)
+    else:
+        records = Records.from_rows(range(len(points)), points,
+                                    *zip(*_run_records(points, epsilon)), epsilon=epsilon)
     records.index = np.arange(start, start + len(points))
     return records
 
@@ -584,15 +571,12 @@ def _evaluate_many(points: Sequence, epsilon: float, workers: int, chunk: int = 
     runs as that allows, rounded up to a multiple of the workers, of as
     even a size as they can be. A run of one point is one evaluate_point
     call; random sweeps pass chunk 1, for the benchmark's tracer counts a
-    point as one evaluate_point call. A longer run is one solve_points
-    call, which stacks the points that share a sector order, and one
-    stacked pass of each report kind (_chunk_records). If the solve
-    raises or warns, the run is redone point by point through
-    evaluate_point; if a stacked report does, each record is rebuilt from
-    its solution. So every failure and warning lands on its own index. A
-    record does not depend on the run it is in: each stacked step returns
-    the bits of the point alone. Every run's records are columns, and the
-    call returns them as one Records.
+    point as one evaluate_point call. A longer run is one _run_records
+    call: one solve_points call, which stacks the points that share a
+    sector order, and one stacked pass of each report kind, split into
+    runs of one where it raises or warns. A record does not depend on the
+    run it is in: each stacked step returns the bits of the point alone.
+    Every run's records are columns, returned as one Records.
 
     This process is one of the workers: the runs go in `workers` shares
     of consecutive runs, and this process evaluates the first,
@@ -635,7 +619,7 @@ def random_sweep(cfg: SweepConfig, workers: int = 1) -> Records:
     with others: the benchmark's tracer takes a point to be one such call,
     and test_tracer_counts_match_an_independent_count_and_program_is_restored
     in bench/tests/test_bench.py pins that on a random sweep. Random sweeps
-    can take chunks once the tracer has a chunk boundary (ROADMAP item 1).
+    can take longer runs once the tracer has a chunk boundary (ROADMAP item 1).
     """
     points = [draw_params(cfg, k) for k in range(cfg.n_samples)]
     records = _evaluate_many(points, cfg.epsilon, workers)

@@ -255,8 +255,8 @@ def _current_floor(p: ModelParams) -> float:
     return 1e-12 * max(p.gamma) * (1.0 + max(p.B))
 
 
-# the laws invariant_violations checks, in the order it names them; the
-# two in LOCAL_LAWS apply to the repeated_interaction model alone
+# the laws _broken_laws checks, in the order it names them; the two in
+# LOCAL_LAWS apply to the repeated_interaction model alone
 LAWS = ("First Law", "Second Law", "current-constraint", "continuity", "MI-bound")
 LOCAL_LAWS = LAWS[2:4]
 
@@ -297,33 +297,12 @@ def _broken_laws(Q, W, S_dot, first_law, T, floor, flows, local=None, bounds=Non
     return tuple(name for name, ok in holds.items() if not ok)
 
 
-def invariant_violations(report: ThermoReport, params: ModelParams, correlations=None) -> tuple:
-    """Names of the laws a steady-state report breaks; () when it breaks none.
-
-    The laws and their tolerances are _broken_laws', checked on this one
-    report: the local laws when it carries currents, the MI bound when
-    correlations are given. thermo_report raises on any of them; the
-    validate command counts them per record.
-    """
-    flows = math.fsum(abs(q) / t for q, t in zip(report.Q, params.T))
-    local = bounds = None
-    cs = report.currents
-    if cs is not None:
-        local = (cs.q, [cs.C[flow] for flow in FLOWS], report.magnetization_residual)
-    if correlations is not None:
-        bounds = ([correlations.I[pair] for pair in PAIRS],
-                  [correlations.mi_bound[pair] for pair in PAIRS])
-    return _broken_laws(report.Q, report.W, report.S_dot, report.first_law_residual,
-                        params.T, _current_floor(params), flows, local, bounds)
-
-
 def thermo_report(sol: PointSolution, epsilon: float = DEFAULT_EPSILON) -> ThermoReport:
     """Heat currents, work, entropy production, figures of merit and regime.
 
     A run of one of _thermo_rows; the local currents are local_current_set's.
-    Raises NumericalConsistencyError naming every law of
-    invariant_violations the currents break, before the regime is read off
-    their signs.
+    Raises NumericalConsistencyError naming every law of _broken_laws the
+    currents break, before the regime is read off their signs.
     """
     currents = None
     if sol.params.bath_model != BATH_HARMONIC:

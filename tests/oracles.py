@@ -15,7 +15,7 @@ import numpy as np
 from triqubit.algebra import CLD, checked_real, embed_pauli
 from triqubit.errors import DomainError
 from triqubit.global_me import bose_occupation
-from triqubit.local_me import _pair_flow_observable, _site_matrices
+from triqubit.local_me import FLOWS, _pair_flow_observable, _site_matrices
 from triqubit.model import N_SITES, PAIRS, ModelParams
 from triqubit.steady_state import (
     SteadyStateResult,
@@ -23,7 +23,7 @@ from triqubit.steady_state import (
     _trace_one_state,
     _unique_null_scale,
 )
-from triqubit.thermo import Regime
+from triqubit.thermo import Regime, _broken_laws, _current_floor
 
 
 def total_sz(n_sites: int = N_SITES) -> np.ndarray:
@@ -154,6 +154,29 @@ def otto_conditions_and_trapezoid(B, T) -> bool:
     x1 = float(B[0]) / float(B[2])
     x2 = float(B[1]) / float(B[2])
     return (x2 > (float(T[1]) / float(T[0])) * x1) and (float(T[1]) / float(T[2]) < x2 < 1.0)
+
+
+# --- the laws one report breaks: the validate command checks them on a
+# sweep's columns, and tests/test_thermo.py checks each law on a report
+
+
+def invariant_violations(report, params: ModelParams, correlations=None) -> tuple:
+    """Names of the laws a steady-state report breaks; () when it breaks none.
+
+    The laws and their tolerances are thermo._broken_laws', checked on
+    this one report: the local laws when it carries currents, the MI bound
+    when correlations are given.
+    """
+    flows = math.fsum(abs(q) / t for q, t in zip(report.Q, params.T))
+    local = bounds = None
+    cs = report.currents
+    if cs is not None:
+        local = (cs.q, [cs.C[flow] for flow in FLOWS], report.magnetization_residual)
+    if correlations is not None:
+        bounds = ([correlations.I[pair] for pair in PAIRS],
+                  [correlations.mi_bound[pair] for pair in PAIRS])
+    return _broken_laws(report.Q, report.W, report.S_dot, report.first_law_residual,
+                        params.T, _current_floor(params), flows, local, bounds)
 
 
 # --- the CSV row of one record, cell by cell: sweeps.write_records formats

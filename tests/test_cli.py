@@ -10,6 +10,7 @@ from triqubit import DomainError, cli, sweeps, thermo
 from triqubit.cli import main
 from triqubit.sweeps import BOOST_COLUMNS, GridScanConfig, boost_scan, write_records
 
+import oracles
 from conftest import BOOST, LOCAL_SCATTER, VALVE
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -339,6 +340,32 @@ def test_validate_fails_when_a_law_breaks(monkeypatch, capsys):
         assert f"{name:<20} 0/3 FAIL" in lines
     assert f"{'solver failures':<20} 3/3" in lines
     assert lines[-1] == "result: FAIL"
+
+
+@pytest.mark.parametrize("config", ["local_scatter", "global_scatter"])
+def test_validate_reads_each_law_off_the_columns_as_the_reports_give_it(config):
+    # the laws validate reads off a sweep's columns are those the report
+    # oracle names for each record, also where figures are made to break
+    # one law each, and a row without a correlation report breaks every law
+    cfg = sweeps.SweepConfig(**{**json.loads((CONFIGS / f"{config}.json").read_text()),
+                                "n_samples": 12})
+    records = sweeps.random_sweep(cfg)
+    local = cfg.bath_model == "repeated_interaction"
+    names = tuple(name for name in thermo.LAWS if local or name not in thermo.LOCAL_LAWS)
+    column = sweeps.VALUE_COLUMNS.index
+    records.values[1, column("first_law_residual")] = 1.0
+    records.values[2, column("Sdot")] = -1.0
+    records.values[3, column("mibound13")] = records.values[3, column("I13")] + 1e-9
+    records.values[4, column("magnetization_residual")] = 1.0
+    records.values[5, column("C31")] += 1.0
+    records.empty[6, sweeps._CORRELATIONS] = True
+    expected = [names if rec.thermo is None or rec.correlations is None
+                else oracles.invariant_violations(rec.thermo, rec.params, rec.correlations)
+                for rec in records]
+    assert cli._law_breaches(records, names) == expected
+    assert expected[6] == names
+    breached = {name for broken in expected[:6] for name in broken}
+    assert breached == set(names)
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.json")))

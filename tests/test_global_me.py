@@ -150,6 +150,21 @@ def test_secular_warning_is_one_flag_on_a_complete_record():
     assert [w.category for w in caught] == [SecularValidityWarning] * 3
 
 
+def test_a_solve_issues_each_build_warning_once_and_keeps_it():
+    # equal outer fields and uniform exchange: zero-frequency parts on sites
+    # 1 and 3, and Bohr frequencies too close for gamma on every site
+    p = ModelParams(B=(0.01, 0.5, 0.01), J=(0.01,) * 3, Delta=(0.0,) * 3,
+                    T=(1.0, 2.0, 3.0), gamma=(1e-5,) * 3, bath_model="harmonic")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sol = solve_point(p)
+    kept = sol.generators.build_warnings
+    assert [type(w) for w in kept] == [ZeroModeWarning] * 2 + [SecularValidityWarning] * 3
+    # the caller sees each once: the kept warnings are the ones it caught
+    assert len(caught) == len(kept) and all(w.message is k for w, k in zip(caught, kept))
+    assert evaluate_point(p).flags == ("warn:ZeroModeWarning", "warn:SecularValidityWarning")
+
+
 def test_generator_is_trace_preserving():
     p = global_point(B=(0.22, 0.51, 0.94))
     L = build_liouvillian(p)

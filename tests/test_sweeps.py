@@ -496,6 +496,13 @@ CSV_CASES = {
     "valve-harmonic-warned": ("valve", {"bath_model": "harmonic", "gamma": [0.05] * 3,
                                         "n_points": 40},
                               ("error:NumericalConsistencyError", "warn:SecularValidityWarning")),
+    # equal outer fields and uniform exchange: every point warns, and rows
+    # 0, 2 and 4 raise after their build warned
+    "valve-harmonic-clustering": ("valve", {"bath_model": "harmonic", "J": [0.01] * 3,
+                                            "Delta": [0.0] * 3, "B1": 0.01, "B3": 0.01,
+                                            "B2_min": 0.01, "B2_max": 0.05, "n_points": 9,
+                                            "gamma": [1e-5] * 3},
+                                  ("error:ClusteringError", "warn:ZeroModeWarning")),
     # every solve past the grid fails, so the edge search finds no edge
     "boost-edge-failed": ("boost", {"n_points": 20}, ("edge_failed",)),
     "random": ("local_scatter", {"n_samples": 30, "discard_rule": 2.0}, ("discarded",)),
@@ -539,6 +546,11 @@ def test_grid_csv_does_not_depend_on_the_chunk_size(tmp_path, monkeypatch, case,
         assert b'"Q1' in written[0]
     if case == "valve-harmonic-warned":
         assert [rec.index for rec in records if rec.thermo is None] == [3, 30]
+    if case == "valve-harmonic-clustering":
+        # the error first, then the warning its build issued, on its own index
+        assert [rec.flags for rec in records[:3]] == [
+            ("error:ClusteringError", "warn:ZeroModeWarning"), ("warn:ZeroModeWarning",),
+            ("error:ClusteringError", "warn:ZeroModeWarning")]
 
 
 def _sector_order(p):
@@ -653,11 +665,19 @@ def _valve_chunk():
 def test_a_chunk_of_two_sector_orders_is_solved_stacked(monkeypatch):
     cfg, points = _valve_chunk()
     alone = [replace(evaluate_point(p, cfg.epsilon), index=k) for k, p in enumerate(points)]
-    # no point is solved or reported on its own
-    for name in ("solve_point", "thermo_report", "correlation_report"):
-        monkeypatch.setattr(sweeps, name, None)
+    # no point is solved on its own, and the run is not split into runs of one
+    monkeypatch.setattr(sweeps, "solve_point", None)
+    runs = []
+    body = sweeps._run_records
+
+    def spy(run, *args):
+        runs.append(len(run))
+        return body(run, *args)
+
+    monkeypatch.setattr(sweeps, "_run_records", spy)
     records = sweeps._evaluate_many(points, cfg.epsilon, 1, len(points))
     assert records == alone and not any(rec.flags for rec in records)
+    assert runs == [len(points)]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -728,6 +748,30 @@ def test_failures_and_warnings_in_a_chunk_stay_on_their_own_index(monkeypatch, w
     # the stacked solve is not redone: each point of this process's share
     # is solved once (the forked process's solves are not seen here)
     assert solved == points[:math.ceil(len(points) / workers)]
+
+
+def test_a_warned_grid_is_solved_once_and_a_failed_run_once_more(monkeypatch):
+    # a harmonic point's build warnings are flags of its own record, so a
+    # grid whose every point warns is solved once; a run whose stacked solve
+    # raises is split into runs of one, which solve their points again
+    monkeypatch.setattr(sweeps, "_GRID_CHUNK", 64)
+    valve = json.loads((CONFIGS / "valve.json").read_text())
+    solved = []
+    real = steady_state._solve_points
+
+    def spy(points):
+        solved.extend(points)
+        return real(points)
+
+    monkeypatch.setattr(steady_state, "_solve_points", spy)
+    cfg = GridScanConfig(**{**valve, "bath_model": "harmonic", "gamma": [0.05] * 3})
+    warned = valve_sweep(cfg, workers=1)
+    assert len(warned) == len(solved) == 200
+    assert warned.flags == [("warn:SecularValidityWarning",)] * 200
+    solved.clear()
+    zero_field = valve_sweep(GridScanConfig(**{**valve, "B2_min": 0.0}), workers=1)
+    assert len(zero_field) == 200 and len(solved) <= 250
+    assert zero_field.flags[0] == ("error:DomainError",)
 
 
 def test_boost_scan_empty_outside_window():
@@ -1137,7 +1181,7 @@ def test_written_rows_spell_every_kind_of_cell(tmp_path):
     mixed = replace(
         records[1], residual=np.float64(records[1].residual),
         extra={"cop_norm": np.float64(0.25), "cop_w_norm": 3, "cop_otto_norm": np.bool_(True)})
-    rows = records + boost + [error, mixed]
+    rows = [*records, *boost, error, mixed]
     path = tmp_path / "records.csv"
     write_records(rows, path, "boost", cfg, extra_columns=BOOST_COLUMNS)
     with open(path, newline="") as fh:

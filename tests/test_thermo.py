@@ -18,11 +18,13 @@ from triqubit.local_me import local_current_set
 from triqubit.sweeps import SweepConfig, draw_params
 from triqubit.thermo import (
     DEFAULT_EPSILON, HARMONIC_REGIMES, Role, ThermoReport, continuity_residuals,
-    invariant_violations, submachine_report,
+    submachine_report,
 )
 
 from conftest import BOOST, HARMONIC_TAIL, UNCLOSED_HARMONIC, VALVE, global_point, local_point
-from oracles import cop_metrics, entropy_production, otto_conditions_and_trapezoid
+from oracles import (
+    cop_metrics, entropy_production, invariant_violations, otto_conditions_and_trapezoid,
+)
 
 
 # one representative (Q1, Q2, Q3, W) per labeled regime
@@ -386,17 +388,29 @@ def _bookkeeping_runs():
 
 @pytest.mark.filterwarnings("ignore::triqubit.errors.SecularValidityWarning")
 def test_stacked_bookkeeping_keeps_the_bits_of_the_scalar_oracles(monkeypatch):
-    # every run goes through the chunk route's one stacked pass: no record is
-    # rebuilt point by point, and each field of each report is the oracles'
-    monkeypatch.setattr(sweeps, "_record", None)
+    # every run goes through one stacked pass of the record body: none is
+    # split into runs of one, and each field of each report is the oracles'
+    body, lengths, runs = sweeps._run_records, [], []
+
+    def spy(points, *args):
+        runs.append(len(points))
+        return body(points, *args)
+
+    monkeypatch.setattr(sweeps, "_run_records", spy)
     seen = {"roles": set(), "regimes": set(), "none_cops": 0, "at_floor": 0, "broken": []}
     for run in _bookkeeping_runs():
-        records = sweeps._chunk_records([sol.params for sol in run], run, DEFAULT_EPSILON)
+        points = [sol.params for sol in run]
+        lengths.append(len(run))
+        records = sweeps.Records.from_rows(
+            range(len(run)), points, *zip(*sweeps._run_records(points, DEFAULT_EPSILON, run)))
         for k, (sol, rec) in enumerate(zip(run, records)):
             report, broken = _oracle_report(sol, DEFAULT_EPSILON)
+            # a harmonic point's build warnings are flags of its record
+            warned = tuple(dict.fromkeys(
+                f"warn:{type(w).__name__}" for w in sol.generators.build_warnings))
             if broken:
                 seen["broken"].append(k)
-                assert rec.flags == ("error:NumericalConsistencyError",)
+                assert rec.flags == ("error:NumericalConsistencyError",) + warned
                 assert rec.thermo is None and rec.correlations is None and rec.residual is None
                 with pytest.raises(NumericalConsistencyError) as raised:
                     thermo_report(sol)
@@ -407,13 +421,14 @@ def test_stacked_bookkeeping_keeps_the_bits_of_the_scalar_oracles(monkeypatch):
             # repr spells every float to its last bit, signed zeros included
             assert repr(rec.thermo) == repr(report)
             assert repr(thermo_report(sol)) == repr(report)
-            assert rec.flags == ()
+            assert rec.flags == warned
             seen["roles"] |= {f.role for f in report.submachines or ()}
             seen["regimes"].add(report.regime)
             seen["none_cops"] += None in (report.cop, report.cop_w, report.cop_max,
                                           report.cop_otto)
             at_floor = min(map(abs, report.Q)) <= thermo._current_floor(sol.params)
             seen["at_floor"] += at_floor and report.regime is Regime.UNCLASSIFIED
+    assert runs == lengths
     assert seen["roles"] == set(Role)
     assert len(seen["regimes"]) >= 4 and seen["none_cops"] and seen["at_floor"]
     # the two points of the last run whose states are not steady, each on its own index
