@@ -29,8 +29,9 @@ of that process's share, evaluated beforehand, encoded as it sends them
 and decoded as the invoking process takes them; ``write_records`` per
 record, of the records the chunk route hands it, and, on a grid with a
 refrigerator window, the boost scan's ``_locate_edge`` per scan, each
-round from a fresh copy of the map of the points it has solved. A comment line after the table gives the number of new
-solves that search makes; on grid configs, one per root gives the pool's
+round from an empty map of the points it solves. A comment line after
+the table gives the number of new solves that search makes; on grid
+configs, one per root gives the pool's
 fixed cost, the wall milliseconds of one empty two-worker round trip
 (fork, pipe, reap, no points) and the minor page faults of its child; and
 one per root the peak RSS (``ru_maxrss``) of its child interpreter. The
@@ -89,9 +90,8 @@ def _stages(cfg, indices, all_points, out_dir):
              for p in points]
     sols = [steady_state.solve_point(p) for p in points]
     grid = isinstance(cfg, sweeps.GridScanConfig)
-    chunk = sweeps._GRID_CHUNK if grid and hasattr(sweeps, "_GRID_CHUNK") else 1
-    # the records the CLI hands write_records: the chunk route's (columns
-    # where a checkout has them)
+    chunk = sweeps._GRID_CHUNK if grid else 1
+    # the records the CLI hands write_records: the chunk route's columns
     written = sweeps._evaluate_many(points, epsilon, 1, chunk)
     if grid:
         draw = ("sweeps._grid_params", sweeps._grid_params, [(cfg, p.B[1]) for p in points])
@@ -117,23 +117,21 @@ def _stages(cfg, indices, all_points, out_dir):
         ("sweeps.evaluate_point", sweeps.evaluate_point, [(p, epsilon) for p in points]),
     ]
     stages = [(name, _calling(fn, args), len(args)) for name, fn, args in calls]
-    records = _report_half(sweeps)
-    if records is not None:
-        # the report half of the record body, next to the one-point reports:
-        # the runs one worker gets, each from its solutions in hand
-        runs = math.ceil(len(points) / chunk)
-        size = math.ceil(len(points) / runs)
-        chunks = [points[start:start + size] for start in range(0, len(points), size)]
-        reported = [(run, steady_state.solve_points(run), epsilon) for run in chunks]
-        at = [name for name, _, _ in stages].index("correlations.correlation_report") + 1
-        stages.insert(at, ("sweeps._chunk_records", _calling(records, reported), len(points)))
-        if hasattr(thermo, "_thermo_rows"):
-            # the stacked bookkeeping alone, on each run's currents in hand
-            bookkept = [(sols, epsilon, None if harmonic else _current_rows(local_me, sols))
-                        for _, sols, _ in reported]
-            stages.insert(at + 1, ("thermo._thermo_rows", _calling(thermo._thermo_rows, bookkept),
-                                   len(points)))
-    if grid and hasattr(sweeps, "_GRID_CHUNK"):
+    # the report half of the record body, next to the one-point reports:
+    # the runs one worker gets, each from its solutions in hand
+    runs = math.ceil(len(points) / chunk)
+    size = math.ceil(len(points) / runs)
+    chunks = [points[start:start + size] for start in range(0, len(points), size)]
+    reported = [(run, steady_state.solve_points(run), epsilon) for run in chunks]
+    at = [name for name, _, _ in stages].index("correlations.correlation_report") + 1
+    stages.insert(at, ("sweeps._chunk_records", _calling(_report_half(sweeps), reported),
+                       len(points)))
+    # the stacked bookkeeping alone, on each run's currents in hand
+    bookkept = [(sols, epsilon, None if harmonic else _current_rows(local_me, sols))
+                for _, sols, _ in reported]
+    stages.insert(at + 1, ("thermo._thermo_rows", _calling(thermo._thermo_rows, bookkept),
+                           len(points)))
+    if grid:
         # the grid's chunk route, serial and at the benchmark's two workers
         chunked = [(points, epsilon, 1, chunk)]
         stages.append(("sweeps._evaluate_many", _calling(sweeps._evaluate_many, chunked),
@@ -149,19 +147,16 @@ def _stages(cfg, indices, all_points, out_dir):
 
 
 def _report_half(sweeps):
-    """f(points, sols, epsilon): the Records of a run from its solutions sols, or None.
+    """f(points, sols, epsilon): the Records of a run from its solutions sols.
 
     It is sweeps._run_records on the solutions in hand, its rows taken into
-    a Records as a grid run's are, or, in a checkout from before that
-    body, sweeps._chunk_records; the stage keeps the older name, so that
-    checkouts of either kind time it side by side. None where a checkout
-    has neither.
+    a Records as a share's are. The stage keeps the name of the function
+    it replaced, sweeps._chunk_records, so that the timings of older
+    checkouts read side by side with it.
     """
-    if hasattr(sweeps, "_run_records"):
-        return lambda points, sols, epsilon: sweeps.Records.from_rows(
-            range(len(points)), points, *zip(*sweeps._run_records(points, epsilon, sols)),
-            epsilon=epsilon)
-    return getattr(sweeps, "_chunk_records", None)
+    return lambda points, sols, epsilon: sweeps.Records.from_rows(
+        range(len(points)), points, *zip(*sweeps._run_records(points, epsilon, sols)),
+        epsilon=epsilon)
 
 
 def _current_rows(local_me, sols):
@@ -178,18 +173,13 @@ def _transport(sweeps, points, epsilon, chunk):
 
     The share is the runs a forked process takes at two workers, evaluated
     beforehand; a run encodes its records as the forked process does and
-    decodes them as the invoking process does. A checkout without
-    sweeps._share_payload pickles and unpickles the share's records whole.
+    decodes them as the invoking process does.
     """
-    import pickle
-
     runs = 2 * math.ceil(len(points) / (2 * chunk))
     size = math.ceil(len(points) / runs)
     tasks = [(start, points[start:start + size], epsilon) for start in range(0, len(points), size)]
     share = tasks[len(tasks) // 2:]
     records = sweeps._share_records(share)
-    if not hasattr(sweeps, "_share_payload"):
-        return lambda: pickle.loads(pickle.dumps(("records", records)))[1] and None
     share_points = [p for _, run, _ in share for p in run]
 
     def run():
@@ -248,10 +238,8 @@ def _round_trip_note(sweeps) -> str:
 def _edge_search(cfg, points):
     """The boost scan's edge search from the grid's records, or None without a window.
 
-    Each run starts from a fresh copy of the map of the points it has
-    solved, so that it solves the same new points every round; its note
-    gives their count. A checkout whose search takes the grid's B2 and work
-    gets those, one whose search takes the grid's records gets them.
+    Each run starts from an empty map of the points it solves, so that it
+    solves the same new points every round; its note gives their count.
     """
     from triqubit import sweeps
     from triqubit.thermo import Regime
@@ -259,18 +247,13 @@ def _edge_search(cfg, points):
     grid = [sweeps.evaluate_point(p, cfg.epsilon) for p in points]
     if not any(rec.thermo is not None and rec.thermo.regime is Regime.IV for rec in grid):
         return None
-    if "w" in inspect.signature(sweeps._locate_edge).parameters:
-        args = ([rec.params.B[1] for rec in grid],
-                [None if rec.thermo is None else rec.thermo.W for rec in grid])
-        solved = {}
-    else:
-        args = (grid,)
-        solved = {rec.params.B[1]: rec for rec in grid}
+    b2 = [rec.params.B[1] for rec in grid]
+    w = [None if rec.thermo is None else rec.thermo.W for rec in grid]
 
     def run():
-        fresh = dict(solved)
-        sweeps._locate_edge(cfg, *(list(arg) for arg in args), fresh)
-        return f"sweeps._locate_edge makes {len(fresh) - len(solved)} new solves per scan"
+        fresh = {}
+        sweeps._locate_edge(cfg, b2, w, fresh)
+        return f"sweeps._locate_edge makes {len(fresh)} new solves per scan"
 
     run()  # a first search, so that every timed round finds the same caches warm
     return ("sweeps._locate_edge", run, 1)
@@ -319,7 +302,7 @@ def _child(root: Path, path: Path, n_points: int) -> None:
                 times[name] = (time.perf_counter_ns() - start) / 1e3 / units
                 if note is not None:
                     notes.append(note)
-            if isinstance(cfg, sweeps.GridScanConfig) and hasattr(sweeps, "_ForkedShare"):
+            if isinstance(cfg, sweeps.GridScanConfig):
                 notes.append(_round_trip_note(sweeps))
             peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
             notes.append(f"child interpreter peak RSS {peak:.1f} MB")

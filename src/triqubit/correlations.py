@@ -253,13 +253,3 @@ def _correlation_view(cells) -> CorrelationReport:
         ppt_negative=tuple(v < _PPT_FLOOR for v in lam),
         ppt_min_eigenvalues=tuple(lam),
     )
-
-
-def _correlation_cells(report: CorrelationReport) -> list:
-    """The row of CORRELATION_COLUMNS of a report, all None for None; _correlation_view's inverse."""
-    if report is None:
-        return [None] * len(CORRELATION_COLUMNS)
-    r23 = [complex(report.r23[pair]) for pair in PAIRS]
-    return [*(report.I[pair] for pair in PAIRS), *(report.mi_bound[pair] for pair in PAIRS),
-            *(report.x_form_residual[pair] for pair in PAIRS), *report.ppt_min_eigenvalues,
-            *(c.real for c in r23), *(c.imag for c in r23)]

@@ -18,9 +18,11 @@ No process pool library is loaded, and where there is no os.fork the runs
 are evaluated in this process.
 
 Every driver returns its records as Records: columns, one row per record,
-that index as SweepRecords. write_records, the valve labels, the boost
-extras and the edge search read the columns; a SweepRecord and its reports
-are built only where a caller indexes the Records.
+that index as SweepRecords. A record is its row of VALUE_COLUMNS: a
+SweepRecord builds its thermo and correlation reports from the row on
+first read, so a sweep builds no report on its way to the CSV.
+write_records, the valve labels, the boost extras and the edge search read
+the columns and rows.
 
 Every record is made by one body, _run_records, from a run of points.
 Grid scans of either bath model solve their points in chunks:
@@ -48,13 +50,13 @@ import pickle
 import warnings
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 from typing import Mapping, Optional
 
 import numpy as np
 
 from .correlations import (
-    CORRELATION_COLUMNS, CorrelationReport, _correlation_cells, _correlation_rows,
-    _correlation_view,
+    CORRELATION_COLUMNS, CorrelationReport, _correlation_rows, _correlation_view,
 )
 from .errors import DomainError, NumericalConsistencyError, TriqubitError
 from .model import (
@@ -68,8 +70,8 @@ from .model import (
 )
 from .steady_state import solve_point, solve_points
 from .thermo import (
-    DEFAULT_EPSILON, REGIMES, THERMO_COLUMNS, Regime, ThermoReport, _thermo_cells,
-    _thermo_rows, _thermo_view, checked_epsilon,
+    DEFAULT_EPSILON, REGIMES, THERMO_COLUMNS, Regime, ThermoReport, _thermo_rows, _thermo_view,
+    checked_epsilon,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -253,37 +255,58 @@ def draw_params(cfg: SweepConfig, index: int) -> ModelParams:
     )
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """One evaluated point: its reports, residual, flags and scan-specific extras."""
-
-    index: int
-    params: ModelParams
-    thermo: Optional[ThermoReport]
-    correlations: Optional[CorrelationReport]
-    residual: Optional[float]
-    flags: tuple
-    extra: Mapping[str, object] = field(default_factory=dict)
-
-
-def evaluate_point(params: ModelParams, epsilon: float = DEFAULT_EPSILON) -> SweepRecord:
-    """Solve one point and build both reports, never letting failures escape.
-
-    A run of one of _run_records: failures become "error:<Name>" flags
-    with empty reports, warnings "warn:<Name>" flags on an otherwise
-    complete record, so a sweep yields one record per index. The record
-    carries index 0; the sweep drivers renumber it.
-    """
-    [(row, flags)] = _run_records([params], epsilon)
-    return _sweep_record(0, params, row, flags, {}, epsilon)
-
-
 # the numbers of a record, one row per record: its thermo report's columns,
 # its correlation report's and its null-space residual
 VALUE_COLUMNS = THERMO_COLUMNS + CORRELATION_COLUMNS + ("nullspace_residual",)
 _THERMO = slice(0, len(THERMO_COLUMNS))
 _CORRELATIONS = slice(len(THERMO_COLUMNS), len(THERMO_COLUMNS) + len(CORRELATION_COLUMNS))
 _Q1, _W, _REGIME, _INSIDE = (VALUE_COLUMNS.index(name) for name in ("Q1", "W", "regime", "inside"))
+# the row of a record without reports
+_EMPTY_ROW = (None,) * len(VALUE_COLUMNS)
+
+
+@dataclass(frozen=True)
+class SweepRecord:
+    """One evaluated point, read off its row: reports, residual, flags and scan-specific extras.
+
+    row holds the numbers of the record, a tuple of VALUE_COLUMNS with None
+    in the empty cells. thermo and correlations are built from it on first
+    read, None where the row has no such report, the submachine roles read
+    in the zero band epsilon; residual is its last cell.
+    """
+
+    index: int
+    params: ModelParams
+    row: tuple
+    flags: tuple
+    extra: Mapping[str, object] = field(default_factory=dict)
+    epsilon: float = DEFAULT_EPSILON
+
+    @cached_property
+    def thermo(self) -> Optional[ThermoReport]:
+        cells = self.row[_THERMO]
+        return None if cells[0] is None else _thermo_view(cells, self.params, self.epsilon)
+
+    @cached_property
+    def correlations(self) -> Optional[CorrelationReport]:
+        cells = self.row[_CORRELATIONS]
+        return None if cells[0] is None else _correlation_view(cells)
+
+    @property
+    def residual(self) -> Optional[float]:
+        return self.row[-1]
+
+
+def evaluate_point(params: ModelParams, epsilon: float = DEFAULT_EPSILON) -> SweepRecord:
+    """Solve one point into its record, never letting failures escape.
+
+    A run of one of _run_records: failures become "error:<Name>" flags
+    on an empty row, warnings "warn:<Name>" flags on an otherwise
+    complete record, so a sweep yields one record per index. The record
+    carries index 0.
+    """
+    [(row, flags)] = _run_records([params], epsilon)
+    return SweepRecord(0, params, row, flags, {}, epsilon)
 
 
 class Records(Sequence):
@@ -296,8 +319,9 @@ class Records(Sequence):
     cell of a record without a thermo report, and so on for its correlation
     report and its residual. epsilon is the zero band its submachine roles
     are read with.
-    Indexing builds the SweepRecord with its reports; write_records, the
-    scan labels and the edge search read the columns.
+    Indexing gives the SweepRecord of row k, which builds its reports only
+    when they are read; write_records, the scan labels and the edge search
+    read the columns.
     """
 
     def __init__(self, index, params, values, empty, flags, extra=None,
@@ -313,7 +337,7 @@ class Records(Sequence):
     @classmethod
     def from_rows(cls, index, params, rows, flags, extra=None,
                   epsilon: float = DEFAULT_EPSILON) -> "Records":
-        """Records whose numbers are rows, lists of VALUE_COLUMNS with None in the empty cells."""
+        """Records whose numbers are rows of VALUE_COLUMNS, None in the empty cells."""
         shape = (len(rows), len(VALUE_COLUMNS))
         return cls(index, params, np.array(rows, dtype=float).reshape(shape),
                    np.array([[v is None for v in row] for row in rows], dtype=bool).reshape(shape),
@@ -322,22 +346,18 @@ class Records(Sequence):
     @classmethod
     def from_records(cls, records, extra_columns: Sequence = (),
                      epsilon: float = DEFAULT_EPSILON) -> "Records":
-        """The columns of a sequence of SweepRecords, with their extras of extra_columns."""
+        """The rows of a sequence of SweepRecords stacked, with their extras of extra_columns."""
         records = list(records)
         return cls.from_rows(
             [rec.index for rec in records], [rec.params for rec in records],
-            [_thermo_cells(rec.thermo) + _correlation_cells(rec.correlations) + [rec.residual]
-             for rec in records],
-            [tuple(rec.flags) for rec in records],
+            [rec.row for rec in records], [tuple(rec.flags) for rec in records],
             {name: [rec.extra.get(name) for rec in records] for name in extra_columns},
             epsilon,
         )
 
     @classmethod
     def concat(cls, parts: Sequence) -> "Records":
-        """The rows of each of parts, in order; their extra columns are the first part's."""
-        if not parts:
-            return cls.from_records(())
+        """The rows of each of parts, one or more, in order; the extra columns are the first's."""
         return cls(
             np.concatenate([part.index for part in parts]),
             [p for part in parts for p in part.params],
@@ -368,9 +388,10 @@ class Records(Sequence):
         if isinstance(k, slice):
             return [self[i] for i in range(len(self))[k]]
         k = range(len(self))[k]
-        cells = [None if gap else v for v, gap in zip(self.values[k].tolist(), self.empty[k].tolist())]
-        return _sweep_record(int(self.index[k]), self.params[k], cells, self.flags[k],
-                             {name: column[k] for name, column in self.extra.items()}, self.epsilon)
+        row = tuple(None if gap else v
+                    for v, gap in zip(self.values[k].tolist(), self.empty[k].tolist()))
+        return SweepRecord(int(self.index[k]), self.params[k], row, self.flags[k],
+                           {name: column[k] for name, column in self.extra.items()}, self.epsilon)
 
     def __eq__(self, other):
         if isinstance(other, (Records, list, tuple)):
@@ -378,19 +399,10 @@ class Records(Sequence):
         return NotImplemented
 
 
-def _sweep_record(index, params, cells, flags, extra, epsilon: float) -> SweepRecord:
-    """The SweepRecord of one row of VALUE_COLUMNS, cells its values with None where empty."""
-    thermo, correlations = cells[_THERMO], cells[_CORRELATIONS]
-    return SweepRecord(index, params,
-                       None if thermo[0] is None else _thermo_view(thermo, params, epsilon),
-                       None if correlations[0] is None else _correlation_view(correlations),
-                       cells[-1], flags, extra)
-
-
 def _run_records(points: Sequence, epsilon: float, sols=None) -> list:
     """The (row, flags) of each record of a run of points; the one place a record is made.
 
-    row holds the VALUE_COLUMNS, None where empty. The run is one
+    row is a tuple of VALUE_COLUMNS, None where empty. The run is one
     solve_points call (solve_point for one point) unless its solutions sols
     are given, then one stacked pass of each report kind; a point that
     breaks a law of thermo.LAWS is an error:NumericalConsistencyError row.
@@ -424,8 +436,8 @@ def _run_records(points: Sequence, epsilon: float, sols=None) -> list:
                 for k, p in enumerate(points)]
     if error is not None:  # a run of one
         built = () if solved is None else sols[0].generators.build_warnings
-        return [([None] * len(VALUE_COLUMNS), _flags(type(error), [*map(type, built), *stray]))]
-    return [([None] * len(VALUE_COLUMNS) if broken else cells + co + [sol.residual],
+        return [(_EMPTY_ROW, _flags(type(error), [*map(type, built), *stray]))]
+    return [(_EMPTY_ROW if broken else (*cells, *co, sol.residual),
              _flags(NumericalConsistencyError if broken else None,
                     [*map(type, sol.generators.build_warnings), *stray]))
             for (cells, broken), co, sol in zip(thermo, correlations, sols)]
@@ -439,19 +451,16 @@ def _flags(error: Optional[type], categories: list) -> tuple:
     return tuple(dict.fromkeys(names + [f"warn:{c.__name__}" for c in categories]))
 
 
-def _evaluate_chunk(task) -> Records:
-    """The records of one chunk (start, points, epsilon), at indices start, start + 1, ...
+def _evaluate_chunk(task) -> list:
+    """The (row, flags) of each point of one chunk (start, points, epsilon), in order.
 
     A chunk of one point, as random sweeps make them, is one evaluate_point call.
     """
-    start, points, epsilon = task
+    _, points, epsilon = task
     if len(points) == 1:
-        records = Records.from_records([evaluate_point(points[0], epsilon)], epsilon=epsilon)
-    else:
-        records = Records.from_rows(range(len(points)), points,
-                                    *zip(*_run_records(points, epsilon)), epsilon=epsilon)
-    records.index = np.arange(start, start + len(points))
-    return records
+        rec = evaluate_point(points[0], epsilon)
+        return [(rec.row, rec.flags)]
+    return _run_records(points, epsilon)
 
 
 def _cpu_count() -> int:
@@ -463,8 +472,13 @@ def _cpu_count() -> int:
 
 
 def _share_records(tasks: Sequence) -> Records:
-    """The records of the runs tasks, in order."""
-    return Records.concat([_evaluate_chunk(task) for task in tasks])
+    """The records of the runs tasks (start, points, epsilon), in order, indexed from each start."""
+    pairs = [pair for task in tasks for pair in _evaluate_chunk(task)]
+    return Records.from_rows(
+        [start + k for start, points, _ in tasks for k in range(len(points))],
+        [p for _, points, _ in tasks for p in points],
+        [row for row, _ in pairs], [flags for _, flags in pairs],
+        epsilon=tasks[0][2] if tasks else DEFAULT_EPSILON)
 
 
 def _share_payload(records: Records) -> bytes:
@@ -576,7 +590,8 @@ def _evaluate_many(points: Sequence, epsilon: float, workers: int, chunk: int = 
     sector order, and one stacked pass of each report kind, split into
     runs of one where it raises or warns. A record does not depend on the
     run it is in: each stacked step returns the bits of the point alone.
-    Every run's records are columns, returned as one Records.
+    Each run gives the (row, flags) of its points, and each share's rows
+    are stacked into one Records.
 
     This process is one of the workers: the runs go in `workers` shares
     of consecutive runs, and this process evaluates the first,
@@ -788,8 +803,7 @@ def _locate_edge(cfg: GridScanConfig, b2: Sequence, w: Sequence, solved: dict) -
         else:
             if x not in solved:
                 solved[x] = evaluate_point(_grid_params(cfg, x), epsilon=cfg.epsilon)
-            thermo = solved[x].thermo
-            value = None if thermo is None else thermo.W
+            value = solved[x].row[_W]
         if value is None:
             raise DomainError(
                 f"steady-state solve failed at B2={x!r} while locating the zero-work edge"
@@ -898,8 +912,8 @@ def _fmt(value) -> str:
 
 
 def _quoted(cell: str) -> str:
-    """cell as csv.writer writes it at its defaults: in quotes when it holds ',', '"' or a newline."""
-    if "," in cell or '"' in cell or "\n" in cell:
+    """cell as csv.writer writes it at its defaults: quoted when it holds ',', '"' or a line break."""
+    if "," in cell or '"' in cell or "\n" in cell or "\r" in cell:
         return '"' + cell.replace('"', '""') + '"'
     return cell
 
@@ -962,7 +976,8 @@ def write_records(records, path, scan_name: str, config, extra_columns: Sequence
     """Write records as CSV behind a config-echo comment line.
 
     records is a Records, as the sweeps return them, or any sequence of
-    SweepRecords, whose columns are taken first. Column order is fixed;
+    SweepRecords, whose rows are stacked into one first; the cells are
+    read off the columns, and no report is built. Column order is fixed;
     floats carry 17 significant digits so parsing the file back reproduces
     every value bit for bit.
     """

@@ -391,15 +391,3 @@ def _thermo_view(cells, params: ModelParams, epsilon: float) -> ThermoReport:
         currents=currents, submachines=submachines, inside_trapezoid=inside == 1.0,
         first_law_residual=first_law, magnetization_residual=magnetization,
     )
-
-
-def _thermo_cells(report: Optional[ThermoReport]) -> list:
-    """The row of THERMO_COLUMNS of a report, all None for None; _thermo_view's inverse."""
-    if report is None:
-        return [None] * len(THERMO_COLUMNS)
-    cs = report.currents
-    local = [None] * 6 if cs is None else [*cs.q, *(cs.C[flow] for flow in FLOWS)]
-    return [*report.Q, report.W, report.S_dot, *local, _REGIME_CODES[report.regime],
-            report.cop, report.cop_w, report.cop_max, report.cop_otto,
-            float(report.inside_trapezoid), report.first_law_residual,
-            report.magnetization_residual]

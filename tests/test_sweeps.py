@@ -38,7 +38,9 @@ from triqubit.sweeps import (
 from triqubit.thermo import DEFAULT_EPSILON, Regime
 
 import oracles
-from conftest import BOOST, GLOBAL_SCATTER, LOCAL_SCATTER, MASTER_SEED, VALVE, global_point
+from conftest import (
+    BOOST, GLOBAL_SCATTER, LOCAL_SCATTER, MASTER_SEED, VALVE, global_point, local_point,
+)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -189,6 +191,47 @@ def test_evaluate_point_error_flag():
     assert isinstance(ev, SweepRecord) and ev.params == p
     assert ev.flags == ("error:DomainError",)
     assert ev.thermo is None and ev.correlations is None and ev.residual is None
+
+
+@pytest.mark.parametrize("p, reported", [
+    (local_point(B=(0.9, 1.7, 2.6)), True),
+    (global_point(B=(0.37, 0.61, 0.83)), True),
+    (local_point(B=(0.0, 1.0, 1.0)), False),  # a switched-off field: error:DomainError
+], ids=["local", "harmonic", "error"])
+def test_a_records_reports_are_those_of_its_point_alone(p, reported):
+    # a record built by evaluate_point, or read off a sweep's columns,
+    # builds its reports from its row on first read
+    for rec in (evaluate_point(p), sweeps._evaluate_many([p], DEFAULT_EPSILON, 1)[0]):
+        if not reported:
+            assert rec.flags == ("error:DomainError",)
+            assert rec.thermo is None and rec.correlations is None
+            continue
+        sol = solve_point(p)
+        # repr spells every float to its last bit
+        assert repr(rec.thermo) == repr(thermo.thermo_report(sol))
+        assert repr(rec.correlations) == repr(correlations.correlation_report(sol.rho, p))
+        assert rec.thermo is rec.thermo and rec.correlations is rec.correlations
+
+
+def test_a_random_sweep_builds_no_report_on_its_way_to_the_csv(tmp_path, monkeypatch):
+    built = []
+
+    def counted(name):
+        view = getattr(sweeps, name)
+        return lambda *args: built.append(name) or view(*args)
+
+    for name in ("_thermo_view", "_correlation_view"):
+        monkeypatch.setattr(sweeps, name, counted(name))
+    for config in ("local_scatter", "global_scatter"):
+        cfg = SweepConfig(**{**json.loads((CONFIGS / f"{config}.json").read_text()),
+                             "n_samples": 3})
+        records = random_sweep(cfg)
+        write_records(records, tmp_path / "records.csv", "random", cfg)
+        assert built == []
+    # a record builds each report where it is read, once
+    rec = records[0]
+    assert rec.thermo is rec.thermo and rec.correlations is rec.correlations
+    assert built == ["_thermo_view", "_correlation_view"]
 
 
 @pytest.mark.parametrize("p", [
@@ -860,16 +903,20 @@ def test_boost_edge_lies_on_the_zero_of_w(shift):
     assert abs(edge.params.B[1] - BOOST_EDGE_B2) <= 1e-13
 
 
+W_CELL = sweeps.VALUE_COLUMNS.index("W")
+
+
 def _fake_work(monkeypatch, cfg, w_of_b2):
     """The grid's B2 and work w_of_b2(B2), and the map of the B2 solved past it; every later
-    solve is logged."""
+    solve is logged, its record a row whose only number is W."""
     b2 = [p.B[1] for p in sweeps._grid_points(cfg)]
     probes = []
 
     def fake(params, epsilon):
         probes.append(params.B[1])
-        return SimpleNamespace(params=params, thermo=SimpleNamespace(W=w_of_b2(params.B[1])),
-                               flags=())
+        row = [None] * len(sweeps.VALUE_COLUMNS)
+        row[W_CELL] = w_of_b2(params.B[1])
+        return SimpleNamespace(params=params, row=tuple(row), flags=())
 
     monkeypatch.setattr(sweeps, "evaluate_point", fake)
     return (b2, [w_of_b2(x) for x in b2]), {}, probes
@@ -918,7 +965,7 @@ def test_edge_search_probe_below_the_edge_becomes_the_lower_end(monkeypatch):
     first, second = probes[:2]
     assert cfg.B2_max < first < 3.44
     # the next secant starts from the probe and the last grid point
-    w_grid, w_first = grid[1][-1], solved[first].thermo.W
+    w_grid, w_first = grid[1][-1], solved[first].row[W_CELL]
     assert second == pytest.approx(
         first + 1.01 * w_first * (first - cfg.B2_max) / (w_grid - w_first), rel=1e-14)
     assert edge == pytest.approx(3.44, abs=1e-12)
@@ -1142,6 +1189,21 @@ def test_write_records_empty_and_extra_columns(tmp_path):
     assert next(csv.reader([lines[1]])) == list(BASE_COLUMNS + BOOST_COLUMNS)
 
 
+def test_a_cell_that_holds_a_carriage_return_reads_back_whole(tmp_path):
+    # csv.writer quotes a cell with '\r' in it, as it quotes one with '\n'
+    cfg = GridScanConfig(bath_model="repeated_interaction", J=VALVE["J"], Delta=VALVE["Delta"],
+                         B1=VALVE["B1"], B3=VALVE["B3"], B2_min=1.0, B2_max=1.0, n_points=1,
+                         gamma=(0.5, 0.5, 0.5))
+    records = valve_sweep(cfg)
+    records.extra["combination"] = ["a\rb"]
+    path = tmp_path / "valve.csv"
+    write_records(records, path, "valve", cfg, extra_columns=VALVE_COLUMNS)
+    with open(path, newline="") as fh:
+        fh.readline()  # the config echo
+        rows = list(csv.DictReader(fh))
+    assert [row["combination"] for row in rows] == ["a\rb"]
+
+
 @pytest.mark.parametrize("value, cell", [
     (None, ""),
     (True, "true"),
@@ -1176,10 +1238,10 @@ def test_written_rows_spell_every_kind_of_cell(tmp_path):
         bath_model="repeated_interaction", J=BOOST["J"], Delta=BOOST["Delta"],
         B1=BOOST["B1"], B3=BOOST["B3"], B2_min=2.95, B2_max=3.05, n_points=3,
         gamma=BOOST["gamma"]))
-    error = SweepRecord(len(records), records[0].params, None, None, None,
+    error = SweepRecord(len(records), records[0].params, (None,) * len(sweeps.VALUE_COLUMNS),
                         ("error:LinAlgError", "warn:RuntimeWarning"))
     mixed = replace(
-        records[1], residual=np.float64(records[1].residual),
+        records[1], row=(*records[1].row[:-1], np.float64(records[1].residual)),
         extra={"cop_norm": np.float64(0.25), "cop_w_norm": 3, "cop_otto_norm": np.bool_(True)})
     rows = [*records, *boost, error, mixed]
     path = tmp_path / "records.csv"
