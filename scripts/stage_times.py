@@ -14,13 +14,13 @@ spread rather than as a difference between them. Within a round each
 stage runs over all points on inputs prepared beforehand, the stages one
 after the other. Besides the solve, the stages of the sweeps module show:
 ``draw_params`` (random configs) or ``_grid_params`` (grid configs) per
-point; ``_chunk_records`` per point, the report half of the record body
-``_run_records`` (each report kind one stacked pass over a run, of the
-grid's chunk size on grid configs and of one point on random configs,
-from solutions prepared beforehand, into a Records), next to the
-one-point ``thermo_report`` and ``correlation_report``, and after it
-``thermo._thermo_rows`` per point, the stacked bookkeeping of those runs
-alone on their currents in hand; on grid configs, ``_evaluate_many`` per
+point; ``correlations._correlation_rows`` and ``thermo._thermo_rows`` per
+point, the two report passes of the record body ``_run_records``, each
+one stacked pass over a run (of the grid's chunk size on grid configs
+and of one point on random configs) from solutions prepared beforehand,
+the bookkeeping with the run's local currents and its law checks, and
+after them ``_chunk_records`` per point, the whole report half of the
+body over the same runs, into a Records; on grid configs, ``_evaluate_many`` per
 point, the whole chunk route that a grid scan takes on one worker, and
 ``_evaluate_many/2`` per point, the same route at two workers in wall
 time, whose note gives the CPU milliseconds and the minor page faults per
@@ -77,6 +77,8 @@ def _stages(cfg, indices, all_points, out_dir):
     run() covers units points, records or scans and returns a note to print
     after the table, or None.
     """
+    import numpy as np
+
     from triqubit import correlations, global_me, local_me, model, steady_state, sweeps, thermo
 
     points = [all_points[k] for k in indices]
@@ -111,26 +113,31 @@ def _stages(cfg, indices, all_points, out_dir):
         ]
     calls += [
         ("steady_state.solve_point", steady_state.solve_point, [(p,) for p in points]),
-        ("thermo.thermo_report", thermo.thermo_report, [(sol, epsilon) for sol in sols]),
-        ("correlations.correlation_report", correlations.correlation_report,
-         [(sol.rho, sol.params) for sol in sols]),
         ("sweeps.evaluate_point", sweeps.evaluate_point, [(p, epsilon) for p in points]),
     ]
     stages = [(name, _calling(fn, args), len(args)) for name, fn, args in calls]
-    # the report half of the record body, next to the one-point reports:
-    # the runs one worker gets, each from its solutions in hand
+    # the report passes of the record body and its whole report half: the
+    # runs one worker gets, each from its solutions in hand
     runs = math.ceil(len(points) / chunk)
     size = math.ceil(len(points) / runs)
     chunks = [points[start:start + size] for start in range(0, len(points), size)]
     reported = [(run, steady_state.solve_points(run), epsilon) for run in chunks]
-    at = [name for name, _, _ in stages].index("correlations.correlation_report") + 1
-    stages.insert(at, ("sweeps._chunk_records", _calling(_report_half(sweeps), reported),
-                       len(points)))
-    # the stacked bookkeeping alone, on each run's currents in hand
-    bookkept = [(sols, epsilon, None if harmonic else _current_rows(local_me, sols))
-                for _, sols, _ in reported]
-    stages.insert(at + 1, ("thermo._thermo_rows", _calling(thermo._thermo_rows, bookkept),
-                           len(points)))
+    correlated = [(np.array([sol.rho for sol in sols]), run) for run, sols, _ in reported]
+    # a _thermo_rows(sols, epsilon, currents=None) checks no MI bound and
+    # takes its local currents itself
+    if "bounds" in inspect.signature(thermo._thermo_rows).parameters:
+        bookkept = [(sols, epsilon, [(co[:3], co[3:6]) for co in
+                                     correlations._correlation_rows(*args)])
+                    for (_, sols, _), args in zip(reported, correlated)]
+    else:
+        bookkept = [(sols, epsilon) for _, sols, _ in reported]
+    at = [name for name, _, _ in stages].index("steady_state.solve_point") + 1
+    stages[at:at] = [
+        ("correlations._correlation_rows", _calling(correlations._correlation_rows, correlated),
+         len(points)),
+        ("thermo._thermo_rows", _calling(thermo._thermo_rows, bookkept), len(points)),
+        ("sweeps._chunk_records", _calling(_report_half(sweeps), reported), len(points)),
+    ]
     if grid:
         # the grid's chunk route, serial and at the benchmark's two workers
         chunked = [(points, epsilon, 1, chunk)]
@@ -157,15 +164,6 @@ def _report_half(sweeps):
     return lambda points, sols, epsilon: sweeps.Records.from_rows(
         range(len(points)), points, *zip(*sweeps._run_records(points, epsilon, sols)),
         epsilon=epsilon)
-
-
-def _current_rows(local_me, sols):
-    """(q, Q, W, C) of each of sols, from one stack of its local currents."""
-    import numpy as np
-
-    columns = local_me._current_columns(np.array([sol.rho for sol in sols]),
-                                        [sol.generators for sol in sols])
-    return list(zip(*(column.tolist() for column in columns)))
 
 
 def _transport(sweeps, points, epsilon, chunk):

@@ -32,7 +32,6 @@ from .global_me import (
 from .local_me import (
     CurrentSet,
     build_local_generators,
-    local_current_set,
     local_heat_current,
 )
 from .steady_state import (
@@ -52,11 +51,9 @@ from .thermo import (
     ThermoReport,
     classify_regime,
     submachine_report,
-    thermo_report,
 )
 from .correlations import (
     CorrelationReport,
-    correlation_report,
     mi_lower_bound,
     mutual_information,
     ppt_check,

@@ -4,6 +4,10 @@ All entropies and bounds are in nats. The X-form residual measures how far a
 pair reduction deviates from the pattern with support only on the diagonal
 and the inner (2,3) anti-diagonal pair; corner (1,4) coherences count toward
 the residual, they are not part of the pattern.
+
+The reports of a run of states are one pass over their stack,
+_correlation_rows, whose mutual informations and bounds the record body
+sweeps._run_records hands to the law checks of thermo._thermo_rows.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import numpy as np
 
 from .algebra import herm, partial_trace, partial_transpose
 from .errors import DomainError
-from .model import N_SITES, PAIRS, SITES, ModelParams
+from .model import N_SITES, PAIRS, SITES
 
 _EIG_FLOOR = -1e-10  # eigenvalues below this are treated as corrupt input
 _PPT_FLOOR = -1e-10  # a partial transpose's least eigenvalue below this is negative
@@ -144,7 +148,7 @@ class CorrelationReport:
 
 @lru_cache(maxsize=None)
 def _reduction_gathers() -> tuple:
-    """Read-only indices into rho.ravel() of every reduction correlation_report takes.
+    """Read-only indices into rho.ravel() of every reduction _correlation_rows takes.
 
     Returns (pairs, sites, cuts). pairs[:, k, a, c] lists the entries of
     rho whose sum is partial_trace(rho, PAIRS[k])[a, c], one per value of
@@ -192,29 +196,21 @@ CORRELATION_COLUMNS = (
 )
 
 
-def correlation_report(rho: np.ndarray, params: ModelParams) -> CorrelationReport:
-    """Assemble every pairwise metric; bounds use the current implied by r23.
-
-    A stack of one of _correlation_rows. The bound's current is
-    reconstructed from the state itself as C = 8 J Im(r23), so the report
-    stays meaningful for both bath models. Pairs with J = 0 carry no
-    current and get a zero bound. Every number is bitwise equal to
-    mutual_information, x_state_analysis and ppt_check.
-    """
-    return _correlation_view(_correlation_rows(rho[None], (params,))[0])
-
-
 def _correlation_rows(rhos: np.ndarray, params) -> list:
-    """correlation_report of each state of an (N, 8, 8) stack rhos, as rows of CORRELATION_COLUMNS.
+    """The correlation reports of an (N, 8, 8) stack rhos, as rows of CORRELATION_COLUMNS.
 
-    params[k] is that of rhos[k]. The three pair reductions, the three
+    params[k] is that of rhos[k]. Each bound's current is reconstructed
+    from the state itself as C = 8 J Im(r23), so the bounds stay meaningful
+    for both bath models; a pair with J = 0 carries no current and gets a
+    zero bound. The three pair reductions, the three
     single-site reductions and the three partial transposes of every state
     are each one gather of the flattened stack at the cached indices of
     _reduction_gathers, and each kind goes through one eigvalsh call. The
     X-form residual is np.linalg.norm's own sqrt(x.real . x.real + x.imag .
     x.imag), as dot products of all the pairs at once. The mutual
     informations and the bounds are taken point by point. Every number is
-    the one correlation_report gives for that state alone.
+    the one the stack of that state alone gives, and bitwise that of
+    mutual_information, x_state_analysis and ppt_check.
     """
     if rhos.shape[1:] != (2**N_SITES, 2**N_SITES):
         raise DomainError(f"expected a {N_SITES}-qubit state, got shape {rhos.shape[1:]}")

@@ -32,9 +32,8 @@ one spin. site_rate_matrices reads them, with the rates of
 build_global_generators, for the Pauli rate matrices of the population
 solve. Where some cluster holds more than one nonzero transition, the
 solve also reads the dm >= 0 magnetization-difference blocks of the
-summed dissipator, which Generators.eigen_blocks cuts on first access
-from lindblad_superop of the dense jumps, JumpSet.amplitudes, themselves
-built on first access.
+summed dissipator, which _eigen_blocks cuts from lindblad_superop of the
+dense jumps, JumpSet.amplitudes, built on first access.
 """
 
 from __future__ import annotations
@@ -307,11 +306,15 @@ def build_global_generators(p: ModelParams) -> Generators:
 
 
 def _eigen_blocks(gen: Generators) -> tuple:
-    """Generators.eigen_blocks of a harmonic point, from the jump amplitudes.
+    """The dm >= 0 eigen blocks of a harmonic point, from the jump amplitudes.
 
-    The dm >= 0 blocks are cut from lindblad_superop of the jumps of all
-    three baths and their daggers, the 64 x 64 summed dissipator in the
-    eigenbasis. Only points that are not fully secular read them.
+    The dm >= 0 half of the summed dissipator in the eigenbasis of H,
+    vec(X) standing for V X V^dag: one (1, n, n) stack per (k, n) index
+    stack of Spectrum.liouville_block_groups, whose [0] is the block at
+    the vec positions index[0]; the -dm mirrors at index[1] are not built
+    (see steady_state). They are cut from lindblad_superop of the jumps of
+    all three baths and their daggers, the 64 x 64 summed dissipator in
+    the eigenbasis. Only points that are not fully secular read them.
 
     A cluster with nonzero transitions (JumpSet.nonzero) at both dm =
     m(a) - m(b) = +2 and -2 couples the dm blocks, which these blocks keep
@@ -333,7 +336,7 @@ def _eigen_blocks(gen: Generators) -> tuple:
     # rates
     summed = lindblad_superop(np.concatenate([with_daggers(js.amplitudes) for js in gen.jumps]),
                               np.concatenate(gen.jump_rates, axis=None))
-    # the dm >= 0 half, row 0 of each stack; see Generators.eigen_blocks
+    # the dm >= 0 half, row 0 of each stack
     return tuple(summed[index[:1, :, None], index[:1, None, :]]
                  for index in gen.spectrum.liouville_block_groups)
 

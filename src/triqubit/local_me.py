@@ -22,6 +22,9 @@ eigenbasis blocks are assembled from the unit-rate blocks of its site, cut
 once per process; the sum is bitwise equal to the same blocks of
 lindblad_superop((sigma_-^i, sigma_+^i), (r_down, r_up)), the superoperator
 Generators.dissipators builds. The three sites' work is done as one stack.
+
+The currents of a run of states are one pass over their stack,
+_current_columns, which thermo._thermo_rows takes on this model.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from .algebra import (
 from .errors import DomainError
 from .global_me import thermal_rates
 from .model import (
+    BATH_REPEATED_INTERACTION,
     N_SITES,
     SITES,
     Generators,
@@ -217,18 +221,6 @@ class CurrentSet:
     C: dict
 
 
-def local_current_set(rho_ss: np.ndarray, gen: Generators) -> CurrentSet:
-    """Currents and work power of one steady state; a stack of one of _current_columns.
-
-    gen is the point's build_local_generators record, whose H_int and bath
-    rates (jump_rates) the currents reuse. Every value is bitwise equal to
-    the one-site-at-a-time route of local_heat_current and of the tests'
-    interqubit_current oracle.
-    """
-    q, Q, W, C = (col[0].tolist() for col in _current_columns(rho_ss[None], (gen,)))
-    return CurrentSet(Q=tuple(Q), W=W, q=tuple(q), C=dict(zip(FLOWS, C)))
-
-
 def _current_columns(rhos: np.ndarray, gens) -> tuple:
     """(q, Q, W, C) of each state of an (N, 8, 8) stack rhos, gens[k] the generators of rhos[k].
 
@@ -237,12 +229,13 @@ def _current_columns(rhos: np.ndarray, gens) -> tuple:
     the states and the three interqubit expectations are each one
     computation over the stack, and so is the check that each trace and
     expectation is real; the first one that is not raises, as
-    algebra.checked_real does. Every value is the one local_current_set
-    gives for that point alone.
+    algebra.checked_real does. Every value is the one the stack of that
+    point alone gives, and bitwise that of the one-site-at-a-time route of
+    local_heat_current and of the tests' interqubit_current oracle.
     """
     for gen in gens:
-        if gen.params.bath_model != "repeated_interaction":
-            raise DomainError("local_current_set applies to the repeated_interaction model")
+        if gen.params.bath_model != BATH_REPEATED_INTERACTION:
+            raise DomainError("the local current pass applies to the repeated_interaction model")
     n = len(gens)
     actions = _dissipator_actions([gen.jump_rates for gen in gens], rhos)
     sz, sz_norms, flows, flow_norms = _site_stacks()
@@ -323,11 +316,12 @@ def build_local_generators(points) -> list:
 
 
 def _eigen_blocks(gens) -> tuple:
-    """Generators.eigen_blocks of repeated_interaction points that share one sector order.
+    """The dm >= 0 eigen blocks of repeated_interaction points that share one sector order.
 
     Returns one (N, n, n) stack per index stack of liouville_block_groups,
-    N = len(gens), whose [k:k + 1] is gens[k].eigen_blocks' (1, n, n)
-    stack; for one point, the two are the same.
+    N = len(gens), in the layout of global_me._eigen_blocks: [k] is the
+    block of gens[k] at the vec positions index[0], with the bits of a
+    stack of that point alone.
     """
     # (2, N, 3, 1, 1): down and up rates of each point and site
     down, up = np.array([gen.jump_rates for gen in gens])[..., None].transpose(2, 0, 1, 3, 4)
@@ -339,7 +333,7 @@ def _eigen_blocks(gens) -> tuple:
     for (t_down, t_up), (start, stop, shape) in zip(_unit_dissipators(), spans):
         # W_B^dag D[R_B, R_B] W_B is the dm block of W^dag D W; the bath
         # sum runs over the site axis, one bath after the other. Only the
-        # dm >= 0 row is built; see Generators.eigen_blocks
+        # dm >= 0 row is built; see global_me._eigen_blocks
         W_B = entries[:, start:stop].reshape(-1, *shape)
         D = down * t_down + up * t_up
         blocks.append((W_B.conj().swapaxes(2, 3) @ D @ W_B).sum(axis=1))

@@ -186,17 +186,6 @@ class Generators:
     bench/gate.py's oracle check; neither the solve nor the heat currents
     read either.
 
-    eigen_blocks is the dm >= 0 half of the summed dissipator in the
-    eigenbasis of H, vec(X) standing for V X V^dag: one (1, n, n) stack per
-    (k, n) index stack of Spectrum.liouville_block_groups, whose [0] is the
-    block at the vec positions index[0]. Entries between blocks are exactly
-    zero. The block at index[1] is not built: the generator preserves
-    Hermiticity, so it is the conjugate of block [0] at the swapped
-    positions, b + d a for a + d b. It too is built on first access, by
-    the bath model's builder module: the local solve builds the blocks of
-    its points as stacks, and the harmonic solve reads them only where the
-    point is not fully secular (see steady_state.solve_points).
-
     jumps holds the harmonic model's per-site JumpSets and is empty on the
     repeated_interaction model. H_int is the interaction part of H on the
     repeated_interaction model, whose work current needs it, and None on
@@ -225,17 +214,6 @@ class Generators:
     def dissipators(self) -> tuple:
         return tuple(lindblad_superop(with_daggers(ops), rows.ravel())
                      for ops, rows in zip(self.jump_ops, self.jump_rates))
-
-    @cached_property
-    def eigen_blocks(self) -> tuple:
-        from . import global_me, local_me  # both import this module
-
-        # finite rates can still overflow in assembly; the non-finite block
-        # that leaves fails the solve's trace-preserving check
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self.params.bath_model == BATH_HARMONIC:
-                return global_me._eigen_blocks(self)
-            return local_me._eigen_blocks([self])
 
 
 # one entry per ordering of the magnetization labels: at most 1120 for three

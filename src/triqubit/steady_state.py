@@ -40,8 +40,10 @@ kind; the block route stays for the others and as the fallback.
 solve_points solves a run of points of one bath model; solve_point is a
 run of one. The points whose sorted spectra carry the same magnetization
 labels, and so share one block layout, go through the block route as
-(N, ...) stacks, and V rho V^dag is one stack over the run; a harmonic
-point brings its own eigen blocks, its clustering being its own. Each
+(N, ...) stacks, and V rho V^dag is one stack over the run. The bath
+model's builder module cuts the eigen blocks: global_me._eigen_blocks one
+harmonic point at a time, its clustering being its own, and
+local_me._eigen_blocks the local points as one stack. Each
 stacked step returns for every point the bits it returns for that point
 alone, and every check is made per point.
 
@@ -57,7 +59,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import local_me
+from . import global_me, local_me
 from .algebra import CLD, coherent_superop, herm, unvec, vec
 from .errors import (
     DegenerateSteadyStateError,
@@ -360,11 +362,12 @@ def _block_states(gens, rates):
     count, d = len(gens), gens[0].spectrum.dim
     groups = gens[0].spectrum.liouville_block_groups
     energies = np.array([gen.spectrum.energies for gen in gens])
-    # as in Generators.eigen_blocks, whose blocks a harmonic point keeps;
-    # local ones are built as stacks over the points
+    # finite rates can still overflow in assembly; the non-finite block
+    # that leaves fails the trace-preserving check
     with np.errstate(over="ignore", invalid="ignore"):
         if gens[0].params.bath_model == BATH_HARMONIC:
-            eigen_blocks = [np.concatenate(b) for b in zip(*(gen.eigen_blocks for gen in gens))]
+            eigen_blocks = [np.concatenate(b)
+                            for b in zip(*(global_me._eigen_blocks(gen) for gen in gens))]
         else:
             eigen_blocks = local_me._eigen_blocks(gens)
     # each point's -i (E_a - E_b) at the vec position a + d b

@@ -32,13 +32,13 @@ share a sector order as one stack, each with the bits it gets alone, so
 the output does not depend on the chunk size either. The currents and
 correlations of a run are then taken as (N, ...) stacks as well, with
 the same bits, and its thermodynamic bookkeeping is one pass over them
-(thermo._thermo_rows) straight into the run's rows. A point whose
-currents break a law is an error row, and a harmonic point's build
-warnings are flags of its own row. A run that raises, or warns in any
-other way, is split into runs of one, so each failure and warning lands
-on its own index. Random sweeps stay one evaluate_point call, a run of
-one, per point, for the benchmark's tracer counts a point as one such
-call (ROADMAP item 1).
+(thermo._thermo_rows) straight into the run's rows, which also judges
+each point's laws. A point that breaks one, the MI bound included, is an
+error row, and a harmonic point's build warnings are flags of its own
+row. A run that raises, or warns in any other way, is split into runs
+of one, so each failure and warning lands on its own index. Random
+sweeps stay one evaluate_point call, a run of one, per point, for the
+benchmark's tracer counts a point as one such call (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ from .correlations import (
 from .errors import DomainError, NumericalConsistencyError, TriqubitError
 from .model import (
     BATH_HARMONIC,
-    BATH_REPEATED_INTERACTION,
+    BATH_MODELS,
     PAIRS,
     ModelParams,
     _triple,
@@ -147,7 +147,7 @@ class SweepConfig:
     epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
-        if self.bath_model not in (BATH_HARMONIC, BATH_REPEATED_INTERACTION):
+        if self.bath_model not in BATH_MODELS:
             raise DomainError(f"unknown bath_model {self.bath_model!r}")
         object.__setattr__(self, "J", _triple("J", self.J))
         object.__setattr__(self, "Delta", _triple("Delta", self.Delta))
@@ -207,7 +207,7 @@ class GridScanConfig:
     epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
-        if self.bath_model not in (BATH_HARMONIC, BATH_REPEATED_INTERACTION):
+        if self.bath_model not in BATH_MODELS:
             raise DomainError(f"unknown bath_model {self.bath_model!r}")
         for name in ("J", "Delta", "T", "gamma"):
             object.__setattr__(self, name, _triple(name, getattr(self, name)))
@@ -404,8 +404,10 @@ def _run_records(points: Sequence, epsilon: float, sols=None) -> list:
 
     row is a tuple of VALUE_COLUMNS, None where empty. The run is one
     solve_points call (solve_point for one point) unless its solutions sols
-    are given, then one stacked pass of each report kind; a point that
-    breaks a law of thermo.LAWS is an error:NumericalConsistencyError row.
+    are given, then one stacked pass of each report kind, correlations
+    first: their mutual informations and bounds go to the one check of the
+    laws, in thermo._thermo_rows, and a point that breaks a law of
+    thermo.LAWS is an error:NumericalConsistencyError row.
     Flags are the error, then the warnings as first seen, each once; a
     harmonic point's Generators.build_warnings are its own. A run of one
     flags a TriqubitError or LinAlgError and lets other exceptions through.
@@ -419,8 +421,8 @@ def _run_records(points: Sequence, epsilon: float, sols=None) -> list:
             if sols is None:
                 sols = [solve_point(points[0])] if len(points) == 1 else solve_points(points)
             solved = len(caught)
-            thermo = _thermo_rows(sols, epsilon)
             correlations = _correlation_rows(np.array([sol.rho for sol in sols]), points)
+            thermo = _thermo_rows(sols, epsilon, [(co[:3], co[3:6]) for co in correlations])
             error = None
         except Exception as exc:
             if len(points) == 1 and not isinstance(exc, (TriqubitError, np.linalg.LinAlgError)):

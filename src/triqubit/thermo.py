@@ -13,11 +13,12 @@ W_12 + W_13 + W_23 + W = 0 and W_ij = -Q_ij - Q_ji hold identically.
 The bookkeeping of a run of points, the figures of merit, the entropy
 production, the invariant checks and the regime, is one pass over the run's
 currents (_thermo_rows) that writes the rows of THERMO_COLUMNS, with no
-object per point; thermo_report is a run of one, and a ThermoReport is built
-from a row only where a caller reads it, its submachine figures with it.
-tests/oracles.py keeps the scalar functions the pass took over
-(cop_metrics, entropy_production, otto_conditions_and_trapezoid), and
-tests/test_thermo.py holds every field of every report to them bit for bit.
+object per point, and the record body sweeps._run_records is its caller.
+A ThermoReport is built from a row only where a caller reads it, its
+submachine figures with it. tests/oracles.py keeps the scalar functions the
+pass took over (cop_metrics, entropy_production,
+otto_conditions_and_trapezoid), and tests/test_thermo.py holds every field
+of every report to them bit for bit.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ from typing import Optional
 import numpy as np
 
 from .algebra import LD, checked_real
-from .errors import DomainError, ImpossibleCurrentsError, NumericalConsistencyError
+from .errors import DomainError, ImpossibleCurrentsError
 from .global_me import _heat_generators
-from .local_me import FLOWS, CurrentSet, _current_columns, local_current_set
+from .local_me import FLOWS, CurrentSet, _current_columns
 from .model import BATH_HARMONIC, PAIRS, ModelParams, as_number
 from .steady_state import PointSolution
 
@@ -297,50 +298,31 @@ def _broken_laws(Q, W, S_dot, first_law, T, floor, flows, local=None, bounds=Non
     return tuple(name for name, ok in holds.items() if not ok)
 
 
-def thermo_report(sol: PointSolution, epsilon: float = DEFAULT_EPSILON) -> ThermoReport:
-    """Heat currents, work, entropy production, figures of merit and regime.
+def _thermo_rows(sols, epsilon: float, bounds) -> list:
+    """The thermo reports of sols, which share one bath model, as rows of THERMO_COLUMNS.
 
-    A run of one of _thermo_rows; the local currents are local_current_set's.
-    Raises NumericalConsistencyError naming every law of _broken_laws the
-    currents break, before the regime is read off their signs.
-    """
-    currents = None
-    if sol.params.bath_model != BATH_HARMONIC:
-        cs = local_current_set(sol.rho, sol.generators)
-        currents = [(cs.q, cs.Q, cs.W, [cs.C[flow] for flow in FLOWS])]
-    [(cells, broken)] = _thermo_rows([sol], epsilon, currents)
-    if broken:
-        raise NumericalConsistencyError(
-            f"steady state breaks {', '.join(broken)}: Q = {tuple(cells[:3])}, "
-            f"W = {cells[3]!r}, S_dot = {cells[4]:.3e}"
-        )
-    return _thermo_view(cells, sol.params, epsilon)
-
-
-def _thermo_rows(sols, epsilon: float, currents=None) -> list:
-    """thermo_report of each of sols, which share one bath model, as rows of THERMO_COLUMNS.
-
-    Returns one (cells, broken) per point: cells its row, None where the
-    report leaves None, and broken the names of the laws it breaks, in the
-    order of LAWS; a point that breaks one has no report, and thermo_report
-    raises for it. currents holds (q, Q, W, C) of each point, C in FLOWS
-    order; on the local model, when it is not given, the currents of all of
-    sols are one local_me._current_columns stack. The bookkeeping is one pass
-    over the run's currents, with no object per point: each figure, check
-    and regime is that of the point alone. A point, the first in order,
-    whose currents above the floor all share one sign raises
+    bounds holds each point's (I, mi_bound) in PAIRS order, its mutual
+    informations and their bounds. Returns one (cells, broken) per point:
+    cells its row, None where the report leaves None, and broken the names
+    of the laws of LAWS it breaks, in that order, the MI bound among them;
+    the record body makes a point that breaks one an error row. On the
+    local model the currents of all of sols are one
+    local_me._current_columns stack. The bookkeeping is one pass over the
+    run's currents, with no object per point: each figure, check and
+    regime is that of the point alone. A point, the first in order, whose
+    currents above the floor all share one sign raises
     ImpossibleCurrentsError.
     """
     params = [sol.params for sol in sols]
     if params[0].bath_model == BATH_HARMONIC:
         # the harmonic generator exchanges no work by construction
         currents = [(None, _harmonic_heat_currents(sol), 0.0, None) for sol in sols]
-    elif currents is None:
+    else:
         columns = _current_columns(np.array([sol.rho for sol in sols]),
                                    [sol.generators for sol in sols])
         currents = zip(*(column.tolist() for column in columns))
     rows = []
-    for p, (q, Q, W, C) in zip(params, currents):
+    for p, (q, Q, W, C), mi in zip(params, currents, bounds):
         (t1, t2, t3), (b1, b2, b3) = p.T, p.B
         q1, q2, q3 = Q
         ratios = (q1 / t1, q2 / t2, q3 / t3)
@@ -349,7 +331,7 @@ def _thermo_rows(sols, epsilon: float, currents=None) -> list:
         floor = _current_floor(p)
         magnetization = None if q is None else abs(math.fsum(q))
         broken = _broken_laws(Q, W, S_dot, first_law, p.T, floor, math.fsum(map(abs, ratios)),
-                              None if q is None else (q, C, magnetization))
+                              None if q is None else (q, C, magnetization), mi)
         regime = Regime.UNCLASSIFIED
         if not broken and min(abs(q1), abs(q2), abs(q3)) > floor:
             regime = classify_regime(Q, W, epsilon)

@@ -7,7 +7,7 @@ the boost window setup. Kept as plain dicts so tests can override fields.
 import numpy as np
 from numpy.testing import assert_array_equal
 
-from triqubit import ModelParams
+from triqubit import ModelParams, correlations, global_me, local_me, solve_point
 
 # weak-damping harmonic setup: random fields drawn from (0, 1)
 GLOBAL_SCATTER = dict(
@@ -92,15 +92,29 @@ def swapped_positions(index, d=8):
     return (index % d) * d + index // d
 
 
+def eigen_blocks(gen):
+    """The dm >= 0 eigen blocks of one point, from its bath model's builder, one stack each."""
+    if gen.params.bath_model == "harmonic":
+        return global_me._eigen_blocks(gen)
+    return local_me._eigen_blocks([gen])
+
+
+def cut_eigen_blocks(monkeypatch):
+    """The Generators of the harmonic points whose eigen blocks are cut from now on, in order."""
+    cut, real = [], global_me._eigen_blocks
+    monkeypatch.setattr(global_me, "_eigen_blocks", lambda gen: cut.append(gen) or real(gen))
+    return cut
+
+
 def whole_eigen_blocks(gen):
-    """Generators.eigen_blocks completed to every row of liouville_block_groups.
+    """The eigen blocks of a point completed to every row of liouville_block_groups.
 
     The builders hand over the dm >= 0 row of each stack; the -dm row is its
     Hermiticity mirror, the block conjugated on the swapped positions,
     reordered to the ascending positions of index[1].
     """
     out = []
-    for index, half in zip(gen.spectrum.liouville_block_groups, gen.eigen_blocks, strict=True):
+    for index, half in zip(gen.spectrum.liouville_block_groups, eigen_blocks(gen), strict=True):
         assert half.shape[0] == 1
         rows = [half[0]]
         if index.shape[0] == 2:
@@ -110,3 +124,20 @@ def whole_eigen_blocks(gen):
             rows.append(half[0][np.ix_(order, order)].conj())
         out.append(np.stack(rows))
     return out
+
+
+def break_mi_bound(monkeypatch, p):
+    """Raise the (1, 3) MI bound of p's steady state to I13 + 1e-9, past the law's 1e-10 slack.
+
+    The stand-in for correlations.mi_lower_bound knows the point by its
+    (1, 3) current C = 8 J Im(r23), which no other point of a run shares;
+    every other bound is the real one.
+    """
+    [row] = correlations._correlation_rows(solve_point(p).rho[None], (p,))
+    column = correlations.CORRELATION_COLUMNS.index
+    J13 = p.pair_value("J", 1, 3)
+    key = (8.0 * J13 * row[column("r23im13")], J13)
+    assert key[0] != 0.0
+    real = correlations.mi_lower_bound
+    monkeypatch.setattr(correlations, "mi_lower_bound",
+                        lambda C, J: row[column("I13")] + 1e-9 if (C, J) == key else real(C, J))

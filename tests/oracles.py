@@ -63,7 +63,7 @@ def bath_sz(n: float) -> float:
 
 
 def magnetization_current_closed_form(rho_ss: np.ndarray, p: ModelParams, site: int) -> float:
-    """gamma (1 + 2n) (<sigma_z>_bath - <sigma_z>_i); equals local_current_set's q_i.
+    """gamma (1 + 2n) (<sigma_z>_bath - <sigma_z>_i); equals q_i of local_me._current_columns.
 
     A closed-form oracle for the dissipator-trace route.
     """

@@ -10,8 +10,7 @@ from triqubit import DomainError, cli, sweeps, thermo
 from triqubit.cli import main
 from triqubit.sweeps import BOOST_COLUMNS, GridScanConfig, boost_scan, write_records
 
-import oracles
-from conftest import BOOST, LOCAL_SCATTER, VALVE
+from conftest import BOOST, LOCAL_SCATTER, VALVE, break_mi_bound
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -342,30 +341,46 @@ def test_validate_fails_when_a_law_breaks(monkeypatch, capsys):
     assert lines[-1] == "result: FAIL"
 
 
+def _law_lines(config, passed, total):
+    """validate's line of each law of config's bath model, passed of total records passing it."""
+    local = config == "local_scatter"
+    status = "pass" if passed == total else "FAIL"
+    return [f"{name:<20} {passed}/{total} {status}" for name in thermo.LAWS
+            if local or name not in thermo.LOCAL_LAWS]
+
+
 @pytest.mark.parametrize("config", ["local_scatter", "global_scatter"])
-def test_validate_reads_each_law_off_the_columns_as_the_reports_give_it(config):
-    # the laws validate reads off a sweep's columns are those the report
-    # oracle names for each record, also where figures are made to break
-    # one law each, and a row without a correlation report breaks every law
-    cfg = sweeps.SweepConfig(**{**json.loads((CONFIGS / f"{config}.json").read_text()),
-                                "n_samples": 12})
-    records = sweeps.random_sweep(cfg)
-    local = cfg.bath_model == "repeated_interaction"
-    names = tuple(name for name in thermo.LAWS if local or name not in thermo.LOCAL_LAWS)
-    column = sweeps.VALUE_COLUMNS.index
-    records.values[1, column("first_law_residual")] = 1.0
-    records.values[2, column("Sdot")] = -1.0
-    records.values[3, column("mibound13")] = records.values[3, column("I13")] + 1e-9
-    records.values[4, column("magnetization_residual")] = 1.0
-    records.values[5, column("C31")] += 1.0
-    records.empty[6, sweeps._CORRELATIONS] = True
-    expected = [names if rec.thermo is None or rec.correlations is None
-                else oracles.invariant_violations(rec.thermo, rec.params, rec.correlations)
-                for rec in records]
-    assert cli._law_breaches(records, names) == expected
-    assert expected[6] == names
-    breached = {name for broken in expected[:6] for name in broken}
-    assert breached == set(names)
+def test_validate_passes_a_record_with_reports_and_fails_one_without(monkeypatch, capsys, config):
+    # the record body has judged every law of every point: validate counts
+    # a record with reports under each law of its model as passing, and an
+    # error record as failing each of them
+    real = cli.random_sweep
+
+    def sweep(cfg, workers):
+        records = real(cfg, workers)
+        for k in (2, 5):
+            records.empty[k] = True
+            records.flags[k] = ("error:NumericalConsistencyError",) + records.flags[k]
+        return records
+
+    monkeypatch.setattr(cli, "random_sweep", sweep)
+    argv = ["validate", "--config", str(CONFIGS / f"{config}.json"), "--samples", "8"]
+    assert main(argv) == 1
+    lines = capsys.readouterr().out.splitlines()
+    laws = _law_lines(config, 6, 8)
+    assert lines[:len(laws)] == laws
+    assert lines[len(laws)] == f"{'solver failures':<20} 2/8"
+    assert lines[-1] == "result: FAIL"
+
+
+def test_validate_counts_a_point_below_its_mi_bound_under_every_law(monkeypatch, capsys):
+    # the body makes the point an error row, as bench/gate.py judges it
+    cfg = sweeps.SweepConfig(**json.loads((CONFIGS / "local_scatter.json").read_text()))
+    break_mi_bound(monkeypatch, sweeps.draw_params(cfg, 2))
+    argv = ["validate", "--config", str(CONFIGS / "local_scatter.json"), "--samples", "5"]
+    assert main(argv) == 1
+    assert capsys.readouterr().out.splitlines() == _law_lines("local_scatter", 4, 5) + [
+        f"{'solver failures':<20} 1/5", f"{'discarded':<20} 0/5", "result: FAIL"]
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.json")))

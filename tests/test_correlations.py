@@ -11,7 +11,6 @@ import pytest
 from triqubit import DomainError, correlations, evaluate_point, solve_point
 from triqubit.algebra import herm, partial_trace, partial_transpose
 from triqubit.correlations import (
-    correlation_report,
     mi_lower_bound,
     mutual_information,
     ppt_check,
@@ -147,7 +146,7 @@ def test_mi_bound_tight_on_equal_population_x_state():
 
 def test_correlation_report_solved_point():
     p = local_point(B=(0.8, 1.7, 2.9), gamma=(0.5, 0.5, 0.5))
-    rep = correlation_report(solve_point(p).rho, p)
+    rep = evaluate_point(p).correlations
     assert set(rep.I) == set(PAIRS)
     for pair in PAIRS:
         assert rep.x_form_residual[pair] < 1e-10
@@ -163,7 +162,7 @@ def test_correlation_report_zero_coupling_pair():
         B=(0.8, 1.7, 2.9), gamma=(0.5, 0.5, 0.5),
         J=(0.9, 0.0, 0.7), Delta=(0.12, 0.26, 0.61),
     )
-    rep = correlation_report(solve_point(p).rho, p)
+    rep = evaluate_point(p).correlations
     assert rep.mi_bound[(1, 3)] == 0.0
     assert rep.mi_bound[(1, 2)] > 0.0
     assert rep.I[(1, 3)] >= 0.0
@@ -175,7 +174,7 @@ def test_correlation_report_rejects_a_state_of_another_size():
     p = local_point(B=(0.8, 1.7, 2.9))
     for d in (4, 16):
         with pytest.raises(DomainError):
-            correlation_report(np.eye(d, dtype=complex) / d, p)
+            correlations._correlation_rows(np.eye(d, dtype=complex)[None] / d, (p,))
 
 
 def _per_pair_entropy(rho):
@@ -185,7 +184,7 @@ def _per_pair_entropy(rho):
 
 
 def _per_pair_report(rho, params):
-    """correlation_report's numbers one pair and one cut at a time."""
+    """The numbers of a correlation report one pair and one cut at a time."""
     out = {"I": {}, "xres": {}, "bound": {}, "r23": {}}
     for i, j in PAIRS:
         reduced = herm(partial_trace(rho, (i, j)))
@@ -222,7 +221,8 @@ REPORT_IDS = [f"local-{k}" for k in range(20)] + [f"global-{k}" for k in range(2
 @pytest.mark.parametrize("p", REPORT_POINTS, ids=REPORT_IDS)
 def test_correlation_report_keeps_the_bits_of_the_per_pair_route(p):
     rho = solve_point(p).rho
-    rep = correlation_report(rho, p)
+    [row] = correlations._correlation_rows(rho[None], (p,))
+    rep = correlations._correlation_view(row)
     want = _per_pair_report(rho, p)
     assert repr(rep.I) == repr(want["I"])
     assert repr(rep.x_form_residual) == repr(want["xres"])
@@ -255,7 +255,7 @@ def test_report_takes_its_reductions_as_gathers(monkeypatch):
         for name in ("partial_trace", "partial_transpose"):
             count(module, name)
     count(correlations, "x_state_analysis")
-    correlation_report(rho, p)
+    correlations._correlation_rows(rho[None], (p,))
     assert calls == {"eigvalsh": 3}
 
 
@@ -285,7 +285,7 @@ def test_zero_eigenvalues_raise_no_warning():
     assert any(0.0 in np.linalg.eigvalsh(partial_trace(rho, pair)) for pair in PAIRS)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        correlation_report(rho, COLD)
+        correlations._correlation_rows(rho[None], (COLD,))
     rec = evaluate_point(COLD)
     assert rec.correlations is not None
     assert not [f for f in rec.flags if f.startswith("warn:")]

@@ -37,6 +37,7 @@ from conftest import (
     MASTER_SEED,
     UNCLOSED_HARMONIC,
     assert_same_bits,
+    cut_eigen_blocks,
     global_point,
     local_point,
     whole_eigen_blocks,
@@ -389,8 +390,9 @@ def test_batched_jumps_and_rate_matrices_keep_their_bits(p):
         rates += [gamma * (1.0 + nbar), gamma * nbar]
     summed = lindblad_superop(np.concatenate(ops), np.concatenate(rates))
     groups = spectrum.liouville_block_groups
-    assert len(gen.eigen_blocks) == len(groups)
-    for stacked, blocks in zip(groups, gen.eigen_blocks):
+    cut = global_me._eigen_blocks(gen)
+    assert len(cut) == len(groups)
+    for stacked, blocks in zip(groups, cut):
         assert blocks.shape == (1,) + stacked.shape[1:] * 2
         assert_same_bits(blocks[0], summed[np.ix_(stacked[0], stacked[0])])
     # the eigenbasis blocks and their -dm mirrors tile the
@@ -577,11 +579,12 @@ def test_a_closed_point_that_is_not_fully_secular_calls_lindblad_superop_once(mo
     # closed, but not fully secular, so the solve reads the eigenbasis
     # blocks, cut from one summed superoperator of all three baths
     calls = _spy_on_superop_builders(monkeypatch)
+    cut = cut_eigen_blocks(monkeypatch)
     p = _uncoupled()
     _, closed, secular = site_rate_matrices(build_global_generators(p))
     assert closed and not secular and calls == []
     sol = solve_point(p)
-    assert calls == ["lindblad_superop"] and "eigen_blocks" in vars(sol.generators)
+    assert calls == ["lindblad_superop"] and len(cut) == 1 and cut[0] is sol.generators
 
 
 def test_heat_generator_diagonal_is_the_edge_sum_of_the_rate_matrices():
@@ -652,7 +655,7 @@ def test_jump_amplitudes_vanish_off_the_one_flip_support(p):
     (_uncoupled(), True, False),
     (UNCLOSED_HARMONIC, False, False),
 ], ids=["scatter", "uncoupled", "unclosed"])
-def test_a_fully_secular_point_has_one_transition_per_cluster(p, closed, secular):
+def test_a_fully_secular_point_has_one_transition_per_cluster(monkeypatch, p, closed, secular):
     # uncoupled, each flip of a site has one Bohr frequency for all four
     # states of the other two sites: four transitions, no shared row or
     # column, in one cluster
@@ -661,9 +664,10 @@ def test_a_fully_secular_point_has_one_transition_per_cluster(p, closed, secular
     transitions = [int(np.sum(np.abs(a) > 1e-12 * np.abs(a).max()))
                    for js in gen.jumps for a in js.amplitudes]
     assert (set(transitions) == {1}) is secular
-    # the solve reads the eigen blocks only where the point is not fully secular
+    # the solve cuts the eigen blocks only where the point is not fully secular
+    cut = cut_eigen_blocks(monkeypatch)
     sol = solve_point(p)
-    assert ("eigen_blocks" in vars(sol.generators)) is not secular
+    assert bool(cut) is not secular
     # and only those blocks build the dense amplitude stacks
     assert all(("amplitudes" in vars(js)) is not secular for js in sol.generators.jumps)
     assert (sol.populations is not None) is closed

@@ -16,7 +16,6 @@ from triqubit.global_me import bose_occupation
 from triqubit.local_me import (
     _site_matrices,
     build_local_generators,
-    local_current_set,
     local_heat_current,
     local_rates,
 )
@@ -36,6 +35,11 @@ def _config_points(name, n):
 
 def _boost_grid():
     return _grid_points(GridScanConfig(**json.loads((CONFIGS / "boost.json").read_text())))
+
+
+def _currents(rho, gen):
+    """(q, Q, W, C) of one state, C in FLOWS order: a stack of one of the local current pass."""
+    return tuple(column[0].tolist() for column in local_me._current_columns(rho[None], (gen,)))
 
 
 def _product_gibbs(B, T):
@@ -72,9 +76,9 @@ def test_uncoupled_fixed_point_is_product_gibbs():
     assert np.linalg.norm(build_liouvillian(p) @ vec(gibbs)) < 1e-12
     sol = solve_point(p)
     assert trace_distance(sol.rho, gibbs) < 1e-12
-    cs = local_current_set(sol.rho, sol.generators)
-    assert max(abs(q) for q in cs.Q) < 1e-14
-    assert abs(cs.W) < 1e-14
+    _, Q, W, _ = _currents(sol.rho, sol.generators)
+    assert max(abs(q) for q in Q) < 1e-14
+    assert abs(W) < 1e-14
 
 
 def test_proportional_fields_keep_product_gibbs():
@@ -83,14 +87,14 @@ def test_proportional_fields_keep_product_gibbs():
     p = local_point(B=(0.6, 1.2, 1.8), gamma=(0.3, 0.7, 0.2))
     sol = solve_point(p)
     assert trace_distance(sol.rho, _product_gibbs(p.B, p.T)) < 1e-10
-    cs = local_current_set(sol.rho, sol.generators)
-    assert max(abs(q) for q in cs.Q) < 1e-12
+    _, Q, _, _ = _currents(sol.rho, sol.generators)
+    assert max(abs(q) for q in Q) < 1e-12
 
 
 def test_work_routes_agree():
     p = local_point(B=(0.9, 2.7, 4.1), gamma=(0.4, 0.8, 0.15))
     sol = solve_point(p)
-    w = local_current_set(sol.rho, sol.generators).W
+    w = _currents(sol.rho, sol.generators)[2]
     heats = [local_heat_current(sol.rho, p, s) for s in (1, 2, 3)]
     scale = max(abs(w), max(abs(q) for q in heats))
     assert abs(w + sum(heats)) < 1e-10 * scale
@@ -99,18 +103,18 @@ def test_work_routes_agree():
 def test_heat_current_is_field_times_magnetization_current():
     p = local_point(B=(1.1, 0.5, 3.3), gamma=(0.6, 0.25, 0.9))
     sol = solve_point(p)
-    cs = local_current_set(sol.rho, sol.generators)
+    q_sites = _currents(sol.rho, sol.generators)[0]
     for site in (1, 2, 3):
-        q = cs.q[site - 1]
+        q = q_sites[site - 1]
         assert abs(local_heat_current(sol.rho, p, site) - p.B[site - 1] * q) < 1e-12
 
 
 def test_magnetization_current_routes_agree():
     p = local_point(B=(1.1, 0.5, 3.3), gamma=(0.6, 0.25, 0.9))
     sol = solve_point(p)
-    cs = local_current_set(sol.rho, sol.generators)
+    q_sites = _currents(sol.rho, sol.generators)[0]
     for site in (1, 2, 3):
-        a = cs.q[site - 1]
+        a = q_sites[site - 1]
         b = magnetization_current_closed_form(sol.rho, p, site)
         assert abs(a - b) < 1e-10 * max(1e-300, abs(a), abs(b)) + 1e-14
 
@@ -119,11 +123,11 @@ def test_equal_fields_exchange_no_work():
     # Q_i = b * q_i and the q_i sum to zero, so W = -sum Q vanishes
     p = local_point(B=(1.4, 1.4, 1.4), gamma=(0.2, 0.5, 0.8))
     sol = solve_point(p)
-    cs = local_current_set(sol.rho, sol.generators)
-    scale = max(abs(q) for q in cs.Q)
+    q, Q, W, _ = _currents(sol.rho, sol.generators)
+    scale = max(abs(v) for v in Q)
     assert scale > 1e-8  # heat genuinely flows
-    assert abs(cs.W) < 1e-10 * scale
-    assert abs(sum(cs.q)) < 1e-10 * max(abs(v) for v in cs.q)
+    assert abs(W) < 1e-10 * scale
+    assert abs(sum(q)) < 1e-10 * max(abs(v) for v in q)
 
 
 def test_interqubit_antisymmetry_and_validation():
@@ -138,11 +142,11 @@ def test_interqubit_antisymmetry_and_validation():
 def test_current_set_consistency():
     p = local_point(B=(0.9, 2.7, 4.1), gamma=(0.4, 0.8, 0.15))
     sol = solve_point(p)
-    cs = local_current_set(sol.rho, sol.generators)
-    assert_allclose(cs.Q, [b * q for b, q in zip(p.B, cs.q)], atol=1e-13)
-    scale = max(abs(cs.W), max(abs(q) for q in cs.Q))
-    assert abs(cs.W + sum(cs.Q)) < 1e-10 * scale
-    assert set(cs.C) == {(2, 1), (3, 1), (3, 2)}
+    q, Q, W, C = _currents(sol.rho, sol.generators)
+    assert_allclose(Q, [b * v for b, v in zip(p.B, q)], atol=1e-13)
+    scale = max(abs(W), max(abs(v) for v in Q))
+    assert abs(W + sum(Q)) < 1e-10 * scale
+    assert len(C) == len(local_me.FLOWS)
 
 
 def test_current_set_rejects_wrong_model():
@@ -151,8 +155,8 @@ def test_current_set_rejects_wrong_model():
     q = ModelParams(
         B=p.B, J=p.J, Delta=p.Delta, T=p.T, gamma=p.gamma, bath_model="harmonic"
     )
-    with pytest.raises(DomainError):
-        local_current_set(sol.rho, dataclasses.replace(sol.generators, params=q))
+    with pytest.raises(DomainError, match="applies to the repeated_interaction model"):
+        _currents(sol.rho, dataclasses.replace(sol.generators, params=q))
 
 
 def test_generator_is_trace_preserving():
@@ -215,7 +219,7 @@ def _per_site_dissipators(p):
 def _per_block_eigen_blocks(gen):
     """The eigenbasis blocks built one dm block at a time from the per-site dissipators.
 
-    They come in the layout of Generators.eigen_blocks, one stack of the
+    They come in the layout of local_me._eigen_blocks, one stack of the
     dm >= 0 row per index stack of the spectrum's liouville_block_groups;
     the computational-basis rows of each block are found from its dm alone.
     """
@@ -247,24 +251,24 @@ def test_local_generators_keep_the_bits_of_the_per_site_build(p):
     for got, want in zip(gen.dissipators, _per_site_dissipators(p), strict=True):
         assert_array_equal(_bits(got), _bits(want))
     want = _per_block_eigen_blocks(gen)
-    assert len(gen.eigen_blocks) == len(want)
-    for got, ref in zip(gen.eigen_blocks, want):
+    blocks = local_me._eigen_blocks([gen])
+    assert len(blocks) == len(want)
+    for got, ref in zip(blocks, want):
         assert_array_equal(_bits(got), _bits(ref))
 
 
 @pytest.mark.parametrize("p", LOCAL_POINTS, ids=LOCAL_IDS)
 def test_current_set_keeps_the_bits_of_the_per_site_route(p):
     sol = solve_point(p)
-    cs = local_current_set(sol.rho, sol.generators)
+    q, Q, W, C = _currents(sol.rho, sol.generators)
     actions = [local_me._dissipator_action(p, s, sol.rho) for s in (1, 2, 3)]
     sz = [_site_matrices(s)[4] for s in (1, 2, 3)]
     want_q = [checked_trace(sz[s - 1], actions[s - 1], "q") for s in (1, 2, 3)]
     want_w = checked_trace(interaction_hamiltonian(p), sum(actions[1:], actions[0]), "W")
-    assert repr(cs.q) == repr(tuple(want_q))
-    assert repr(cs.Q) == repr(tuple(local_heat_current(sol.rho, p, s) for s in (1, 2, 3)))
-    assert repr(cs.W) == repr(want_w)
-    assert repr(cs.C) == repr({(j, i): interqubit_current(sol.rho, p, j, i)
-                               for j, i in ((2, 1), (3, 1), (3, 2))})
+    assert repr(q) == repr(want_q)
+    assert repr(Q) == repr([local_heat_current(sol.rho, p, s) for s in (1, 2, 3)])
+    assert repr(W) == repr(want_w)
+    assert repr(C) == repr([interqubit_current(sol.rho, p, j, i) for j, i in local_me.FLOWS])
 
 
 @pytest.mark.parametrize("p", LOCAL_POINTS, ids=LOCAL_IDS)
@@ -287,7 +291,7 @@ def test_a_stack_raises_as_its_first_unreal_point_raises_alone():
     sols = [solve_point(p) for p in LOCAL_POINTS[:3]]
     skewed = sols[1].rho + 1e-3j * (1.0 - np.eye(8))
     with pytest.raises(NumericalConsistencyError, match="work power has imaginary") as alone:
-        local_current_set(skewed, sols[1].generators)
+        _currents(skewed, sols[1].generators)
     rhos = np.array([sols[0].rho, skewed, sols[2].rho])
     with pytest.raises(NumericalConsistencyError) as stacked:
         local_me._current_columns(rhos, [sol.generators for sol in sols])

@@ -19,7 +19,7 @@ from triqubit.model import (
     local_field_hamiltonian,
 )
 
-from conftest import UNCLOSED_HARMONIC, assert_same_bits, global_point, local_point
+from conftest import UNCLOSED_HARMONIC, assert_same_bits, eigen_blocks, global_point, local_point
 from oracles import total_sz
 
 
@@ -190,7 +190,7 @@ def test_block_groups_tile_the_liouville_space(build, p):
             0, 2, -2, 4, -4, 6, -6]
         assert [g.shape for g in groups] == [(1, 20), (2, 15), (2, 6), (2, 1)]
     # the builders hand over the dm >= 0 row of each stack
-    assert [b.shape for b in gen.eigen_blocks] == [
+    assert [b.shape for b in eigen_blocks(gen)] == [
         (1, n, n) for _, n in (g.shape for g in gen.spectrum.liouville_block_groups)]
 
 

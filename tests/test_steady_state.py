@@ -1,6 +1,5 @@
 """Null-space solver, eigenbasis pipeline, and the propagation oracle."""
 
-import copy
 import json
 import math
 import pickle
@@ -48,6 +47,8 @@ from triqubit.sweeps import GridScanConfig, SweepConfig, _grid_points, draw_para
 from conftest import (
     UNCLOSED_HARMONIC,
     assert_same_bits,
+    cut_eigen_blocks,
+    eigen_blocks,
     global_point,
     local_point,
     swapped_positions,
@@ -284,13 +285,12 @@ def test_wrong_population_state_falls_back_to_the_full_solve(monkeypatch):
                          ids=["local", "global"])
 def test_point_solution_pickles_with_its_lazy_dissipators(p):
     # a solution can cross a process boundary before or after its
-    # computational-basis dissipators and its eigen blocks are built
+    # computational-basis dissipators are built
     sol = solve_point(p)
     before = pickle.loads(pickle.dumps(sol))
     dissipators = sol.generators.dissipators
-    blocks = sol.generators.eigen_blocks
     after = pickle.loads(pickle.dumps(sol))
-    assert "eigen_blocks" in vars(after.generators)
+    assert "dissipators" in vars(after.generators)
     for clone in (before, after):
         assert_array_equal(clone.rho, sol.rho)
         assert clone.population_closed is sol.population_closed
@@ -298,8 +298,6 @@ def test_point_solution_pickles_with_its_lazy_dissipators(p):
             assert_same_bits(clone.populations, sol.populations)
         for got, want in zip(clone.generators.dissipators, dissipators, strict=True):
             assert_array_equal(got, want)
-        for got, want in zip(clone.generators.eigen_blocks, blocks, strict=True):
-            assert_same_bits(got, want)
 
 
 # --- the block solve against the whole 64 x 64 eigenbasis generator ---
@@ -405,8 +403,8 @@ def test_certificate_sees_the_singular_values_of_every_block(monkeypatch, p):
     monkeypatch.undo()
     # one call per stack of same-size blocks, whose one dm >= 0 block also
     # stands for its -dm mirror: every one of the 64 is seen
-    assert len(seen) == len(gen.eigen_blocks)
     groups = gen.spectrum.liouville_block_groups
+    assert len(seen) == len(groups)
     got = np.sort(np.concatenate([np.tile(s.ravel(), index.shape[0])
                                   for s, index in zip(seen, groups, strict=True)]))
     want = np.sort(np.linalg.svd(_assembled(gen), compute_uv=False))
@@ -449,17 +447,15 @@ def test_a_singular_off_diagonal_block_fails_the_certificate(monkeypatch, p):
     # the dm = 0 block alone still has a one-dimensional null space, so a
     # certificate that looked only there would pass this generator
     gen = steady_state._build_generators([p])[0]
+    blocks = list(eigen_blocks(gen))
     # the first block of the second stack, dm = 2
-    index, D = gen.spectrum.liouville_block_groups[1][0], gen.eigen_blocks[1][0]
+    index, D = gen.spectrum.liouville_block_groups[1][0], blocks[1][0]
     u, s, vh = np.linalg.svd(np.diag(_eigen_coherent(gen)[index]) + D)
-    blocks = list(gen.eigen_blocks)
     blocks[1] = blocks[1].copy()
     blocks[1][0] = D - s[-1] * np.outer(u[:, -1], vh[-1])
-    singular = copy.copy(gen)
-    vars(singular)["eigen_blocks"] = tuple(blocks)  # the lazy attribute, already built
-    # a harmonic solve reads its generators' blocks, a local one builds
-    # them as stacks over its points
-    monkeypatch.setattr(steady_state, "_build_generators", lambda points: [singular])
+    # a harmonic solve cuts each point's blocks, a local one builds them as
+    # stacks over its points
+    monkeypatch.setattr(global_me, "_eigen_blocks", lambda gen: tuple(blocks))
     monkeypatch.setattr(local_me, "_eigen_blocks", lambda gens: tuple(blocks))
     with pytest.raises(DegenerateSteadyStateError):
         solve_point(p)
@@ -491,9 +487,10 @@ def _capture_null_scale(monkeypatch, edit=None):
 def test_pauli_certificate_sees_the_singular_values_of_the_whole_generator(monkeypatch):
     p = global_point(B=(0.37, 0.61, 0.83))
     seen = _capture_null_scale(monkeypatch)
+    cut = cut_eigen_blocks(monkeypatch)
     gen = solve_point(p).generators
     monkeypatch.undo()
-    assert "eigen_blocks" not in vars(gen)
+    assert cut == []
     # the rate matrix's 8 and the 56 coherence moduli, each counted once
     [(singular_values, weights)] = seen
     assert weights == (1, 1) and [s.size for s in singular_values] == [8, 56]
@@ -546,25 +543,26 @@ def test_fully_secular_point_makes_one_small_svd_and_builds_no_block(monkeypatch
         return real(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", svd)
+    cut = cut_eigen_blocks(monkeypatch)
     sol = solve_point(global_point(B=(0.37, 0.61, 0.83)))
     assert shapes == [(8, 8)]
-    assert "eigen_blocks" not in vars(sol.generators)
+    assert cut == []
     assert sol.population_closed and sol.populations is not None
     # the block route certifies one stack of blocks per size
     block_shapes = [(1, 20, 20), (1, 15, 15), (1, 6, 6), (1, 1, 1)]
     shapes.clear()
     sol = solve_point(UNCLOSED_HARMONIC)
-    assert shapes == block_shapes and "eigen_blocks" in vars(sol.generators)
+    assert shapes == block_shapes and len(cut) == 1 and cut[-1] is sol.generators
     # a secular point without populations falls back to it
     monkeypatch.setattr(steady_state, "_gth_population", lambda M: None)
     shapes.clear()
     sol = solve_point(global_point(B=(0.37, 0.61, 0.83)))
-    assert shapes == [(8, 8)] + block_shapes and "eigen_blocks" in vars(sol.generators)
+    assert shapes == [(8, 8)] + block_shapes and len(cut) == 2 and cut[-1] is sol.generators
     assert sol.population_closed and sol.populations is None
 
 
 @pytest.mark.filterwarnings("ignore::triqubit.errors.SecularValidityWarning")
-def test_every_bundled_harmonic_point_is_fully_secular():
+def test_every_bundled_harmonic_point_is_fully_secular(monkeypatch):
     # the module docstring's claim: every global_scatter point is fully
     # secular, and such a point is solved on its Pauli rate matrix; a few
     # points warn that gamma is not small against their Bohr spacings
@@ -573,8 +571,10 @@ def test_every_bundled_harmonic_point_is_fully_secular():
     assert len(points) == 1000
     for k, p in enumerate(points):
         assert site_rate_matrices(build_global_generators(p))[2], k
+    cut = cut_eigen_blocks(monkeypatch)
     for k, p in enumerate(points[:200]):
-        assert "eigen_blocks" not in vars(solve_point(p).generators), k
+        solve_point(p)
+        assert cut == [], k
 
 
 @pytest.mark.parametrize("T", [0.05, 0.02, 0.01, 0.005])
@@ -638,13 +638,14 @@ def _solved_records(points, monkeypatch):
 
 def test_pauli_route_keeps_the_bits_of_the_block_route(monkeypatch):
     points = _config_points("global_scatter", 1000)
-    records, sols = _solved_records(points, monkeypatch)
     # every one of them is fully secular, and solved without its blocks
-    assert len(sols) == len(points)
-    assert not any("eigen_blocks" in vars(sol.generators) for sol in sols)
+    cut = cut_eigen_blocks(monkeypatch)
+    records, sols = _solved_records(points, monkeypatch)
+    assert len(sols) == len(points) and cut == []
     _deny_secular(monkeypatch)
     block_records, block_sols = _solved_records(points, monkeypatch)
-    assert all("eigen_blocks" in vars(sol.generators) for sol in block_sols)
+    assert len(cut) == len(points)
+    assert all(gen is sol.generators for gen, sol in zip(cut, block_sols, strict=True))
     for k, (rec, sol, block_rec, block_sol) in enumerate(
             zip(records, sols, block_records, block_sols, strict=True)):
         assert rec.flags == block_rec.flags, k

@@ -39,7 +39,8 @@ from triqubit.thermo import DEFAULT_EPSILON, Regime
 
 import oracles
 from conftest import (
-    BOOST, GLOBAL_SCATTER, LOCAL_SCATTER, MASTER_SEED, VALVE, global_point, local_point,
+    BOOST, GLOBAL_SCATTER, LOCAL_SCATTER, MASTER_SEED, VALVE, break_mi_bound, global_point,
+    local_point,
 )
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -207,9 +208,12 @@ def test_a_records_reports_are_those_of_its_point_alone(p, reported):
             assert rec.thermo is None and rec.correlations is None
             continue
         sol = solve_point(p)
+        [co] = correlations._correlation_rows(sol.rho[None], (p,))
+        [(cells, broken)] = thermo._thermo_rows([sol], DEFAULT_EPSILON, [(co[:3], co[3:6])])
+        assert broken == ()
         # repr spells every float to its last bit
-        assert repr(rec.thermo) == repr(thermo.thermo_report(sol))
-        assert repr(rec.correlations) == repr(correlations.correlation_report(sol.rho, p))
+        assert repr(rec.thermo) == repr(thermo._thermo_view(cells, p, DEFAULT_EPSILON))
+        assert repr(rec.correlations) == repr(correlations._correlation_view(co))
         assert rec.thermo is rec.thermo and rec.correlations is rec.correlations
 
 
@@ -645,27 +649,27 @@ def test_stacked_solves_keep_the_bits_of_one_point_solves():
     _assert_solved_alone(_harmonic_run())
 
 
-def _assert_reported_alone(run, epsilon=DEFAULT_EPSILON):
-    """The stacked reports of run's solutions are field by field those of each point alone."""
-    sols = steady_state.solve_points(run)
+def _report_passes(sols, epsilon):
+    """The rows of each report pass of the record body over sols, the local currents' too."""
     rhos = np.array([sol.rho for sol in sols])
-    rows = thermo._thermo_rows(sols, epsilon)
-    assert [broken for _, broken in rows] == [()] * len(run)
-    pairs = [([correlations._correlation_view(row)
-               for row in correlations._correlation_rows(rhos, run)],
-              [correlations.correlation_report(sol.rho, p) for p, sol in zip(run, sols)]),
-             ([thermo._thermo_view(cells, p, epsilon) for (cells, _), p in zip(rows, run)],
-              [thermo.thermo_report(sol, epsilon) for sol in sols])]
-    if run[0].bath_model == "repeated_interaction":
+    co = correlations._correlation_rows(rhos, [sol.params for sol in sols])
+    passes = [co, thermo._thermo_rows(sols, epsilon, [(row[:3], row[3:6]) for row in co])]
+    if sols[0].params.bath_model == "repeated_interaction":
         columns = local_me._current_columns(rhos, [sol.generators for sol in sols])
-        alone = [local_me.local_current_set(sol.rho, sol.generators) for sol in sols]
-        pairs.append((list(zip(*(column.tolist() for column in columns))),
-                      [(list(cs.q), list(cs.Q), cs.W, [cs.C[flow] for flow in local_me.FLOWS])
-                       for cs in alone]))
-    for stacked, alone in pairs:
-        assert len(stacked) == len(run)
+        passes.append(list(zip(*(column.tolist() for column in columns))))
+    return passes
+
+
+def _assert_reported_alone(run, epsilon=DEFAULT_EPSILON):
+    """The report passes over run's solutions give the rows of a stack of each point alone."""
+    sols = steady_state.solve_points(run)
+    stacked = _report_passes(sols, epsilon)
+    assert [broken for _, broken in stacked[1]] == [()] * len(run)
+    alone = [_report_passes([sol], epsilon) for sol in sols]
+    for kind, rows in enumerate(stacked):
+        assert len(rows) == len(run)
         # repr spells every float to its last bit, signed zeros included
-        assert [repr(r) for r in stacked] == [repr(r) for r in alone]
+        assert [repr(row) for row in rows] == [repr(passes[kind][0]) for passes in alone]
 
 
 def test_stacked_reports_keep_the_bits_of_one_point_reports():
@@ -703,6 +707,32 @@ def _valve_chunk():
     orders = [_sector_order(p) for p in points]
     assert len(set(orders[:-1])) == 1 and orders[-1] != orders[0]
     return cfg, points
+
+
+def test_a_point_below_its_mi_bound_is_an_error_row_on_its_own_index(monkeypatch):
+    # the record body judges the MI bound with the other laws: alone, and
+    # inside a chunk that is solved once and not split, the point is an
+    # error row and its neighbours keep their rows
+    cfg, points = _valve_chunk()
+    alone = [replace(evaluate_point(p, cfg.epsilon), index=k) for k, p in enumerate(points)]
+    assert not any(rec.flags for rec in alone)
+    broken = 4
+    break_mi_bound(monkeypatch, points[broken])
+    rec = evaluate_point(points[broken], cfg.epsilon)
+    assert rec.flags == ("error:NumericalConsistencyError",)
+    assert rec.row == (None,) * len(sweeps.VALUE_COLUMNS) and rec.thermo is None
+    solves = []
+    real = steady_state.solve_points
+    monkeypatch.setattr(sweeps, "solve_points", lambda run: solves.append(len(run)) or real(run))
+    monkeypatch.setattr(sweeps, "solve_point", None)
+    records = sweeps._evaluate_many(points, cfg.epsilon, 1, len(points))
+    assert solves == [len(points)]
+    for k, rec in enumerate(records):
+        if k == broken:
+            assert rec.index == k and rec.flags == ("error:NumericalConsistencyError",)
+            assert rec.row == (None,) * len(sweeps.VALUE_COLUMNS)
+        else:
+            assert rec == alone[k]
 
 
 def test_a_chunk_of_two_sector_orders_is_solved_stacked(monkeypatch):

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 from triqubit import (
-    Regime, classify_regime, correlation_report, solve_point, sweeps, thermo, thermo_report,
+    Regime, classify_regime, correlations, evaluate_point, local_me, solve_point, sweeps, thermo,
 )
 from triqubit.errors import DomainError, ImpossibleCurrentsError, NumericalConsistencyError
-from triqubit.local_me import local_current_set
+from triqubit.local_me import FLOWS, CurrentSet
 from triqubit.sweeps import SweepConfig, draw_params
 from triqubit.thermo import (
     DEFAULT_EPSILON, HARMONIC_REGIMES, Role, ThermoReport, continuity_residuals,
@@ -25,6 +25,13 @@ from conftest import BOOST, HARMONIC_TAIL, UNCLOSED_HARMONIC, VALVE, global_poin
 from oracles import (
     cop_metrics, entropy_production, invariant_violations, otto_conditions_and_trapezoid,
 )
+
+
+def _broken(sol, epsilon=DEFAULT_EPSILON):
+    """The laws sol breaks, as the record body's one pass judges them on its correlations."""
+    [co] = correlations._correlation_rows(sol.rho[None], (sol.params,))
+    [(_, broken)] = thermo._thermo_rows([sol], epsilon, [(co[:3], co[3:6])])
+    return broken
 
 
 # one representative (Q1, Q2, Q3, W) per labeled regime
@@ -118,8 +125,7 @@ def test_trapezoid_membership():
 
 def test_continuity_residuals_balance():
     p = local_point(B=(0.9, 2.7, 4.1), gamma=(0.4, 0.8, 0.15))
-    sol = solve_point(p)
-    rep = thermo_report(sol)
+    rep = evaluate_point(p).thermo
     scale = max(abs(q) for q in rep.currents.q)
     assert max(abs(r) for r in continuity_residuals(rep.currents)) < 1e-9 * scale
 
@@ -129,8 +135,7 @@ def test_submachine_decomposition():
         B=(BOOST["B1"], 3.0, BOOST["B3"]), gamma=BOOST["gamma"],
         J=BOOST["J"], Delta=BOOST["Delta"],
     )
-    sol = solve_point(p)
-    rep = thermo_report(sol)
+    rep = evaluate_point(p).thermo
     assert rep.regime is Regime.IV
     subs = {f.pair: f for f in rep.submachines}
     assert set(subs) == {(1, 2), (1, 3), (2, 3)}
@@ -155,8 +160,7 @@ def test_all_refrigerator_submachines():
         B=(VALVE["B1"], 1.0, VALVE["B3"]), gamma=(0.5, 0.5, 0.5),
         J=VALVE["J"], Delta=VALVE["Delta"],
     )
-    sol = solve_point(p)
-    rep = thermo_report(sol)
+    rep = evaluate_point(p).thermo
     subs = {f.pair: f for f in rep.submachines}
     for (i, j), f in subs.items():
         assert f.role is Role.REFRIGERATOR
@@ -166,7 +170,7 @@ def test_all_refrigerator_submachines():
 
 def test_thermo_report_local_laws():
     p = local_point(B=(0.9, 2.7, 4.1), gamma=(0.4, 0.8, 0.15))
-    rep = thermo_report(solve_point(p))
+    rep = evaluate_point(p).thermo
     scale = max(abs(rep.W), max(abs(q) for q in rep.Q))
     assert rep.first_law_residual < 1e-10 * scale
     assert rep.magnetization_residual < 1e-10 * scale
@@ -175,7 +179,7 @@ def test_thermo_report_local_laws():
 
 
 def test_thermo_report_global_shape():
-    rep = thermo_report(solve_point(global_point(B=(0.37, 0.61, 0.83))))
+    rep = evaluate_point(global_point(B=(0.37, 0.61, 0.83))).thermo
     assert rep.W == 0.0
     assert rep.currents is None
     assert rep.submachines is None
@@ -195,12 +199,13 @@ def test_sign_flipped_harmonic_entropy_production_is_caught(monkeypatch):
     # a weak-damping harmonic point has S_dot ~ 1e-11, far below any
     # absolute cut: the second-law check scales with the flows |Q_i|/T_i
     path = Path(__file__).resolve().parent.parent / "configs" / "global_scatter.json"
-    sol = solve_point(draw_params(SweepConfig(**json.loads(path.read_text())), 0))
-    assert 0.0 < thermo_report(sol).S_dot < 1e-9
+    p = draw_params(SweepConfig(**json.loads(path.read_text())), 0)
+    assert 0.0 < evaluate_point(p).thermo.S_dot < 1e-9
     honest = thermo._harmonic_heat_currents
     monkeypatch.setattr(thermo, "_harmonic_heat_currents", lambda s: tuple(-q for q in honest(s)))
-    with pytest.raises(NumericalConsistencyError):
-        thermo_report(sol)
+    assert _broken(solve_point(p)) == ("Second Law",)
+    rec = evaluate_point(p)
+    assert rec.flags[0] == "error:NumericalConsistencyError" and rec.thermo is None
 
 
 @lru_cache(maxsize=None)
@@ -211,8 +216,8 @@ def _solved_case(model):
     else:
         path = Path(__file__).resolve().parent.parent / "configs" / "global_scatter.json"
         p = draw_params(SweepConfig(**json.loads(path.read_text())), 0)
-    sol = solve_point(p)
-    return p, thermo_report(sol), correlation_report(sol.rho, p)
+    rec = evaluate_point(p)
+    return p, rec.thermo, rec.correlations
 
 
 def _break(name, rep, co):
@@ -272,16 +277,18 @@ def test_currents_under_the_floor_are_exempt_from_conservation():
 
 
 def test_thermo_report_raises_when_the_work_misses_the_first_law(monkeypatch):
-    sol = solve_point(local_point(B=(0.9, 2.7, 4.1), gamma=(0.4, 0.8, 0.15)))
-    honest = thermo.local_current_set
+    p = local_point(B=(0.9, 2.7, 4.1), gamma=(0.4, 0.8, 0.15))
+    honest = thermo._current_columns
 
-    def shifted(rho, gen):
-        cs = honest(rho, gen)
-        return replace(cs, W=cs.W + 1e-8 * max(abs(q) for q in cs.Q))
+    def shifted(rhos, gens):
+        q, Q, W, C = honest(rhos, gens)
+        return q, Q, W + 1e-8 * np.abs(Q).max(axis=1), C
 
-    monkeypatch.setattr(thermo, "local_current_set", shifted)
-    with pytest.raises(NumericalConsistencyError, match="First Law"):
-        thermo_report(sol)
+    monkeypatch.setattr(thermo, "_current_columns", shifted)
+    assert _broken(solve_point(p)) == ("First Law",)
+    # the record body makes the point an error row
+    rec = evaluate_point(p)
+    assert rec.flags == ("error:NumericalConsistencyError",) and rec.thermo is None
 
 
 def test_coherence_currents_must_be_real():
@@ -289,7 +296,7 @@ def test_coherence_currents_must_be_real():
     # coherences that are not Hermitian leave an imaginary residue
     sol = solve_point(UNCLOSED_HARMONIC)
     assert sol.populations is None
-    assert thermo._harmonic_heat_currents(sol) == thermo_report(sol).Q
+    assert thermo._harmonic_heat_currents(sol) == evaluate_point(UNCLOSED_HARMONIC).thermo.Q
     off = 1.0 - np.eye(8)
     skewed = replace(sol, rho_eig=sol.rho_eig + 1e-3j * off)
     with pytest.raises(NumericalConsistencyError, match="heat current has imaginary residue"):
@@ -312,7 +319,7 @@ def test_no_harmonic_draw_misses_the_first_law_by_more_than_1e_12():
     ]
     missed = {}
     for k, p in enumerate(points):
-        Q = thermo_report(solve_point(p), epsilon=cfg.epsilon).Q
+        Q = thermo._harmonic_heat_currents(solve_point(p))
         scale = max(map(abs, Q))
         if scale > thermo._current_floor(p) and abs(math.fsum(Q)) > 1e-12 * scale:
             missed[k] = abs(math.fsum(Q)) / scale
@@ -322,18 +329,20 @@ def test_no_harmonic_draw_misses_the_first_law_by_more_than_1e_12():
 def _oracle_report(sol, epsilon):
     """(report, broken laws) of sol, its bookkeeping taken one scalar function at a time.
 
-    The route thermo_report took before the bookkeeping of a run became one
-    pass over its rows: the oracles cop_metrics, otto_conditions_and_trapezoid
-    and entropy_production, then submachine_report and classify_regime, on
-    the point's own currents.
+    The route the report of one point took before the bookkeeping of a run
+    became one pass over its rows: the oracles cop_metrics,
+    otto_conditions_and_trapezoid and entropy_production, then
+    submachine_report and classify_regime, on the point's own currents, a
+    stack of one of the local current pass.
     """
     p = sol.params
     if p.bath_model == "harmonic":
         currents, Q, W = None, thermo._harmonic_heat_currents(sol), 0.0
         submachines, first_law, magnetization = None, abs(math.fsum(Q)), None
     else:
-        currents = local_current_set(sol.rho, sol.generators)
-        Q, W = currents.Q, currents.W
+        q, Q, W, C = (column[0].tolist()
+                      for column in local_me._current_columns(sol.rho[None], (sol.generators,)))
+        currents = CurrentSet(Q=tuple(Q), W=W, q=tuple(q), C=dict(zip(FLOWS, C)))
         submachines = submachine_report(currents, p.B, p.T, epsilon)
         first_law, magnetization = abs(W + math.fsum(Q)), abs(math.fsum(currents.q))
     metrics = cop_metrics(Q, W, p.T, p.B)
@@ -408,19 +417,18 @@ def test_stacked_bookkeeping_keeps_the_bits_of_the_scalar_oracles(monkeypatch):
             # a harmonic point's build warnings are flags of its record
             warned = tuple(dict.fromkeys(
                 f"warn:{type(w).__name__}" for w in sol.generators.build_warnings))
+            # the run of one of the point gives its record
+            alone = sweeps.Records.from_rows(
+                [k], [sol.params], *zip(*body([sol.params], DEFAULT_EPSILON, [sol])))
+            assert repr(alone[0]) == repr(rec)
             if broken:
                 seen["broken"].append(k)
                 assert rec.flags == ("error:NumericalConsistencyError",) + warned
                 assert rec.thermo is None and rec.correlations is None and rec.residual is None
-                with pytest.raises(NumericalConsistencyError) as raised:
-                    thermo_report(sol)
-                assert str(raised.value) == (
-                    f"steady state breaks {', '.join(broken)}: Q = {report.Q}, "
-                    f"W = {report.W!r}, S_dot = {report.S_dot:.3e}")
+                assert _broken(sol) == broken
                 continue
             # repr spells every float to its last bit, signed zeros included
             assert repr(rec.thermo) == repr(report)
-            assert repr(thermo_report(sol)) == repr(report)
             assert rec.flags == warned
             seen["roles"] |= {f.role for f in report.submachines or ()}
             seen["regimes"].add(report.regime)
