@@ -9,7 +9,9 @@ rows carry flags (the harmonic grid at gamma = 0.05, where every row
 carries the warning of its generator build; the grid from B2 = 0, whose
 row 0 is an error and whose first chunk is split into runs of one; and a
 near-equilibrium harmonic grid where 99 rows break the first law, a
-count that the rate-matrix bits decide), ``point`` stdout
+count that the rate-matrix bits decide), the header-only ``sweep-boost``
+CSV of an empty refrigerator window (B2 in [0.5, 0.6]), whose header
+names the boost scan's extra columns, ``point`` stdout
 of the point config and of an unclosed harmonic point set over it, and
 ``validate --samples 200`` stdout of both scatter configs) with the
 ``src/`` of each checkout, in one subprocess per checkout and both on
@@ -115,6 +117,10 @@ def _runs():
     yield "sweep-boost boost", ["sweep-boost", "--config", "boost"], "csv"
     yield ("sweep-boost boost --workers 2",
            ["sweep-boost", "--config", "boost", "--workers", "2"], "csv")
+    # no absorption refrigerator on the grid: no row, the boost header
+    yield ("sweep-boost boost empty-window",
+           ["sweep-boost", "--config", "boost", "--set", "B2_min=0.5", "--set", "B2_max=0.6",
+            "--set", "n_points=5"], "csv")
     yield "point point", ["point", "--config", "point"], "stdout"
     # an unclosed harmonic point, the one output whose currents read coherences
     yield ("point point unclosed-harmonic",

@@ -153,6 +153,15 @@ def _stages(cfg, indices, all_points, out_dir):
     return stages + ([edge] if edge else [])
 
 
+def _indexed(sweeps) -> bool:
+    """Whether the checkout's Records carry an index column, as older checkouts' do.
+
+    Those also give each run to _share_records and _ForkedShare as a task
+    (start, points, epsilon) rather than as its points, with epsilon apart.
+    """
+    return "index" in inspect.signature(sweeps.Records).parameters
+
+
 def _report_half(sweeps):
     """f(points, sols, epsilon): the Records of a run from its solutions sols.
 
@@ -161,9 +170,10 @@ def _report_half(sweeps):
     it replaced, sweeps._chunk_records, so that the timings of older
     checkouts read side by side with it.
     """
+    indexed = _indexed(sweeps)
     return lambda points, sols, epsilon: sweeps.Records.from_rows(
-        range(len(points)), points, *zip(*sweeps._run_records(points, epsilon, sols)),
-        epsilon=epsilon)
+        *([range(len(points))] if indexed else []), points,
+        *zip(*sweeps._run_records(points, epsilon, sols)), epsilon=epsilon)
 
 
 def _transport(sweeps, points, epsilon, chunk):
@@ -173,12 +183,17 @@ def _transport(sweeps, points, epsilon, chunk):
     beforehand; a run encodes its records as the forked process does and
     decodes them as the invoking process does.
     """
-    runs = 2 * math.ceil(len(points) / (2 * chunk))
-    size = math.ceil(len(points) / runs)
-    tasks = [(start, points[start:start + size], epsilon) for start in range(0, len(points), size)]
-    share = tasks[len(tasks) // 2:]
-    records = sweeps._share_records(share)
-    share_points = [p for _, run, _ in share for p in run]
+    count = 2 * math.ceil(len(points) / (2 * chunk))
+    size = math.ceil(len(points) / count)
+    starts = range(0, len(points), size)
+    starts = starts[len(starts) // 2:]  # the forked process's share of the runs
+    share = [points[start:start + size] for start in starts]
+    if _indexed(sweeps):
+        records = sweeps._share_records([(start, run, epsilon)
+                                         for start, run in zip(starts, share)])
+    else:
+        records = sweeps._share_records(share, epsilon)
+    share_points = [p for run in share for p in run]
 
     def run():
         sweeps._share_columns(sweeps._share_payload(records), share_points, epsilon)
@@ -224,9 +239,10 @@ def _round_trip_note(sweeps) -> str:
     """
     import resource
 
+    args = ([],) if _indexed(sweeps) else ([], sweeps.DEFAULT_EPSILON)
     before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     start = time.perf_counter_ns()
-    sweeps._ForkedShare([]).records()
+    sweeps._ForkedShare(*args).records()
     ms = (time.perf_counter_ns() - start) / 1e6
     faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
     return (f"pool fixed cost: an empty two-worker round trip takes {ms:.2f} ms "

@@ -26,15 +26,7 @@ import numpy as np
 from . import sweeps
 from .errors import DomainError, TriqubitError
 from .model import BATH_REPEATED_INTERACTION, ModelParams
-from .sweeps import (
-    BOOST_COLUMNS,
-    VALVE_COLUMNS,
-    GridScanConfig,
-    SweepConfig,
-    evaluate_point,
-    random_sweep,
-    write_records,
-)
+from .sweeps import GridScanConfig, SweepConfig, evaluate_point, random_sweep, write_records
 from .thermo import DEFAULT_EPSILON, LAWS, LOCAL_LAWS, checked_epsilon
 
 _POINT_KEYS = frozenset(f.name for f in fields(ModelParams)) | {"epsilon"}
@@ -129,8 +121,8 @@ def _cmd_point(args) -> int:
 
 
 def _failed_indices(records) -> list:
-    """The indices of the error records of a sweep's Records, read off its columns."""
-    return [index for index, flags in zip(records.index.tolist(), records.flags)
+    """The indices of the error records of a sweep's Records, read off its flags."""
+    return [index for index, flags in enumerate(records.flags)
             if any(f.startswith("error:") for f in flags)]
 
 
@@ -155,13 +147,13 @@ def _sweep_config(args, cls):
     return cls(**data)
 
 
-# sweep command -> (config class, name of the driver in sweeps, scan name,
-# extra CSV columns); the driver is looked up when the command runs, so a
-# wrapper put on the sweeps module (a tracer, a test spy) sees the call
+# sweep command -> (config class, name of the driver in sweeps, scan name);
+# the driver is looked up when the command runs, so a wrapper put on the
+# sweeps module (a tracer, a test spy) sees the call
 _SWEEPS = {
-    "sweep-random": (SweepConfig, "random_sweep", "random", ()),
-    "sweep-valve": (GridScanConfig, "valve_sweep", "valve", VALVE_COLUMNS),
-    "sweep-boost": (GridScanConfig, "boost_scan", "boost", BOOST_COLUMNS),
+    "sweep-random": (SweepConfig, "random_sweep", "random"),
+    "sweep-valve": (GridScanConfig, "valve_sweep", "valve"),
+    "sweep-boost": (GridScanConfig, "boost_scan", "boost"),
 }
 
 
@@ -184,12 +176,12 @@ def _check_writable(path, what: str) -> None:
 
 
 def _cmd_sweep(args) -> int:
-    cls, driver, scan_name, columns = _SWEEPS[args.command]
+    cls, driver, scan_name = _SWEEPS[args.command]
     cfg = _sweep_config(args, cls)
     # before the sweep, so that an unwritable --out costs no point
     _check_writable(args.out, "records")
     records = getattr(sweeps, driver)(cfg, workers=args.workers)
-    write_records(records, args.out, scan_name, cfg, extra_columns=columns)
+    write_records(records, args.out, scan_name, cfg)
     if not records:  # only a boost scan over an empty window yields none
         print(f"empty refrigerator window; wrote header-only {args.out}")
         return 0

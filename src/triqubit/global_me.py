@@ -155,9 +155,10 @@ def jump_operators(spectrum: Spectrum) -> tuple:
     Returns one JumpSet per site, site 1 first. The Bohr frequencies are
     those of the one Hamiltonian, so one clustering serves every site, and
     the one basis change, of the three sigma_x^i into the eigenbasis, is
-    one _sandwich. Frequencies closer than tol = 1e-9 max(1, max |E|)
-    merge into one cluster, a cluster wider than 10 tol raises
-    ClusteringError, and the frequencies within tol of zero are discarded.
+    one _sandwich. Frequencies closer than tol = 1e-9 max |E| (no absolute
+    floor: tol scales with H, and is 0 for H = 0) merge into one cluster, a
+    cluster wider than 10 tol raises ClusteringError, and the frequencies
+    within tol of zero are discarded.
     A cluster is kept for a site where its amplitudes' Frobenius norm
     exceeds 1e-12 sqrt(d).
     """
@@ -165,7 +166,7 @@ def jump_operators(spectrum: Spectrum) -> tuple:
     V = spectrum.vectors
     d = spectrum.dim
     n_sites = d.bit_length() - 1
-    tol = 1e-9 * max(1.0, float(np.max(np.abs(E))))
+    tol = 1e-9 * float(np.max(np.abs(E)))
     sx_eig = _sandwich(V.conj().T, _site_couplings(n_sites), V)
 
     diff = E[None, :] - E[:, None]  # diff[a, b] = E_b - E_a

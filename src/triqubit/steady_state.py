@@ -500,18 +500,10 @@ def relaxation_time(L: np.ndarray) -> float:
     return 1.0 / float(rates.min())
 
 
-def steady_state_via_evolution(
-    L: np.ndarray, rho0: np.ndarray = None, t_final: float = None, dt: float = None
-) -> SteadyStateResult:
-    """Independent steady-state estimate by long-time propagation."""
-    d2 = L.shape[0]
-    d = int(round(math.sqrt(d2)))
-    if rho0 is None:
-        rho0 = np.eye(d, dtype=complex) / d
-    if t_final is None:
-        t_final = 50.0 * relaxation_time(L)
-    if dt is None:
-        dt = 0.05 / float(np.linalg.norm(L, 2))
-    rho = evolve_oracle(L, rho0, t_final, dt)
+def steady_state_via_evolution(L: np.ndarray) -> SteadyStateResult:
+    """Independent steady state: evolve_oracle from I/d for 50 relaxation times, dt 0.05/||L||."""
+    d = int(round(math.sqrt(L.shape[0])))
+    rho = evolve_oracle(L, np.eye(d, dtype=complex) / d, 50.0 * relaxation_time(L),
+                        0.05 / float(np.linalg.norm(L, 2)))
     res = float(np.linalg.norm(L @ vec(rho)))
     return SteadyStateResult(rho=rho, residual=res)

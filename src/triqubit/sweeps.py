@@ -12,21 +12,21 @@ the config, never on execution order. Point evaluations are pure, which
 makes the output byte-identical for any worker count. N workers are N
 processes evaluating points, this one included: N workers make N - 1
 os.fork calls, each child evaluating its share of the runs and sending
-back the columns of its records, raw int64, float64 and bool buffers and
-a flags list, as one pickle on a pipe of its own; one worker forks none.
+back the columns of its records, raw float64 and bool buffers and a
+flags list, as one pickle on a pipe of its own; one worker forks none.
 No process pool library is loaded, and where there is no os.fork the runs
 are evaluated in this process.
 
 Every driver returns its records as Records: columns, one row per record,
-that index as SweepRecords. A record is its row of VALUE_COLUMNS: a
-SweepRecord builds its thermo and correlation reports from the row on
-first read, so a sweep builds no report on its way to the CSV.
-write_records, the valve labels, the boost extras and the edge search read
-the columns and rows.
+that index as SweepRecords. Row k is sample index k, and the extra columns
+are the CSV's. A record is its row of VALUE_COLUMNS: a SweepRecord builds
+its thermo and correlation reports from the row on first read, so a sweep
+builds no report on its way to the CSV. write_records, the valve labels,
+the boost extras and the edge search read the columns and rows.
 
 Every record is made by one body, _run_records, from a run of points.
 Grid scans of either bath model solve their points in chunks:
-_evaluate_many gives each task a run of up to _GRID_CHUNK consecutive
+_evaluate_many cuts the points into runs of up to _GRID_CHUNK consecutive
 points, and steady_state.solve_points solves the points of a run that
 share a sector order as one stack, each with the bits it gets alone, so
 the output does not depend on the chunk size either. The currents and
@@ -62,7 +62,6 @@ from .errors import DomainError, NumericalConsistencyError, TriqubitError
 from .model import (
     BATH_HARMONIC,
     BATH_MODELS,
-    PAIRS,
     ModelParams,
     _triple,
     as_number,
@@ -312,21 +311,21 @@ def evaluate_point(params: ModelParams, epsilon: float = DEFAULT_EPSILON) -> Swe
 class Records(Sequence):
     """Evaluated points as columns, read as a sequence of SweepRecords.
 
-    Row k is one record: index[k], params[k], flags[k], the numbers of its
-    reports and its residual in values[k] (VALUE_COLUMNS), and
-    extra[name][k] for each scan-specific column. empty[k] marks the cells
-    that the record leaves None, where values[k] holds NaN: every thermo
-    cell of a record without a thermo report, and so on for its correlation
-    report and its residual. epsilon is the zero band its submachine roles
-    are read with.
-    Indexing gives the SweepRecord of row k, which builds its reports only
-    when they are read; write_records, the scan labels and the edge search
-    read the columns.
+    Row k is the record of sample index k: params[k], flags[k], the numbers
+    of its reports and its residual in values[k] (VALUE_COLUMNS), and
+    extra[name][k] for each scan-specific column, which are the CSV's
+    extra columns in insertion order. empty[k] marks the cells that the
+    record leaves None, where values[k] holds NaN: every thermo cell of a
+    record without a thermo report, and so on for its correlation report
+    and its residual. epsilon is the zero band its submachine roles are
+    read with.
+    Indexing gives the SweepRecord of row k, index k, which builds its
+    reports only when they are read; write_records, the scan labels and the
+    edge search read the columns.
     """
 
-    def __init__(self, index, params, values, empty, flags, extra=None,
+    def __init__(self, params, values, empty, flags, extra=None,
                  epsilon: float = DEFAULT_EPSILON):
-        self.index = np.asarray(index, dtype=np.int64)
         self.params = list(params)
         self.values = values
         self.empty = empty
@@ -335,46 +334,24 @@ class Records(Sequence):
         self.epsilon = epsilon
 
     @classmethod
-    def from_rows(cls, index, params, rows, flags, extra=None,
+    def from_rows(cls, params, rows, flags, extra=None,
                   epsilon: float = DEFAULT_EPSILON) -> "Records":
         """Records whose numbers are rows of VALUE_COLUMNS, None in the empty cells."""
         shape = (len(rows), len(VALUE_COLUMNS))
-        return cls(index, params, np.array(rows, dtype=float).reshape(shape),
+        return cls(params, np.array(rows, dtype=float).reshape(shape),
                    np.array([[v is None for v in row] for row in rows], dtype=bool).reshape(shape),
                    flags, extra, epsilon)
-
-    @classmethod
-    def from_records(cls, records, extra_columns: Sequence = (),
-                     epsilon: float = DEFAULT_EPSILON) -> "Records":
-        """The rows of a sequence of SweepRecords stacked, with their extras of extra_columns."""
-        records = list(records)
-        return cls.from_rows(
-            [rec.index for rec in records], [rec.params for rec in records],
-            [rec.row for rec in records], [tuple(rec.flags) for rec in records],
-            {name: [rec.extra.get(name) for rec in records] for name in extra_columns},
-            epsilon,
-        )
 
     @classmethod
     def concat(cls, parts: Sequence) -> "Records":
         """The rows of each of parts, one or more, in order; the extra columns are the first's."""
         return cls(
-            np.concatenate([part.index for part in parts]),
             [p for part in parts for p in part.params],
             np.concatenate([part.values for part in parts]),
             np.concatenate([part.empty for part in parts]),
             [f for part in parts for f in part.flags],
             {name: [v for part in parts for v in part.extra[name]] for name in parts[0].extra},
             parts[0].epsilon,
-        )
-
-    def take(self, rows: Sequence) -> "Records":
-        """The rows of the indices rows, in that order."""
-        return Records(
-            self.index[rows], [self.params[k] for k in rows], self.values[rows],
-            self.empty[rows], [self.flags[k] for k in rows],
-            {name: [column[k] for k in rows] for name, column in self.extra.items()},
-            self.epsilon,
         )
 
     def reported(self) -> np.ndarray:
@@ -390,7 +367,7 @@ class Records(Sequence):
         k = range(len(self))[k]
         row = tuple(None if gap else v
                     for v, gap in zip(self.values[k].tolist(), self.empty[k].tolist()))
-        return SweepRecord(int(self.index[k]), self.params[k], row, self.flags[k],
+        return SweepRecord(k, self.params[k], row, self.flags[k],
                            {name: column[k] for name, column in self.extra.items()}, self.epsilon)
 
     def __eq__(self, other):
@@ -453,12 +430,11 @@ def _flags(error: Optional[type], categories: list) -> tuple:
     return tuple(dict.fromkeys(names + [f"warn:{c.__name__}" for c in categories]))
 
 
-def _evaluate_chunk(task) -> list:
-    """The (row, flags) of each point of one chunk (start, points, epsilon), in order.
+def _evaluate_chunk(points: Sequence, epsilon: float) -> list:
+    """The (row, flags) of each point of one chunk, in order.
 
     A chunk of one point, as random sweeps make them, is one evaluate_point call.
     """
-    _, points, epsilon = task
     if len(points) == 1:
         rec = evaluate_point(points[0], epsilon)
         return [(rec.row, rec.flags)]
@@ -473,24 +449,23 @@ def _cpu_count() -> int:
         return os.cpu_count() or 1
 
 
-def _share_records(tasks: Sequence) -> Records:
-    """The records of the runs tasks (start, points, epsilon), in order, indexed from each start."""
-    pairs = [pair for task in tasks for pair in _evaluate_chunk(task)]
-    return Records.from_rows(
-        [start + k for start, points, _ in tasks for k in range(len(points))],
-        [p for _, points, _ in tasks for p in points],
-        [row for row, _ in pairs], [flags for _, flags in pairs],
-        epsilon=tasks[0][2] if tasks else DEFAULT_EPSILON)
+def _share_records(runs: Sequence, epsilon: float) -> Records:
+    """The records of the points of runs, run after run, in order."""
+    pairs = [pair for points in runs for pair in _evaluate_chunk(points, epsilon)]
+    return Records.from_rows([p for points in runs for p in points],
+                             [row for row, _ in pairs], [flags for _, flags in pairs],
+                             epsilon=epsilon)
 
 
 def _share_payload(records: Records) -> bytes:
     """The pickle of a share's records a forked share sends: ("records", their columns).
 
-    The columns are the index and the numbers of the records, as raw int64,
-    float64 and bool buffers, and their flags; the parameters are the
-    invoking process's own, and a share's records have no extra columns.
+    The columns are the numbers of the records, as raw float64 and bool
+    buffers, and their flags; a row's position is its place in the share,
+    the parameters are the invoking process's own, and a share's records
+    have no extra columns.
     """
-    return pickle.dumps(("records", (records.index, records.values, records.empty, records.flags)),
+    return pickle.dumps(("records", (records.values, records.empty, records.flags)),
                         protocol=pickle.HIGHEST_PROTOCOL)
 
 
@@ -501,14 +476,14 @@ def _share_columns(reply: bytes, points: Sequence, epsilon: float) -> Records:
         raise value
     if kind == "traceback":
         raise RuntimeError(f"a forked sweep worker failed:\n{value}")
-    index, values, empty, flags = value
-    return Records(index, points, values, empty, flags, epsilon=epsilon)
+    values, empty, flags = value
+    return Records(points, values, empty, flags, epsilon=epsilon)
 
 
-def _share_reply(tasks: Sequence) -> bytes:
+def _share_reply(runs: Sequence, epsilon: float) -> bytes:
     """The pickle a forked share sends: its _share_payload, or its failure."""
     try:
-        return _share_payload(_share_records(tasks))
+        return _share_payload(_share_records(runs, epsilon))
     except BaseException as exc:  # the invoking process raises it
         try:
             reply = pickle.dumps(("error", exc))
@@ -523,17 +498,19 @@ def _share_reply(tasks: Sequence) -> bytes:
 class _ForkedShare:
     """A share of the runs, evaluated in a forked process that pipes back one pickle.
 
-    The forked process holds the runs already, so nothing is sent to it.
-    It writes ("records", the columns of its records) or, if its share
-    raises, ("error", the exception), or ("traceback", its text) when the
-    exception does not pickle, and exits 0 once the whole pickle is
-    written. It leaves through os._exit in every case, so it never returns
-    into the caller's stack nor flushes the stdio buffers it inherited.
+    Each run is a list of points. The forked process holds the runs and
+    epsilon already, so nothing is sent to it; the rows it sends back
+    follow its points in order. It writes ("records", the columns of its
+    records) or, if its share raises, ("error", the exception), or
+    ("traceback", its text) when the exception does not pickle, and exits
+    0 once the whole pickle is written. It leaves through os._exit in every
+    case, so it never returns into the caller's stack nor flushes the stdio
+    buffers it inherited.
     """
 
-    def __init__(self, tasks: Sequence):
-        self.points = [params for _, points, _ in tasks for params in points]
-        self.epsilon = tasks[0][2] if tasks else DEFAULT_EPSILON
+    def __init__(self, runs: Sequence, epsilon: float):
+        self.points = [p for points in runs for p in points]
+        self.epsilon = epsilon
         read, write = os.pipe()
         try:
             self.pid = os.fork()
@@ -546,7 +523,7 @@ class _ForkedShare:
             try:
                 os.close(read)
                 with os.fdopen(write, "wb") as pipe:
-                    pipe.write(_share_reply(tasks))
+                    pipe.write(_share_reply(runs, epsilon))
                 code = 0
             finally:
                 os._exit(code)
@@ -581,10 +558,10 @@ class _ForkedShare:
 
 
 def _evaluate_many(points: Sequence, epsilon: float, workers: int, chunk: int = 1) -> Records:
-    """Records of points[k] at index k, in index order, on up to `workers` processes.
+    """Records of points[k] at row k, in index order, on up to `workers` processes.
 
-    The points go in runs of at most chunk, each run one task, as few
-    runs as that allows, rounded up to a multiple of the workers, of as
+    The points are cut into runs of at most chunk consecutive points, as
+    few runs as that allows, rounded up to a multiple of the workers, of as
     even a size as they can be. A run of one point is one evaluate_point
     call; random sweeps pass chunk 1, for the benchmark's tracer counts a
     point as one evaluate_point call. A longer run is one _run_records
@@ -597,31 +574,31 @@ def _evaluate_many(points: Sequence, epsilon: float, workers: int, chunk: int = 
 
     This process is one of the workers: the runs go in `workers` shares
     of consecutive runs, and this process evaluates the first,
-    len(tasks) // workers runs, itself. Each other share is one
+    len(runs) // workers runs, itself. Each other share is one
     _ForkedShare, one os.fork and one os.pipe, so `workers` 2 forks one
     process; they are forked before this process starts on its own
     share. Then each pipe is read to EOF, its process reaped and its
     columns joined to the parameters this process holds, and the failure
-    of a share is raised here. If this process's own share
+    of a share is raised here. The shares' records are joined in order,
+    so each row's position is its index. If this process's own share
     raises, KeyboardInterrupt included, every process still running is
     killed and reaped: none outlives the call. No more workers run than
     there are points or usable CPUs, and where there is no os.fork the
     runs are evaluated here, one after the other.
     """
     workers = max(1, min(workers, len(points), _cpu_count()))
-    runs = workers * math.ceil(len(points) / (workers * chunk))
-    size = math.ceil(len(points) / runs) if runs else 1
-    tasks = [(start, points[start:start + size], epsilon)
-             for start in range(0, len(points), size)]
-    workers = min(workers, len(tasks))
+    count = workers * math.ceil(len(points) / (workers * chunk))
+    size = math.ceil(len(points) / count) if count else 1
+    runs = [points[start:start + size] for start in range(0, len(points), size)]
+    workers = min(workers, len(runs))
     if workers <= 1 or not hasattr(os, "fork"):
-        return _share_records(tasks)
-    bounds = [k * len(tasks) // workers for k in range(workers + 1)]
+        return _share_records(runs, epsilon)
+    bounds = [k * len(runs) // workers for k in range(workers + 1)]
     shares = []
     try:
         for k in range(1, workers):
-            shares.append(_ForkedShare(tasks[bounds[k]:bounds[k + 1]]))
-        parts = [_share_records(tasks[:bounds[1]])]
+            shares.append(_ForkedShare(runs[bounds[k]:bounds[k + 1]], epsilon))
+        parts = [_share_records(runs[:bounds[1]], epsilon)]
         parts += [share.records() for share in shares]
     finally:
         for share in shares:
@@ -841,16 +818,17 @@ def _locate_edge(cfg: GridScanConfig, b2: Sequence, w: Sequence, solved: dict) -
 def boost_scan(cfg: GridScanConfig, workers: int = 1) -> Records:
     """Scan the refrigerator window and append its zero-work edge point.
 
-    Returns no records when no grid point is an absorption refrigerator
-    (the window is empty for the given fields). The edge search reads the
-    grid's columns and solves no B2 twice; if a solve fails during it, the
-    last nonpositive-work grid record is flagged "edge_failed" and no edge
-    is appended.
+    Returns no records, with the empty columns of BOOST_COLUMNS, when no
+    grid point is an absorption refrigerator (the window is empty for the
+    given fields). The edge search reads the grid's columns and solves no
+    B2 twice; if a solve fails during it, the last nonpositive-work grid
+    record is flagged "edge_failed" and no edge is appended. The edge row,
+    a grid record or a solved probe, is appended as a Records of one.
     """
     records = _grid_records(cfg, workers)
     reported = records.reported()
     if not (reported & (records.values[:, _REGIME] == REGIMES.index(Regime.IV))).any():
-        return records.take([])
+        return Records.from_rows([], [], [], {name: [] for name in BOOST_COLUMNS}, cfg.epsilon)
     b2 = [p.B[1] for p in records.params]
     w = [wk if ok else None for wk, ok in zip(records.values[:, _W].tolist(), reported.tolist())]
     solved = {}
@@ -862,13 +840,9 @@ def boost_scan(cfg: GridScanConfig, workers: int = 1) -> Records:
         edge = None
     if edge is not None:
         grid = {value: k for k, value in enumerate(b2)}
-        if edge in grid:
-            row = records.take([grid[edge]])
-        else:
-            row = Records.from_records([solved[edge]], epsilon=cfg.epsilon)
-        row.index[:] = len(records)
-        row.flags[0] += ("edge",)
-        records = Records.concat([records, row])
+        rec = records[grid[edge]] if edge in grid else solved[edge]
+        records = Records.concat([records, Records.from_rows(
+            [rec.params], [rec.row], [rec.flags + ("edge",)], epsilon=cfg.epsilon)])
     records.extra = dict(zip(BOOST_COLUMNS, _boost_extras(records)))
     return records
 
@@ -943,28 +917,30 @@ def _row_format(gaps: int, n_extra: int) -> str:
     return ",".join(slots) + "\n"
 
 
-def _csv_rows(records: Records, extra_columns: Sequence) -> str:
-    """The CSV rows of records, as csv.writer writes the cells _fmt spells.
+def _csv_rows(records: Records, start: int, stop: int) -> str:
+    """The CSV rows [start, stop) of records, as csv.writer writes the cells _fmt spells.
 
-    Each row is one %-format of all its cells, one format per pattern of
-    empty number cells, so every float goes through '%.17g' once.
+    The cells are read off slices of the columns; sample_index is the row's
+    position. Each row is one %-format of all its cells, one format per
+    pattern of empty number cells, so every float goes through '%.17g' once.
     """
-    n = len(records)
-    cells = np.empty((n, len(BASE_COLUMNS) + len(extra_columns)), dtype=object)
-    cells[:, 0] = records.index
-    cells[:, 1] = [p.bath_model for p in records.params]
-    cells[:, 2:17] = [(*p.B, *p.J, *p.Delta, *p.T, *p.gamma) for p in records.params]
-    cells[:, _NUMBER_SLOTS] = records.values[:, _NUMBER_VALUES]
-    reported = records.reported()
+    params, values = records.params[start:stop], records.values[start:stop]
+    cells = np.empty((stop - start, len(BASE_COLUMNS) + len(records.extra)), dtype=object)
+    cells[:, 0] = range(start, stop)
+    cells[:, 1] = [p.bath_model for p in params]
+    cells[:, 2:17] = [(*p.B, *p.J, *p.Delta, *p.T, *p.gamma) for p in params]
+    cells[:, _NUMBER_SLOTS] = values[:, _NUMBER_VALUES]
+    reported = ~records.empty[start:stop, _Q1]
     cells[:, BASE_COLUMNS.index("regime")] = _REGIME_CELLS[
-        np.where(reported, records.values[:, _REGIME], len(REGIMES)).astype(int)]
+        np.where(reported, values[:, _REGIME], len(REGIMES)).astype(int)]
     cells[:, BASE_COLUMNS.index("inside_trapezoid")] = _INSIDE_CELLS[
-        np.where(reported, records.values[:, _INSIDE], 2).astype(int)]
-    cells[:, BASE_COLUMNS.index("flags")] = [_quoted(";".join(flags)) for flags in records.flags]
-    for k, name in enumerate(extra_columns, start=len(BASE_COLUMNS)):
-        cells[:, k] = [_quoted(_fmt(v)) for v in records.extra.get(name, [None] * n)]
-    gaps = (records.empty[:, _NUMBER_VALUES] @ _GAP_BITS).tolist()
-    formats = {key: _row_format(key, len(extra_columns)) for key in set(gaps)}
+        np.where(reported, values[:, _INSIDE], 2).astype(int)]
+    cells[:, BASE_COLUMNS.index("flags")] = [
+        _quoted(";".join(flags)) for flags in records.flags[start:stop]]
+    for k, column in enumerate(records.extra.values(), start=len(BASE_COLUMNS)):
+        cells[:, k] = [_quoted(_fmt(v)) for v in column[start:stop]]
+    gaps = (records.empty[start:stop, _NUMBER_VALUES] @ _GAP_BITS).tolist()
+    formats = {key: _row_format(key, len(records.extra)) for key in set(gaps)}
     return "".join([formats[key] % tuple(row) for key, row in zip(gaps, cells.tolist())])
 
 
@@ -974,23 +950,19 @@ def config_echo(scan_name: str, config) -> str:
     return f"# scan={scan_name} config={payload}"
 
 
-def write_records(records, path, scan_name: str, config, extra_columns: Sequence = ()) -> None:
-    """Write records as CSV behind a config-echo comment line.
+def write_records(records: Records, path, scan_name: str, config) -> None:
+    """Write a sweep's Records as CSV behind a config-echo comment line.
 
-    records is a Records, as the sweeps return them, or any sequence of
-    SweepRecords, whose rows are stacked into one first; the cells are
-    read off the columns, and no report is built. Column order is fixed;
-    floats carry 17 significant digits so parsing the file back reproduces
-    every value bit for bit.
+    The columns are BASE_COLUMNS, then the extra columns of records in
+    their order; sample_index is each row's position. The cells are read
+    off the columns, and no report is built. Floats carry 17 significant
+    digits so parsing the file back reproduces every value bit for bit.
     """
-    if not isinstance(records, Records):
-        records = Records.from_records(records, extra_columns)
-    columns = BASE_COLUMNS + tuple(extra_columns)
+    columns = BASE_COLUMNS + tuple(records.extra)
     try:
         with open(path, "w", newline="") as fh:
             fh.write(config_echo(scan_name, config) + "\n" + ",".join(map(_quoted, columns)) + "\n")
             for start in range(0, len(records), _CSV_BLOCK):
-                block = records.take(range(start, min(start + _CSV_BLOCK, len(records))))
-                fh.write(_csv_rows(block, extra_columns))
+                fh.write(_csv_rows(records, start, min(start + _CSV_BLOCK, len(records))))
     except OSError as exc:
         raise DomainError(f"cannot write records to {path!r}: {exc}") from exc

@@ -309,9 +309,10 @@ def _thermo_rows(sols, epsilon: float, bounds) -> list:
     local model the currents of all of sols are one
     local_me._current_columns stack. The bookkeeping is one pass over the
     run's currents, with no object per point: each figure, check and
-    regime is that of the point alone. A point, the first in order, whose
-    currents above the floor all share one sign raises
-    ImpossibleCurrentsError.
+    regime is that of the point alone. The laws come first, so same-sign
+    currents above the floor are an error row, never a classify_regime
+    raise: |sum Q| >= max |Q| breaks the first law (harmonic, W = 0), and
+    |sum q| >= max |q| the current constraint (local, Q_i = B_i q_i, B_i > 0).
     """
     params = [sol.params for sol in sols]
     if params[0].bath_model == BATH_HARMONIC:

@@ -243,3 +243,16 @@ def csv_text(records, scan_name: str, config, extra_columns=()) -> str:
     for rec in records:
         writer.writerow(record_row(rec, extra_columns))
     return out.getvalue()
+
+
+def stacked(records, extra_columns=()):
+    """The Records of the rows of the SweepRecords records, with their extras of extra_columns.
+
+    Row k of it is sample index k, whatever index records[k] carries.
+    """
+    from triqubit.sweeps import Records
+
+    return Records.from_rows(
+        [rec.params for rec in records], [rec.row for rec in records],
+        [rec.flags for rec in records],
+        {name: [rec.extra.get(name) for rec in records] for name in extra_columns})

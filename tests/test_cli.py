@@ -8,7 +8,7 @@ import pytest
 
 from triqubit import DomainError, cli, sweeps, thermo
 from triqubit.cli import main
-from triqubit.sweeps import BOOST_COLUMNS, GridScanConfig, boost_scan, write_records
+from triqubit.sweeps import GridScanConfig, boost_scan, write_records
 
 from conftest import BOOST, LOCAL_SCATTER, VALVE, break_mi_bound
 
@@ -280,6 +280,20 @@ def test_sweep_boost_empty_window(tmp_path, capsys):
     assert len(out_path.read_text().splitlines()) == 2
 
 
+def test_an_empty_boost_window_keeps_the_boost_columns(tmp_path, capsys):
+    # the header-only CSV of a window with no absorption refrigerator still
+    # names the boost scan's extra columns, which its empty Records carries
+    out_path = tmp_path / "boost.csv"
+    code = main(["sweep-boost", "--config", str(CONFIGS / "boost.json"),
+                 "--set", "B2_min=0.5", "--set", "B2_max=0.6", "--set", "n_points=5",
+                 "--out", str(out_path)])
+    assert code == 0
+    assert "empty refrigerator window" in capsys.readouterr().out
+    echo, header = out_path.read_text().splitlines()
+    assert echo.startswith("# scan=boost config=")
+    assert header.endswith(",flags,cop_norm,cop_w_norm,cop_otto_norm")
+
+
 def test_sweep_boost_matches_library_output(tmp_path, capsys):
     payload = dict(
         bath_model="repeated_interaction",
@@ -295,7 +309,7 @@ def test_sweep_boost_matches_library_output(tmp_path, capsys):
     assert "wrote 4 records" in capsys.readouterr().out
     cfg = GridScanConfig(**payload)
     lib_path = tmp_path / "lib.csv"
-    write_records(boost_scan(cfg), lib_path, "boost", cfg, extra_columns=BOOST_COLUMNS)
+    write_records(boost_scan(cfg), lib_path, "boost", cfg)
     assert out_path.read_bytes() == lib_path.read_bytes()
     rows = list(csv.DictReader(out_path.read_text().splitlines()[1:]))
     assert [row["flags"] for row in rows] == ["", "", "", "edge"]

@@ -8,13 +8,11 @@ become an error row, never a clean row the gate rejects.
 import importlib.util
 import json
 import random
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from triqubit.sweeps import (
-    BOOST_COLUMNS,
     GridScanConfig,
     SweepConfig,
     boost_scan,
@@ -23,6 +21,7 @@ from triqubit.sweeps import (
     write_records,
 )
 
+import oracles
 from conftest import HARMONIC_TAIL
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,10 +57,9 @@ def _clean_rows_breaking_the_gate(path):
 def test_clean_scatter_records_pass_the_gate(name, seed, indices, tmp_path):
     data = json.loads((CONFIGS / f"{name}.json").read_text())
     cfg = SweepConfig(**dict(data, master_seed=seed, n_samples=max(indices) + 1))
-    records = [
-        replace(evaluate_point(draw_params(cfg, k), epsilon=cfg.epsilon), index=k)
-        for k in indices
-    ]
+    # row k is the record of indices[k]
+    records = oracles.stacked(
+        [evaluate_point(draw_params(cfg, k), epsilon=cfg.epsilon) for k in indices])
     path = tmp_path / "records.csv"
     write_records(records, path, "random", cfg)
     assert _clean_rows_breaking_the_gate(path) == {}
@@ -73,9 +71,9 @@ def test_first_law_tail_points_are_clean_records_the_oracle_confirms(seed, index
     # clean records with no flag
     data = json.loads((CONFIGS / "global_scatter.json").read_text())
     cfg = SweepConfig(**dict(data, master_seed=seed, n_samples=index + 1))
-    rec = replace(evaluate_point(draw_params(cfg, index), epsilon=cfg.epsilon), index=index)
+    rec = evaluate_point(draw_params(cfg, index), epsilon=cfg.epsilon)
     path = tmp_path / "records.csv"
-    write_records([rec], path, "random", cfg)
+    write_records(oracles.stacked([rec]), path, "random", cfg)
     (row,) = gate.read_rows(str(path))
     assert row["flags"] == ""
     assert gate.record_violations(row) == []
@@ -86,5 +84,5 @@ def test_first_law_tail_points_are_clean_records_the_oracle_confirms(seed, index
 def test_clean_boost_records_pass_the_gate(tmp_path):
     cfg = GridScanConfig(**json.loads((CONFIGS / "boost.json").read_text()))
     path = tmp_path / "records.csv"
-    write_records(boost_scan(cfg), path, "boost", cfg, extra_columns=BOOST_COLUMNS)
+    write_records(boost_scan(cfg), path, "boost", cfg)
     assert _clean_rows_breaking_the_gate(path) == {}

@@ -119,6 +119,19 @@ def test_zero_mode_warning():
     assert np.linalg.norm(js.zero_part) > 1.0
 
 
+def test_a_zero_hamiltonian_has_no_positive_frequency():
+    # B = J = Delta = 0: every energy is 0, so tol = 1e-9 max |E| is 0, and
+    # no gap is positive, as none was under the old floor of 1e-9. Every
+    # flip is a zero mode, and the point is the degenerate error it was
+    p = _uncoupled(B=(0.0, 0.0, 0.0), gamma=(1e-3,) * 3)
+    spectrum = sector_spectrum(build_hamiltonian(p))
+    assert not spectrum.energies.any()
+    with pytest.warns(ZeroModeWarning):
+        jumps = jump_operators(spectrum)
+    assert [js.frequencies.size for js in jumps] == [0, 0, 0]
+    assert evaluate_point(p).flags == ("error:DegenerateSteadyStateError", "warn:ZeroModeWarning")
+
+
 def test_cluster_diameter_guard():
     # steps of g just below the tolerance 1e-9 chain the differences near 1,
     # 1 - 3g to 1 + 12g, into one cluster fifteen steps wide

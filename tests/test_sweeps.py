@@ -319,6 +319,31 @@ def test_cold_bath_sweeps_yield_one_record_per_index():
             assert not [f for f in flags if f.startswith("error:")], (bath_model, decade, flags)
 
 
+_SCALED = ("B", "J", "Delta", "T", "gamma")
+
+
+@pytest.mark.parametrize("k", [-40, -20, 20, 40])
+@pytest.mark.parametrize("config", ["local_scatter", "global_scatter"])
+def test_a_point_scaled_by_a_power_of_two_keeps_its_state_and_its_heat(config, k):
+    # B, J, Delta, T and gamma times lam = 2**k scale every energy and every
+    # rate by lam, exactly: the stationary state keeps its bits and each heat
+    # current is lam**2 times the unscaled one, bit for bit, as long as no
+    # tolerance holds an absolute floor
+    cfg = SweepConfig(**json.loads((CONFIGS / f"{config}.json").read_text()))
+    lam = 2.0 ** k
+    heat = slice(0, 3)  # Q1, Q2, Q3 of VALUE_COLUMNS
+    for index in range(20):
+        p = draw_params(cfg, index)
+        scaled = replace(p, **{name: tuple(lam * v for v in getattr(p, name)) for name in _SCALED})
+        rec, big = evaluate_point(p, cfg.epsilon), evaluate_point(scaled, cfg.epsilon)
+        assert big.flags == rec.flags, (index, rec.flags, big.flags)
+        if rec.thermo is None:
+            continue
+        rho = solve_point(scaled).rho
+        assert rho.tobytes() == solve_point(p).rho.tobytes(), index
+        assert big.row[heat] == tuple(lam * lam * q for q in rec.row[heat]), index
+
+
 def test_harmonic_cold_bath_roundoff_currents_are_unclassified():
     # the population-route currents here are ~-1e-153, all of one sign:
     # roundoff under the absolute floor, not a first-law violation
@@ -385,14 +410,14 @@ def test_worker_count_does_not_change_output(tmp_path):
     (4096, 1, []),  # one CPU: serial, no pool
 ])
 def test_pool_size_is_capped_by_points_and_cpus(tmp_path, monkeypatch, workers, cpus, expected):
-    forked = []  # the tasks of each forked share
+    forked = []  # the runs of each forked share
 
     class InProcessShare:
         """_ForkedShare stand-in: evaluates its share here, starts no process."""
 
-        def __init__(self, tasks):
-            forked.append(tasks)
-            self._records = sweeps._share_records(tasks)
+        def __init__(self, runs, epsilon):
+            forked.append(runs)
+            self._records = sweeps._share_records(runs, epsilon)
 
         def records(self):
             return self._records
@@ -412,8 +437,9 @@ def test_pool_size_is_capped_by_points_and_cpus(tmp_path, monkeypatch, workers, 
     # one _evaluate_many call, which forks workers - 1 shares
     assert ([len(forked)] if forked else []) == expected
     assert pooled.read_bytes() == serial.read_bytes()
-    # this process ran the first tasks itself; the forked shares got the rest
-    starts = [start for tasks in forked for start, _, _ in tasks]
+    # this process ran the first runs itself; the forked shares got the rest
+    points = [draw_params(cfg, k) for k in range(5)]
+    starts = [points.index(run[0]) for runs in forked for run in runs]
     assert 0 not in starts
     assert bool(starts) == bool(expected) and starts == list(range(5 - len(starts), 5))
 
@@ -426,16 +452,18 @@ class Unpicklable(Exception):
 
 
 def _fork_two_shares(monkeypatch, run):
-    """_evaluate_many on 4 points at 2 real workers, run(task, real) in place of each run.
+    """_evaluate_many on 4 points at 2 real workers, run(start, evaluate) in place of each run.
 
-    This process evaluates the runs that start at 0 and 1, one forked
-    process those at 2 and 3. Returns the call's exception, and checks
-    that no child process is left.
+    start is the index of the run's first point and evaluate() the run's
+    real evaluation. This process evaluates the runs that start at 0 and
+    1, one forked process those at 2 and 3. Returns the call's exception,
+    and checks that no child process is left.
     """
     real = sweeps._evaluate_chunk
-    monkeypatch.setattr(sweeps, "_cpu_count", lambda: 2)
-    monkeypatch.setattr(sweeps, "_evaluate_chunk", lambda task: run(task, real))
     points = [draw_params(sample_cfg(), k) for k in range(4)]
+    monkeypatch.setattr(sweeps, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(sweeps, "_evaluate_chunk", lambda run_points, epsilon: run(
+        points.index(run_points[0]), lambda: real(run_points, epsilon)))
     with pytest.raises(BaseException) as caught:
         sweeps._evaluate_many(points, DEFAULT_EPSILON, 2)
     with pytest.raises(ChildProcessError):
@@ -445,10 +473,10 @@ def _fork_two_shares(monkeypatch, run):
 
 def _raise_in_the_fork(make):
     """A run() that raises make(start) in place of the runs of the forked share."""
-    def run(task, real):
-        if task[0] >= 2:
-            raise make(task[0])
-        return real(task)
+    def run(start, evaluate):
+        if start >= 2:
+            raise make(start)
+        return evaluate()
 
     return run
 
@@ -470,10 +498,10 @@ def test_a_forked_share_that_raises_raises_here(monkeypatch):
     (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by signal 9"),
 ], ids=["exit", "signal"])
 def test_a_forked_share_that_dies_names_its_exit_status(monkeypatch, end, named):
-    def run(task, real):
-        if task[0] >= 2:
+    def run(start, evaluate):
+        if start >= 2:
             end()
-        return real(task)
+        return evaluate()
 
     error = _fork_two_shares(monkeypatch, run)
     assert type(error) is RuntimeError
@@ -481,14 +509,40 @@ def test_a_forked_share_that_dies_names_its_exit_status(monkeypatch, end, named)
 
 
 def test_a_failing_own_share_kills_and_reaps_the_forked_ones(monkeypatch):
-    def run(task, real):
-        if task[0] >= 2:
+    def run(start, evaluate):
+        if start >= 2:
             time.sleep(120)  # killed long before it wakes
         raise KeyboardInterrupt
 
     start = time.monotonic()
     assert type(_fork_two_shares(monkeypatch, run)) is KeyboardInterrupt
     assert time.monotonic() - start < 60
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("config", ["local_scatter", "valve", "boost"])
+def test_row_k_is_sample_index_k(tmp_path, monkeypatch, config, workers):
+    # in the records and in the CSV, the boost scan's edge row after the
+    # grid's n rows
+    monkeypatch.setattr(sweeps, "_cpu_count", lambda: 2)
+    data, n = json.loads((CONFIGS / f"{config}.json").read_text()), 6
+    if config == "local_scatter":
+        cfg, driver = SweepConfig(**dict(data, n_samples=n)), random_sweep
+    else:
+        cfg = GridScanConfig(**dict(data, n_points=n))
+        driver = {"valve": valve_sweep, "boost": boost_scan}[config]
+    records = driver(cfg, workers=workers)
+    path = tmp_path / "records.csv"
+    write_records(records, path, config, cfg)
+    with open(path, newline="") as fh:
+        fh.readline()  # the config echo
+        rows = list(csv.DictReader(fh))
+    assert [rec.index for rec in records] == list(range(len(records)))
+    assert [row["sample_index"] for row in rows] == [str(k) for k in range(len(records))]
+    if config == "boost":
+        assert len(rows) == n + 1 and "edge" in rows[n]["flags"].split(";")
+    else:
+        assert len(rows) == n
 
 
 def test_valve_sweep_labels_and_error_point():
@@ -583,7 +637,7 @@ def test_grid_csv_does_not_depend_on_the_chunk_size(tmp_path, monkeypatch, case,
         monkeypatch.setattr(sweeps, "_GRID_CHUNK", chunk)
         records = driver(cfg, workers=workers)
         path = tmp_path / f"{chunk}.csv"
-        write_records(records, path, config, cfg, extra_columns=columns)
+        write_records(records, path, config, cfg)
         written.append(path.read_bytes())
         assert written[-1] == oracles.csv_text(list(records), config, cfg, columns).encode()
     assert written[1] == written[0] and written[2] == written[0]
@@ -1205,7 +1259,7 @@ def test_write_records_empty_and_extra_columns(tmp_path):
     )
     records = valve_sweep(cfg)
     path = tmp_path / "valve.csv"
-    write_records(records, path, "valve", cfg, extra_columns=VALVE_COLUMNS)
+    write_records(records, path, "valve", cfg)
     lines = path.read_text().splitlines()
     rows = list(csv.reader(lines[1:]))
     assert rows[0] == list(BASE_COLUMNS + VALVE_COLUMNS)
@@ -1213,7 +1267,7 @@ def test_write_records_empty_and_extra_columns(tmp_path):
                            "Q1<0,Q3<0", "indeterminate"}
 
     empty = tmp_path / "empty.csv"
-    write_records([], empty, "boost", cfg, extra_columns=BOOST_COLUMNS)
+    write_records(oracles.stacked([], BOOST_COLUMNS), empty, "boost", cfg)
     lines = empty.read_text().splitlines()
     assert len(lines) == 2
     assert next(csv.reader([lines[1]])) == list(BASE_COLUMNS + BOOST_COLUMNS)
@@ -1227,7 +1281,7 @@ def test_a_cell_that_holds_a_carriage_return_reads_back_whole(tmp_path):
     records = valve_sweep(cfg)
     records.extra["combination"] = ["a\rb"]
     path = tmp_path / "valve.csv"
-    write_records(records, path, "valve", cfg, extra_columns=VALVE_COLUMNS)
+    write_records(records, path, "valve", cfg)
     with open(path, newline="") as fh:
         fh.readline()  # the config echo
         rows = list(csv.DictReader(fh))
@@ -1268,14 +1322,14 @@ def test_written_rows_spell_every_kind_of_cell(tmp_path):
         bath_model="repeated_interaction", J=BOOST["J"], Delta=BOOST["Delta"],
         B1=BOOST["B1"], B3=BOOST["B3"], B2_min=2.95, B2_max=3.05, n_points=3,
         gamma=BOOST["gamma"]))
-    error = SweepRecord(len(records), records[0].params, (None,) * len(sweeps.VALUE_COLUMNS),
+    error = SweepRecord(0, records[0].params, (None,) * len(sweeps.VALUE_COLUMNS),
                         ("error:LinAlgError", "warn:RuntimeWarning"))
     mixed = replace(
         records[1], row=(*records[1].row[:-1], np.float64(records[1].residual)),
         extra={"cop_norm": np.float64(0.25), "cop_w_norm": 3, "cop_otto_norm": np.bool_(True)})
     rows = [*records, *boost, error, mixed]
     path = tmp_path / "records.csv"
-    write_records(rows, path, "boost", cfg, extra_columns=BOOST_COLUMNS)
+    write_records(oracles.stacked(rows, BOOST_COLUMNS), path, "boost", cfg)
     with open(path, newline="") as fh:
         cells = list(csv.DictReader(line for line in fh if not line.startswith("#")))
     assert len(cells) == len(rows)
@@ -1286,7 +1340,9 @@ def test_written_rows_spell_every_kind_of_cell(tmp_path):
             if isinstance(value, float):  # 17 significant digits read back exactly
                 assert float(row[key]) == value
     assert [row["flags"] for row in cells[:4]] == ["discarded"] * 4
-    assert cells[-2]["Q1"] == cells[-2]["regime"] == "" and cells[-2]["sample_index"] == "4"
+    assert cells[-2]["Q1"] == cells[-2]["regime"] == ""
+    # sample_index is the row's position, whatever index each record carried
+    assert [row["sample_index"] for row in cells] == [str(k) for k in range(len(rows))]
     assert cells[-1]["nullspace_residual"] == cells[1]["nullspace_residual"]
     assert float(cells[-1]["nullspace_residual"]) == records[1].residual
     assert [cells[-1][key] for key in BOOST_COLUMNS] == ["0.25", "3", "true"]

@@ -411,7 +411,7 @@ def test_stacked_bookkeeping_keeps_the_bits_of_the_scalar_oracles(monkeypatch):
         points = [sol.params for sol in run]
         lengths.append(len(run))
         records = sweeps.Records.from_rows(
-            range(len(run)), points, *zip(*sweeps._run_records(points, DEFAULT_EPSILON, run)))
+            points, *zip(*sweeps._run_records(points, DEFAULT_EPSILON, run)))
         for k, (sol, rec) in enumerate(zip(run, records)):
             report, broken = _oracle_report(sol, DEFAULT_EPSILON)
             # a harmonic point's build warnings are flags of its record
@@ -419,8 +419,8 @@ def test_stacked_bookkeeping_keeps_the_bits_of_the_scalar_oracles(monkeypatch):
                 f"warn:{type(w).__name__}" for w in sol.generators.build_warnings))
             # the run of one of the point gives its record
             alone = sweeps.Records.from_rows(
-                [k], [sol.params], *zip(*body([sol.params], DEFAULT_EPSILON, [sol])))
-            assert repr(alone[0]) == repr(rec)
+                [sol.params], *zip(*body([sol.params], DEFAULT_EPSILON, [sol])))
+            assert repr(replace(alone[0], index=k)) == repr(rec)
             if broken:
                 seen["broken"].append(k)
                 assert rec.flags == ("error:NumericalConsistencyError",) + warned
