@@ -1,28 +1,32 @@
 """Compare the outputs of two checkouts on the bundled configs, byte by byte and number by number.
 
-Runs every output of ``_runs()`` (the ``sweep-random`` CSVs of both
-scatter configs at one and two workers, the ``sweep-valve`` and
-``sweep-boost`` CSVs at one and two workers, the ``sweep-valve`` CSV of
-the harmonic model at two workers and, with J = Delta = 0, at one and
-two workers, three more ``sweep-valve`` CSVs at one and two workers whose
-rows carry flags (the harmonic grid at gamma = 0.05, where every row
-carries the warning of its generator build; the grid from B2 = 0, whose
-row 0 is an error and whose first chunk is split into runs of one; and a
-near-equilibrium harmonic grid where 99 rows break the first law, a
-count that the rate-matrix bits decide), the header-only ``sweep-boost``
-CSV of an empty refrigerator window (B2 in [0.5, 0.6]), whose header
-names the boost scan's extra columns, ``point`` stdout
-of the point config and of an unclosed harmonic point set over it, and
-``validate --samples 200`` stdout of both scatter configs) with the
-``src/`` of each checkout, in one subprocess per checkout and both on
-ROOT's ``configs/``:
+Runs every output of ``_runs()``, the one list of the bundled CLI runs,
+with the ``src/`` of each checkout, in one subprocess per checkout and both
+on ROOT's ``configs/``:
 
     python3 scripts/output_compare.py /path/to/parent/checkout [ROOT]
+
+Each CSV run of ``CSV_RUNS`` runs at one and at two workers, as the
+outputs ``LABEL --workers 1`` and ``LABEL --workers 2``: the
+``sweep-random`` CSVs of both scatter configs, the ``sweep-valve`` CSVs of
+both bath models and of the harmonic model with J = Delta = 0, three more
+``sweep-valve`` CSVs whose rows carry flags (the harmonic grid at gamma =
+0.05, where every row carries the warning of its generator build; the grid
+from B2 = 0, whose row 0 is an error and whose first chunk is split into
+runs of one; and a near-equilibrium harmonic grid where 99 rows break the
+first law, a count that the rate-matrix bits decide), and the
+``sweep-boost`` CSV. The runs of ``SINGLE_RUNS`` run once: the header-only
+``sweep-boost`` CSV of an empty refrigerator window (B2 in [0.5, 0.6]),
+whose header names the boost scan's extra columns, ``point`` stdout of the
+point config and of an unclosed harmonic point set over it, and
+``validate --samples 200`` stdout of both scatter configs.
 
 ROOT defaults to the checkout holding this script. BLAS runs on one thread
 in both subprocesses, so the outputs do not depend on the BLAS build or the
 core count. Each output gets one ``side  sha256  exit_code  name`` line per
-checkout. Exit codes, the ``# scan=... config=...`` echo line of each CSV,
+checkout. On each side, the two outputs of every CSV run must have the
+same bytes and exit code; a line per side counts the runs that do. Exit
+codes, the ``# scan=... config=...`` echo line of each CSV,
 every non-numeric CSV cell and JSON leaf, and ``validate`` stdout must be
 identical. Numeric CSV cells and numeric ``point`` JSON leaves a, b must
 agree within 1e-9 * max(|a|, |b|) + 1e-15; ``nullspace_residual`` is
@@ -30,14 +34,14 @@ reported but not gated. Prints, per column, the worst ratio |a - b| /
 bound and the number of cells whose text differs at all, and each side's
 ``first_law_rel_p50`` and ``first_law_rel_max`` as ``bench/gate.py``'s
 ``check_file`` takes them on the benchmark's reference data: records
-0-199 of each one-worker ``sweep-random`` CSV, and the ``sweep-boost``
-CSV. ROOT's median may not exceed the parent's by more than the metric's
+0-199 of each one-worker ``sweep-random`` CSV, and the one-worker
+``sweep-boost`` CSV. ROOT's median may not exceed the parent's by more than the metric's
 bound in the ``end_to_end`` list of ``BENCHMARK.json``; the maximum, the
 first-law tail, is reported but not gated. The last line is
 ``result: IDENTICAL`` when every output's bytes and exit code match,
 ``result: PASS`` when the numbers agree within the bound, and ``result:
-FAIL`` on any violation, which exits 1. Each checkout takes a few minutes
-on one core.
+FAIL`` on any violation, which exits 1. Each checkout takes about 8 s of
+CPU; both together took 9 s wall on a shared 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -65,7 +69,7 @@ SCATTER = ("local_scatter", "global_scatter")
 FIRST_LAW_REFERENCE = {
     "local_scatter": ("sweep-random local_scatter --workers 1", 200),
     "global_scatter": ("sweep-random global_scatter --workers 1", 200),
-    "boost_pool": ("sweep-boost boost", None),
+    "boost_pool": ("sweep-boost boost --workers 1", None),
 }
 
 FIRST_LAW_HEADER = (f"{'first_law_rel':<18} {'p50 parent':>24} {'p50 root':>24} "
@@ -75,61 +79,62 @@ RTOL, ATOL = 1e-9, 1e-15
 UNGATED = frozenset({"nullspace_residual"})
 
 
-def _runs():
-    """(name, cli argv without --out, output kind) for every compared output."""
-    for config in SCATTER:
-        for workers in (1, 2):
-            yield (f"sweep-random {config} --workers {workers}",
-                   ["sweep-random", "--config", config, "--workers", str(workers)], "csv")
-    yield "sweep-valve valve", ["sweep-valve", "--config", "valve"], "csv"
+def _argv(command: str, config: str, *sets: str) -> list:
+    """A CLI argv without --out or --workers: command on config with each --set of sets."""
+    return [command, "--config", config, *(arg for value in sets for arg in ("--set", value))]
+
+
+HARMONIC = "bath_model=harmonic"
+WORKERS = (1, 2)
+# (label, argv) of every CSV run, each run at every count of WORKERS as the
+# output "LABEL --workers N"; on each side the outputs of one run must have
+# the same bytes and exit code
+CSV_RUNS = (
+    *((f"sweep-random {config}", _argv("sweep-random", config)) for config in SCATTER),
     # the grid with mixed sector orders, whose chunks the pool solves too
-    yield ("sweep-valve valve --workers 2",
-           ["sweep-valve", "--config", "valve", "--workers", "2"], "csv")
+    ("sweep-valve valve", _argv("sweep-valve", "valve")),
     # the harmonic grid, whose chunks go through the same stacked solve
-    yield ("sweep-valve valve --set bath_model=harmonic --workers 2",
-           ["sweep-valve", "--config", "valve", "--set", "bath_model=harmonic",
-            "--workers", "2"], "csv")
+    ("sweep-valve valve --set bath_model=harmonic", _argv("sweep-valve", "valve", HARMONIC)),
     # uncoupled, every point is closed but not fully secular, so its
     # solve reads the eigenbasis blocks of the summed dissipator
-    for workers in (1, 2):
-        yield (f"sweep-valve valve --set bath_model=harmonic --set J=[0,0,0] "
-               f"--set Delta=[0,0,0] --workers {workers}",
-               ["sweep-valve", "--config", "valve", "--set", "bath_model=harmonic",
-                "--set", "J=[0,0,0]", "--set", "Delta=[0,0,0]", "--workers", str(workers)],
-               "csv")
-    # a harmonic grid whose every row carries its build's warning, a grid
-    # with an error row in its first chunk, which is split into runs of one
-    # and solved again, and a harmonic grid whose rate-matrix bits decide
-    # which rows break the first law, each an error row of its chunk
-    for label, sets in (
-        ("warned-harmonic", ["bath_model=harmonic", "gamma=[0.05,0.05,0.05]"]),
-        ("error-row", ["B2_min=0"]),
-        ("first-law-harmonic", ["bath_model=harmonic", "J=[5.49e-4,2.960e-4,4.963e-4]",
-                                "Delta=[7.93e-4,9.67e-4,1.69e-4]",
-                                "gamma=[8.71e-7,5.76e-7,7.56e-7]", "T=[1.50015,1.5,1.5]",
-                                "B2_max=1"]),
-    ):
-        for workers in (1, 2):
-            yield (f"sweep-valve valve {label} --workers {workers}",
-                   ["sweep-valve", "--config", "valve",
-                    *(arg for value in sets for arg in ("--set", value)),
-                    "--workers", str(workers)], "csv")
-    yield "sweep-boost boost", ["sweep-boost", "--config", "boost"], "csv"
-    yield ("sweep-boost boost --workers 2",
-           ["sweep-boost", "--config", "boost", "--workers", "2"], "csv")
+    ("sweep-valve valve --set bath_model=harmonic --set J=[0,0,0] --set Delta=[0,0,0]",
+     _argv("sweep-valve", "valve", HARMONIC, "J=[0,0,0]", "Delta=[0,0,0]")),
+    # a harmonic grid whose every row carries its build's warning
+    ("sweep-valve valve warned-harmonic",
+     _argv("sweep-valve", "valve", HARMONIC, "gamma=[0.05,0.05,0.05]")),
+    # a grid with an error row in its first chunk, which is split into runs
+    # of one and solved again
+    ("sweep-valve valve error-row", _argv("sweep-valve", "valve", "B2_min=0")),
+    # a harmonic grid whose rate-matrix bits decide which rows break the
+    # first law, each an error row of its chunk
+    ("sweep-valve valve first-law-harmonic",
+     _argv("sweep-valve", "valve", HARMONIC, "J=[5.49e-4,2.960e-4,4.963e-4]",
+           "Delta=[7.93e-4,9.67e-4,1.69e-4]", "gamma=[8.71e-7,5.76e-7,7.56e-7]",
+           "T=[1.50015,1.5,1.5]", "B2_max=1")),
+    ("sweep-boost boost", _argv("sweep-boost", "boost")),
+)
+# (name, argv, output kind) of every output that runs once
+SINGLE_RUNS = (
     # no absorption refrigerator on the grid: no row, the boost header
-    yield ("sweep-boost boost empty-window",
-           ["sweep-boost", "--config", "boost", "--set", "B2_min=0.5", "--set", "B2_max=0.6",
-            "--set", "n_points=5"], "csv")
-    yield "point point", ["point", "--config", "point"], "stdout"
+    ("sweep-boost boost empty-window",
+     _argv("sweep-boost", "boost", "B2_min=0.5", "B2_max=0.6", "n_points=5"), "csv"),
+    ("point point", _argv("point", "point"), "stdout"),
     # an unclosed harmonic point, the one output whose currents read coherences
-    yield ("point point unclosed-harmonic",
-           ["point", "--config", "point", "--set", "bath_model=harmonic",
-            "--set", "B=[0.5,0.5,0.5]", "--set", "J=[0.02,0.02,0.02]",
-            "--set", "Delta=[0,0,0]", "--set", "gamma=[1e-4,1e-4,1e-4]"], "stdout")
-    for config in SCATTER:
-        yield (f"validate {config} --samples 200",
-               ["validate", "--config", config, "--samples", "200"], "stdout")
+    ("point point unclosed-harmonic",
+     _argv("point", "point", HARMONIC, "B=[0.5,0.5,0.5]", "J=[0.02,0.02,0.02]",
+           "Delta=[0,0,0]", "gamma=[1e-4,1e-4,1e-4]"), "stdout"),
+    *((f"validate {config} --samples 200", [*_argv("validate", config), "--samples", "200"],
+       "stdout") for config in SCATTER),
+)
+
+
+def _runs():
+    """(name, cli argv without --out, output kind) for every compared output."""
+    for label, argv in CSV_RUNS:
+        for workers in WORKERS:
+            yield f"{label} --workers {workers}", [*argv, "--workers", str(workers)], "csv"
+    for name, argv, kind in SINGLE_RUNS:
+        yield name, list(argv), kind
 
 
 def _collect(src: Path, configs: Path, out_dir: Path) -> None:
@@ -244,6 +249,22 @@ class Comparison:
             else:
                 self.same(va, vb, f"{name}: {column}")
 
+    def twins(self, side: str, outputs: dict) -> None:
+        """Checks that each run of CSV_RUNS writes one output at one and at two workers.
+
+        outputs maps each output name of _runs() to side's (bytes, exit
+        code) of it. Prints how many runs keep both.
+        """
+        kept = 0
+        for label, _ in CSV_RUNS:
+            (data_1, code_1), (data_2, code_2) = (outputs[f"{label} --workers {n}"] for n in WORKERS)
+            self.same(code_1, code_2, f"{side} {label}: exit code at --workers 1 and 2")
+            if data_1 != data_2:
+                self.errors.append(f"{side} {label}: bytes at --workers 1 and 2 differ")
+            kept += (data_1, code_1) == (data_2, code_2)
+        print(f"{side:<6}  {kept} of {len(CSV_RUNS)} CSV runs write the same bytes and exit "
+              "code at --workers 1 and 2")
+
     def first_law(self, workload: str, parent, root, bound: float) -> None:
         """Prints both sides' (p50, max) of first_law_rel, the pairs of first_law_figures.
 
@@ -348,6 +369,9 @@ def main(argv=None) -> int:
                 comparison.point(a, b, name)
             else:
                 comparison.same(a, b, f"{name}: stdout")
+        for k, side in enumerate(("parent", "root")):
+            comparison.twins(side, {name: (data[k], codes[k][name])
+                                    for name, data in outputs.items()})
 
         print(FIRST_LAW_HEADER)
         bound = first_law_bound()

@@ -123,14 +123,9 @@ def _stages(cfg, indices, all_points, out_dir):
     chunks = [points[start:start + size] for start in range(0, len(points), size)]
     reported = [(run, steady_state.solve_points(run), epsilon) for run in chunks]
     correlated = [(np.array([sol.rho for sol in sols]), run) for run, sols, _ in reported]
-    # a _thermo_rows(sols, epsilon, currents=None) checks no MI bound and
-    # takes its local currents itself
-    if "bounds" in inspect.signature(thermo._thermo_rows).parameters:
-        bookkept = [(sols, epsilon, [(co[:3], co[3:6]) for co in
-                                     correlations._correlation_rows(*args)])
-                    for (_, sols, _), args in zip(reported, correlated)]
-    else:
-        bookkept = [(sols, epsilon) for _, sols, _ in reported]
+    bookkept = [(sols, epsilon, [(co[:3], co[3:6]) for co in
+                                 correlations._correlation_rows(*args)])
+                for (_, sols, _), args in zip(reported, correlated)]
     at = [name for name, _, _ in stages].index("steady_state.solve_point") + 1
     stages[at:at] = [
         ("correlations._correlation_rows", _calling(correlations._correlation_rows, correlated),
@@ -153,15 +148,6 @@ def _stages(cfg, indices, all_points, out_dir):
     return stages + ([edge] if edge else [])
 
 
-def _indexed(sweeps) -> bool:
-    """Whether the checkout's Records carry an index column, as older checkouts' do.
-
-    Those also give each run to _share_records and _ForkedShare as a task
-    (start, points, epsilon) rather than as its points, with epsilon apart.
-    """
-    return "index" in inspect.signature(sweeps.Records).parameters
-
-
 def _report_half(sweeps):
     """f(points, sols, epsilon): the Records of a run from its solutions sols.
 
@@ -170,10 +156,8 @@ def _report_half(sweeps):
     it replaced, sweeps._chunk_records, so that the timings of older
     checkouts read side by side with it.
     """
-    indexed = _indexed(sweeps)
     return lambda points, sols, epsilon: sweeps.Records.from_rows(
-        *([range(len(points))] if indexed else []), points,
-        *zip(*sweeps._run_records(points, epsilon, sols)), epsilon=epsilon)
+        points, *zip(*sweeps._run_records(points, epsilon, sols)), epsilon=epsilon)
 
 
 def _transport(sweeps, points, epsilon, chunk):
@@ -188,11 +172,7 @@ def _transport(sweeps, points, epsilon, chunk):
     starts = range(0, len(points), size)
     starts = starts[len(starts) // 2:]  # the forked process's share of the runs
     share = [points[start:start + size] for start in starts]
-    if _indexed(sweeps):
-        records = sweeps._share_records([(start, run, epsilon)
-                                         for start, run in zip(starts, share)])
-    else:
-        records = sweeps._share_records(share, epsilon)
+    records = sweeps._share_records(share, epsilon)
     share_points = [p for run in share for p in run]
 
     def run():
@@ -239,10 +219,9 @@ def _round_trip_note(sweeps) -> str:
     """
     import resource
 
-    args = ([],) if _indexed(sweeps) else ([], sweeps.DEFAULT_EPSILON)
     before = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     start = time.perf_counter_ns()
-    sweeps._ForkedShare(*args).records()
+    sweeps._ForkedShare([], sweeps.DEFAULT_EPSILON).records()
     ms = (time.perf_counter_ns() - start) / 1e6
     faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - before
     return (f"pool fixed cost: an empty two-worker round trip takes {ms:.2f} ms "

@@ -158,7 +158,7 @@ def checked_real(val: complex, scale: float, what: str) -> float:
     scale bounds the size of the terms summed into val, e.g. the product of
     the Frobenius norms of the two factors of the trace.
     """
-    if abs(val.imag) > 1e-10 * max(scale, 1e-300):
+    if abs(val.imag) > 1e-10 * scale:
         raise NumericalConsistencyError(
             f"{what} has imaginary residue {val.imag:.3e} at scale {scale:.3e}"
         )

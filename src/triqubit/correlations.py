@@ -82,7 +82,7 @@ def x_state_analysis(rho_pair: np.ndarray) -> XStateAnalysis:
     """
     if rho_pair.shape != (4, 4):
         raise DomainError(f"expected a 4x4 two-qubit state, got shape {rho_pair.shape}")
-    scale = max(float(np.linalg.norm(rho_pair, "fro")), 1e-300)
+    scale = float(np.linalg.norm(rho_pair, "fro"))
     if float(np.linalg.norm(rho_pair - rho_pair.conj().T, "fro")) > 1e-10 * scale:
         raise DomainError("two-qubit state is not Hermitian")
     residual = float(np.linalg.norm(rho_pair[~_X_PATTERN]))

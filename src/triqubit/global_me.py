@@ -125,7 +125,7 @@ class JumpSet:
         mags = np.abs(self.values)
         largest = np.zeros(self.frequencies.size)
         np.maximum.at(largest, self.cluster, mags)
-        return mags > 1e-12 * np.maximum(largest, 1e-300)[self.cluster]
+        return mags > 1e-12 * largest[self.cluster]
 
 
 @lru_cache(maxsize=None)

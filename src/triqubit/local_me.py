@@ -262,7 +262,7 @@ def _current_columns(rhos: np.ndarray, gens) -> tuple:
     rho_norms = np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2)).reshape(n, 1)
     values = np.concatenate([traces.astype(complex), expect], axis=1)
     scales = np.concatenate([trace_scales, np.array(flow_norms) * rho_norms], axis=1)
-    unreal = np.abs(values.imag) > 1e-10 * np.maximum(scales, 1e-300)
+    unreal = np.abs(values.imag) > 1e-10 * scales
     if unreal.any():
         k, m = np.argwhere(unreal)[0]
         checked_real(complex(values[k, m]), float(scales[k, m]), _CHECKED_NAMES[m])

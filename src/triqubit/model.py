@@ -323,7 +323,7 @@ def sector_spectrum(H: np.ndarray) -> Spectrum:
     # the model builds exactly Hermitian matrices with exact zeros across
     # sectors (exchange-form couplings), which skip the norms
     if np.count_nonzero(skew) or np.count_nonzero(flat.take(cross, axis=1)):
-        scale = np.maximum(np.abs(flat).max(axis=1), 1e-300)
+        scale = np.abs(flat).max(axis=1)
         skew = skew.view(float).reshape(count, -1)
         if (np.sqrt(np.einsum("ki,ki->k", skew, skew)) > 1e-12 * scale * dim).any():
             raise DomainError("H is not Hermitian")

@@ -98,7 +98,7 @@ def _check_trace_preserving(trace_rows, parts, weights) -> None:
             scale = float(np.sqrt(sum(squares)))
             if not math.isfinite(scale):
                 raise NumericalConsistencyError(f"generator norm is not finite ({scale})")
-            if defect > 1e-10 * max(scale, 1e-300):
+            if defect > 1e-10 * scale:
                 raise DomainError(f"generator is not trace-preserving (defect {defect:.3e})")
 
 

@@ -251,9 +251,10 @@ def _current_floor(p: ModelParams) -> float:
     """Absolute roundoff of the heat currents of either model.
 
     At cold baths every current can sit at this floor, with a sign that
-    carries no information.
+    carries no information. It scales as every current does, as a rate
+    times an energy: the largest of B, J and |Delta| is that energy.
     """
-    return 1e-12 * max(p.gamma) * (1.0 + max(p.B))
+    return 1e-12 * max(p.gamma) * max(*p.B, *p.J, *map(abs, p.Delta))
 
 
 # the laws _broken_laws checks, in the order it names them; the two in

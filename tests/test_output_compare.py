@@ -10,7 +10,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 from output_compare import (  # noqa: E402
-    FIRST_LAW_HEADER, Comparison, first_law_bound, first_law_figures,
+    CSV_RUNS, FIRST_LAW_HEADER, Comparison, _runs, first_law_bound, first_law_figures,
 )
 
 ECHO = "# scan=random config={}"
@@ -152,3 +152,35 @@ def test_first_law_line_prints_both_medians_and_both_maxima(capsys):
     # every value is right-aligned in its heading's column
     assert {len(line) for line in lines} == {len(FIRST_LAW_HEADER)}
     assert comparison.errors == []
+
+
+def test_each_csv_run_is_one_output_at_one_and_one_at_two_workers():
+    runs = [(name, argv) for name, argv, _ in _runs()]
+    names = [name for name, _ in runs]
+    assert len(set(names)) == len(names)
+    for label, _ in CSV_RUNS:
+        twins = [(name, argv[-2:]) for name, argv in runs
+                 if name.rsplit(" --workers ", 1)[0] == label]
+        assert twins == [(f"{label} --workers 1", ["--workers", "1"]),
+                         (f"{label} --workers 2", ["--workers", "2"])]
+
+
+@pytest.mark.parametrize("moved", [(b"# scan=grid config={}\n", 0), (b"", 1)],
+                         ids=["bytes", "exit code"])
+def test_a_csv_run_that_moves_at_two_workers_fails_on_its_side_alone(capsys, moved):
+    outputs = {name: (b"", 0) for name, _, _ in _runs()}
+    label = CSV_RUNS[2][0]
+    comparison = Comparison()
+    comparison.twins("parent", outputs)
+    comparison.twins("root", {**outputs, f"{label} --workers 2": moved})
+    assert comparison.report() == 1
+    out = capsys.readouterr().out.splitlines()
+    runs = len(CSV_RUNS)
+    assert out[0] == (f"parent  {runs} of {runs} CSV runs write the same bytes and exit code "
+                      "at --workers 1 and 2")
+    assert out[1].startswith(f"root    {runs - 1} of {runs} ")
+    violations = [line for line in out if line.startswith("VIOLATION")]
+    what = "bytes at --workers 1 and 2 differ" if moved[0] else \
+        "exit code at --workers 1 and 2: 0 != 1"
+    assert violations == [f"VIOLATION root {label}: {what}"]
+    assert out[-1] == "result: FAIL"

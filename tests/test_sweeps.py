@@ -327,11 +327,12 @@ _SCALED = ("B", "J", "Delta", "T", "gamma")
 def test_a_point_scaled_by_a_power_of_two_keeps_its_state_and_its_heat(config, k):
     # B, J, Delta, T and gamma times lam = 2**k scale every energy and every
     # rate by lam, exactly: the stationary state keeps its bits and each heat
-    # current is lam**2 times the unscaled one, bit for bit, as long as no
-    # tolerance holds an absolute floor
+    # current is lam**2 times the unscaled one, bit for bit, and the regime
+    # the same, as long as no tolerance holds an absolute floor
     cfg = SweepConfig(**json.loads((CONFIGS / f"{config}.json").read_text()))
     lam = 2.0 ** k
     heat = slice(0, 3)  # Q1, Q2, Q3 of VALUE_COLUMNS
+    regime = sweeps.VALUE_COLUMNS.index("regime")
     for index in range(20):
         p = draw_params(cfg, index)
         scaled = replace(p, **{name: tuple(lam * v for v in getattr(p, name)) for name in _SCALED})
@@ -342,6 +343,7 @@ def test_a_point_scaled_by_a_power_of_two_keeps_its_state_and_its_heat(config, k
         rho = solve_point(scaled).rho
         assert rho.tobytes() == solve_point(p).rho.tobytes(), index
         assert big.row[heat] == tuple(lam * lam * q for q in rec.row[heat]), index
+        assert big.row[regime] == rec.row[regime], index
 
 
 def test_harmonic_cold_bath_roundoff_currents_are_unclassified():
@@ -351,8 +353,7 @@ def test_harmonic_cold_bath_roundoff_currents_are_unclassified():
     rec = evaluate_point(p)
     assert not [f for f in rec.flags if f.startswith("error:")], rec.flags
     assert rec.thermo.regime is Regime.UNCLASSIFIED
-    floor = 1e-12 * max(p.gamma) * (1.0 + max(p.B))
-    assert max(abs(q) for q in rec.thermo.Q) <= floor
+    assert max(abs(q) for q in rec.thermo.Q) <= thermo._current_floor(p)
 
 
 @pytest.mark.parametrize("model_name, base", [

@@ -261,7 +261,7 @@ def test_tiny_negative_harmonic_entropy_production_breaks_the_second_law():
 
 def test_currents_under_the_floor_are_exempt_from_conservation():
     p, rep, _ = _solved_case("local")
-    floor = 1e-12 * max(p.gamma) * (1.0 + max(p.B))
+    floor = thermo._current_floor(p)
     broken, _ = _break("continuity", replace(rep, magnetization_residual=1.0), None)
 
     def at(level):
