@@ -256,11 +256,13 @@ def _build_parser() -> argparse.ArgumentParser:
 def _pin_heap_trim() -> None:
     """Fix glibc's heap trim and mmap thresholds for the whole run.
 
-    A harmonic point allocates temporaries of a few hundred KiB. At glibc's
-    dynamic defaults each of them grows the heap and trims it again on
-    free, at some 50 to 100 minor page faults per point. The processes that
-    --workers forks are os.fork children of this one, so they always
-    inherit the setting. Where there is no mallopt, nothing is set.
+    The chunked runs of a grid scan allocate stacks of temporaries over
+    their points. At glibc's dynamic defaults each run grows the heap for
+    them and trims it again on free: sweep-boost at one worker then takes
+    some 33 more minor page faults per record, and a process that repeats
+    the scan pays them again each time. The processes that --workers forks
+    are os.fork children of this one, so they always inherit the setting.
+    Where there is no mallopt, nothing is set.
     """
     import ctypes
 

@@ -127,10 +127,7 @@ def ppt_check(rho: np.ndarray, site: int) -> PptCheck:
     across that cut; min_eigenvalue within -1e-10 of zero counts as positive.
     bench/gate.py's oracle check calls it, which keeps it in the package.
     """
-    return _ppt_verdict(float(np.linalg.eigvalsh(partial_transpose(rho, site)).min()))
-
-
-def _ppt_verdict(lam_min: float) -> PptCheck:
+    lam_min = float(np.linalg.eigvalsh(partial_transpose(rho, site)).min())
     return PptCheck(min_eigenvalue=lam_min, is_negative=lam_min < _PPT_FLOOR)
 
 
@@ -179,14 +176,6 @@ def _reduction_gathers() -> tuple:
     return pairs, sites, cuts
 
 
-def _traced_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum over axis 1 of an (N, m, ...) gather from +0.0, in order, as np.einsum sums a trace."""
-    out = 0.0
-    for k in range(terms.shape[1]):
-        out = out + terms[:, k]
-    return out
-
-
 # the columns of a run's correlation reports, one row per point, in PAIRS and
 # SITES order; up to ppt3 they are the CSV's correlation columns in its order
 CORRELATION_COLUMNS = (
@@ -216,9 +205,11 @@ def _correlation_rows(rhos: np.ndarray, params) -> list:
         raise DomainError(f"expected a {N_SITES}-qubit state, got shape {rhos.shape[1:]}")
     pair_index, site_index, cut_index = _reduction_gathers()
     flat = rhos.reshape(len(rhos), -1)
-    pairs = _traced_sum(flat.take(pair_index, axis=1))
+    # + 0.0 turns a sum of -0.0 terms into the +0.0 that np.einsum's
+    # partial trace, summing from +0.0, gives
+    pairs = flat.take(pair_index, axis=1).sum(axis=1) + 0.0
     s_pair = _entropies(pairs).tolist()
-    s_site = _entropies(_traced_sum(flat.take(site_index, axis=1))).tolist()
+    s_site = _entropies(flat.take(site_index, axis=1).sum(axis=1) + 0.0).tolist()
     lam_min = np.linalg.eigvalsh(flat.take(cut_index, axis=1)).min(axis=2).tolist()
     hermitian = herm(pairs)
     # (N, 3, 1, 10) rows against (N, 3, 10, 1) columns: one dot product per pair

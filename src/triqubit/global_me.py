@@ -136,29 +136,16 @@ def _site_couplings(n_sites: int) -> np.ndarray:
     return out
 
 
-def _sandwich(left: np.ndarray, X: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """left @ X[k] @ right for each matrix of the (n, d, d) stack X.
-
-    Two matrix products in all, a (d, n d) wide one and an (n d, d) tall
-    one. Each entry is the same length-d dot product as in the per-matrix
-    products, and it keeps their bits (pinned by the tests).
-    """
-    n, d, _ = X.shape
-    wide = left @ X.transpose(1, 0, 2).reshape(d, n * d)
-    tall = wide.reshape(d, n, d).transpose(1, 0, 2).reshape(n * d, d)
-    return (tall @ right).reshape(n, d, d)
-
-
 def jump_operators(spectrum: Spectrum) -> tuple:
     """Clustered Fourier components of sigma_x^i under the system Hamiltonian.
 
     Returns one JumpSet per site, site 1 first. The Bohr frequencies are
     those of the one Hamiltonian, so one clustering serves every site, and
     the one basis change, of the three sigma_x^i into the eigenbasis, is
-    one _sandwich. Frequencies closer than tol = 1e-9 max |E| (no absolute
-    floor: tol scales with H, and is 0 for H = 0) merge into one cluster, a
-    cluster wider than 10 tol raises ClusteringError, and the frequencies
-    within tol of zero are discarded.
+    one broadcast matrix product. Frequencies closer than tol = 1e-9 max |E|
+    (no absolute floor: tol scales with H, and is 0 for H = 0) merge into
+    one cluster, a cluster wider than 10 tol raises ClusteringError, and
+    the frequencies within tol of zero are discarded.
     A cluster is kept for a site where its amplitudes' Frobenius norm
     exceeds 1e-12 sqrt(d).
     """
@@ -167,7 +154,7 @@ def jump_operators(spectrum: Spectrum) -> tuple:
     d = spectrum.dim
     n_sites = d.bit_length() - 1
     tol = 1e-9 * float(np.max(np.abs(E)))
-    sx_eig = _sandwich(V.conj().T, _site_couplings(n_sites), V)
+    sx_eig = V.conj().T @ _site_couplings(n_sites) @ V
 
     diff = E[None, :] - E[:, None]  # diff[a, b] = E_b - E_a
     pos = diff > tol
@@ -306,40 +293,46 @@ def build_global_generators(p: ModelParams) -> Generators:
                       build_warnings=tuple(w for w in issued if w is not None))
 
 
-def _eigen_blocks(gen: Generators) -> tuple:
-    """The dm >= 0 eigen blocks of a harmonic point, from the jump amplitudes.
+def _eigen_blocks(gens) -> tuple:
+    """The dm >= 0 eigen blocks of harmonic points that share one sector order.
 
-    The dm >= 0 half of the summed dissipator in the eigenbasis of H,
-    vec(X) standing for V X V^dag: one (1, n, n) stack per (k, n) index
-    stack of Spectrum.liouville_block_groups, whose [0] is the block at
-    the vec positions index[0]; the -dm mirrors at index[1] are not built
-    (see steady_state). They are cut from lindblad_superop of the jumps of
-    all three baths and their daggers, the 64 x 64 summed dissipator in
+    Returns one (N, n, n) stack per (k, n) index stack of
+    Spectrum.liouville_block_groups, N = len(gens), in the layout of
+    local_me._eigen_blocks: [k] is the block of gens[k], the dm >= 0 half
+    of its summed dissipator in the eigenbasis of H, vec(X) standing for V
+    X V^dag, at the vec positions index[0]; the -dm mirrors at index[1]
+    are not built (see steady_state). Each point's blocks are cut on their
+    own, its clustering being its own, from lindblad_superop of the jumps
+    of all three baths and their daggers, the 64 x 64 summed dissipator in
     the eigenbasis. Only points that are not fully secular read them.
 
     A cluster with nonzero transitions (JumpSet.nonzero) at both dm =
     m(a) - m(b) = +2 and -2 couples the dm blocks, which these blocks keep
     apart: it raises ClusteringError.
     """
-    m = gen.spectrum.sectors
-    for js in gen.jumps:
-        nz = js.nonzero()
-        raising = (m[js.lower] > m[js.upper])[nz]
-        mixed = np.intersect1d(js.cluster[nz][raising], js.cluster[nz][~raising])
-        if mixed.size:
-            raise ClusteringError(
-                f"site {js.site}: the Bohr frequency cluster near "
-                f"{js.frequencies[mixed[0]]:.6g} holds transitions of both dm = +2 and "
-                "dm = -2, which couple the magnetization-difference blocks; change the "
-                "fields B or the couplings J and Delta to separate these Bohr frequencies"
-            )
-    # each bath's jumps and then their daggers, at its down and then its up
-    # rates
-    summed = lindblad_superop(np.concatenate([with_daggers(js.amplitudes) for js in gen.jumps]),
-                              np.concatenate(gen.jump_rates, axis=None))
-    # the dm >= 0 half, row 0 of each stack
-    return tuple(summed[index[:1, :, None], index[:1, None, :]]
-                 for index in gen.spectrum.liouville_block_groups)
+    cuts = []
+    for gen in gens:
+        m = gen.spectrum.sectors
+        for js in gen.jumps:
+            nz = js.nonzero()
+            raising = (m[js.lower] > m[js.upper])[nz]
+            mixed = np.intersect1d(js.cluster[nz][raising], js.cluster[nz][~raising])
+            if mixed.size:
+                raise ClusteringError(
+                    f"site {js.site}: the Bohr frequency cluster near "
+                    f"{js.frequencies[mixed[0]]:.6g} holds transitions of both dm = +2 and "
+                    "dm = -2, which couple the magnetization-difference blocks; change the "
+                    "fields B or the couplings J and Delta to separate these Bohr frequencies"
+                )
+        # each bath's jumps and then their daggers, at its down and then its
+        # up rates
+        summed = lindblad_superop(
+            np.concatenate([with_daggers(js.amplitudes) for js in gen.jumps]),
+            np.concatenate(gen.jump_rates, axis=None))
+        # the dm >= 0 half, row 0 of each stack
+        cuts.append([summed[index[:1, :, None], index[:1, None, :]]
+                     for index in gen.spectrum.liouville_block_groups])
+    return tuple(np.concatenate(stack) for stack in zip(*cuts))
 
 
 def site_rate_matrices(gen: Generators):

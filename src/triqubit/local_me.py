@@ -51,7 +51,6 @@ from .model import (
     ModelParams,
     Spectrum,
     basis_magnetizations,
-    block_entry_positions,
     interaction_hamiltonian,
     liouville_block_groups,
     local_field_hamiltonian,
@@ -255,11 +254,7 @@ def _current_columns(rhos: np.ndarray, gens) -> tuple:
     trace_scales = np.concatenate(
         [sz_norms * mat_norms[:, :3], np.linalg.norm(obs[:, 3:], axis=(2, 3)) * mat_norms], axis=1)
     expect = np.trace(flows @ rhos[:, None], axis1=2, axis2=3)
-    # np.linalg.norm(rho, "fro")'s own sqrt(x.real . x.real + x.imag . x.imag)
-    # of (1, 64) rows against (64, 1) columns
-    flat = rhos.reshape(n, 1, -1)
-    re, im = flat.real, flat.imag
-    rho_norms = np.sqrt(re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2)).reshape(n, 1)
+    rho_norms = np.linalg.norm(rhos, axis=(1, 2))[:, None]
     values = np.concatenate([traces.astype(complex), expect], axis=1)
     scales = np.concatenate([trace_scales, np.array(flow_norms) * rho_norms], axis=1)
     unreal = np.abs(values.imag) > 1e-10 * scales
@@ -281,16 +276,23 @@ def _transform_gathers(labels: tuple) -> tuple:
     positions index[0] of liouville_block_groups(labels) onto the
     computational-basis block of the same dm; the eigenbasis labels permute
     the basis labels, so both layouts hold the same differences in the same
-    order. W[i d + k, j d + l] is conj(V[i, j]) V[k, l]. Returns (left,
-    right, spans): the flat positions i d + j and k d + l of the entries
-    of the four W_B, as block_entry_positions lists them, and its spans.
+    order. Entry (r, c) of W, r = i d + k and c = j d + l, is conj(V[i, j])
+    V[k, l]. Returns (left, right, spans): the flat positions i d + j and
+    k d + l in V of the entries of the four W_B, each block row-major and
+    one after the other, and the (start, stop, shape) of each block's run
+    of entries, shape (1, n, n).
     """
     d = len(labels)
-    i, j, k, l, spans = block_entry_positions(basis_magnetizations(N_SITES), labels)
+    rows, cols = ([index[0].astype(np.int16) for index in liouville_block_groups(order)]
+                  for order in (basis_magnetizations(N_SITES), labels))
+    i, k = divmod(np.concatenate([np.repeat(r, c.size) for r, c in zip(rows, cols)]), d)
+    j, l = divmod(np.concatenate([np.tile(c, r.size) for r, c in zip(rows, cols)]), d)
     left, right = i * d + j, k * d + l
     for arr in (left, right):
         arr.setflags(write=False)
-    return left, right, spans
+    stops = np.cumsum([c.size**2 for c in cols]).tolist()
+    return left, right, tuple((stop - c.size**2, stop, (1, c.size, c.size))
+                              for c, stop in zip(cols, stops))
 
 
 def build_local_generators(points) -> list:

@@ -41,11 +41,10 @@ solve_points solves a run of points of one bath model; solve_point is a
 run of one. The points whose sorted spectra carry the same magnetization
 labels, and so share one block layout, go through the block route as
 (N, ...) stacks, and V rho V^dag is one stack over the run. The bath
-model's builder module cuts the eigen blocks: global_me._eigen_blocks one
-harmonic point at a time, its clustering being its own, and
-local_me._eigen_blocks the local points as one stack. Each
-stacked step returns for every point the bits it returns for that point
-alone, and every check is made per point.
+model's builder module cuts the eigen blocks of the run, with one
+_eigen_blocks(gens) call of either module. Each stacked step returns for
+every point the bits it returns for that point alone, and every check is
+made per point.
 
 The evolution oracle, steady_state_via_evolution on the computational-basis
 generator of build_liouvillian, shares none of that solve. It stays in the
@@ -168,22 +167,6 @@ def _finalize_state(x: np.ndarray) -> np.ndarray:
         raise NumericalConsistencyError(
             f"steady state has negative eigenvalue {lo[lo < -1e-10][0]:.3e}")
     return rho
-
-
-def _unique_null_scale(blocks, weights, on_diag: np.ndarray) -> np.ndarray:
-    """sigma_max of each of a stack of generators, all trace-preserving with a 1-d null space.
-
-    Each generator is given by its diagonal blocks, one of each size, and
-    is zero outside them: blocks[i] stacks the points' blocks of the i-th
-    size, point k's at [k]. Each block of blocks[i] counts weights[i]
-    times: for itself and for the mirror blocks that share its singular
-    values and its norm. blocks[0] holds the trace functional, which is
-    one at its positions on_diag. The singular values are taken with one
-    SVD call per stack; _null_scale counts them.
-    """
-    _check_trace_preserving(blocks[0].take(on_diag, axis=1), blocks, weights)
-    # a stacked call returns the same bits as one call per block
-    return _null_scale([np.linalg.svd(b, compute_uv=False) for b in blocks], weights)
 
 
 def _pauli_scale(M: np.ndarray, energies: np.ndarray) -> float:
@@ -356,20 +339,19 @@ def _block_states(gens, rates):
 
     gens are the points' Generators, of one bath model and one sector
     order, and rates[k] is point k's (rate_matrices, population_closed).
-    A closed harmonic point's summed rate matrix offers its population
-    state first; populations is None unless that state is taken.
+    Each generator is first certified trace-preserving with a
+    one-dimensional null space. A closed harmonic point's summed rate
+    matrix offers its population state first; populations is None unless
+    that state is taken.
     """
     count, d = len(gens), gens[0].spectrum.dim
     groups = gens[0].spectrum.liouville_block_groups
     energies = np.array([gen.spectrum.energies for gen in gens])
+    builder = global_me if gens[0].params.bath_model == BATH_HARMONIC else local_me
     # finite rates can still overflow in assembly; the non-finite block
     # that leaves fails the trace-preserving check
     with np.errstate(over="ignore", invalid="ignore"):
-        if gens[0].params.bath_model == BATH_HARMONIC:
-            eigen_blocks = [np.concatenate(b)
-                            for b in zip(*(global_me._eigen_blocks(gen) for gen in gens))]
-        else:
-            eigen_blocks = local_me._eigen_blocks(gens)
+        eigen_blocks = builder._eigen_blocks(gens)
     # each point's -i (E_a - E_b) at the vec position a + d b
     lam = (-1j * (energies[:, None, :] - energies[:, :, None])).reshape(count, -1)
     blocks = []
@@ -383,8 +365,12 @@ def _block_states(gens, rates):
     # index is ascending and starts at vec position 0, the ground-state
     # population, whose row the trace functional replaces
     on_diag = np.flatnonzero(index % (d + 1) == 0)
-    # each block of a stack of k rows stands for itself and its k - 1 mirrors
-    floor = _FLOOR * _unique_null_scale(blocks, [g.shape[0] for g in groups], on_diag)
+    # each block of a stack of k rows stands for itself and its k - 1
+    # mirrors, which share its singular values and its norm; a stacked SVD
+    # call returns the same bits as one call per block
+    weights = [g.shape[0] for g in groups]
+    _check_trace_preserving(blocks[0].take(on_diag, axis=1), blocks, weights)
+    floor = _FLOOR * _null_scale([np.linalg.svd(b, compute_uv=False) for b in blocks], weights)
     diag_ld = lam.take(index, axis=1)[:, :, None].astype(CLD)
     offdiag_ld = eigen_blocks[0].astype(CLD)
 

@@ -789,12 +789,16 @@ def _locate_edge(cfg: GridScanConfig, b2: Sequence, w: Sequence, solved: dict) -
             )
         return value
 
+    # the tolerance and the one-point grid's step in units of the coldest
+    # bath, so that a scan in other units finds the same edge in them
+    t_min = min(cfg.T)
+    xtol = 1e-12 * t_min
     for bk, wk in zip(b2, w):
         if wk is not None and bk > a and wk > 0.0:
-            return _brent_root(work, a, bk, xtol=1e-12)
+            return _brent_root(work, a, bk, xtol=xtol)
     step = (cfg.B2_max - cfg.B2_min) / max(cfg.n_points - 1, 1)
     if step <= 0.0:
-        step = max(0.05 * (1.0 + abs(a)), 1e-3)
+        step = max(0.05 * (t_min + abs(a)), 1e-3 * t_min)
     a0, w0 = (b2[below[-2]], w[below[-2]]) if len(below) > 1 else (None, None)
     for _ in range(50):
         if a0 is not None and wa > w0:
@@ -808,7 +812,7 @@ def _locate_edge(cfg: GridScanConfig, b2: Sequence, w: Sequence, solved: dict) -
         b = a + distance
         wb = work(b)
         if wb > 0.0:
-            return _brent_root(work, a, b, xtol=1e-12)
+            return _brent_root(work, a, b, xtol=xtol)
         if wb == 0.0:
             return b
         a0, w0, a, wa = a, wa, b, wb

@@ -299,6 +299,11 @@ def _broken_laws(Q, W, S_dot, first_law, T, floor, flows, local=None, bounds=Non
     return tuple(name for name, ok in holds.items() if not ok)
 
 
+def _ratio(num: float, den: float) -> Optional[float]:
+    """num / den, or None where the computed den is 0, as an underflowed product can be."""
+    return num / den if den != 0.0 else None
+
+
 def _thermo_rows(sols, epsilon: float, bounds) -> list:
     """The thermo reports of sols, which share one bath model, as rows of THERMO_COLUMNS.
 
@@ -337,13 +342,12 @@ def _thermo_rows(sols, epsilon: float, bounds) -> list:
         regime = Regime.UNCLASSIFIED
         if not broken and min(abs(q1), abs(q2), abs(q3)) > floor:
             regime = classify_regime(Q, W, epsilon)
-        denom_w = q3 + W
         # the Otto trapezoid of (B1/B3, B2/B3): the refrigerator window of
         # (2,3) with the engine window of (1,2), a necessary condition for the
         # absorption refrigerator; a switched-off field is outside
         inside = (b1 > 0.0 and b2 > 0.0 and b3 > 0.0
                   and b2 / b3 > (t2 / t1) * (b1 / b3) and t2 / t3 < b2 / b3 < 1.0)
-        # the figures of merit, None where a denominator vanishes: cop_w
+        # the figures of merit, None where a computed denominator is 0: cop_w
         # credits the work the machine produces (W < 0) back to the driving
         # heat; cop_max bounds cop by the temperature ratios, cop_otto by
         # the field ratios of an auxiliary two-level chiller between baths
@@ -351,10 +355,10 @@ def _thermo_rows(sols, epsilon: float, bounds) -> list:
         rows.append(([
             q1, q2, q3, W, S_dot, *(q or (None,) * 3), *(C or (None,) * 3),
             _REGIME_CODES[regime],
-            q1 / q3 if q3 != 0.0 else None,
-            q1 / denom_w if denom_w != 0.0 else None,
-            t1 * (t3 - t2) / (t3 * (t2 - t1)) if (t2 != t1 and t3 != 0.0) else None,
-            b1 * (b3 - b2) / (b3 * (b2 - b1)) if (b2 != b1 and b3 != 0.0) else None,
+            _ratio(q1, q3),
+            _ratio(q1, q3 + W),
+            _ratio(t1 * (t3 - t2), t3 * (t2 - t1)),
+            _ratio(b1 * (b3 - b2), b3 * (b2 - b1)),
             float(inside), first_law, magnetization,
         ], broken))
     return rows

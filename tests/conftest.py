@@ -94,15 +94,13 @@ def swapped_positions(index, d=8):
 
 def eigen_blocks(gen):
     """The dm >= 0 eigen blocks of one point, from its bath model's builder, one stack each."""
-    if gen.params.bath_model == "harmonic":
-        return global_me._eigen_blocks(gen)
-    return local_me._eigen_blocks([gen])
+    return (global_me if gen.params.bath_model == "harmonic" else local_me)._eigen_blocks([gen])
 
 
 def cut_eigen_blocks(monkeypatch):
     """The Generators of the harmonic points whose eigen blocks are cut from now on, in order."""
     cut, real = [], global_me._eigen_blocks
-    monkeypatch.setattr(global_me, "_eigen_blocks", lambda gen: cut.append(gen) or real(gen))
+    monkeypatch.setattr(global_me, "_eigen_blocks", lambda gens: cut.extend(gens) or real(gens))
     return cut
 
 

@@ -19,9 +19,10 @@ from triqubit.local_me import FLOWS, _pair_flow_observable, _site_matrices
 from triqubit.model import N_SITES, PAIRS, ModelParams
 from triqubit.steady_state import (
     SteadyStateResult,
+    _check_trace_preserving,
     _finalize_state,
+    _null_scale,
     _trace_one_state,
-    _unique_null_scale,
 )
 from triqubit.thermo import Regime, _broken_laws, _current_floor
 
@@ -92,7 +93,8 @@ def solve_steady_state(L: np.ndarray) -> SteadyStateResult:
         raise DomainError(f"generator shape {L.shape} is not a vectorized square map")
     on_diag = np.arange(0, d2, d + 1)  # vec positions of the trace
     # the solve's steps take stacks of points: here a stack of one
-    _unique_null_scale([L[None]], (1,), on_diag)
+    _check_trace_preserving(L[None].take(on_diag, axis=1), [L[None]], (1,))
+    _null_scale([np.linalg.svd(L[None], compute_uv=False)], (1,))
     x, res = _trace_one_state(L[None], on_diag, np.zeros((1, d2, 1), dtype=CLD),
                               L[None].astype(CLD))
     return SteadyStateResult(rho=_finalize_state(x[..., 0])[0], residual=res[0])
@@ -119,7 +121,7 @@ class CopMetrics:
 
 
 def cop_metrics(Q, W: float, T, B) -> CopMetrics:
-    """Refrigeration figures of merit; metrics with vanishing denominators are None.
+    """Refrigeration figures of merit; a metric whose computed denominator is 0 is None.
 
     cop_w credits the work the machine itself produces (W < 0) back to the
     driving heat. cop_max depends only on temperature ratios and bounds cop
@@ -135,8 +137,9 @@ def cop_metrics(Q, W: float, T, B) -> CopMetrics:
     cop = q1 / q3 if q3 != 0.0 else None
     denom_w = q3 + w
     cop_w = q1 / denom_w if denom_w != 0.0 else None
-    cop_max = t1 * (t3 - t2) / (t3 * (t2 - t1)) if (t2 != t1 and t3 != 0.0) else None
-    cop_otto = b1 * (b3 - b2) / (b3 * (b2 - b1)) if (b2 != b1 and b3 != 0.0) else None
+    den_max, den_otto = t3 * (t2 - t1), b3 * (b2 - b1)
+    cop_max = t1 * (t3 - t2) / den_max if den_max != 0.0 else None
+    cop_otto = b1 * (b3 - b2) / den_otto if den_otto != 0.0 else None
     return CopMetrics(cop=cop, cop_w=cop_w, cop_max=cop_max, cop_otto=cop_otto)
 
 

@@ -260,8 +260,8 @@ def test_report_takes_its_reductions_as_gathers(monkeypatch):
 
 
 def test_gathered_reductions_keep_the_bits_of_partial_trace():
-    # random states spanning 40 decades, with signed zeros: the gathers
-    # sum the traced entries in np.einsum's order, from +0.0
+    # random states spanning 40 decades, with signed zeros: the gathers'
+    # sums, + 0.0 as _correlation_rows takes them, keep np.einsum's bits
     pair_index, site_index, cut_index = correlations._reduction_gathers()
     rng = np.random.default_rng(14)
     for trial in range(200):
@@ -271,8 +271,8 @@ def test_gathered_reductions_keep_the_bits_of_partial_trace():
         rho = np.empty((8, 8), dtype=complex)
         rho.real, rho.imag = parts  # keeps the signs of the zeros
         flat = rho.reshape(1, -1)
-        pairs = correlations._traced_sum(flat[:, pair_index])[0]
-        sites = correlations._traced_sum(flat[:, site_index])[0]
+        pairs = (flat[:, pair_index].sum(axis=1) + 0.0)[0]
+        sites = (flat[:, site_index].sum(axis=1) + 0.0)[0]
         for k, pair in enumerate(PAIRS):
             assert_same_bits(pairs[k], partial_trace(rho, pair))
         for k, site in enumerate(SITES):

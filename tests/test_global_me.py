@@ -4,6 +4,7 @@ import json
 import math
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -261,7 +262,7 @@ def _per_site_jump_operators(spectrum, site):
     the keep rule and the zero-mode norm taken in the eigenbasis.
     """
     E, V, d = spectrum.energies, spectrum.vectors, spectrum.dim
-    tol = 1e-9 * max(1.0, float(np.max(np.abs(E))))
+    tol = 1e-9 * float(np.max(np.abs(E)))
     sx_eig = V.conj().T @ embed_pauli(3, "x", site) @ V
     diff = E[None, :] - E[:, None]
     a_idx, b_idx = np.nonzero(diff > tol)
@@ -285,7 +286,7 @@ def _reference_jumps(spectrum, site):
     weight, the rule jump_operators takes in the eigenbasis.
     """
     E, V, d = spectrum.energies, spectrum.vectors, spectrum.dim
-    tol = 1e-9 * max(1.0, float(np.max(np.abs(E))))
+    tol = 1e-9 * float(np.max(np.abs(E)))
     sx_eig = V.conj().T @ embed_pauli(3, "x", site) @ V
     diff = E[None, :] - E[:, None]
     a_idx, b_idx = np.nonzero(diff > tol)
@@ -342,13 +343,19 @@ ZERO_MODE = ModelParams(
     B=(0.5, 1.0, 2.0), J=(0.0, 0.0, 0.0), Delta=(0.2, 0.3, 0.1),
     T=(1.0, 2.0, 3.0), gamma=(1e-3,) * 3, bath_model="harmonic",
 )
+# the first draw with every energy and rate times 2**-20, energies near
+# 1e-6: a clustering tolerance with an absolute floor would cluster it
+# differently from the draw itself
+FIRST_DRAW = _scatter_points(1)[0]
+SCALED_DRAW = replace(FIRST_DRAW, **{name: tuple(2.0 ** -20 * v for v in getattr(FIRST_DRAW, name))
+                                     for name in ("B", "J", "Delta", "T", "gamma")})
 BIT_PIN_POINTS = (
     _scatter_points(60) + _scatter_points(60, master_seed=MASTER_SEED)
-    + [UNCLOSED_HARMONIC, ZERO_MODE]
+    + [UNCLOSED_HARMONIC, ZERO_MODE, SCALED_DRAW]
 )
 BIT_PIN_IDS = (
     [f"scatter-{k}" for k in range(60)] + [f"seed2-{k}" for k in range(60)]
-    + ["unclosed", "zero-mode"]
+    + ["unclosed", "zero-mode", "scatter-0-scaled"]
 )
 
 
@@ -365,7 +372,7 @@ def test_batched_jumps_and_rate_matrices_keep_their_bits(p):
     assert zero_mode_sites == [f"site {s}" for s, o in zip((1, 2, 3), oracle) if o[3] > 1e-10]
     assert bool(zero_mode_sites) == (p is ZERO_MODE)
     E = spectrum.energies
-    tol = 1e-9 * max(1.0, float(np.max(np.abs(E))))
+    tol = 1e-9 * float(np.max(np.abs(E)))
     diff = E[None, :] - E[:, None]
     for site, js, want in zip((1, 2, 3), gen.jumps, oracle):
         assert js.site == site
@@ -403,7 +410,7 @@ def test_batched_jumps_and_rate_matrices_keep_their_bits(p):
         rates += [gamma * (1.0 + nbar), gamma * nbar]
     summed = lindblad_superop(np.concatenate(ops), np.concatenate(rates))
     groups = spectrum.liouville_block_groups
-    cut = global_me._eigen_blocks(gen)
+    cut = global_me._eigen_blocks([gen])
     assert len(cut) == len(groups)
     for stacked, blocks in zip(groups, cut):
         assert blocks.shape == (1,) + stacked.shape[1:] * 2

@@ -39,21 +39,20 @@ for argv in json.loads(sys.argv[1]):
                             if m == package or m.startswith(package + "."))))
 """
 
-# minor page faults per point of a harmonic sweep: the difference of a
-# 120-point and a 20-point run of argv[1], so that warm-up cancels
+# runs the CLI commands of argv[1] (a JSON list of argument lists) in order
+# in this one process and prints the minor page faults of each, as a JSON
+# list, and whether scipy was loaded
 _FAULTS = """
 import contextlib, io, json, resource, sys
 from triqubit import cli
-def faults(samples):
+counts = []
+for argv in json.loads(sys.argv[1]):
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(["sweep-random", "--config", sys.argv[1], "--samples", str(samples),
-                         "--out", sys.argv[2]])
-    assert code == 0, code
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
-small = faults(20)
-large = faults(120)
-print(json.dumps({"per_point": (large - small) / 100, "scipy": "scipy" in sys.modules}))
+        code = cli.main(argv)
+    assert code == 0, (argv, code)
+    counts.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps({"faults": counts, "scipy": "scipy" in sys.modules}))
 """
 
 
@@ -110,10 +109,28 @@ def test_no_command_loads_a_process_pool_library(tmp_path):
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc malloc parameters")
 def test_harmonic_points_do_not_grow_and_trim_the_heap(tmp_path):
-    # without fixed thresholds each harmonic point grows the heap and trims
-    # it again, at some 50 to 100 minor faults per point; with them, next to none
-    out = _fresh_python(_FAULTS, str(CONFIGS / "global_scatter.json"), str(tmp_path / "g.csv"),
-                        env=ONE_THREAD)
-    result = json.loads(out[-1])
+    # a harmonic random sweep takes next to no minor faults per point, with
+    # the pinned heap thresholds and without them alike: this guards the
+    # per-point path against a heap that grows and trims each point; the
+    # pin itself is held by the boost test below
+    # the difference of a 120-point and a 20-point run, so that warm-up cancels
+    commands = [["sweep-random", "--config", str(CONFIGS / "global_scatter.json"),
+                 "--samples", str(samples), "--out", str(tmp_path / "g.csv")]
+                for samples in (20, 120)]
+    result = json.loads(_fresh_python(_FAULTS, json.dumps(commands), env=ONE_THREAD)[-1])
     assert not result["scipy"]
-    assert result["per_point"] < 10, result
+    small, large = result["faults"]
+    assert (large - small) / 100 < 10, result
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc malloc parameters")
+def test_repeated_grid_scans_do_not_grow_and_trim_the_heap(tmp_path):
+    # at glibc's dynamic thresholds each chunked run of a grid scan grows
+    # the heap and trims it again, some 33 minor faults per record on every
+    # scan after the first; with the thresholds pinned, next to none
+    out = tmp_path / "boost.csv"
+    command = ["sweep-boost", "--config", str(CONFIGS / "boost.json"), "--workers", "1",
+               "--out", str(out)]
+    counts = json.loads(_fresh_python(_FAULTS, json.dumps([command] * 5), env=ONE_THREAD)[-1])
+    records = len(list(csv.DictReader(out.read_text().splitlines()[1:])))
+    assert sum(counts["faults"][2:]) < 3 * records, counts

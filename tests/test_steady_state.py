@@ -453,10 +453,9 @@ def test_a_singular_off_diagonal_block_fails_the_certificate(monkeypatch, p):
     u, s, vh = np.linalg.svd(np.diag(_eigen_coherent(gen)[index]) + D)
     blocks[1] = blocks[1].copy()
     blocks[1][0] = D - s[-1] * np.outer(u[:, -1], vh[-1])
-    # a harmonic solve cuts each point's blocks, a local one builds them as
-    # stacks over its points
-    monkeypatch.setattr(global_me, "_eigen_blocks", lambda gen: tuple(blocks))
-    monkeypatch.setattr(local_me, "_eigen_blocks", lambda gens: tuple(blocks))
+    # the solve cuts the blocks with its bath model's _eigen_blocks(gens)
+    for builder in (global_me, local_me):
+        monkeypatch.setattr(builder, "_eigen_blocks", lambda gens: tuple(blocks))
     with pytest.raises(DegenerateSteadyStateError):
         solve_point(p)
 

@@ -346,6 +346,26 @@ def test_a_point_scaled_by_a_power_of_two_keeps_its_state_and_its_heat(config, k
         assert big.row[regime] == rec.row[regime], index
 
 
+@pytest.mark.parametrize("bath_model", ["repeated_interaction", "harmonic"])
+def test_a_point_scaled_across_the_float_range_yields_its_record(bath_model):
+    # cop_max and cop_otto divide by products of T and of B, which underflow
+    # to 0 below about 1e-162 while their factors do not: such a figure is
+    # empty, never a ZeroDivisionError that escapes the record body
+    base = replace(ModelParams(**json.loads((CONFIGS / "point.json").read_text())),
+                   bath_model=bath_model)
+    empty = 0
+    for k in range(-1070, 1021, 10):
+        lam = 2.0 ** k
+        p = replace(base, **{name: tuple(lam * v for v in getattr(base, name))
+                             for name in _SCALED})
+        rec = evaluate_point(p)
+        if rec.thermo is not None:
+            t1, t2, t3 = p.T
+            assert (rec.thermo.cop_max is None) == (t3 * (t2 - t1) == 0.0), k
+            empty += rec.thermo.cop_max is None
+    assert empty > 0
+
+
 def test_harmonic_cold_bath_roundoff_currents_are_unclassified():
     # the population-route currents here are ~-1e-153, all of one sign:
     # roundoff under the absolute floor, not a first-law violation
@@ -991,6 +1011,22 @@ def test_boost_edge_lies_on_the_zero_of_w(shift):
 W_CELL = sweeps.VALUE_COLUMNS.index("W")
 
 
+@pytest.mark.parametrize("k", [-40, 40])
+def test_the_boost_edge_keeps_its_bits_in_scaled_units(k):
+    # every energy, rate and temperature times lam = 2**k moves the edge to
+    # lam B2, at lam**2 W, bit for bit: the search's tolerance and step are
+    # in units of the coldest bath, not absolute
+    data = json.loads((CONFIGS / "boost.json").read_text())
+    lam = 2.0 ** k
+    scaled = {name: [lam * v for v in value] if isinstance(value, list) else lam * value
+              for name, value in data.items() if name not in ("bath_model", "n_points")}
+    edge = boost_scan(GridScanConfig(**data))[-1]
+    big = boost_scan(GridScanConfig(**{**data, **scaled}))[-1]
+    assert "edge" in edge.flags and big.flags == edge.flags
+    assert big.params.B[1] == lam * edge.params.B[1]
+    assert big.row[W_CELL] == lam * lam * edge.row[W_CELL]
+
+
 def _fake_work(monkeypatch, cfg, w_of_b2):
     """The grid's B2 and work w_of_b2(B2), and the map of the B2 solved past it; every later
     solve is logged, its record a row whose only number is W."""
@@ -1034,12 +1070,23 @@ def test_edge_search_steps_one_grid_spacing_where_w_does_not_rise(monkeypatch):
 
 def test_edge_search_steps_one_grid_spacing_from_a_single_point(monkeypatch):
     # one grid point has no second point for a secant, and its grid has no
-    # spacing: the step is 5% of 1 + B2
+    # spacing: the step is 5% of min(T) + B2, here 1 + B2
     cfg = _grid_cfg(3.05, 3.05, 1)
     grid, solved, probes = _fake_work(monkeypatch, cfg, lambda b2: b2 - 3.1)
     edge = sweeps._locate_edge(cfg, *grid, solved)
     assert probes[0] == 3.05 + 0.05 * (1.0 + 3.05)
     assert edge == pytest.approx(3.1, abs=1e-12)
+
+
+def test_edge_search_steps_from_a_single_point_in_units_of_the_coldest_bath(monkeypatch):
+    # the same one-point search with B2, T and W in units 2**40 times larger
+    # probes and finds the same points in those units
+    lam = 2.0 ** -40
+    cfg = replace(_grid_cfg(3.05 * lam, 3.05 * lam, 1), T=(lam, 2 * lam, 3 * lam))
+    grid, solved, probes = _fake_work(monkeypatch, cfg, lambda b2: b2 - 3.1 * lam)
+    edge = sweeps._locate_edge(cfg, *grid, solved)
+    assert probes[0] == lam * (3.05 + 0.05 * (1.0 + 3.05))
+    assert edge == pytest.approx(3.1 * lam, abs=1e-12 * lam)
 
 
 def test_edge_search_probe_below_the_edge_becomes_the_lower_end(monkeypatch):
